@@ -437,45 +437,6 @@ int main(int argc, char** argv) {
               "forced-scalar kernels): %s\n",
               ledgers_ok ? "PASS" : "FAIL");
 
-  // Matrix-level parallel execution: wall-clock for a small 2×2
-  // topology×workload matrix (2 algorithms, randomized trials) at one
-  // thread vs all cores.  On a single-core container the speedup is ~1.0
-  // by construction — the number is meaningful on multi-core reference
-  // hardware; results are thread-count invariant either way (pinned by
-  // scenario_test).
-  const scenario::ScenarioSpec matrix_base = scenario::ScenarioSpec::parse(
-      "algorithms=r_bma,bma;b=8;racks=64;requests=100000;trials=5;"
-      "checkpoints=4;seed=7");
-  const std::vector<Spec> matrix_topologies = {
-      Spec::parse("fat_tree"), Spec::parse("leaf_spine:spines=8")};
-  const std::vector<Spec> matrix_workloads = {Spec::parse("facebook_db"),
-                                              Spec::parse("microsoft")};
-  const std::size_t matrix_cells =
-      matrix_topologies.size() * matrix_workloads.size();
-  const std::size_t matrix_threads = sim::ThreadPool::instance().num_workers();
-  const auto time_matrix = [&](std::size_t threads) {
-    scenario::ScenarioSpec spec = matrix_base;
-    spec.threads = threads;
-    Stopwatch watch;
-    watch.reset();
-    (void)scenario::run_matrix(spec, matrix_topologies, matrix_workloads);
-    return watch.seconds();
-  };
-  (void)time_matrix(1);  // warm-up: pool started, traces/pages faulted in
-  // Best-of-reps with the two thread counts interleaved — same noisy-box
-  // protocol as the req/s measurement above.
-  double matrix_serial = 1e100, matrix_parallel = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    matrix_serial = std::min(matrix_serial, time_matrix(1));
-    matrix_parallel = std::min(matrix_parallel, time_matrix(matrix_threads));
-  }
-  const double matrix_speedup = matrix_serial / matrix_parallel;
-  std::printf(
-      "PERF matrix %zu cells (%zu threads): %.3fs serial, %.3fs parallel, "
-      "%.2fx speedup\n",
-      matrix_cells, matrix_threads, matrix_serial, matrix_parallel,
-      matrix_speedup);
-
   // Per-phase time profile of one traced scenario run (BMA on the
   // Facebook-like trace at b=64, the flagship combination): the obs span
   // tree over workload generation, trial execution, and checkpoint
@@ -572,16 +533,6 @@ int main(int argc, char** argv) {
     json << buf;
   }
   json << "},\n";
-  {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "  \"matrix\": {\"cells\": %zu, \"threads\": %zu, "
-                  "\"wall_seconds_1_thread\": %.3f, "
-                  "\"wall_seconds_n_threads\": %.3f, \"speedup\": %.3f},\n",
-                  matrix_cells, matrix_threads, matrix_serial,
-                  matrix_parallel, matrix_speedup);
-    json << buf;
-  }
   json << "  \"phase_profile\": {\"scenario\": "
           "\"facebook_db/bma/b=64\", \"phases\": [\n";
   for (std::size_t i = 0; i < profile.size(); ++i) {

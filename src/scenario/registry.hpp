@@ -64,12 +64,31 @@ struct AlgorithmEntry {
   bool needs_full_trace = false;
   /// Ignores b (a sweep over cache sizes needs only one run).
   bool b_independent = false;
-  /// Relative per-request compute weight for serve-side admission cost
-  /// estimates (serve/admission.hpp estimate_cost): 1.0 = an ordinary
-  /// online matcher; offline comparators and other super-linear
-  /// algorithms declare themselves heavier so fair queueing charges them
-  /// honestly.  Purely advisory — never affects results.
-  double cost_weight = 1.0;
+  /// Cost model.  One task (one trial at one b) costs requests ×
+  /// (cost_per_request + cost_per_b × b) r_bma-equivalent requests; r_bma
+  /// itself is 1 + 0·b, about 50 ns per request single-threaded on the
+  /// reference host (4-vCPU AVX-512 VM, Release; r_bma measures 42–58 ns
+  /// across b).  Build work (so_bma's static matching, offline_dynamic's
+  /// windows) is folded in per request.  Source: serve ns/request plus
+  /// build ns/request on fat_tree, 100 racks, facebook_db, 10^6 requests,
+  /// divided by r_bma's at the same b, fitted through b = 4 and b = 64.
+  /// To recalibrate, take the core.<alg>.b<b>.ns_per_request and
+  /// core.<alg>.b<b>.build_ms rows of `python3 rdcn_bench/run.py
+  /// --workload replay_1m --trace 1`; rotor and offline_dynamic are not in
+  /// that cell, so time them with `rdcn_sim --threads=1 --profile` (the
+  /// algo.<name> phase).  sim::run_experiment dispatches tasks
+  /// longest-first by this estimate and serve::estimate_cost charges
+  /// admission with it; it never affects results.
+  double cost_per_request = 1.0;
+  double cost_per_b = 0.0;
+
+  /// The cost model's estimate for one task; never negative.
+  double task_cost(std::size_t b, std::size_t requests) const {
+    const double weight =
+        cost_per_request + cost_per_b * static_cast<double>(b);
+    return weight > 0 ? weight * static_cast<double>(requests) : 0.0;
+  }
+
   std::function<std::unique_ptr<core::OnlineBMatcher>(
       const core::Instance& instance, const ParamMap& params,
       const trace::Trace* full_trace, std::uint64_t seed)>

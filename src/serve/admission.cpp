@@ -126,22 +126,19 @@ QuotaTable QuotaTable::parse_file(const std::string& path,
 std::uint64_t estimate_cost(const scenario::ScenarioSpec& spec) {
   const scenario::AlgorithmRegistry& registry =
       scenario::AlgorithmRegistry::instance();
-  const double requests = static_cast<double>(spec.requests);
-  const double b_count =
-      static_cast<double>(std::max<std::size_t>(1, spec.cache_sizes.size()));
   const double trials =
       static_cast<double>(std::max<std::size_t>(1, spec.trials));
+  // The tasks run_scenario expands the spec into, each at the estimate
+  // sim::run_experiment dispatches it by.
   double total = 0;
   for (const Spec& algorithm : spec.algorithms) {
-    const scenario::AlgorithmEntry* entry = registry.find(algorithm.name);
-    const double weight =
-        entry != nullptr && entry->cost_weight > 0 ? entry->cost_weight : 1.0;
-    const double reps = entry != nullptr && entry->randomized ? trials : 1.0;
-    const double cols = entry != nullptr && entry->b_independent ? 1.0
-                                                                 : b_count;
-    total += weight * reps * cols * requests;
+    const scenario::AlgorithmEntry& entry = registry.at(algorithm.name);
+    const double reps = entry.randomized ? trials : 1.0;
+    for (const std::size_t b : spec.cache_sizes) {
+      total += reps * entry.task_cost(b, spec.requests);
+      if (entry.b_independent) break;  // run once, at the first b
+    }
   }
-  if (spec.algorithms.empty()) total = requests * b_count;
   // Saturate far below u64 max so queue-side arithmetic can't overflow.
   constexpr double kCap = 1e18;
   if (total > kCap) total = kCap;

@@ -14,12 +14,12 @@
 //                    runs): a process-wide default plus overrides parsed
 //                    from a quota file (`<client> rps=.. burst=..
 //                    concurrent=..`, '#' comments, `default` row).
-//   estimate_cost    a spec's admission-queue charge in abstract cost
-//                    units: Σ over algorithms of cost_weight × trials (if
-//                    randomized) × |b values| (unless b-independent) ×
-//                    requests.  The registry's per-algorithm cost_weight
-//                    lets offline comparators charge more than their
-//                    request count suggests.
+//   estimate_cost    a spec's admission-queue charge in r_bma-equivalent
+//                    requests: the sum over its (algorithm, b, trial)
+//                    tasks of the registry cost model's task_cost — the
+//                    same estimate sim::run_experiment dispatches by — so
+//                    a rotor sweep or a wide-b BMA run charges what it
+//                    actually costs to compute.
 //   DrrQueue<T>      deficit round-robin fair queue across clients,
 //                    charged in cost units: each backlogged client earns
 //                    `quantum` credit per round, so many small scenarios
@@ -137,7 +137,7 @@ class QuotaTable {
 
 /// Estimated cost units for one admission of `spec` (pass the *resolved*
 /// spec so defaulted algorithm/b lists are visible).  Never 0; saturates
-/// instead of overflowing.
+/// instead of overflowing.  Throws SpecError on an unknown algorithm.
 std::uint64_t estimate_cost(const scenario::ScenarioSpec& spec);
 
 /// Deficit round-robin queue across client lanes, charged in cost units.

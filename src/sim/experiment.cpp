@@ -1,5 +1,6 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <optional>
 
@@ -16,18 +17,43 @@ bool is_randomized(const std::string& algorithm) {
   return entry != nullptr && entry->randomized;
 }
 
+std::vector<ExperimentTask> dispatch_order(
+    const std::vector<ExperimentSpec>& specs, std::size_t trials,
+    std::size_t requests) {
+  const scenario::AlgorithmRegistry& registry =
+      scenario::AlgorithmRegistry::instance();
+  std::vector<ExperimentTask> tasks;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const scenario::AlgorithmEntry& entry = registry.at(specs[s].algorithm);
+    const double cost = entry.task_cost(specs[s].b, requests);
+    const std::size_t reps = entry.randomized ? trials : 1;
+    for (std::size_t t = 0; t < reps; ++t) tasks.push_back({s, t, cost});
+  }
+  // Longest first: the pool's workers claim tasks in this order, so the
+  // shorter tasks fill in around the costliest one instead of leaving it
+  // to run alone at the end.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const ExperimentTask& a, const ExperimentTask& b) {
+                     return a.cost > b.cost;
+                   });
+  return tasks;
+}
+
 namespace {
 
 /// Shared driver of both run_experiment overloads: validates the specs,
 /// expands them into independent (spec, trial) tasks with deterministic
-/// paired seeds, shards the tasks over the persistent ThreadPool, and
-/// averages each spec's trials.  `run_one(spec, seed, control)` executes a
-/// single trial and may throw (first error is rethrown on the calling
-/// thread); `control` carries the config's cancellation token and a
-/// per-trial checkpoint hook bound to the task's spec and seed.
+/// paired seeds, shards the tasks over the persistent ThreadPool in
+/// dispatch_order, and averages each spec's trials.  `requests` is what
+/// every task replays (it scales the cost estimates).  `run_one(spec,
+/// seed, control)` executes a single trial and may throw (first error is
+/// rethrown on the calling thread); `control` carries the config's
+/// cancellation token and a per-trial checkpoint hook bound to the task's
+/// spec and seed.
 template <typename RunOne>
 std::vector<RunResult> run_tasks(const ExperimentConfig& config,
                                  const std::vector<ExperimentSpec>& specs,
+                                 std::size_t requests,
                                  const RunOne& run_one) {
   RDCN_ASSERT_MSG(config.distances != nullptr, "config needs distances");
 
@@ -35,25 +61,23 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   // spends work (and on this thread, where SpecError can propagate).
   const scenario::AlgorithmRegistry& registry =
       scenario::AlgorithmRegistry::instance();
-  for (const ExperimentSpec& spec : specs)
+  for (const ExperimentSpec& spec : specs) {
     registry.validate({spec.algorithm, spec.params});
-
-  // Expand specs into independent (spec, trial) tasks.  Seeds derive
-  // deterministically from the config alone (base_seed + trial), and trial
-  // t uses the same seed for every algorithm/b column (paired seeds), so
-  // a sweep's results are identical for any thread count or completion
-  // order.
-  struct Task {
-    std::size_t spec_index;
-    std::uint64_t seed;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    const std::size_t reps =
-        is_randomized(specs[s].algorithm) ? config.trials : 1;
-    for (std::size_t t = 0; t < reps; ++t)
-      tasks.push_back({s, config.base_seed + t});
+    // Zero trials would leave nothing to average.
+    if (config.trials == 0 && is_randomized(spec.algorithm))
+      throw SpecError("trials must be positive: '" + spec.algorithm +
+                      "' is randomized");
   }
+
+  // Seeds derive deterministically from the config alone (base_seed +
+  // trial), trial t uses the same seed for every algorithm/b column
+  // (paired seeds), and each result lands in its (spec, trial) slot, so a
+  // sweep's results are identical for any thread count, dispatch order or
+  // completion order.
+  const std::vector<ExperimentTask> tasks =
+      dispatch_order(specs, config.trials, requests);
+  std::vector<std::vector<RunResult>> runs(specs.size());
+  for (const ExperimentTask& task : tasks) runs[task.spec].emplace_back();
 
   // parallel_for tasks must not throw; capture the first construction
   // error (e.g. a required parameter a custom entry forgot to default)
@@ -65,17 +89,16 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   bool failed = false;
   std::string cancel_message;
 
-  std::vector<RunResult> raw(tasks.size());
   parallel_for(
       tasks.size(),
       [&](std::size_t i) {
-        const Task& task = tasks[i];
-        const ExperimentSpec& spec = specs[task.spec_index];
+        const ExperimentTask& task = tasks[i];
+        const ExperimentSpec& spec = specs[task.spec];
+        const std::uint64_t seed = config.base_seed + task.trial;
         RunControl control;
         control.cancel = config.cancel;
         if (config.on_checkpoint) {
-          control.on_checkpoint = [&config, &spec,
-                                   seed = task.seed](const Checkpoint& c) {
+          control.on_checkpoint = [&config, &spec, seed](const Checkpoint& c) {
             config.on_checkpoint(spec, seed, c);
           };
         }
@@ -87,10 +110,10 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
           if (obs::tracing_enabled())
             algo_span.emplace(
                 obs::intern_span_name("algo." + spec.algorithm));
-          RunResult r = run_one(spec, task.seed, control);
-          r.seed = task.seed;
+          RunResult r = run_one(spec, seed, control);
+          r.seed = seed;
           r.algorithm = spec.display();
-          raw[i] = std::move(r);
+          runs[task.spec][task.trial] = std::move(r);
         } catch (const CancelledError& e) {
           const std::lock_guard<std::mutex> lock(error_mutex);
           cancel_message = e.what();
@@ -110,15 +133,11 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
                              : std::string("experiment cancelled"));
   if (failed) throw SpecError(error);
 
-  // Group by spec and average.
+  // Average each spec's trials, in trial order.
   std::vector<RunResult> out;
   out.reserve(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    std::vector<RunResult> group;
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      if (tasks[i].spec_index == s) group.push_back(raw[i]);
-    out.push_back(average_runs(group));
-  }
+  for (const std::vector<RunResult>& trials : runs)
+    out.push_back(average_runs(trials));
   return out;
 }
 
@@ -143,7 +162,7 @@ std::vector<RunResult> run_experiment(const ExperimentConfig& config,
   const std::vector<std::uint64_t> grid =
       checkpoint_grid(trace.size(), config.checkpoints);
   return run_tasks(
-      config, specs,
+      config, specs, trace.size(),
       [&](const ExperimentSpec& spec, std::uint64_t seed,
           const RunControl& control) {
         auto matcher = registry.make({spec.algorithm, spec.params},
@@ -159,8 +178,17 @@ std::vector<RunResult> run_experiment(const ExperimentConfig& config,
   RDCN_ASSERT_MSG(make_stream != nullptr, "null stream factory");
   const scenario::AlgorithmRegistry& registry =
       scenario::AlgorithmRegistry::instance();
+  const auto fresh_stream = [&make_stream] {
+    auto stream = make_stream();
+    RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
+                    "stream factory must yield fresh streams");
+    return stream;
+  };
+  const std::size_t requests = fresh_stream()->total();
+  const std::vector<std::uint64_t> grid =
+      checkpoint_grid(requests, config.checkpoints);
   return run_tasks(
-      config, specs,
+      config, specs, requests,
       [&](const ExperimentSpec& spec, std::uint64_t seed,
           const RunControl& control) {
         // full_trace = nullptr: offline comparators raise SpecError here —
@@ -168,12 +196,7 @@ std::vector<RunResult> run_experiment(const ExperimentConfig& config,
         auto matcher = registry.make({spec.algorithm, spec.params},
                                      make_instance(config, spec), nullptr,
                                      seed);
-        auto stream = make_stream();
-        RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
-                        "stream factory must yield fresh streams");
-        const std::vector<std::uint64_t> grid =
-            checkpoint_grid(stream->total(), config.checkpoints);
-        return run_simulation(*matcher, *stream, grid, control);
+        return run_simulation(*matcher, *fresh_stream(), grid, control);
       });
 }
 

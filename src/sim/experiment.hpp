@@ -5,6 +5,13 @@
 // times with distinct seeds and averaged.  Trials run in parallel (each
 // trial owns its matcher and RNG stream); deterministic algorithms run a
 // single trial since repetition would be a no-op.
+//
+// Tasks are dispatched in cost order: longest estimated task first
+// (Graham's LPT rule), by the registry's per-(algorithm, b) cost model,
+// so the longest task never starts last and runs alone.  Results are
+// stored by (spec, trial) and returned in spec order, so ledgers, trial
+// averages and CSV bytes do not depend on dispatch order or thread
+// count; only wall time and the order of checkpoint callbacks do.
 #pragma once
 
 #include <functional>
@@ -50,6 +57,8 @@ struct ExperimentConfig {
   CancelToken cancel{};
   /// Optional progress stream: called for every checkpoint of every trial,
   /// possibly from several pool workers at once (must be thread-safe).
+  /// Within a trial checkpoints arrive in grid order; across trials they
+  /// follow dispatch order (see dispatch_order), even at threads = 1.
   std::function<void(const ExperimentSpec& spec, std::uint64_t seed,
                      const Checkpoint& checkpoint)>
       on_checkpoint{};
@@ -59,6 +68,22 @@ struct ExperimentConfig {
 /// AlgorithmRegistry entry; unknown names are treated as deterministic).
 bool is_randomized(const std::string& algorithm);
 
+/// One unit of run_experiment's work: trial `trial` of `specs[spec]`,
+/// seeded base_seed + trial.
+struct ExperimentTask {
+  std::size_t spec = 0;
+  std::size_t trial = 0;
+  double cost = 0;  ///< scenario::AlgorithmEntry::task_cost estimate
+};
+
+/// The tasks run_experiment expands `specs` into — `trials` per randomized
+/// algorithm, one per deterministic one — in the order it dispatches them:
+/// descending estimated cost for `requests` requests each, ties in (spec,
+/// trial) order.  Throws SpecError on an unknown algorithm.
+std::vector<ExperimentTask> dispatch_order(
+    const std::vector<ExperimentSpec>& specs, std::size_t trials,
+    std::size_t requests);
+
 /// Runs every spec over `trace`; returns one (trial-averaged) RunResult per
 /// spec, in spec order.
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
@@ -66,9 +91,10 @@ std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const std::vector<ExperimentSpec>& specs);
 
 /// Factory producing a fresh, unconsumed stream of the workload.  Called
-/// once per (spec, trial) task — possibly from several pool workers at
-/// once, so it must be thread-safe (the registry stream builders are: they
-/// snapshot their RNG instead of sharing it).
+/// once up front (a probe that sizes the checkpoint grid and the cost
+/// estimates) and once per (spec, trial) task — possibly from several pool
+/// workers at once, so it must be thread-safe (the registry stream
+/// builders are: they snapshot their RNG instead of sharing it).
 using StreamFactory = std::function<std::unique_ptr<trace::TraceStream>()>;
 
 /// Streaming variant: same trial expansion, seeds, and averaging as the

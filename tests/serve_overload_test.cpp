@@ -177,10 +177,11 @@ scenario::ScenarioSpec resolved(const std::string& text) {
 }
 
 TEST(EstimateCostTest, ChargesRequestsTimesColumns) {
+  // r_bma is the cost unit at every b: one unit per request per column.
   const std::uint64_t one_b = estimate_cost(
-      resolved("algorithms=bma;b=2;racks=8;requests=4000;trials=1"));
+      resolved("algorithms=r_bma;b=2;racks=8;requests=4000;trials=1"));
   const std::uint64_t two_b = estimate_cost(
-      resolved("algorithms=bma;b=2,4;racks=8;requests=4000;trials=1"));
+      resolved("algorithms=r_bma;b=2,4;racks=8;requests=4000;trials=1"));
   EXPECT_EQ(one_b, 4000u);
   EXPECT_EQ(two_b, 2 * one_b);
 }
@@ -195,12 +196,38 @@ TEST(EstimateCostTest, TrialsMultiplyOnlyRandomizedAlgorithms) {
             5 * estimate_cost(resolved(rand + "1")));
 }
 
-TEST(EstimateCostTest, RegistryCostWeightScalesOfflineComparators) {
-  const std::uint64_t online = estimate_cost(
-      resolved("algorithms=bma;b=2;racks=8;requests=4000;trials=1"));
-  const std::uint64_t offline = estimate_cost(
-      resolved("algorithms=so_bma;b=2;racks=8;requests=4000;trials=1"));
-  EXPECT_EQ(offline, 4 * online);  // so_bma's registry cost_weight
+TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
+  // Single-thread ns/request on fat_tree, 100 racks, facebook_db (the
+  // registry cost model's calibration table), relative to r_bma at the
+  // same b.
+  const auto cost = [](const std::string& algorithm, std::size_t b) {
+    scenario::ScenarioSpec spec =
+        resolved("racks=100;requests=100000;trials=1");
+    spec.algorithms = {Spec{algorithm, {}}};
+    spec.cache_sizes = {b};
+    return estimate_cost(spec);
+  };
+  for (const std::size_t b : {4u, 16u, 64u}) {
+    SCOPED_TRACE("b=" + std::to_string(b));
+    // rotor > bma > r_bma > {so_bma, greedy} > oblivious at every b;
+    // offline_dynamic's window matchings also outweigh r_bma.
+    EXPECT_GT(cost("rotor", b), cost("bma", b));
+    EXPECT_GT(cost("bma", b), cost("r_bma", b));
+    EXPECT_GT(cost("offline_dynamic", b), cost("r_bma", b));
+    for (const char* light : {"so_bma", "greedy"}) {
+      EXPECT_GT(cost("r_bma", b), cost(light, b)) << light;
+      EXPECT_GT(cost(light, b), cost("oblivious", b)) << light;
+    }
+  }
+  // so_bma measures ≈0.37× r_bma, not the 4× a flat weight charged it.
+  EXPECT_LT(cost("so_bma", 4), cost("r_bma", 4) / 2);
+  // bma grows ≈2× from b=4 to b=64 and rotor ≈10×; r_bma and the
+  // b-independent oblivious stay flat.
+  EXPECT_GT(cost("bma", 64), 3 * cost("bma", 4) / 2);
+  EXPECT_GT(cost("rotor", 64), 5 * cost("rotor", 4));
+  EXPECT_GT(cost("rotor", 64), 50 * cost("r_bma", 64));
+  EXPECT_EQ(cost("r_bma", 4), cost("r_bma", 64));
+  EXPECT_EQ(cost("oblivious", 4), cost("oblivious", 64));
 }
 
 TEST(EstimateCostTest, BIndependentAlgorithmsChargeOneColumn) {
