@@ -5,7 +5,6 @@
 
 #include <unordered_map>
 
-#include "legacy_flat_map.hpp"
 #include "rdcn.hpp"
 
 namespace {
@@ -14,7 +13,7 @@ using namespace rdcn;
 
 // Mixed insert/erase/find churn over a bounded key space — the access
 // pattern of the matching algorithms' per-pair maps.  Run for the tagged
-// FlatMap, the pre-overhaul untagged layout, and std::unordered_map.
+// FlatMap and std::unordered_map.
 template <typename Map>
 void churn_mix(benchmark::State& state) {
   Xoshiro256 rng(12);
@@ -39,11 +38,6 @@ void BM_FlatMapChurn(benchmark::State& state) {
   churn_mix<FlatMap<std::uint64_t>>(state);
 }
 BENCHMARK(BM_FlatMapChurn);
-
-void BM_LegacyFlatMapChurn(benchmark::State& state) {
-  churn_mix<bench::LegacyFlatMap<std::uint64_t>>(state);
-}
-BENCHMARK(BM_LegacyFlatMapChurn);
 
 void BM_StdUnorderedChurn(benchmark::State& state) {
   churn_mix<std::unordered_map<std::uint64_t, std::uint64_t>>(state);

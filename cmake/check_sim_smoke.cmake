@@ -47,32 +47,37 @@ endforeach()
 
 message(STATUS "rdcn_sim smoke sweep OK: ${line_count} lines, header + 4 checkpoint rows")
 
-# Streamed twin of the sweep above: same scenario replayed through
-# --stream (constant-memory TraceStream path).  The ledger columns must be
-# bit-identical to the materialized run — stream twins replay the same
-# requests — so beyond being well-formed, the CSV must match the
-# materialized CSV line for line.
+# One column of the sweep above, run alone: a single online task, so
+# rdcn_sim replays the workload as a stream instead of materializing it.
+# The stream serves the same requests, so its CSV must equal the sweep's
+# `requests` and `bma(b=2)` columns line for line.
 execute_process(
   COMMAND ${SIM}
     --topology=torus:rows=3,cols=3 --racks=9
     --workload=flow_pool:pairs=30,skew=1.1 --requests=3000
-    --algorithms=r_bma:engine=lru,bma --b=2,4
+    --algorithms=bma --b=2
     --trials=2 --checkpoints=4 --seed=7
-    --stream
-    --csv=${CSV}.streamed
-  RESULT_VARIABLE stream_rc
-  OUTPUT_VARIABLE stream_out
-  ERROR_VARIABLE stream_err)
-if(NOT stream_rc EQUAL 0)
-  message(FATAL_ERROR "rdcn_sim --stream exited with ${stream_rc}\nstdout:\n${stream_out}\nstderr:\n${stream_err}")
+    --csv=${CSV}.single
+  RESULT_VARIABLE single_rc
+  OUTPUT_VARIABLE single_out
+  ERROR_VARIABLE single_err)
+if(NOT single_rc EQUAL 0)
+  message(FATAL_ERROR "single-task rdcn_sim exited with ${single_rc}\nstdout:\n${single_out}\nstderr:\n${single_err}")
 endif()
-if(NOT stream_out MATCHES "streamed")
-  message(FATAL_ERROR "rdcn_sim --stream did not report streamed replay:\n${stream_out}")
-endif()
-
-file(STRINGS ${CSV}.streamed stream_lines)
-if(NOT stream_lines STREQUAL lines)
-  message(FATAL_ERROR "streamed CSV differs from materialized CSV:\n  materialized: ${lines}\n  streamed:     ${stream_lines}")
+if(NOT single_out MATCHES "streamed")
+  message(FATAL_ERROR "single-task rdcn_sim did not report streamed replay:\n${single_out}")
 endif()
 
-message(STATUS "rdcn_sim --stream smoke sweep OK: CSV bit-identical to materialized run")
+file(STRINGS ${CSV}.single single_lines)
+set(expected_single "")
+foreach(line IN LISTS lines)
+  string(REPLACE "," ";" fields "${line}")
+  list(GET fields 0 requests_field)
+  list(GET fields 3 bma_field)
+  list(APPEND expected_single "${requests_field},${bma_field}")
+endforeach()
+if(NOT single_lines STREQUAL expected_single)
+  message(FATAL_ERROR "single-task CSV differs from the sweep's bma(b=2) column:\n  sweep:       ${expected_single}\n  single task: ${single_lines}")
+endif()
+
+message(STATUS "rdcn_sim single-task smoke OK: streamed CSV equals the sweep's bma(b=2) column")

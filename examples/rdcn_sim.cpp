@@ -40,9 +40,6 @@ constexpr FlagDoc kFlagDocs[] = {
     {"workload", "SPEC", "workload spec: name[:k=v,...] (default facebook_db)"},
     {"trace", "FILE", "shorthand for --workload=csv:path=FILE"},
     {"requests", "N", "trace length (default 100000)"},
-    {"stream", "",
-     "replay the workload as a TraceStream at constant memory (arbitrarily "
-     "long traces; offline algorithms and csv import unsupported)"},
     {"algorithms", "LIST",
      "comma-separated algorithm specs (default r_bma,bma,oblivious)"},
     {"b", "LIST", "cache sizes to sweep, e.g. 6,12,18 (default 12)"},
@@ -59,10 +56,6 @@ constexpr FlagDoc kFlagDocs[] = {
     {"profile", "",
      "trace simulation phases (RAII spans over the monotonic clock) and "
      "print a per-phase time report after the run"},
-    {"zipf-skew", "S", "deprecated: use --workload=zipf:skew=S"},
-    {"engine", "NAME", "deprecated: use --algorithms=r_bma:engine=NAME"},
-    {"eager", "", "deprecated: use --algorithms=r_bma:eager"},
-    {"window", "N", "deprecated: use --algorithms=offline_dynamic:window=N"},
     {"help", "", "this text"},
 };
 
@@ -89,26 +82,6 @@ std::vector<std::string> known_flags() {
   std::vector<std::string> out;
   for (const FlagDoc& f : kFlagDocs) out.push_back(f.name);
   return out;
-}
-
-/// Folds the deprecated convenience flags into the specs they configure,
-/// without overriding explicitly given parameters.
-void apply_legacy_flags(const Flags& flags, scenario::ScenarioSpec& spec) {
-  if (flags.has("zipf-skew") && spec.workload.name == "zipf" &&
-      !spec.workload.params.contains("skew"))
-    spec.workload.params.set("skew", flags.get("zipf-skew"));
-  for (Spec& algorithm : spec.algorithms) {
-    if (algorithm.name == "r_bma") {
-      if (flags.has("engine") && !algorithm.params.contains("engine"))
-        algorithm.params.set("engine", flags.get("engine"));
-      if (flags.get_bool("eager", false) &&
-          !algorithm.params.contains("eager"))
-        algorithm.params.set("eager", "true");
-    }
-    if (algorithm.name == "offline_dynamic" && flags.has("window") &&
-        !algorithm.params.contains("window"))
-      algorithm.params.set("window", flags.get("window"));
-  }
 }
 
 }  // namespace
@@ -148,7 +121,6 @@ int main(int argc, char** argv) {
     spec.checkpoints = flags.get_uint("checkpoints", 8);
     spec.seed = flags.get_uint("seed", 42);
     spec.threads = flags.get_uint("threads", 0);
-    apply_legacy_flags(flags, spec);
 
     const sim::Metric metric =
         sim::parse_metric(flags.get("metric", "routing_cost"));
@@ -159,31 +131,29 @@ int main(int argc, char** argv) {
       obs::set_tracing(true);
     }
 
-    const bool streamed = flags.get_bool("stream", false);
     const scenario::ScenarioResult result = [&] {
       // The root span brackets the whole run so child phases (workload
       // generation, trial execution, checkpoint drains) report as
       // fractions of it.
       obs::ObsSpan root("rdcn_sim.run");
-      return streamed ? scenario::run_scenario_streamed(spec)
-                      : scenario::run_scenario(spec);
+      return scenario::run_scenario(spec);
     }();
 
     std::cout << "scenario: " << result.spec.to_string() << "\n";
-    if (streamed) {
-      // No materialized trace exists to compute stats over — that is the
-      // point of streaming.
-      std::cout << "workload=" << result.workload.name()
-                << " racks=" << result.workload.num_racks()
-                << " requests=" << result.spec.requests
-                << " (streamed: constant-memory replay, stats skipped)\n\n";
-    } else {
+    if (!result.workload.empty()) {
       const trace::TraceStats stats = trace::compute_stats(result.workload);
       std::cout << "workload=" << result.workload.name()
                 << " racks=" << result.workload.num_racks()
                 << " requests=" << result.workload.size()
                 << " gini=" << stats.gini
                 << " locality64=" << stats.locality_window64 << "\n\n";
+    } else {
+      // A single online task replays the workload as a stream: no trace
+      // exists to compute stats over.
+      std::cout << "workload=" << result.workload.name()
+                << " racks=" << result.workload.num_racks()
+                << " requests=" << result.spec.requests
+                << " (streamed: constant-memory replay, stats skipped)\n\n";
     }
     sim::print_table(std::cout, result.runs, metric, "rdcn_sim");
     sim::print_summary(std::cout, result.runs, result.runs.back());

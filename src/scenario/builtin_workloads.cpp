@@ -1,10 +1,8 @@
-// Built-in workload entries wrapping the trace::generate_* primitives, the
+// Built-in workload entries wrapping the trace::stream_* generators, the
 // Facebook/Microsoft cluster profiles, and CSV trace import.  Every builder
-// threads the scenario RNG through, so a fixed seed reproduces the trace
-// bit-for-bit.  Generators with a stream_* twin also register it (the
-// `stream` half of the entry), so `rdcn_sim --stream` and the stream-fed
-// simulator overload replay the identical request sequence at constant
-// memory.
+// returns a stream seeded from a snapshot of the scenario RNG, so a fixed
+// seed reproduces the trace bit-for-bit whether it is replayed chunk by
+// chunk or materialized first.
 #include <fstream>
 
 #include "scenario/builtins.hpp"
@@ -22,18 +20,12 @@ WorkloadEntry facebook(std::string summary, trace::FacebookCluster cluster) {
   WorkloadEntry e;
   e.summary = std::move(summary);
   e.build = [cluster](std::size_t racks, std::size_t requests,
-                      const ParamMap&, Xoshiro256& rng) {
-    return trace::generate_facebook_like(cluster, racks, requests, rng);
-  };
-  e.stream = [cluster](std::size_t racks, std::size_t requests,
-                       const ParamMap&, const Xoshiro256& rng) {
+                      const ParamMap&, const Xoshiro256& rng) {
     return trace::stream_facebook_like(cluster, racks, requests, rng);
   };
   return e;
 }
 
-/// Shared by the flow_pool build and stream halves so the two can never
-/// drift apart on parameter names or defaults.
 trace::FlowPoolParams parse_flow_pool(const ParamMap& params) {
   trace::FlowPoolParams p;
   p.candidate_pairs = params.get<std::size_t>("pairs", 1000);
@@ -64,11 +56,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
     WorkloadEntry e;
     e.summary = "uniform i.i.d. pairs — no structure at all";
     e.build = [](std::size_t racks, std::size_t requests, const ParamMap&,
-                 Xoshiro256& rng) {
-      return trace::generate_uniform(racks, requests, rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests, const ParamMap&,
-                  const Xoshiro256& rng) {
+                 const Xoshiro256& rng) {
       return trace::stream_uniform(racks, requests, rng);
     };
     registry.add("uniform", std::move(e));
@@ -78,12 +66,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
     e.summary = "Zipf-skewed i.i.d. pairs (pure spatial skew)";
     e.params = {{"skew", "Zipf exponent s", "1.0"}};
     e.build = [](std::size_t racks, std::size_t requests,
-                 const ParamMap& params, Xoshiro256& rng) {
-      return trace::generate_zipf_pairs(racks, requests,
-                                        params.get<double>("skew", 1.0), rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests,
-                  const ParamMap& params, const Xoshiro256& rng) {
+                 const ParamMap& params, const Xoshiro256& rng) {
       return trace::stream_zipf_pairs(racks, requests,
                                       params.get<double>("skew", 1.0), rng);
     };
@@ -95,14 +78,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
     e.params = {{"hot_fraction", "fraction of racks that are hot", "0.1"},
                 {"hot_share", "share of traffic hitting hot racks", "0.8"}};
     e.build = [](std::size_t racks, std::size_t requests,
-                 const ParamMap& params, Xoshiro256& rng) {
-      return trace::generate_hotspot(racks, requests,
-                                     params.get<double>("hot_fraction", 0.1),
-                                     params.get<double>("hot_share", 0.8),
-                                     rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests,
-                  const ParamMap& params, const Xoshiro256& rng) {
+                 const ParamMap& params, const Xoshiro256& rng) {
       return trace::stream_hotspot(racks, requests,
                                    params.get<double>("hot_fraction", 0.1),
                                    params.get<double>("hot_share", 0.8), rng);
@@ -113,11 +89,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
     WorkloadEntry e;
     e.summary = "fixed permutation traffic (one matching covers everything)";
     e.build = [](std::size_t racks, std::size_t requests, const ParamMap&,
-                 Xoshiro256& rng) {
-      return trace::generate_permutation(racks, requests, rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests, const ParamMap&,
-                  const Xoshiro256& rng) {
+                 const Xoshiro256& rng) {
       return trace::stream_permutation(racks, requests, rng);
     };
     registry.add("permutation", std::move(e));
@@ -140,12 +112,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
                 {"hub_bias", "per-endpoint probability of a hot rack", "0.8"},
                 {"noise", "fraction of uniform background requests", "0"}};
     e.build = [](std::size_t racks, std::size_t requests,
-                 const ParamMap& params, Xoshiro256& rng) {
-      return trace::generate_flow_pool(racks, requests,
-                                       parse_flow_pool(params), rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests,
-                  const ParamMap& params, const Xoshiro256& rng) {
+                 const ParamMap& params, const Xoshiro256& rng) {
       return trace::stream_flow_pool(racks, requests, parse_flow_pool(params),
                                      rng);
     };
@@ -158,14 +125,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
                 {"share", "traffic share carried by elephants", "0.7"},
                 {"run", "mean elephant run length", "40"}};
     e.build = [](std::size_t racks, std::size_t requests,
-                 const ParamMap& params, Xoshiro256& rng) {
-      return trace::generate_elephant_mice(
-          racks, requests, params.get<std::size_t>("elephants", 16),
-          params.get<double>("share", 0.7), params.get<double>("run", 40.0),
-          rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests,
-                  const ParamMap& params, const Xoshiro256& rng) {
+                 const ParamMap& params, const Xoshiro256& rng) {
       return trace::stream_elephant_mice(
           racks, requests, params.get<std::size_t>("elephants", 16),
           params.get<double>("share", 0.7), params.get<double>("run", 40.0),
@@ -179,12 +139,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
                 "lower-bound shape; worst case for any online b <= k)";
     e.params = {{"k", "number of competing hub pairs minus one", "8"}};
     e.build = [](std::size_t racks, std::size_t requests,
-                 const ParamMap& params, Xoshiro256&) {
-      return trace::generate_round_robin_star(
-          racks, requests, params.get<std::size_t>("k", 8));
-    };
-    e.stream = [](std::size_t racks, std::size_t requests,
-                  const ParamMap& params, const Xoshiro256&) {
+                 const ParamMap& params, const Xoshiro256&) {
       return trace::stream_round_robin_star(
           racks, requests, params.get<std::size_t>("k", 8));
     };
@@ -213,12 +168,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
                 {"elephants", "extra super-hot matrix entries", "25"},
                 {"boost", "weight multiplier for elephant entries", "30"}};
     e.build = [](std::size_t racks, std::size_t requests,
-                 const ParamMap& params, Xoshiro256& rng) {
-      return trace::generate_microsoft_like(racks, requests,
-                                            parse_microsoft(params), rng);
-    };
-    e.stream = [](std::size_t racks, std::size_t requests,
-                  const ParamMap& params, const Xoshiro256& rng) {
+                 const ParamMap& params, const Xoshiro256& rng) {
       return trace::stream_microsoft_like(racks, requests,
                                           parse_microsoft(params), rng);
     };
@@ -230,10 +180,9 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
                 "header optional)";
     e.params = {{"path", "CSV file to read", ""},
                 {"limit", "truncate to the first N requests; 0 = all", "0"}};
-    // No stream half: a CSV import is materialized by nature (make_stream
-    // reports "no streaming form" for it).
+    // The import is read whole; the stream owns it.
     e.build = [](std::size_t, std::size_t, const ParamMap& params,
-                 Xoshiro256&) {
+                 const Xoshiro256&) -> std::unique_ptr<trace::TraceStream> {
       const std::string path = params.get<std::string>("path");
       // read_csv_file asserts (aborts) on unreadable files; spec-string
       // entry points must throw SpecError so drivers can report and exit.
@@ -241,7 +190,8 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
         throw SpecError("workload 'csv': cannot open '" + path + "'");
       trace::Trace t = trace::read_csv_file(path);
       const std::size_t limit = params.get<std::size_t>("limit", 0);
-      return limit != 0 && limit < t.size() ? t.prefix(limit) : t;
+      if (limit != 0 && limit < t.size()) t = t.prefix(limit);
+      return std::make_unique<trace::MaterializedStream>(std::move(t));
     };
     registry.add("csv", std::move(e));
   }

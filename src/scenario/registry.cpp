@@ -160,37 +160,23 @@ net::Topology TopologyRegistry::make(const Spec& spec, std::size_t racks,
   return topology;
 }
 
-trace::Trace WorkloadRegistry::make(const Spec& spec, std::size_t racks,
-                                    std::size_t requests,
-                                    Xoshiro256& rng) const {
-  validate(spec);
-  const WorkloadEntry& entry = at(spec.name);
-  ParamMap params = spec.params;
-  params.reset_consumption();
-  trace::Trace trace = entry.build(racks, requests, params, rng);
-  params.require_all_consumed("workload '" + spec.name + "'");
-  return trace;
-}
-
-bool WorkloadRegistry::streamable(const std::string& name) const {
-  const WorkloadEntry* entry = find(name);
-  return entry != nullptr && entry->stream != nullptr;
-}
-
 std::unique_ptr<trace::TraceStream> WorkloadRegistry::make_stream(
     const Spec& spec, std::size_t racks, std::size_t requests,
     const Xoshiro256& rng) const {
   validate(spec);
   const WorkloadEntry& entry = at(spec.name);
-  if (entry.stream == nullptr)
-    throw SpecError("workload '" + spec.name +
-                    "' has no streaming form (only materialized traces)");
   ParamMap params = spec.params;
   params.reset_consumption();
   std::unique_ptr<trace::TraceStream> stream =
-      entry.stream(racks, requests, params, rng);
+      entry.build(racks, requests, params, rng);
   params.require_all_consumed("workload '" + spec.name + "'");
   return stream;
+}
+
+trace::Trace WorkloadRegistry::make(const Spec& spec, std::size_t racks,
+                                    std::size_t requests,
+                                    const Xoshiro256& rng) const {
+  return trace::materialize(*make_stream(spec, racks, requests, rng));
 }
 
 std::unique_ptr<core::OnlineBMatcher> make_algorithm(
@@ -206,7 +192,7 @@ net::Topology make_topology(const std::string& spec, std::size_t racks,
 }
 
 trace::Trace make_workload(const std::string& spec, std::size_t racks,
-                           std::size_t requests, Xoshiro256& rng) {
+                           std::size_t requests, const Xoshiro256& rng) {
   return WorkloadRegistry::instance().make(Spec::parse(spec), racks, requests,
                                            rng);
 }

@@ -12,9 +12,10 @@
 //                       ("r_bma:engine=lru,eager", "offline_dynamic:window=5000").
 //   TopologyRegistry    name + ParamMap + rack count → net::Topology,
 //                       wrapping the net::make_* builders ("torus:rows=5,cols=10").
-//   WorkloadRegistry    name + ParamMap + racks/requests/seed → trace::Trace,
-//                       wrapping trace::generate_*, the Facebook/Microsoft
-//                       cluster profiles, and CSV import ("csv:path=trace.csv").
+//   WorkloadRegistry    name + ParamMap + racks/requests/seed →
+//                       trace::TraceStream, wrapping trace::stream_*, the
+//                       Facebook/Microsoft cluster profiles, and CSV import
+//                       ("csv:path=trace.csv"); make() materializes it.
 //
 // Every entry carries a one-line summary plus per-parameter docs, so help
 // text, CLI validation, and sweep tooling are *generated* from the
@@ -28,7 +29,7 @@
 //       "my workload summary",
 //       {{"knob", "what it does", "42"}},
 //       [](std::size_t racks, std::size_t requests, const ParamMap& p,
-//          Xoshiro256& rng) { ... return trace; }});
+//          const Xoshiro256& rng) { ... return stream; }});
 //
 // after which "my_workload:knob=7" works in every driver, bench, and test.
 #pragma once
@@ -106,18 +107,13 @@ struct TopologyEntry {
 struct WorkloadEntry {
   std::string summary;
   std::vector<ParamDoc> params;
-  std::function<trace::Trace(std::size_t racks, std::size_t requests,
-                             const ParamMap& params, Xoshiro256& rng)>
-      build;
-  /// Optional streaming twin of `build`: produces bit-identically the
-  /// trace build() returns for the same RNG state, but chunk by chunk at
-  /// constant memory (the rng is snapshotted, never advanced — the
-  /// trace/generators.hpp stream_* convention).  Null when the workload
-  /// has no streaming form (e.g. csv import).
+  /// Builds the workload as a fresh stream.  The rng is snapshotted, never
+  /// advanced (the trace/generators.hpp stream_* convention), so equal rng
+  /// states replay equal request sequences.
   std::function<std::unique_ptr<trace::TraceStream>(
       std::size_t racks, std::size_t requests, const ParamMap& params,
       const Xoshiro256& rng)>
-      stream;
+      build;
 };
 
 template <typename Entry>
@@ -181,21 +177,16 @@ class WorkloadRegistry : public Registry<WorkloadEntry> {
 
   static WorkloadRegistry& instance();
 
-  trace::Trace make(const Spec& spec, std::size_t racks,
-                    std::size_t requests, Xoshiro256& rng) const;
-
-  /// Whether `name` has a streaming twin registered.
-  bool streamable(const std::string& name) const;
-
   /// Builds the workload as a TraceStream (constant-memory replay of
-  /// arbitrarily long traces).  The rng is snapshotted, not advanced, and
-  /// the stream's request sequence is bit-identical to what make() would
-  /// return for the same rng state.  Throws SpecError when the workload
-  /// has no streaming form.
+  /// arbitrarily long traces).  The rng is read, not advanced.
   std::unique_ptr<trace::TraceStream> make_stream(const Spec& spec,
                                                   std::size_t racks,
                                                   std::size_t requests,
                                                   const Xoshiro256& rng) const;
+
+  /// materialize(*make_stream(...)): the same requests, held in memory.
+  trace::Trace make(const Spec& spec, std::size_t racks,
+                    std::size_t requests, const Xoshiro256& rng) const;
 };
 
 /// Convenience wrappers taking compact spec strings ("r_bma:engine=lru").
@@ -206,7 +197,7 @@ std::unique_ptr<core::OnlineBMatcher> make_algorithm(
 net::Topology make_topology(const std::string& spec, std::size_t racks,
                             Xoshiro256& rng);
 trace::Trace make_workload(const std::string& spec, std::size_t racks,
-                           std::size_t requests, Xoshiro256& rng);
+                           std::size_t requests, const Xoshiro256& rng);
 
 /// Splits a comma-separated list of algorithm specs.  Commas both separate
 /// specs and parameters; a segment opens a new spec iff its head (text

@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 
 #include "common/assert.hpp"
@@ -149,32 +150,17 @@ ScenarioSpec ScenarioSpec::resolved() const {
   return out;
 }
 
+void check_run_shape(const ScenarioSpec& spec) {
+  if (spec.racks < 2) throw SpecError("racks must be at least 2");
+  if (spec.requests == 0) throw SpecError("requests must be positive");
+  if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
+  if (spec.requests < spec.checkpoints)
+    throw SpecError("requests (" + std::to_string(spec.requests) +
+                    ") must be >= checkpoints (" +
+                    std::to_string(spec.checkpoints) + ")");
+}
+
 namespace {
-
-/// Shared head of run_scenario / run_scenario_streamed: topology built and
-/// the RNG left exactly where workload generation starts.
-std::size_t build_topology(const ScenarioSpec& spec, Xoshiro256& rng,
-                           ScenarioResult& result) {
-  obs::ObsSpan span("scenario.topology");
-  result.spec = spec;
-  result.topology =
-      TopologyRegistry::instance().make(spec.topology, spec.racks, rng);
-  // `racks` is a request, not a contract: builders round to their natural
-  // sizes (2^dim hypercubes, rows x cols tori).  Generate the workload over
-  // what the network actually provides so explicit topology dimensions
-  // always yield a runnable scenario.
-  return std::min(spec.racks, result.topology.num_racks());
-}
-
-void check_workload_fits(const ScenarioSpec& spec, std::size_t workload_racks,
-                         const ScenarioResult& result) {
-  if (workload_racks > result.topology.num_racks())
-    throw SpecError(
-        "workload '" + spec.workload.to_string() + "' uses " +
-        std::to_string(workload_racks) + " racks but topology '" +
-        spec.topology.to_string() + "' provides only " +
-        std::to_string(result.topology.num_racks()));
-}
 
 sim::ExperimentConfig make_experiment_config(const ScenarioSpec& spec,
                                              const ScenarioResult& result,
@@ -218,74 +204,69 @@ std::vector<sim::ExperimentSpec> make_experiment_specs(
   return experiment_specs;
 }
 
-}  // namespace
-
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  return run_scenario(spec, RunHooks{});
+/// Whether the cell's tasks must share one materialized trace: an offline
+/// comparator reads the whole trace up front, and more than one task would
+/// otherwise regenerate it once each.
+bool must_materialize(const std::vector<sim::ExperimentSpec>& columns,
+                      std::size_t trials) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
+  for (const sim::ExperimentSpec& column : columns)
+    if (registry.at(column.algorithm).needs_full_trace) return true;
+  return sim::dispatch_order(columns, trials, /*requests=*/1).size() > 1;
 }
+
+}  // namespace
 
 ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
                             const RunHooks& hooks) {
   const ScenarioSpec spec = raw_spec.resolved();
+  check_run_shape(spec);
+  const std::vector<sim::ExperimentSpec> columns = make_experiment_specs(spec);
+  const bool materialized = must_materialize(columns, spec.trials);
 
   // One RNG stream seeds topology construction, then workload generation —
   // the same order the historical rdcn_sim driver used, so a fixed seed
   // reproduces its networks and traces exactly.
   Xoshiro256 rng(spec.seed);
   ScenarioResult result;
-  const std::size_t workload_racks = build_topology(spec, rng, result);
+  result.spec = spec;
+  {
+    obs::ObsSpan span("scenario.topology");
+    result.topology =
+        TopologyRegistry::instance().make(spec.topology, spec.racks, rng);
+  }
+  const std::size_t topology_racks = result.topology.num_racks();
+
+  std::unique_ptr<trace::TraceStream> stream;
   {
     obs::ObsSpan span("scenario.workload");
-    result.workload = WorkloadRegistry::instance().make(
-        spec.workload, workload_racks, spec.requests, rng);
-    check_workload_fits(spec, result.workload.num_racks(), result);
+    // `racks` is a request, not a contract: builders round to their
+    // natural sizes (2^dim hypercubes, rows x cols tori).  Generate the
+    // workload over what the network actually provides so explicit
+    // topology dimensions always yield a runnable scenario.
+    stream = WorkloadRegistry::instance().make_stream(
+        spec.workload, std::min(spec.racks, topology_racks), spec.requests,
+        rng);
+    if (stream->num_racks() > topology_racks)
+      throw SpecError("workload '" + spec.workload.to_string() + "' uses " +
+                      std::to_string(stream->num_racks()) +
+                      " racks but topology '" + spec.topology.to_string() +
+                      "' provides only " + std::to_string(topology_racks));
+    result.workload = materialized
+                          ? trace::materialize(*stream)
+                          : trace::Trace(stream->num_racks(), stream->name());
   }
 
+  const sim::ExperimentConfig config =
+      make_experiment_config(spec, result, hooks);
   obs::ObsSpan span("scenario.experiment");
-  result.runs =
-      sim::run_experiment(make_experiment_config(spec, result, hooks),
-                          result.workload, make_experiment_specs(spec));
-  return result;
-}
-
-ScenarioResult run_scenario_streamed(const ScenarioSpec& spec) {
-  return run_scenario_streamed(spec, RunHooks{});
-}
-
-ScenarioResult run_scenario_streamed(const ScenarioSpec& raw_spec,
-                                     const RunHooks& hooks) {
-  const ScenarioSpec spec = raw_spec.resolved();
-
-  Xoshiro256 rng(spec.seed);
-  ScenarioResult result;
-  const std::size_t workload_racks = build_topology(spec, rng, result);
-  // Snapshot the RNG exactly where run_scenario would generate the
-  // workload: the stream twins replay bit-identically the trace a
-  // materialized run would serve, so both entry points yield the same
-  // ledgers for the same spec.
-  const Xoshiro256 workload_rng = rng;
-  const WorkloadRegistry& workloads = WorkloadRegistry::instance();
-  {
-    obs::ObsSpan span("scenario.workload");
-    // Probe stream: surfaces "no streaming form" / bad parameters on this
-    // thread, and carries the name and rack universe for reporting.
-    const std::unique_ptr<trace::TraceStream> probe = workloads.make_stream(
-        spec.workload, workload_racks, spec.requests, workload_rng);
-    check_workload_fits(spec, probe->num_racks(), result);
-    result.workload = trace::Trace(probe->num_racks(), probe->name());
+  if (materialized) {
+    result.runs = sim::run_experiment(config, result.workload, columns);
+  } else {
+    // The single task replays the stream built above.
+    result.runs = sim::run_experiment(
+        config, [&stream] { return std::move(stream); }, columns);
   }
-
-  const sim::StreamFactory factory = [&workloads, workload = spec.workload,
-                                      workload_racks,
-                                      requests = spec.requests,
-                                      workload_rng]() {
-    return workloads.make_stream(workload, workload_racks, requests,
-                                 workload_rng);
-  };
-  obs::ObsSpan span("scenario.experiment");
-  result.runs =
-      sim::run_experiment(make_experiment_config(spec, result, hooks),
-                          factory, make_experiment_specs(spec));
   return result;
 }
 

@@ -9,10 +9,11 @@
 //   algorithms=r_bma:engine=lru,bma;b=6,12;racks=50;requests=100000;...
 //
 // so a whole experiment travels through CLIs, config files, and test
-// goldens as one string.  run_scenario() materializes the spec through the
-// registries and drives sim::run_experiment (trial repetition + thread
-// pool); run_matrix() crosses one base spec with lists of topologies and
-// workloads — the §3.1 evaluation matrix in one call.
+// goldens as one string.  run_scenario() builds the spec's topology and
+// workload stream through the registries and drives sim::run_experiment
+// (trial repetition + thread pool); run_matrix() crosses one base spec
+// with lists of topologies and workloads — the §3.1 evaluation matrix in
+// one call.
 #pragma once
 
 #include <string>
@@ -62,9 +63,17 @@ struct ScenarioSpec {
   ScenarioSpec resolved() const;
 };
 
+/// Spec problems the registries cannot see but that no run survives:
+/// fewer than 2 racks, zero requests or checkpoints, or fewer requests
+/// than checkpoints.  Throws SpecError.  run_scenario calls it first; the
+/// serving daemon calls it at admission.
+void check_run_shape(const ScenarioSpec& spec);
+
 struct ScenarioResult {
   ScenarioSpec spec;  ///< resolved spec this result was produced from
   net::Topology topology;
+  /// The replayed trace when run_scenario materialized it.  A streamed run
+  /// leaves it empty, carrying only the workload's name and rack universe.
   trace::Trace workload;
   /// One (trial-averaged) result per algorithm × b, in spec order;
   /// b-independent algorithms (oblivious) contribute a single entry.
@@ -85,22 +94,16 @@ struct RunHooks {
       on_checkpoint{};
 };
 
-/// Builds topology and workload from the registries (seed-threaded), then
-/// runs every algorithm × b through sim::run_experiment.
-ScenarioResult run_scenario(const ScenarioSpec& spec);
-ScenarioResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks);
-
-/// Streaming variant: the workload is replayed through
-/// WorkloadRegistry::make_stream at constant memory (one serve chunk per
-/// worker) instead of being materialized — arbitrarily long traces fit.
-/// Ledgers are identical to run_scenario for the same spec (stream twins
-/// are bit-identical to their generators; pinned by scenario_test).
-/// Offline comparators (need the full trace) and stream-less workloads
-/// (csv) raise SpecError.  The result's `workload` member is an empty
-/// placeholder Trace carrying only the stream's name and rack universe.
-ScenarioResult run_scenario_streamed(const ScenarioSpec& spec);
-ScenarioResult run_scenario_streamed(const ScenarioSpec& spec,
-                                     const RunHooks& hooks);
+/// Builds the topology, then the workload stream (once, on the calling
+/// thread, seed-threaded), and runs every algorithm × b through
+/// sim::run_experiment.  The spec alone decides whether the trace is held
+/// in memory: it is materialized once when an algorithm needs the full
+/// trace (AlgorithmEntry::needs_full_trace) or when the cell expands into
+/// more than one (algorithm, b, trial) task, since every task replays it.
+/// A single online task replays the stream itself at constant memory, so
+/// arbitrarily long traces fit.  Ledgers are the same either way.
+ScenarioResult run_scenario(const ScenarioSpec& spec,
+                            const RunHooks& hooks = {});
 
 /// The §3.1 matrix: `base` crossed with every topology × workload
 /// combination, in row-major (topology-outer) order.  Empty lists reuse the

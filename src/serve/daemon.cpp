@@ -63,18 +63,6 @@ sockaddr_un make_address(const std::string& path) {
   return addr;
 }
 
-/// Spec problems the registries can't see but that would trip asserts
-/// deeper down (checkpoint_grid needs requests >= checkpoints >= 1).
-void check_run_shape(const scenario::ScenarioSpec& spec) {
-  if (spec.racks < 2) throw SpecError("racks must be at least 2");
-  if (spec.requests == 0) throw SpecError("requests must be positive");
-  if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
-  if (spec.requests < spec.checkpoints)
-    throw SpecError("requests (" + std::to_string(spec.requests) +
-                    ") must be >= checkpoints (" +
-                    std::to_string(spec.checkpoints) + ")");
-}
-
 }  // namespace
 
 /// One client socket.  The reader thread owns recv; any thread may write
@@ -775,7 +763,7 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
     scenario::WorkloadRegistry::instance().validate(resolved.workload);
     for (const Spec& algorithm : resolved.algorithms)
       scenario::AlgorithmRegistry::instance().validate(algorithm);
-    check_run_shape(resolved);
+    scenario::check_run_shape(resolved);
     spec.threads = options_.threads;  // execution detail, daemon's choice
     canonical = spec.canonical_string();
     cost = estimate_cost(resolved);

@@ -41,20 +41,28 @@ std::vector<ExperimentTask> dispatch_order(
 
 namespace {
 
-/// Shared driver of both run_experiment overloads: validates the specs,
+core::Instance make_instance(const ExperimentConfig& config,
+                             const ExperimentSpec& spec) {
+  core::Instance instance;
+  instance.distances = config.distances;
+  instance.b = spec.b;
+  instance.a = config.a;
+  instance.alpha = config.alpha;
+  return instance;
+}
+
+/// The one body behind both run_experiment overloads: validates the specs,
 /// expands them into independent (spec, trial) tasks with deterministic
 /// paired seeds, shards the tasks over the persistent ThreadPool in
-/// dispatch_order, and averages each spec's trials.  `requests` is what
-/// every task replays (it scales the cost estimates).  `run_one(spec,
-/// seed, control)` executes a single trial and may throw (first error is
-/// rethrown on the calling thread); `control` carries the config's
-/// cancellation token and a per-trial checkpoint hook bound to the task's
-/// spec and seed.
-template <typename RunOne>
+/// dispatch_order, and averages each spec's trials.  Every task replays a
+/// fresh stream from `make_stream` and takes its checkpoint grid from that
+/// stream's length; offline comparators are built from `full_trace` (null
+/// when the input is only a stream: they then raise SpecError).  The first
+/// task error is rethrown on the calling thread.
 std::vector<RunResult> run_tasks(const ExperimentConfig& config,
                                  const std::vector<ExperimentSpec>& specs,
-                                 std::size_t requests,
-                                 const RunOne& run_one) {
+                                 const trace::Trace* full_trace,
+                                 const StreamFactory& make_stream) {
   RDCN_ASSERT_MSG(config.distances != nullptr, "config needs distances");
 
   // Fail fast on unknown algorithm names / parameters before any trial
@@ -73,9 +81,11 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   // trial), trial t uses the same seed for every algorithm/b column
   // (paired seeds), and each result lands in its (spec, trial) slot, so a
   // sweep's results are identical for any thread count, dispatch order or
-  // completion order.
+  // completion order.  Every task replays the same number of requests, so
+  // any positive count yields the same longest-first order: no stream is
+  // built just to learn its length.
   const std::vector<ExperimentTask> tasks =
-      dispatch_order(specs, config.trials, requests);
+      dispatch_order(specs, config.trials, /*requests=*/1);
   std::vector<std::vector<RunResult>> runs(specs.size());
   for (const ExperimentTask& task : tasks) runs[task.spec].emplace_back();
 
@@ -110,7 +120,15 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
           if (obs::tracing_enabled())
             algo_span.emplace(
                 obs::intern_span_name("algo." + spec.algorithm));
-          RunResult r = run_one(spec, seed, control);
+          auto matcher = registry.make({spec.algorithm, spec.params},
+                                       make_instance(config, spec),
+                                       full_trace, seed);
+          const std::unique_ptr<trace::TraceStream> stream = make_stream();
+          RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
+                          "stream factory must yield fresh streams");
+          RunResult r = run_simulation(
+              *matcher, *stream,
+              checkpoint_grid(stream->total(), config.checkpoints), control);
           r.seed = seed;
           r.algorithm = spec.display();
           runs[task.spec][task.trial] = std::move(r);
@@ -141,63 +159,22 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   return out;
 }
 
-core::Instance make_instance(const ExperimentConfig& config,
-                             const ExperimentSpec& spec) {
-  core::Instance instance;
-  instance.distances = config.distances;
-  instance.b = spec.b;
-  instance.a = config.a;
-  instance.alpha = config.alpha;
-  return instance;
-}
-
 }  // namespace
 
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const trace::Trace& trace,
                                       const std::vector<ExperimentSpec>& specs) {
-  RDCN_ASSERT_MSG(!trace.empty(), "empty trace");
-  const scenario::AlgorithmRegistry& registry =
-      scenario::AlgorithmRegistry::instance();
-  const std::vector<std::uint64_t> grid =
-      checkpoint_grid(trace.size(), config.checkpoints);
-  return run_tasks(
-      config, specs, trace.size(),
-      [&](const ExperimentSpec& spec, std::uint64_t seed,
-          const RunControl& control) {
-        auto matcher = registry.make({spec.algorithm, spec.params},
-                                     make_instance(config, spec), &trace,
-                                     seed);
-        return run_simulation(*matcher, trace, grid, control);
-      });
+  if (trace.empty()) throw SpecError("empty trace: nothing to replay");
+  return run_tasks(config, specs, &trace, [&trace] {
+    return std::make_unique<trace::MaterializedStream>(trace);
+  });
 }
 
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const StreamFactory& make_stream,
                                       const std::vector<ExperimentSpec>& specs) {
   RDCN_ASSERT_MSG(make_stream != nullptr, "null stream factory");
-  const scenario::AlgorithmRegistry& registry =
-      scenario::AlgorithmRegistry::instance();
-  const auto fresh_stream = [&make_stream] {
-    auto stream = make_stream();
-    RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
-                    "stream factory must yield fresh streams");
-    return stream;
-  };
-  const std::size_t requests = fresh_stream()->total();
-  const std::vector<std::uint64_t> grid =
-      checkpoint_grid(requests, config.checkpoints);
-  return run_tasks(
-      config, specs, requests,
-      [&](const ExperimentSpec& spec, std::uint64_t seed,
-          const RunControl& control) {
-        // full_trace = nullptr: offline comparators raise SpecError here —
-        // a stream cannot hand them the whole trace up front.
-        auto matcher = registry.make({spec.algorithm, spec.params},
-                                     make_instance(config, spec), nullptr,
-                                     seed);
-        return run_simulation(*matcher, *fresh_stream(), grid, control);
-      });
+  return run_tasks(config, specs, /*full_trace=*/nullptr, make_stream);
 }
 
 }  // namespace rdcn::sim

@@ -6,6 +6,11 @@
 // trial owns its matcher and RNG stream); deterministic algorithms run a
 // single trial since repetition would be a no-op.
 //
+// Both run_experiment overloads are adapters over one body: every task
+// replays its own trace::TraceStream (a MaterializedStream view for the
+// Trace overload, a factory-made stream otherwise) and takes its
+// checkpoint grid from that stream.  No probe stream is built up front.
+//
 // Tasks are dispatched in cost order: longest estimated task first
 // (Graham's LPT rule), by the registry's per-(algorithm, b) cost model,
 // so the longest task never starts last and runs alone.  Results are
@@ -85,16 +90,16 @@ std::vector<ExperimentTask> dispatch_order(
     std::size_t requests);
 
 /// Runs every spec over `trace`; returns one (trial-averaged) RunResult per
-/// spec, in spec order.
+/// spec, in spec order.  An empty trace, or one shorter than
+/// config.checkpoints, raises SpecError.
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const trace::Trace& trace,
                                       const std::vector<ExperimentSpec>& specs);
 
 /// Factory producing a fresh, unconsumed stream of the workload.  Called
-/// once up front (a probe that sizes the checkpoint grid and the cost
-/// estimates) and once per (spec, trial) task — possibly from several pool
-/// workers at once, so it must be thread-safe (the registry stream
-/// builders are: they snapshot their RNG instead of sharing it).
+/// once per (spec, trial) task — possibly from several pool workers at
+/// once, so it must be thread-safe (the registry stream builders are: they
+/// snapshot their RNG instead of sharing it).
 using StreamFactory = std::function<std::unique_ptr<trace::TraceStream>()>;
 
 /// Streaming variant: same trial expansion, seeds, and averaging as the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "common/param_map.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -11,7 +12,11 @@ namespace rdcn::sim {
 
 std::vector<std::uint64_t> checkpoint_grid(std::uint64_t total_requests,
                                            std::size_t points) {
-  RDCN_ASSERT(points >= 1 && total_requests >= points);
+  if (points == 0) throw SpecError("checkpoints must be positive");
+  if (total_requests < points)
+    throw SpecError("the trace has " + std::to_string(total_requests) +
+                    " requests, fewer than the " + std::to_string(points) +
+                    " checkpoints");
   std::vector<std::uint64_t> grid;
   grid.reserve(points);
   for (std::size_t i = 1; i <= points; ++i) {
@@ -67,56 +72,34 @@ struct Snapshotter {
   }
 };
 
-/// Chunk sources for the batched replay loop.  `kTimedFill` distinguishes
-/// materialized traces (gather is part of the serve pipeline and is timed)
-/// from streams (fill is trace *generation*, which the paper's wall-clock
-/// methodology excludes).
-struct TraceSource {
-  const trace::Trace& trace;
-  static constexpr bool kTimedFill = true;
+}  // namespace
 
-  std::uint64_t size() const { return trace.size(); }
-  const std::string& name() const { return trace.name(); }
-  void fill(std::uint64_t offset, std::size_t n, trace::Request* out) const {
-    trace.gather(offset, n, out);
-  }
-};
-
-struct StreamSource {
-  trace::TraceStream& stream;
-  static constexpr bool kTimedFill = false;
-
-  std::uint64_t size() const { return stream.total(); }
-  const std::string& name() const { return stream.name(); }
-  void fill([[maybe_unused]] std::uint64_t offset, std::size_t n,
-            trace::Request* out) const {
-    RDCN_DCHECK(offset == stream.produced());
-    const std::size_t got = stream.next(out, n);
-    RDCN_ASSERT_MSG(got == n, "trace stream ended before its total()");
-  }
-};
-
-template <typename Source>
-RunResult run_batched(core::OnlineBMatcher& matcher, const Source& source,
-                      std::vector<std::uint64_t> checkpoints,
-                      const RunControl& control) {
+RunResult run_simulation(core::OnlineBMatcher& matcher,
+                         trace::TraceStream& stream,
+                         std::vector<std::uint64_t> checkpoints,
+                         const RunControl& control) {
+  RDCN_ASSERT_MSG(stream.produced() == 0,
+                  "run_simulation needs an unconsumed stream");
   RDCN_ASSERT_MSG(!checkpoints.empty(), "need at least one checkpoint");
   RDCN_ASSERT_MSG(std::is_sorted(checkpoints.begin(), checkpoints.end()),
                   "checkpoints must be non-decreasing");
-  checkpoints.back() = std::min<std::uint64_t>(checkpoints.back(),
-                                               source.size());
+  const std::uint64_t total = stream.total();
+  checkpoints.back() = std::min<std::uint64_t>(checkpoints.back(), total);
 
   RunResult result;
   result.algorithm = matcher.name();
-  result.trace_name = source.name();
+  result.trace_name = stream.name();
   result.b = matcher.instance().b;
   result.checkpoints.reserve(checkpoints.size());
 
   // Scratch is allocated (and the chunk loop's working set decided) before
-  // the clock starts.
+  // the clock starts.  It holds one production block; [used, have) is the
+  // part not yet served.
   std::vector<trace::Request> scratch(static_cast<std::size_t>(
-      std::min<std::uint64_t>(kServeChunk,
-                              std::max<std::uint64_t>(source.size(), 1))));
+      std::min<std::uint64_t>(kProduceBlock,
+                              std::max<std::uint64_t>(checkpoints.back(), 1))));
+  std::size_t have = 0;
+  std::size_t used = 0;
 
   Stopwatch watch;
   watch.reset();
@@ -132,8 +115,7 @@ RunResult run_batched(core::OnlineBMatcher& matcher, const Source& source,
   std::uint64_t served = 0;
   while (snap.next_cp < checkpoints.size()) {
     const std::uint64_t target = checkpoints[snap.next_cp];
-    RDCN_ASSERT_MSG(target <= source.size(),
-                    "trace shorter than checkpoint grid");
+    RDCN_ASSERT_MSG(target <= total, "trace shorter than checkpoint grid");
     // Serve up to the next grid point in chunks clipped at the boundary:
     // the final chunk before a checkpoint shrinks so no request beyond it
     // is served before the snapshot.
@@ -142,25 +124,28 @@ RunResult run_batched(core::OnlineBMatcher& matcher, const Source& source,
       // run stops within one kServeChunk boundary of the request.
       if (control.cancel.cancelled())
         throw CancelledError("run cancelled after " + std::to_string(served) +
-                             " of " + std::to_string(source.size()) +
-                             " requests");
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kServeChunk, target - served));
-      if constexpr (!Source::kTimedFill) {
-        // Stream fill is trace *generation*: excluded from the wall
-        // clock and traced as its own phase.
+                             " of " + std::to_string(total) + " requests");
+      if (used == have) {
+        // Request production (a copy out of a materialized trace, or
+        // generation) is not matcher work: off the wall clock, traced as
+        // its own phase.  Never past the last checkpoint.
         obs::ObsSpan span("sim.generate");
         watch.pause();
-        source.fill(served, chunk, scratch.data());
+        have = stream.next(scratch.data(),
+                           static_cast<std::size_t>(std::min<std::uint64_t>(
+                               scratch.size(), checkpoints.back() - served)));
+        used = 0;
+        RDCN_ASSERT_MSG(have != 0, "trace stream ended before its total()");
         watch.resume();
       }
+      const std::size_t chunk = static_cast<std::size_t>(
+          std::min<std::uint64_t>({kServeChunk, target - served, have - used}));
       {
         obs::ObsSpan span("sim.serve");
-        if constexpr (Source::kTimedFill)
-          source.fill(served, chunk, scratch.data());
-        matcher.serve_batch(std::span<const trace::Request>(scratch.data(),
-                                                            chunk));
+        matcher.serve_batch(
+            std::span<const trace::Request>(scratch.data() + used, chunk));
       }
+      used += chunk;
       served += chunk;
       sim_counters.chunks.inc();
       sim_counters.requests.add(chunk);
@@ -176,24 +161,12 @@ RunResult run_batched(core::OnlineBMatcher& matcher, const Source& source,
   return result;
 }
 
-}  // namespace
-
 RunResult run_simulation(core::OnlineBMatcher& matcher,
                          const trace::Trace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control) {
-  return run_batched(matcher, TraceSource{trace}, std::move(checkpoints),
-                     control);
-}
-
-RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         trace::TraceStream& stream,
-                         std::vector<std::uint64_t> checkpoints,
-                         const RunControl& control) {
-  RDCN_ASSERT_MSG(stream.produced() == 0,
-                  "run_simulation needs an unconsumed stream");
-  return run_batched(matcher, StreamSource{stream}, std::move(checkpoints),
-                     control);
+  trace::MaterializedStream stream(trace);
+  return run_simulation(matcher, stream, std::move(checkpoints), control);
 }
 
 RunResult run_simulation_scalar(core::OnlineBMatcher& matcher,

@@ -7,10 +7,12 @@
 // are clipped at checkpoint boundaries, so checkpoint semantics are
 // unchanged — a chunked run's ledger is bit-identical to the scalar
 // serve() loop at every grid point (pinned by the batch differential
-// suite).  Wall-clock measurement covers the serve pipeline only —
-// checkpointing and reporting are excluded, and for TraceStream inputs so
-// is chunk generation, mirroring the paper's execution-time methodology
-// (trace generation excluded).
+// suite).  There is one chunk loop, fed by a trace::TraceStream; a
+// materialized Trace is replayed through a MaterializedStream over it.
+// Wall-clock measurement covers the matcher only — checkpointing,
+// reporting and request production (a generator's work, or the chunk copy
+// out of a materialized trace) are excluded for every source, mirroring
+// the paper's execution-time methodology (trace generation excluded).
 #pragma once
 
 #include <cstddef>
@@ -30,8 +32,15 @@ namespace rdcn::sim {
 /// while still amortizing the per-chunk virtual dispatch to nothing.
 inline constexpr std::size_t kServeChunk = 4096;
 
+/// Requests produced per pull from the stream: 32768 requests = 256 KiB.
+/// Producing in blocks much larger than a serve chunk lets generation and
+/// serving each run long enough to keep their own working sets hot; a
+/// 20000-request daemon run produces its trace in one pull.  Peak replay
+/// memory is one block, whatever the trace length.
+inline constexpr std::size_t kProduceBlock = 1 << 15;
+
 /// Evenly spaced checkpoint grid: `points` checkpoints ending exactly at
-/// `total_requests`.
+/// `total_requests`.  Throws SpecError unless 1 <= points <= total_requests.
 std::vector<std::uint64_t> checkpoint_grid(std::uint64_t total_requests,
                                            std::size_t points);
 
@@ -50,23 +59,20 @@ struct RunControl {
   std::function<void(const Checkpoint&)> on_checkpoint{};
 };
 
-/// Runs `matcher` (already reset/fresh) over `trace` with chunked replay.
-/// `checkpoints` must be non-decreasing; the last entry is clamped to the
-/// trace length.  A checkpoint of 0 snapshots the pre-trace (zero-cost)
-/// state, which is also how an empty trace yields a ledger.  No request
-/// beyond the last checkpoint is served.
+/// Runs `matcher` (already reset/fresh) over `stream` (unconsumed) with
+/// chunked replay; peak memory is one production block beyond what the
+/// stream holds.  `checkpoints` must be non-decreasing; the last entry is
+/// clamped to stream.total().  A checkpoint of 0 snapshots the pre-trace
+/// (zero-cost) state, which is also how an empty trace yields a ledger.
+/// No request beyond the last checkpoint is produced or served.
 RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         const trace::Trace& trace,
+                         trace::TraceStream& stream,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control = {});
 
-/// Streaming replay: identical semantics, but chunks are pulled from
-/// `stream` (which must be unconsumed) instead of a materialized trace —
-/// peak memory is one scratch chunk regardless of trace length.  The
-/// checkpoint grid is clamped against stream.total().  Chunk production
-/// is excluded from wall-clock (it is trace generation).
+/// The same replay over a materialized trace (a MaterializedStream view).
 RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         trace::TraceStream& stream,
+                         const trace::Trace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control = {});
 

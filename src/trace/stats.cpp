@@ -10,7 +10,10 @@ namespace rdcn::trace {
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> pair_counts_sorted(
     const Trace& trace) {
-  FlatMap<std::uint64_t> counts(trace.size());
+  // A trace holds at most C(racks, 2) distinct pairs, however long it is.
+  const std::size_t racks = trace.num_racks();
+  const std::size_t max_pairs = racks * (racks > 0 ? racks - 1 : 0) / 2;
+  FlatMap<std::uint64_t> counts(std::min(trace.size(), max_pairs));
   for (const Request& r : trace) ++counts[pair_key(r)];
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
   out.reserve(counts.size());

@@ -65,13 +65,19 @@ class TraceStream {
   std::size_t produced_ = 0;
 };
 
-/// Stream view over an existing Trace (chunked copies of its columns).
+/// Stream view over a Trace (chunked copies of its columns).
 class MaterializedStream final : public TraceStream {
  public:
-  /// `trace` must outlive the stream.
+  /// Borrows `trace`, which must outlive the stream.
   explicit MaterializedStream(const Trace& trace)
       : TraceStream(trace.num_racks(), trace.name(), trace.size()),
         trace_(&trace) {}
+
+  /// Owns `trace` (e.g. an imported file no caller holds on to).
+  explicit MaterializedStream(Trace&& trace)
+      : TraceStream(trace.num_racks(), trace.name(), trace.size()),
+        owned_(std::move(trace)),
+        trace_(&owned_) {}
 
  protected:
   void produce(Request* out, std::size_t n) override {
@@ -79,6 +85,7 @@ class MaterializedStream final : public TraceStream {
   }
 
  private:
+  Trace owned_;
   const Trace* trace_;
 };
 

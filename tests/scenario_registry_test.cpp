@@ -97,43 +97,39 @@ TEST(WorkloadRegistry, CsvImportWithLimit) {
   EXPECT_EQ(limited.size(), 4u);
 }
 
-TEST(WorkloadRegistry, StreamTwinsMaterializeBitIdentically) {
-  // Every streamable workload: make_stream(rng) must replay exactly the
-  // trace make() produces from the same rng state, without advancing the
-  // caller's generator.
+TEST(WorkloadRegistry, EveryWorkloadStreamsAndMakeMaterializesTheStream) {
+  // Every workload, the csv import included, builds as a stream, and make()
+  // returns exactly materialize(make_stream()) for the same rng state —
+  // without advancing the caller's generator either way.
+  const std::string path = ::testing::TempDir() + "rdcn_registry_stream.csv";
+  {
+    std::ofstream out(path);
+    out << "# racks=20 name=imported\n";
+    for (int i = 0; i < 3'000; ++i)
+      out << i % 20 << "," << (i + 7) % 20 << "\n";
+  }
   const WorkloadRegistry& registry = WorkloadRegistry::instance();
-  std::size_t streamable = 0;
   for (const std::string& name : registry.names()) {
-    if (!registry.streamable(name)) continue;
     SCOPED_TRACE(name);
-    ++streamable;
+    Spec spec{name, {}};
+    if (name == "csv") spec.params.set("path", path);
     Xoshiro256 rng(91);
     const Xoshiro256 snapshot = rng;
-    auto stream = registry.make_stream({name, {}}, /*racks=*/20,
+    auto stream = registry.make_stream(spec, /*racks=*/20,
                                        /*requests=*/3'000, rng);
     ASSERT_NE(stream, nullptr);
     EXPECT_EQ(stream->total(), 3'000u);
+    const trace::Trace made = registry.make(spec, 20, 3'000, rng);
     // The snapshot convention: the caller's rng must not have advanced.
     EXPECT_EQ(rng.next(), Xoshiro256(snapshot).next());
-    Xoshiro256 gen_rng(91);
-    const trace::Trace expected =
-        registry.make({name, {}}, 20, 3'000, gen_rng);
     const trace::Trace streamed = trace::materialize(*stream);
-    ASSERT_EQ(streamed.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(streamed[i], expected[i]) << "request " << i;
+    EXPECT_EQ(streamed.name(), made.name());
+    EXPECT_EQ(streamed.num_racks(), made.num_racks());
+    ASSERT_EQ(streamed.size(), made.size());
+    for (std::size_t i = 0; i < made.size(); ++i) {
+      ASSERT_EQ(streamed[i], made[i]) << "request " << i;
     }
   }
-  // Everything but the csv import must be streamable.
-  EXPECT_EQ(streamable, registry.names().size() - 1);
-  EXPECT_FALSE(registry.streamable("csv"));
-}
-
-TEST(WorkloadRegistry, StreamlessWorkloadThrowsSpecError) {
-  Xoshiro256 rng(5);
-  EXPECT_THROW((void)WorkloadRegistry::instance().make_stream(
-                   {"csv", {}}, 16, 100, rng),
-               SpecError);
 }
 
 TEST(Registries, UnknownNamesSuggestNearestMatch) {

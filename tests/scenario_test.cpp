@@ -1,13 +1,16 @@
 // Tests for the scenario runner (scenario/scenario.hpp): ScenarioSpec
-// parse/print goldens, end-to-end run_scenario, b-independence handling,
-// and the run_matrix cross product.
+// parse/print goldens, end-to-end run_scenario (the materialize-or-stream
+// rule, one workload build per run, inputs that must be SpecErrors),
+// b-independence handling, and the run_matrix cross product.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <sstream>
 
 #include "scenario/scenario.hpp"
 #include "sim/report.hpp"
+#include "trace/generators.hpp"
 
 namespace {
 
@@ -146,48 +149,145 @@ TEST(RunScenario, IsSeedReproducible) {
   }
 }
 
-TEST(RunScenario, StreamedReplayMatchesMaterializedLedgers) {
-  // run_scenario_streamed pulls the workload through the registry's
-  // stream twins; since those are bit-identical to their generators, every
-  // checkpoint of every run must equal the materialized entry point's.
+TEST(RunScenario, EveryColumnOfAMultiTaskCellEqualsTheColumnRunAlone) {
+  // A multi-task cell materializes its trace once; a column run alone is a
+  // single task and replays the workload stream.  Both must serve the same
+  // requests, so every checkpoint of every column agrees.
   const ScenarioSpec spec = ScenarioSpec::parse(
       "topology=leaf_spine:spines=4;workload=flow_pool:pairs=60,skew=1.2;"
-      "algorithms=r_bma:engine=lru,bma,rotor;b=2,4;racks=12;requests=5000;"
-      "alpha=10;trials=2;checkpoints=5;seed=11");
-  const ScenarioResult materialized = scenario::run_scenario(spec);
-  const ScenarioResult streamed = scenario::run_scenario_streamed(spec);
-  EXPECT_EQ(streamed.workload.name(), materialized.workload.name());
-  ASSERT_EQ(streamed.runs.size(), materialized.runs.size());
-  for (std::size_t i = 0; i < materialized.runs.size(); ++i) {
-    const sim::RunResult& m = materialized.runs[i];
-    const sim::RunResult& s = streamed.runs[i];
-    EXPECT_EQ(s.algorithm, m.algorithm);
-    ASSERT_EQ(s.checkpoints.size(), m.checkpoints.size()) << m.algorithm;
-    for (std::size_t c = 0; c < m.checkpoints.size(); ++c) {
-      EXPECT_EQ(s.checkpoints[c].requests, m.checkpoints[c].requests);
-      EXPECT_EQ(s.checkpoints[c].routing_cost, m.checkpoints[c].routing_cost)
-          << m.algorithm << " cp " << c;
-      EXPECT_EQ(s.checkpoints[c].reconfig_cost,
-                m.checkpoints[c].reconfig_cost)
-          << m.algorithm << " cp " << c;
-      EXPECT_EQ(s.checkpoints[c].matching_size,
-                m.checkpoints[c].matching_size)
-          << m.algorithm << " cp " << c;
+      "algorithms=r_bma:engine=lru,bma,rotor,greedy;b=2,4;racks=12;"
+      "requests=5000;alpha=10;trials=1;checkpoints=5;seed=11");
+  const ScenarioResult cell = scenario::run_scenario(spec);
+  EXPECT_EQ(cell.workload.size(), 5000u);  // materialized
+  ASSERT_EQ(cell.runs.size(), 8u);
+  std::size_t column = 0;
+  for (const Spec& algorithm : spec.algorithms) {
+    for (const std::size_t b : spec.cache_sizes) {
+      ScenarioSpec alone = spec;
+      alone.algorithms = {algorithm};
+      alone.cache_sizes = {b};
+      const ScenarioResult single = scenario::run_scenario(alone);
+      ASSERT_EQ(single.runs.size(), 1u);
+      const sim::RunResult& m = cell.runs[column++];
+      const sim::RunResult& s = single.runs[0];
+      EXPECT_EQ(s.algorithm, m.algorithm);
+      EXPECT_EQ(s.seed, m.seed);
+      ASSERT_EQ(s.checkpoints.size(), m.checkpoints.size()) << m.algorithm;
+      for (std::size_t c = 0; c < m.checkpoints.size(); ++c) {
+        EXPECT_EQ(s.checkpoints[c].requests, m.checkpoints[c].requests);
+        EXPECT_EQ(s.checkpoints[c].routing_cost,
+                  m.checkpoints[c].routing_cost)
+            << m.algorithm << " cp " << c;
+        EXPECT_EQ(s.checkpoints[c].reconfig_cost,
+                  m.checkpoints[c].reconfig_cost)
+            << m.algorithm << " cp " << c;
+        EXPECT_EQ(s.checkpoints[c].matching_size,
+                  m.checkpoints[c].matching_size)
+            << m.algorithm << " cp " << c;
+      }
     }
   }
 }
 
-TEST(RunScenario, StreamedRejectsOfflineAlgorithmsAndCsv) {
-  // Offline comparators need the full trace up front; csv has no stream
-  // twin.  Both must surface as SpecError, not aborts.
-  ScenarioSpec offline = ScenarioSpec::parse(
+TEST(RunScenario, AColumnRunAloneStreams) {
+  // One online task: the workload is replayed as a stream, so no trace is
+  // held — the result carries only its name and rack universe.
+  const ScenarioSpec spec = ScenarioSpec::parse(
+      "topology=leaf_spine:spines=4;workload=flow_pool:pairs=60;"
+      "algorithms=bma;b=2;racks=12;requests=5000;checkpoints=5;seed=11");
+  const ScenarioResult result = scenario::run_scenario(spec);
+  EXPECT_TRUE(result.workload.empty());
+  EXPECT_EQ(result.workload.name(), "flow_pool");
+  EXPECT_EQ(result.workload.num_racks(), 12u);
+  ASSERT_EQ(result.runs.size(), 1u);
+  EXPECT_EQ(result.runs[0].final().requests, 5000u);
+}
+
+TEST(RunScenario, LoneOfflineAndCsvTasksRun) {
+  // An offline comparator alone still gets the full trace (the cell
+  // materializes for it); a csv import alone streams its owned trace.
+  const ScenarioResult offline = scenario::run_scenario(ScenarioSpec::parse(
       "workload=uniform;algorithms=so_bma;b=2;racks=8;requests=500;"
-      "checkpoints=2;seed=3");
-  EXPECT_THROW((void)scenario::run_scenario_streamed(offline), SpecError);
+      "checkpoints=2;seed=3"));
+  EXPECT_EQ(offline.workload.size(), 500u);
+  ASSERT_EQ(offline.runs.size(), 1u);
+  EXPECT_EQ(offline.runs[0].final().requests, 500u);
+
+  const std::string path = ::testing::TempDir() + "rdcn_scenario_lone.csv";
+  {
+    std::ofstream out(path);
+    out << "# racks=8 name=imported\n";
+    for (int i = 0; i < 40; ++i) out << i % 8 << "," << (i + 3) % 8 << "\n";
+  }
   ScenarioSpec csv = ScenarioSpec::parse(
-      "workload=csv:path=/nonexistent.csv;algorithms=bma;b=2;racks=8;"
-      "requests=500;checkpoints=2;seed=3");
-  EXPECT_THROW((void)scenario::run_scenario_streamed(csv), SpecError);
+      "algorithms=bma;b=2;racks=8;requests=500;checkpoints=4;seed=3");
+  csv.workload = Spec{"csv", {}};
+  csv.workload.params.set("path", path);
+  const ScenarioResult imported = scenario::run_scenario(csv);
+  EXPECT_TRUE(imported.workload.empty());
+  EXPECT_EQ(imported.workload.name(), "imported");
+  ASSERT_EQ(imported.runs.size(), 1u);
+  EXPECT_EQ(imported.runs[0].final().requests, 40u);
+}
+
+// A workload that counts how often its builder runs.
+std::atomic<int> g_counted_builds{0};
+
+RDCN_REGISTER_WORKLOAD(counted_uniform,
+                       {"uniform pairs; counts its builder calls",
+                        {},
+                        [](std::size_t racks, std::size_t requests,
+                           const ParamMap&, const Xoshiro256& rng) {
+                          ++g_counted_builds;
+                          return trace::stream_uniform(racks, requests, rng);
+                        }});
+
+TEST(RunScenario, BuildsTheWorkloadStreamExactlyOnce) {
+  // Neither a single streamed task nor a materialized multi-task cell may
+  // build the generator more than once.
+  const std::string shape =
+      "workload=counted_uniform;racks=8;requests=2000;checkpoints=4;seed=5;";
+  g_counted_builds = 0;
+  (void)scenario::run_scenario(
+      ScenarioSpec::parse(shape + "algorithms=bma;b=2"));
+  EXPECT_EQ(g_counted_builds.load(), 1);
+  g_counted_builds = 0;
+  (void)scenario::run_scenario(
+      ScenarioSpec::parse(shape + "algorithms=r_bma,bma;b=2,4;trials=3"));
+  EXPECT_EQ(g_counted_builds.load(), 1);
+}
+
+TEST(RunScenario, InputsNoRunSurvivesAreSpecErrors) {
+  // Each of these used to abort the process (and with it a serving
+  // daemon); they must surface as SpecError instead.
+  const std::string short_csv =
+      ::testing::TempDir() + "rdcn_scenario_short.csv";
+  {
+    std::ofstream out(short_csv);
+    out << "0,1\n1,2\n2,3\n";
+  }
+  const std::string empty_csv =
+      ::testing::TempDir() + "rdcn_scenario_empty.csv";
+  { std::ofstream out(empty_csv); }
+  for (const std::string& file : {short_csv, empty_csv}) {
+    // One task (streamed) and two (materialized).
+    for (const std::string b : {"2", "2,4"}) {
+      SCOPED_TRACE(file + " b=" + b);
+      ScenarioSpec spec =
+          ScenarioSpec::parse("algorithms=bma;racks=8;b=" + b);
+      spec.workload = Spec{"csv", {}};
+      spec.workload.params.set("path", file);
+      EXPECT_THROW((void)scenario::run_scenario(spec), SpecError);
+    }
+  }
+  for (const char* text :
+       {"racks=1;algorithms=bma;b=2", "requests=0;algorithms=bma;b=2",
+        "requests=3;checkpoints=8;algorithms=bma;b=2",
+        "checkpoints=0;algorithms=bma;b=2"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)scenario::run_scenario(ScenarioSpec::parse(text)),
+                 SpecError);
+  }
 }
 
 TEST(RunScenario, BIndependentAlgorithmsRunOncePerSweep) {

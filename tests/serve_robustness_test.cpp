@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -156,6 +157,10 @@ TEST_F(RobustnessTest, MalformedInputMatrixKeepsDaemonServing) {
       "RUN workload",   // not key=value
       "RUN no_such_field=1",
       "RUN workload=no_such_workload;requests=100",
+      // Shapes no run survives: caught at admission, not by an abort.
+      "RUN racks=1",
+      "RUN requests=0",
+      "RUN requests=3;checkpoints=8",
   };
   for (const std::string& row : rows) {
     f.client.send_line(row);
@@ -167,6 +172,28 @@ TEST_F(RobustnessTest, MalformedInputMatrixKeepsDaemonServing) {
   const Client::Submission sub = f.client.submit(kTinySpec);
   ASSERT_TRUE(sub.accepted) << sub.error;
   EXPECT_EQ(f.client.collect(sub.id).status, "ok");
+}
+
+TEST_F(RobustnessTest, ShortCsvImportEndsInErrorAndDaemonKeepsServing) {
+  // Admission checks the spec's `requests`, not an imported file's length,
+  // so a 3-line csv is accepted.  Its run must then end status=error — a
+  // refusal, not a crash: no crash count, and the daemon keeps answering.
+  const std::string path =
+      "/tmp/rdcn_robust_short_" + std::to_string(::getpid()) + ".csv";
+  {
+    std::ofstream out(path);
+    out << "0,1\n1,2\n2,3\n";
+  }
+  DaemonFixture f(small_options("short_csv"));
+  const Client::Submission sub = f.client.submit(
+      "workload=csv:path=" + path + ";algorithms=bma;b=2;racks=8");
+  ASSERT_TRUE(sub.accepted) << sub.error;
+  const Client::RunOutput out = f.client.collect(sub.id);
+  EXPECT_EQ(out.status, "error");
+  EXPECT_NE(out.error.find("checkpoints"), std::string::npos) << out.error;
+  f.client.ping();
+  EXPECT_EQ(f.daemon.stats_report().crashed, 0u);
+  fs::remove(path);
 }
 
 TEST_F(RobustnessTest, OversizedLineIsRefusedAndConnectionClosed) {
