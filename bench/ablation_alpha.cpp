@@ -14,8 +14,8 @@ int main(int argc, char** argv) {
   const net::Topology topo = net::make_fat_tree(racks);
 
   Xoshiro256 rng(10);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, racks, num_requests, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, racks, num_requests, rng));
 
   std::printf("== ablation: alpha sweep (R-BMA, b=%zu, lmax=%u) ==\n", b,
               topo.distances.max_distance());

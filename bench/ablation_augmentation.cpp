@@ -14,9 +14,8 @@ int main(int argc, char** argv) {
   const std::size_t racks = 50;
   const net::Topology topo = net::make_fat_tree(racks);
 
-  Xoshiro256 rng(9);
-  const trace::Trace t =
-      trace::generate_microsoft_like(racks, num_requests, {}, rng);
+  const trace::Trace t = trace::materialize(
+      *trace::stream_microsoft_like(racks, num_requests, {}, Xoshiro256(9)));
 
   const std::size_t b = 12;
   std::printf(

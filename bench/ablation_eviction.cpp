@@ -14,8 +14,8 @@ int main(int argc, char** argv) {
   const net::Topology topo = net::make_fat_tree(racks);
 
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, racks, num_requests, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, racks, num_requests, rng));
 
   std::printf("== ablation: lazy vs eager eviction in R-BMA ==\n");
   std::printf("%4s %8s %14s %14s %10s %10s\n", "b", "mode", "routing",

@@ -56,16 +56,15 @@ int main(int argc, char** argv) {
     const std::size_t racks = 100;
     const net::Topology topo = net::make_fat_tree(racks);
     Xoshiro256 rng(14);
-    const trace::Trace t = trace::generate_facebook_like(
-        trace::FacebookCluster::kHadoop, racks, num_requests, rng);
+    const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kHadoop, racks, num_requests, rng));
     sweep("facebook-hadoop (bursty, drifting)", t, topo, 12);
   }
   {
     const std::size_t racks = 50;
     const net::Topology topo = net::make_fat_tree(racks);
-    Xoshiro256 rng(15);
-    const trace::Trace t =
-        trace::generate_microsoft_like(racks, num_requests, {}, rng);
+    const trace::Trace t = trace::materialize(*trace::stream_microsoft_like(
+        racks, num_requests, {}, Xoshiro256(15)));
     sweep("microsoft (i.i.d., stationary)", t, topo, 9);
   }
   std::printf(

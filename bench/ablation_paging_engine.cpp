@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
               "total", "direct_frac");
   for (const char* workload : {"database", "web"}) {
     Xoshiro256 rng(workload[0]);
-    const trace::Trace t = trace::generate_facebook_like(
+    const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
         workload[0] == 'd' ? trace::FacebookCluster::kDatabase
                            : trace::FacebookCluster::kWebService,
-        racks, num_requests, rng);
+        racks, num_requests, rng));
     std::printf("-- workload: %s --\n", workload);
     for (const char* engine : {"marking", "lru", "clock", "arc", "lfu",
                                "fifo", "random", "flush_when_full"}) {

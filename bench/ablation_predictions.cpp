@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   const net::Topology topo = net::make_fat_tree(racks);
 
   Xoshiro256 rng(13);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, racks, num_requests, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, racks, num_requests, rng));
 
   core::Instance inst;
   inst.distances = &topo.distances;

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   topologies.push_back(net::make_ring(racks));
 
   Xoshiro256 rng(12);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, racks, num_requests, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, racks, num_requests, rng));
 
   std::printf("== ablation: topology sensitivity (R-BMA, b=%zu) ==\n", b);
   std::printf("%20s %10s %14s %14s %12s\n", "topology", "mean_dist",

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   setup.alpha = 60;
 
   Xoshiro256 rng(41);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, setup.num_racks, num_requests, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, setup.num_racks, num_requests, rng));
   bench::run_figure(setup, t);
   return 0;
 }

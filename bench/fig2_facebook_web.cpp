@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
   setup.alpha = 60;
 
   Xoshiro256 rng(42);
-  const trace::Trace t = trace::generate_facebook_like(
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
       trace::FacebookCluster::kWebService, setup.num_racks, num_requests,
-      rng);
+      rng));
   bench::run_figure(setup, t);
   return 0;
 }

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   setup.quality_band = 1.15;  // see FigureSetup::quality_band
 
   Xoshiro256 rng(44);
-  const trace::Trace t = trace::generate_microsoft_like(
-      setup.num_racks, num_requests, {}, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_microsoft_like(
+      setup.num_racks, num_requests, {}, rng));
   bench::run_figure(setup, t);
   return 0;
 }

@@ -17,9 +17,8 @@ const net::Topology& shared_topology() {
 
 const trace::Trace& shared_trace() {
   static const trace::Trace t = [] {
-    Xoshiro256 rng(77);
-    return trace::generate_facebook_like(trace::FacebookCluster::kDatabase,
-                                         100, 200'000, rng);
+    return trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kDatabase, 100, 200'000, Xoshiro256(77)));
   }();
   return t;
 }

@@ -1,8 +1,7 @@
 // Micro-benchmarks for the hot-kernel library (common/simd.hpp): the
 // scalar reference vs the runtime-dispatched SIMD variant of each kernel,
 // at the row lengths the serve pipeline actually sees — b ∈ {4, 16, 64,
-// 256} for the BMA eviction-scan argmin and membership find, and serve
-// blocks of 256 for the distance gathers.
+// 256} for the BMA eviction-scan argmin and membership find.
 //
 // The scalar side calls simd::scalar::* directly (not the dispatcher with
 // forcing flipped), so one run reports both columns without mutating
@@ -19,7 +18,6 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "net/distance_matrix.hpp"
 
 namespace {
 
@@ -100,48 +98,6 @@ void BM_FindKeySimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FindKeySimd)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
-struct GatherInput {
-  std::vector<std::uint16_t> base;
-  std::vector<std::uint32_t> idx;
-};
-
-GatherInput make_gather_input(std::size_t n) {
-  // A 100-rack distance matrix (the perf_gate shape), padded per the
-  // gather contract, indexed by a fuzzed request block.
-  constexpr std::size_t kRacks = 100;
-  Xoshiro256 rng(55);
-  GatherInput in;
-  in.base.assign(kRacks * kRacks + net::DistanceMatrix::kGatherPadding, 0);
-  for (std::size_t i = 0; i < kRacks * kRacks; ++i)
-    in.base[i] = static_cast<std::uint16_t>(1 + rng.next_below(6));
-  in.idx.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    in.idx[i] = static_cast<std::uint32_t>(rng.next_below(kRacks * kRacks));
-  return in;
-}
-
-void BM_GatherSumScalar(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const GatherInput in = make_gather_input(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::scalar::gather_sum_u16(in.base.data(), in.idx.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GatherSumScalar)->Arg(64)->Arg(256)->Arg(4096);
-
-void BM_GatherSumSimd(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const GatherInput in = make_gather_input(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::gather_sum_u16(in.base.data(), in.idx.data(), n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GatherSumSimd)->Arg(64)->Arg(256)->Arg(4096);
 
 }  // namespace
 

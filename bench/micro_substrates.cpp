@@ -140,10 +140,9 @@ BENCHMARK(BM_FatTreeConstruction)->Arg(50)->Arg(100)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TraceGenerationFacebook(benchmark::State& state) {
-  Xoshiro256 rng(7);
   for (auto _ : state) {
-    const trace::Trace t = trace::generate_facebook_like(
-        trace::FacebookCluster::kDatabase, 100, 50'000, rng);
+    const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kDatabase, 100, 50'000, Xoshiro256(7)));
     benchmark::DoNotOptimize(t.size());
   }
   state.SetItemsProcessed(state.iterations() * 50'000);
@@ -151,10 +150,9 @@ void BM_TraceGenerationFacebook(benchmark::State& state) {
 BENCHMARK(BM_TraceGenerationFacebook)->Unit(benchmark::kMillisecond);
 
 void BM_TraceGenerationMicrosoft(benchmark::State& state) {
-  Xoshiro256 rng(8);
   for (auto _ : state) {
-    const trace::Trace t =
-        trace::generate_microsoft_like(50, 50'000, {}, rng);
+    const trace::Trace t = trace::materialize(
+        *trace::stream_microsoft_like(50, 50'000, {}, Xoshiro256(8)));
     benchmark::DoNotOptimize(t.size());
   }
   state.SetItemsProcessed(state.iterations() * 50'000);

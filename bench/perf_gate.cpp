@@ -34,10 +34,12 @@
 #include <vector>
 
 #include "rdcn.hpp"
+#include "scalar_replay.hpp"
 
 namespace {
 
 using namespace rdcn;
+using rdcn::testing::run_simulation_scalar;
 
 constexpr std::size_t kRacks = 100;
 constexpr std::size_t kRequests = 200'000;
@@ -271,12 +273,10 @@ int main(int argc, char** argv) {
               ambient_force_scalar ? " (RDCN_FORCE_SCALAR_KERNELS set)" : "");
 
   const net::Topology topo = net::make_fat_tree(kRacks);
-  Xoshiro256 fb_rng(2023);
-  const trace::Trace fb = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, kRacks, kRequests, fb_rng);
-  Xoshiro256 ms_rng(2024);
-  const trace::Trace ms =
-      trace::generate_microsoft_like(kRacks, kRequests, {}, ms_rng);
+  const trace::Trace fb = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, kRacks, kRequests, Xoshiro256(2023)));
+  const trace::Trace ms = trace::materialize(*trace::stream_microsoft_like(
+      kRacks, kRequests, {}, Xoshiro256(2024)));
 
   const char* algorithms[] = {"bma", "r_bma", "so_bma", "greedy",
                               "oblivious"};
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
           simd::set_force_scalar(false);
           matcher->reset();
           const sim::RunResult s =
-              sim::run_simulation_scalar(*matcher, *t, {t->size()});
+              run_simulation_scalar(*matcher, *t, {t->size()});
           if (s.final().wall_seconds < best_scalar)
             best_scalar = s.final().wall_seconds;
           scalar_final = s.final();
@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
             // kernels (the 4th path × dispatch combination).
             matcher->reset();
             const sim::RunResult sk =
-                sim::run_simulation_scalar(*matcher, *t, {t->size()});
+                run_simulation_scalar(*matcher, *t, {t->size()});
             scalar_scalar_kernels_final = sk.final();
           }
           simd::set_force_scalar(false);

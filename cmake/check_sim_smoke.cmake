@@ -81,3 +81,18 @@ if(NOT single_lines STREQUAL expected_single)
 endif()
 
 message(STATUS "rdcn_sim single-task smoke OK: streamed CSV equals the sweep's bma(b=2) column")
+
+# An out-of-range workload parameter is a spec error: rdcn_sim must report
+# it and exit 2, not crash.  hub_fraction=2 once read past the rack list.
+execute_process(
+  COMMAND ${SIM}
+    --racks=32 --requests=1000 --checkpoints=2 --algorithms=bma --b=2
+    --workload=flow_pool:hub_fraction=2
+  RESULT_VARIABLE bad_rc
+  OUTPUT_VARIABLE bad_out
+  ERROR_VARIABLE bad_err)
+if(NOT bad_rc EQUAL 2 OR NOT bad_err MATCHES "error:")
+  message(FATAL_ERROR "flow_pool:hub_fraction=2 should exit 2 with an error: line, got ${bad_rc}\nstdout:\n${bad_out}\nstderr:\n${bad_err}")
+endif()
+
+message(STATUS "rdcn_sim spec-error smoke OK: hub_fraction=2 exits 2")

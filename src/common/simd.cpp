@@ -52,19 +52,6 @@ std::size_t find_u32(const std::uint32_t* keys, std::size_t n,
   return kNpos;
 }
 
-std::uint64_t gather_sum_u16(const std::uint16_t* base,
-                             const std::uint32_t* idx,
-                             std::size_t n) noexcept {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) sum += base[idx[i]];
-  return sum;
-}
-
-void gather_u16(const std::uint16_t* base, const std::uint32_t* idx,
-                std::size_t n, std::uint16_t* out) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = base[idx[i]];
-}
-
 }  // namespace scalar
 
 #if RDCN_SIMD_X86
@@ -241,54 +228,6 @@ __attribute__((target("avx2"))) std::size_t find_u32_avx2(
   return kNpos;
 }
 
-__attribute__((target("avx2"))) std::uint64_t gather_sum_u16_avx2(
-    const std::uint16_t* base, const std::uint32_t* idx,
-    std::size_t n) noexcept {
-  // 32-bit gathers at base + 2*idx (scale 2) pull each u16 plus one stray
-  // high half-word; the mask strips it.  Requires the 2-byte padding the
-  // header contract prescribes.
-  const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
-  __m256i acc_lo = _mm256_setzero_si256();
-  __m256i acc_hi = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i g = _mm256_and_si256(
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), v, 2),
-        lo16);
-    acc_lo = _mm256_add_epi64(
-        acc_lo, _mm256_cvtepu32_epi64(_mm256_castsi256_si128(g)));
-    acc_hi = _mm256_add_epi64(
-        acc_hi, _mm256_cvtepu32_epi64(_mm256_extracti128_si256(g, 1)));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                     _mm256_add_epi64(acc_lo, acc_hi));
-  std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += base[idx[i]];
-  return sum;
-}
-
-__attribute__((target("avx2"))) void gather_u16_avx2(
-    const std::uint16_t* base, const std::uint32_t* idx, std::size_t n,
-    std::uint16_t* out) noexcept {
-  const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i g = _mm256_and_si256(
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), v, 2),
-        lo16);
-    // packus over the two 128-bit halves emits lanes 0..7 in order.
-    const __m128i packed = _mm_packus_epi32(_mm256_castsi256_si128(g),
-                                            _mm256_extracti128_si256(g, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), packed);
-  }
-  for (; i < n; ++i) out[i] = base[idx[i]];
-}
-
 // ---------------------------------------------------------------------------
 // AVX-512 argmin.  The AVX2 select loop is port-limited (epi64 compares
 // and wide blends fight over the same ports); AVX-512 compares go to mask
@@ -296,7 +235,7 @@ __attribute__((target("avx2"))) void gather_u16_avx2(
 // contract is load-bearing here), mask logic is one k-op, and masked
 // moves are single-uop — at twice the lane width.  Only argmin gets a
 // 512-bit variant: it is the one kernel on the per-request critical path
-// at large b; find/gather reuse the AVX2 bodies in the AVX-512 table.
+// at large b; find reuses the AVX2 bodies in the AVX-512 table.
 //
 // GCC 12's *unmasked* AVX-512 permute/extract intrinsics expand through
 // _mm512_undefined_epi32() in the header, which trips a spurious
@@ -402,96 +341,6 @@ __attribute__((target("avx512f"))) std::size_t argmin_u64_pair_avx512(
 
 #pragma GCC diagnostic pop
 
-// ---------------------------------------------------------------------------
-// SSE4.2 variants (2-lane epi64 / 4-lane epi32).  No gather instruction at
-// this level — the gathers fall through to the scalar reference, which the
-// dispatch table encodes directly.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("sse4.2"))) std::size_t argmin_u64_pair_sse42(
-    const std::uint64_t* primary, const std::uint64_t* secondary,
-    std::size_t n) noexcept {
-  if (n < 2) return scalar::argmin_u64_pair(primary, secondary, n);
-  __m128i best_p = _mm_loadu_si128(reinterpret_cast<const __m128i*>(primary));
-  __m128i best_s =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(secondary));
-  __m128i best_i = _mm_set_epi64x(1, 0);
-  __m128i idx = best_i;
-  const __m128i two = _mm_set1_epi64x(2);
-  std::size_t i = 2;
-  for (; i + 2 <= n; i += 2) {
-    idx = _mm_add_epi64(idx, two);
-    const __m128i p =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(primary + i));
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(secondary + i));
-    const __m128i lt = _mm_cmpgt_epi64(best_p, p);
-    const __m128i eq = _mm_cmpeq_epi64(best_p, p);
-    const __m128i lt2 = _mm_cmpgt_epi64(best_s, s);
-    const __m128i better = _mm_or_si128(lt, _mm_and_si128(eq, lt2));
-    best_p = _mm_blendv_epi8(best_p, p, better);
-    best_s = _mm_blendv_epi8(best_s, s, better);
-    best_i = _mm_blendv_epi8(best_i, idx, better);
-  }
-  alignas(16) std::uint64_t lane_p[2], lane_s[2], lane_i[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lane_p), best_p);
-  _mm_store_si128(reinterpret_cast<__m128i*>(lane_s), best_s);
-  _mm_store_si128(reinterpret_cast<__m128i*>(lane_i), best_i);
-  std::size_t best = static_cast<std::size_t>(lane_i[0]);
-  std::uint64_t bp = lane_p[0], bs = lane_s[0];
-  const bool lane1 =
-      lane_p[1] < bp ||
-      (lane_p[1] == bp &&
-       (lane_s[1] < bs || (lane_s[1] == bs && lane_i[1] < best)));
-  if (lane1) {
-    bp = lane_p[1];
-    bs = lane_s[1];
-    best = static_cast<std::size_t>(lane_i[1]);
-  }
-  for (; i < n; ++i) {
-    const bool better =
-        primary[i] < bp || (primary[i] == bp && secondary[i] < bs);
-    if (better) {
-      bp = primary[i];
-      bs = secondary[i];
-      best = i;
-    }
-  }
-  return best;
-}
-
-__attribute__((target("sse4.2"))) std::size_t find_u64_sse42(
-    const std::uint64_t* keys, std::size_t n, std::uint64_t needle) noexcept {
-  const __m128i want = _mm_set1_epi64x(static_cast<long long>(needle));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi64(k, want));
-    if (mask != 0)
-      return i + static_cast<std::size_t>(__builtin_ctz(mask)) / 8;
-  }
-  for (; i < n; ++i)
-    if (keys[i] == needle) return i;
-  return kNpos;
-}
-
-__attribute__((target("sse4.2"))) std::size_t find_u32_sse42(
-    const std::uint32_t* keys, std::size_t n, std::uint32_t needle) noexcept {
-  const __m128i want = _mm_set1_epi32(static_cast<int>(needle));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    const int mask =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(k, want)));
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(mask));
-  }
-  for (; i < n; ++i)
-    if (keys[i] == needle) return i;
-  return kNpos;
-}
-
 }  // namespace
 
 #endif  // RDCN_SIMD_X86
@@ -499,24 +348,16 @@ __attribute__((target("sse4.2"))) std::size_t find_u32_sse42(
 namespace {
 
 constexpr detail::KernelTable kScalarTable = {
-    scalar::argmin_u64_pair, scalar::find_u64,   scalar::find_u32,
-    scalar::gather_sum_u16,  scalar::gather_u16, Isa::kScalar,
+    scalar::argmin_u64_pair, scalar::find_u64, scalar::find_u32, Isa::kScalar,
 };
 
 #if RDCN_SIMD_X86
-constexpr detail::KernelTable kSse42Table = {
-    argmin_u64_pair_sse42,  find_u64_sse42,     find_u32_sse42,
-    scalar::gather_sum_u16, scalar::gather_u16, Isa::kSse42,
-};
-
 constexpr detail::KernelTable kAvx2Table = {
-    argmin_u64_pair_avx2, find_u64_avx2,   find_u32_avx2,
-    gather_sum_u16_avx2,  gather_u16_avx2, Isa::kAvx2,
+    argmin_u64_pair_avx2, find_u64_avx2, find_u32_avx2, Isa::kAvx2,
 };
 
 constexpr detail::KernelTable kAvx512Table = {
-    argmin_u64_pair_avx512, find_u64_avx2,   find_u32_avx2,
-    gather_sum_u16_avx2,    gather_u16_avx2, Isa::kAvx512,
+    argmin_u64_pair_avx512, find_u64_avx2, find_u32_avx2, Isa::kAvx512,
 };
 #endif
 
@@ -525,7 +366,6 @@ const detail::KernelTable* native_table() noexcept {
   static const detail::KernelTable* table = [] {
     if (__builtin_cpu_supports("avx512f")) return &kAvx512Table;
     if (__builtin_cpu_supports("avx2")) return &kAvx2Table;
-    if (__builtin_cpu_supports("sse4.2")) return &kSse42Table;
     return &kScalarTable;
   }();
   return table;
@@ -568,8 +408,6 @@ const char* isa_name(Isa isa) noexcept {
       return "avx512";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kSse42:
-      return "sse4.2";
     case Isa::kScalar:
       return "scalar";
   }

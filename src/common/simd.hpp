@@ -1,27 +1,26 @@
 // rdcn: the hot-kernel library — small, portable SIMD primitives behind
 // runtime dispatch.
 //
-// The serve pipeline's innermost loops are four tiny, branch-free array
-// kernels over the SoA columns PR 4/5 made resident:
+// The serve pipeline's innermost loops include three tiny, branch-free
+// array kernels over the SoA columns the matchers keep resident:
 //
 //   argmin_u64_pair   BMA's eviction scan: least (usage, admitted_at) with
 //                     index capture (lexicographic, lowest index on full
 //                     ties, so results never depend on lane order),
 //   find_u64/find_u32 membership scans over rack-row keys / b-matching
-//                     adjacency (first occurrence),
-//   gather_u16 /      batch-path distance gathers over the DistanceMatrix
-//   gather_sum_u16    u16 storage (32-bit gathers; see the padding contract
-//                     below).
+//                     adjacency (first occurrence).
 //
 // Each kernel has a scalar reference implementation (namespace simd::scalar,
-// always compiled, the semantic contract) plus SSE4.2, AVX2, and (for the
-// latency-critical argmin) AVX-512 variants selected ONCE at startup by
+// always compiled, the semantic contract) plus an AVX2 variant, and the
+// latency-critical argmin an AVX-512 one, selected ONCE at startup by
 // runtime CPUID dispatch — the library is built without -mavx2 so one
 // binary runs everywhere; vector code is gated behind per-function target
-// attributes.  Setting the environment variable
-// RDCN_FORCE_SCALAR_KERNELS (to anything but "0") pins the dispatch to the
-// scalar reference; set_force_scalar() flips it programmatically (tests and
-// perf_gate measure both modes in one process).
+// attributes.  A vector kernel stays only where it pays on the reference
+// host (perf_gate's kernel_argmin_speedup, micro_kernels' find rows).
+// Setting the environment variable RDCN_FORCE_SCALAR_KERNELS (to anything
+// but "0") pins the dispatch to the scalar reference; set_force_scalar()
+// flips it programmatically (tests and perf_gate measure both modes in one
+// process).
 //
 // Every vector variant is bit-identical to its scalar reference on every
 // input (pinned by tests/simd_kernel_test.cpp on fuzzed rows, ties and
@@ -32,14 +31,6 @@
 // compares (AVX2 has no unsigned epi64 compare), so inputs must stay below
 // 2^63.  Usage counters and admission clock ticks are bounded by the trace
 // length — checked by RDCN_DCHECK in the scalar reference.
-//
-// Gather contract: gather kernels issue 32-bit loads at base + 2*idx, so
-// `base` must be readable for 2 bytes past the highest indexed element.
-// net::DistanceMatrix pads its storage accordingly (see
-// DistanceMatrix::data()); other callers must over-allocate by one element.
-// Index values must stay below 2^31: the AVX2 gather interprets them as
-// signed 32-bit offsets (callers with larger index spaces — a distance
-// matrix needs ~46k racks to get there — must use direct lookups instead).
 #pragma once
 
 #include <cstddef>
@@ -53,7 +44,7 @@ namespace rdcn::simd {
 inline constexpr std::size_t kNpos = ~std::size_t{0};
 
 /// Instruction-set level the dispatcher resolved to.
-enum class Isa { kScalar, kSse42, kAvx2, kAvx512 };
+enum class Isa { kScalar, kAvx2, kAvx512 };
 
 /// The level the dispatched kernels actually run at (after the
 /// RDCN_FORCE_SCALAR_KERNELS override and any set_force_scalar call).
@@ -91,15 +82,6 @@ std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
 std::size_t find_u32(const std::uint32_t* keys, std::size_t n,
                      std::uint32_t needle) noexcept;
 
-/// Sum of base[idx[i]] over i < n (u16 loads, u64 accumulation).
-std::uint64_t gather_sum_u16(const std::uint16_t* base,
-                             const std::uint32_t* idx,
-                             std::size_t n) noexcept;
-
-/// out[i] = base[idx[i]] for i < n.
-void gather_u16(const std::uint16_t* base, const std::uint32_t* idx,
-                std::size_t n, std::uint16_t* out) noexcept;
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -116,10 +98,6 @@ struct KernelTable {
                           std::uint64_t) noexcept;
   std::size_t (*find_u32)(const std::uint32_t*, std::size_t,
                           std::uint32_t) noexcept;
-  std::uint64_t (*gather_sum_u16)(const std::uint16_t*, const std::uint32_t*,
-                                  std::size_t) noexcept;
-  void (*gather_u16)(const std::uint16_t*, const std::uint32_t*, std::size_t,
-                     std::uint16_t*) noexcept;
   Isa isa;
 };
 
@@ -147,19 +125,6 @@ inline std::size_t find_u32(const std::uint32_t* keys, std::size_t n,
                             std::uint32_t needle) noexcept {
   if (n <= 8) return scalar::find_u32(keys, n, needle);
   return detail::active_kernels()->find_u32(keys, n, needle);
-}
-
-inline std::uint64_t gather_sum_u16(const std::uint16_t* base,
-                                    const std::uint32_t* idx,
-                                    std::size_t n) noexcept {
-  if (n <= 8) return scalar::gather_sum_u16(base, idx, n);
-  return detail::active_kernels()->gather_sum_u16(base, idx, n);
-}
-
-inline void gather_u16(const std::uint16_t* base, const std::uint32_t* idx,
-                       std::size_t n, std::uint16_t* out) noexcept {
-  if (n <= 8) return scalar::gather_u16(base, idx, n, out);
-  return detail::active_kernels()->gather_u16(base, idx, n, out);
 }
 
 }  // namespace rdcn::simd

@@ -1,58 +1,19 @@
 #include "core/greedy_online.hpp"
 
-#include <algorithm>
-
-#include "common/simd.hpp"
-
 namespace rdcn::core {
 
 void GreedyOnline::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
-  // Distances are static state, so the batch path hoists them: one SIMD
-  // gather per block fills a dense u16 scratch, and the sequential
-  // admission loop (which must see the evolving matching) reads d[i]
-  // instead of probing the matrix per request.
-  const std::uint16_t* base = instance().distances->data();
-  const std::size_t n = instance().num_racks();
   const BMatching& m = matching_view();
-  // The gather kernels take signed-32-bit indices (see simd.hpp): a
-  // matrix large enough to overflow them (~46k racks) routes through
-  // direct lookups instead.
-  if (n * n >= (std::size_t{1} << 31)) {
-    for (const Request& r : batch) {
-      RDCN_DCHECK(r.u != r.v);
-      const bool matched = m.has(r.u, r.v);
-      const std::uint64_t dist_uv = dist(r.u, r.v);
-      acc.routing_cost += matched ? 1 : dist_uv;
-      ++acc.requests;
-      acc.direct_serves += matched ? 1 : 0;
-      if (!matched && !m.full(r.u) && !m.full(r.v) && dist_uv > 1) {
-        add_matching_edge(r.u, r.v);
-      }
-    }
-    commit_routing(acc);
-    return;
-  }
-  constexpr std::size_t kBlock = 256;
-  std::uint32_t idx[kBlock];
-  std::uint16_t d[kBlock];
-  for (std::size_t offset = 0; offset < batch.size(); offset += kBlock) {
-    const std::size_t count = std::min(kBlock, batch.size() - offset);
-    for (std::size_t i = 0; i < count; ++i) {
-      const Request& r = batch[offset + i];
-      RDCN_DCHECK(r.u != r.v);
-      idx[i] = static_cast<std::uint32_t>(r.u * n + r.v);
-    }
-    simd::gather_u16(base, idx, count, d);
-    for (std::size_t i = 0; i < count; ++i) {
-      const Request& r = batch[offset + i];
-      const bool matched = m.has(r.u, r.v);
-      acc.routing_cost += matched ? 1 : d[i];
-      ++acc.requests;
-      acc.direct_serves += matched ? 1 : 0;
-      if (!matched && !m.full(r.u) && !m.full(r.v) && d[i] > 1) {
-        add_matching_edge(r.u, r.v);
-      }
+  for (const Request& r : batch) {
+    RDCN_DCHECK(r.u != r.v);
+    const bool matched = m.has(r.u, r.v);
+    const std::uint64_t dist_uv = dist(r.u, r.v);
+    acc.routing_cost += matched ? 1 : dist_uv;
+    ++acc.requests;
+    acc.direct_serves += matched ? 1 : 0;
+    if (!matched && !m.full(r.u) && !m.full(r.v) && dist_uv > 1) {
+      add_matching_edge(r.u, r.v);
     }
   }
   commit_routing(acc);

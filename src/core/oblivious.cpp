@@ -1,43 +1,15 @@
 #include "core/oblivious.hpp"
 
-#include <algorithm>
-
-#include "common/simd.hpp"
-
 namespace rdcn::core {
 
 void Oblivious::serve_batch(std::span<const Request> batch) {
   RDCN_DCHECK(matching_view().size() == 0);
   RoutingDelta acc;
-  // Oblivious routing is a pure distance reduction, so the whole batch
-  // path is one gather-and-sum over the DistanceMatrix's padded u16
-  // storage (see DistanceMatrix::data()), blocked to keep the index
-  // scratch on the stack.  Integer sums are associative — the ledger is
-  // bit-identical to the scalar loop.
-  const std::uint16_t* base = instance().distances->data();
-  const std::size_t n = instance().num_racks();
-  // The gather kernels take signed-32-bit indices (see simd.hpp): a
-  // matrix large enough to overflow them (~46k racks) routes through
-  // direct lookups instead.
-  if (n * n >= (std::size_t{1} << 31)) {
-    for (const Request& r : batch) {
-      RDCN_DCHECK(r.u != r.v);
-      acc.routing_cost += dist(r.u, r.v);
-    }
-    acc.requests = batch.size();
-    commit_routing(acc);
-    return;
-  }
-  constexpr std::size_t kBlock = 256;
-  std::uint32_t idx[kBlock];
-  for (std::size_t offset = 0; offset < batch.size(); offset += kBlock) {
-    const std::size_t count = std::min(kBlock, batch.size() - offset);
-    for (std::size_t i = 0; i < count; ++i) {
-      const Request& r = batch[offset + i];
-      RDCN_DCHECK(r.u != r.v);
-      idx[i] = static_cast<std::uint32_t>(r.u * n + r.v);
-    }
-    acc.routing_cost += simd::gather_sum_u16(base, idx, count);
+  // Oblivious routing is a pure distance reduction; integer sums are
+  // associative, so the ledger is bit-identical to the serve() loop.
+  for (const Request& r : batch) {
+    RDCN_DCHECK(r.u != r.v);
+    acc.routing_cost += dist(r.u, r.v);
   }
   acc.requests = batch.size();
   commit_routing(acc);

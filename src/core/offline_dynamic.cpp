@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/flat_hash.hpp"
+#include "common/param_map.hpp"
 #include "core/static_bmatching.hpp"
 
 namespace rdcn::core {
@@ -11,7 +12,9 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
                                const trace::Trace& full_trace,
                                const OfflineDynamicOptions& options)
     : OnlineBMatcher(inst), window_(options.window) {
-  RDCN_ASSERT_MSG(window_ >= 1, "window must be positive");
+  if (window_ == 0)
+    throw SpecError(
+        "algorithm 'offline_dynamic': parameter 'window' must be >= 1, got 0");
   const std::size_t cap = inst.offline_degree();
   const std::size_t num_windows =
       full_trace.empty() ? 0 : (full_trace.size() + window_ - 1) / window_;

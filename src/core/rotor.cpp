@@ -3,12 +3,14 @@
 #include <algorithm>
 
 #include "common/flat_hash.hpp"
+#include "common/param_map.hpp"
 
 namespace rdcn::core {
 
 Rotor::Rotor(const Instance& inst, const RotorOptions& options)
     : OnlineBMatcher(inst), options_(options) {
-  RDCN_ASSERT_MSG(options_.slot_length >= 1, "slot length must be positive");
+  if (options_.slot_length == 0)
+    throw SpecError("algorithm 'rotor': parameter 'slot' must be >= 1, got 0");
   build_schedule();
   install_slot(0);
 }

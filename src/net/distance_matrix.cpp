@@ -7,7 +7,7 @@ namespace rdcn::net {
 DistanceMatrix::DistanceMatrix(const Graph& g,
                                const std::vector<NodeId>& racks)
     : n_(racks.size()),
-      d_(racks.size() * racks.size() + kGatherPadding, 0) {
+      d_(racks.size() * racks.size(), 0) {
   RDCN_ASSERT_MSG(g.finalized(), "graph must be finalized");
   std::vector<std::uint16_t> dist;
   for (std::size_t i = 0; i < n_; ++i) {
@@ -26,8 +26,7 @@ DistanceMatrix DistanceMatrix::uniform(std::size_t num_racks,
                                        std::uint16_t dist) {
   DistanceMatrix m;
   m.n_ = num_racks;
-  m.d_.assign(num_racks * num_racks + kGatherPadding, 0);
-  std::fill(m.d_.begin(), m.d_.begin() + num_racks * num_racks, dist);
+  m.d_.assign(num_racks * num_racks, dist);
   for (std::size_t i = 0; i < num_racks; ++i) m.d_[i * num_racks + i] = 0;
   m.max_ = num_racks > 1 ? dist : 0;
   return m;

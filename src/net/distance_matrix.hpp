@@ -35,19 +35,6 @@ class DistanceMatrix {
     return d_[static_cast<std::size_t>(a) * n_ + b];
   }
 
-  /// Storage is over-allocated by this many u16 elements beyond n*n, so
-  /// the 32-bit gathers of the SIMD kernel layer (which read 2 bytes past
-  /// the addressed element — see the gather contract in common/simd.hpp)
-  /// stay in bounds at every valid index.
-  static constexpr std::size_t kGatherPadding = 8;
-
-  /// Gather-friendly raw view: row-major u16 storage, entry (a, b) at
-  /// index a * num_racks() + b, padded per kGatherPadding.  Batch serve
-  /// loops feed these indices straight into simd::gather_u16 /
-  /// simd::gather_sum_u16 (index values must stay below 2^31 — see the
-  /// gather contract in common/simd.hpp).
-  const std::uint16_t* data() const noexcept { return d_.data(); }
-
   std::uint16_t max_distance() const noexcept { return max_; }
 
   /// Mean off-diagonal distance (used in workload/report analytics).

@@ -1,11 +1,20 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+
+#include "common/param_map.hpp"
 
 namespace rdcn::net {
 
 namespace {
+
+/// Throws SpecError unless `ok`: the parameters of topology `name` are
+/// outside their valid range, as `what` describes.
+void require(bool ok, const char* name, const std::string& what) {
+  if (!ok) throw SpecError("topology '" + std::string(name) + "': " + what);
+}
 
 Topology finish(std::string name, Graph g, std::vector<NodeId> racks) {
   g.finalize();
@@ -21,7 +30,8 @@ Topology finish(std::string name, Graph g, std::vector<NodeId> racks) {
 }  // namespace
 
 Topology make_fat_tree_k(std::size_t k) {
-  RDCN_ASSERT_MSG(k >= 2 && k % 2 == 0, "fat-tree requires even k >= 2");
+  require(k >= 2 && k % 2 == 0, "fat_tree",
+          "parameter 'k' must be even and >= 2, got " + std::to_string(k));
   const std::size_t half = k / 2;
   const std::size_t num_pods = k;
   const std::size_t edge_per_pod = half;
@@ -63,7 +73,7 @@ Topology make_fat_tree_k(std::size_t k) {
 }
 
 Topology make_fat_tree(std::size_t num_racks) {
-  RDCN_ASSERT_MSG(num_racks >= 2, "need at least two racks");
+  require(num_racks >= 2, "fat_tree", "needs at least 2 racks");
   std::size_t k = 2;
   while (k * k / 2 < num_racks) k += 2;
   Topology t = make_fat_tree_k(k);
@@ -76,8 +86,9 @@ Topology make_fat_tree(std::size_t num_racks) {
 }
 
 Topology make_leaf_spine(std::size_t num_racks, std::size_t num_spines) {
-  RDCN_ASSERT_MSG(num_racks >= 2 && num_spines >= 1,
-                  "leaf-spine needs >=2 leaves and >=1 spine");
+  require(num_racks >= 2, "leaf_spine", "needs at least 2 racks");
+  require(num_spines >= 1, "leaf_spine",
+          "parameter 'spines' must be >= 1, got 0");
   Graph g(num_racks + num_spines);
   std::vector<NodeId> racks(num_racks);
   for (std::size_t i = 0; i < num_racks; ++i) {
@@ -90,7 +101,7 @@ Topology make_leaf_spine(std::size_t num_racks, std::size_t num_spines) {
 }
 
 Topology make_star(std::size_t num_racks) {
-  RDCN_ASSERT_MSG(num_racks >= 2, "star needs at least two points");
+  require(num_racks >= 2, "star", "needs at least 2 racks");
   Graph g(num_racks + 1);
   const NodeId hub = static_cast<NodeId>(num_racks);
   std::vector<NodeId> racks(num_racks);
@@ -102,7 +113,7 @@ Topology make_star(std::size_t num_racks) {
 }
 
 Topology make_line(std::size_t num_racks) {
-  RDCN_ASSERT_MSG(num_racks >= 2, "line needs at least two racks");
+  require(num_racks >= 2, "line", "needs at least 2 racks");
   Graph g(num_racks);
   std::vector<NodeId> racks(num_racks);
   for (std::size_t i = 0; i < num_racks; ++i)
@@ -113,7 +124,7 @@ Topology make_line(std::size_t num_racks) {
 }
 
 Topology make_ring(std::size_t num_racks) {
-  RDCN_ASSERT_MSG(num_racks >= 3, "ring needs at least three racks");
+  require(num_racks >= 3, "ring", "needs at least 3 racks");
   Graph g(num_racks);
   std::vector<NodeId> racks(num_racks);
   for (std::size_t i = 0; i < num_racks; ++i)
@@ -125,7 +136,9 @@ Topology make_ring(std::size_t num_racks) {
 }
 
 Topology make_torus(std::size_t rows, std::size_t cols) {
-  RDCN_ASSERT_MSG(rows >= 3 && cols >= 3, "torus needs >=3x3");
+  require(rows >= 3 && cols >= 3, "torus",
+          "parameters 'rows' and 'cols' must both be >= 3, got " +
+              std::to_string(rows) + "x" + std::to_string(cols));
   Graph g(rows * cols);
   std::vector<NodeId> racks(rows * cols);
   auto id = [&](std::size_t r, std::size_t c) {
@@ -142,7 +155,8 @@ Topology make_torus(std::size_t rows, std::size_t cols) {
 }
 
 Topology make_hypercube(std::size_t dim) {
-  RDCN_ASSERT_MSG(dim >= 1 && dim <= 20, "hypercube dim out of range");
+  require(dim >= 1 && dim <= 20, "hypercube",
+          "parameter 'dim' must be in [1, 20], got " + std::to_string(dim));
   const std::size_t n = std::size_t{1} << dim;
   Graph g(n);
   std::vector<NodeId> racks(n);
@@ -159,9 +173,13 @@ Topology make_hypercube(std::size_t dim) {
 
 Topology make_random_regular(std::size_t num_racks, std::size_t degree,
                              Xoshiro256& rng) {
-  RDCN_ASSERT_MSG(num_racks >= degree + 1, "degree too high for n");
-  RDCN_ASSERT_MSG((num_racks * degree) % 2 == 0,
-                  "n*degree must be even for a regular graph");
+  require(degree >= 1 && degree < num_racks, "expander",
+          "parameter 'degree' must be in [1, racks - 1] on " +
+              std::to_string(num_racks) + " racks, got " +
+              std::to_string(degree));
+  require((num_racks * degree) % 2 == 0, "expander",
+          "racks x degree must be even for a regular graph, got " +
+              std::to_string(num_racks) + " x " + std::to_string(degree));
   // Stub matching with rejection of self-loops/multi-edges; retried until
   // simple and connected (succeeds quickly for the sparse cases we use).
   for (int attempt = 0; attempt < 200; ++attempt) {
@@ -201,12 +219,14 @@ Topology make_random_regular(std::size_t num_racks, std::size_t degree,
     t.racks = std::move(racks);
     return t;
   }
-  RDCN_ASSERT_MSG(false, "failed to sample a connected regular graph");
-  return {};
+  throw SpecError("topology 'expander': no connected " +
+                  std::to_string(degree) + "-regular graph on " +
+                  std::to_string(num_racks) +
+                  " racks found in 200 attempts; use a larger degree");
 }
 
 Topology make_complete(std::size_t num_racks) {
-  RDCN_ASSERT_MSG(num_racks >= 2, "complete graph needs at least two racks");
+  require(num_racks >= 2, "complete", "needs at least 2 racks");
   Graph g(num_racks);
   std::vector<NodeId> racks(num_racks);
   for (std::size_t i = 0; i < num_racks; ++i)

@@ -154,6 +154,8 @@ void check_run_shape(const ScenarioSpec& spec) {
   if (spec.racks < 2) throw SpecError("racks must be at least 2");
   if (spec.requests == 0) throw SpecError("requests must be positive");
   if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
+  for (std::size_t b : spec.cache_sizes)
+    if (b == 0) throw SpecError("b must be positive");
   if (spec.requests < spec.checkpoints)
     throw SpecError("requests (" + std::to_string(spec.requests) +
                     ") must be >= checkpoints (" +

@@ -64,9 +64,9 @@ struct ScenarioSpec {
 };
 
 /// Spec problems the registries cannot see but that no run survives:
-/// fewer than 2 racks, zero requests or checkpoints, or fewer requests
-/// than checkpoints.  Throws SpecError.  run_scenario calls it first; the
-/// serving daemon calls it at admission.
+/// fewer than 2 racks, zero requests or checkpoints, a cache size b of 0,
+/// or fewer requests than checkpoints.  Throws SpecError.  run_scenario
+/// calls it first; the serving daemon calls it at admission.
 void check_run_shape(const ScenarioSpec& spec);
 
 struct ScenarioResult {

@@ -169,46 +169,6 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
   return run_simulation(matcher, stream, std::move(checkpoints), control);
 }
 
-RunResult run_simulation_scalar(core::OnlineBMatcher& matcher,
-                                const trace::Trace& trace,
-                                std::vector<std::uint64_t> checkpoints) {
-  RDCN_ASSERT_MSG(!checkpoints.empty(), "need at least one checkpoint");
-  RDCN_ASSERT_MSG(std::is_sorted(checkpoints.begin(), checkpoints.end()),
-                  "checkpoints must be non-decreasing");
-  checkpoints.back() = std::min<std::uint64_t>(checkpoints.back(),
-                                               trace.size());
-
-  RunResult result;
-  result.algorithm = matcher.name();
-  result.trace_name = trace.name();
-  result.b = matcher.instance().b;
-  result.checkpoints.reserve(checkpoints.size());
-
-  Stopwatch watch;
-  watch.reset();
-  const RunControl no_control;
-  Snapshotter snap{matcher, watch, result, no_control};
-  while (snap.next_cp < checkpoints.size() &&
-         checkpoints[snap.next_cp] == 0) {
-    snap.snapshot(0);
-  }
-  if (snap.next_cp >= checkpoints.size()) return result;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    matcher.serve(trace[i]);
-    const std::uint64_t served = i + 1;
-    while (snap.next_cp < checkpoints.size() &&
-           served == checkpoints[snap.next_cp]) {
-      watch.pause();
-      snap.snapshot(served);
-      watch.resume();
-    }
-    if (snap.next_cp >= checkpoints.size()) break;
-  }
-  RDCN_ASSERT_MSG(snap.next_cp == checkpoints.size(),
-                  "trace shorter than checkpoint grid");
-  return result;
-}
-
 RunResult run_to_completion(core::OnlineBMatcher& matcher,
                             const trace::Trace& trace) {
   return run_simulation(matcher, trace, {trace.size()});

@@ -5,10 +5,11 @@
 // cumulative costs at a checkpoint grid.  Replay is *batched*: requests go
 // to OnlineBMatcher::serve_batch in fixed-size chunks (kServeChunk) that
 // are clipped at checkpoint boundaries, so checkpoint semantics are
-// unchanged — a chunked run's ledger is bit-identical to the scalar
-// serve() loop at every grid point (pinned by the batch differential
-// suite).  There is one chunk loop, fed by a trace::TraceStream; a
-// materialized Trace is replayed through a MaterializedStream over it.
+// unchanged — a chunked run's ledger is bit-identical to a one-serve()-
+// per-request replay at every grid point (pinned by the batch
+// differential suite against the reference replay in the tests).  There
+// is one chunk loop, fed by a trace::TraceStream; a materialized Trace is
+// replayed through a MaterializedStream over it.
 // Wall-clock measurement covers the matcher only — checkpointing,
 // reporting and request production (a generator's work, or the chunk copy
 // out of a materialized trace) are excluded for every source, mirroring
@@ -75,14 +76,6 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
                          const trace::Trace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control = {});
-
-/// Reference scalar replay: one serve() call per request, the historical
-/// execution mode.  Kept as the semantic baseline for the batch
-/// differential suite and for perf_gate's batched-vs-scalar speedup
-/// measurement.  Ledgers are bit-identical to the chunked path.
-RunResult run_simulation_scalar(core::OnlineBMatcher& matcher,
-                                const trace::Trace& trace,
-                                std::vector<std::uint64_t> checkpoints);
 
 /// Convenience: single final checkpoint only.
 RunResult run_to_completion(core::OnlineBMatcher& matcher,

@@ -62,14 +62,6 @@ FlowPoolParams facebook_params(FacebookCluster cluster,
   return p;
 }
 
-Trace generate_facebook_like(FacebookCluster cluster, std::size_t num_racks,
-                             std::size_t num_requests, Xoshiro256& rng) {
-  const FlowPoolParams params = facebook_params(cluster, num_racks);
-  Trace t = generate_flow_pool(num_racks, num_requests, params, rng);
-  t.set_name(std::string("facebook_") + facebook_cluster_name(cluster));
-  return t;
-}
-
 std::unique_ptr<TraceStream> stream_facebook_like(FacebookCluster cluster,
                                                   std::size_t num_racks,
                                                   std::size_t num_requests,

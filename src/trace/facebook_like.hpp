@@ -23,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "trace/generators.hpp"
-#include "trace/trace.hpp"
 
 namespace rdcn::trace {
 
@@ -40,14 +39,10 @@ const char* facebook_cluster_name(FacebookCluster cluster);
 FlowPoolParams facebook_params(FacebookCluster cluster,
                                std::size_t num_racks);
 
-/// Generates a synthetic trace for one Facebook-like cluster.
+/// Streams a synthetic trace for one Facebook-like cluster (a flow pool
+/// with facebook_params; RNG snapshotted, see trace/trace_stream.hpp).
 /// The paper uses num_racks = 100 and trace lengths of 3.5e5 (database),
 /// 4.0e5 (web service), and 1.85e5 (hadoop) requests.
-Trace generate_facebook_like(FacebookCluster cluster, std::size_t num_racks,
-                             std::size_t num_requests, Xoshiro256& rng);
-
-/// Streaming twin of generate_facebook_like (chunked production, RNG
-/// snapshotted; see trace/trace_stream.hpp).
 std::unique_ptr<TraceStream> stream_facebook_like(FacebookCluster cluster,
                                                   std::size_t num_racks,
                                                   std::size_t num_requests,

@@ -2,13 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/flat_hash.hpp"
+#include "common/param_map.hpp"
 
 namespace rdcn::trace {
 
 namespace {
+
+/// Throws SpecError unless `ok`: `workload`'s parameter `key` (its spec
+/// key) holds `value`, outside `range`.
+template <typename T>
+void require(bool ok, const char* workload, const char* key, T value,
+             const std::string& range) {
+  if (ok) return;
+  std::ostringstream message;
+  message << "workload '" << workload << "': parameter '" << key
+          << "' must be " << range << ", got " << value;
+  throw SpecError(message.str());
+}
 
 Request random_pair(std::size_t num_racks, Xoshiro256& rng) {
   const Rack u = static_cast<Rack>(rng.next_below(num_racks));
@@ -33,10 +48,10 @@ std::vector<Request> sample_distinct_pairs(std::size_t num_racks,
   return pairs;
 }
 
-// Per-request emitters.  Each constructor performs the generator's setup
-// draws and each step() performs exactly the per-request draws of the
-// historical single-shot loop, in the same order — generate_* and stream_*
-// share these, which is what makes them bit-identical.
+// Per-request emitters, each wrapped in an EmitterStream by its stream_*
+// front end.  Each constructor checks the parameters and performs the
+// generator's setup draws; each step() performs the per-request draws.
+// The draw order is pinned by golden checksums (trace_stream_test).
 
 class UniformEmitter {
  public:
@@ -55,7 +70,8 @@ class UniformEmitter {
 class ZipfPairsEmitter {
  public:
   ZipfPairsEmitter(std::size_t num_racks, double skew, Xoshiro256& rng)
-      : rng_(rng), zipf_(num_racks * (num_racks - 1) / 2, skew) {
+      : rng_(rng),
+        zipf_(num_racks * (num_racks - 1) / 2, checked_skew(skew)) {
     RDCN_ASSERT(num_racks >= 2);
     // Rank all pairs by a random permutation, then draw ranks from Zipf(s).
     pairs_.reserve(num_racks * (num_racks - 1) / 2);
@@ -68,6 +84,11 @@ class ZipfPairsEmitter {
   Request step() { return pairs_[zipf_(rng_)]; }
 
  private:
+  static double checked_skew(double skew) {
+    require(skew >= 0.0, "zipf", "skew", skew, ">= 0");
+    return skew;
+  }
+
   Xoshiro256& rng_;
   std::vector<Request> pairs_;
   ZipfSampler zipf_;
@@ -78,9 +99,13 @@ class HotspotEmitter {
   HotspotEmitter(std::size_t num_racks, double hot_fraction, double hot_share,
                  Xoshiro256& rng)
       : num_racks_(num_racks), hot_share_(hot_share), rng_(rng) {
-    RDCN_ASSERT(num_racks >= 4);
-    RDCN_ASSERT(hot_fraction > 0.0 && hot_fraction < 1.0);
-    RDCN_ASSERT(hot_share >= 0.0 && hot_share <= 1.0);
+    if (num_racks < 4)
+      throw SpecError("workload 'hotspot' needs at least 4 racks, got " +
+                      std::to_string(num_racks));
+    require(hot_fraction > 0.0 && hot_fraction < 1.0, "hotspot",
+            "hot_fraction", hot_fraction, "in (0, 1)");
+    require(hot_share >= 0.0 && hot_share <= 1.0, "hotspot", "hot_share",
+            hot_share, "in [0, 1]");
     num_hot_ = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(hot_fraction * num_racks)));
     racks_.resize(num_racks);
@@ -112,7 +137,10 @@ class HotspotEmitter {
 class PermutationEmitter {
  public:
   PermutationEmitter(std::size_t num_racks, Xoshiro256& rng) : rng_(rng) {
-    RDCN_ASSERT(num_racks >= 2 && num_racks % 2 == 0);
+    if (num_racks < 2 || num_racks % 2 != 0)
+      throw SpecError(
+          "workload 'permutation' needs an even number of racks, got " +
+          std::to_string(num_racks));
     std::vector<Rack> perm(num_racks);
     for (std::size_t i = 0; i < num_racks; ++i) perm[i] = static_cast<Rack>(i);
     shuffle(perm.begin(), perm.end(), rng_);
@@ -134,18 +162,14 @@ class FlowPoolEmitter {
   FlowPoolEmitter(std::size_t num_racks, const FlowPoolParams& params,
                   Xoshiro256& rng)
       : num_racks_(num_racks),
-        params_(params),
+        params_(checked(params)),
         rng_(rng),
-        zipf_(std::min(params.candidate_pairs,
+        zipf_(std::min(params_.candidate_pairs,
                        num_racks * (num_racks - 1) / 2),
-              params.zipf_skew),
+              params_.zipf_skew),
         // P(burst continues) chosen so the mean geometric length matches.
-        p_end_(1.0 / params.mean_burst_length) {
+        p_end_(1.0 / params_.mean_burst_length) {
     RDCN_ASSERT(num_racks >= 2);
-    RDCN_ASSERT(params_.candidate_pairs >= 1);
-    RDCN_ASSERT(params_.mean_burst_length >= 1.0);
-    RDCN_ASSERT(params_.max_active_flows >= 1);
-
     const std::size_t all_pairs = num_racks * (num_racks - 1) / 2;
     const std::size_t num_candidates =
         std::min(params_.candidate_pairs, all_pairs);
@@ -222,6 +246,20 @@ class FlowPoolEmitter {
     std::size_t remaining;
   };
 
+  static const FlowPoolParams& checked(const FlowPoolParams& p) {
+    require(p.candidate_pairs >= 1, "flow_pool", "pairs", p.candidate_pairs,
+            ">= 1");
+    require(p.zipf_skew >= 0.0, "flow_pool", "skew", p.zipf_skew, ">= 0");
+    require(p.mean_burst_length >= 1.0 && std::isfinite(p.mean_burst_length),
+            "flow_pool", "burst", p.mean_burst_length, "finite and >= 1");
+    require(p.max_active_flows >= 1, "flow_pool", "active",
+            p.max_active_flows, ">= 1");
+    // hub_fraction x racks hubs are copied out of the rack list.
+    require(p.hub_fraction >= 0.0 && p.hub_fraction <= 1.0, "flow_pool",
+            "hub_fraction", p.hub_fraction, "in [0, 1]");
+    return p;
+  }
+
   Rack sample_endpoint() {
     if (!hubs_.empty() && rng_.next_bool(params_.hub_bias))
       return hubs_[rng_.next_below(hubs_.size())];
@@ -263,9 +301,14 @@ class ElephantMiceEmitter {
         p_end_(1.0 / mean_run_length),
         rng_(rng) {
     RDCN_ASSERT(num_racks >= 2);
-    RDCN_ASSERT(num_elephants >= 1);
-    RDCN_ASSERT(elephant_share >= 0.0 && elephant_share <= 1.0);
-    RDCN_ASSERT(mean_run_length >= 1.0);
+    const std::size_t all_pairs = num_racks * (num_racks - 1) / 2;
+    require(num_elephants >= 1 && num_elephants <= all_pairs, "elephant_mice",
+            "elephants", num_elephants,
+            "in [1, " + std::to_string(all_pairs) + "] (the rack pairs)");
+    require(elephant_share >= 0.0 && elephant_share <= 1.0, "elephant_mice",
+            "share", elephant_share, "in [0, 1]");
+    require(mean_run_length >= 1.0 && std::isfinite(mean_run_length),
+            "elephant_mice", "run", mean_run_length, "finite and >= 1");
     elephants_ = sample_distinct_pairs(num_racks, num_elephants, rng_);
   }
 
@@ -300,8 +343,9 @@ class RoundRobinStarEmitter {
   RoundRobinStarEmitter(std::size_t num_racks, std::size_t k,
                         [[maybe_unused]] Xoshiro256& rng)
       : k_(k) {
-    RDCN_ASSERT(num_racks >= k + 2);
-    RDCN_ASSERT(k >= 1);
+    // k + 1 spokes around rack 0.
+    require(k >= 1 && k + 2 <= num_racks, "round_robin_star", "k", k,
+            "in [1, racks - 2] on " + std::to_string(num_racks) + " racks");
   }
 
   Request step() {
@@ -314,37 +358,6 @@ class RoundRobinStarEmitter {
   std::size_t i_ = 0;
 };
 
-/// generate_* front end: drains `emitter` into a materialized Trace.
-template <typename Emitter>
-Trace drain(Emitter& emitter, std::size_t num_racks,
-            std::size_t num_requests, const char* name) {
-  Trace t(num_racks, name);
-  t.reserve(num_requests);
-  for (std::size_t i = 0; i < num_requests; ++i) t.push_back(emitter.step());
-  return t;
-}
-
-/// stream_* front end: owns an RNG snapshot plus the emitter driving it.
-template <typename Emitter>
-class EmitterStream final : public TraceStream {
- public:
-  template <typename... Args>
-  EmitterStream(std::size_t num_racks, std::string name, std::size_t total,
-                const Xoshiro256& rng, Args&&... args)
-      : TraceStream(num_racks, std::move(name), total),
-        rng_(rng),  // declared before emitter_, which holds a reference
-        emitter_(num_racks, std::forward<Args>(args)..., rng_) {}
-
- protected:
-  void produce(Request* out, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = emitter_.step();
-  }
-
- private:
-  Xoshiro256 rng_;
-  Emitter emitter_;
-};
-
 template <typename Emitter, typename... Args>
 std::unique_ptr<TraceStream> make_stream(std::size_t num_racks,
                                          std::string name, std::size_t total,
@@ -355,52 +368,6 @@ std::unique_ptr<TraceStream> make_stream(std::size_t num_racks,
 }
 
 }  // namespace
-
-Trace generate_uniform(std::size_t num_racks, std::size_t num_requests,
-                       Xoshiro256& rng) {
-  UniformEmitter e(num_racks, rng);
-  return drain(e, num_racks, num_requests, "uniform");
-}
-
-Trace generate_zipf_pairs(std::size_t num_racks, std::size_t num_requests,
-                          double skew, Xoshiro256& rng) {
-  ZipfPairsEmitter e(num_racks, skew, rng);
-  return drain(e, num_racks, num_requests, "zipf");
-}
-
-Trace generate_hotspot(std::size_t num_racks, std::size_t num_requests,
-                       double hot_fraction, double hot_share,
-                       Xoshiro256& rng) {
-  HotspotEmitter e(num_racks, hot_fraction, hot_share, rng);
-  return drain(e, num_racks, num_requests, "hotspot");
-}
-
-Trace generate_permutation(std::size_t num_racks, std::size_t num_requests,
-                           Xoshiro256& rng) {
-  PermutationEmitter e(num_racks, rng);
-  return drain(e, num_racks, num_requests, "permutation");
-}
-
-Trace generate_flow_pool(std::size_t num_racks, std::size_t num_requests,
-                         const FlowPoolParams& params, Xoshiro256& rng) {
-  FlowPoolEmitter e(num_racks, params, rng);
-  return drain(e, num_racks, num_requests, "flow_pool");
-}
-
-Trace generate_elephant_mice(std::size_t num_racks, std::size_t num_requests,
-                             std::size_t num_elephants, double elephant_share,
-                             double mean_run_length, Xoshiro256& rng) {
-  ElephantMiceEmitter e(num_racks, num_elephants, elephant_share,
-                        mean_run_length, rng);
-  return drain(e, num_racks, num_requests, "elephant_mice");
-}
-
-Trace generate_round_robin_star(std::size_t num_racks,
-                                std::size_t num_requests, std::size_t k) {
-  Xoshiro256 unused(0);
-  RoundRobinStarEmitter e(num_racks, k, unused);
-  return drain(e, num_racks, num_requests, "round_robin_star");
-}
 
 std::unique_ptr<TraceStream> stream_uniform(std::size_t num_racks,
                                             std::size_t num_requests,

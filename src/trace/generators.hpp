@@ -5,43 +5,51 @@
 // directly for controlled experiments: each generator isolates one property
 // (spatial skew, temporal burstiness, adversarial structure, ...) so
 // ablations can vary a single axis.
-// Every generator is implemented as a per-request *emitter* consumed by two
-// front ends: generate_* drains it into a materialized Trace (advancing the
-// caller's RNG exactly as before), and stream_* wraps it in a TraceStream
-// that owns a snapshot of the RNG and produces the identical request
-// sequence chunk by chunk — without ever holding the full trace in memory.
+//
+// Every generator is a TraceStream: it owns a snapshot of the caller's RNG
+// (the caller's generator is not advanced) and produces its requests chunk
+// by chunk, so a replay never holds the full trace in memory; wrap it in
+// trace::materialize() for a Trace.  Generator setup (pair tables,
+// samplers) happens at stream construction; per-request state is O(active
+// flows), not O(requests).  Parameters outside their valid range raise
+// SpecError naming the parameter by its workload spec key.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_stream.hpp"
 
 namespace rdcn::trace {
 
 /// Uniform i.i.d. pairs — no structure at all (the hardest case for any
 /// demand-aware scheme; both BMA and R-BMA degrade to Oblivious).
-Trace generate_uniform(std::size_t num_racks, std::size_t num_requests,
-                       Xoshiro256& rng);
+std::unique_ptr<TraceStream> stream_uniform(std::size_t num_racks,
+                                            std::size_t num_requests,
+                                            const Xoshiro256& rng);
 
 /// Zipf-skewed i.i.d. pairs: pairs ranked by a random permutation, request
 /// probability proportional to 1/rank^s.  Pure spatial skew, zero temporal
 /// structure.
-Trace generate_zipf_pairs(std::size_t num_racks, std::size_t num_requests,
-                          double skew, Xoshiro256& rng);
+std::unique_ptr<TraceStream> stream_zipf_pairs(std::size_t num_racks,
+                                               std::size_t num_requests,
+                                               double skew,
+                                               const Xoshiro256& rng);
 
 /// Hotspot: a fraction `hot_fraction` of racks receive `hot_share` of all
-/// traffic (incast/outcast-style concentration).
-Trace generate_hotspot(std::size_t num_racks, std::size_t num_requests,
-                       double hot_fraction, double hot_share,
-                       Xoshiro256& rng);
+/// traffic (incast/outcast-style concentration).  Needs at least 4 racks.
+std::unique_ptr<TraceStream> stream_hotspot(std::size_t num_racks,
+                                            std::size_t num_requests,
+                                            double hot_fraction,
+                                            double hot_share,
+                                            const Xoshiro256& rng);
 
 /// Fixed permutation traffic: rack i talks only to π(i) — the best case
-/// for a b-matching (a single matching covers everything).
-Trace generate_permutation(std::size_t num_racks, std::size_t num_requests,
-                           Xoshiro256& rng);
+/// for a b-matching (a single matching covers everything).  Needs an even
+/// number of racks.
+std::unique_ptr<TraceStream> stream_permutation(std::size_t num_racks,
+                                                std::size_t num_requests,
+                                                const Xoshiro256& rng);
 
 /// Parameters of the flow-pool generator: a pool of concurrently active
 /// "flows" (rack pairs emitting bursts).  Each step either starts a new
@@ -74,51 +82,23 @@ struct FlowPoolParams {
 /// The main structured generator: spatial skew + temporal burstiness +
 /// optional working-set drift.  This is the model behind the Facebook-like
 /// cluster profiles.
-Trace generate_flow_pool(std::size_t num_racks, std::size_t num_requests,
-                         const FlowPoolParams& params, Xoshiro256& rng);
-
-/// Elephants and mice: `num_elephants` heavy pairs carry `elephant_share`
-/// of the traffic in long runs; the rest is uniform mice.  Models
-/// Hadoop-style shuffle traffic.
-Trace generate_elephant_mice(std::size_t num_racks, std::size_t num_requests,
-                             std::size_t num_elephants, double elephant_share,
-                             double mean_run_length, Xoshiro256& rng);
-
-/// Adversarial round-robin over k+1 pairs sharing a common rack (the star
-/// lower-bound shape of Lemma 1 projected onto a general topology): cycles
-/// 0-1, 0-2, ..., 0-(k+1), repeating.  Forces eviction churn at rack 0 for
-/// any online algorithm with degree cap b <= k.
-Trace generate_round_robin_star(std::size_t num_racks,
-                                std::size_t num_requests, std::size_t k);
-
-/// Streaming twins: each produces bit-identically the request sequence of
-/// its generate_* counterpart seeded with the same RNG state, but in
-/// chunks (the rng parameter is snapshotted; the caller's generator is not
-/// advanced).  Generator setup (pair tables, samplers) happens at stream
-/// construction; per-request state is O(active flows), not O(requests).
-std::unique_ptr<TraceStream> stream_uniform(std::size_t num_racks,
-                                            std::size_t num_requests,
-                                            const Xoshiro256& rng);
-std::unique_ptr<TraceStream> stream_zipf_pairs(std::size_t num_racks,
-                                               std::size_t num_requests,
-                                               double skew,
-                                               const Xoshiro256& rng);
-std::unique_ptr<TraceStream> stream_hotspot(std::size_t num_racks,
-                                            std::size_t num_requests,
-                                            double hot_fraction,
-                                            double hot_share,
-                                            const Xoshiro256& rng);
-std::unique_ptr<TraceStream> stream_permutation(std::size_t num_racks,
-                                                std::size_t num_requests,
-                                                const Xoshiro256& rng);
 std::unique_ptr<TraceStream> stream_flow_pool(std::size_t num_racks,
                                               std::size_t num_requests,
                                               const FlowPoolParams& params,
                                               const Xoshiro256& rng);
+
+/// Elephants and mice: `num_elephants` heavy pairs carry `elephant_share`
+/// of the traffic in long runs; the rest is uniform mice.  Models
+/// Hadoop-style shuffle traffic.
 std::unique_ptr<TraceStream> stream_elephant_mice(
     std::size_t num_racks, std::size_t num_requests,
     std::size_t num_elephants, double elephant_share, double mean_run_length,
     const Xoshiro256& rng);
+
+/// Adversarial round-robin over k+1 pairs sharing a common rack (the star
+/// lower-bound shape of Lemma 1 projected onto a general topology): cycles
+/// 0-1, 0-2, ..., 0-(k+1), repeating.  Forces eviction churn at rack 0 for
+/// any online algorithm with degree cap b <= k.  Deterministic: no RNG.
 std::unique_ptr<TraceStream> stream_round_robin_star(std::size_t num_racks,
                                                      std::size_t num_requests,
                                                      std::size_t k);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/param_map.hpp"
+
 namespace rdcn::trace {
 
 std::vector<double> make_microsoft_matrix(std::size_t num_racks,
@@ -48,7 +50,11 @@ std::vector<double> make_microsoft_matrix(std::size_t num_racks,
   for (std::size_t u = 0; u < num_racks; ++u)
     for (std::size_t v = u + 1; v < num_racks; ++v)
       total += w[u * num_racks + v];
-  RDCN_ASSERT(total > 0.0);
+  // A steep rack_skew can underflow every pair weight to zero.
+  if (!(total > 0.0))
+    throw SpecError(
+        "workload 'microsoft': parameter 'rack_skew' leaves no rack pair "
+        "with weight");
   for (std::size_t u = 0; u < num_racks; ++u)
     for (std::size_t v = u + 1; v < num_racks; ++v) {
       w[u * num_racks + v] /= total;
@@ -59,10 +65,9 @@ std::vector<double> make_microsoft_matrix(std::size_t num_racks,
 
 namespace {
 
-/// Matrix sampling state shared by the one-shot and streaming front ends:
-/// the setup (matrix + alias table) consumes RNG draws in construction
-/// order, each step() is one alias draw — so both front ends produce the
-/// same sequence from the same starting RNG state.
+/// Matrix sampling state behind stream_microsoft_like: the setup (matrix +
+/// alias table) consumes RNG draws in construction order, each step() is
+/// one alias draw.
 class MicrosoftEmitter {
  public:
   MicrosoftEmitter(std::size_t num_racks, const MicrosoftParams& params,
@@ -95,42 +100,13 @@ class MicrosoftEmitter {
   AliasSampler sampler_;
 };
 
-class MicrosoftStream final : public TraceStream {
- public:
-  MicrosoftStream(std::size_t num_racks, std::size_t num_requests,
-                  const MicrosoftParams& params, const Xoshiro256& rng)
-      : TraceStream(num_racks, "microsoft", num_requests),
-        rng_(rng),
-        emitter_(num_racks, params, rng_) {}
-
- protected:
-  void produce(Request* out, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = emitter_.step();
-  }
-
- private:
-  Xoshiro256 rng_;
-  MicrosoftEmitter emitter_;
-};
-
 }  // namespace
-
-Trace generate_microsoft_like(std::size_t num_racks,
-                              std::size_t num_requests,
-                              const MicrosoftParams& params,
-                              Xoshiro256& rng) {
-  MicrosoftEmitter emitter(num_racks, params, rng);
-  Trace t(num_racks, "microsoft");
-  t.reserve(num_requests);
-  for (std::size_t i = 0; i < num_requests; ++i) t.push_back(emitter.step());
-  return t;
-}
 
 std::unique_ptr<TraceStream> stream_microsoft_like(
     std::size_t num_racks, std::size_t num_requests,
     const MicrosoftParams& params, const Xoshiro256& rng) {
-  return std::make_unique<MicrosoftStream>(num_racks, num_requests, params,
-                                           rng);
+  return std::make_unique<EmitterStream<MicrosoftEmitter>>(
+      num_racks, "microsoft", num_requests, rng, params);
 }
 
 }  // namespace rdcn::trace

@@ -31,17 +31,14 @@ struct MicrosoftParams {
 
 /// Builds the synthetic rack-to-rack probability matrix (row-major,
 /// symmetric, zero diagonal, sums to 1 over unordered pairs counted once).
+/// Raises SpecError when `params` leave every pair without weight.
 std::vector<double> make_microsoft_matrix(std::size_t num_racks,
                                           const MicrosoftParams& params,
                                           Xoshiro256& rng);
 
-/// Samples `num_requests` i.i.d. requests from the matrix.
-Trace generate_microsoft_like(std::size_t num_racks,
-                              std::size_t num_requests,
-                              const MicrosoftParams& params, Xoshiro256& rng);
-
-/// Streaming twin of generate_microsoft_like (chunked production, RNG
-/// snapshotted; see trace/trace_stream.hpp).
+/// Streams `num_requests` i.i.d. samples from the matrix (RNG
+/// snapshotted; see trace/trace_stream.hpp).  Raises SpecError when the
+/// parameters leave the matrix without weight.
 std::unique_ptr<TraceStream> stream_microsoft_like(
     std::size_t num_racks, std::size_t num_requests,
     const MicrosoftParams& params, const Xoshiro256& rng);

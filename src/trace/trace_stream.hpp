@@ -1,13 +1,12 @@
 // rdcn: streaming trace production — requests in fixed-size chunks.
 //
-// A TraceStream is the pull side of the batched serve pipeline: instead of
-// materializing a full Trace (8 bytes × requests) before the first request
-// is served, a stream produces the next chunk on demand, so a replay's
-// peak memory is one scratch chunk regardless of trace length.  Every
-// generator in trace/generators.hpp (plus the Facebook/Microsoft cluster
-// profiles) has a stream_* twin built on the same per-request emitter, so
-// a stream with seed s produces bit-identically the trace generate_*(s)
-// returns — pinned by the stream-equivalence test suite.
+// A TraceStream is the one trace front end: instead of materializing a
+// full Trace (8 bytes × requests) before the first request is served, a
+// stream produces the next chunk on demand, so a replay's peak memory is
+// one scratch chunk regardless of trace length.  Every generator in
+// trace/generators.hpp (plus the Facebook/Microsoft cluster profiles) is a
+// per-request emitter wrapped in an EmitterStream; materialize() drains
+// any stream into a Trace when a caller needs random access.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +15,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "trace/request.hpp"
 #include "trace/trace.hpp"
 
@@ -87,6 +87,30 @@ class MaterializedStream final : public TraceStream {
  private:
   Trace owned_;
   const Trace* trace_;
+};
+
+/// Stream over a per-request emitter: owns a snapshot of the caller's RNG
+/// and an `Emitter` constructed as Emitter(num_racks, args..., rng) that
+/// draws from it.  The constructor performs the generator's setup draws,
+/// and each step() returns the next request.
+template <typename Emitter>
+class EmitterStream final : public TraceStream {
+ public:
+  template <typename... Args>
+  EmitterStream(std::size_t num_racks, std::string name, std::size_t total,
+                const Xoshiro256& rng, Args&&... args)
+      : TraceStream(num_racks, std::move(name), total),
+        rng_(rng),  // declared before emitter_, which holds a reference
+        emitter_(num_racks, std::forward<Args>(args)..., rng_) {}
+
+ protected:
+  void produce(Request* out, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = emitter_.step();
+  }
+
+ private:
+  Xoshiro256 rng_;
+  Emitter emitter_;
 };
 
 /// Drains `stream` to exhaustion into a Trace (name and rack universe

@@ -17,12 +17,14 @@
 #include "trace/facebook_like.hpp"
 #include "trace/generators.hpp"
 #include "trace/microsoft_like.hpp"
+#include "scalar_replay.hpp"
 #include "test_util.hpp"
 
 namespace {
 
 using namespace rdcn;
 using rdcn::testing::make_instance;
+using rdcn::testing::run_simulation_scalar;
 
 void expect_identical_checkpoints(const sim::RunResult& scalar,
                                   const sim::RunResult& batched,
@@ -51,19 +53,21 @@ std::vector<trace::Trace> make_traces() {
   constexpr std::size_t kRequests = 10'000;
   {
     Xoshiro256 rng(101);
-    traces.push_back(trace::generate_facebook_like(
-        trace::FacebookCluster::kDatabase, kRacks, kRequests, rng));
+    traces.push_back(trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kDatabase, kRacks, kRequests, rng)));
   }
   {
     Xoshiro256 rng(202);
-    traces.push_back(
-        trace::generate_microsoft_like(kRacks, kRequests, {}, rng));
+    traces.push_back(trace::materialize(
+        *trace::stream_microsoft_like(kRacks, kRequests, {}, rng)));
   }
   {
     Xoshiro256 rng(303);
-    traces.push_back(trace::generate_uniform(kRacks, kRequests, rng));
+    traces.push_back(trace::materialize(
+        *trace::stream_uniform(kRacks, kRequests, rng)));
   }
-  traces.push_back(trace::generate_round_robin_star(kRacks, kRequests, 6));
+  traces.push_back(trace::materialize(
+      *trace::stream_round_robin_star(kRacks, kRequests, 6)));
   return traces;
 }
 
@@ -83,7 +87,7 @@ TEST(BatchServe, EveryAlgorithmBitIdenticalToScalarAcrossB) {
             sim::checkpoint_grid(t.size(), 7);
         auto scalar_alg = scenario::make_algorithm(algorithm, inst, &t, 9);
         const sim::RunResult scalar =
-            sim::run_simulation_scalar(*scalar_alg, t, grid);
+            run_simulation_scalar(*scalar_alg, t, grid);
         auto batched_alg = scenario::make_algorithm(algorithm, inst, &t, 9);
         const sim::RunResult batched =
             sim::run_simulation(*batched_alg, t, grid);
@@ -101,7 +105,8 @@ TEST(BatchServe, DirectServeBatchCallMatchesServeLoop) {
   // without an override (rotor).
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 5000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.1, rng));
   std::vector<core::Request> all(t.size());
   t.gather(0, t.size(), all.data());
 
@@ -141,7 +146,8 @@ TEST(BatchServe, RotorSlotBoundariesStraddleBatchBoundaries) {
   // degenerate slot=1 "install after every request" extreme).
   const net::Topology topo = net::make_fat_tree(24);
   Xoshiro256 rng(31);
-  const trace::Trace t = trace::generate_zipf_pairs(24, 11'000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(24, 11'000, 1.2, rng));
   std::vector<core::Request> all(t.size());
   t.gather(0, t.size(), all.data());
   for (const char* spec : {"rotor:slot=1", "rotor:slot=97",
@@ -176,7 +182,8 @@ TEST(BatchServe, OfflineDynamicWindowBoundariesStraddleBatchBoundaries) {
   // chunking so plan switches land mid-batch and batches span epochs.
   const net::Topology topo = net::make_fat_tree(24);
   Xoshiro256 rng(41);
-  const trace::Trace t = trace::generate_flow_pool(24, 11'000, {}, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_flow_pool(24, 11'000, {}, rng));
   for (const char* spec :
        {"offline_dynamic:window=1", "offline_dynamic:window=113",
         "offline_dynamic:window=4096", "offline_dynamic:window=100000"}) {
@@ -184,7 +191,7 @@ TEST(BatchServe, OfflineDynamicWindowBoundariesStraddleBatchBoundaries) {
     const std::vector<std::uint64_t> grid = sim::checkpoint_grid(t.size(), 5);
     auto scalar_alg = scenario::make_algorithm(spec, inst, &t, 5);
     const sim::RunResult scalar =
-        sim::run_simulation_scalar(*scalar_alg, t, grid);
+        run_simulation_scalar(*scalar_alg, t, grid);
     auto batched_alg = scenario::make_algorithm(spec, inst, &t, 5);
     const sim::RunResult batched = sim::run_simulation(*batched_alg, t, grid);
     expect_identical_checkpoints(scalar, batched, spec);
@@ -196,7 +203,8 @@ TEST(BatchServe, ResetAfterBatchedRunReplaysIdentically) {
   // perf_gate's repeated-measurement loop (run, reset, run) is sound.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(13);
-  const trace::Trace t = trace::generate_hotspot(16, 9000, 0.25, 0.7, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_hotspot(16, 9000, 0.25, 0.7, rng));
   const core::Instance inst = make_instance(topo.distances, 4, 40);
   for (const char* algorithm : {"bma", "r_bma", "so_bma"}) {
     auto alg = scenario::make_algorithm(algorithm, inst, &t, 21);

@@ -83,7 +83,8 @@ TEST(Bma, TieBreakEvictsOldest) {
 TEST(Bma, IsDeterministic) {
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_uniform(12, 5000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(12, 5000, rng));
   Instance inst = uniform_instance(topo.distances, 3, 8);
 
   Bma a(inst), b(inst);
@@ -110,7 +111,8 @@ TEST(Bma, ResetRestartsLedgersAndState) {
 TEST(Bma, MatchingInvariantsHoldUnderWorkload) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 20000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 20000, 1.2, rng));
   Bma bma(uniform_instance(topo.distances, 4, 12));
   for (const Request& r : t) bma.serve(r);
   EXPECT_TRUE(bma.matching().check_invariants());

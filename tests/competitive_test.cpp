@@ -42,7 +42,8 @@ TEST_P(UniformCompetitive, RBmaWithinProvenBoundOfOpt) {
   const int seed = GetParam();
   const auto d = net::DistanceMatrix::uniform(5, 1);
   Xoshiro256 rng(static_cast<std::uint64_t>(seed) * 13 + 1);
-  const trace::Trace t = trace::generate_uniform(5, 300, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(5, 300, rng));
   const Instance inst = make_instance(d, 2, 1);
 
   const std::uint64_t opt = optimal_dynamic_cost(inst, t);
@@ -63,7 +64,8 @@ TEST_P(GeneralCompetitive, RBmaWithinGammaScaledBoundOfOpt) {
   const int seed = GetParam();
   const auto d = net::DistanceMatrix::uniform(5, 3);
   Xoshiro256 rng(static_cast<std::uint64_t>(seed) * 17 + 3);
-  const trace::Trace t = trace::generate_zipf_pairs(5, 400, 0.8, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(5, 400, 0.8, rng));
   const Instance inst = make_instance(d, 2, 5);
 
   const std::uint64_t opt = optimal_dynamic_cost(inst, t);
@@ -84,7 +86,8 @@ TEST(Competitive, BmaAlsoBoundedButDeterministic) {
   const Instance inst = make_instance(d, b, 4);
   for (int seed = 0; seed < 10; ++seed) {
     Xoshiro256 rng(static_cast<std::uint64_t>(seed) * 7 + 2);
-    const trace::Trace t = trace::generate_uniform(5, 300, rng);
+    const trace::Trace t =
+        trace::materialize(*trace::stream_uniform(5, 300, rng));
     Bma alg(inst);
     for (const Request& r : t) alg.serve(r);
     const std::uint64_t opt = optimal_dynamic_cost(inst, t);

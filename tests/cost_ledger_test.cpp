@@ -91,7 +91,8 @@ TEST(CostLedger, DegreeBoundOne) {
   // b = 1: plain matching; heavy churn on a star workload stresses the
   // eviction paths of every algorithm.
   const net::Topology topo = net::make_star(10);
-  const trace::Trace t = trace::generate_round_robin_star(10, 5000, 3);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_round_robin_star(10, 5000, 3));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 1;
@@ -104,7 +105,8 @@ TEST(CostLedger, AlphaZero) {
   // no matter how many edges are flipped, and total == routing.
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(43);
-  const trace::Trace t = trace::generate_zipf_pairs(12, 8000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(12, 8000, 1.2, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 2;
@@ -136,7 +138,8 @@ TEST(CostLedger, RotorPreScheduledOpsAreNotCharged) {
   // those ops are counted but cost no α.
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(47);
-  const trace::Trace t = trace::generate_uniform(8, 4000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 4000, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 2;
@@ -156,7 +159,8 @@ TEST(CostLedger, ChargedOpsMatchLedgerUnderChurn) {
   // at the end (cumulative fields are monotone).
   const net::Topology topo = net::make_leaf_spine(16, 4);
   Xoshiro256 rng(53);
-  const trace::Trace t = trace::generate_hotspot(16, 20000, 0.25, 0.6, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_hotspot(16, 20000, 0.25, 0.6, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 3;

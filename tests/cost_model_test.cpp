@@ -1,8 +1,7 @@
-// Tests for the standalone cost evaluators (core/cost_model.hpp).
+// Tests for the standalone cost evaluators (tests/test_util.hpp).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "net/topology.hpp"
 #include "trace/generators.hpp"
 #include "test_util.hpp"
@@ -12,7 +11,11 @@ namespace {
 using namespace rdcn;
 using namespace rdcn::core;
 
+using rdcn::testing::is_feasible_b_matching;
 using rdcn::testing::make_instance;
+using rdcn::testing::oblivious_cost;
+using rdcn::testing::static_routing_cost;
+using rdcn::testing::static_total_cost;
 
 TEST(CostModel, ObliviousIsSumOfDistances) {
   const auto d = net::DistanceMatrix::uniform(5, 3);
@@ -45,7 +48,8 @@ TEST(CostModel, StaticTotalAddsInstallation) {
 TEST(CostModel, EmptyMatchingEqualsOblivious) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(1);
-  const trace::Trace t = trace::generate_uniform(16, 1000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 1000, rng));
   const Instance inst = make_instance(topo.distances, 2, 5);
   EXPECT_EQ(static_routing_cost(inst, t, {}), oblivious_cost(inst, t));
 }

@@ -63,8 +63,10 @@ TEST(Determinism, Xoshiro256SplitReproducible) {
 
 TEST(Determinism, TraceGenerationReproducible) {
   Xoshiro256 rng_a(31), rng_b(31);
-  const trace::Trace ta = trace::generate_zipf_pairs(32, 20000, 1.2, rng_a);
-  const trace::Trace tb = trace::generate_zipf_pairs(32, 20000, 1.2, rng_b);
+  const trace::Trace ta =
+      trace::materialize(*trace::stream_zipf_pairs(32, 20000, 1.2, rng_a));
+  const trace::Trace tb =
+      trace::materialize(*trace::stream_zipf_pairs(32, 20000, 1.2, rng_b));
   ASSERT_EQ(ta.size(), tb.size());
   for (std::size_t i = 0; i < ta.size(); ++i) {
     ASSERT_EQ(ta[i].u, tb[i].u);
@@ -94,7 +96,8 @@ void expect_identical_ledgers(const sim::RunResult& x,
 TEST(Determinism, RunToCompletionSameSeedSameLedger) {
   const net::Topology topo = net::make_fat_tree(32);
   Xoshiro256 trace_rng(17);
-  const trace::Trace t = trace::generate_zipf_pairs(32, 30000, 1.1, trace_rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(32, 30000, 1.1, trace_rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 4;
@@ -114,8 +117,8 @@ TEST(Determinism, ResetReplaysIdentically) {
   // including the RNG: replaying the same trace gives the same ledger.
   const net::Topology topo = net::make_leaf_spine(24, 4);
   Xoshiro256 trace_rng(23);
-  const trace::Trace t =
-      trace::generate_hotspot(24, 20000, 0.25, 0.7, trace_rng);
+  const trace::Trace t = trace::materialize(
+      *trace::stream_hotspot(24, 20000, 0.25, 0.7, trace_rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 3;
@@ -133,7 +136,8 @@ TEST(Determinism, CheckpointedRunMatchesFinalLedger) {
   // single final checkpoint end at the same ledger.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 trace_rng(29);
-  const trace::Trace t = trace::generate_uniform(16, 10000, trace_rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 10000, trace_rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 2;
@@ -151,7 +155,8 @@ TEST(Determinism, CheckpointedRunMatchesFinalLedger) {
 TEST(Determinism, FactoryBuiltMatchersReproducible) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 trace_rng(37);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 15000, 1.3, trace_rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 15000, 1.3, trace_rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 2;

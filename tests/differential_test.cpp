@@ -7,16 +7,18 @@
 
 #include "common/rng.hpp"
 #include "core/b_matching.hpp"
-#include "core/cost_model.hpp"
 #include "core/oblivious.hpp"
 #include "core/r_bma.hpp"
 #include "net/topology.hpp"
 #include "trace/generators.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace rdcn;
 using namespace rdcn::core;
+using rdcn::testing::oblivious_cost;
+using rdcn::testing::static_routing_cost;
 
 /// Naive b-matching: std::set of pairs + std::map degree counting.
 class ReferenceMatching {
@@ -83,7 +85,8 @@ TEST(Differential, SimulatorLedgerAgainstNaiveAccounting) {
   // querying the matching before each serve.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(62);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 15000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 15000, 1.1, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 3;
@@ -108,7 +111,8 @@ TEST(Differential, SimulatorLedgerAgainstNaiveAccounting) {
 TEST(Differential, StaticCostEvaluatorAgainstObliviousRun) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(63);
-  const trace::Trace t = trace::generate_uniform(16, 8000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 8000, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 2;

@@ -49,8 +49,8 @@ class ExperimentFixture : public ::testing::Test {
  protected:
   ExperimentFixture()
       : topo_(net::make_fat_tree(16)),
-        rng_(3),
-        trace_(trace::generate_zipf_pairs(16, 6000, 1.0, rng_)) {
+        trace_(trace::materialize(
+            *trace::stream_zipf_pairs(16, 6000, 1.0, Xoshiro256(3)))) {
     config_.distances = &topo_.distances;
     config_.alpha = 8;
     config_.checkpoints = 4;
@@ -59,7 +59,6 @@ class ExperimentFixture : public ::testing::Test {
   }
 
   net::Topology topo_;
-  Xoshiro256 rng_;
   trace::Trace trace_;
   ExperimentConfig config_;
 };

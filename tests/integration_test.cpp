@@ -43,8 +43,8 @@ PipelineResult run_pipeline(const trace::Trace& t, std::size_t num_racks,
 
 TEST(Integration, FacebookDatabaseOrderings) {
   Xoshiro256 rng(100);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, 40, 60000, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, 40, 60000, rng));
   const PipelineResult r = run_pipeline(t, 40, 6, 30);
 
   // Demand-aware beats oblivious decisively on a skewed, bursty trace.
@@ -61,7 +61,8 @@ TEST(Integration, MicrosoftSoBmaWinsWithoutTemporalStructure) {
   // Fig 4c: on the i.i.d. Microsoft-style trace, the static offline
   // matching is clearly the best performer.
   Xoshiro256 rng(101);
-  const trace::Trace t = trace::generate_microsoft_like(30, 120000, {}, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_microsoft_like(30, 120000, {}, rng));
   const PipelineResult r = run_pipeline(t, 30, 4, 30);
   EXPECT_LT(r.so_bma, r.r_bma);
   EXPECT_LT(r.so_bma, r.bma);
@@ -71,8 +72,8 @@ TEST(Integration, MicrosoftSoBmaWinsWithoutTemporalStructure) {
 TEST(Integration, LargerCacheSizeReducesRoutingCost) {
   // Figs 1a-4a: routing cost decreases in b.
   Xoshiro256 rng(102);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, 40, 50000, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, 40, 50000, rng));
   const net::Topology topo = net::make_fat_tree(40);
   ExperimentConfig config;
   config.distances = &topo.distances;
@@ -94,10 +95,10 @@ TEST(Integration, WebTraceGivesSmallerGainsThanDatabase) {
   // reductions than the database cluster at equal b.
   Xoshiro256 r1(103), r2(104);
   const std::size_t n = 40, b = 6;
-  const trace::Trace db = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, n, 50000, r1);
-  const trace::Trace web = trace::generate_facebook_like(
-      trace::FacebookCluster::kWebService, n, 50000, r2);
+  const trace::Trace db = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, n, 50000, r1));
+  const trace::Trace web = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kWebService, n, 50000, r2));
 
   const PipelineResult rdb = run_pipeline(db, n, b, 30);
   const PipelineResult rweb = run_pipeline(web, n, b, 30);
@@ -118,11 +119,12 @@ TEST(Integration, AllAlgorithmsKeepFeasibleMatchingsOnEveryWorkload) {
   inst.alpha = 20;
 
   const std::vector<trace::Trace> workloads = {
-      trace::generate_facebook_like(trace::FacebookCluster::kHadoop, n, 20000,
-                                    rng),
-      trace::generate_microsoft_like(n, 20000, {}, rng),
-      trace::generate_uniform(n, 20000, rng),
-      trace::generate_round_robin_star(n, 20000, 5),
+      trace::materialize(*trace::stream_facebook_like(
+          trace::FacebookCluster::kHadoop, n, 20000, rng.split(0))),
+      trace::materialize(
+          *trace::stream_microsoft_like(n, 20000, {}, rng.split(1))),
+      trace::materialize(*trace::stream_uniform(n, 20000, rng.split(2))),
+      trace::materialize(*trace::stream_round_robin_star(n, 20000, 5)),
   };
   for (const trace::Trace& t : workloads) {
     for (const char* algo : {"r_bma", "bma", "greedy", "so_bma"}) {

@@ -63,7 +63,8 @@ TEST(LowerBound, RoundRobinHurtsSmallDegreeMoreThanLarge) {
   // rate collapses.  This is the cliff the lower bound exploits.
   const net::Topology star = net::make_star(12);
   const std::size_t k = 5;  // pairs {0,1}..{0,6} cycle
-  const trace::Trace t = trace::generate_round_robin_star(12, 30000, k);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_round_robin_star(12, 30000, k));
 
   auto run_cost = [&](std::size_t b) {
     RBma alg(make_instance(star.distances, b, 4), {.seed = 5});
@@ -85,8 +86,9 @@ TEST(LowerBound, DeterministicBmaChurnsOnAdversarialRoundRobin) {
   // linearly in the request count.
   const net::Topology star = net::make_star(12);
   const std::size_t b = 4;
+  // b+1 pairs cycling.
   const trace::Trace t =
-      trace::generate_round_robin_star(12, 40000, b);  // b+1 pairs cycling
+      trace::materialize(*trace::stream_round_robin_star(12, 40000, b));
 
   Bma bma(make_instance(star.distances, b, 6));
   for (const Request& r : t) bma.serve(r);

@@ -19,7 +19,8 @@ using rdcn::testing::make_instance;
 TEST(OfflineDynamic, WindowCountMatchesTraceLength) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(1);
-  const trace::Trace t = trace::generate_uniform(16, 10000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 10000, rng));
   OfflineDynamicOptions opts;
   opts.window = 3000;
   OfflineDynamic alg(make_instance(topo.distances, 2, 10), t, opts);
@@ -31,7 +32,8 @@ TEST(OfflineDynamic, SingleWindowEqualsSoBmaRouting) {
   // SO-BMA matching (same weights, same solver).
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(2);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 20000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 20000, 1.2, rng));
   const Instance inst = make_instance(topo.distances, 3, 10);
 
   OfflineDynamicOptions opts;
@@ -76,7 +78,8 @@ TEST(OfflineDynamic, RetentionBonusReducesSwitching) {
   trace::FlowPoolParams p;
   p.candidate_pairs = 150;
   p.mean_burst_length = 20.0;
-  const trace::Trace t = trace::generate_flow_pool(20, 60000, p, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_flow_pool(20, 60000, p, rng));
   const Instance inst = make_instance(topo.distances, 3, 40);
 
   OfflineDynamicOptions sticky;
@@ -96,7 +99,8 @@ TEST(OfflineDynamic, RetentionBonusReducesSwitching) {
 TEST(OfflineDynamic, FeasibleThroughoutAndAfterReset) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 30000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 30000, 1.0, rng));
   OfflineDynamicOptions opts;
   opts.window = 4000;
   OfflineDynamic alg(make_instance(topo.distances, 2, 10, /*a=*/1), t, opts);

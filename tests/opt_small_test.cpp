@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "scenario/registry.hpp"
 #include "core/opt_small.hpp"
 #include "net/distance_matrix.hpp"
@@ -65,7 +64,7 @@ TEST(OptSmall, DegreeBoundForcesChoices) {
 TEST(OptSmall, MonotoneInAlpha) {
   const auto d = net::DistanceMatrix::uniform(4, 2);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_uniform(4, 60, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_uniform(4, 60, rng));
   std::uint64_t prev = 0;
   for (std::uint64_t alpha : {1ull, 2ull, 5ull, 10ull, 100ull}) {
     const std::uint64_t c =
@@ -78,7 +77,7 @@ TEST(OptSmall, MonotoneInAlpha) {
 TEST(OptSmall, MonotoneInDegree) {
   const auto d = net::DistanceMatrix::uniform(5, 3);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_uniform(5, 80, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_uniform(5, 80, rng));
   std::uint64_t prev = ~0ull;
   for (std::size_t b : {1ul, 2ul, 3ul}) {
     const std::uint64_t c = optimal_dynamic_cost(make_instance(d, b, 4), t);
@@ -96,7 +95,8 @@ TEST_P(OptDominance, NoAlgorithmBeatsOpt) {
   const auto [algo, seed] = GetParam();
   const auto d = net::DistanceMatrix::uniform(5, 2);
   Xoshiro256 rng(static_cast<std::uint64_t>(seed));
-  const trace::Trace t = trace::generate_uniform(5, 120, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(5, 120, rng));
   const Instance inst = make_instance(d, 2, 3);
 
   auto matcher = scenario::make_algorithm(algo, inst, &t,

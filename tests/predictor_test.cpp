@@ -68,7 +68,7 @@ TEST(OraclePredictor, UnknownPairScoresZero) {
 
 TEST(NoisyOracle, ZeroErrorEqualsOracle) {
   Xoshiro256 rng(1);
-  trace::Trace t = trace::generate_uniform(8, 200, rng);
+  trace::Trace t = trace::materialize(*trace::stream_uniform(8, 200, rng));
   OraclePredictor oracle(t);
   NoisyOraclePredictor noisy(t, 0.0, Xoshiro256(2));
   for (const auto& r : t) {
@@ -161,7 +161,8 @@ TEST(PredictiveRBma, OracleAdviceReducesRoutingCost) {
   params.zipf_skew = 0.9;
   params.max_active_flows = 64;
   params.hub_fraction = 0.25;
-  const trace::Trace t = trace::generate_flow_pool(24, 40000, params, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_flow_pool(24, 40000, params, rng));
   const Instance inst = make_instance(topo.distances, 3, 16);
 
   auto mean_cost = [&](const RBmaOptions& base) {
@@ -191,7 +192,8 @@ TEST(PredictiveRBma, OracleAdviceReducesRoutingCost) {
 TEST(PredictiveRBma, KeepsMatchingInvariants) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(9);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 10000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 10000, 1.0, rng));
   RBmaOptions opts;
   opts.predictor = std::make_shared<EwmaPredictor>(500.0);
   opts.prediction_trust = 0.7;
@@ -211,7 +213,8 @@ TEST(PredictiveRBma, EwmaPredictorIsOnlineRealizable) {
   trace::FlowPoolParams params;
   params.candidate_pairs = 300;
   params.mean_burst_length = 40.0;
-  const trace::Trace t = trace::generate_flow_pool(24, 40000, params, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_flow_pool(24, 40000, params, rng));
   const Instance inst = make_instance(topo.distances, 3, 16);
 
   RBmaOptions opts;

@@ -64,7 +64,8 @@ TEST_P(RBmaInvariant, IntersectionInvariantAndFeasibilityUnderChurn) {
   const auto [engine, lazy, b] = GetParam();
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 8000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 8000, 1.1, rng));
 
   RBmaOptions opts;
   opts.engine = engine;
@@ -132,7 +133,8 @@ TEST(RBma, LazyModeNeverRemovesMoreThanEager) {
   trace::FlowPoolParams p;
   p.candidate_pairs = 120;
   p.mean_burst_length = 25.0;
-  const trace::Trace t = trace::generate_flow_pool(20, 20000, p, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_flow_pool(20, 20000, p, rng));
   const Instance inst = make_instance(topo.distances, 3, 8);
 
   RBmaOptions lazy_opts{.engine = paging::EngineKind::kMarking,
@@ -153,7 +155,8 @@ TEST(RBma, LazyModeNeverRemovesMoreThanEager) {
 TEST(RBma, LazyModeMarksEdgesTransiently) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(22);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 15000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 15000, 1.0, rng));
   RBma alg(make_instance(topo.distances, 2, 6),
            {.lazy_eviction = true, .seed = 10});
   bool saw_marked = false;
@@ -167,7 +170,8 @@ TEST(RBma, LazyModeMarksEdgesTransiently) {
 TEST(RBma, DeterministicGivenSeed) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(9);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 5000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.0, rng));
   const Instance inst = make_instance(topo.distances, 3, 8);
 
   RBma a(inst, {.seed = 42}), b(inst, {.seed = 42});
@@ -183,7 +187,8 @@ TEST(RBma, DeterministicGivenSeed) {
 TEST(RBma, DifferentSeedsUsuallyDiffer) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(10);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 5000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.0, rng));
   const Instance inst = make_instance(topo.distances, 3, 8);
   RBma a(inst, {.seed = 1}), b(inst, {.seed = 2});
   for (const Request& r : t) {
@@ -197,7 +202,8 @@ TEST(RBma, DifferentSeedsUsuallyDiffer) {
 TEST(RBma, ResetReproducesRun) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(11);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 3000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 3000, 1.0, rng));
   RBma alg(make_instance(topo.distances, 2, 8), {.seed = 7});
   for (const Request& r : t) alg.serve(r);
   const std::uint64_t cost1 = alg.costs().total_cost();
@@ -211,7 +217,8 @@ TEST(RBma, ResetReproducesRun) {
 TEST(RBma, ReconfiguresOnlyOnSpecialRequests) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(12);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 8000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 8000, 1.0, rng));
   RBma alg(make_instance(topo.distances, 3, 20), {.seed = 3});
   std::uint64_t last_specials = 0;
   std::uint64_t last_ops = 0;
@@ -232,7 +239,8 @@ TEST(RBma, CachesBoundTheMatchingDegree) {
   // Paging caches have capacity b, so no rack can exceed b matched edges
   // even under adversarial star traffic.
   const net::Topology topo = net::make_star(12);
-  const trace::Trace t = trace::generate_round_robin_star(12, 4000, 6);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_round_robin_star(12, 4000, 6));
   for (std::size_t b : {1ul, 2ul, 4ul}) {
     RBma alg(make_instance(topo.distances, b, 4), {.seed = 13});
     for (const Request& r : t) alg.serve(r);

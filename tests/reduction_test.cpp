@@ -24,7 +24,8 @@ TEST(Reduction, SpecialCountMatchesKePerPair) {
   // exactly floor(n_e / ke) with ke = ceil(α/ℓe).
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(5);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 20000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 20000, 1.1, rng));
   const std::uint64_t alpha = 12;
   RBma alg(make_instance(topo.distances, 3, alpha), {.seed = 2});
   for (const Request& r : t) alg.serve(r);
@@ -43,7 +44,8 @@ TEST(Reduction, UniformInstanceDegeneratesToIdentity) {
   // paging layer sees every request.
   const auto d = net::DistanceMatrix::uniform(8, 1);
   Xoshiro256 rng(6);
-  const trace::Trace t = trace::generate_uniform(8, 5000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 5000, rng));
   RBma alg(make_instance(d, 2, 1), {.seed = 2});
   for (const Request& r : t) alg.serve(r);
   EXPECT_EQ(alg.special_requests(), t.size());
@@ -74,7 +76,8 @@ TEST(Reduction, ReconfigurationCostProportionalToSpecials) {
   // <= 3 per special).  This is what makes inequality 1 of Theorem 1 sum.
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 30000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.2, rng));
   RBma alg(make_instance(topo.distances, 3, 15), {.seed = 3});
   for (const Request& r : t) alg.serve(r);
   const std::uint64_t ops =
@@ -88,7 +91,8 @@ TEST(Reduction, ReconfigurationCostProportionalToSpecials) {
 TEST(Reduction, LargerAlphaMeansFewerSpecialsAndReconfigs) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(8);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 30000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.2, rng));
   std::uint64_t prev_specials = ~0ull;
   for (std::uint64_t alpha : {2ull, 8ull, 32ull, 128ull}) {
     RBma alg(make_instance(topo.distances, 3, alpha), {.seed = 4});

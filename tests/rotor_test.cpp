@@ -76,7 +76,8 @@ TEST(Rotor, ObliviousToDemandButBeatsFixedNetwork) {
   // better — the paper's motivating comparison.
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(9);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 40000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 40000, 1.2, rng));
   const Instance inst = make_instance(topo.distances, 4, 30);
 
   auto run = [&](const char* algo) {

@@ -24,7 +24,8 @@ using rdcn::testing::make_instance;
 TEST(AlgorithmRegistry, EveryEntryConstructsAndIsDeterministicUnderSeed) {
   const auto d = net::DistanceMatrix::uniform(16, 3);
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 2'000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 2'000, 1.1, rng));
   for (const std::string& name : AlgorithmRegistry::instance().names()) {
     SCOPED_TRACE(name);
     const core::Instance inst = make_instance(d, 2, 8);
@@ -168,7 +169,8 @@ TEST(Registries, UnknownParametersAreRejectedWithSuggestion) {
 TEST(Registries, AlgorithmParametersReachTheAlgorithm) {
   const auto d = net::DistanceMatrix::uniform(8, 4);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_zipf_pairs(8, 3'000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(8, 3'000, 1.2, rng));
   const core::Instance inst = make_instance(d, 2, 6);
   // RBma::name() echoes engine and eviction mode — the parameters
   // observably reached the constructed algorithm.

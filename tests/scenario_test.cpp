@@ -290,6 +290,58 @@ TEST(RunScenario, InputsNoRunSurvivesAreSpecErrors) {
   }
 }
 
+TEST(RunScenario, OutOfRangeParametersAreSpecErrors) {
+  // Every one of these failed a parameter precondition deep in a topology,
+  // workload or algorithm constructor and aborted (or, for hub_fraction=2,
+  // crashed) the process — and a serving daemon with it.  Each case
+  // overrides the base fields it names.
+  const std::vector<std::string> base = {"racks=32", "requests=1000",
+                                         "checkpoints=2", "algorithms=bma",
+                                         "b=2"};
+  for (const char* fields : {
+           "workload=hotspot:hot_fraction=1.5",
+           "workload=hotspot:hot_share=-1",
+           "workload=flow_pool:pairs=0",
+           "workload=flow_pool:burst=0.5",
+           "workload=flow_pool:active=0",
+           "workload=flow_pool:skew=-2",
+           "workload=flow_pool:hub_fraction=2",
+           "workload=elephant_mice:elephants=0",
+           "workload=elephant_mice:elephants=100000",
+           "workload=elephant_mice:share=2",
+           "workload=elephant_mice:run=0",
+           "workload=round_robin:k=0",
+           "workload=round_robin:k=500",
+           "workload=zipf:skew=-1",
+           "workload=microsoft:rack_skew=2000",
+           "workload=permutation;racks=101",
+           "workload=hotspot;topology=complete;racks=3",
+           "topology=fat_tree:k=3",
+           "topology=expander:degree=0",
+           "topology=expander:degree=1",
+           "topology=expander:degree=40",
+           "topology=expander:degree=3;racks=33",
+           "topology=leaf_spine:spines=0",
+           "topology=torus:rows=2",
+           "topology=torus:rows=100",
+           "topology=hypercube:dim=21",
+           "topology=ring;racks=2",
+           "algorithms=offline_dynamic:window=0",
+           "algorithms=rotor:slot=0",
+           "b=0",
+       }) {
+    std::string text = fields;
+    for (const std::string& field : base) {
+      const std::string key = field.substr(0, field.find('=') + 1);
+      if (text.rfind(key, 0) != 0 && text.find(";" + key) == std::string::npos)
+        text += ";" + field;
+    }
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)scenario::run_scenario(ScenarioSpec::parse(text)),
+                 SpecError);
+  }
+}
+
 TEST(RunScenario, BIndependentAlgorithmsRunOncePerSweep) {
   const ScenarioSpec spec = ScenarioSpec::parse(
       "workload=uniform;algorithms=bma,oblivious;b=2,4,8;racks=8;"

@@ -1,5 +1,6 @@
 // Robustness of the serving stack under deliberate failure: a
-// malformed-input matrix driven through a real socket, the bounded read
+// malformed-input matrix driven through a real socket, out-of-range
+// component parameters refused without killing the daemon, the bounded read
 // line, deadline enforcement, executor crash containment + quarantine,
 // client retry through REJECT backpressure and mid-run disconnects,
 // fd/executor hygiene after torn sends, and disk-cache persistence
@@ -194,6 +195,39 @@ TEST_F(RobustnessTest, ShortCsvImportEndsInErrorAndDaemonKeepsServing) {
   f.client.ping();
   EXPECT_EQ(f.daemon.stats_report().crashed, 0u);
   fs::remove(path);
+}
+
+TEST_F(RobustnessTest, OutOfRangeParametersAreRefusedAndDaemonSurvives) {
+  // Each of these once killed the daemon for every tenant: a flow-pool
+  // hub_fraction above 1 read past the rack list (SIGSEGV), and b=0 failed
+  // an assertion (SIGABRT).
+  DaemonFixture f(small_options("out_of_range"));
+
+  // Admission cannot see a workload parameter's range, so the run is
+  // accepted and then ends in ERROR followed by DONE status=error.
+  f.client.send_line(
+      "RUN workload=flow_pool:hub_fraction=2;algorithms=bma;b=2;racks=32;"
+      "requests=1000;checkpoints=2");
+  ServerLine line = parse_server_line(f.client.read_line());
+  ASSERT_EQ(line.kind, ServerLine::Kind::kAccepted);
+  const std::uint64_t id = line.id;
+  line = parse_server_line(f.client.read_line());
+  EXPECT_EQ(line.kind, ServerLine::Kind::kError);
+  EXPECT_NE(line.text.find("hub_fraction"), std::string::npos) << line.text;
+  line = parse_server_line(f.client.read_line());
+  EXPECT_EQ(line.kind, ServerLine::Kind::kDone);
+  EXPECT_EQ(line.id, id);
+  EXPECT_EQ(line.status, "error");
+
+  // b=0 is a shape no run survives: refused at admission, never ACCEPTED.
+  f.client.send_line("RUN workload=zipf;algorithms=bma;b=0;racks=8");
+  line = parse_server_line(f.client.read_line());
+  EXPECT_EQ(line.kind, ServerLine::Kind::kError);
+  EXPECT_NE(line.text.find("b must be positive"), std::string::npos)
+      << line.text;
+
+  f.client.ping();
+  EXPECT_EQ(f.client.stats_report().crashed, 0u);
 }
 
 TEST_F(RobustnessTest, OversizedLineIsRefusedAndConnectionClosed) {

@@ -8,6 +8,7 @@
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_stream.hpp"
+#include "scalar_replay.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -16,6 +17,7 @@ using namespace rdcn;
 using namespace rdcn::sim;
 
 using rdcn::testing::make_instance;
+using rdcn::testing::run_simulation_scalar;
 
 TEST(RunSimulation, EmptyTraceYieldsZeroLedger) {
   const net::Topology topo = net::make_fat_tree(8);
@@ -31,7 +33,8 @@ TEST(RunSimulation, EmptyTraceYieldsZeroLedger) {
 TEST(RunSimulation, CheckpointAtZeroSnapshotsPreTraceState) {
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_uniform(8, 100, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 100, rng));
   auto alg = scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   const RunResult r = run_simulation(*alg, t, {0, t.size()});
   ASSERT_EQ(r.checkpoints.size(), 2u);
@@ -46,7 +49,8 @@ TEST(RunSimulation, GridEndingAtZeroServesNothing) {
   // request may mutate the matcher.
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_uniform(8, 100, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 100, rng));
   auto alg = scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   const RunResult r = run_simulation(*alg, t, {0});
   ASSERT_EQ(r.checkpoints.size(), 1u);
@@ -73,7 +77,8 @@ TEST(CheckpointGrid, RoundingNeverSkipsTheEnd) {
 TEST(Simulator, CheckpointsAreCumulativeAndMonotone) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(1);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 8000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 8000, 1.0, rng));
   auto matcher = scenario::make_algorithm("r_bma", make_instance(topo.distances, 3, 8),
                                     &t, 5);
   const RunResult r = run_simulation(*matcher, t, checkpoint_grid(t.size(), 8));
@@ -93,7 +98,8 @@ TEST(Simulator, CheckpointsAreCumulativeAndMonotone) {
 TEST(Simulator, MatchesManualServeLoop) {
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(2);
-  const trace::Trace t = trace::generate_uniform(12, 3000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(12, 3000, rng));
   const core::Instance inst = make_instance(topo.distances, 2, 6);
 
   auto a = scenario::make_algorithm("bma", inst, &t, 1);
@@ -110,7 +116,8 @@ TEST(Simulator, MatchesManualServeLoop) {
 TEST(Simulator, ObliviousCostIsSumOfDistances) {
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_uniform(12, 2000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(12, 2000, rng));
   auto matcher =
       scenario::make_algorithm("oblivious", make_instance(topo.distances, 2, 6), &t, 1);
   const RunResult r = run_to_completion(*matcher, t);
@@ -129,8 +136,8 @@ TEST(Simulator, CheckpointInsideChunkMatchesScalarAtEveryGridPoint) {
   Xoshiro256 rng(51);
   // Longer than two chunks so interior, boundary, and straddling cases all
   // occur (kServeChunk = 4096).
-  const trace::Trace t =
-      trace::generate_zipf_pairs(16, 2 * sim::kServeChunk + 1234, 1.1, rng);
+  const trace::Trace t = trace::materialize(
+      *trace::stream_zipf_pairs(16, 2 * sim::kServeChunk + 1234, 1.1, rng));
   const std::vector<std::uint64_t> grid = {
       1,
       2,                      // adjacent points within the first chunk
@@ -168,7 +175,8 @@ TEST(Simulator, DenseGridForcesSubChunkClipping) {
   // and serve nothing beyond the last.
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(52);
-  const trace::Trace t = trace::generate_uniform(12, 300, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(12, 300, rng));
   std::vector<std::uint64_t> grid;
   for (std::uint64_t cp = 0; cp <= 250; cp += 10) grid.push_back(cp);
 
@@ -192,7 +200,8 @@ TEST(Simulator, DenseGridForcesSubChunkClipping) {
 TEST(Metrics, AverageRunsIsExactForIdenticalRuns) {
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_uniform(12, 2000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(12, 2000, rng));
   const core::Instance inst = make_instance(topo.distances, 2, 6);
   auto m1 = scenario::make_algorithm("bma", inst, &t, 1);
   auto m2 = scenario::make_algorithm("bma", inst, &t, 1);
@@ -212,8 +221,8 @@ TEST(RunControl, CancelStopsAtNextChunkBoundary) {
   // chunks — the matcher's ledger stops exactly at the boundary.
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(11);
-  const trace::Trace t =
-      trace::generate_uniform(8, 3 * kServeChunk, rng);  // 3 full chunks
+  const trace::Trace t = trace::materialize(
+      *trace::stream_uniform(8, 3 * kServeChunk, rng));  // 3 full chunks
   auto alg =
       scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   RunControl control;
@@ -230,7 +239,8 @@ TEST(RunControl, CancelStopsAtNextChunkBoundary) {
 TEST(RunControl, CancelStopsStreamedRunToo) {
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(12);
-  const trace::Trace t = trace::generate_uniform(8, 3 * kServeChunk, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 3 * kServeChunk, rng));
   auto alg =
       scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   trace::MaterializedStream stream(t);
@@ -248,7 +258,8 @@ TEST(RunControl, CancelStopsStreamedRunToo) {
 TEST(RunControl, PreCancelledRunServesNothing) {
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(13);
-  const trace::Trace t = trace::generate_uniform(8, 100, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 100, rng));
   auto alg =
       scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   RunControl control;
@@ -264,7 +275,8 @@ TEST(RunControl, OnCheckpointStreamsTheLedgerInGridOrder) {
   // order, with the clock paused (wall time already accounted).
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(14);
-  const trace::Trace t = trace::generate_uniform(8, 1000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 1000, rng));
   auto alg =
       scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   std::vector<Checkpoint> streamed;
@@ -285,7 +297,8 @@ TEST(RunControl, InertDefaultRunsToCompletion) {
   // run without one.
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(15);
-  const trace::Trace t = trace::generate_uniform(8, 1000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 1000, rng));
   auto a =
       scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
   auto b =

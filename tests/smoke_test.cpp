@@ -11,7 +11,8 @@ using namespace rdcn;
 TEST(Smoke, EndToEndTinySimulation) {
   Xoshiro256 rng(7);
   const net::Topology topo = net::make_fat_tree(16);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 2000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 2000, 1.0, rng));
 
   core::Instance inst;
   inst.distances = &topo.distances;

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "core/oblivious.hpp"
 #include "core/so_bma.hpp"
 #include "net/topology.hpp"
@@ -16,11 +15,13 @@ using namespace rdcn;
 using namespace rdcn::core;
 
 using rdcn::testing::make_instance;
+using rdcn::testing::static_total_cost;
 
 TEST(SoBma, InstallsOnceAndNeverReconfigures) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(1);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 10000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 10000, 1.2, rng));
   SoBma alg(make_instance(topo.distances, 3, 10), t);
   const std::uint64_t installed = alg.costs().edge_adds;
   EXPECT_GT(installed, 0u);
@@ -52,7 +53,8 @@ TEST(SoBma, SkipsAdjacentPairs) {
 TEST(SoBma, BeatsObliviousOnSkewedTraffic) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(2);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 30000, 1.3, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.3, rng));
   const Instance inst = make_instance(topo.distances, 4, 50);
 
   SoBma so(inst, t);
@@ -68,7 +70,8 @@ TEST(SoBma, RespectsOfflineDegreeBoundA) {
   // (b,a)-matching: online cap 4, offline cap 2 — SO-BMA must stay at 2.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 20000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 20000, 1.0, rng));
   SoBma alg(make_instance(topo.distances, 4, 10, /*a=*/2), t);
   for (Rack v = 0; v < 16; ++v) EXPECT_LE(alg.matching().degree(v), 2u);
 }
@@ -78,7 +81,8 @@ TEST(SoBma, CostEqualsStaticEvaluation) {
   // standalone static evaluator on its chosen matching.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 8000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 8000, 1.1, rng));
   const Instance inst = make_instance(topo.distances, 3, 10);
   SoBma alg(inst, t);
   const auto chosen = alg.matching().edge_keys();
@@ -90,7 +94,8 @@ TEST(SoBma, CostEqualsStaticEvaluation) {
 TEST(SoBma, ResetReinstallsIdentically) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(5);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 5000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.0, rng));
   SoBma alg(make_instance(topo.distances, 2, 10), t);
   auto before = alg.matching().edge_keys();
   std::sort(before.begin(), before.end());

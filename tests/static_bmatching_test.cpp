@@ -4,13 +4,14 @@
 
 #include "common/flat_hash.hpp"
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "core/static_bmatching.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace rdcn;
 using namespace rdcn::core;
+using rdcn::testing::is_feasible_b_matching;
 
 std::vector<WeightedEdge> random_edges(std::size_t num_racks,
                                        std::size_t count, std::uint64_t seed) {

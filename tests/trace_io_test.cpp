@@ -15,7 +15,7 @@ using namespace rdcn::trace;
 
 TEST(TraceIo, RoundTripPreservesEverything) {
   Xoshiro256 rng(1);
-  const Trace original = generate_uniform(15, 500, rng);
+  const Trace original = materialize(*stream_uniform(15, 500, rng));
   std::stringstream buffer;
   write_csv(original, buffer);
   const Trace loaded = read_csv(buffer);
@@ -121,7 +121,7 @@ TEST(TraceIo, UnopenablePathIsSpecError) {
 
 TEST(TraceIo, FileRoundTrip) {
   Xoshiro256 rng(2);
-  const Trace original = generate_uniform(8, 100, rng);
+  const Trace original = materialize(*stream_uniform(8, 100, rng));
   const std::string path = ::testing::TempDir() + "/rdcn_trace_test.csv";
   write_csv_file(original, path);
   const Trace loaded = read_csv_file(path);

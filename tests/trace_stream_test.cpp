@@ -1,8 +1,8 @@
-// TraceStream equivalence suite: every stream_* producer must emit
-// bit-identically the request sequence of its generate_* twin (same seed),
-// regardless of how consumption is chunked; MaterializedStream must mirror
-// its trace; and a streamed simulation must land on the same ledger as a
-// materialized one.
+// TraceStream suite: every stream_* producer is pinned by a golden CRC-32
+// of its first 10^4 requests at a fixed seed, whatever the chunking of the
+// pulls; MaterializedStream must mirror its trace; materialize() must carry
+// the stream's sequence, name and rack universe; and a streamed simulation
+// must land on the same ledger as a materialized one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "net/topology.hpp"
 #include "scenario/registry.hpp"
@@ -26,15 +27,21 @@ namespace {
 using namespace rdcn;
 using rdcn::testing::make_instance;
 
-struct GeneratorCase {
+constexpr std::size_t kGoldenRacks = 32;
+constexpr std::size_t kGoldenRequests = 10'000;
+
+struct GoldenCase {
   std::string label;
-  std::function<trace::Trace(Xoshiro256&)> generate;
-  std::function<std::unique_ptr<trace::TraceStream>(const Xoshiro256&)>
-      stream;
+  std::function<std::unique_ptr<trace::TraceStream>()> stream;
+  std::uint32_t crc;  ///< CRC-32 of the 10^4 requests' (u, v) bytes
 };
 
-std::vector<GeneratorCase> generator_cases(std::size_t racks,
-                                           std::size_t requests) {
+/// Every stream_* generator at a fixed seed.  The constants were recorded
+/// when each stream was still checked request by request against a
+/// one-shot generator, so they pin that historical sequence.
+std::vector<GoldenCase> golden_cases() {
+  constexpr std::size_t n = kGoldenRacks;
+  constexpr std::size_t m = kGoldenRequests;
   const trace::FlowPoolParams flow{.candidate_pairs = 300,
                                    .zipf_skew = 1.1,
                                    .mean_burst_length = 12.0,
@@ -45,73 +52,69 @@ std::vector<GeneratorCase> generator_cases(std::size_t racks,
                                    .hub_fraction = 0.25,
                                    .hub_bias = 0.7,
                                    .noise_fraction = 0.2};
-  return {
-      {"uniform",
-       [=](Xoshiro256& r) { return trace::generate_uniform(racks, requests, r); },
-       [=](const Xoshiro256& r) {
-         return trace::stream_uniform(racks, requests, r);
-       }},
-      {"zipf",
-       [=](Xoshiro256& r) {
-         return trace::generate_zipf_pairs(racks, requests, 1.2, r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_zipf_pairs(racks, requests, 1.2, r);
-       }},
-      {"hotspot",
-       [=](Xoshiro256& r) {
-         return trace::generate_hotspot(racks, requests, 0.25, 0.7, r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_hotspot(racks, requests, 0.25, 0.7, r);
-       }},
-      {"permutation",
-       [=](Xoshiro256& r) {
-         return trace::generate_permutation(racks, requests, r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_permutation(racks, requests, r);
-       }},
-      {"flow_pool",
-       [=](Xoshiro256& r) {
-         return trace::generate_flow_pool(racks, requests, flow, r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_flow_pool(racks, requests, flow, r);
-       }},
-      {"elephant_mice",
-       [=](Xoshiro256& r) {
-         return trace::generate_elephant_mice(racks, requests, 12, 0.6, 18.0,
-                                              r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_elephant_mice(racks, requests, 12, 0.6, 18.0,
-                                            r);
-       }},
-      {"round_robin_star",
-       [=](Xoshiro256&) {
-         return trace::generate_round_robin_star(racks, requests, 5);
-       },
-       [=](const Xoshiro256&) {
-         return trace::stream_round_robin_star(racks, requests, 5);
-       }},
-      {"facebook_db",
-       [=](Xoshiro256& r) {
-         return trace::generate_facebook_like(
-             trace::FacebookCluster::kDatabase, racks, requests, r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_facebook_like(trace::FacebookCluster::kDatabase,
-                                            racks, requests, r);
-       }},
-      {"microsoft",
-       [=](Xoshiro256& r) {
-         return trace::generate_microsoft_like(racks, requests, {}, r);
-       },
-       [=](const Xoshiro256& r) {
-         return trace::stream_microsoft_like(racks, requests, {}, r);
-       }},
+  auto facebook = [=](trace::FacebookCluster cluster, std::uint64_t seed) {
+    return [=] {
+      return trace::stream_facebook_like(cluster, n, m, Xoshiro256(seed));
+    };
   };
+  return {
+      {"uniform", [=] { return trace::stream_uniform(n, m, Xoshiro256(1)); },
+       0xb7bedc91u},
+      {"zipf",
+       [=] { return trace::stream_zipf_pairs(n, m, 1.2, Xoshiro256(2)); },
+       0x45f54103u},
+      {"hotspot",
+       [=] {
+         return trace::stream_hotspot(n, m, 0.25, 0.7, Xoshiro256(3));
+       },
+       0x25d3516du},
+      {"permutation",
+       [=] { return trace::stream_permutation(n, m, Xoshiro256(4)); },
+       0x11eecee1u},
+      {"flow_pool",
+       [=] { return trace::stream_flow_pool(n, m, flow, Xoshiro256(5)); },
+       0x93ec19b2u},
+      {"elephant_mice",
+       [=] {
+         return trace::stream_elephant_mice(n, m, 12, 0.6, 18.0,
+                                            Xoshiro256(6));
+       },
+       0x1f801d10u},
+      {"round_robin_star",
+       [=] { return trace::stream_round_robin_star(n, m, 5); }, 0x6e4026a0u},
+      {"facebook_db", facebook(trace::FacebookCluster::kDatabase, 7),
+       0x27f63e34u},
+      {"facebook_web", facebook(trace::FacebookCluster::kWebService, 8),
+       0x4b28c3aeu},
+      {"facebook_hadoop", facebook(trace::FacebookCluster::kHadoop, 9),
+       0xfac6f0ddu},
+      {"microsoft",
+       [=] { return trace::stream_microsoft_like(n, m, {}, Xoshiro256(10)); },
+       0x38b33aaau},
+  };
+}
+
+std::uint32_t crc_of(const std::vector<trace::Request>& requests) {
+  std::uint32_t crc = 0;
+  for (const trace::Request& r : requests) {
+    const std::uint32_t uv[2] = {r.u, r.v};
+    crc = crc32(uv, sizeof uv, crc);
+  }
+  return crc;
+}
+
+/// Drains `stream` with pulls of `chunk` requests.
+std::vector<trace::Request> drain(trace::TraceStream& stream,
+                                  std::size_t chunk) {
+  std::vector<trace::Request> got;
+  std::vector<trace::Request> buffer(chunk);
+  while (true) {
+    const std::size_t k = stream.next(buffer.data(), buffer.size());
+    if (k == 0) break;
+    got.insert(got.end(), buffer.begin(),
+               buffer.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  return got;
 }
 
 void expect_same_sequence(const trace::Trace& expected,
@@ -124,32 +127,18 @@ void expect_same_sequence(const trace::Trace& expected,
   }
 }
 
-TEST(TraceStream, EveryGeneratorStreamMatchesMaterializedTwin) {
-  constexpr std::size_t kRacks = 24;
-  constexpr std::size_t kRequests = 9000;
-  for (const GeneratorCase& c : generator_cases(kRacks, kRequests)) {
-    Xoshiro256 gen_rng(77);
-    const trace::Trace expected = c.generate(gen_rng);
-    ASSERT_EQ(expected.size(), kRequests) << c.label;
-
-    auto stream = c.stream(Xoshiro256(77));
-    EXPECT_EQ(stream->num_racks(), expected.num_racks()) << c.label;
-    EXPECT_EQ(stream->name(), expected.name()) << c.label;
-    EXPECT_EQ(stream->total(), kRequests) << c.label;
-
-    // Consume with a chunk size that misaligns with every internal
-    // structure (prime, smaller than bursts/drift periods).
-    std::vector<trace::Request> got;
-    got.reserve(kRequests);
-    std::vector<trace::Request> chunk(997);
-    while (true) {
-      const std::size_t n = stream->next(chunk.data(), chunk.size());
-      if (n == 0) break;
-      got.insert(got.end(), chunk.begin(),
-                 chunk.begin() + static_cast<std::ptrdiff_t>(n));
-    }
-    EXPECT_EQ(stream->produced(), kRequests) << c.label;
-    expect_same_sequence(expected, got, c.label);
+TEST(TraceStream, EveryGeneratorMatchesItsGoldenChecksum) {
+  for (const GoldenCase& c : golden_cases()) {
+    auto stream = c.stream();
+    EXPECT_EQ(stream->num_racks(), kGoldenRacks) << c.label;
+    EXPECT_EQ(stream->total(), kGoldenRequests) << c.label;
+    // A prime chunk size misaligns with every internal structure (bursts,
+    // drift periods, production blocks).
+    const std::vector<trace::Request> got = drain(*stream, 997);
+    EXPECT_EQ(stream->produced(), kGoldenRequests) << c.label;
+    ASSERT_EQ(got.size(), kGoldenRequests) << c.label;
+    EXPECT_EQ(crc_of(got), c.crc)
+        << c.label << ": got 0x" << std::hex << crc_of(got);
   }
 }
 
@@ -181,31 +170,21 @@ TEST(TraceStream, DoesNotAdvanceTheCallersRng) {
 }
 
 TEST(TraceStream, MaterializedStreamMirrorsItsTrace) {
-  Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_uniform(16, 5000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 5000, Xoshiro256(3)));
   trace::MaterializedStream stream(t);
   EXPECT_EQ(stream.total(), t.size());
-  std::vector<trace::Request> got;
-  std::vector<trace::Request> chunk(640);
-  while (true) {
-    const std::size_t n = stream.next(chunk.data(), chunk.size());
-    if (n == 0) break;
-    got.insert(got.end(), chunk.begin(),
-               chunk.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  expect_same_sequence(t, got, "materialized");
+  expect_same_sequence(t, drain(stream, 640), "materialized");
 }
 
-TEST(TraceStream, MaterializeRoundTrips) {
+TEST(TraceStream, MaterializeCarriesSequenceNameAndRacks) {
   auto stream = trace::stream_hotspot(20, 4000, 0.3, 0.6, Xoshiro256(9));
-  const trace::Trace via_stream = trace::materialize(*stream);
-  Xoshiro256 rng(9);
-  const trace::Trace direct = trace::generate_hotspot(20, 4000, 0.3, 0.6, rng);
-  ASSERT_EQ(via_stream.size(), direct.size());
-  EXPECT_EQ(via_stream.name(), direct.name());
-  EXPECT_EQ(via_stream.num_racks(), direct.num_racks());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    ASSERT_EQ(via_stream[i], direct[i]) << i;
+  const trace::Trace via_materialize = trace::materialize(*stream);
+  EXPECT_EQ(stream->produced(), 4000u);
+  EXPECT_EQ(via_materialize.name(), "hotspot");
+  EXPECT_EQ(via_materialize.num_racks(), 20u);
+  auto again = trace::stream_hotspot(20, 4000, 0.3, 0.6, Xoshiro256(9));
+  expect_same_sequence(via_materialize, drain(*again, 613), "materialize");
 }
 
 TEST(TraceStream, StreamedSimulationMatchesMaterializedLedger) {
@@ -213,9 +192,8 @@ TEST(TraceStream, StreamedSimulationMatchesMaterializedLedger) {
   // land on the same ledger at every checkpoint as the materialized run.
   const net::Topology topo = net::make_fat_tree(24);
   constexpr std::size_t kRequests = 12'000;  // spans multiple serve chunks
-  Xoshiro256 rng(41);
-  const trace::Trace t = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, 24, kRequests, rng);
+  const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, 24, kRequests, Xoshiro256(41)));
   const core::Instance inst = make_instance(topo.distances, 4, 30);
   const std::vector<std::uint64_t> grid = sim::checkpoint_grid(t.size(), 6);
 

@@ -25,15 +25,16 @@ void expect_well_formed(const Trace& t, std::size_t racks, std::size_t len) {
 
 TEST(Generators, UniformWellFormedAndDeterministic) {
   Xoshiro256 a(1), b(1);
-  const Trace ta = generate_uniform(20, 5000, a);
-  const Trace tb = generate_uniform(20, 5000, b);
+  const Trace ta = materialize(*stream_uniform(20, 5000, a));
+  const Trace tb = materialize(*stream_uniform(20, 5000, b));
   expect_well_formed(ta, 20, 5000);
   for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tb[i]);
 }
 
 TEST(Generators, UniformHasHighEntropyLowLocality) {
   Xoshiro256 rng(2);
-  const TraceStats s = compute_stats(generate_uniform(20, 30000, rng));
+  const TraceStats s =
+      compute_stats(materialize(*stream_uniform(20, 30000, rng)));
   EXPECT_GT(s.normalized_pair_entropy, 0.95);
   EXPECT_LT(s.repeat_probability, 0.02);
   EXPECT_LT(s.gini, 0.2);
@@ -41,17 +42,17 @@ TEST(Generators, UniformHasHighEntropyLowLocality) {
 
 TEST(Generators, ZipfSkewIncreasesGini) {
   Xoshiro256 rng(3);
-  const TraceStats flat =
-      compute_stats(generate_zipf_pairs(20, 20000, 0.2, rng));
-  const TraceStats skewed =
-      compute_stats(generate_zipf_pairs(20, 20000, 1.4, rng));
+  const TraceStats flat = compute_stats(
+      materialize(*stream_zipf_pairs(20, 20000, 0.2, rng.split(0))));
+  const TraceStats skewed = compute_stats(
+      materialize(*stream_zipf_pairs(20, 20000, 1.4, rng.split(1))));
   EXPECT_GT(skewed.gini, flat.gini + 0.2);
   EXPECT_LT(skewed.normalized_pair_entropy, flat.normalized_pair_entropy);
 }
 
 TEST(Generators, HotspotConcentratesOnHotRacks) {
   Xoshiro256 rng(4);
-  const Trace t = generate_hotspot(40, 20000, 0.1, 0.9, rng);
+  const Trace t = materialize(*stream_hotspot(40, 20000, 0.1, 0.9, rng));
   expect_well_formed(t, 40, 20000);
   const TraceStats s = compute_stats(t);
   EXPECT_GT(s.top10pct_share, 0.5);
@@ -59,7 +60,7 @@ TEST(Generators, HotspotConcentratesOnHotRacks) {
 
 TEST(Generators, PermutationUsesExactlyNOver2Pairs) {
   Xoshiro256 rng(5);
-  const Trace t = generate_permutation(16, 5000, rng);
+  const Trace t = materialize(*stream_permutation(16, 5000, rng));
   expect_well_formed(t, 16, 5000);
   EXPECT_EQ(t.num_distinct_pairs(), 8u);
 }
@@ -70,8 +71,10 @@ TEST(Generators, FlowPoolHasTemporalLocality) {
   p.candidate_pairs = 200;
   p.mean_burst_length = 40.0;
   p.max_active_flows = 8;
-  const Trace bursty = generate_flow_pool(30, 30000, p, rng);
-  const Trace iid = generate_zipf_pairs(30, 30000, 1.0, rng);
+  const Trace bursty =
+      materialize(*stream_flow_pool(30, 30000, p, rng.split(0)));
+  const Trace iid =
+      materialize(*stream_zipf_pairs(30, 30000, 1.0, rng.split(1)));
   const TraceStats sb = compute_stats(bursty);
   const TraceStats si = compute_stats(iid);
   EXPECT_GT(sb.locality_window64, si.locality_window64 + 0.15);
@@ -84,7 +87,7 @@ TEST(Generators, FlowPoolDriftChangesWorkingSet) {
   p.candidate_pairs = 50;
   p.drift_period = 5000;
   p.drift_fraction = 0.5;
-  const Trace t = generate_flow_pool(30, 40000, p, rng);
+  const Trace t = materialize(*stream_flow_pool(30, 40000, p, rng));
   // With aggressive drift, far more distinct pairs appear than the
   // candidate set size at any instant.
   EXPECT_GT(t.num_distinct_pairs(), 100u);
@@ -92,7 +95,8 @@ TEST(Generators, FlowPoolDriftChangesWorkingSet) {
 
 TEST(Generators, ElephantMiceSharesAndRuns) {
   Xoshiro256 rng(8);
-  const Trace t = generate_elephant_mice(30, 30000, 10, 0.7, 20.0, rng);
+  const Trace t =
+      materialize(*stream_elephant_mice(30, 30000, 10, 0.7, 20.0, rng));
   expect_well_formed(t, 30, 30000);
   const TraceStats s = compute_stats(t);
   // Ten elephants must carry most traffic.
@@ -101,7 +105,7 @@ TEST(Generators, ElephantMiceSharesAndRuns) {
 }
 
 TEST(Generators, RoundRobinStarCyclesExactly) {
-  const Trace t = generate_round_robin_star(10, 9, 2);
+  const Trace t = materialize(*stream_round_robin_star(10, 9, 2));
   ASSERT_EQ(t.size(), 9u);
   for (std::size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(t[i].u, 0u);
@@ -111,12 +115,12 @@ TEST(Generators, RoundRobinStarCyclesExactly) {
 
 TEST(FacebookLike, ProfilesAreOrderedByLocality) {
   Xoshiro256 r1(10), r2(11), r3(12);
-  const TraceStats db = compute_stats(
-      generate_facebook_like(FacebookCluster::kDatabase, 50, 40000, r1));
-  const TraceStats web = compute_stats(
-      generate_facebook_like(FacebookCluster::kWebService, 50, 40000, r2));
-  const TraceStats hadoop = compute_stats(
-      generate_facebook_like(FacebookCluster::kHadoop, 50, 40000, r3));
+  const TraceStats db = compute_stats(materialize(
+      *stream_facebook_like(FacebookCluster::kDatabase, 50, 40000, r1)));
+  const TraceStats web = compute_stats(materialize(
+      *stream_facebook_like(FacebookCluster::kWebService, 50, 40000, r2)));
+  const TraceStats hadoop = compute_stats(materialize(
+      *stream_facebook_like(FacebookCluster::kHadoop, 50, 40000, r3)));
   // Database: most temporal locality; web: least.
   EXPECT_GT(db.locality_window64, web.locality_window64);
   EXPECT_GT(hadoop.locality_window64, web.locality_window64);
@@ -126,8 +130,8 @@ TEST(FacebookLike, ProfilesAreOrderedByLocality) {
 
 TEST(FacebookLike, NamesAndSizes) {
   Xoshiro256 rng(13);
-  const Trace t =
-      generate_facebook_like(FacebookCluster::kDatabase, 30, 1000, rng);
+  const Trace t = materialize(
+      *stream_facebook_like(FacebookCluster::kDatabase, 30, 1000, rng));
   EXPECT_EQ(t.name(), "facebook_database");
   expect_well_formed(t, 30, 1000);
 }
@@ -149,7 +153,7 @@ TEST(MicrosoftLike, MatrixIsSymmetricNormalizedZeroDiagonal) {
 
 TEST(MicrosoftLike, SkewedButTemporallyUnstructured) {
   Xoshiro256 rng(15);
-  const Trace t = generate_microsoft_like(25, 50000, {}, rng);
+  const Trace t = materialize(*stream_microsoft_like(25, 50000, {}, rng));
   const TraceStats s = compute_stats(t);
   EXPECT_GT(s.gini, 0.5);                  // strong spatial skew
   EXPECT_LT(s.normalized_pair_entropy, 0.9);
@@ -160,7 +164,7 @@ TEST(MicrosoftLike, SkewedButTemporallyUnstructured) {
 
 TEST(TraceContainer, PrefixTruncates) {
   Xoshiro256 rng(16);
-  const Trace t = generate_uniform(10, 100, rng);
+  const Trace t = materialize(*stream_uniform(10, 100, rng));
   const Trace p = t.prefix(30);
   EXPECT_EQ(p.size(), 30u);
   for (std::size_t i = 0; i < 30; ++i) EXPECT_EQ(p[i], t[i]);

@@ -28,7 +28,8 @@ TEST(UniformReduction, FusedRBmaEqualsComposedRBma) {
   // stream — the same inputs as the fused engines.
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(31);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 30000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.1, rng));
   const Instance inst = make_instance(topo.distances, 3, 12);
   const std::uint64_t seed = 7;
 
@@ -60,8 +61,8 @@ TEST(UniformReduction, TheoremOneInequalityHolds) {
   const std::size_t n = topo.num_racks();
   for (std::uint64_t alpha : {4ull, 16ull, 64ull}) {
     Xoshiro256 rng(32 + alpha);
-    const trace::Trace t = trace::generate_facebook_like(
-        trace::FacebookCluster::kDatabase, n, 30000, rng);
+    const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kDatabase, n, 30000, rng));
     const Instance inst = make_instance(topo.distances, 4, alpha);
 
     UniformReduction alg(inst, [](const Instance& uniform) {
@@ -85,7 +86,8 @@ TEST(UniformReduction, WorksWithDeterministicInner) {
   // The combinator is algorithm-agnostic: wrap the deterministic BMA.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(33);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 15000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 15000, 1.0, rng));
   const Instance inst = make_instance(topo.distances, 2, 10);
 
   UniformReduction alg(inst, [](const Instance& uniform) {
@@ -100,7 +102,8 @@ TEST(UniformReduction, WorksWithDeterministicInner) {
 TEST(UniformReduction, MirrorsInnerMatchingExactly) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(34);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 10000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 10000, 1.2, rng));
   UniformReduction alg(make_instance(topo.distances, 2, 8),
                        [](const Instance& uniform) {
                          return std::make_unique<RBma>(
@@ -121,7 +124,8 @@ TEST(UniformReduction, MirrorsInnerMatchingExactly) {
 TEST(UniformReduction, ResetRestartsBothLayers) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(35);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 5000, 1.0, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.0, rng));
   UniformReduction alg(make_instance(topo.distances, 2, 8),
                        [](const Instance& uniform) {
                          return std::make_unique<RBma>(
