@@ -18,6 +18,8 @@ namespace rdcn::serve {
 
 namespace {
 
+using Kind = ServerLine::Kind;
+
 /// Mirror of the daemon's reader-side cap; a daemon streaming a longer
 /// line is misbehaving, not slow.
 constexpr std::size_t kMaxLineBytes = 1u << 20;
@@ -50,7 +52,7 @@ void Client::disconnect() {
     fd_ = -1;
   }
   buffer_.clear();
-  pending_.clear();
+  streams_.clear();
 }
 
 void Client::connect(const std::string& socket_path, int timeout_ms) {
@@ -91,10 +93,9 @@ void Client::reconnect(int timeout_ms) {
 
 void Client::hello(const std::string& client) {
   send_line("HELLO client=" + client);
-  const std::string reply = read_line();
-  const ServerLine line = parse_server_line(reply);
-  if (line.kind != ServerLine::Kind::kWelcome || line.text != client)
-    throw SpecError("unexpected HELLO reply: " + reply);
+  const Message reply = await_reply({Kind::kWelcome}, "HELLO");
+  if (reply.line.text != client)
+    throw SpecError("unexpected HELLO reply: " + reply.raw);
   client_name_ = client;
 }
 
@@ -116,17 +117,6 @@ void Client::send_line(const std::string& line) {
 }
 
 std::string Client::read_line() {
-  // Lines submit() stashed while hunting for its admission verdict come
-  // first — they are older than anything still in the socket.
-  if (!pending_.empty()) {
-    std::string line = std::move(pending_.front());
-    pending_.pop_front();
-    return line;
-  }
-  return read_socket_line();
-}
-
-std::string Client::read_socket_line() {
   if (fd_ < 0) throw SpecError("client is not connected");
   while (true) {
     const std::size_t pos = buffer_.find('\n');
@@ -164,11 +154,47 @@ std::string Client::read_socket_line() {
   }
 }
 
+Client::Message Client::next_message(std::uint64_t run) {
+  if (const auto it = streams_.find(run); it != streams_.end()) {
+    Message queued = std::move(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) streams_.erase(it);
+    return queued;
+  }
+  while (true) {
+    Message m;
+    m.raw = read_line();
+    m.line = parse_server_line(m.raw);
+    const Kind kind = m.line.kind;
+    // The daemon writes a header and its payload as one unit, so the
+    // payload lines follow the header directly.
+    if (kind == Kind::kResult || kind == Kind::kMetrics)
+      for (std::size_t i = 0; i < m.line.lines; ++i)
+        m.payload += read_line() + "\n";
+    const bool stream = kind == Kind::kCheckpoint ||
+                        kind == Kind::kResult || kind == Kind::kDone;
+    if (!stream || m.line.id == run) return m;
+    streams_[m.line.id].push_back(std::move(m));
+  }
+}
+
+Client::Message Client::await_reply(
+    std::initializer_list<ServerLine::Kind> replies, const char* verb) {
+  while (true) {
+    Message m = next_message(0);
+    if (std::find(replies.begin(), replies.end(), m.line.kind) !=
+        replies.end())
+      return m;
+    // An ack whose cancel() already gave up, or one for a CANCEL sent
+    // with send_line(): it answers nothing this call asked.
+    if (m.line.kind == Kind::kCancelling) continue;
+    throw SpecError(std::string("unexpected ") + verb + " reply: " + m.raw);
+  }
+}
+
 void Client::ping() {
   send_line("PING");
-  const std::string reply = read_line();
-  if (parse_server_line(reply).kind != ServerLine::Kind::kPong)
-    throw SpecError("unexpected PING reply: " + reply);
+  await_reply({Kind::kPong}, "PING");
 }
 
 Client::Submission Client::submit(const std::string& spec,
@@ -178,50 +204,17 @@ Client::Submission Client::submit(const std::string& spec,
     line += " deadline_ms=" + std::to_string(deadline_ms);
   if (priority_ != 1) line += " priority=" + std::to_string(priority_);
   send_line(line);
+  const ServerLine reply =
+      await_reply({Kind::kAccepted, Kind::kReject, Kind::kError}, "RUN").line;
   Submission out;
-  // The verdict answers the RUN just sent, so it can only be on the
-  // socket — never in pending_, which holds older stream lines already
-  // stashed for a collect().  Popping pending_ here would reorder it and,
-  // worse, desync RESULT framing: a stashed RESULT header replayed here
-  // would make the loop below "consume" its payload from the socket,
-  // swallowing unrelated lines (this submission's verdict included).
-  std::string raw = read_socket_line();
-  ServerLine reply = parse_server_line(raw);
-  // A CANCELLING ack can straggle past its run's DONE when the cancelled
-  // run completed in the same instant (natural completion racing the
-  // cancel); it carries no information for this submission — skip it.
-  // Stream lines from runs still in flight on this connection (pipelined
-  // submissions) also interleave with the verdict: stash those — payload
-  // blocks included — so the collect() that wants them still sees them.
-  while (reply.kind == ServerLine::Kind::kCancelling ||
-         reply.kind == ServerLine::Kind::kCheckpoint ||
-         reply.kind == ServerLine::Kind::kResult ||
-         reply.kind == ServerLine::Kind::kDone) {
-    if (reply.kind != ServerLine::Kind::kCancelling) {
-      pending_.push_back(raw);
-      if (reply.kind == ServerLine::Kind::kResult)
-        for (std::size_t i = 0; i < reply.lines; ++i)
-          pending_.push_back(read_socket_line());
-    }
-    raw = read_socket_line();
-    reply = parse_server_line(raw);
+  out.accepted = reply.kind == Kind::kAccepted;
+  out.rejected = reply.kind == Kind::kReject;
+  if (out.accepted) out.id = reply.id;
+  if (out.rejected) {
+    out.retry_ms = reply.retry_ms;
+    out.reason = reply.status;
   }
-  switch (reply.kind) {
-    case ServerLine::Kind::kAccepted:
-      out.accepted = true;
-      out.id = reply.id;
-      break;
-    case ServerLine::Kind::kReject:
-      out.rejected = true;
-      out.retry_ms = reply.retry_ms;
-      out.reason = reply.status;
-      break;
-    case ServerLine::Kind::kError:
-      out.error = reply.text;
-      break;
-    default:
-      throw SpecError("unexpected RUN reply: " + reply.text);
-  }
+  if (reply.kind == Kind::kError) out.error = reply.text;
   return out;
 }
 
@@ -230,34 +223,27 @@ Client::RunOutput Client::collect(
     const std::function<void(const std::string& line)>& on_checkpoint) {
   RunOutput out;
   while (true) {
-    const std::string raw = read_line();
-    const ServerLine line = parse_server_line(raw);
-    switch (line.kind) {
-      case ServerLine::Kind::kCheckpoint:
-        if (line.id != id) continue;  // another run on this connection
+    Message m = next_message(id);
+    switch (m.line.kind) {
+      case Kind::kCheckpoint:
         ++out.checkpoints;
-        if (on_checkpoint) on_checkpoint(raw);
+        if (on_checkpoint) on_checkpoint(m.raw);
         continue;
-      case ServerLine::Kind::kResult: {
-        if (line.id != id) continue;
-        out.cached = line.cached;
-        out.csv.clear();
-        for (std::size_t i = 0; i < line.lines; ++i)
-          out.csv += read_line() + "\n";
+      case Kind::kResult:
+        out.cached = m.line.cached;
+        out.csv = std::move(m.payload);
         continue;
-      }
-      case ServerLine::Kind::kError:
-        out.error = line.text;  // precedes DONE status=error
+      case Kind::kError:
+        out.error = m.line.text;  // precedes DONE status=error
         continue;
-      case ServerLine::Kind::kDone:
-        if (line.id != id) continue;
-        out.status = line.status;
+      case Kind::kCancelling:
+        continue;  // ack of a CANCEL sent with send_line() meanwhile
+      case Kind::kDone:
+        out.status = m.line.status;
         return out;
-      case ServerLine::Kind::kCancelling:
-        continue;  // ack for a CANCEL sent while collecting
       default:
         throw SpecError("unexpected line while collecting run " +
-                        std::to_string(id) + ": " + raw);
+                        std::to_string(id) + ": " + m.raw);
     }
   }
 }
@@ -266,25 +252,17 @@ Client::AttachResult Client::attach(std::uint64_t id, std::uint64_t from) {
   std::string line = "ATTACH " + std::to_string(id);
   if (from > 1) line += " from=" + std::to_string(from);
   send_line(line);
+  const ServerLine reply =
+      await_reply({Kind::kAttached, Kind::kError}, "ATTACH").line;
   AttachResult out;
-  while (true) {
-    const ServerLine reply = parse_server_line(read_line());
-    switch (reply.kind) {
-      case ServerLine::Kind::kAttached:
-        out.attached = true;
-        out.state = reply.status;
-        out.last_seq = reply.seq;
-        return out;
-      case ServerLine::Kind::kError:
-        out.error = reply.text;
-        return out;
-      case ServerLine::Kind::kCheckpoint:
-      case ServerLine::Kind::kCancelling:
-        continue;  // other runs' lines interleaving on this connection
-      default:
-        throw SpecError("unexpected ATTACH reply");
-    }
+  out.attached = reply.kind == Kind::kAttached;
+  if (out.attached) {
+    out.state = reply.status;
+    out.last_seq = reply.seq;
+  } else {
+    out.error = reply.text;
   }
+  return out;
 }
 
 Client::RunOutput Client::run_scenario(
@@ -392,28 +370,18 @@ Client::RunOutput Client::run_scenario(
 }
 
 bool Client::cancel(std::uint64_t id) {
-  // While a run is streaming, prefer send_line("CANCEL <id>") and let
-  // collect() skip the CANCELLING ack — this helper reads its own reply,
-  // so interleaved run output would be consumed here.  It drops stray
-  // CHECKPOINTs (harmless progress) but treats anything else as "the run
-  // already finished".
   send_line("CANCEL " + std::to_string(id));
   while (true) {
-    const ServerLine line = parse_server_line(read_line());
-    if (line.kind == ServerLine::Kind::kCancelling) return true;
-    if (line.kind == ServerLine::Kind::kCheckpoint) continue;
-    return false;
+    const ServerLine reply =
+        await_reply({Kind::kCancelling, Kind::kError}, "CANCEL").line;
+    if (reply.kind == Kind::kError) return false;  // unknown or finished
+    if (reply.id == id) return true;
   }
 }
 
 std::size_t Client::reset_common(const std::string& line) {
   send_line(line);
-  while (true) {
-    const ServerLine reply = parse_server_line(read_line());
-    if (reply.kind == ServerLine::Kind::kResetOk) return reply.lines;
-    if (reply.kind == ServerLine::Kind::kCheckpoint) continue;
-    throw SpecError("unexpected RESET reply");
-  }
+  return await_reply({Kind::kResetOk}, "RESET").line.lines;
 }
 
 std::size_t Client::reset_quarantine(const std::string& canonical_spec) {
@@ -424,31 +392,14 @@ std::size_t Client::reset_all() { return reset_common("RESET all=1"); }
 
 std::string Client::stats() {
   send_line("STATS");
-  while (true) {
-    const ServerLine line = parse_server_line(read_line());
-    if (line.kind == ServerLine::Kind::kStats) return line.text;
-    if (line.kind == ServerLine::Kind::kCheckpoint) continue;
-    throw SpecError("unexpected STATS reply");
-  }
+  return await_reply({Kind::kStats}, "STATS").line.text;
 }
 
 StatsReport Client::stats_report() { return parse_stats(stats()); }
 
 std::string Client::metrics() {
   send_line("METRICS");
-  while (true) {
-    const ServerLine line = parse_server_line(read_line());
-    if (line.kind == ServerLine::Kind::kMetrics) {
-      // Exposition lines follow the header back-to-back (one write unit
-      // on the daemon side, like RESULT payloads).
-      std::string text;
-      for (std::size_t i = 0; i < line.lines; ++i)
-        text += read_line() + "\n";
-      return text;
-    }
-    if (line.kind == ServerLine::Kind::kCheckpoint) continue;
-    throw SpecError("unexpected METRICS reply");
-  }
+  return await_reply({Kind::kMetrics}, "METRICS").payload;
 }
 
 void Client::set_read_timeout_seconds(long seconds) {
@@ -458,14 +409,7 @@ void Client::set_read_timeout_seconds(long seconds) {
 
 void Client::shutdown_daemon(bool drain) {
   send_line(drain ? "SHUTDOWN drain=1" : "SHUTDOWN");
-  while (true) {
-    const ServerLine line = parse_server_line(read_line());
-    if (line.kind == ServerLine::Kind::kBye) return;
-    if (line.kind == ServerLine::Kind::kCheckpoint ||
-        line.kind == ServerLine::Kind::kDone)
-      continue;  // in-flight run lines racing the shutdown
-    throw SpecError("unexpected SHUTDOWN reply");
-  }
+  await_reply({Kind::kBye}, "SHUTDOWN");
 }
 
 }  // namespace rdcn::serve

@@ -1,9 +1,21 @@
 // rdcn: blocking line-protocol client for the rdcn_serve daemon.
 //
-// Thin and synchronous by design — one connection, one in-flight run at a
-// time: submit() sends RUN and reads the admission verdict; collect()
-// then consumes that run's CHECKPOINT stream, RESULT payload, and DONE
-// line.  run_scenario() wraps the pair in a bounded retry loop: REJECT
+// Synchronous by design — each call sends one command and blocks for its
+// reply — yet any number of runs may be in flight on one connection and
+// collected in any order: submit() sends RUN and reads the admission
+// verdict; collect(id) consumes run id's CHECKPOINT stream, RESULT
+// payload, and DONE line.  Every read goes through one router.  A line
+// from the daemon is either the reply the current call waits for, or a
+// line of some run's stream (CHECKPOINT, RESULT with its payload lines,
+// DONE), which is queued under that run's id until collect(id) takes it —
+// so ping(), stats(), metrics() or another submit() may run while runs
+// stream.  A CANCELLING ack is the reply only cancel() waits for; other
+// calls skip it.  ERROR lines carry no run id: an ERROR is the verdict
+// while submit(), attach() or cancel() waits for one, and the collected
+// run's error while collect() runs.  Any other line a call does not
+// expect throws SpecError.
+//
+// run_scenario() wraps submit + collect in a bounded retry loop: REJECT
 // backpressure is honored (server retry hint + exponential backoff with
 // deterministic jitter) and transient disconnects are survived by
 // reconnecting and ATTACHing to the run by its ACCEPTED id — the daemon
@@ -27,7 +39,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <string>
+#include <unordered_map>
 
 #include "common/param_map.hpp"
 #include "serve/protocol.hpp"
@@ -195,21 +209,37 @@ class Client {
 
   // Low-level access (used by tests to speak the protocol directly).
   void send_line(const std::string& line);
-  /// Next line from the daemon.  Throws TransportError — kEof on orderly
-  /// close, kTimeout on read-timeout expiry, kIo on socket errors — so
-  /// callers can tell "daemon gone" from "daemon slow".
+  /// Next line from the socket, bypassing the router: run lines already
+  /// queued for collect() stay queued.  Throws TransportError — kEof on
+  /// orderly close, kTimeout on read-timeout expiry, kIo on socket errors
+  /// — so callers can tell "daemon gone" from "daemon slow".
   std::string read_line();
 
  private:
+  /// One line from the daemon, plus the payload lines that follow a
+  /// RESULT or METRICS header.
+  struct Message {
+    ServerLine line;
+    std::string raw;      ///< the line as received
+    std::string payload;  ///< RESULT/METRICS: `line.lines` lines, each
+                          ///< newline-terminated
+  };
+  /// The router.  Returns the next message of run `run`'s stream (queued
+  /// or read now) — or, with run 0, the next message that belongs to no
+  /// run's stream.  Stream messages of other runs read on the way are
+  /// queued under their id.
+  Message next_message(std::uint64_t run);
+  /// next_message(0) until a message of one of `replies` arrives;
+  /// CANCELLING acks are skipped, anything else throws SpecError.
+  Message await_reply(std::initializer_list<ServerLine::Kind> replies,
+                      const char* verb);
   std::size_t reset_common(const std::string& line);
-  std::string read_socket_line();  ///< read_line minus the pending_ replay
 
   int fd_ = -1;
   std::string buffer_;       ///< bytes received beyond the last full line
-  /// Stream lines submit() read past while waiting for its admission
-  /// verdict (pipelined runs' CHECKPOINT/RESULT/DONE); read_line()
-  /// replays them first so collect() never misses a terminal line.
-  std::deque<std::string> pending_;
+  /// Runs' stream messages read while the caller waited for something
+  /// else, oldest first; an id has an entry only while it has messages.
+  std::unordered_map<std::uint64_t, std::deque<Message>> streams_;
   std::string socket_path_;  ///< last connect() target, for reconnect()
   std::string client_name_;  ///< hello() binding, replayed on reconnect
   int priority_ = 1;         ///< RUN priority= (1 = the wire default)

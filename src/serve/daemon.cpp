@@ -1,6 +1,7 @@
 #include "serve/daemon.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -40,15 +41,22 @@ constexpr std::size_t kCheckpointRing = 128;
 /// Terminal tasks retained for late ATTACH (state=done replay).
 constexpr std::size_t kRecentRuns = 256;
 
-/// Write end of the self-pipe, the only state a signal handler may touch.
-std::atomic<int> g_signal_pipe_wr{-1};
+/// The only state a signal handler touches: a flag the loop reads once
+/// woken, and the write end of the loop's wake pipe.
+std::atomic<bool> g_drain_signalled{false};
+std::atomic<int> g_signal_wake_fd{-1};
 
 void drain_signal_handler(int) {
-  const int fd = g_signal_pipe_wr.load(std::memory_order_relaxed);
-  if (fd < 0) return;
-  const char byte = 's';
-  // The pipe is non-blocking; a full pipe just coalesces signals.
-  [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+  const int saved_errno = errno;
+  g_drain_signalled.store(true, std::memory_order_relaxed);
+  const int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
+  if (fd >= 0) {
+    // Non-blocking: a full pipe already holds a wake-up, and the flag
+    // carries the signal itself.
+    const char byte = 's';
+    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+  }
+  errno = saved_errno;
 }
 
 /// Builds the sockaddr for `path`; throws SpecError when it doesn't fit
@@ -134,12 +142,12 @@ struct Daemon::RunTask {
   scenario::ScenarioSpec spec;
   std::string canonical;
   CancelToken cancel = CancelToken::make();
-  /// Set by the watchdog before firing `cancel`, so the terminal DONE
+  /// Set by the loop before firing `cancel`, so the terminal DONE
   /// distinguishes deadline_exceeded from a client CANCEL.
   std::atomic<bool> deadline_fired{false};
   std::atomic<bool> started{false};  ///< an executor picked it up
-  /// Set by the progress watchdog before firing `cancel` (takes priority
-  /// over deadline_fired in the terminal decision).
+  /// Set by the loop's progress monitor before firing `cancel` (takes
+  /// priority over deadline_fired in the terminal decision).
   std::atomic<bool> stalled_fired{false};
   /// Re-enqueued from the journal after a restart: has no submitter, so
   /// an empty subscriber list must not auto-cancel it.
@@ -149,7 +157,7 @@ struct Daemon::RunTask {
   int priority = 1;               ///< shed order under brownout (0-2)
   std::uint64_t cost = 1;         ///< estimated cost units (DRR charge)
   /// Last time this run demonstrated progress (pickup or a checkpoint);
-  /// the progress watchdog cancels a run whose value goes stale.
+  /// the progress monitor cancels a run whose value goes stale.
   std::atomic<std::uint64_t> last_progress_ns{0};
 
   /// One stream consumer.  `from` filters live/replayed CHECKPOINTs (an
@@ -318,42 +326,41 @@ void Daemon::start() {
     m_.recovered.inc();
   }
   const sockaddr_un addr = make_address(options_.socket_path);
+  // Both pipe ends are non-blocking: a writer (the signal handler above
+  // all) must never block, and the loop empties the pipe without
+  // blocking.  A full pipe already holds a wake-up.
+  if (::pipe(wake_pipe_) != 0)
+    throw SpecError(std::string("cannot create wake pipe: ") +
+                    std::strerror(errno));
+  for (const int fd : wake_pipe_) ::fcntl(fd, F_SETFL, O_NONBLOCK);
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0)
-    throw SpecError(std::string("socket() failed: ") + std::strerror(errno));
-  ::unlink(options_.socket_path.c_str());  // replace a stale socket file
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+  if (listen_fd_ >= 0) ::unlink(options_.socket_path.c_str());  // stale
+  if (listen_fd_ < 0 ||
+      ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
       ::listen(listen_fd_, 16) != 0) {
     const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    ::close(wake_pipe_[0]);
+    ::close(wake_pipe_[1]);
+    listen_fd_ = wake_pipe_[0] = wake_pipe_[1] = -1;
     throw SpecError("cannot listen on '" + options_.socket_path +
                     "': " + why);
   }
+  // Non-blocking, so a connection that vanished between poll() and
+  // accept() cannot stall the loop.  Accepted sockets stay blocking.
+  ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
   if (options_.handle_signals) {
-    if (::pipe(signal_pipe_) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw SpecError("cannot create signal pipe: " + why);
-    }
-    // Non-blocking write end: the handler must never block; a full pipe
-    // just coalesces repeated signals into the one pending drain.
-    ::fcntl(signal_pipe_[1], F_SETFL, O_NONBLOCK);
-    g_signal_pipe_wr.store(signal_pipe_[1], std::memory_order_relaxed);
+    g_drain_signalled.store(false, std::memory_order_relaxed);
+    g_signal_wake_fd.store(wake_pipe_[1], std::memory_order_relaxed);
     struct sigaction sa {};
     sa.sa_handler = &drain_signal_handler;
     ::sigemptyset(&sa.sa_mask);
     ::sigaction(SIGTERM, &sa, &old_term_);
     ::sigaction(SIGINT, &sa, &old_int_);
-    signal_thread_ = std::thread(&Daemon::signal_loop, this);
   }
   started_ = true;
-  accept_thread_ = std::thread(&Daemon::accept_loop, this);
-  watchdog_thread_ = std::thread(&Daemon::watchdog_loop, this);
-  if (!options_.metrics_dump_path.empty())
-    metrics_thread_ = std::thread(&Daemon::metrics_dump_loop, this);
+  loop_thread_ = std::thread(&Daemon::loop, this);
   for (std::size_t i = 0; i < options_.executors; ++i)
     executors_.emplace_back(&Daemon::executor_loop, this);
 }
@@ -364,51 +371,40 @@ void Daemon::stop() {
     cv_shutdown_.notify_all();
     return;
   }
-  // Unblock accept(), then every blocked reader, executor, and the
-  // watchdog; cancel all queued/running work so executors drain fast.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  std::vector<std::shared_ptr<Connection>> conns;
+  // With the loop joined nothing accepts any more, so conns_ is final:
+  // shutting each socket down wakes its reader.  Cancelling all queued
+  // and running work lets the executors drain fast.
+  wake_loop();
+  loop_thread_.join();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, task] : active_) task->cancel.request_cancel();
-    conns = conns_;
-  }
-  for (auto& conn : conns) conn->shutdown_socket();
-  cv_exec_.notify_all();
-  cv_deadline_.notify_all();
-  cv_metrics_.notify_all();
-  cv_drain_.notify_all();
-  accept_thread_.join();
-  watchdog_thread_.join();
-  if (metrics_thread_.joinable()) metrics_thread_.join();
-  // accept_loop has exited, so conn_threads_ is final now.
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : conns_) conn->shutdown_socket();
   }
+  cv_exec_.notify_all();
   for (std::thread& t : conn_threads_) t.join();
   for (std::thread& t : executors_) t.join();
-  if (signal_thread_.joinable()) {
-    // Restore dispositions first so a signal during teardown behaves
-    // default; then tell the loop to exit via its own pipe.
-    g_signal_pipe_wr.store(-1, std::memory_order_relaxed);
+  if (options_.handle_signals) {
+    g_signal_wake_fd.store(-1, std::memory_order_relaxed);
     ::sigaction(SIGTERM, &old_term_, nullptr);
     ::sigaction(SIGINT, &old_int_, nullptr);
-    const char byte = 'q';
-    [[maybe_unused]] const ssize_t n = ::write(signal_pipe_[1], &byte, 1);
-    signal_thread_.join();
-    ::close(signal_pipe_[0]);
-    ::close(signal_pipe_[1]);
-    signal_pipe_[0] = signal_pipe_[1] = -1;
   }
-  // Reader and signal threads are joined, so nobody can start a new
-  // drain; an in-flight drain_loop exits promptly on stopping_.
-  if (drain_thread_.joinable()) drain_thread_.join();
+  for (int& fd : wake_pipe_) {
+    ::close(fd);
+    fd = -1;
+  }
   journal_.flush();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
+  // The final snapshot, so runs shorter than one dump period still show.
+  if (!options_.metrics_dump_path.empty()) write_metrics_dump();
   cv_shutdown_.notify_all();
+}
+
+void Daemon::wake_loop() {
+  const char byte = 'w';
+  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
 void Daemon::wait_for_shutdown_command() {
@@ -512,84 +508,123 @@ void Daemon::write_metrics_dump() const {
               << options_.metrics_dump_path << "\n";
 }
 
-void Daemon::metrics_dump_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    cv_metrics_.wait_for(
-        lock, std::chrono::milliseconds(
-                  std::max<std::uint64_t>(1, options_.metrics_dump_ms)));
-    lock.unlock();
-    write_metrics_dump();  // rendering takes registry mutexes, not mu_
-    lock.lock();
-  }
-  lock.unlock();
-  write_metrics_dump();  // final snapshot so short runs aren't lost
-}
-
-void Daemon::signal_loop() {
-  char byte = 0;
-  while (true) {
-    const ssize_t n = ::read(signal_pipe_[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0 || byte == 'q') return;  // stop() says goodbye
-    begin_drain();
-  }
-}
-
-void Daemon::begin_drain() {
-  if (drain_requested_.exchange(true)) return;  // one drain per lifetime
-  const std::lock_guard<std::mutex> lock(mu_);
+void Daemon::begin_drain_locked() {
+  if (draining_) return;  // one drain per lifetime
   draining_ = true;
-  drain_thread_ = std::thread(&Daemon::drain_loop, this);
+  drain_begin_ = monotonic_now();
 }
 
-void Daemon::drain_loop() {
-  const std::uint64_t begin_ns = monotonic_now_ns();
-  const auto idle = [&] { return active_.empty() || stopping_.load(); };
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_drain_.wait_for(lock, std::chrono::milliseconds(options_.drain_ms),
-                       idle);
-    // Budget spent: stragglers get a cooperative cancel, then a bounded
-    // second wait — a wedged run (or executors=0) must not hold the
-    // shutdown hostage forever.
-    for (auto& [id, task] : active_) task->cancel.request_cancel();
-    cv_exec_.notify_all();
-    cv_drain_.wait_for(lock, std::chrono::milliseconds(1000), idle);
-  }
-  journal_.flush();
-  m_.drain_seconds.observe_ns(monotonic_now_ns() - begin_ns);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    shutdown_requested_ = true;
-  }
-  cv_shutdown_.notify_all();
-}
-
-void Daemon::accept_loop() {
+void Daemon::loop() {
+  using std::chrono::milliseconds;
+  // The progress monitor and the brownout re-evaluation share one tick,
+  // armed only when one of them is configured; without it the level is
+  // re-evaluated at admissions and executor pickups alone.
+  const bool progress = options_.progress_timeout_ms > 0;
+  const bool ticking = progress || options_.max_rss_mb > 0;
+  const milliseconds tick(
+      progress ? std::clamp<std::uint64_t>(options_.progress_timeout_ms / 4,
+                                           10, 1000)
+               : 250);
+  const bool dumping = !options_.metrics_dump_path.empty();
+  const milliseconds dump_period(
+      std::max<std::uint64_t>(1, options_.metrics_dump_ms));
+  // A drain spends its budget waiting for in-flight runs, then cancels
+  // the stragglers and gives them this much more: a wedged run (or
+  // executors=0) must not hold the shutdown hostage forever.
+  const milliseconds straggler_grace(1000);
+  auto next_tick = monotonic_now() + tick;
+  auto next_dump = monotonic_now() + dump_period;
+  pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
+  int timeout_ms = 0;
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_ || errno != EINTR) return;
-      continue;
+    const int ready = ::poll(fds, 2, timeout_ms);  // EINTR re-evaluates
+    char bytes[64];
+    while (::read(wake_pipe_[0], bytes, sizeof(bytes)) > 0) {
     }
-    // Bounded recv timeout so readers notice stopping_ even if their
-    // socket shutdown races with thread startup.
-    timeval tv{};
-    tv.tv_usec = 200 * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    auto conn = std::make_shared<Connection>(fd);
-    const std::lock_guard<std::mutex> lock(mu_);
-    reap_finished_readers_locked();
-    conns_.push_back(conn);
-    // The reader drops its own reference before idling unjoined, so the
-    // client's fd closes as soon as the last in-flight run lets go — not
-    // at the next accept (when the thread object is reaped).
-    conn_threads_.emplace_back([this, c = std::move(conn)]() mutable {
-      const std::shared_ptr<Connection> local = std::move(c);
-      connection_loop(local);
-    });
+    if (stopping_) return;
+    if (ready > 0 && (fds[0].revents & POLLIN)) accept_connection();
+    const auto now = monotonic_now();
+    if (dumping && now >= next_dump) {
+      next_dump = now + dump_period;
+      write_metrics_dump();  // rendering takes registry mutexes, not mu_
+    }
+    // Run what is due, then sleep until the earliest timer, a connection,
+    // or a wake-up.
+    auto wake_at = dumping ? next_dump : MonotonicClock::time_point::max();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (options_.handle_signals && g_drain_signalled.exchange(false))
+        begin_drain_locked();
+      reap_finished_readers_locked();
+      while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+        if (const std::shared_ptr<RunTask> task =
+                deadlines_.begin()->second.lock()) {
+          // Mark before firing so the executor's CancelledError handler
+          // reads the right reason.  Firing after completion is harmless
+          // — the token is dead weight once DONE is out.
+          task->deadline_fired.store(true, std::memory_order_release);
+          task->cancel.request_cancel();
+        }
+        deadlines_.erase(deadlines_.begin());
+      }
+      if (!deadlines_.empty())
+        wake_at = std::min(wake_at, deadlines_.begin()->first);
+      if (ticking && now >= next_tick) {
+        next_tick = now + tick;
+        update_brownout_locked();
+        const std::uint64_t budget_ns =
+            options_.progress_timeout_ms * 1'000'000ull;
+        const std::uint64_t now_ns = monotonic_now_ns();
+        for (auto& [id, task] : active_) {
+          const std::uint64_t last =
+              task->last_progress_ns.load(std::memory_order_relaxed);
+          if (!progress || !task->started.load(std::memory_order_acquire) ||
+              last == 0 || now_ns - last <= budget_ns)
+            continue;
+          // Mark-then-fire, like the deadline path.  exchange() makes the
+          // stall fire once even if the run lingers across several ticks.
+          if (!task->stalled_fired.exchange(true, std::memory_order_acq_rel))
+            task->cancel.request_cancel();
+        }
+      }
+      if (draining_ && !shutdown_requested_) {
+        const auto budget_end = drain_begin_ + milliseconds(options_.drain_ms);
+        if (active_.empty() || now >= budget_end + straggler_grace) {
+          journal_.flush();
+          m_.drain_seconds.observe_seconds(
+              std::chrono::duration<double>(now - drain_begin_).count());
+          shutdown_requested_ = true;
+          cv_shutdown_.notify_all();
+        } else if (now >= budget_end) {
+          for (auto& [id, task] : active_) task->cancel.request_cancel();
+          wake_at = std::min(wake_at, budget_end + straggler_grace);
+        } else {
+          wake_at = std::min(wake_at, budget_end);
+        }
+      }
+    }
+    if (ticking) wake_at = std::min(wake_at, next_tick);
+    timeout_ms = -1;  // capped at a minute below, so any period fits an int
+    if (wake_at != MonotonicClock::time_point::max())
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          std::chrono::ceil<milliseconds>(wake_at - monotonic_now()).count(),
+          0, 60'000));
   }
+}
+
+void Daemon::accept_connection() {
+  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  if (fd < 0) return;  // the peer gave up first; poll() reports the next
+  auto conn = std::make_shared<Connection>(fd);
+  const std::lock_guard<std::mutex> lock(mu_);
+  conns_.push_back(conn);
+  // The reader drops its own reference before it exits, so the client's
+  // fd closes as soon as the last in-flight run lets go — not when the
+  // loop joins the thread.
+  conn_threads_.emplace_back([this, c = std::move(conn)]() mutable {
+    const std::shared_ptr<Connection> local = std::move(c);
+    connection_loop(local);
+  });
 }
 
 void Daemon::connection_loop(const std::shared_ptr<Connection>& conn) {
@@ -598,9 +633,9 @@ void Daemon::connection_loop(const std::shared_ptr<Connection>& conn) {
   bool open = true;
   while (open && !stopping_) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;
+    if (n == 0) break;  // the client left, or stop() shut the socket
     if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      if (errno == EINTR) continue;
       break;
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
@@ -638,6 +673,7 @@ void Daemon::connection_loop(const std::shared_ptr<Connection>& conn) {
   }
   std::erase(conns_, conn);
   finished_readers_.push_back(std::this_thread::get_id());
+  wake_loop();
 }
 
 void Daemon::reap_finished_readers_locked() {
@@ -730,18 +766,20 @@ bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
       return true;
     }
     case Command::Kind::kShutdown: {
-      conn->send_line(msg_bye());
+      // BYE goes out under mu_: a client that read it finds admissions
+      // already refused, and the owner cannot stop() (closing this socket)
+      // before it is written.
+      const std::lock_guard<std::mutex> lock(mu_);
       if (cmd.drain) {
-        // Graceful: the drain thread flips shutdown_requested_ once
-        // in-flight runs finished (or the drain budget expired).
-        begin_drain();
-        return false;
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
+        // Graceful: the loop flips shutdown_requested_ once in-flight runs
+        // finished (or the drain budget expired).
+        begin_drain_locked();
+        wake_loop();
+      } else {
         shutdown_requested_ = true;
+        cv_shutdown_.notify_all();
       }
-      cv_shutdown_.notify_all();
+      conn->send_line(msg_bye());
       return false;
     }
     case Command::Kind::kInvalid:
@@ -912,16 +950,15 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
     task->admitted_ns = monotonic_now_ns();
     queue_.push(task->client, task->cost, task);
     m_.queue_depth.add(1);
-    if (cmd.deadline_ms > 0) {
-      // Deadline counts from admission: queue wait is the daemon's
-      // problem, not the client's.
+    // Deadline counts from admission: queue wait is the daemon's problem,
+    // not the client's.
+    if (cmd.deadline_ms > 0)
       deadlines_.emplace(
           monotonic_now() + std::chrono::milliseconds(cmd.deadline_ms), task);
-      cv_deadline_.notify_one();
-    }
     active_.emplace(id, std::move(task));
   }
   cv_exec_.notify_one();
+  if (cmd.deadline_ms > 0) wake_loop();  // it may be the earliest timer
 }
 
 void Daemon::handle_attach(const std::shared_ptr<Connection>& conn,
@@ -1009,6 +1046,7 @@ void Daemon::executor_loop() {
       queue_.pop(&task);  // DRR order: the fairest backlogged lane's head
       m_.queue_depth.add(-1);
       m_.active_runs.add(1);
+      update_brownout_locked();  // the queue only ever shrinks here
     }
     task->last_progress_ns.store(monotonic_now_ns(),
                                  std::memory_order_relaxed);
@@ -1040,7 +1078,7 @@ void Daemon::executor_loop() {
       recent_.push_back(task);
       if (recent_.size() > kRecentRuns) recent_.pop_front();
     }
-    cv_drain_.notify_all();
+    wake_loop();  // a drain may be waiting for active_ to empty
   }
 }
 
@@ -1220,64 +1258,6 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
     finish_crashed(e.what());
   } catch (...) {
     finish_crashed("unknown exception");
-  }
-}
-
-void Daemon::watchdog_loop() {
-  // Besides per-run deadlines, the watchdog owns two periodic duties:
-  // the progress monitor (cancel running tasks whose checkpoint stream
-  // went quiet) and the brownout re-evaluation (so the level *recovers*
-  // even when no admission arrives to trigger an update).  Either one
-  // turns the indefinite deadline wait into a bounded tick.
-  const bool progress = options_.progress_timeout_ms > 0;
-  const bool ticking = progress || options_.max_rss_mb > 0;
-  const auto tick = std::chrono::milliseconds(
-      progress ? std::clamp<std::uint64_t>(options_.progress_timeout_ms / 4,
-                                           10, 1000)
-               : 250);
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    if (deadlines_.empty() && !ticking) {
-      cv_deadline_.wait(lock);
-      continue;
-    }
-    auto wake = monotonic_now() + tick;
-    if (!deadlines_.empty() && deadlines_.begin()->first < wake)
-      wake = deadlines_.begin()->first;
-    if (monotonic_now() < wake) {
-      // Re-evaluate after the wait: an earlier deadline may have been
-      // armed, or stop() may have been requested.
-      cv_deadline_.wait_until(lock, wake);
-      if (stopping_) break;
-    }
-    const auto now = monotonic_now();
-    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
-      if (const std::shared_ptr<RunTask> task =
-              deadlines_.begin()->second.lock()) {
-        // Mark before firing so the executor's CancelledError handler
-        // reads the right reason.  Firing after completion is harmless —
-        // the token is dead weight once DONE is out.
-        task->deadline_fired.store(true, std::memory_order_release);
-        task->cancel.request_cancel();
-      }
-      deadlines_.erase(deadlines_.begin());
-    }
-    if (!ticking) continue;
-    update_brownout_locked();
-    if (!progress) continue;
-    const std::uint64_t budget_ns =
-        options_.progress_timeout_ms * 1'000'000ull;
-    const std::uint64_t now_ns = monotonic_now_ns();
-    for (auto& [id, task] : active_) {
-      if (!task->started.load(std::memory_order_acquire)) continue;
-      const std::uint64_t last =
-          task->last_progress_ns.load(std::memory_order_relaxed);
-      if (last == 0 || now_ns - last <= budget_ns) continue;
-      // Mark-then-fire, like the deadline path.  exchange() makes the
-      // stall fire once even if the run lingers across several ticks.
-      if (!task->stalled_fired.exchange(true, std::memory_order_acq_rel))
-        task->cancel.request_cancel();
-    }
   }
 }
 

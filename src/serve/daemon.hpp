@@ -6,12 +6,25 @@
 // table — the same bytes a direct rdcn_sim --csv run produces.  See
 // serve/protocol.hpp for the wire format.
 //
-// Execution model:
-//   * every connection gets a reader thread (commands are line-framed and
-//     cheap to parse; replies may interleave across runs, attributed by
-//     id).  The per-connection read buffer is bounded: a newline-free
-//     stream past 1 MiB gets ERROR reason=line_too_long and the
-//     connection closed;
+// Execution model — three thread roles:
+//   * one reader thread per connection parses its commands and answers
+//     them — admission, CANCEL, ATTACH, STATS/METRICS, and cache hits,
+//     whose stored bytes go out from the reader itself.  Commands stay on
+//     the readers because the daemon's CPU goes there: on serve_cached
+//     (4-vCPU host) four readers use about two cores, 16-19 µs of CPU per
+//     cached RUN, and pinning every daemon thread to one core halves
+//     throughput (109-135k to 53-58k runs/s).  Replies may interleave
+//     across runs, attributed by id.  A newline-free stream past 1 MiB
+//     gets ERROR reason=line_too_long and the connection closed;
+//   * a small executor set runs admitted runs (below);
+//   * one housekeeping loop thread sleeps in poll() on the listening
+//     socket and a wake pipe, which is also the SIGTERM/SIGINT self-pipe.
+//     It accepts connections and starts their readers, joins readers that
+//     exited, and owns every timer: run deadlines, the progress and
+//     brownout tick, the graceful drain's budget and straggler grace, and
+//     the metrics-dump period.
+//
+// Admission and execution:
 //   * admitted runs wait in a bounded deficit-round-robin queue, one lane
 //     per client (HELLO client=<name> binds a connection; anonymous
 //     traffic pools under "anon"), charged in estimated cost units — many
@@ -26,22 +39,23 @@
 //   * a hysteretic brownout state machine over queue depth and an RSS
 //     watermark sheds the lowest-priority submissions first (RUN
 //     priority=<0-2>) with REJECT reason=shed before the queue bound
-//     itself has to refuse;
-//   * a small executor-thread set drains the queue, each run executing
+//     itself has to refuse.  The level is re-evaluated at every admission
+//     and executor pickup, and on the loop's tick when the RSS watermark
+//     or the progress monitor is configured;
+//   * the executors drain the queue, each run executing
 //     scenario::run_scenario on the process-wide persistent ThreadPool
 //     (trial parallelism) with a CancelToken threaded down to the
 //     simulator's serve-chunk loop — CANCEL stops a run within one
 //     4096-request chunk and frees its executor and pool slots;
-//   * RUN ... deadline_ms=<n> arms a monotonic-clock watchdog (one thread,
-//     earliest-deadline wakeups): a run still going n ms after admission
-//     is cancelled through the same cooperative token and reported as
-//     DONE status=deadline_exceeded;
-//   * the same watchdog thread doubles as a progress monitor: with
-//     --progress-timeout-ms set, a running task whose checkpoint stream
-//     stops advancing for that long is cancelled and reported as DONE
-//     status=stalled — and the stall extends the spec's quarantine
-//     streak, so a spec that reliably wedges executors gets fenced off
-//     like one that crashes them;
+//   * RUN ... deadline_ms=<n> arms a monotonic-clock deadline on the
+//     loop: a run still going n ms after admission is cancelled through
+//     the same cooperative token and reported as DONE
+//     status=deadline_exceeded;
+//   * with --progress-timeout-ms set, the loop's tick also cancels a
+//     running task whose checkpoint stream stopped advancing for that
+//     long and reports DONE status=stalled — and the stall extends the
+//     spec's quarantine streak, so a spec that reliably wedges executors
+//     gets fenced off like one that crashes them;
 //   * completed CSV payloads land in an LRU ResultsCache keyed on
 //     ScenarioSpec::canonical_string(), and — when disk_cache_dir is set —
 //     in a crash-safe on-disk store (serve/disk_cache.hpp) that survives
@@ -61,11 +75,12 @@
 //     client orphans the run but it finishes (re-attachable, cacheable).
 //     Without a journal the old policy stands — an orphaned run is
 //     cancelled at its next checkpoint to free the executor;
-//   * SIGTERM/SIGINT (when handle_signals — self-pipe, async-signal-safe)
-//     and SHUTDOWN drain=1 begin a graceful drain: admissions refuse with
-//     ERROR reason=draining, in-flight runs get drain_ms to finish, then
-//     stragglers are cancelled cooperatively, the journal and caches are
-//     flushed, and wait_for_shutdown_command() returns.
+//   * SIGTERM/SIGINT (when handle_signals — the handler only writes the
+//     loop's wake pipe) and SHUTDOWN drain=1 begin a graceful drain:
+//     admissions refuse with ERROR reason=draining, in-flight runs get
+//     drain_ms to finish, then stragglers are cancelled cooperatively and
+//     get 1 s more, the journal is flushed, and
+//     wait_for_shutdown_command() returns.
 //
 // Failure containment:
 //   * invalid specs — parse failures, unknown components, bad parameters —
@@ -175,7 +190,7 @@ struct ServeOptions {
   /// Fault-injection spec armed at start() (fault::arm_from_spec syntax);
   /// "" arms nothing.  RDCN_FAULTS in the environment is applied too.
   std::string faults;
-  /// When non-empty, a snapshot thread writes the full metric registry
+  /// When non-empty, the housekeeping loop writes the full metric registry
   /// (plus the merged trace tree) as JSON to this file every
   /// metrics_dump_ms, atomically (temp-file + rename), and once more at
   /// stop().
@@ -192,14 +207,16 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Binds the socket, loads the disk cache, arms configured faults, and
-  /// spawns the accept + watchdog + executor threads.  Throws SpecError
-  /// when the socket cannot be created/bound.
+  /// spawns the housekeeping loop and the executor threads.  Throws
+  /// SpecError when the socket cannot be created/bound.
   void start();
 
-  /// Stops accepting, cancels every queued/running run, joins all
-  /// threads, and removes the socket file.  Idempotent.  Must not be
-  /// called from a daemon thread (a SHUTDOWN command instead *requests*
-  /// shutdown; the owner observes it via wait_for_shutdown_command).
+  /// Wakes and joins the loop (nothing accepts any more), cancels every
+  /// queued/running run, shuts the connections down, joins the readers
+  /// and executors, writes the last metrics dump, and removes the socket
+  /// file.  Idempotent.  Must not be called from a daemon thread (a
+  /// SHUTDOWN command instead *requests* shutdown; the owner observes it
+  /// via wait_for_shutdown_command).
   void stop();
 
   /// Blocks until a client sent SHUTDOWN (or stop() was called).
@@ -222,7 +239,11 @@ class Daemon {
   struct Connection;
   struct RunTask;
 
-  void accept_loop();
+  /// The housekeeping thread (see the execution model above).
+  void loop();
+  /// Makes loop() re-evaluate its fds and timers now.  Any thread.
+  void wake_loop();
+  void accept_connection();
   void connection_loop(const std::shared_ptr<Connection>& conn);
   /// Returns false when the connection should close (SHUTDOWN).
   bool handle_command(const std::shared_ptr<Connection>& conn,
@@ -231,14 +252,11 @@ class Daemon {
                   const Command& cmd);
   void handle_attach(const std::shared_ptr<Connection>& conn,
                      const Command& cmd);
-  /// Starts the graceful drain exactly once (signal, SHUTDOWN drain=1).
-  void begin_drain();
-  void drain_loop();
-  void signal_loop();
+  /// Starts the graceful drain exactly once (signal, SHUTDOWN drain=1);
+  /// the loop times it from here.  Caller holds mu_.
+  void begin_drain_locked();
   void executor_loop();
   void execute(const std::shared_ptr<RunTask>& task);
-  void watchdog_loop();
-  void metrics_dump_loop();
   void write_metrics_dump() const;
   /// Joins reader threads listed in finished_readers_ (caller holds mu_).
   void reap_finished_readers_locked();
@@ -306,7 +324,6 @@ class Daemon {
   mutable std::mutex mu_;
   std::condition_variable cv_exec_;      ///< executors wait for work
   std::condition_variable cv_shutdown_;  ///< owner waits for SHUTDOWN
-  std::condition_variable cv_deadline_;  ///< watchdog waits for deadlines
   DrrQueue<std::shared_ptr<RunTask>> queue_;
   std::map<std::string, ClientState> clients_;
   QuotaTable quotas_;          ///< immutable after start()
@@ -335,29 +352,24 @@ class Daemon {
   std::unordered_map<std::string, CrashStreak> crash_streaks_;
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> conn_threads_;
-  /// Reader threads that have exited (disconnected clients); their ids
-  /// wait here until accept_loop/stop() joins them, so neither thread
-  /// handles nor Connection fds accumulate over the daemon's lifetime.
+  /// Reader threads that have exited (disconnected clients); the loop
+  /// joins them when woken, so neither thread handles nor Connection fds
+  /// accumulate over the daemon's lifetime.
   std::vector<std::thread::id> finished_readers_;
   std::uint64_t next_id_ = 1;
   bool started_ = false;
   bool shutdown_requested_ = false;
-  /// Admissions refuse with ERROR reason=draining while the drain thread
-  /// waits for in-flight runs (guarded by mu_).
+  /// Admissions refuse with ERROR reason=draining from
+  /// begin_drain_locked() on, while the loop times the drain from
+  /// drain_begin_ (guarded by mu_).
   bool draining_ = false;
+  MonotonicClock::time_point drain_begin_;
 
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> drain_requested_{false};
-  std::thread accept_thread_;
-  std::thread watchdog_thread_;
-  std::thread metrics_thread_;
-  std::thread drain_thread_;
-  std::thread signal_thread_;
-  int signal_pipe_[2] = {-1, -1};  ///< self-pipe: handler writes, loop reads
+  int wake_pipe_[2] = {-1, -1};  ///< any thread (or the handler) -> loop
   struct sigaction old_term_ {};
   struct sigaction old_int_ {};
-  std::condition_variable cv_metrics_;  ///< wakes the dump thread at stop
-  std::condition_variable cv_drain_;    ///< drain waits for active_ empty
+  std::thread loop_thread_;
   std::vector<std::thread> executors_;
 };
 

@@ -121,7 +121,8 @@ TEST(ObsConcurrency, CollectRacesRunningSpans) {
       running.fetch_sub(1, std::memory_order_relaxed);
     });
   // Collect continuously while spans are being entered/exited — the
-  // daemon's metrics-dump thread against live executors.
+  // daemon's metrics dump (written by its housekeeping loop) against live
+  // executors.
   while (running.load(std::memory_order_relaxed) > 0) {
     (void)obs::collect_phases();
     (void)obs::trace_json();

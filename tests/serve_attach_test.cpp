@@ -2,12 +2,14 @@
 // (second connections, checkpoint replay with from=, finished runs),
 // journal-backed crash recovery across a daemon restart (re-enqueued
 // runs, stable ids, persisted quarantine streaks), the client's
-// reconnect-and-ATTACH resume, and graceful drain via SHUTDOWN drain=1.
+// reconnect-and-ATTACH resume, and graceful drain via SHUTDOWN drain=1
+// or SIGTERM, including a drain whose budget runs out.
 //
 // The in-process counterpart of the chaos soak (cmake/chaos_soak.sh),
 // which drives the same paths through the real binaries with SIGKILL.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -38,6 +40,10 @@ constexpr const char* kOtherSpec =
     "trials=1;checkpoints=2;seed=12";
 constexpr const char* kLongSpec =
     "workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=1600000;"
+    "trials=1;checkpoints=16;seed=3";
+/// Seconds of work: outlasts a short drain budget on any machine.
+constexpr const char* kSlowSpec =
+    "workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=32000000;"
     "trials=1;checkpoints=16;seed=3";
 
 std::string unique_path(const std::string& tag, const std::string& suffix) {
@@ -295,6 +301,62 @@ TEST_F(AttachTest, ShutdownDrainFinishesInFlightAndRefusesNewRuns) {
   runner.disconnect();
   late.disconnect();
   daemon.stop();
+}
+
+TEST_F(AttachTest, DrainBudgetExpiryCancelsStragglers) {
+  ServeOptions options = small_options("drain_budget");
+  options.drain_ms = 100;  // far shorter than the run
+  Daemon daemon(std::move(options));
+  daemon.start();
+
+  Client runner;
+  runner.connect(daemon.options().socket_path);
+  const Client::Submission sub = runner.submit(kSlowSpec);
+  ASSERT_TRUE(sub.accepted) << sub.error;
+  Client admin;
+  admin.connect(daemon.options().socket_path);
+  admin.shutdown_daemon(/*drain=*/true);
+
+  // The budget runs out first: the straggler is cancelled cooperatively,
+  // and only then does the daemon report itself ready to exit.
+  EXPECT_EQ(runner.collect(sub.id).status, "cancelled");
+  daemon.wait_for_shutdown_command();
+  EXPECT_NE(daemon.metrics_text().find("rdcn_serve_drain_seconds_count 1\n"),
+            std::string::npos);
+  runner.disconnect();
+  daemon.stop();
+}
+
+TEST_F(AttachTest, SigtermDrainsAndStopRestoresSignalDispositions) {
+  struct sigaction term_before {}, int_before {};
+  ASSERT_EQ(::sigaction(SIGTERM, nullptr, &term_before), 0);
+  ASSERT_EQ(::sigaction(SIGINT, nullptr, &int_before), 0);
+
+  ServeOptions options = small_options("sigterm");
+  options.handle_signals = true;
+  Daemon daemon(std::move(options));
+  daemon.start();
+  Client client;
+  client.connect(daemon.options().socket_path);
+  const Client::Submission sub = client.submit(kTinySpec);
+  ASSERT_TRUE(sub.accepted) << sub.error;
+
+  // With the daemon's handler installed, SIGTERM starts a drain instead
+  // of ending the process: the in-flight run finishes, later ones are
+  // refused, and the owner is told to shut down.
+  ASSERT_EQ(::raise(SIGTERM), 0);
+  EXPECT_EQ(client.collect(sub.id).status, "ok");
+  daemon.wait_for_shutdown_command();
+  EXPECT_NE(client.submit(kOtherSpec).error.find("draining"),
+            std::string::npos);
+  client.disconnect();
+  daemon.stop();
+
+  struct sigaction term_after {}, int_after {};
+  ASSERT_EQ(::sigaction(SIGTERM, nullptr, &term_after), 0);
+  ASSERT_EQ(::sigaction(SIGINT, nullptr, &int_after), 0);
+  EXPECT_EQ(term_after.sa_handler, term_before.sa_handler);
+  EXPECT_EQ(int_after.sa_handler, int_before.sa_handler);
 }
 
 }  // namespace

@@ -601,6 +601,10 @@ TEST_F(OverloadTest, BrownoutShedsLowPriorityFirst) {
   EXPECT_NE(fixture.client.collect(running.id).status, "ok");
   for (const std::uint64_t id : queued)
     EXPECT_EQ(fixture.client.collect(id).status, "ok");
+
+  // The burst has drained: the level recovers without a new admission
+  // (and without the RSS/progress tick) to re-evaluate it.
+  EXPECT_EQ(fixture.client.stats_report().brownout, 0u);
 }
 
 TEST_F(OverloadTest, WatchdogStallsWedgedRunAndDaemonSurvives) {

@@ -3,8 +3,9 @@
 // component parameters refused without killing the daemon, the bounded read
 // line, deadline enforcement, executor crash containment + quarantine,
 // client retry through REJECT backpressure and mid-run disconnects,
-// fd/executor hygiene after torn sends, and disk-cache persistence
-// across a daemon restart with a torn entry on disk.
+// fd/executor hygiene after torn sends, the daemon's thread roles and
+// periodic metrics dump, and disk-cache persistence across a daemon
+// restart with a torn entry on disk.
 //
 // Fault points (common/fault.hpp) make every failure deterministic; the
 // fixture guarantees nothing stays armed between tests.
@@ -517,6 +518,84 @@ TEST_F(RobustnessTest, DisconnectDuringRunFreesExecutorAndFds) {
   EXPECT_TRUE(poll_until([&] { return open_fd_count() <= fd_baseline; }))
       << "open fds: " << open_fd_count() << " baseline: " << fd_baseline
       << "\n" << dump_fds();
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST_F(RobustnessTest, ThreadsAreOneLoopTheExecutorsAndOneReaderPerClient) {
+  ServeOptions options = small_options("threads");
+  options.executors = 2;
+  const std::size_t before = thread_count();
+  Daemon daemon(std::move(options));
+  daemon.start();
+  // The housekeeping loop and two executors; nothing submitted, so the
+  // run thread pool does not grow.
+  EXPECT_EQ(thread_count(), before + 3);
+
+  Client client;
+  client.connect(daemon.options().socket_path);
+  client.ping();  // answered by the connection's reader thread
+  EXPECT_EQ(thread_count(), before + 4);
+  client.disconnect();
+  EXPECT_TRUE(poll_until([&] { return thread_count() == before + 3; }))
+      << thread_count() << " threads, " << before << " before start()";
+  daemon.stop();
+  EXPECT_EQ(thread_count(), before);
+}
+
+// ---------------------------------------------------------- metrics dump
+
+/// Whole-snapshot shape of a metrics dump file.
+bool is_dump_snapshot(const std::string& text) {
+  return text.rfind("{\"serve\":", 0) == 0 &&
+         text.find(",\"process\":") != std::string::npos &&
+         text.find(",\"trace\":") != std::string::npos &&
+         text.size() > 2 && text.compare(text.size() - 2, 2, "}\n") == 0;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST_F(RobustnessTest, MetricsDumpRewritesEveryPeriodAndOnceAtStop) {
+  const std::string path = unique_socket_path("dump") + ".json";
+  fs::remove(path);
+  {
+    ServeOptions options = small_options("dump");
+    options.metrics_dump_path = path;
+    options.metrics_dump_ms = 50;
+    DaemonFixture f(std::move(options));
+    // Each period replaces the file (temp file + rename) with a whole
+    // snapshot: remove it and it comes back.
+    for (int rewrite = 0; rewrite < 2; ++rewrite) {
+      ASSERT_TRUE(poll_until([&] { return fs::exists(path); }))
+          << "rewrite " << rewrite;
+      EXPECT_TRUE(is_dump_snapshot(read_file(path))) << read_file(path);
+      fs::remove(path);
+    }
+  }
+  fs::remove(path);  // the first daemon's final snapshot
+
+  // A period longer than the test: the only snapshot is stop()'s.
+  ServeOptions options = small_options("dump_final");
+  options.metrics_dump_path = path;
+  options.metrics_dump_ms = 600'000;
+  {
+    DaemonFixture f(std::move(options));
+    f.client.ping();
+    EXPECT_FALSE(fs::exists(path));
+  }
+  EXPECT_TRUE(is_dump_snapshot(read_file(path))) << read_file(path);
+  fs::remove(path);
 }
 
 // -------------------------------------- disk persistence across restart

@@ -1,11 +1,13 @@
 // The serving subsystem end to end: protocol parsing, the LRU results
 // cache, and a real in-process Daemon spoken to over its AF_UNIX socket —
 // admission, canonical-spec cache hits, cooperative cancellation,
-// backpressure, and error reporting.
+// backpressure, error reporting, and several runs multiplexed on one
+// client connection.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -399,6 +401,64 @@ TEST(Daemon, QueueFullRejectsWithRetryHint) {
 
   // Cancelling a queued (never started) run is acknowledged too.
   EXPECT_TRUE(f.client.cancel(a.id));
+}
+
+TEST(Daemon, RunsOnOneConnectionAreCollectedInEitherOrder) {
+  const std::string expected = direct_csv(kSmallSpec);
+  DaemonFixture f(small_options("multiplex"));
+  const Client::Submission warm = f.client.submit(kSmallSpec);
+  ASSERT_TRUE(warm.accepted) << warm.error;
+  ASSERT_EQ(f.client.collect(warm.id).status, "ok");
+
+  // A long run streams checkpoints while a cache hit's RESULT and DONE
+  // arrive behind it on the same connection.  Each collect(id) must pick
+  // out its own run's lines, whichever run is collected first.
+  for (const bool long_first : {true, false}) {
+    SCOPED_TRACE(long_first ? "long run collected first"
+                            : "cache hit collected first");
+    const Client::Submission long_run = f.client.submit(kLongSpec);
+    ASSERT_TRUE(long_run.accepted) << long_run.error;
+    const Client::Submission hit = f.client.submit(kSmallSpec);
+    ASSERT_TRUE(hit.accepted) << hit.error;
+
+    Client::RunOutput small;
+    if (!long_first) small = f.client.collect(hit.id);
+    // The run may finish on its own before the cancel lands.
+    f.client.cancel(long_run.id);
+    const Client::RunOutput cut = f.client.collect(long_run.id);
+    EXPECT_TRUE(cut.status == "cancelled" || cut.status == "ok") << cut.status;
+    if (long_first) small = f.client.collect(hit.id);
+
+    EXPECT_EQ(small.status, "ok") << small.error;
+    EXPECT_TRUE(small.cached);
+    EXPECT_EQ(small.csv, expected);
+  }
+  // Nothing is left over for the next command's reply.
+  const Client::Submission next = f.client.submit(kSmallSpecReordered);
+  ASSERT_TRUE(next.accepted) << next.error;
+  EXPECT_EQ(f.client.collect(next.id).csv, expected);
+}
+
+TEST(Daemon, RequestsWhileARunStreamsLeaveItsStreamWhole) {
+  DaemonFixture f(small_options("interleave"));
+  const Client::Submission sub = f.client.submit(kLongSpec);
+  ASSERT_TRUE(sub.accepted) << sub.error;
+
+  // Keep the connection busy with other requests while the run streams
+  // its checkpoints (and usually finishes) behind them.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    f.client.ping();
+    EXPECT_NE(f.client.stats().find("active="), std::string::npos);
+    EXPECT_NE(f.client.metrics().find("rdcn_serve_runs_total"),
+              std::string::npos);
+  }
+  const Client::RunOutput out = f.client.collect(sub.id);
+  EXPECT_EQ(out.status, "ok") << out.error;
+  EXPECT_EQ(out.checkpoints, 16u);  // checkpoints=16, one task
+  EXPECT_FALSE(out.csv.empty());
+  f.client.ping();
 }
 
 TEST(Daemon, ShutdownCommandUnblocksWait) {
