@@ -7,10 +7,13 @@
 // forcing flipped), so one run reports both columns without mutating
 // global dispatch state.  Note the dispatched wrappers keep rows of n <= 4
 // (argmin/find_u64) on an inline scalar fast path by design — at b=4 the
-// two columns are expected to tie.
+// two columns are expected to tie.  The JSON context records the ISA the
+// dispatched column ran at as `simd_isa`.
 //
 // Build/run: cmake --build build --target bench_micro_kernels &&
 //            build/bench/micro_kernels
+// The committed BENCH_kernels.json comes from the command in
+// bench/README.md (10 interleaved repetitions, median and cv per row).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -101,4 +104,12 @@ BENCHMARK(BM_FindKeySimd)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "simd_isa", rdcn::simd::isa_name(rdcn::simd::active_isa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

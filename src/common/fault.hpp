@@ -9,7 +9,7 @@
 //
 // The subsystem is inert by default and designed to cost nothing when
 // disabled: `fault::fire(point)` compiles to one relaxed atomic load and
-// a never-taken branch until something is armed (the perf gate's golden
+// a never-taken branch until something is armed (the golden ledger
 // anchors stay green with the hooks compiled in).  Only once a point is
 // armed does evaluation take the registry mutex.
 //

@@ -16,11 +16,10 @@
 // runtime CPUID dispatch — the library is built without -mavx2 so one
 // binary runs everywhere; vector code is gated behind per-function target
 // attributes.  A vector kernel stays only where it pays on the reference
-// host (perf_gate's kernel_argmin_speedup, micro_kernels' find rows).
+// host (BENCH_kernels.json, written by bench/micro_kernels).
 // Setting the environment variable RDCN_FORCE_SCALAR_KERNELS (to anything
 // but "0") pins the dispatch to the scalar reference; set_force_scalar()
-// flips it programmatically (tests and perf_gate measure both modes in one
-// process).
+// flips it programmatically (tests run both modes in one process).
 //
 // Every vector variant is bit-identical to its scalar reference on every
 // input (pinned by tests/simd_kernel_test.cpp on fuzzed rows, ties and

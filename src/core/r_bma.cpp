@@ -1,7 +1,5 @@
 #include "core/r_bma.hpp"
 
-#include "paging/predictive_marking.hpp"
-
 namespace rdcn::core {
 
 RBma::RBma(const Instance& instance, const RBmaOptions& options)
@@ -15,25 +13,14 @@ void RBma::build_engines() {
   engines_.clear();
   engines_.reserve(instance().num_racks());
   for (std::size_t v = 0; v < instance().num_racks(); ++v) {
-    if (options_.predictor != nullptr) {
-      DemandPredictor* predictor = options_.predictor.get();
-      engines_.push_back(std::make_unique<paging::PredictiveMarking>(
-          b(), master_rng_.split(v),
-          [predictor](paging::Key key) { return predictor->score(key); },
-          options_.prediction_trust));
-    } else {
-      engines_.push_back(paging::make_engine(options_.engine, b(),
-                                             master_rng_.split(v)));
-    }
+    engines_.push_back(
+        paging::make_engine(options_.engine, b(), master_rng_.split(v)));
   }
 }
 
 std::string RBma::name() const {
-  const std::string engine =
-      options_.predictor != nullptr
-          ? "predictive:" + options_.predictor->name()
-          : paging::engine_name(options_.engine);
-  return "r_bma[" + engine + (options_.lazy_eviction ? ",lazy]" : ",eager]");
+  return "r_bma[" + paging::engine_name(options_.engine) +
+         (options_.lazy_eviction ? ",lazy]" : ",eager]");
 }
 
 void RBma::reset() {
@@ -54,9 +41,6 @@ std::uint64_t RBma::total_paging_faults() const {
 void RBma::on_request(const Request& r, bool /*matched*/) {
   const std::uint64_t key = pair_key(r);
 
-  // Learning-augmented mode: the predictor sees the full stream.
-  if (options_.predictor != nullptr) options_.predictor->observe(key);
-
   // Theorem 1 reduction: act only on every ke-th request to this pair,
   // ke = ceil(alpha / dist).
   const std::uint64_t d = dist(r.u, r.v);
@@ -72,7 +56,6 @@ void RBma::on_request(const Request& r, bool /*matched*/) {
 void RBma::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
   const std::uint64_t a = alpha();
-  DemandPredictor* const predictor = options_.predictor.get();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& r = batch[i];
     // One-request lookahead: the Theorem 1 counter probe is the per-request
@@ -87,8 +70,6 @@ void RBma::serve_batch(std::span<const Request> batch) {
     acc.routing_cost += matched ? 1 : d;
     ++acc.requests;
     acc.direct_serves += matched ? 1 : 0;
-
-    if (predictor != nullptr) predictor->observe(key);
 
     const std::uint64_t ke = (a + d - 1) / d;
     PairCounter& state = *pairs_.try_emplace(key).first;

@@ -31,7 +31,6 @@
 #include "common/flat_hash.hpp"
 #include "common/rng.hpp"
 #include "core/online_matcher.hpp"
-#include "core/predictor.hpp"
 #include "paging/factory.hpp"
 
 namespace rdcn::core {
@@ -40,16 +39,6 @@ struct RBmaOptions {
   paging::EngineKind engine = paging::EngineKind::kMarking;
   bool lazy_eviction = true;
   std::uint64_t seed = 1;
-
-  /// Learning-augmented mode (the paper's §5 future-work direction): when
-  /// set, the per-rack engines become PredictiveMarking instances that
-  /// consult this predictor for eviction advice.  `engine` is ignored.
-  /// The predictor observes every request (not only special ones).
-  std::shared_ptr<DemandPredictor> predictor;
-  /// Probability of following the prediction on an eviction; the
-  /// remaining mass hedges with uniform-random marking evictions, which
-  /// preserves an O(log b / (1 - trust)) worst-case guarantee.
-  double prediction_trust = 0.8;
 };
 
 class RBma final : public OnlineBMatcher {

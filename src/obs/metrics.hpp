@@ -42,7 +42,7 @@ namespace detail {
 
 /// Stripe count for sharded cells.  Power of two; 8 stripes keeps the
 /// worst-case read cost trivial while spreading writers enough that the
-/// perf gate can't see the instrumentation.
+/// instrumentation stays below benchmark noise.
 inline constexpr std::size_t kStripes = 8;
 
 struct alignas(64) StripeCell {

@@ -5,13 +5,12 @@
 // child edges, and a span records (count, total_ns) into its node on
 // exit.  `collect_phases()` merges the per-thread trees by name path
 // into one aggregate, which renders as JSON (`--metrics-dump`) or as an
-// indented text report (`rdcn_sim --profile`, perf_gate's phase_profile).
+// indented text report (`rdcn_sim --profile`).
 //
 // Cost contract (the fault.hpp bar): tracing is OFF by default, and a
 // disabled ObsSpan is ONE relaxed atomic load — no clock read, no TLS
 // walk.  The simulator's chunk loop therefore pays one load per chunk
-// (4096 requests) when nobody is profiling, which the perf gate cannot
-// see.  Enabling tracing (set_tracing(true)) turns on clock reads and
+// (4096 requests) when nobody is profiling.  Enabling tracing (set_tracing(true)) turns on clock reads and
 // node bookkeeping; the daemon does this at start(), rdcn_sim does it
 // under --profile.
 //

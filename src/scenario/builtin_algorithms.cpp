@@ -1,7 +1,8 @@
 // Built-in algorithm entries: the complete portfolio of the paper's
 // evaluation (§3.1) plus the baselines grown around it.  Construction here
 // must stay behaviour-identical to direct constructor calls with default
-// options — bench/perf_gate.cpp pins this with 30 golden cost ledgers.
+// options — tests/golden_ledger_test.cpp pins this with 30 golden cost
+// ledgers.
 #include "core/bma.hpp"
 #include "core/greedy_online.hpp"
 #include "core/oblivious.hpp"
@@ -46,11 +47,7 @@ void register_builtin_algorithms(AlgorithmRegistry& registry) {
     e.params = {{"engine", "per-rack paging engine: " + engine_choices(),
                  "marking"},
                 {"eager", "eager (non-lazy) eviction from the matching",
-                 "false"},
-                {"trust",
-                 "probability of following predictions (learning-augmented "
-                 "mode only)",
-                 "0.8"}};
+                 "false"}};
     e.randomized = true;
     // The cost model's unit: the default 1 + 0·b (42–58 ns/request).
     e.build = [](const core::Instance& instance, const ParamMap& params,
@@ -58,7 +55,6 @@ void register_builtin_algorithms(AlgorithmRegistry& registry) {
       core::RBmaOptions options;
       options.engine = parse_engine_param(params);
       options.lazy_eviction = !params.get<bool>("eager", false);
-      options.prediction_trust = params.get<double>("trust", 0.8);
       options.seed = seed;
       return std::make_unique<core::RBma>(instance, options);
     };

@@ -29,7 +29,7 @@ namespace {
 
 /// Chunk-loop throughput counters (process-wide registry).  Bumped once
 /// per kServeChunk, so the cost is two striped relaxed adds per 4096
-/// requests — invisible to the perf gate.
+/// requests.
 struct SimCounters {
   obs::Counter& chunks;
   obs::Counter& requests;

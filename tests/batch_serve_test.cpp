@@ -2,8 +2,8 @@
 // (OnlineBMatcher::serve_batch + chunked run_simulation) must produce cost
 // ledgers bit-identical to the scalar serve() loop — for every registered
 // algorithm, across workload shapes and the full b range, at every
-// checkpoint.  This is the determinism contract that lets perf_gate treat
-// the batch path as a pure layout/scheduling optimization.
+// checkpoint.  This is the determinism contract that makes the batch path
+// a pure layout/scheduling optimization.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -199,8 +199,8 @@ TEST(BatchServe, OfflineDynamicWindowBoundariesStraddleBatchBoundaries) {
 }
 
 TEST(BatchServe, ResetAfterBatchedRunReplaysIdentically) {
-  // reset() must restore the exact initial state after a batched run, so
-  // perf_gate's repeated-measurement loop (run, reset, run) is sound.
+  // reset() must restore the exact initial state after a batched run, so a
+  // reused matcher replays identically (run, reset, run).
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(13);
   const trace::Trace t =

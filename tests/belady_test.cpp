@@ -1,11 +1,11 @@
 // Cross-validation of the offline paging optima (paging/belady.hpp,
-// paging/offline_opt.hpp) and optimality sanity against online engines.
+// tests/offline_opt.hpp) and optimality sanity against online engines.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "paging/belady.hpp"
 #include "paging/factory.hpp"
-#include "paging/offline_opt.hpp"
+#include "offline_opt.hpp"
 
 namespace {
 
@@ -84,7 +84,7 @@ TEST(OfflineOpt, BypassingWithinFactorTwoOfNonBypassing) {
 
 TEST(OfflineOpt, SequenceFittingInCacheFaultsOncePerKey) {
   const std::vector<Key> seq = {5, 6, 7, 5, 6, 7, 7, 6, 5};
-  EXPECT_EQ(optimal_faults(3, seq), 3u);
+  EXPECT_EQ(Belady::optimal_faults(3, seq), 3u);
   EXPECT_EQ(brute_force_faults(3, seq), 3u);
 }
 
@@ -92,7 +92,7 @@ TEST(OfflineOpt, AlternatingTwoKeysCapacityOne) {
   // 1 2 1 2 ... with capacity 1: every request faults for any algorithm.
   std::vector<Key> seq;
   for (int i = 0; i < 20; ++i) seq.push_back(1 + (i % 2));
-  EXPECT_EQ(optimal_faults(1, seq), 20u);
+  EXPECT_EQ(Belady::optimal_faults(1, seq), 20u);
 }
 
 TEST(Belady, ResetReplaysIdentically) {

@@ -7,10 +7,10 @@
 
 #include "common/rng.hpp"
 #include "core/bma.hpp"
-#include "core/opt_small.hpp"
 #include "core/r_bma.hpp"
 #include "net/distance_matrix.hpp"
 #include "trace/generators.hpp"
+#include "opt_small.hpp"
 #include "test_util.hpp"
 
 namespace {

@@ -1,5 +1,5 @@
 // Differential pass against the exact offline optimum: on tiny instances
-// (<= 6 racks, where core/opt_small.hpp enumerates the full matching state
+// (<= 6 racks, where tests/opt_small.hpp enumerates the full matching state
 // space) any online algorithm's total cost must be >= OPT.  Runs both
 // exhaustively (every trace over a small pair alphabet) and on randomized
 // instances sweeping topology, b, and α.
@@ -14,12 +14,12 @@
 #include "common/rng.hpp"
 #include "core/bma.hpp"
 #include "scenario/registry.hpp"
-#include "core/opt_small.hpp"
 #include "core/r_bma.hpp"
 #include "net/distance_matrix.hpp"
 #include "net/topology.hpp"
 #include "sim/parallel_runner.hpp"
 #include "trace/trace.hpp"
+#include "opt_small.hpp"
 #include "test_util.hpp"
 
 namespace {

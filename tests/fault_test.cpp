@@ -1,6 +1,6 @@
 // The fault-injection subsystem (common/fault.hpp): trigger semantics
 // (after/times/probability), spec-string and env arming, counters, and
-// the inert-by-default contract the perf gate relies on.
+// the inert-by-default contract the request path relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>

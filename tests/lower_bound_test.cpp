@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "core/adversarial.hpp"
 #include "core/bma.hpp"
-#include "core/opt_small.hpp"
 #include "core/r_bma.hpp"
 #include "net/topology.hpp"
 #include "trace/generators.hpp"

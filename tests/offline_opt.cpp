@@ -1,4 +1,4 @@
-#include "paging/offline_opt.hpp"
+#include "offline_opt.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -6,14 +6,8 @@
 
 #include "common/assert.hpp"
 #include "common/flat_hash.hpp"
-#include "paging/belady.hpp"
 
 namespace rdcn::paging {
-
-std::uint64_t optimal_faults(std::size_t capacity,
-                             const std::vector<Key>& sequence) {
-  return Belady::optimal_faults(capacity, sequence);
-}
 
 namespace {
 

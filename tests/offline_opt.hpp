@@ -1,6 +1,6 @@
-// rdcn: exact offline paging optima.
+// rdcn: exact offline paging optima for tiny universes (test oracles; the
+// optimum at any scale is paging::Belady).
 //
-// * `optimal_faults` — Belady (provably optimal, any scale).
 // * `brute_force_faults` — exponential DP over cache states, feasible only
 //   for tiny universes; exists purely to cross-validate Belady in tests.
 // * `optimal_faults_bypassing` — DP for the *bypassing* variant used by the
@@ -17,10 +17,6 @@
 #include "paging/paging_algorithm.hpp"
 
 namespace rdcn::paging {
-
-/// Optimal fault count for non-bypassing paging with cache `capacity`.
-std::uint64_t optimal_faults(std::size_t capacity,
-                             const std::vector<Key>& sequence);
 
 /// Exhaustive optimum; requires the universe of distinct keys to be tiny
 /// (asserts #distinct <= 12 and capacity <= 4).

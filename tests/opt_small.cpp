@@ -1,4 +1,4 @@
-#include "core/opt_small.hpp"
+#include "opt_small.hpp"
 
 #include <algorithm>
 #include <bit>

@@ -1,4 +1,4 @@
-// Tests for the exact dynamic offline optimum (core/opt_small.hpp) and the
+// Tests for the exact dynamic offline optimum (tests/opt_small.hpp) and the
 // empirical competitiveness checks built on it.
 #include <gtest/gtest.h>
 
@@ -6,9 +6,9 @@
 
 #include "common/rng.hpp"
 #include "scenario/registry.hpp"
-#include "core/opt_small.hpp"
 #include "net/distance_matrix.hpp"
 #include "trace/generators.hpp"
+#include "opt_small.hpp"
 #include "test_util.hpp"
 
 namespace {

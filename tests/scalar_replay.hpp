@@ -1,8 +1,8 @@
 // Reference scalar replay: one serve() call per request, the historical
 // execution mode.  It is the semantic baseline the batch differential
 // suites hold sim::run_simulation's chunked loop to (ledgers must be
-// bit-identical at every checkpoint), and perf_gate's denominator for the
-// batched-over-scalar speedup.  Wall-clock time covers serve() only.
+// bit-identical at every checkpoint), and one of the two paths every golden
+// ledger anchor is checked on.  Wall-clock time covers serve() only.
 #pragma once
 
 #include <algorithm>

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "net/topology.hpp"
@@ -154,12 +155,18 @@ TEST(Registries, UnknownNamesSuggestNearestMatch) {
 
 TEST(Registries, UnknownParametersAreRejectedWithSuggestion) {
   const auto d = net::DistanceMatrix::uniform(4, 1);
-  try {
-    scenario::make_algorithm("r_bma:enginee=lru", make_instance(d, 1, 1));
-    FAIL() << "expected SpecError";
-  } catch (const SpecError& e) {
-    EXPECT_NE(std::string(e.what()).find("did you mean 'engine'"),
-              std::string::npos);
+  const std::pair<const char*, const char*> cases[] = {
+      {"r_bma:enginee=lru", "did you mean 'engine'"},
+      {"r_bma:trust=0.8", "unknown parameter 'trust'"},
+  };
+  for (const auto& [spec, want] : cases) {
+    try {
+      scenario::make_algorithm(spec, make_instance(d, 1, 1));
+      ADD_FAILURE() << spec << ": expected SpecError";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
   }
   // Parameter-free components reject any parameter.
   EXPECT_THROW(scenario::make_algorithm("bma:x=1", make_instance(d, 1, 1)),

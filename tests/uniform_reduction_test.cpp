@@ -1,4 +1,4 @@
-// Tests for the Theorem 1 combinator (core/uniform_reduction.hpp): the
+// Tests for the Theorem 1 combinator (tests/uniform_reduction.hpp): the
 // fused R-BMA must be behaviourally identical to
 // UniformReduction(uniform R-BMA), and the Theorem 1 cost inequality must
 // hold run-by-run (RED-1/RED-3 in DESIGN.md).
@@ -7,11 +7,11 @@
 #include "common/rng.hpp"
 #include "core/bma.hpp"
 #include "core/r_bma.hpp"
-#include "core/uniform_reduction.hpp"
 #include "net/topology.hpp"
 #include "trace/facebook_like.hpp"
 #include "trace/generators.hpp"
 #include "test_util.hpp"
+#include "uniform_reduction.hpp"
 
 namespace {
 
