@@ -1,7 +1,11 @@
 // Micro-benchmarks for the hot-kernel library (common/simd.hpp): the
 // scalar reference vs the runtime-dispatched SIMD variant of each kernel,
 // at the row lengths the serve pipeline actually sees — b ∈ {4, 16, 64,
-// 256} for the BMA eviction-scan argmin and membership find.
+// 256} for the BMA eviction-scan argmin and membership find, and
+// n ∈ {9, 12, 16} for the rack-id find over b-matching adjacency rows
+// (BMatching::has uses it at degree_cap ≤ 16; the dispatched wrapper keeps
+// rows of n ≤ 8 on its inline scalar path, so only 9–16 reach the vector
+// kernel).
 //
 // The scalar side calls simd::scalar::* directly (not the dispatcher with
 // forcing flipped), so one run reports both columns without mutating
@@ -101,6 +105,36 @@ void BM_FindKeySimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FindKeySimd)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+/// Adjacency-row shape: distinct-ish rack ids, never 1 (the needle).
+std::vector<std::uint32_t> make_racks(std::size_t n) {
+  Xoshiro256 rng(55 + n);
+  std::vector<std::uint32_t> racks(n);
+  for (std::size_t i = 0; i < n; ++i)
+    racks[i] = static_cast<std::uint32_t>(2 + rng.next_below(1u << 20));
+  return racks;
+}
+
+void BM_FindRackScalar(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::uint32_t> racks = make_racks(n);
+  // Needle absent — full row walk, as for BM_FindKey*.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simd::scalar::find_u32(racks.data(), n, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FindRackScalar)->Arg(9)->Arg(12)->Arg(16);
+
+void BM_FindRackSimd(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::uint32_t> racks = make_racks(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simd::find_u32(racks.data(), n, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FindRackSimd)->Arg(9)->Arg(12)->Arg(16);
 
 }  // namespace
 

@@ -20,9 +20,7 @@
 //     hash), so they can never collide with kEmptyTag;
 //   * backward-shift deletion moves tags in lockstep with slots, so there
 //     are no tombstones and the two arrays always agree.
-//
-// Keys are required to be != kEmptyKey (0xFFFF'FFFF'FFFF'FFFF), which edge
-// ids never are (see core/types.hpp).
+// Occupancy lives only in the tags, so every 64-bit value is a valid key.
 #pragma once
 
 #include <algorithm>
@@ -30,8 +28,6 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "common/assert.hpp"
 
 namespace rdcn {
 
@@ -57,8 +53,6 @@ inline std::uint64_t mix64(std::uint64_t k) noexcept {
 template <typename V>
 class FlatMap {
  public:
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
   FlatMap() { rehash(16); }
   explicit FlatMap(std::size_t capacity_hint) {
     std::size_t cap = 16;
@@ -71,14 +65,12 @@ class FlatMap {
 
   void clear() {
     std::fill(tags_.begin(), tags_.end(), kEmptyTag);
-    for (auto& s : slots_) s.key = kEmptyKey;  // key-scrub invariant
     size_ = 0;
   }
 
   /// Single-probe upsert: returns {pointer to value, inserted?}; the value
   /// is default-constructed when newly inserted.
   std::pair<V*, bool> try_emplace(std::uint64_t key) {
-    RDCN_DCHECK(key != kEmptyKey);
     maybe_grow();
     const std::uint64_t h = detail::mix64(key);
     const std::uint8_t tag = tag_of(h);
@@ -120,45 +112,6 @@ class FlatMap {
     return find(key) != nullptr;
   }
 
-  /// Sentinel for "no cached slot" (see find_index / at_index).
-  /// Out-of-range values (including kNoSlot truncated to any width) simply
-  /// fail at_index validation, so callers may store indexes narrowed to
-  /// uint32 as long as the table stays below 2^32 slots.
-  static constexpr std::size_t kNoSlot = ~std::size_t{0};
-
-  /// Like find(), but returns the slot index of `key` (kNoSlot if absent).
-  /// The index stays valid until a rehash, or until a backward-shifting
-  /// erase displaces the entry — callers must therefore treat it as a
-  /// *hint* and re-validate through at_index().
-  std::size_t find_index(std::uint64_t key) const noexcept {
-    const std::uint64_t h = detail::mix64(key);
-    const std::uint8_t tag = tag_of(h);
-    std::size_t i = h & mask_;
-    while (true) {
-      const std::uint8_t t = tags_[i];
-      if (t == tag && slots_[i].key == key) return i;
-      if (t == kEmptyTag) return kNoSlot;
-      i = next(i);
-    }
-  }
-
-  /// Validated O(1) access through a cached slot index: returns the value
-  /// iff `index` currently holds `key` (i.e. the hint is still fresh),
-  /// nullptr otherwise — never a stale or deleted entry, because
-  /// unoccupied slots always carry kEmptyKey (see the key-scrub invariant
-  /// in erase/clear/rehash), so a single key compare decides validity.
-  /// This skips the hash mix and probe walk entirely, which is what makes
-  /// BMA's Θ(b) eviction scan cheap: the scan caches one slot index per
-  /// incident matching edge.
-  V* at_index(std::size_t index, std::uint64_t key) noexcept {
-    RDCN_DCHECK(key != kEmptyKey);
-    if (index > mask_ || slots_[index].key != key) return nullptr;
-    return &slots_[index].value;
-  }
-  const V* at_index(std::size_t index, std::uint64_t key) const noexcept {
-    return const_cast<FlatMap*>(this)->at_index(index, key);
-  }
-
   /// Removes `key` if present; returns whether it was present.
   bool erase(std::uint64_t key) noexcept {
     const std::uint64_t h = detail::mix64(key);
@@ -188,7 +141,6 @@ class FlatMap {
       j = next(j);
     }
     tags_[hole] = kEmptyTag;
-    slots_[hole].key = kEmptyKey;  // key-scrub invariant (see at_index)
     --size_;
     return true;
   }
@@ -227,9 +179,7 @@ class FlatMap {
   static constexpr std::uint8_t kEmptyTag = 0;
 
   struct Slot {
-    // Unoccupied slots must hold kEmptyKey (the key-scrub invariant), so
-    // at_index() can validate a cached slot index with one key compare.
-    std::uint64_t key = kEmptyKey;
+    std::uint64_t key = 0;
     V value{};
   };
 

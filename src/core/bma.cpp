@@ -1,7 +1,5 @@
 #include "core/bma.hpp"
 
-#include <algorithm>
-
 namespace rdcn::core {
 
 void Bma::on_request(const Request& r, bool matched) {
@@ -17,17 +15,17 @@ void Bma::on_request(const Request& r, bool matched) {
   RDCN_DCHECK(rows_.size(r.v) == matching_view().degree(r.v));
   const RackRows::ScanResult su = rows_.scan(r.u, key);
   const RackRows::ScanResult sv = rows_.scan(r.v, key);
-  eviction_candidate_[r.u] = su.victim_key;
-  eviction_candidate_[r.v] = sv.victim_key;
 
   if (matched) {
     // A matched pair is incident to both endpoints, so the scans above
     // already located its row entries — no extra probe.
-    bump_matched(r, key, su.request_index, sv.request_index);
+    rows_.bump_usage(r.u, su.request_index);
+    rows_.bump_usage(r.v, sv.request_index);
     return;
   }
 
-  charge_and_maybe_admit(r, key, dist(r.u, r.v));
+  charge_and_maybe_admit(r, key, dist(r.u, r.v), su.victim_key,
+                         sv.victim_key);
 }
 
 void Bma::serve_batch(std::span<const Request> batch) {
@@ -35,11 +33,11 @@ void Bma::serve_batch(std::span<const Request> batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& r = batch[i];
     // One-request lookahead (only a batch knows its future): pull the next
-    // request's pair record and incident row columns toward the cache
+    // request's charge entry and incident row columns toward the cache
     // while the current scans run.  Advisory only — no semantic effect.
     if (i + 1 < batch.size()) {
       const Request& next = batch[i + 1];
-      pairs_.prefetch(pair_key(next));
+      charges_.prefetch(pair_key(next));
       rows_.prefetch(next.u);
       rows_.prefetch(next.v);
     }
@@ -48,8 +46,6 @@ void Bma::serve_batch(std::span<const Request> batch) {
     const std::uint64_t key = pair_key(r);
     const RackRows::ScanResult su = rows_.scan(r.u, key);
     const RackRows::ScanResult sv = rows_.scan(r.v, key);
-    eviction_candidate_[r.u] = su.victim_key;
-    eviction_candidate_[r.v] = sv.victim_key;
     ++acc.requests;
     // The rack rows mirror the matching adjacency (both mutate only at
     // admission/eviction), so the pair is matched iff a scan found its key
@@ -61,74 +57,43 @@ void Bma::serve_batch(std::span<const Request> batch) {
     if (su.request_index != RackRows::kNone) {
       acc.routing_cost += 1;
       ++acc.direct_serves;
-      bump_matched(r, key, su.request_index, sv.request_index);
+      rows_.bump_usage(r.u, su.request_index);
+      rows_.bump_usage(r.v, sv.request_index);
       continue;
     }
     const std::uint64_t d = dist(r.u, r.v);
     acc.routing_cost += d;
-    charge_and_maybe_admit(r, key, d);
+    charge_and_maybe_admit(r, key, d, su.victim_key, sv.victim_key);
   }
   commit_routing(acc);
 }
 
-void Bma::bump_matched(const Request& r, std::uint64_t key,
-                       std::size_t index_u, std::size_t index_v) {
-  RDCN_DCHECK(index_u != RackRows::kNone && index_v != RackRows::kNone);
-  rows_.bump_usage(r.u, index_u);
-  rows_.bump_usage(r.v, index_v);
-  // Keep the map's record authoritative: one validated O(1) slot access
-  // (FlatMap::at_index), with a real find() as the fallback when the
-  // cached hint went stale (rehash or backward-shift).
-  std::uint32_t& slot = rows_.slot_at(r.u, index_u);
-  PairState* s = pairs_.at_index(slot, key);
-  if (s == nullptr) {
-    const std::size_t index = pairs_.find_index(key);
-    slot = static_cast<std::uint32_t>(index);
-    s = pairs_.at_index(index, key);
-    RDCN_DCHECK(s != nullptr);
-  }
-  ++s->usage;
-  // Mirror invariant: both row copies track the map record exactly.
-  RDCN_DCHECK(s->usage == rows_.usage_at(r.u, index_u));
-  RDCN_DCHECK(s->usage == rows_.usage_at(r.v, index_v));
-}
-
 void Bma::charge_and_maybe_admit(const Request& r, std::uint64_t key,
-                                 std::uint64_t d) {
-  PairState& s = *pairs_.try_emplace(key).first;
-  s.charge += d;
-  if (s.charge < alpha()) return;
+                                 std::uint64_t d, std::uint64_t victim_u,
+                                 std::uint64_t victim_v) {
+  std::uint64_t& charge = *charges_.try_emplace(key).first;
+  charge += d;
+  if (charge < alpha()) return;
 
-  // The pair has paid α in fixed-network routing: admit it.
-  if (matching_view().full(r.u)) evict_at(r.u);
-  if (matching_view().full(r.v)) evict_at(r.v);
+  // The pair has paid α in fixed-network routing: admit it.  It is
+  // unmatched, so an eviction at one endpoint removes an edge that is not
+  // in the other endpoint's row, and both scanned victims stay current.
+  charges_.erase(key);
+  if (matching_view().full(r.u)) evict(victim_u);
+  if (matching_view().full(r.v)) evict(victim_v);
   add_matching_edge(r.u, r.v);
-  // Eviction above may have backward-shifted the map; re-resolve the slot.
-  const std::size_t slot = pairs_.find_index(key);
-  PairState& admitted = *pairs_.at_index(slot, key);
-  admitted.charge = 0;
-  admitted.usage = 0;
-  admitted.admitted_at = clock_;
-  rows_.admit(r.u, key, static_cast<std::uint32_t>(slot), clock_);
-  rows_.admit(r.v, key, static_cast<std::uint32_t>(slot), clock_);
+  rows_.admit(r.u, key, clock_);
+  rows_.admit(r.v, key, clock_);
 }
 
-void Bma::evict_at(Rack w) {
-  std::uint64_t victim_key = eviction_candidate_[w];
-  // The cached candidate can be stale (evicted from the other endpoint in
-  // this very step); rescan if so.  kNoCandidate (0) is never a pair key,
-  // so the rescan's membership side-channel stays empty.
-  if (victim_key == kNoCandidate || !matching_view().has_key(victim_key)) {
-    victim_key = rows_.scan(w, kNoCandidate).victim_key;
-  }
-  RDCN_ASSERT_MSG(victim_key != kNoCandidate,
-                  "evict_at on rack with no matching edges");
-  pairs_.erase(victim_key);
-  remove_matching_edge_key(victim_key);
-  [[maybe_unused]] const bool lo = rows_.evict(pair_lo(victim_key), victim_key);
-  [[maybe_unused]] const bool hi = rows_.evict(pair_hi(victim_key), victim_key);
+void Bma::evict(std::uint64_t victim) {
+  // A scan of an empty row yields 0, which is never a pair key.
+  RDCN_ASSERT_MSG(victim != 0, "evict on rack with no matching edges");
+  RDCN_DCHECK(matching_view().has_key(victim));
+  remove_matching_edge_key(victim);
+  [[maybe_unused]] const bool lo = rows_.evict(pair_lo(victim), victim);
+  [[maybe_unused]] const bool hi = rows_.evict(pair_hi(victim), victim);
   RDCN_DCHECK(lo && hi);
-  eviction_candidate_[w] = kNoCandidate;
 }
 
 }  // namespace rdcn::core

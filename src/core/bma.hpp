@@ -14,30 +14,25 @@
 //     edge with the lowest usage counter (direct serves since admission,
 //     ties broken by age) is evicted, and its counter restarts from zero.
 //
-// Per-request cost profile: following the paper's reference implementation
-// (and to keep admission O(1)), BMA maintains the eviction candidate at
-// each endpoint eagerly — every request re-scans the ≤ b incident matching
-// edges of both endpoints to refresh the candidate.  This Θ(b)
-// request-path scan — which the randomized algorithm does not need — is
-// the mechanistic source of BMA's runtime growth with b seen in the
-// paper's Figs 1b–4b.
+// Per-request cost profile: following the paper's reference implementation,
+// every request re-scans the ≤ b incident matching edges of both endpoints
+// for their eviction candidates.  This Θ(b) request-path scan — which the
+// randomized algorithm does not need — is the mechanistic source of BMA's
+// runtime growth with b seen in the paper's Figs 1b–4b.
 //
-// Since PR 5 the scan runs entirely over *resident SoA rack rows*
-// (core/rack_rows.hpp): each rack keeps dense keys[] / usage[] /
-// admitted_at[] columns mirroring its incident matching edges, written
-// through at every mutation point (admission, eviction, direct-serve
-// usage bump), so the scan is two streaming SIMD kernels
-// (simd::argmin_u64_pair + simd::find_u64) with zero hash probes and zero
-// pointer-chasing.  The FlatMap<PairState> remains the source of truth
-// for lookups (charge accounting); only the matched-request usage bump
-// touches it, through a validated cached-slot hint.  Admission clock
-// ticks are unique, so the scan's argmin victim is unique and neither row
-// order nor SIMD lane order can affect the ledger.
+// Where each fact lives:
+//   * a matched edge's key, usage and admission tick: the rack rows of its
+//     two endpoints (core/rack_rows.hpp), so the scan is two streaming SIMD
+//     kernels with no hash probe.  The rows equal the matching adjacency,
+//     and a direct serve bumps the usage in both rows;
+//   * an unmatched pair's charge: `charges_`.  A pair's entry is erased
+//     when it is admitted, so an evicted pair starts again from zero.
+// Admission ticks are unique, so the scan's victim is unique and neither
+// row order nor SIMD lane order can affect the ledger.
 #pragma once
 
 #include "common/flat_hash.hpp"
 #include "core/online_matcher.hpp"
-#include "core/pair_state.hpp"
 #include "core/rack_rows.hpp"
 
 namespace rdcn::core {
@@ -45,9 +40,7 @@ namespace rdcn::core {
 class Bma final : public OnlineBMatcher {
  public:
   explicit Bma(const Instance& instance)
-      : OnlineBMatcher(instance),
-        eviction_candidate_(instance.num_racks(), kNoCandidate),
-        rows_(instance.num_racks()) {}
+      : OnlineBMatcher(instance), rows_(instance.num_racks()) {}
 
   std::string name() const override { return "bma"; }
 
@@ -61,42 +54,32 @@ class Bma final : public OnlineBMatcher {
 
   void reset() override {
     OnlineBMatcher::reset();
-    pairs_.clear();
-    std::fill(eviction_candidate_.begin(), eviction_candidate_.end(),
-              kNoCandidate);
+    charges_.clear();
     rows_.clear();
     clock_ = 0;
   }
 
   /// Test hook: accumulated charge toward admission for pair key.
   std::uint64_t charge(std::uint64_t key) const {
-    const PairState* s = pairs_.find(key);
-    return s != nullptr ? s->charge : 0;
+    const std::uint64_t* c = charges_.find(key);
+    return c != nullptr ? *c : 0;
   }
 
  private:
-  static constexpr std::uint64_t kNoCandidate = 0;
-
   void on_request(const Request& r, bool matched) override;
 
-  /// Matched-request tail: bumps the mirrored usage columns at both
-  /// endpoint rows (the scans captured the row indices) and the
-  /// authoritative map record via its validated slot hint.
-  void bump_matched(const Request& r, std::uint64_t key,
-                    std::size_t index_u, std::size_t index_v);
-
   /// Shared non-matched tail of the request path: accumulates `d` into the
-  /// pair's counter and admits the pair once it has paid α (evicting at
-  /// full endpoints).  `d` must equal dist(r.u, r.v).
+  /// pair's charge and admits the pair once it has paid α, evicting the
+  /// scans' victim at each full endpoint.  `d` must equal dist(r.u, r.v).
   void charge_and_maybe_admit(const Request& r, std::uint64_t key,
-                              std::uint64_t d);
+                              std::uint64_t d, std::uint64_t victim_u,
+                              std::uint64_t victim_v);
 
-  /// Evicts the cached candidate at w (falls back to a scan if stale).
-  void evict_at(Rack w);
+  /// Removes the matched edge `victim` from the matching and both its rows.
+  void evict(std::uint64_t victim);
 
-  FlatMap<PairState> pairs_;  ///< unified per-pair state (source of truth)
-  std::vector<std::uint64_t> eviction_candidate_;  ///< per-rack victim key
-  RackRows rows_;  ///< scan-resident SoA mirror of the incident edges
+  FlatMap<std::uint64_t> charges_;  ///< charge of each unmatched pair
+  RackRows rows_;                   ///< incident matching edges per rack
   std::uint64_t clock_ = 0;
 };
 

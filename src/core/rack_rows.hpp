@@ -1,31 +1,24 @@
-// rdcn: resident SoA rack rows — the scan-side mirror of the per-pair map.
+// rdcn: BMA's per-rack rows — the matching edges incident to each rack.
 //
-// PR 2 gave BMA dense per-rack {key, slot} rows so its Θ(b) eviction scan
-// could skip the hash probe, but every scan step still pointer-chased the
-// cached slot into the FlatMap to read {usage, admitted_at}: at b = 64 a
-// request paid ~2×64 dependent cache-line loads.  This structure finishes
-// the SoA progression (the same one PR 4 applied to traces): everything
-// the scan reads now lives in dense per-rack *columns*
+// Each rack keeps one dense row of its incident matching edges, stored as
+// columns
 //
 //   keys[]         canonical pair ids of the incident matching edges,
-//   usage[]        direct serves since admission (mirrored at BOTH
-//                  endpoints of an edge — a bump writes both rows),
+//   usage[]        direct serves since admission (kept at BOTH endpoints
+//                  of an edge — a direct serve bumps both rows),
 //   admitted_at[]  admission clock tick,
-//   slot[]         cached FlatMap slot hint (validated on use; only the
-//                  matched-request bump touches the map at all),
 //
-// so the scan is two streaming kernel calls over contiguous memory
+// so BMA's Θ(b) scan is two streaming kernel calls over contiguous memory
 // (simd::argmin_u64_pair over usage/admitted_at, simd::find_u64 over keys)
-// and zero map probes.  The FlatMap remains the source of truth for
-// lookups (charge accounting, existence); the rows are a write-through
-// mirror, updated at every mutation point — admission, eviction, and the
-// direct-serve usage bump.  Columns keep 16 inline entries so the paper's
-// b range (3–18) stays off the heap.
+// and no hash probe.  The rows are the only home of these three facts;
+// they change at admission, eviction and the direct-serve usage bump.
+// Columns keep 16 inline entries so the paper's b range (3–18) stays off
+// the heap.
 //
-// Row order is maintained identically to the historical AoS rows
-// (push_back on admission, swap-erase on eviction), and admission ticks
-// are unique, so the lexicographic (usage, admitted_at) argmin has a
-// unique winner and iteration/lane order cannot affect the ledger.
+// Rows grow by push_back on admission and shrink by swap-erase on
+// eviction, and admission ticks are unique, so the lexicographic
+// (usage, admitted_at) argmin has a unique winner and iteration/lane order
+// cannot affect the ledger.
 #pragma once
 
 #include <cstdint>
@@ -69,14 +62,12 @@ class RackRows {
   }
 
   /// Appends the freshly admitted edge at endpoint `w` (usage 0, admission
-  /// tick `now`, map slot hint `slot`).
-  void admit(Rack w, std::uint64_t key, std::uint32_t slot,
-             std::uint64_t now) {
+  /// tick `now`).
+  void admit(Rack w, std::uint64_t key, std::uint64_t now) {
     Row& row = rows_[w];
     row.keys.push_back(key);
     row.usage.push_back(0);
     row.admitted_at.push_back(now);
-    row.slot.push_back(slot);
   }
 
   /// Swap-erases `key` from the row at `w`; returns whether it was found.
@@ -88,27 +79,13 @@ class RackRows {
     row.keys.swap_erase(i);
     row.usage.swap_erase(i);
     row.admitted_at.swap_erase(i);
-    row.slot.swap_erase(i);
     return true;
   }
 
-  /// Direct-serve bump of the mirrored usage counter at one endpoint.
+  /// Direct-serve bump of the edge's usage counter at one endpoint.
   void bump_usage(Rack w, std::size_t index) noexcept {
     RDCN_DCHECK(index < rows_[w].usage.size());
     ++rows_[w].usage[index];
-  }
-
-  std::uint64_t key_at(Rack w, std::size_t index) const noexcept {
-    return rows_[w].keys[index];
-  }
-  std::uint64_t usage_at(Rack w, std::size_t index) const noexcept {
-    return rows_[w].usage[index];
-  }
-
-  /// Cached FlatMap slot hint (mutable: callers revalidate through
-  /// FlatMap::at_index and refresh a stale hint in place).
-  std::uint32_t& slot_at(Rack w, std::size_t index) noexcept {
-    return rows_[w].slot[index];
   }
 
   /// Hints the cache that `w`'s scan columns are about to be read.
@@ -125,7 +102,6 @@ class RackRows {
       row.keys.clear();
       row.usage.clear();
       row.admitted_at.clear();
-      row.slot.clear();
     }
   }
 
@@ -136,7 +112,6 @@ class RackRows {
     SmallVector<std::uint64_t, 16> keys;
     SmallVector<std::uint64_t, 16> usage;
     SmallVector<std::uint64_t, 16> admitted_at;
-    SmallVector<std::uint32_t, 16> slot;
   };
 
   std::vector<Row> rows_;

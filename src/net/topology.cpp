@@ -27,9 +27,14 @@ Topology finish(std::string name, Graph g, std::vector<NodeId> racks) {
   return t;
 }
 
-}  // namespace
+/// The k-ary fat-tree's switch graph and its k²/2 racks (edge switches,
+/// pod-major), before the distance matrix is built.
+struct FatTree {
+  Graph graph;
+  std::vector<NodeId> racks;
+};
 
-Topology make_fat_tree_k(std::size_t k) {
+FatTree fat_tree_graph(std::size_t k) {
   require(k >= 2 && k % 2 == 0, "fat_tree",
           "parameter 'k' must be even and >= 2, got " + std::to_string(k));
   const std::size_t half = k / 2;
@@ -68,21 +73,25 @@ Topology make_fat_tree_k(std::size_t k) {
     for (std::size_t e = 0; e < edge_per_pod; ++e)
       racks.push_back(edge_sw(pod, e));
 
-  return finish("fat_tree_k" + std::to_string(k), std::move(g),
-                std::move(racks));
+  return {std::move(g), std::move(racks)};
+}
+
+}  // namespace
+
+Topology make_fat_tree_k(std::size_t k) {
+  FatTree t = fat_tree_graph(k);
+  return finish("fat_tree_k" + std::to_string(k), std::move(t.graph),
+                std::move(t.racks));
 }
 
 Topology make_fat_tree(std::size_t num_racks) {
   require(num_racks >= 2, "fat_tree", "needs at least 2 racks");
   std::size_t k = 2;
   while (k * k / 2 < num_racks) k += 2;
-  Topology t = make_fat_tree_k(k);
-  if (t.racks.size() > num_racks) {
-    t.racks.resize(num_racks);
-    t.distances = DistanceMatrix(t.graph, t.racks);
-  }
-  t.name = "fat_tree_n" + std::to_string(num_racks);
-  return t;
+  FatTree t = fat_tree_graph(k);
+  t.racks.resize(num_racks);
+  return finish("fat_tree_n" + std::to_string(num_racks), std::move(t.graph),
+                std::move(t.racks));
 }
 
 Topology make_leaf_spine(std::size_t num_racks, std::size_t num_spines) {

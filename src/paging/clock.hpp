@@ -2,6 +2,7 @@
 // by real VM systems; included as an ablation engine for R-BMA.
 #pragma once
 
+#include "common/simd.hpp"
 #include "paging/paging_algorithm.hpp"
 
 namespace rdcn::paging {
@@ -18,15 +19,15 @@ class ClockPaging final : public PagingAlgorithm {
     PagingAlgorithm::reset();
     ring_.clear();
     ref_.clear();
-    index_.clear();
     hand_ = 0;
   }
 
  protected:
   void on_hit(Key key) override {
-    const std::uint32_t* s = index_.find(key);
-    RDCN_DCHECK(s != nullptr);
-    ref_[*s] = 1;
+    // ring_ holds exactly the cached keys, each once.
+    const std::size_t i = simd::find_u64(ring_.data(), ring_.size(), key);
+    RDCN_DCHECK(i != simd::kNpos);
+    ref_[i] = 1;
   }
 
   void on_fault(Key key, std::vector<Key>& evicted) override {
@@ -38,13 +39,10 @@ class ClockPaging final : public PagingAlgorithm {
       }
       const Key victim = ring_[hand_];
       evict_from_cache(victim, evicted);
-      index_.erase(victim);
       ring_[hand_] = key;
       ref_[hand_] = 1;
-      index_[key] = static_cast<std::uint32_t>(hand_);
       hand_ = (hand_ + 1) % ring_.size();
     } else {
-      index_[key] = static_cast<std::uint32_t>(ring_.size());
       ring_.push_back(key);
       ref_.push_back(1);
     }
@@ -53,7 +51,6 @@ class ClockPaging final : public PagingAlgorithm {
  private:
   std::vector<Key> ring_;
   std::vector<std::uint8_t> ref_;
-  FlatMap<std::uint32_t> index_;
   std::size_t hand_ = 0;
 };
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "paging/paging_algorithm.hpp"
 
 namespace rdcn::paging {
@@ -26,7 +27,6 @@ class Marking final : public PagingAlgorithm {
   void reset() override {
     PagingAlgorithm::reset();
     unmarked_.clear();
-    pos_.clear();
     phases_ = 0;
   }
 
@@ -35,7 +35,7 @@ class Marking final : public PagingAlgorithm {
   std::uint64_t phases() const noexcept { return phases_; }
 
   bool is_marked(Key key) const noexcept {
-    return contains(key) && !pos_.contains(key);
+    return contains(key) && find_unmarked(key) == simd::kNpos;
   }
 
  protected:
@@ -47,10 +47,7 @@ class Marking final : public PagingAlgorithm {
         // New phase: clear all marks.  All currently cached keys become
         // eviction candidates again.
         ++phases_;
-        for (Key k : cached_keys()) {
-          pos_[k] = unmarked_.size();
-          unmarked_.push_back(k);
-        }
+        unmarked_ = cached_keys();
       }
       // Evict a uniformly random unmarked key.
       const std::size_t i = rng_.next_below(unmarked_.size());
@@ -63,23 +60,22 @@ class Marking final : public PagingAlgorithm {
   }
 
  private:
+  std::size_t find_unmarked(Key key) const noexcept {
+    return simd::find_u64(unmarked_.data(), unmarked_.size(), key);
+  }
+
   void mark(Key key) {
-    const std::size_t* p = pos_.find(key);
-    if (p != nullptr) remove_unmarked_at(*p);
+    const std::size_t i = find_unmarked(key);
+    if (i != simd::kNpos) remove_unmarked_at(i);
   }
 
   void remove_unmarked_at(std::size_t i) {
-    const Key victim = unmarked_[i];
-    const Key last = unmarked_.back();
-    unmarked_[i] = last;
+    unmarked_[i] = unmarked_.back();
     unmarked_.pop_back();
-    if (last != victim) pos_[last] = i;
-    pos_.erase(victim);
   }
 
   Xoshiro256 rng_;
-  std::vector<Key> unmarked_;        // unmarked keys, unordered
-  FlatMap<std::size_t> pos_;         // key -> index in unmarked_
+  std::vector<Key> unmarked_;  // unmarked keys (each once), unordered
   std::uint64_t phases_ = 0;
 };
 

@@ -20,7 +20,6 @@ class RandomEviction final : public PagingAlgorithm {
   void reset() override {
     PagingAlgorithm::reset();
     keys_.clear();
-    pos_.clear();
   }
 
  protected:
@@ -28,21 +27,16 @@ class RandomEviction final : public PagingAlgorithm {
     if (cache_full()) {
       const std::size_t i = rng_.next_below(keys_.size());
       const Key victim = keys_[i];
-      const Key last = keys_.back();
-      keys_[i] = last;
+      keys_[i] = keys_.back();
       keys_.pop_back();
-      if (last != victim) pos_[last] = i;
-      pos_.erase(victim);
       evict_from_cache(victim, evicted);
     }
-    pos_[key] = keys_.size();
     keys_.push_back(key);
   }
 
  private:
   Xoshiro256 rng_;
-  std::vector<Key> keys_;
-  FlatMap<std::size_t> pos_;
+  std::vector<Key> keys_;  // cached keys, unordered
 };
 
 }  // namespace rdcn::paging

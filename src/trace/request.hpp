@@ -25,7 +25,6 @@ struct Request {
 };
 
 /// Canonical 64-bit id of an unordered pair: (min << 32) | max.
-/// Never equals FlatMap::kEmptyKey because rack ids are < 2^32 - 1.
 inline std::uint64_t pair_key(Rack a, Rack b) noexcept {
   RDCN_DCHECK(a != b);
   const Rack lo = a < b ? a : b;

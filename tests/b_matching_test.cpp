@@ -102,7 +102,9 @@ TEST(BMatching, InvariantsHoldUnderRandomChurn) {
     } else if (!m.full(u) && !m.full(v)) {
       m.add(u, v);
     }
-    if (step % 1000 == 0) ASSERT_TRUE(m.check_invariants());
+    if (step % 1000 == 0) {
+      ASSERT_TRUE(m.check_invariants());
+    }
   }
   EXPECT_TRUE(m.check_invariants());
 }

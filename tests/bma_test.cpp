@@ -80,6 +80,30 @@ TEST(Bma, TieBreakEvictsOldest) {
   EXPECT_TRUE(bma.matching().has(0, 3));
 }
 
+TEST(Bma, EvictedPairRepaysAlphaFromZero) {
+  const auto d = net::DistanceMatrix::uniform(3, 2);
+  Bma bma(uniform_instance(d, 1, 4));  // two 2-hop requests admit
+  const Request r01 = Request::make(0, 1);
+  bma.serve(r01);
+  bma.serve(r01);
+  ASSERT_TRUE(bma.matching().has(0, 1));
+  // {0,2} pays α, and rack 0's only slot goes to it: {0,1} is evicted.
+  bma.serve(Request::make(0, 2));
+  bma.serve(Request::make(0, 2));
+  ASSERT_TRUE(bma.matching().has(0, 2));
+  ASSERT_FALSE(bma.matching().has(0, 1));
+  EXPECT_EQ(bma.charge(pair_key(0, 1)), 0u);
+  // The evicted pair's counter restarts from zero: α again to come back.
+  bma.serve(r01);
+  EXPECT_EQ(bma.charge(pair_key(0, 1)), 2u);
+  EXPECT_FALSE(bma.matching().has(0, 1));
+  bma.serve(r01);
+  EXPECT_TRUE(bma.matching().has(0, 1));
+  EXPECT_FALSE(bma.matching().has(0, 2));
+  EXPECT_EQ(bma.costs().edge_adds, 3u);
+  EXPECT_EQ(bma.costs().edge_removals, 2u);
+}
+
 TEST(Bma, IsDeterministic) {
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(3);

@@ -1,7 +1,9 @@
-// The 30 golden ledger anchors: the check that pins algorithm ledgers on
+// The golden ledger anchors: the check that pins algorithm ledgers on
 // realistic traces.  Fixed-seed Facebook-like (database cluster) and
 // Microsoft-like traces on a 100-rack fat-tree (2·10^5 requests, α = 60)
-// run through bma, r_bma, so_bma, greedy and oblivious at b ∈ {4, 16, 64}.
+// run through bma, r_bma, so_bma, greedy and oblivious at b ∈ {4, 16, 64}
+// (30 anchors), and through r_bma:eager and r_bma with each other paging
+// engine at b = 16 (16 more).
 // Each cell's final ledger must equal its anchor on all four execution
 // paths: the per-request serve() loop and the batched serve_batch
 // pipeline, each with SIMD kernels and with kernel dispatch forced to the
@@ -9,13 +11,14 @@
 // RDCN_FORCE_SCALAR_KERNELS says, and restores the ambient mode after
 // each cell.
 //
-// Matchers are built through the scenario registry with default
-// parameters, so the anchors also pin that the registry path is
-// behaviour-identical to direct construction.  The anchors were captured
-// at the seed commit; an intentional behaviour change that moves one must
-// regenerate the table in the same change.
+// Matchers are built through the scenario registry from their spec
+// strings, so the anchors also pin that the registry path is
+// behaviour-identical to direct construction.  An intentional behaviour
+// change that moves an anchor must regenerate the table in the same
+// change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
@@ -39,9 +42,10 @@ constexpr std::size_t kRequests = 200'000;
 constexpr std::uint64_t kAlpha = 60;
 constexpr std::uint64_t kSeed = 42;
 
-// Golden cost ledgers captured from the pre-overhaul implementation (seed
-// commit) with the exact trace/instance parameters above.  Every entry is
-// {routing_cost, reconfig_cost, edge_adds, edge_removals}.
+// Golden cost ledgers captured with the exact trace/instance parameters
+// above: the 30 rows of the five default algorithms at the seed commit, the
+// 16 r_bma rows with `eager` or a non-default `engine` at commit 08ea990.
+// Every entry is {routing_cost, reconfig_cost, edge_adds, edge_removals}.
 struct Golden {
   const char* trace;
   const char* algorithm;
@@ -83,6 +87,37 @@ constexpr Golden kGolden[] = {
     {"microsoft", "so_bma", 64, 244624ull, 168060ull, 2801ull, 0ull},
     {"microsoft", "greedy", 64, 273810ull, 176940ull, 2949ull, 0ull},
     {"microsoft", "oblivious", 64, 778026ull, 0ull, 0ull, 0ull},
+    // R-BMA's eager mode and non-default paging engines at b = 16.
+    {"facebook_db", "r_bma:eager", 16, 387260ull, 211080ull, 2049ull, 1469ull},
+    {"facebook_db", "r_bma:engine=lru", 16, 384539ull, 192840ull,
+     1974ull, 1240ull},
+    {"facebook_db", "r_bma:engine=fifo", 16, 388534ull, 213060ull,
+     2146ull, 1405ull},
+    {"facebook_db", "r_bma:engine=clock", 16, 385164ull, 196380ull,
+     2008ull, 1265ull},
+    {"facebook_db", "r_bma:engine=random", 16, 390257ull, 221280ull,
+     2217ull, 1471ull},
+    {"facebook_db", "r_bma:engine=flush_when_full", 16, 386699ull, 203820ull,
+     2073ull, 1324ull},
+    {"facebook_db", "r_bma:engine=lfu", 16, 411339ull, 287820ull,
+     2762ull, 2035ull},
+    {"facebook_db", "r_bma:engine=arc", 16, 385503ull, 194520ull,
+     1989ull, 1253ull},
+    {"microsoft", "r_bma:eager", 16, 488643ull, 850980ull, 7195ull, 6988ull},
+    {"microsoft", "r_bma:engine=lru", 16, 475680ull, 811860ull,
+     6895ull, 6636ull},
+    {"microsoft", "r_bma:engine=fifo", 16, 504678ull, 934500ull,
+     7920ull, 7655ull},
+    {"microsoft", "r_bma:engine=clock", 16, 483681ull, 866760ull,
+     7354ull, 7092ull},
+    {"microsoft", "r_bma:engine=random", 16, 507071ull, 880440ull,
+     7471ull, 7203ull},
+    {"microsoft", "r_bma:engine=flush_when_full", 16, 491078ull, 859620ull,
+     7299ull, 7028ull},
+    {"microsoft", "r_bma:engine=lfu", 16, 454340ull, 608460ull,
+     5200ull, 4941ull},
+    {"microsoft", "r_bma:engine=arc", 16, 437406ull, 553380ull,
+     4726ull, 4497ull},
 };
 
 void PrintTo(const Golden& g, std::ostream* os) {
@@ -168,8 +203,15 @@ TEST_P(GoldenLedger, EveryPathAndDispatchModeMatchesTheAnchor) {
 INSTANTIATE_TEST_SUITE_P(
     Anchors, GoldenLedger, ::testing::ValuesIn(kGolden),
     [](const ::testing::TestParamInfo<Golden>& info) {
-      return std::string(info.param.trace) + "_" + info.param.algorithm +
-             "_b" + std::to_string(info.param.b);
+      // gtest names allow only [A-Za-z0-9_]: "r_bma:engine=lru" becomes
+      // "r_bma_engine_lru".
+      std::string name = std::string(info.param.trace) + "_" +
+                         info.param.algorithm + "_b" +
+                         std::to_string(info.param.b);
+      std::replace_if(
+          name.begin(), name.end(),
+          [](char c) { return c == ':' || c == '='; }, '_');
+      return name;
     });
 
 }  // namespace

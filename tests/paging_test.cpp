@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "paging/belady.hpp"
+#include "paging/clock.hpp"
 #include "paging/factory.hpp"
 #include "paging/lru.hpp"
 #include "paging/marking.hpp"
@@ -84,6 +85,15 @@ TEST(Marking, PhaseCountMatchesDistinctKeyBlocks) {
   // the first block fills the cache.
   drive(m, {1, 2, 3, 4, 5, 6});
   EXPECT_EQ(m.phases(), 2u);
+}
+
+TEST(ClockPaging, SecondChanceSparesReferencedKey) {
+  ClockPaging clock(3);
+  // 4 sweeps every reference bit clear and evicts 1; the hit on 2 sets
+  // its bit again, so 5 passes over 2 and evicts 3.
+  EXPECT_EQ(drive(clock, {1, 2, 3, 4, 2, 5}), (std::vector<Key>{1, 3}));
+  EXPECT_TRUE(clock.contains(2));
+  EXPECT_EQ(clock.hits(), 1u);
 }
 
 TEST(Belady, FaultsMatchHandComputedExample) {

@@ -145,7 +145,9 @@ TEST(ZipfSampler, PmfIsNormalizedAndMonotone) {
   double total = 0.0;
   for (std::size_t i = 0; i < 100; ++i) {
     total += zipf.pmf(i);
-    if (i > 0) EXPECT_LE(zipf.pmf(i), zipf.pmf(i - 1) + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(zipf.pmf(i), zipf.pmf(i - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }

@@ -76,7 +76,9 @@ TEST(SimdKernels, ArgminPairMatchesScalarOnFuzzedRows) {
         const std::size_t got =
             simd::argmin_u64_pair(primary.data(), secondary.data(), n);
         ASSERT_EQ(got, want) << "n=" << n << " round=" << round;
-        if (n == 0) EXPECT_EQ(got, simd::kNpos);
+        if (n == 0) {
+          EXPECT_EQ(got, simd::kNpos);
+        }
       }
       // Large distinct values near the 2^63 contract boundary.
       std::vector<std::uint64_t> primary(n), secondary(n);

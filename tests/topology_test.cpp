@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "common/rng.hpp"
 #include "net/topology.hpp"
@@ -39,6 +40,23 @@ TEST(FatTree, RequestedRackCountIsHonored) {
       EXPECT_GE(t.distances(i, j), 2);
       EXPECT_LE(t.distances(i, j), 4);
     }
+}
+
+TEST(FatTree, TrimmedTreeKeepsTheFullTreesDistances) {
+  // make_fat_tree(n) builds the smallest k-ary tree with n racks and keeps
+  // its first n racks: n = 2, 7, 100, 129 trim the k = 2, 4, 16, 18 trees.
+  for (const std::uint32_t n : {2u, 7u, 100u, 129u}) {
+    std::size_t k = 2;
+    while (k * k / 2 < n) k += 2;
+    const Topology t = make_fat_tree(n);
+    const Topology full = make_fat_tree_k(k);
+    ASSERT_EQ(t.num_racks(), n);
+    EXPECT_EQ(t.name, "fat_tree_n" + std::to_string(n));
+    for (std::uint32_t i = 0; i < n; ++i)
+      for (std::uint32_t j = 0; j < n; ++j)
+        ASSERT_EQ(t.distances(i, j), full.distances(i, j))
+            << "n=" << n << " i=" << i << " j=" << j;
+  }
 }
 
 TEST(FatTree, FiftyRackInstanceForMicrosoftExperiments) {
@@ -137,7 +155,9 @@ TEST_P(TopologyMetricTest, DistancesFormAMetric) {
     EXPECT_EQ(t.distances(i, i), 0);
     for (std::uint32_t j = 0; j < n; ++j) {
       EXPECT_EQ(t.distances(i, j), t.distances(j, i));
-      if (i != j) EXPECT_GE(t.distances(i, j), 1);
+      if (i != j) {
+        EXPECT_GE(t.distances(i, j), 1);
+      }
     }
   }
   for (std::uint32_t i = 0; i < n; ++i)
