@@ -24,8 +24,11 @@ int main(int argc, char** argv) {
                            : trace::FacebookCluster::kWebService,
         racks, num_requests, rng));
     std::printf("-- workload: %s --\n", workload);
-    for (const char* engine : {"marking", "lru", "clock", "arc", "lfu",
-                               "fifo", "random", "flush_when_full"}) {
+    using paging::EngineKind;
+    for (const EngineKind engine :
+         {EngineKind::kMarking, EngineKind::kLru, EngineKind::kClock,
+          EngineKind::kArc, EngineKind::kLfu, EngineKind::kFifo,
+          EngineKind::kRandom, EngineKind::kFlushWhenFull}) {
       core::Instance inst;
       inst.distances = &topo.distances;
       inst.b = b;
@@ -34,7 +37,7 @@ int main(int argc, char** argv) {
       const int seeds = 3;
       for (int s = 1; s <= seeds; ++s) {
         core::RBmaOptions opts;
-        opts.engine = paging::parse_engine(engine);
+        opts.engine = engine;
         opts.seed = static_cast<std::uint64_t>(s);
         core::RBma alg(inst, opts);
         for (const core::Request& r : t) alg.serve(r);
@@ -42,7 +45,8 @@ int main(int argc, char** argv) {
         reconfig += static_cast<double>(alg.costs().reconfig_cost);
         direct += alg.costs().direct_fraction();
       }
-      std::printf("%18s %14.0f %14.0f %14.0f %12.3f\n", engine,
+      std::printf("%18s %14.0f %14.0f %14.0f %12.3f\n",
+                  paging::engine_name(engine).c_str(),
                   routing / seeds, reconfig / seeds,
                   (routing + reconfig) / seeds, direct / seeds);
     }

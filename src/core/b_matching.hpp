@@ -78,11 +78,6 @@ class BMatching {
     RDCN_ASSERT(ru && rv);
   }
 
-  void clear() {
-    edges_.clear();
-    for (auto& adj : adjacency_) adj.clear();
-  }
-
   /// All matching edges as canonical pair keys (order unspecified).
   std::vector<std::uint64_t> edge_keys() const {
     std::vector<std::uint64_t> keys;

@@ -2,32 +2,6 @@
 
 namespace rdcn::core {
 
-void Bma::on_request(const Request& r, bool matched) {
-  ++clock_;
-  const std::uint64_t key = pair_key(r);
-
-  // Request-path bookkeeping (see header): every request can change the
-  // usage ranking at its endpoints (a direct serve bumps the served edge;
-  // a fixed-network serve moves a pair toward admission), so the reference
-  // implementation refreshes the eviction candidate at both endpoints on
-  // every request.  This is the Θ(b) component of BMA's per-request cost.
-  RDCN_DCHECK(rows_.size(r.u) == matching_view().degree(r.u));
-  RDCN_DCHECK(rows_.size(r.v) == matching_view().degree(r.v));
-  const RackRows::ScanResult su = rows_.scan(r.u, key);
-  const RackRows::ScanResult sv = rows_.scan(r.v, key);
-
-  if (matched) {
-    // A matched pair is incident to both endpoints, so the scans above
-    // already located its row entries — no extra probe.
-    rows_.bump_usage(r.u, su.request_index);
-    rows_.bump_usage(r.v, sv.request_index);
-    return;
-  }
-
-  charge_and_maybe_admit(r, key, dist(r.u, r.v), su.victim_key,
-                         sv.victim_key);
-}
-
 void Bma::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -44,6 +18,13 @@ void Bma::serve_batch(std::span<const Request> batch) {
     RDCN_DCHECK(r.u != r.v);
     ++clock_;
     const std::uint64_t key = pair_key(r);
+    // Request-path bookkeeping (see header): every request can change the
+    // usage ranking at its endpoints (a direct serve bumps the served edge;
+    // a fixed-network serve moves a pair toward admission), so the reference
+    // implementation refreshes the eviction candidate at both endpoints on
+    // every request.  This is the Θ(b) component of BMA's per-request cost.
+    RDCN_DCHECK(rows_.size(r.u) == matching_view().degree(r.u));
+    RDCN_DCHECK(rows_.size(r.v) == matching_view().degree(r.v));
     const RackRows::ScanResult su = rows_.scan(r.u, key);
     const RackRows::ScanResult sv = rows_.scan(r.v, key);
     ++acc.requests;

@@ -9,7 +9,7 @@
 //     c[e] — the routing cost paid on the fixed network since e last
 //     left/missed the matching;
 //   * when c[e] reaches the reconfiguration cost α, the edge has "paid its
-//     dues" and is admitted to M (c[e] resets);
+//     dues" and is admitted to M (c[e] returns to zero);
 //   * if admission pushes an endpoint over degree b, the incident matching
 //     edge with the lowest usage counter (direct serves since admission,
 //     ties broken by age) is evicted, and its counter restarts from zero.
@@ -44,20 +44,11 @@ class Bma final : public OnlineBMatcher {
 
   std::string name() const override { return "bma"; }
 
-  /// Devirtualized chunk loop.  Beyond skipping the per-request virtual
-  /// dispatch, it *fuses* the matched-membership check into the two
-  /// eviction-candidate scans: the rack rows mirror the matching adjacency
-  /// exactly, so the request's pair is matched iff one of the scans found
-  /// its key — the separate adjacency probe serve() pays disappears
-  /// entirely.
+  /// Devirtualized chunk loop.  It *fuses* the matched-membership check
+  /// into the two eviction-candidate scans: the rack rows mirror the
+  /// matching adjacency exactly, so the request's pair is matched iff one
+  /// of the scans found its key, and no separate adjacency probe is paid.
   void serve_batch(std::span<const Request> batch) override;
-
-  void reset() override {
-    OnlineBMatcher::reset();
-    charges_.clear();
-    rows_.clear();
-    clock_ = 0;
-  }
 
   /// Test hook: accumulated charge toward admission for pair key.
   std::uint64_t charge(std::uint64_t key) const {
@@ -66,9 +57,7 @@ class Bma final : public OnlineBMatcher {
   }
 
  private:
-  void on_request(const Request& r, bool matched) override;
-
-  /// Shared non-matched tail of the request path: accumulates `d` into the
+  /// Non-matched tail of the request path: accumulates `d` into the
   /// pair's charge and admits the pair once it has paid α, evicting the
   /// scans' victim at each full endpoint.  `d` must equal dist(r.u, r.v).
   void charge_and_maybe_admit(const Request& r, std::uint64_t key,

@@ -21,15 +21,6 @@ class GreedyOnline final : public OnlineBMatcher {
   /// Devirtualized chunk loop: membership, routing accumulation, and the
   /// spare-degree install test in one pass, one distance load per request.
   void serve_batch(std::span<const Request> batch) override;
-
- private:
-  void on_request(const Request& r, bool matched) override {
-    if (matched) return;
-    if (!matching_view().full(r.u) && !matching_view().full(r.v) &&
-        dist(r.u, r.v) > 1) {
-      add_matching_edge(r.u, r.v);
-    }
-  }
 };
 
 }  // namespace rdcn::core

@@ -14,12 +14,9 @@ class Oblivious final : public OnlineBMatcher {
   std::string name() const override { return "oblivious"; }
 
   /// Devirtualized chunk loop: the matching is permanently empty (nothing
-  /// ever calls the mutators), so a batch is a straight sum of distances —
-  /// no membership probe, no virtual no-op call.
+  /// ever calls the mutators), so a batch is a straight sum of distances
+  /// with no membership probe.
   void serve_batch(std::span<const Request> batch) override;
-
- private:
-  void on_request(const Request&, bool) override {}
 };
 
 }  // namespace rdcn::core

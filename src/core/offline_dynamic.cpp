@@ -75,22 +75,14 @@ void OfflineDynamic::apply_plan(std::size_t w) {
   }
 }
 
-void OfflineDynamic::on_request(const Request&, bool) {
-  ++served_;
-  if (served_ % window_ == 0 && next_plan_ < plans_.size()) {
-    apply_plan(next_plan_);
-    ++next_plan_;
-  }
-}
-
 void OfflineDynamic::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
   const BMatching& m = matching_view();
   std::size_t i = 0;
   while (i < batch.size()) {
-    // Requests left in the current epoch: serve() switches plans after the
-    // request that completes a window, so a run never crosses a plan
-    // application and the matching is constant over it.
+    // Requests left in the current epoch: plans switch after the request
+    // that completes a window, so a run never crosses a plan application
+    // and the matching is constant over it.
     const std::size_t run = std::min<std::size_t>(
         batch.size() - i, window_ - static_cast<std::size_t>(served_ % window_));
     for (std::size_t j = i; j < i + run; ++j) {
@@ -109,13 +101,6 @@ void OfflineDynamic::serve_batch(std::span<const Request> batch) {
     }
   }
   commit_routing(acc);
-}
-
-void OfflineDynamic::reset() {
-  OnlineBMatcher::reset();
-  served_ = 0;
-  if (!plans_.empty()) apply_plan(0);
-  next_plan_ = 1;
 }
 
 }  // namespace rdcn::core

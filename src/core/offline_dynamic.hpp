@@ -42,17 +42,13 @@ class OfflineDynamic final : public OnlineBMatcher {
   /// Devirtualized chunk loop: processes the batch in window-sized runs —
   /// the matching only changes at epoch boundaries, so the inner loop is
   /// pure membership + routing accumulation with no per-request epoch
-  /// arithmetic.  Bit-identical to the serve() loop (pinned by the batch
-  /// differential suite).
+  /// arithmetic.  The ledger does not depend on how the trace is split
+  /// into batches (pinned by the batch differential suite).
   void serve_batch(std::span<const Request> batch) override;
-
-  void reset() override;
 
   std::size_t num_windows() const noexcept { return plans_.size(); }
 
  private:
-  void on_request(const Request& r, bool matched) override;
-
   /// Applies plan `w` (diff against the current matching).
   void apply_plan(std::size_t w);
 

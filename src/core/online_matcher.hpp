@@ -1,11 +1,14 @@
 // rdcn: the online b-matching algorithm interface.
 //
-// serve() implements the cost model of §1.1 exactly:
+// Each matcher has one serve path, serve_batch(), which implements the
+// cost model of §1.1 exactly for every request of the span, in order:
 //   1. the request is routed with the *current* matching — cost 1 if
 //      {s,t} ∈ M, else ℓ_{s,t} on the fixed network;
 //   2. the algorithm may then reconfigure; every edge added to or removed
 //      from M costs α (accounted automatically by the protected mutators,
 //      so no subclass can cheat the ledger).
+// A matcher starts from its constructor's state; a new run builds a new
+// matcher.
 #pragma once
 
 #include <memory>
@@ -28,26 +31,15 @@ class OnlineBMatcher {
   OnlineBMatcher(const OnlineBMatcher&) = delete;
   OnlineBMatcher& operator=(const OnlineBMatcher&) = delete;
 
-  /// Serves one request end-to-end (routing + reconfiguration accounting).
-  void serve(const Request& r) {
-    RDCN_DCHECK(r.u != r.v);
-    const bool matched = matching_.has(r.u, r.v);
-    costs_.routing_cost += matched ? 1 : instance_.dist(r.u, r.v);
-    costs_.requests += 1;
-    costs_.direct_serves += matched ? 1 : 0;
-    on_request(r, matched);
-  }
+  /// Serves a contiguous chunk of requests, each routed with the *current*
+  /// matching before the algorithm reconfigures.  How the span is split
+  /// never changes the ledger: serving it in one call or request by
+  /// request leaves bit-identical costs.  One virtual dispatch per chunk
+  /// lets each matcher run a devirtualized inner loop.
+  virtual void serve_batch(std::span<const Request> batch) = 0;
 
-  /// Serves a contiguous chunk of requests.  Semantically equivalent to
-  /// calling serve() per request — the ledger after the batch is
-  /// bit-identical — but overridable so the hot algorithms can run a
-  /// devirtualized inner loop (one virtual dispatch per chunk instead of
-  /// one per request, routing accumulation in registers, hoisted instance
-  /// state).  Overrides must preserve the cost model exactly: route with
-  /// the *current* matching first, then reconfigure.
-  virtual void serve_batch(std::span<const Request> batch) {
-    for (const Request& r : batch) serve(r);
-  }
+  /// Serves one request: a one-request batch.
+  void serve(const Request& r) { serve_batch({&r, 1}); }
 
   const BMatching& matching() const noexcept { return matching_; }
   const CostStats& costs() const noexcept { return costs_; }
@@ -55,21 +47,11 @@ class OnlineBMatcher {
 
   virtual std::string name() const = 0;
 
-  /// Returns to the initial (empty-matching, zero-cost) state.
-  virtual void reset() {
-    matching_.clear();
-    costs_ = CostStats{};
-  }
-
  protected:
-  /// Algorithm step after the request was routed.  `matched` tells whether
-  /// it was served on a matching edge.
-  virtual void on_request(const Request& r, bool matched) = 0;
-
-  /// Chunk-local routing ledger for serve_batch overrides: the per-request
-  /// routing fields accumulate in registers and are committed once per
-  /// chunk.  Integer sums are associative, so a commit at the chunk
-  /// boundary leaves CostStats bit-identical to per-request accounting
+  /// Chunk-local routing ledger for serve_batch: the per-request routing
+  /// fields accumulate in registers and are committed once per chunk.
+  /// Integer sums are associative, so a commit at the chunk boundary
+  /// leaves CostStats bit-identical to per-request accounting
   /// (reconfiguration costs still book immediately via the mutators).
   struct RoutingDelta {
     std::uint64_t routing_cost = 0;

@@ -1,20 +1,16 @@
 #include "core/r_bma.hpp"
 
+#include "common/rng.hpp"
+
 namespace rdcn::core {
 
 RBma::RBma(const Instance& instance, const RBmaOptions& options)
-    : OnlineBMatcher(instance),
-      options_(options),
-      master_rng_(options.seed) {
-  build_engines();
-}
-
-void RBma::build_engines() {
-  engines_.clear();
-  engines_.reserve(instance().num_racks());
-  for (std::size_t v = 0; v < instance().num_racks(); ++v) {
+    : OnlineBMatcher(instance), options_(options) {
+  Xoshiro256 master_rng(options.seed);
+  engines_.reserve(instance.num_racks());
+  for (std::size_t v = 0; v < instance.num_racks(); ++v) {
     engines_.push_back(
-        paging::make_engine(options_.engine, b(), master_rng_.split(v)));
+        paging::make_engine(options.engine, b(), master_rng.split(v)));
   }
 }
 
@@ -23,34 +19,10 @@ std::string RBma::name() const {
          (options_.lazy_eviction ? ",lazy]" : ",eager]");
 }
 
-void RBma::reset() {
-  OnlineBMatcher::reset();
-  master_rng_ = Xoshiro256(options_.seed);
-  build_engines();
-  pairs_.clear();
-  marked_count_ = 0;
-  specials_ = 0;
-}
-
 std::uint64_t RBma::total_paging_faults() const {
   std::uint64_t faults = 0;
   for (const auto& e : engines_) faults += e->faults();
   return faults;
-}
-
-void RBma::on_request(const Request& r, bool /*matched*/) {
-  const std::uint64_t key = pair_key(r);
-
-  // Theorem 1 reduction: act only on every ke-th request to this pair,
-  // ke = ceil(alpha / dist).
-  const std::uint64_t d = dist(r.u, r.v);
-  const std::uint64_t ke = (alpha() + d - 1) / d;
-  PairCounter& state = *pairs_.try_emplace(key).first;
-  if (++state.counter < ke) return;
-  state.counter = 0;
-  ++specials_;
-
-  special_request(r, key);
 }
 
 void RBma::serve_batch(std::span<const Request> batch) {
@@ -64,13 +36,15 @@ void RBma::serve_batch(std::span<const Request> batch) {
     RDCN_DCHECK(r.u != r.v);
     const std::uint64_t key = pair_key(r);
     // Route with the current matching (membership checked before any
-    // reconfiguration below, exactly as serve() does).
+    // reconfiguration below).
     const bool matched = matching_view().has(r.u, r.v);
     const std::uint64_t d = dist(r.u, r.v);
     acc.routing_cost += matched ? 1 : d;
     ++acc.requests;
     acc.direct_serves += matched ? 1 : 0;
 
+    // Theorem 1 reduction: act only on every ke-th request to this pair,
+    // ke = ceil(alpha / dist).
     const std::uint64_t ke = (a + d - 1) / d;
     PairCounter& state = *pairs_.try_emplace(key).first;
     if (++state.counter < ke) continue;
@@ -139,20 +113,24 @@ void RBma::prune_marked_at(Rack w) {
 }
 
 bool RBma::check_intersection_invariant() const {
-  bool ok = true;
-  // Every unmarked matching edge must be cached at both endpoints.
+  // Every unmarked matching edge is cached at both endpoints...
   for (const std::uint64_t key : matching_view().edge_keys()) {
     if (marked_for_removal(key)) continue;
-    const Rack lo = pair_lo(key), hi = pair_hi(key);
-    if (!engines_[lo]->contains(key) || !engines_[hi]->contains(key))
-      ok = false;
+    if (!engines_[pair_lo(key)]->contains(key) ||
+        !engines_[pair_hi(key)]->contains(key))
+      return false;
   }
-  if (!options_.lazy_eviction) {
-    // Eager mode: marked set must be empty and the invariant is two-sided —
-    // spot-check that doubly-cached pairs that are matched are exact.
-    if (marked_count_ != 0) ok = false;
+  // ...and every pair cached at both endpoints is an unmarked matching
+  // edge.  Each pair is checked once, from its lower endpoint.
+  for (std::size_t w = 0; w < engines_.size(); ++w) {
+    for (const paging::Key key : engines_[w]->cached_keys()) {
+      if (pair_lo(key) != w || !engines_[pair_hi(key)]->contains(key))
+        continue;
+      if (!matching_view().has_key(key) || marked_for_removal(key))
+        return false;
+    }
   }
-  return ok;
+  return options_.lazy_eviction || marked_count_ == 0;
 }
 
 }  // namespace rdcn::core

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/flat_hash.hpp"
-#include "common/rng.hpp"
 #include "core/online_matcher.hpp"
 #include "paging/factory.hpp"
 
@@ -48,14 +47,9 @@ class RBma final : public OnlineBMatcher {
   std::string name() const override;
 
   /// Devirtualized chunk loop: one matching-membership probe and one
-  /// distance load per request (serve() pays the distance load twice —
-  /// once for routing, once for the Theorem 1 counter threshold), with
-  /// routing accumulation committed per chunk.  RNG draws happen in
-  /// exactly the scalar order, so ledgers and engine states stay
-  /// bit-identical.
+  /// distance load per request, shared by routing and the Theorem 1
+  /// counter threshold, with routing accumulation committed per chunk.
   void serve_batch(std::span<const Request> batch) override;
-
-  void reset() override;
 
   /// Diagnostics: total special requests forwarded to paging engines.
   std::uint64_t special_requests() const noexcept { return specials_; }
@@ -77,10 +71,10 @@ class RBma final : public OnlineBMatcher {
   /// Test hook: number of matching edges currently marked for lazy removal.
   std::size_t marked_count() const noexcept { return marked_count_; }
 
-  /// Verifies the Theorem 2 intersection invariant (strict form under
-  /// eager eviction; under lazy eviction every unmarked matched edge must
-  /// be in both caches, and every doubly-cached requested pair that is
-  /// matched must be unmarked).  O(edges); test use.
+  /// Verifies the Theorem 2 intersection invariant in both directions: a
+  /// pair is an unmarked matching edge iff it is cached at both endpoints
+  /// (eager eviction never marks, so there it is the strict form).
+  /// O(edges + racks·b); test use.
   bool check_intersection_invariant() const;
 
  private:
@@ -93,13 +87,9 @@ class RBma final : public OnlineBMatcher {
     bool marked = false;        ///< lazily-removed matching edge?
   };
 
-  void on_request(const Request& r, bool matched) override;
-
   /// Theorem 2 step for a special request: forward to both endpoint
   /// engines, process evictions, re-establish the intersection invariant.
   void special_request(const Request& r, std::uint64_t key);
-
-  void build_engines();
 
   /// Flips the mark on `s`, keeping the running marked-edge count exact.
   void set_marked(PairCounter& s, bool marked) {
@@ -124,7 +114,6 @@ class RBma final : public OnlineBMatcher {
   void prune_marked_at(Rack w);
 
   RBmaOptions options_;
-  Xoshiro256 master_rng_;
   std::vector<std::unique_ptr<paging::PagingAlgorithm>> engines_;
   FlatMap<PairCounter> pairs_;  ///< unified per-pair state (one probe)
   std::size_t marked_count_ = 0;

@@ -97,14 +97,6 @@ class RackRows {
     __builtin_prefetch(row.admitted_at.data());
   }
 
-  void clear() noexcept {
-    for (Row& row : rows_) {
-      row.keys.clear();
-      row.usage.clear();
-      row.admitted_at.clear();
-    }
-  }
-
  private:
   /// Inline capacity 16 per column keeps the paper's b range off the heap;
   /// the columns of one row grow and shrink in lockstep.

@@ -67,14 +67,6 @@ void Rotor::install_slot(std::size_t slot) {
   });
 }
 
-void Rotor::on_request(const Request&, bool) {
-  if (++served_in_slot_ >= options_.slot_length) {
-    served_in_slot_ = 0;
-    current_slot_ = (current_slot_ + 1) % schedule_.size();
-    install_slot(current_slot_);
-  }
-}
-
 void Rotor::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
   const BMatching& m = matching_view();
@@ -82,8 +74,8 @@ void Rotor::serve_batch(std::span<const Request> batch) {
   while (i < batch.size()) {
     // Requests left in the current rotor slot: the matching is constant
     // over this run, so the slot counter moves once per run instead of
-    // once per request.  serve() advances the switches after the request
-    // that fills the slot, so a run never crosses an install.
+    // once per request.  The switches advance after the request that
+    // fills the slot, so a run never crosses an install.
     const std::size_t run = std::min(batch.size() - i,
                                      options_.slot_length - served_in_slot_);
     for (std::size_t j = i; j < i + run; ++j) {
@@ -103,13 +95,6 @@ void Rotor::serve_batch(std::span<const Request> batch) {
     }
   }
   commit_routing(acc);
-}
-
-void Rotor::reset() {
-  OnlineBMatcher::reset();
-  current_slot_ = 0;
-  served_in_slot_ = 0;
-  install_slot(0);
 }
 
 }  // namespace rdcn::core

@@ -39,18 +39,15 @@ class Rotor final : public OnlineBMatcher {
   /// Devirtualized chunk loop: processes the batch in slot-sized runs —
   /// between two switch advances the schedule state is constant, so the
   /// inner loop carries no per-request slot arithmetic, only the
-  /// membership check and routing accumulation.  Bit-identical to the
-  /// serve() loop (pinned by the batch differential suite).
+  /// membership check and routing accumulation.  The ledger does not
+  /// depend on how the trace is split into batches (pinned by the batch
+  /// differential suite).
   void serve_batch(std::span<const Request> batch) override;
-
-  void reset() override;
 
   /// Number of distinct matchings in the schedule (n-1 for even n).
   std::size_t schedule_length() const noexcept { return schedule_.size(); }
 
  private:
-  void on_request(const Request& r, bool matched) override;
-
   void build_schedule();
   void install_slot(std::size_t slot);
 

@@ -22,30 +22,25 @@ SoBma::SoBma(const Instance& inst, const trace::Trace& full_trace,
   });
 
   const std::size_t cap = inst.offline_degree();
-  chosen_ = greedy_b_matching(inst.num_racks(), cap, edges);
+  std::vector<std::uint64_t> chosen =
+      greedy_b_matching(inst.num_racks(), cap, edges);
   if (options.local_search) {
-    chosen_ = local_search_b_matching(inst.num_racks(), cap, edges,
-                                      std::move(chosen_),
-                                      options.local_search_passes);
+    chosen = local_search_b_matching(inst.num_racks(), cap, edges,
+                                     std::move(chosen),
+                                     options.local_search_passes);
   }
-  install();
-}
-
-void SoBma::install() {
-  for (std::uint64_t key : chosen_) {
+  for (std::uint64_t key : chosen) {
     // Note: installation is bounded by offline_degree() <= b, so the
     // online matching structure (cap b) always accepts it.
     add_matching_edge(pair_lo(key), pair_hi(key));
   }
 
   // Freeze membership into a dense bitset (the matching never changes
-  // until the next reset/install).  Both orientations are set so the
-  // serve loop needs no min/max.
-  const std::size_t n = instance().num_racks();
-  matched_bits_.clear();
+  // again).  Both orientations are set so the serve loop needs no min/max.
+  const std::size_t n = inst.num_racks();
   if (n * n <= std::size_t{64} << 20) {  // cap the table at 8 MiB
     matched_bits_.assign((n * n + 63) / 64, 0);
-    for (std::uint64_t key : chosen_) {
+    for (std::uint64_t key : chosen) {
       const std::size_t u = pair_lo(key), v = pair_hi(key);
       matched_bits_[(u * n + v) >> 6] |= std::uint64_t{1} << ((u * n + v) & 63);
       matched_bits_[(v * n + u) >> 6] |= std::uint64_t{1} << ((v * n + u) & 63);
@@ -78,11 +73,6 @@ void SoBma::serve_batch(std::span<const Request> batch) {
     }
   }
   commit_routing(acc);
-}
-
-void SoBma::reset() {
-  OnlineBMatcher::reset();
-  install();
 }
 
 }  // namespace rdcn::core

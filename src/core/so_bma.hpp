@@ -32,26 +32,19 @@ class SoBma final : public OnlineBMatcher {
 
   std::string name() const override { return "so_bma"; }
 
-  /// Devirtualized chunk loop: the matching never changes after install(),
-  /// so a batch is a pure membership + distance-gather pass with routing
-  /// committed once per chunk (no per-request virtual no-op call).
+  /// Devirtualized chunk loop: the matching never changes after the
+  /// constructor installs it, so a batch is a pure membership +
+  /// distance-gather pass with routing committed once per chunk.
   /// Membership resolves against a dense bitset frozen at install time —
   /// one load+test per request instead of an adjacency scan or hash probe,
   /// with identical verdicts by construction.
   void serve_batch(std::span<const Request> batch) override;
 
-  void reset() override;
-
  private:
-  void on_request(const Request&, bool) override {}
-
-  void install();
-
-  std::vector<std::uint64_t> chosen_;
   /// Dense pair-membership bitset (row-major u·n+v, both orientations set),
-  /// rebuilt by install(): valid for the whole run because nothing mutates
-  /// the matching afterwards.  Left empty for huge universes (> 8 MiB of
-  /// bits), where serve_batch falls back to BMatching::has.
+  /// built by the constructor: valid for the whole run because nothing
+  /// mutates the matching afterwards.  Left empty for huge universes
+  /// (> 8 MiB of bits), where serve_batch falls back to BMatching::has.
   std::vector<std::uint64_t> matched_bits_;
 };
 

@@ -20,16 +20,6 @@ class Arc final : public PagingAlgorithm {
 
   std::string name() const override { return "arc"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    t1_.clear();
-    t2_.clear();
-    b1_.clear();
-    b2_.clear();
-    where_.clear();
-    p_ = 0;
-  }
-
   /// Test hooks.
   std::size_t recency_list_size() const noexcept { return t1_.size(); }
   std::size_t frequency_list_size() const noexcept { return t2_.size(); }

@@ -14,13 +14,6 @@ Belady::Belady(std::size_t capacity, std::vector<Key> sequence)
   }
 }
 
-void Belady::reset() {
-  PagingAlgorithm::reset();
-  cursor_ = 0;
-  heap_ = {};
-  current_next_.clear();
-}
-
 void Belady::advance(Key key) {
   RDCN_ASSERT_MSG(cursor_ < seq_.size(),
                   "Belady driven past its announced sequence");

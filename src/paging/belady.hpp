@@ -19,8 +19,6 @@ class Belady final : public PagingAlgorithm {
 
   std::string name() const override { return "belady"; }
 
-  void reset() override;
-
   /// Convenience: runs the whole sequence and returns the fault count.
   static std::uint64_t optimal_faults(std::size_t capacity,
                                       const std::vector<Key>& sequence);

@@ -15,13 +15,6 @@ class ClockPaging final : public PagingAlgorithm {
 
   std::string name() const override { return "clock"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    ring_.clear();
-    ref_.clear();
-    hand_ = 0;
-  }
-
  protected:
   void on_hit(Key key) override {
     // ring_ holds exactly the cached keys, each once.

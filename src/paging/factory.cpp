@@ -48,13 +48,6 @@ const std::vector<std::string>& engine_names() {
   return *names;
 }
 
-EngineKind parse_engine(const std::string& name) {
-  EngineKind kind = EngineKind::kMarking;
-  RDCN_ASSERT_MSG(try_parse_engine(name, &kind),
-                  "unknown paging engine name");
-  return kind;
-}
-
 std::string engine_name(EngineKind kind) {
   switch (kind) {
     case EngineKind::kMarking: return "marking";

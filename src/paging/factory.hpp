@@ -23,11 +23,8 @@ enum class EngineKind {
 };
 
 /// Parses "marking" | "lru" | "fifo" | "clock" | "random" |
-/// "flush_when_full" | "lfu" | "arc"; asserts on unknown names.
-EngineKind parse_engine(const std::string& name);
-
-/// Non-asserting variant: returns false on unknown names (for callers that
-/// want to report instead of abort).  `out` may be null to just probe.
+/// "flush_when_full" | "lfu" | "arc"; returns false on unknown names.
+/// `out` may be null to just probe.
 bool try_parse_engine(const std::string& name, EngineKind* out);
 
 /// Every engine name, in declaration order — the single source for help

@@ -13,11 +13,6 @@ class Fifo final : public PagingAlgorithm {
 
   std::string name() const override { return "fifo"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    queue_.clear();
-  }
-
  protected:
   void on_fault(Key key, std::vector<Key>& evicted) override {
     if (cache_full()) {

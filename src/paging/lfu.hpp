@@ -23,12 +23,6 @@ class Lfu final : public PagingAlgorithm {
 
   std::string name() const override { return "lfu"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    buckets_.clear();
-    where_.clear();
-  }
-
   /// Test hook: current access count of a cached key (0 if absent).
   std::uint64_t frequency(Key key) const {
     const Locator* loc = where_.find(key);

@@ -15,14 +15,6 @@ class Lru final : public PagingAlgorithm {
 
   std::string name() const override { return "lru"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    slots_.clear();
-    index_.clear();
-    head_ = tail_ = kNil;
-    free_ = kNil;
-  }
-
  protected:
   void on_hit(Key key) override {
     const std::uint32_t* s = index_.find(key);

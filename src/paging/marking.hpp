@@ -24,12 +24,6 @@ class Marking final : public PagingAlgorithm {
 
   std::string name() const override { return "marking"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    unmarked_.clear();
-    phases_ = 0;
-  }
-
   /// Number of completed phases (diagnostics; the competitive analysis
   /// charges OPT per phase).
   std::uint64_t phases() const noexcept { return phases_; }

@@ -70,18 +70,15 @@ class PagingAlgorithm {
   std::uint64_t faults() const noexcept { return faults_; }
   std::uint64_t hits() const noexcept { return hits_; }
 
-  /// Snapshot of cached keys (test/diagnostic use; order unspecified).
+  /// Snapshot of cached keys in the membership set's slot order.  The
+  /// order is part of the behaviour: marking starts a phase from this list
+  /// and draws its victims by index, so the r_bma golden ledger anchors
+  /// pin it.
   std::vector<Key> cached_keys() const {
     std::vector<Key> keys;
     keys.reserve(cache_.size());
     cache_.for_each([&](Key k) { keys.push_back(k); });
     return keys;
-  }
-
-  virtual void reset() {
-    cache_.clear();
-    faults_ = 0;
-    hits_ = 0;
   }
 
   virtual std::string name() const = 0;

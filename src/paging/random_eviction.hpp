@@ -17,11 +17,6 @@ class RandomEviction final : public PagingAlgorithm {
 
   std::string name() const override { return "random"; }
 
-  void reset() override {
-    PagingAlgorithm::reset();
-    keys_.clear();
-  }
-
  protected:
   void on_fault(Key key, std::vector<Key>& evicted) override {
     if (cache_full()) {

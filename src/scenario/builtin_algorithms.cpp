@@ -1,7 +1,7 @@
 // Built-in algorithm entries: the complete portfolio of the paper's
 // evaluation (§3.1) plus the baselines grown around it.  Construction here
 // must stay behaviour-identical to direct constructor calls with default
-// options — tests/golden_ledger_test.cpp pins this with 30 golden cost
+// options — tests/golden_ledger_test.cpp pins this with 50 golden cost
 // ledgers.
 #include "core/bma.hpp"
 #include "core/greedy_online.hpp"
@@ -30,8 +30,7 @@ std::string engine_choices() {
 paging::EngineKind parse_engine_param(const ParamMap& params) {
   const std::string name = params.get<std::string>("engine", "marking");
   paging::EngineKind kind = paging::EngineKind::kMarking;
-  // paging::parse_engine asserts on unknown names; a CLI typo must instead
-  // surface as a catchable SpecError listing the valid choices.
+  // A CLI typo surfaces as a catchable SpecError listing the valid choices.
   if (!paging::try_parse_engine(name, &kind))
     throw SpecError("parameter 'engine': unknown paging engine '" + name +
                     "'; known: " + engine_choices());

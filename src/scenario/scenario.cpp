@@ -1,6 +1,8 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 
@@ -160,6 +162,9 @@ void check_run_shape(const ScenarioSpec& spec) {
     throw SpecError("requests (" + std::to_string(spec.requests) +
                     ") must be >= checkpoints (" +
                     std::to_string(spec.checkpoints) + ")");
+  if (spec.alpha > std::numeric_limits<std::uint32_t>::max())
+    throw SpecError("alpha (" + std::to_string(spec.alpha) +
+                    ") must be <= 4294967295");
 }
 
 namespace {

@@ -65,7 +65,9 @@ struct ScenarioSpec {
 
 /// Spec problems the registries cannot see but that no run survives:
 /// fewer than 2 racks, zero requests or checkpoints, a cache size b of 0,
-/// or fewer requests than checkpoints.  Throws SpecError.  run_scenario
+/// fewer requests than checkpoints, or an α above 2^32 − 1 (R-BMA counts
+/// toward ⌈α/ℓ⌉ in a 32-bit per-pair counter, and a larger α can wrap the
+/// 64-bit reconfiguration ledger).  Throws SpecError.  run_scenario
 /// calls it first; the serving daemon calls it at admission.
 void check_run_shape(const ScenarioSpec& spec);
 

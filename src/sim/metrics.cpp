@@ -1,8 +1,5 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
-#include <limits>
-
 namespace rdcn::sim {
 
 RunResult average_runs(const std::vector<RunResult>& runs) {
@@ -42,30 +39,6 @@ RunResult average_runs(const std::vector<RunResult>& runs) {
   }
   avg.seed = 0;
   return avg;
-}
-
-SeriesSummary summarize_total_cost(const std::vector<RunResult>& runs) {
-  RDCN_ASSERT(!runs.empty());
-  const std::size_t points = runs.front().checkpoints.size();
-  SeriesSummary s;
-  s.mean.assign(points, 0.0);
-  s.lo.assign(points, 0.0);
-  s.hi.assign(points, 0.0);
-  for (std::size_t p = 0; p < points; ++p) {
-    double sum = 0.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -lo;
-    for (const RunResult& r : runs) {
-      const auto v = static_cast<double>(r.checkpoints[p].total_cost);
-      sum += v;
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    s.mean[p] = sum / static_cast<double>(runs.size());
-    s.lo[p] = lo;
-    s.hi[p] = hi;
-  }
-  return s;
 }
 
 }  // namespace rdcn::sim

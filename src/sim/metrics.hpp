@@ -23,7 +23,7 @@ struct Checkpoint {
   std::uint64_t edge_adds = 0;
   std::uint64_t edge_removals = 0;
   std::size_t matching_size = 0;
-  double wall_seconds = 0.0;  ///< algorithm time only (serve() loop)
+  double wall_seconds = 0.0;  ///< algorithm time only (serve_batch calls)
 };
 
 struct RunResult {
@@ -42,15 +42,5 @@ struct RunResult {
 /// Mean of several runs (same checkpoint grid required); used for the
 /// paper's "each simulation is repeated five times and averaged".
 RunResult average_runs(const std::vector<RunResult>& runs);
-
-/// Aggregate of a y-series across runs with mean and min/max envelope
-/// (diagnostic output for randomized algorithms).
-struct SeriesSummary {
-  std::vector<double> mean;
-  std::vector<double> lo;
-  std::vector<double> hi;
-};
-
-SeriesSummary summarize_total_cost(const std::vector<RunResult>& runs);
 
 }  // namespace rdcn::sim

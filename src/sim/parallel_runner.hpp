@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "common/cancel.hpp"
 #include "sim/thread_pool.hpp"
@@ -39,16 +38,6 @@ void parallel_for(std::size_t count, F&& fn, std::size_t num_threads = 0,
       [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); },
       const_cast<void*>(static_cast<const void*>(std::addressof(ref))),
       cancel.raw());
-}
-
-/// Maps fn over [0, count) and collects results in index order.
-template <typename R, typename F>
-std::vector<R> parallel_map(std::size_t count, F&& fn,
-                            std::size_t num_threads = 0) {
-  std::vector<R> results(count);
-  parallel_for(
-      count, [&](std::size_t i) { results[i] = fn(i); }, num_threads);
-  return results;
 }
 
 }  // namespace rdcn::sim

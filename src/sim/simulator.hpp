@@ -5,8 +5,8 @@
 // cumulative costs at a checkpoint grid.  Replay is *batched*: requests go
 // to OnlineBMatcher::serve_batch in fixed-size chunks (kServeChunk) that
 // are clipped at checkpoint boundaries, so checkpoint semantics are
-// unchanged — a chunked run's ledger is bit-identical to a one-serve()-
-// per-request replay at every grid point (pinned by the batch
+// unchanged — a chunked run's ledger is bit-identical to a replay in
+// one-request batches at every grid point (pinned by the batch
 // differential suite against the reference replay in the tests).  There
 // is one chunk loop, fed by a trace::TraceStream; a materialized Trace is
 // replayed through a MaterializedStream over it.
@@ -60,11 +60,11 @@ struct RunControl {
   std::function<void(const Checkpoint&)> on_checkpoint{};
 };
 
-/// Runs `matcher` (already reset/fresh) over `stream` (unconsumed) with
-/// chunked replay; peak memory is one production block beyond what the
-/// stream holds.  `checkpoints` must be non-decreasing; the last entry is
-/// clamped to stream.total().  A checkpoint of 0 snapshots the pre-trace
-/// (zero-cost) state, which is also how an empty trace yields a ledger.
+/// Runs a fresh `matcher` over `stream` (unconsumed) with chunked replay;
+/// peak memory is one production block beyond what the stream holds.
+/// `checkpoints` must be non-decreasing; the last entry is clamped to
+/// stream.total().  A checkpoint of 0 snapshots the pre-trace (zero-cost)
+/// state, which is also how an empty trace yields a ledger.
 /// No request beyond the last checkpoint is produced or served.
 RunResult run_simulation(core::OnlineBMatcher& matcher,
                          trace::TraceStream& stream,

@@ -1,4 +1,4 @@
-// rdcn: the persistent worker pool behind parallel_for/parallel_map.
+// rdcn: the persistent worker pool behind parallel_for.
 //
 // The experiment driver fans hundreds of independent trials out to every
 // core; spawning and joining a fresh std::thread set per parallel_for call
@@ -37,7 +37,7 @@ class ThreadPool {
   using Body = void (*)(void*, std::size_t);
 
   /// The process-wide pool (hardware-concurrency workers), started once on
-  /// first use and reused by every parallel_for/parallel_map call.
+  /// first use and reused by every parallel_for call.
   static ThreadPool& instance();
 
   /// `num_workers` 0 = hardware concurrency.

@@ -66,18 +66,6 @@ TEST(BMatching, RemovingAbsentEdgeAborts) {
   EXPECT_DEATH(m.remove(0, 1), "not in the matching");
 }
 
-TEST(BMatching, ClearResets) {
-  BMatching m(5, 2);
-  m.add(0, 1);
-  m.add(2, 3);
-  m.clear();
-  EXPECT_EQ(m.size(), 0u);
-  EXPECT_EQ(m.degree(0), 0u);
-  EXPECT_FALSE(m.has(0, 1));
-  m.add(0, 1);  // still usable
-  EXPECT_TRUE(m.check_invariants());
-}
-
 TEST(BMatching, EdgeKeysEnumerate) {
   BMatching m(5, 2);
   m.add(0, 1);

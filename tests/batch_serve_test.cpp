@@ -1,9 +1,9 @@
-// Batch-vs-scalar differential suite: the batched serve pipeline
-// (OnlineBMatcher::serve_batch + chunked run_simulation) must produce cost
-// ledgers bit-identical to the scalar serve() loop — for every registered
-// algorithm, across workload shapes and the full b range, at every
-// checkpoint.  This is the determinism contract that makes the batch path
-// a pure layout/scheduling optimization.
+// Batch-split differential suite: every matcher has one serve path,
+// OnlineBMatcher::serve_batch, and how a trace is split into batches must
+// not move its ledger.  The chunked run_simulation (kServeChunk batches
+// clipped at checkpoints) must equal a replay in one-request batches
+// (serve()) — for every registered algorithm, across workload shapes and
+// the full b range, at every checkpoint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -100,9 +100,8 @@ TEST(BatchServe, EveryAlgorithmBitIdenticalToScalarAcrossB) {
 }
 
 TEST(BatchServe, DirectServeBatchCallMatchesServeLoop) {
-  // serve_batch on a raw span (no simulator) equals the serve() loop —
-  // including the default base-class implementation used by algorithms
-  // without an override (rotor).
+  // serve_batch on raw spans of uneven sizes (no simulator) equals a
+  // replay in one-request batches.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(7);
   const trace::Trace t =
@@ -195,23 +194,6 @@ TEST(BatchServe, OfflineDynamicWindowBoundariesStraddleBatchBoundaries) {
     auto batched_alg = scenario::make_algorithm(spec, inst, &t, 5);
     const sim::RunResult batched = sim::run_simulation(*batched_alg, t, grid);
     expect_identical_checkpoints(scalar, batched, spec);
-  }
-}
-
-TEST(BatchServe, ResetAfterBatchedRunReplaysIdentically) {
-  // reset() must restore the exact initial state after a batched run, so a
-  // reused matcher replays identically (run, reset, run).
-  const net::Topology topo = net::make_fat_tree(16);
-  Xoshiro256 rng(13);
-  const trace::Trace t =
-      trace::materialize(*trace::stream_hotspot(16, 9000, 0.25, 0.7, rng));
-  const core::Instance inst = make_instance(topo.distances, 4, 40);
-  for (const char* algorithm : {"bma", "r_bma", "so_bma"}) {
-    auto alg = scenario::make_algorithm(algorithm, inst, &t, 21);
-    const sim::RunResult first = sim::run_to_completion(*alg, t);
-    alg->reset();
-    const sim::RunResult second = sim::run_to_completion(*alg, t);
-    expect_identical_checkpoints(first, second, algorithm);
   }
 }
 

@@ -95,23 +95,6 @@ TEST(OfflineOpt, AlternatingTwoKeysCapacityOne) {
   EXPECT_EQ(Belady::optimal_faults(1, seq), 20u);
 }
 
-TEST(Belady, ResetReplaysIdentically) {
-  const std::vector<Key> seq = random_sequence(200, 8, 5);
-  Belady b(3, seq);
-  std::vector<Key> ev;
-  for (Key k : seq) {
-    ev.clear();
-    b.request(k, ev);
-  }
-  const std::uint64_t first = b.faults();
-  b.reset();
-  for (Key k : seq) {
-    ev.clear();
-    b.request(k, ev);
-  }
-  EXPECT_EQ(b.faults(), first);
-}
-
 TEST(Belady, LargerCacheNeverFaultsMore) {
   const std::vector<Key> seq = random_sequence(400, 12, 6);
   std::uint64_t prev = ~0ull;

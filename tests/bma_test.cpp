@@ -121,17 +121,6 @@ TEST(Bma, IsDeterministic) {
   EXPECT_EQ(a.matching().size(), b.matching().size());
 }
 
-TEST(Bma, ResetRestartsLedgersAndState) {
-  const auto d = net::DistanceMatrix::uniform(4, 2);
-  Bma bma(uniform_instance(d, 2, 2));
-  bma.serve(Request::make(0, 1));
-  ASSERT_GT(bma.costs().requests, 0u);
-  bma.reset();
-  EXPECT_EQ(bma.costs().requests, 0u);
-  EXPECT_EQ(bma.matching().size(), 0u);
-  EXPECT_EQ(bma.charge(pair_key(0, 1)), 0u);
-}
-
 TEST(Bma, MatchingInvariantsHoldUnderWorkload) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(4);

@@ -112,25 +112,6 @@ TEST(Determinism, RunToCompletionSameSeedSameLedger) {
   EXPECT_EQ(run1.total_paging_faults(), run2.total_paging_faults());
 }
 
-TEST(Determinism, ResetReplaysIdentically) {
-  // reset() must return the algorithm to its exact initial state,
-  // including the RNG: replaying the same trace gives the same ledger.
-  const net::Topology topo = net::make_leaf_spine(24, 4);
-  Xoshiro256 trace_rng(23);
-  const trace::Trace t = trace::materialize(
-      *trace::stream_hotspot(24, 20000, 0.25, 0.7, trace_rng));
-  Instance inst;
-  inst.distances = &topo.distances;
-  inst.b = 3;
-  inst.alpha = 15;
-
-  RBma alg(inst, {.seed = 7});
-  const sim::RunResult first = sim::run_to_completion(alg, t);
-  alg.reset();
-  const sim::RunResult second = sim::run_to_completion(alg, t);
-  expect_identical_ledgers(first, second);
-}
-
 TEST(Determinism, CheckpointedRunMatchesFinalLedger) {
   // Checkpoint snapshots must not perturb the run: a 10-point grid and a
   // single final checkpoint end at the same ledger.

@@ -39,12 +39,6 @@ TEST(ParallelFor, ZeroTasksIsNoop) {
   parallel_for(0, [&](std::size_t) { FAIL(); }, 4);
 }
 
-TEST(ParallelMap, CollectsInOrder) {
-  const auto out = parallel_map<std::size_t>(
-      100, [](std::size_t i) { return i * i; }, 8);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
-}
-
 class ExperimentFixture : public ::testing::Test {
  protected:
   ExperimentFixture()

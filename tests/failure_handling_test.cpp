@@ -42,8 +42,20 @@ TEST(FailureHandling, UnknownAlgorithmParameterThrows) {
   EXPECT_THROW(scenario::make_algorithm("r_bma:enginee=lru", inst), SpecError);
 }
 
-TEST(FailureHandling, UnknownPagingEngineAborts) {
-  EXPECT_DEATH(paging::parse_engine("belady2"), "unknown paging engine");
+TEST(FailureHandling, UnknownPagingEngineThrowsListingKnownEngines) {
+  const auto d = net::DistanceMatrix::uniform(4, 1);
+  core::Instance inst;
+  inst.distances = &d;
+  inst.b = 1;
+  try {
+    (void)scenario::make_algorithm("r_bma:engine=belady2", inst);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("belady2"), std::string::npos) << what;
+    for (const std::string& engine : paging::engine_names())
+      EXPECT_NE(what.find(engine), std::string::npos) << engine << ": " << what;
+  }
 }
 
 // Trace import takes user files, so its failures are SpecError (report

@@ -2,11 +2,12 @@
 // realistic traces.  Fixed-seed Facebook-like (database cluster) and
 // Microsoft-like traces on a 100-rack fat-tree (2·10^5 requests, α = 60)
 // run through bma, r_bma, so_bma, greedy and oblivious at b ∈ {4, 16, 64}
-// (30 anchors), and through r_bma:eager and r_bma with each other paging
-// engine at b = 16 (16 more).
+// (30 anchors), through r_bma:eager and r_bma with each other paging
+// engine at b = 16 (16 more), and through rotor and offline_dynamic at
+// b = 16 (4 more).
 // Each cell's final ledger must equal its anchor on all four execution
-// paths: the per-request serve() loop and the batched serve_batch
-// pipeline, each with SIMD kernels and with kernel dispatch forced to the
+// paths: one-request batches (serve()) and the simulator's kServeChunk
+// batches, each with SIMD kernels and with kernel dispatch forced to the
 // scalar reference.  The test sets both dispatch modes itself, whatever
 // RDCN_FORCE_SCALAR_KERNELS says, and restores the ambient mode after
 // each cell.
@@ -44,7 +45,8 @@ constexpr std::uint64_t kSeed = 42;
 
 // Golden cost ledgers captured with the exact trace/instance parameters
 // above: the 30 rows of the five default algorithms at the seed commit, the
-// 16 r_bma rows with `eager` or a non-default `engine` at commit 08ea990.
+// 16 r_bma rows with `eager` or a non-default `engine` at commit 08ea990,
+// the 4 rotor and offline_dynamic rows at commit aab28d8.
 // Every entry is {routing_cost, reconfig_cost, edge_adds, edge_removals}.
 struct Golden {
   const char* trace;
@@ -118,6 +120,14 @@ constexpr Golden kGolden[] = {
      5200ull, 4941ull},
     {"microsoft", "r_bma:engine=arc", 16, 437406ull, 553380ull,
      4726ull, 4497ull},
+    // The demand-oblivious rotor and the epoch-based offline comparator
+    // at b = 16.
+    {"facebook_db", "rotor", 16, 669958ull, 0ull, 0ull, 0ull},
+    {"facebook_db", "offline_dynamic", 16, 298693ull, 941160ull,
+     8239ull, 7447ull},
+    {"microsoft", "rotor", 16, 684898ull, 0ull, 0ull, 0ull},
+    {"microsoft", "offline_dynamic", 16, 400252ull, 643920ull,
+     5625ull, 5107ull},
 };
 
 void PrintTo(const Golden& g, std::ostream* os) {

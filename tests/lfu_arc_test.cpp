@@ -173,16 +173,4 @@ TEST(Arc, NeverBeatsBeladyButStaysReasonable) {
   EXPECT_LT(arc.faults(), 20 * opt);
 }
 
-TEST(Arc, ResetClearsAllFourLists) {
-  Arc arc(3);
-  feed(arc, {1, 2, 3, 4, 5, 1, 2});
-  arc.reset();
-  EXPECT_EQ(arc.size(), 0u);
-  EXPECT_EQ(arc.recency_list_size(), 0u);
-  EXPECT_EQ(arc.frequency_list_size(), 0u);
-  EXPECT_EQ(arc.adaptation_target(), 0u);
-  feed(arc, {7});
-  EXPECT_TRUE(arc.contains(7));
-}
-
 }  // namespace

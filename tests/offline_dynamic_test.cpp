@@ -96,7 +96,7 @@ TEST(OfflineDynamic, RetentionBonusReducesSwitching) {
   EXPECT_LE(a.costs().edge_removals, b.costs().edge_removals);
 }
 
-TEST(OfflineDynamic, FeasibleThroughoutAndAfterReset) {
+TEST(OfflineDynamic, FeasibleThroughout) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(4);
   const trace::Trace t =
@@ -113,10 +113,7 @@ TEST(OfflineDynamic, FeasibleThroughoutAndAfterReset) {
         ASSERT_LE(alg.matching().degree(v), 1u);
     }
   }
-  const std::uint64_t cost1 = alg.costs().total_cost();
-  alg.reset();
-  for (const Request& r : t) alg.serve(r);
-  EXPECT_EQ(alg.costs().total_cost(), cost1);
+  EXPECT_TRUE(alg.matching().check_invariants());
 }
 
 }  // namespace

@@ -90,7 +90,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(paging::EngineKind::kMarking,
                                          paging::EngineKind::kLru,
                                          paging::EngineKind::kFifo,
-                                         paging::EngineKind::kRandom),
+                                         paging::EngineKind::kClock,
+                                         paging::EngineKind::kRandom,
+                                         paging::EngineKind::kFlushWhenFull,
+                                         paging::EngineKind::kLfu,
+                                         paging::EngineKind::kArc),
                        ::testing::Bool(), ::testing::Values(1, 3, 6)));
 
 TEST(RBma, EagerModeRemovesEdgesOnEviction) {
@@ -197,21 +201,6 @@ TEST(RBma, DifferentSeedsUsuallyDiffer) {
   }
   // Marking evictions are random, so the ledgers should diverge.
   EXPECT_NE(a.costs().total_cost(), b.costs().total_cost());
-}
-
-TEST(RBma, ResetReproducesRun) {
-  const net::Topology topo = net::make_fat_tree(16);
-  Xoshiro256 rng(11);
-  const trace::Trace t =
-      trace::materialize(*trace::stream_zipf_pairs(16, 3000, 1.0, rng));
-  RBma alg(make_instance(topo.distances, 2, 8), {.seed = 7});
-  for (const Request& r : t) alg.serve(r);
-  const std::uint64_t cost1 = alg.costs().total_cost();
-  alg.reset();
-  EXPECT_EQ(alg.costs().requests, 0u);
-  EXPECT_EQ(alg.matching().size(), 0u);
-  for (const Request& r : t) alg.serve(r);
-  EXPECT_EQ(alg.costs().total_cost(), cost1);
 }
 
 TEST(RBma, ReconfiguresOnlyOnSpecialRequests) {

@@ -92,21 +92,6 @@ TEST(Rotor, ObliviousToDemandButBeatsFixedNetwork) {
   EXPECT_LT(rbma, rotor);
 }
 
-TEST(Rotor, ResetRestartsSchedule) {
-  const auto d = net::DistanceMatrix::uniform(8, 2);
-  RotorOptions opts;
-  opts.slot_length = 3;
-  Rotor rotor(make_instance(d, 2, 10), opts);
-  auto initial = rotor.matching().edge_keys();
-  std::sort(initial.begin(), initial.end());
-  for (int i = 0; i < 100; ++i) rotor.serve(Request::make(0, 1));
-  rotor.reset();
-  auto after = rotor.matching().edge_keys();
-  std::sort(after.begin(), after.end());
-  EXPECT_EQ(initial, after);
-  EXPECT_EQ(rotor.costs().requests, 0u);
-}
-
 TEST(Rotor, FactoryConstructs) {
   const auto d = net::DistanceMatrix::uniform(8, 2);
   auto m = scenario::make_algorithm("rotor", make_instance(d, 2, 10));

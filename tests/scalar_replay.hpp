@@ -1,8 +1,8 @@
-// Reference scalar replay: one serve() call per request, the historical
-// execution mode.  It is the semantic baseline the batch differential
-// suites hold sim::run_simulation's chunked loop to (ledgers must be
-// bit-identical at every checkpoint), and one of the two paths every golden
-// ledger anchor is checked on.  Wall-clock time covers serve() only.
+// Reference replay in one-request batches: one serve() call per request.
+// The batch differential suites hold sim::run_simulation's chunked loop to
+// it (ledgers must be bit-identical at every checkpoint), and it is one of
+// the two batch splits every golden ledger anchor is checked on.
+// Wall-clock time covers serve() only.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +17,8 @@
 
 namespace rdcn::testing {
 
-/// Replays `trace` through `matcher` (fresh or reset) one request at a
-/// time, snapshotting the cumulative ledger at each of `checkpoints`
+/// Replays `trace` through a fresh `matcher` one request at a time,
+/// snapshotting the cumulative ledger at each of `checkpoints`
 /// (non-decreasing; the last entry is clamped to trace.size(); 0 snapshots
 /// the pre-trace state).
 inline sim::RunResult run_simulation_scalar(

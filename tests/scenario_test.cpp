@@ -283,7 +283,9 @@ TEST(RunScenario, InputsNoRunSurvivesAreSpecErrors) {
   for (const char* text :
        {"racks=1;algorithms=bma;b=2", "requests=0;algorithms=bma;b=2",
         "requests=3;checkpoints=8;algorithms=bma;b=2",
-        "checkpoints=0;algorithms=bma;b=2"}) {
+        "checkpoints=0;algorithms=bma;b=2",
+        // R-BMA's ⌈α/ℓ⌉ would wrap and the ledger with it.
+        "alpha=18446744073709551615;algorithms=r_bma;b=2"}) {
     SCOPED_TRACE(text);
     EXPECT_THROW((void)scenario::run_scenario(ScenarioSpec::parse(text)),
                  SpecError);

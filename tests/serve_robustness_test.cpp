@@ -163,6 +163,7 @@ TEST_F(RobustnessTest, MalformedInputMatrixKeepsDaemonServing) {
       "RUN racks=1",
       "RUN requests=0",
       "RUN requests=3;checkpoints=8",
+      "RUN alpha=18446744073709551615",  // would wrap R-BMA and the ledger
   };
   for (const std::string& row : rows) {
     f.client.send_line(row);

@@ -130,7 +130,7 @@ TEST(Simulator, ObliviousCostIsSumOfDistances) {
 // Chunked replay must clip chunks at checkpoint boundaries: a grid point
 // landing anywhere inside a chunk — including adjacent points inside the
 // SAME chunk and points straddling chunk edges — snapshots exactly the
-// ledger the scalar serve() loop snapshots there.
+// ledger the one-request replay snapshots there.
 TEST(Simulator, CheckpointInsideChunkMatchesScalarAtEveryGridPoint) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(51);
@@ -325,20 +325,6 @@ TEST(Metrics, AverageRunsMeansDifferentSeeds) {
   b.checkpoints = {cb};
   const RunResult avg = average_runs({a, b});
   EXPECT_EQ(avg.checkpoints[0].routing_cost, 15u);
-}
-
-TEST(Metrics, SummarizeTotalCostEnvelope) {
-  RunResult a, b;
-  Checkpoint ca, cb;
-  ca.requests = cb.requests = 10;
-  ca.total_cost = 5;
-  cb.total_cost = 9;
-  a.checkpoints = {ca};
-  b.checkpoints = {cb};
-  const SeriesSummary s = summarize_total_cost({a, b});
-  EXPECT_DOUBLE_EQ(s.mean[0], 7.0);
-  EXPECT_DOUBLE_EQ(s.lo[0], 5.0);
-  EXPECT_DOUBLE_EQ(s.hi[0], 9.0);
 }
 
 }  // namespace

@@ -91,20 +91,4 @@ TEST(SoBma, CostEqualsStaticEvaluation) {
             static_total_cost(inst, t, chosen));
 }
 
-TEST(SoBma, ResetReinstallsIdentically) {
-  const net::Topology topo = net::make_fat_tree(16);
-  Xoshiro256 rng(5);
-  const trace::Trace t =
-      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.0, rng));
-  SoBma alg(make_instance(topo.distances, 2, 10), t);
-  auto before = alg.matching().edge_keys();
-  std::sort(before.begin(), before.end());
-  for (const Request& r : t) alg.serve(r);
-  alg.reset();
-  auto after = alg.matching().edge_keys();
-  std::sort(after.begin(), after.end());
-  EXPECT_EQ(before, after);
-  EXPECT_EQ(alg.costs().requests, 0u);
-}
-
 }  // namespace

@@ -91,13 +91,6 @@ TEST(ThreadPool, ConcurrentOwnersBothComplete) {
   EXPECT_EQ(b.load(), 50u * 200);
 }
 
-TEST(ThreadPool, ParallelMapCollectsInIndexOrder) {
-  const auto out = rdcn::sim::parallel_map<std::size_t>(
-      1000, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i * i);
-}
-
 TEST(ThreadPool, CancelSkipsRemainingIndices) {
   // Fire the token from inside an early task: later indices are claimed
   // but their bodies skipped, and the call still returns normally (the

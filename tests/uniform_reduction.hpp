@@ -38,13 +38,12 @@ class UniformReduction final : public OnlineBMatcher {
   UniformReduction(const Instance& instance, InnerFactory make_inner)
       : OnlineBMatcher(instance),
         uniform_distances_(
-            net::DistanceMatrix::uniform(instance.num_racks(), 1)),
-        make_inner_(std::move(make_inner)) {
+            net::DistanceMatrix::uniform(instance.num_racks(), 1)) {
     uniform_instance_.distances = &uniform_distances_;
     uniform_instance_.b = instance.b;
     uniform_instance_.a = instance.a;
     uniform_instance_.alpha = 1;
-    inner_ = make_inner_(uniform_instance_);
+    inner_ = make_inner(uniform_instance_);
     RDCN_ASSERT_MSG(inner_ != nullptr, "inner factory returned null");
   }
 
@@ -52,11 +51,26 @@ class UniformReduction final : public OnlineBMatcher {
     return "uniform_reduction[" + inner_->name() + "]";
   }
 
-  void reset() override {
-    OnlineBMatcher::reset();
-    counters_.clear();
-    specials_ = 0;
-    inner_ = make_inner_(uniform_instance_);
+  void serve_batch(std::span<const Request> batch) override {
+    RoutingDelta acc;
+    for (const Request& r : batch) {
+      RDCN_DCHECK(r.u != r.v);
+      // Route with the current matching before any reconfiguration.
+      const bool matched = matching_view().has(r.u, r.v);
+      const std::uint64_t d = dist(r.u, r.v);
+      acc.routing_cost += matched ? 1 : d;
+      ++acc.requests;
+      acc.direct_serves += matched ? 1 : 0;
+
+      const std::uint64_t ke = (alpha() + d - 1) / d;
+      std::uint32_t& counter = counters_[pair_key(r)];
+      if (++counter < ke) continue;
+      counter = 0;
+      ++specials_;
+      inner_->serve(r);
+      mirror_inner_matching();
+    }
+    commit_routing(acc);
   }
 
   /// The inner algorithm's ledger IS Alg1(I1) of the Theorem 1 proof.
@@ -64,24 +78,11 @@ class UniformReduction final : public OnlineBMatcher {
   std::uint64_t special_requests() const noexcept { return specials_; }
 
  private:
-  void on_request(const Request& r, bool /*matched*/) override {
-    const std::uint64_t key = pair_key(r);
-    const std::uint64_t d = dist(r.u, r.v);
-    const std::uint64_t ke = (alpha() + d - 1) / d;
-    std::uint32_t& counter = counters_[key];
-    if (++counter < ke) return;
-    counter = 0;
-    ++specials_;
-
-    inner_->serve(r);
-    mirror_inner_matching(r);
-  }
-
   /// Re-synchronizes our matching with the inner one.  The inner algorithm
   /// only changes edges while serving, so the symmetric difference is
   /// small; we diff the full edge sets for generality (inner algorithms
   /// may restructure arbitrarily under Theorem 2's contract).
-  void mirror_inner_matching(const Request& /*r*/) {
+  void mirror_inner_matching() {
     const BMatching& target = inner_->matching();
     // Remove first so degree caps hold throughout.
     for (std::uint64_t k : matching_view().edge_keys()) {
@@ -95,7 +96,6 @@ class UniformReduction final : public OnlineBMatcher {
 
   net::DistanceMatrix uniform_distances_;
   Instance uniform_instance_;
-  InnerFactory make_inner_;
   std::unique_ptr<OnlineBMatcher> inner_;
   FlatMap<std::uint32_t> counters_;
   std::uint64_t specials_ = 0;

@@ -121,23 +121,4 @@ TEST(UniformReduction, MirrorsInnerMatchingExactly) {
   }
 }
 
-TEST(UniformReduction, ResetRestartsBothLayers) {
-  const net::Topology topo = net::make_fat_tree(16);
-  Xoshiro256 rng(35);
-  const trace::Trace t =
-      trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.0, rng));
-  UniformReduction alg(make_instance(topo.distances, 2, 8),
-                       [](const Instance& uniform) {
-                         return std::make_unique<RBma>(
-                             uniform, RBmaOptions{.seed = 3});
-                       });
-  for (const Request& r : t) alg.serve(r);
-  const std::uint64_t cost1 = alg.costs().total_cost();
-  alg.reset();
-  EXPECT_EQ(alg.costs().requests, 0u);
-  EXPECT_EQ(alg.inner().costs().requests, 0u);
-  for (const Request& r : t) alg.serve(r);
-  EXPECT_EQ(alg.costs().total_cost(), cost1);
-}
-
 }  // namespace
