@@ -4,12 +4,11 @@
 // four decades and reports cost composition and reconfiguration rates.
 #include <cstdio>
 
-#include "rdcn.hpp"
+#include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 150'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 150'000);
   const std::size_t racks = 100, b = 12;
   const net::Topology topo = net::make_fat_tree(racks);
 

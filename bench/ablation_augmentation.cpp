@@ -5,12 +5,11 @@
 // b-a grows.
 #include <cstdio>
 
-#include "rdcn.hpp"
+#include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 200'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 200'000);
   const std::size_t racks = 50;
   const net::Topology topo = net::make_fat_tree(racks);
 

@@ -7,7 +7,7 @@
 // stationary, so switching is pure waste).
 #include <cstdio>
 
-#include "rdcn.hpp"
+#include "bench_common.hpp"
 
 namespace {
 
@@ -48,8 +48,7 @@ void sweep(const char* label, const trace::Trace& t,
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 200'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 200'000);
 
   std::printf("== ablation: offline-dynamic window size ==\n");
   {

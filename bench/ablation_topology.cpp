@@ -4,12 +4,11 @@
 // Same workload over fat-tree, leaf-spine, expander, torus, star, ring.
 #include <cstdio>
 
-#include "rdcn.hpp"
+#include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 100'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 100'000);
   const std::size_t racks = 64, b = 8;
 
   Xoshiro256 topo_rng(11);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,6 +22,22 @@
 #include "rdcn.hpp"
 
 namespace rdcn::bench {
+
+/// The request count of a fig/ablation bench: `argv[1]` when given, else
+/// `fallback`.  Anything but one positive integer exits 2.
+inline std::size_t request_count(int argc, char** argv,
+                                 std::size_t fallback) {
+  try {
+    ParamMap args;
+    if (argc > 1) args.set("requests", argv[1]);
+    const std::size_t count = args.get("requests", fallback);
+    if (argc <= 2 && count > 0) return count;
+  } catch (const SpecError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+  }
+  std::cerr << "usage: " << argv[0] << " [requests > 0]\n";
+  std::exit(2);
+}
 
 struct FigureSetup {
   std::string figure;        ///< e.g. "Fig 1 (Facebook database cluster)"

@@ -8,8 +8,7 @@
 int main(int argc, char** argv) {
   using namespace rdcn;
   // Optional scale override for quick runs: fig1_facebook_db [num_requests].
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 350'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 350'000);
 
   bench::FigureSetup setup;
   setup.figure = "Fig1";

@@ -7,8 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 185'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 185'000);
 
   bench::FigureSetup setup;
   setup.figure = "Fig3";

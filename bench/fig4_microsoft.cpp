@@ -9,8 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 1'750'000;
+  const std::size_t num_requests = bench::request_count(argc, argv, 1'750'000);
 
   bench::FigureSetup setup;
   setup.figure = "Fig4";

@@ -71,3 +71,43 @@ if(NOT out MATCHES "run: status=ok cached=1")
 endif()
 
 message(STATUS "rdcn_serve smoke OK: served CSV bit-identical to direct run, reordered resubmit cached")
+
+# 5. A malformed flag is an error before anything starts: each row must
+# exit 2 within 10 s with an error: line naming the flag.  --executors=0
+# (runs queue but never execute) and a negative --quota-rps ("unlimited")
+# are refused too.
+foreach(row IN ITEMS "--executors=-1|executors" "--cache=-1|cache"
+                     "--retry-ms=4294967296|retry-ms"
+                     "--quota-rps=nan|quota-rps" "--quota-rps=-1|quota.rps"
+                     "--executors=0|executors")
+  string(REPLACE "|" ";" row "${row}")
+  list(GET row 0 arg)
+  list(GET row 1 name)
+  execute_process(
+    COMMAND ${SERVE} --socket=${WORKDIR}/serve_smoke_flags.sock ${arg}
+    TIMEOUT 10
+    RESULT_VARIABLE flag_rc
+    OUTPUT_VARIABLE flag_out
+    ERROR_VARIABLE flag_err)
+  if(NOT flag_rc EQUAL 2 OR NOT flag_err MATCHES "error:[^\n]*${name}")
+    message(FATAL_ERROR "rdcn_serve ${arg} should exit 2 with an error: line naming ${name}, got ${flag_rc}\nstdout:\n${flag_out}\nstderr:\n${flag_err}")
+  endif()
+endforeach()
+
+# The client reads every flag before --daemon forks: a bad one exits 2
+# and spawns no daemon, so no socket file appears.
+set(client_sock ${WORKDIR}/serve_smoke_client_flags.sock)
+file(REMOVE ${client_sock})
+execute_process(
+  COMMAND ${CLIENT} --daemon=${SERVE} --socket=${client_sock}
+    --priority=high
+  TIMEOUT 10
+  RESULT_VARIABLE flag_rc
+  OUTPUT_VARIABLE flag_out
+  ERROR_VARIABLE flag_err)
+if(NOT flag_rc EQUAL 2 OR NOT flag_err MATCHES "error:[^\n]*priority"
+   OR EXISTS ${client_sock})
+  message(FATAL_ERROR "rdcn_serve_client --priority=high should exit 2 naming priority and spawn no daemon, got ${flag_rc}\nstdout:\n${flag_out}\nstderr:\n${flag_err}")
+endif()
+
+message(STATUS "rdcn_serve flag smoke OK: malformed flags exit 2, no daemon spawned")

@@ -96,3 +96,29 @@ if(NOT bad_rc EQUAL 2 OR NOT bad_err MATCHES "error:")
 endif()
 
 message(STATUS "rdcn_sim spec-error smoke OK: hub_fraction=2 exits 2")
+
+# A malformed flag value or a stray word is an error, not a different
+# experiment: each row must exit 2 within 10 s with an error: line naming
+# the flag.  The bad flag comes last, so a parser that ignored it would run
+# the tiny valid scenario before it and exit 0 (--requests=-1 and
+# --trials=-1 once ran 2^64-1 requests or trials, so time out instead).
+foreach(row IN ITEMS "--racks=12abc|racks" "--b=4x|'b'"
+                     "--requests=-1|requests" "--trials=-1|trials"
+                     "--threads=-1|threads" "50000|50000"
+                     "--profile=maybe|profile")
+  string(REPLACE "|" ";" row "${row}")
+  list(GET row 0 arg)
+  list(GET row 1 name)
+  execute_process(
+    COMMAND ${SIM} --racks=8 --requests=100 --checkpoints=2
+      --algorithms=bma --b=2 ${arg}
+    TIMEOUT 10
+    RESULT_VARIABLE flag_rc
+    OUTPUT_VARIABLE flag_out
+    ERROR_VARIABLE flag_err)
+  if(NOT flag_rc EQUAL 2 OR NOT flag_err MATCHES "error:[^\n]*${name}")
+    message(FATAL_ERROR "rdcn_sim ${arg} should exit 2 with an error: line naming ${name}, got ${flag_rc}\nstdout:\n${flag_out}\nstderr:\n${flag_err}")
+  endif()
+endforeach()
+
+message(STATUS "rdcn_sim flag smoke OK: malformed values and stray words exit 2")

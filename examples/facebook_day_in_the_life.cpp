@@ -13,8 +13,18 @@
 
 int main(int argc, char** argv) {
   using namespace rdcn;
-  const std::size_t num_requests =
-      argc > 1 ? static_cast<std::size_t>(std::stoull(argv[1])) : 120'000;
+  // Read strictly, like every typed-in value: "abc", "-5" or 0 exits 2.
+  std::size_t num_requests = 120'000;
+  try {
+    ParamMap args;
+    if (argc > 1) args.set("requests_per_cluster", argv[1]);
+    num_requests = args.get("requests_per_cluster", num_requests);
+    if (argc > 2 || num_requests == 0)
+      throw SpecError("expected one positive requests_per_cluster");
+  } catch (const SpecError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   const std::size_t racks = 100;
   const std::size_t b = 12;
 

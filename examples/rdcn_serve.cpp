@@ -27,7 +27,7 @@
 // stable — clients re-attach to their runs with ATTACH <id>.
 #include <iostream>
 
-#include "common/flags.hpp"
+#include "common/param_map.hpp"
 #include "serve/daemon.hpp"
 
 namespace {
@@ -41,7 +41,7 @@ constexpr const char* kUsage =
     "  --socket=PATH     AF_UNIX socket to listen on (required)\n"
     "  --queue=N         admission queue bound; beyond it submissions get\n"
     "                    REJECT + retry hint (default 16)\n"
-    "  --executors=N     concurrent scenario runs (default 2)\n"
+    "  --executors=N     concurrent scenario runs, at least 1 (default 2)\n"
     "  --cache=N         results-cache entries, 0 disables (default 64)\n"
     "  --disk-cache=DIR  persistent results store surviving restarts;\n"
     "                    corrupt entries are skipped at startup (default off)\n"
@@ -96,50 +96,49 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  // No --socket (including the bare no-argument smoke run) is a request
-  // for the manual, not an error.
-  if (flags.has("help") || !flags.has("socket")) {
-    std::cout << kUsage;
-    return 0;
-  }
-  const auto unknown = flags.unknown_flags(
-      {"socket", "queue", "executors", "cache", "disk-cache", "journal",
-       "drain-ms", "threads", "retry-ms", "quarantine", "quarantine-ttl-s",
-       "quota-rps", "quota-burst", "quota-concurrent", "quota-file",
-       "max-rss-mb", "shed-cost-limit", "progress-timeout-ms", "faults",
-       "metrics-dump", "metrics-dump-ms", "help"});
-  if (!unknown.empty()) {
-    for (const auto& f : unknown) std::cerr << "unknown flag: --" << f << "\n";
-    std::cerr << "\n" << kUsage;
-    return 2;
-  }
-
   try {
+    const ParamMap flags = ParamMap::from_args(argc, argv);
+    // No --socket (including the bare no-argument smoke run) is a request
+    // for the manual, not an error.
+    if (flags.get("help", false) || !flags.contains("socket")) {
+      std::cout << kUsage;
+      return 0;
+    }
+    // ServeOptions holds every default; a flag only overrides one.
     serve::ServeOptions options;
-    options.socket_path = flags.get("socket");
-    options.queue_limit = flags.get_uint("queue", 16);
-    options.executors = flags.get_uint("executors", 2);
-    options.cache_entries = flags.get_uint("cache", 64);
-    options.disk_cache_dir = flags.get("disk-cache", "");
-    options.journal_dir = flags.get("journal", "");
-    options.drain_ms = flags.get_uint("drain-ms", 5000);
+    options.socket_path = flags.get<std::string>("socket");
+    options.queue_limit = flags.get("queue", options.queue_limit);
+    options.executors = flags.get("executors", options.executors);
+    options.cache_entries = flags.get("cache", options.cache_entries);
+    options.disk_cache_dir = flags.get("disk-cache", options.disk_cache_dir);
+    options.journal_dir = flags.get("journal", options.journal_dir);
+    options.drain_ms = flags.get("drain-ms", options.drain_ms);
     options.handle_signals = true;
-    options.threads = flags.get_uint("threads", 0);
-    options.retry_hint_ms =
-        static_cast<std::uint32_t>(flags.get_uint("retry-ms", 200));
-    options.quarantine_threshold = flags.get_uint("quarantine", 3);
-    options.quarantine_ttl_s = flags.get_uint("quarantine-ttl-s", 0);
-    options.quota_rps = flags.get_double("quota-rps", 0);
-    options.quota_burst = flags.get_double("quota-burst", 0);
-    options.quota_concurrent = flags.get_uint("quota-concurrent", 0);
-    options.quota_file = flags.get("quota-file", "");
-    options.max_rss_mb = flags.get_uint("max-rss-mb", 0);
-    options.shed_cost_limit = flags.get_uint("shed-cost-limit", 0);
-    options.progress_timeout_ms = flags.get_uint("progress-timeout-ms", 0);
-    options.faults = flags.get("faults", "");
-    options.metrics_dump_path = flags.get("metrics-dump", "");
-    options.metrics_dump_ms = flags.get_uint("metrics-dump-ms", 1000);
+    options.threads = flags.get("threads", options.threads);
+    options.retry_hint_ms = flags.get("retry-ms", options.retry_hint_ms);
+    options.quarantine_threshold =
+        flags.get("quarantine", options.quarantine_threshold);
+    options.quarantine_ttl_s =
+        flags.get("quarantine-ttl-s", options.quarantine_ttl_s);
+    options.quota_rps = flags.get("quota-rps", options.quota_rps);
+    options.quota_burst = flags.get("quota-burst", options.quota_burst);
+    options.quota_concurrent =
+        flags.get("quota-concurrent", options.quota_concurrent);
+    options.quota_file = flags.get("quota-file", options.quota_file);
+    options.max_rss_mb = flags.get("max-rss-mb", options.max_rss_mb);
+    options.shed_cost_limit =
+        flags.get("shed-cost-limit", options.shed_cost_limit);
+    options.progress_timeout_ms =
+        flags.get("progress-timeout-ms", options.progress_timeout_ms);
+    options.faults = flags.get("faults", options.faults);
+    options.metrics_dump_path =
+        flags.get("metrics-dump", options.metrics_dump_path);
+    options.metrics_dump_ms =
+        flags.get("metrics-dump-ms", options.metrics_dump_ms);
+    flags.require_all_consumed("rdcn_serve");
+    // Zero executors is ServeOptions' test hook (runs queue, never run).
+    if (options.executors == 0)
+      throw SpecError("--executors must be at least 1");
 
     serve::Daemon daemon(options);
     daemon.start();

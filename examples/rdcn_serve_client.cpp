@@ -24,7 +24,6 @@
 #include <iostream>
 #include <vector>
 
-#include "common/flags.hpp"
 #include "common/param_map.hpp"
 #include "serve/client.hpp"
 
@@ -132,25 +131,45 @@ bool attach_run(serve::Client& client, std::uint64_t id,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  if (flags.has("help") || !flags.has("socket")) {
-    std::cout << kUsage;
-    return 0;
-  }
-  const auto unknown = flags.unknown_flags(
-      {"socket", "daemon", "spec", "spec2", "attach", "client", "priority",
-       "reset", "csv", "csv2", "deadline-ms", "retries", "metrics-out",
-       "quiet", "help"});
-  if (!unknown.empty()) {
-    for (const auto& f : unknown) std::cerr << "unknown flag: --" << f << "\n";
-    std::cerr << "\n" << kUsage;
+  // Every flag is read and checked before --daemon forks: a bad one exits
+  // 2 with no daemon to reap.
+  std::string socket_path, daemon_bin, spec, spec2, client_name, reset, csv,
+      csv2, metrics_out;
+  bool attach = false, quiet = false;
+  std::uint64_t attach_id = 0, deadline_ms = 0;
+  int priority = 1;
+  serve::Client::RetryPolicy policy;
+  try {
+    const ParamMap flags = ParamMap::from_args(argc, argv);
+    if (flags.get("help", false) || !flags.contains("socket")) {
+      std::cout << kUsage;
+      return 0;
+    }
+    socket_path = flags.get<std::string>("socket");
+    daemon_bin = flags.get<std::string>("daemon", "");
+    spec = flags.get<std::string>("spec", "");
+    spec2 = flags.get<std::string>("spec2", "");
+    attach = flags.contains("attach");
+    attach_id = flags.get<std::uint64_t>("attach", 0);
+    client_name = flags.get<std::string>("client", "");
+    priority = flags.get("priority", priority);
+    reset = flags.get<std::string>("reset", "");
+    csv = flags.get<std::string>("csv", "");
+    csv2 = flags.get<std::string>("csv2", "");
+    deadline_ms = flags.get("deadline-ms", deadline_ms);
+    policy.max_attempts = flags.get("retries", policy.max_attempts);
+    metrics_out = flags.get<std::string>("metrics-out", "");
+    quiet = flags.get("quiet", false);
+    flags.require_all_consumed("rdcn_serve_client");
+    if (priority < 0 || priority > 2)
+      throw SpecError("--priority must be 0, 1 or 2");
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
 
-  const std::string socket_path = flags.get("socket");
   pid_t daemon_pid = -1;
-  if (flags.has("daemon")) {
-    const std::string daemon_bin = flags.get("daemon");
+  if (!daemon_bin.empty()) {
     const std::string socket_arg = "--socket=" + socket_path;
     daemon_pid = ::fork();
     if (daemon_pid < 0) {
@@ -171,46 +190,35 @@ int main(int argc, char** argv) {
     serve::Client client;
     client.connect(socket_path);  // retries while a spawned daemon binds
     client.ping();
-    if (flags.has("client")) client.hello(flags.get("client"));
-    client.set_priority(static_cast<int>(flags.get_uint("priority", 1)));
-    if (flags.has("reset")) {
-      const std::string target = flags.get("reset");
-      const std::size_t cleared = target == "all"
+    if (!client_name.empty()) client.hello(client_name);
+    client.set_priority(priority);
+    if (!reset.empty()) {
+      const std::size_t cleared = reset == "all"
                                       ? client.reset_all()
-                                      : client.reset_quarantine(target);
+                                      : client.reset_quarantine(reset);
       std::cout << "reset: cleared=" << cleared << "\n";
     }
 
-    const bool quiet = flags.get_bool("quiet", false);
-    serve::Client::RetryPolicy policy;
-    policy.max_attempts = flags.get_uint("retries", 5);
-    const std::uint64_t deadline_ms = flags.get_uint("deadline-ms", 0);
-    if (flags.has("attach") &&
-        !attach_run(client, flags.get_uint("attach", 0),
-                    flags.get("csv", ""), quiet))
+    if (attach && !attach_run(client, attach_id, csv, quiet)) exit_code = 1;
+    if (exit_code == 0 && !spec.empty() &&
+        !run_spec(client, spec, csv, quiet, policy, deadline_ms))
       exit_code = 1;
-    if (exit_code == 0 && flags.has("spec") &&
-        !run_spec(client, flags.get("spec"), flags.get("csv", ""), quiet,
-                  policy, deadline_ms))
-      exit_code = 1;
-    if (exit_code == 0 && flags.has("spec2") &&
-        !run_spec(client, flags.get("spec2"), flags.get("csv2", ""), quiet,
-                  policy, deadline_ms))
+    if (exit_code == 0 && !spec2.empty() &&
+        !run_spec(client, spec2, csv2, quiet, policy, deadline_ms))
       exit_code = 1;
 
-    if (flags.has("metrics-out")) {
+    if (!metrics_out.empty()) {
       const std::string text = client.metrics();
-      const std::string path = flags.get("metrics-out");
-      if (path == "-") {
+      if (metrics_out == "-") {
         std::cout << text;
       } else {
-        std::ofstream file(path, std::ios::binary);
+        std::ofstream file(metrics_out, std::ios::binary);
         file << text;
         if (!file) {
-          std::cerr << "error: cannot write " << path << "\n";
+          std::cerr << "error: cannot write " << metrics_out << "\n";
           exit_code = 2;
         } else {
-          std::cout << "wrote " << path << "\n";
+          std::cout << "wrote " << metrics_out << "\n";
         }
       }
     }

@@ -16,16 +16,16 @@
 //   rdcn_sim --trace=trace.csv --algorithms=r_bma --b=8 --csv=out.csv
 #include <fstream>
 #include <iostream>
+#include <optional>
 
-#include "common/flags.hpp"
 #include "rdcn.hpp"
 
 namespace {
 
 using namespace rdcn;
 
-// The driver's own flag table — the single source for both unknown-flag
-// validation and the flag section of --help.  Component names and their
+// The flag section of --help.  The scenario fields are read (and unknown
+// flags rejected) by ScenarioSpec::parse; component names and their
 // parameters are NOT listed here: that half of the help text is generated
 // from the registries (scenario::catalog_text), so it can never drift.
 struct FlagDoc {
@@ -78,54 +78,30 @@ std::string usage_text() {
   return out;
 }
 
-std::vector<std::string> known_flags() {
-  std::vector<std::string> out;
-  for (const FlagDoc& f : kFlagDocs) out.push_back(f.name);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  if (flags.has("help")) {
-    std::cout << usage_text();
-    return 0;
-  }
-  const auto unknown = flags.unknown_flags(known_flags());
-  if (!unknown.empty()) {
-    for (const auto& f : unknown) std::cerr << "unknown flag: --" << f << "\n";
-    std::cerr << "\n" << usage_text();
-    return 2;
-  }
-
   try {
-    scenario::ScenarioSpec spec;
-    spec.topology = Spec::parse(flags.get("topology", "fat_tree"));
-    if (flags.has("trace")) {
-      spec.workload.name = "csv";
-      spec.workload.params = ParamMap{};
-      spec.workload.params.set("path", flags.get("trace"));
-    } else {
-      spec.workload = Spec::parse(flags.get("workload", "facebook_db"));
+    const ParamMap flags = ParamMap::from_args(argc, argv);
+    if (flags.get("help", false)) {
+      std::cout << usage_text();
+      return 0;
     }
-    spec.algorithms = scenario::parse_algorithm_list(
-        flags.get("algorithms", "r_bma,bma,oblivious"));
-    for (std::uint64_t b : flags.get_uint_list("b"))
-      spec.cache_sizes.push_back(static_cast<std::size_t>(b));
-    spec.racks = flags.get_uint("racks", 100);
-    spec.requests = flags.get_uint("requests", 100'000);
-    spec.a = flags.get_uint("a", 0);
-    spec.alpha = flags.get_uint("alpha", 60);
-    spec.trials = flags.get_uint("trials", 5);
-    spec.checkpoints = flags.get_uint("checkpoints", 8);
-    spec.seed = flags.get_uint("seed", 42);
-    spec.threads = flags.get_uint("threads", 0);
-
+    // rdcn_sim's own flags first; every other flag must be a scenario
+    // field, which ScenarioSpec::parse reads and checks.
     const sim::Metric metric =
-        sim::parse_metric(flags.get("metric", "routing_cost"));
+        sim::parse_metric(flags.get<std::string>("metric", "routing_cost"));
+    const std::string csv = flags.get<std::string>("csv", "");
+    const bool profile = flags.get("profile", false);
+    std::optional<std::string> trace;
+    if (flags.contains("trace")) trace = flags.get<std::string>("trace");
+    scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(flags);
+    if (trace) {
+      // Built directly, not parsed: any path survives, ',' and '=' too.
+      spec.workload = Spec{"csv", {}};
+      spec.workload.params.set("path", *trace);
+    }
 
-    const bool profile = flags.get_bool("profile", false);
     if (profile) {
       obs::reset_traces();  // a clean tree: this run only
       obs::set_tracing(true);
@@ -158,10 +134,10 @@ int main(int argc, char** argv) {
     sim::print_table(std::cout, result.runs, metric, "rdcn_sim");
     sim::print_summary(std::cout, result.runs, result.runs.back());
 
-    if (flags.has("csv")) {
-      std::ofstream out(flags.get("csv"));
+    if (!csv.empty()) {
+      std::ofstream out(csv);
       sim::write_csv(out, result.runs, metric);
-      std::cout << "wrote " << flags.get("csv") << "\n";
+      std::cout << "wrote " << csv << "\n";
     }
 
     if (profile) {
@@ -170,8 +146,8 @@ int main(int argc, char** argv) {
       obs::write_profile_report(std::cout);
     }
   } catch (const std::exception& e) {
-    // SpecError from the registries/spec parsing, std::invalid_argument &
-    // co from the numeric flag getters — either way report, don't abort.
+    // SpecError from the flags, the spec or the registries: report, don't
+    // abort.
     std::cerr << "error: " << e.what() << "\n";
     std::cerr << "run with --help for the full component catalog\n";
     return 2;

@@ -134,6 +134,25 @@ ParamMap ParamMap::parse(const std::string& text) {
   return out;
 }
 
+ParamMap ParamMap::from_args(int argc, const char* const* argv) {
+  ParamMap out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) != 0 || arg.size() == 2 || eq == 2)
+      throw SpecError("unexpected argument '" + arg +
+                      "'; flags take the form --key=value");
+    const std::string key = arg.substr(2, eq - 2);  // npos: to the end
+    if (eq != std::string::npos)
+      out.set(key, arg.substr(eq + 1));
+    else if (i + 1 < argc && argv[i + 1][0] != '-')
+      out.set(key, argv[++i]);
+    else
+      out.set(key, "true");
+  }
+  return out;
+}
+
 namespace {
 
 void append_entry(std::string& out, const std::string& key,

@@ -47,6 +47,14 @@ class ParamMap {
   /// repeated key is a typo, not an override).
   static ParamMap parse(const std::string& text);
 
+  /// Reads command-line flags (argv[1..]): "--k=v", "--k v" when the next
+  /// token does not start with '-', and a bare "--k" ≡ k=true.  A repeated
+  /// flag replaces the earlier value.  Any other token ("50000", "-x",
+  /// "--", "--=3") raises SpecError.  Flags no getter reads stay in
+  /// unconsumed_keys(), so a tool rejects unknown flags after reading its
+  /// own.
+  static ParamMap from_args(int argc, const char* const* argv);
+
   /// Inverse of parse(): "k1=v1,k2,k3=v3", insertion order preserved,
   /// values equal to "true" printed as bare keys.  parse(to_string())
   /// round-trips to an equivalent map.

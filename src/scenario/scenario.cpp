@@ -19,20 +19,12 @@ namespace {
 using rdcn::detail::split;
 using rdcn::detail::trim;
 
-/// Scalar fields reuse ParamMap's typed conversion (same SpecErrors).
-template <typename T>
-T parse_scalar(const std::string& key, const std::string& value) {
+/// One entry of the b list, through ParamMap's typed conversion (the
+/// same SpecErrors as a scalar field).
+std::size_t parse_cache_size(const std::string& text) {
   ParamMap one;
-  one.set(key, value);
-  return one.get<T>(key);
-}
-
-std::vector<std::size_t> parse_size_list(const std::string& key,
-                                         const std::string& text) {
-  std::vector<std::size_t> out;
-  for (const std::string& raw : split(text, ','))
-    out.push_back(parse_scalar<std::size_t>(key, trim(raw)));
-  return out;
+  one.set("b", trim(text));
+  return one.get<std::size_t>("b");
 }
 
 std::string size_list_to_string(const std::vector<std::size_t>& values) {
@@ -47,54 +39,49 @@ std::string size_list_to_string(const std::vector<std::size_t>& values) {
 }  // namespace
 
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
-  ScenarioSpec spec;
-  std::vector<std::string> seen;
+  ParamMap fields;
   for (const std::string& raw_field : split(text, ';')) {
     const std::string field = trim(raw_field);
-    if (!field.empty()) {
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos)
-        throw SpecError("scenario field '" + field +
-                        "' is not of the form key=value");
-      const std::string key = trim(field.substr(0, eq));
-      const std::string value = trim(field.substr(eq + 1));
-      // Same stance as ParamMap::parse: within one spec a repeated key is
-      // a typo, not an override.
-      if (std::find(seen.begin(), seen.end(), key) != seen.end())
-        throw SpecError("duplicate scenario field '" + key + "'");
-      seen.push_back(key);
-      if (key == "topology") {
-        spec.topology = Spec::parse(value);
-      } else if (key == "workload") {
-        spec.workload = Spec::parse(value);
-      } else if (key == "algorithms") {
-        spec.algorithms = parse_algorithm_list(value);
-      } else if (key == "b") {
-        spec.cache_sizes = parse_size_list(key, value);
-      } else if (key == "racks") {
-        spec.racks = parse_scalar<std::size_t>(key, value);
-      } else if (key == "requests") {
-        spec.requests = parse_scalar<std::size_t>(key, value);
-      } else if (key == "a") {
-        spec.a = parse_scalar<std::size_t>(key, value);
-      } else if (key == "alpha") {
-        spec.alpha = parse_scalar<std::uint64_t>(key, value);
-      } else if (key == "trials") {
-        spec.trials = parse_scalar<std::size_t>(key, value);
-      } else if (key == "checkpoints") {
-        spec.checkpoints = parse_scalar<std::size_t>(key, value);
-      } else if (key == "seed") {
-        spec.seed = parse_scalar<std::uint64_t>(key, value);
-      } else if (key == "threads") {
-        spec.threads = parse_scalar<std::size_t>(key, value);
-      } else {
-        throw SpecError(
-            "unknown scenario field '" + key +
-            "'; known: topology, workload, algorithms, b, racks, requests, "
-            "a, alpha, trials, checkpoints, seed, threads");
-      }
-    }
+    if (field.empty()) continue;
+    const std::size_t eq = field.find('=');
+    if (eq == std::string::npos)
+      throw SpecError("scenario field '" + field +
+                      "' is not of the form key=value");
+    const std::string key = trim(field.substr(0, eq));
+    // Same stance as ParamMap::parse: within one spec a repeated key is a
+    // typo, not an override.
+    if (fields.contains(key))
+      throw SpecError("duplicate scenario field '" + key + "'");
+    fields.set(key, trim(field.substr(eq + 1)));
   }
+  return parse(fields);
+}
+
+ScenarioSpec ScenarioSpec::parse(const ParamMap& fields) {
+  ScenarioSpec spec;
+  if (fields.contains("topology"))
+    spec.topology = Spec::parse(fields.get<std::string>("topology"));
+  if (fields.contains("workload"))
+    spec.workload = Spec::parse(fields.get<std::string>("workload"));
+  spec.algorithms =
+      parse_algorithm_list(fields.get<std::string>("algorithms", ""));
+  if (fields.contains("b"))
+    for (const std::string& b : split(fields.get<std::string>("b"), ','))
+      spec.cache_sizes.push_back(parse_cache_size(b));
+  spec.racks = fields.get("racks", spec.racks);
+  spec.requests = fields.get("requests", spec.requests);
+  spec.a = fields.get("a", spec.a);
+  spec.alpha = fields.get("alpha", spec.alpha);
+  spec.trials = fields.get("trials", spec.trials);
+  spec.checkpoints = fields.get("checkpoints", spec.checkpoints);
+  spec.seed = fields.get("seed", spec.seed);
+  spec.threads = fields.get("threads", spec.threads);
+  const std::vector<std::string> unknown = fields.unconsumed_keys();
+  if (!unknown.empty())
+    throw SpecError(
+        "unknown scenario field '" + unknown.front() +
+        "'; known: topology, workload, algorithms, b, racks, requests, a, "
+        "alpha, trials, checkpoints, seed, threads");
   return spec;
 }
 

@@ -42,9 +42,14 @@ struct ScenarioSpec {
   std::size_t threads = 0;   ///< 0 = hardware concurrency
 
   /// Parses the semicolon-separated "key=value;..." form (keys as in the
-  /// field names above; "algorithms" uses parse_algorithm_list).  Unknown
-  /// keys raise SpecError.
+  /// field names above); a repeated key raises SpecError.
   static ScenarioSpec parse(const std::string& text);
+
+  /// Reads the fields from `fields` ("algorithms" through
+  /// parse_algorithm_list, "b" as a comma list; absent fields keep their
+  /// defaults).  A malformed value, or any key no read consumed, raises
+  /// SpecError — so a CLI reads its own flags first and passes the rest.
+  static ScenarioSpec parse(const ParamMap& fields);
 
   /// One-line form faithful to the spec as given (resolved defaults,
   /// component params in insertion order); parse(to_string()) round-trips.

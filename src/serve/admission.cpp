@@ -53,40 +53,6 @@ double TokenBucket::tokens_at(std::uint64_t now_ns) {
   return tokens_;
 }
 
-namespace {
-
-/// One "key=value" quota attribute; throws with position context.
-void apply_quota_attr(QuotaSpec& quota, const std::string& token,
-                      std::size_t line_no) {
-  const std::size_t eq = token.find('=');
-  const std::string key = token.substr(0, eq);
-  const std::string value =
-      eq == std::string::npos ? "" : token.substr(eq + 1);
-  const auto bad = [&](const std::string& why) {
-    throw SpecError("quota file line " + std::to_string(line_no) + ": " +
-                    why + " in '" + token + "'");
-  };
-  if (eq == std::string::npos || value.empty()) bad("expected key=value");
-  try {
-    if (key == "rps") {
-      quota.rps = std::stod(value);
-    } else if (key == "burst") {
-      quota.burst = std::stod(value);
-    } else if (key == "concurrent") {
-      quota.concurrent = static_cast<std::size_t>(std::stoull(value));
-    } else {
-      bad("unknown quota key '" + key + "'; known: rps, burst, concurrent");
-    }
-  } catch (const SpecError&) {
-    throw;
-  } catch (const std::exception&) {
-    bad("unparseable value");
-  }
-  if (quota.rps < 0 || quota.burst < 0) bad("negative rate");
-}
-
-}  // namespace
-
 QuotaTable QuotaTable::parse_text(const std::string& text,
                                   const QuotaSpec& defaults) {
   QuotaTable out(defaults);
@@ -103,9 +69,29 @@ QuotaTable QuotaTable::parse_text(const std::string& text,
       throw SpecError("quota file line " + std::to_string(line_no) +
                       ": invalid client name '" + client +
                       "' (1-64 chars from [A-Za-z0-9._-], or 'default')");
-    QuotaSpec quota = defaults;
+    // The row's "k=v" attributes read through ParamMap, like every
+    // typed-in value; a bare token reads as k="", which no key accepts.
+    ParamMap attrs;
     std::string token;
-    while (fields >> token) apply_quota_attr(quota, token, line_no);
+    while (fields >> token) {
+      const std::size_t eq = token.find('=');
+      attrs.set(token.substr(0, eq),
+                eq == std::string::npos ? "" : token.substr(eq + 1));
+    }
+    QuotaSpec quota = defaults;
+    try {
+      quota.rps = attrs.get("rps", quota.rps);
+      quota.burst = attrs.get("burst", quota.burst);
+      quota.concurrent = attrs.get("concurrent", quota.concurrent);
+      attrs.require_all_consumed("client '" + client +
+                                 "' (known: rps, burst, concurrent)");
+      if (quota.rps < 0 || quota.burst < 0)
+        throw SpecError("negative rps or burst for client '" + client +
+                        "'");
+    } catch (const SpecError& e) {
+      throw SpecError("quota file line " + std::to_string(line_no) + ": " +
+                      e.what());
+    }
     if (client == "default" || client == "*")
       out.default_ = quota;
     else

@@ -279,9 +279,12 @@ void Daemon::start() {
   // traces are on so --metrics-dump snapshots carry per-phase time.
   obs::set_tracing(true);
   // Quotas resolve once, before any admission: the --quota-* defaults,
-  // optionally overridden per client by the quota file.  A malformed file
-  // fails startup (SpecError) — silently unlimited tenants are worse.
+  // optionally overridden per client by the quota file.  A negative (or
+  // NaN) default or a malformed file fails startup (SpecError) — silently
+  // unlimited tenants are worse.
   {
+    if (!(options_.quota_rps >= 0) || !(options_.quota_burst >= 0))
+      throw SpecError("quota_rps and quota_burst must not be negative");
     QuotaSpec defaults;
     defaults.rps = options_.quota_rps;
     defaults.burst = options_.quota_burst;
@@ -1051,7 +1054,6 @@ void Daemon::executor_loop() {
     task->last_progress_ns.store(monotonic_now_ns(),
                                  std::memory_order_relaxed);
     task->started.store(true, std::memory_order_release);
-    journal_.started(task->id);
     const std::uint64_t wait_ns = monotonic_now_ns() - task->admitted_ns;
     m_.admission_wait.observe_ns(wait_ns);
     (task->priority == 0   ? m_.queue_wait_p0
@@ -1196,32 +1198,26 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
   scenario::RunHooks hooks;
   hooks.cancel = task->cancel;
   const bool durable = journal_.enabled();
-  hooks.on_checkpoint = [this, task, durable](const std::string& label,
-                                              std::uint64_t seed,
-                                              const sim::Checkpoint&
-                                                  checkpoint) {
+  hooks.on_checkpoint = [task, durable](const std::string& label,
+                                        std::uint64_t seed,
+                                        const sim::Checkpoint& checkpoint) {
     task->last_progress_ns.store(monotonic_now_ns(),
                                  std::memory_order_relaxed);
-    std::uint64_t seq = 0;
-    {
-      const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
-      seq = task->next_seq++;
-      std::string line =
-          msg_checkpoint(task->id, seq, label, seed, checkpoint);
-      for (const auto& sub : task->subscribers)
-        if (seq >= sub.from) sub.conn->send_line(line);
-      std::erase_if(task->subscribers, [](const RunTask::Subscriber& s) {
-        return s.conn->broken.load(std::memory_order_relaxed);
-      });
-      task->ring.emplace_back(seq, std::move(line));
-      if (task->ring.size() > kCheckpointRing) task->ring.pop_front();
-      // Nobody is listening: without a journal the run's output has no
-      // future, so stop burning CPU; with one the run is re-attachable
-      // and its result durable — let it finish.
-      if (task->subscribers.empty() && !task->recovered && !durable)
-        task->cancel.request_cancel();
-    }
-    journal_.checkpoint(task->id, seq);
+    const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
+    const std::uint64_t seq = task->next_seq++;
+    std::string line = msg_checkpoint(task->id, seq, label, seed, checkpoint);
+    for (const auto& sub : task->subscribers)
+      if (seq >= sub.from) sub.conn->send_line(line);
+    std::erase_if(task->subscribers, [](const RunTask::Subscriber& s) {
+      return s.conn->broken.load(std::memory_order_relaxed);
+    });
+    task->ring.emplace_back(seq, std::move(line));
+    if (task->ring.size() > kCheckpointRing) task->ring.pop_front();
+    // Nobody is listening: without a journal the run's output has no
+    // future, so stop burning CPU; with one the run is re-attachable
+    // and its result durable — let it finish.
+    if (task->subscribers.empty() && !task->recovered && !durable)
+      task->cancel.request_cancel();
   };
   try {
     if (fault::fire("serve.executor.crash"))

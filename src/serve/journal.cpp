@@ -166,7 +166,7 @@ Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
     } else if (t.size() >= 3 && t[0] == "admit" && parse_u64(t[1], id)) {
       if (by_id.count(id) == 0 && finished.count(id) == 0) {
         by_id.emplace(id, runs.size());
-        runs.push_back(RecoveredRun{id, t[2], false, 0, "anon", 1});
+        runs.push_back(RecoveredRun{id, t[2], "anon", 1});
       }
       if (id + 1 > out.next_id) out.next_id = id + 1;
     } else if (t[0] == "admit2") {
@@ -178,20 +178,11 @@ Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
           is_valid_client_name(t2[3])) {
         if (by_id.count(id) == 0 && finished.count(id) == 0) {
           by_id.emplace(id, runs.size());
-          runs.push_back(RecoveredRun{id, t2[4], false, 0, t2[3],
-                                      static_cast<int>(priority)});
+          runs.push_back(
+              RecoveredRun{id, t2[4], t2[3], static_cast<int>(priority)});
         }
         if (id + 1 > out.next_id) out.next_id = id + 1;
       }
-    } else if (t.size() >= 2 && t[0] == "start" && parse_u64(t[1], id)) {
-      const auto it = by_id.find(id);
-      if (it != by_id.end()) runs[it->second].started = true;
-    } else if (t.size() >= 3 && t[0] == "ckpt" && parse_u64(t[1], id)) {
-      std::uint64_t seq = 0;
-      const auto it = by_id.find(id);
-      if (it != by_id.end() && parse_u64(t[2], seq) &&
-          seq > runs[it->second].checkpoint_seq)
-        runs[it->second].checkpoint_seq = seq;
     } else if (t.size() >= 3 && t[0] == "done" && parse_u64(t[1], id)) {
       // Duplicate terminal records are idempotent: the first wins.
       finished.emplace(id, t[2]);
@@ -309,15 +300,6 @@ void Journal::admitted(std::uint64_t id, const std::string& spec,
                        const std::string& client, int priority) {
   append("admit2 " + std::to_string(id) + " " + std::to_string(priority) +
              " " + client + " " + spec,
-         /*sync=*/false);
-}
-
-void Journal::started(std::uint64_t id) {
-  append("start " + std::to_string(id), /*sync=*/false);
-}
-
-void Journal::checkpoint(std::uint64_t id, std::uint64_t seq) {
-  append("ckpt " + std::to_string(id) + " " + std::to_string(seq),
          /*sync=*/false);
 }
 

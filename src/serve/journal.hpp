@@ -28,12 +28,12 @@
 //                                 recovery re-enqueues into the right DRR
 //                                 lane and re-charges the client's
 //                                 concurrent-run quota
-//   start <id>                    an executor picked the run up
-//   ckpt <id> <seq>               checkpoint high-water mark (ATTACH
-//                                 replay bookkeeping, diagnostics)
 //   done <id> <status>            terminal: ok | cancelled |
 //                                 deadline_exceeded | stalled | error
 //   streak <n> <spec>             quarantine streak update (0 clears)
+//
+// Any other record type (e.g. the `start`/`ckpt` records older builds
+// wrote) is skipped at replay.
 //
 // Write policy: records append under one mutex; only terminal records
 // (and flush()) fsync — an admit lost to a crash merely loses the run,
@@ -72,8 +72,6 @@ class Journal {
   struct RecoveredRun {
     std::uint64_t id = 0;
     std::string spec;    ///< canonical spec text (deterministic recompute)
-    bool started = false;  ///< an executor had picked it up
-    std::uint64_t checkpoint_seq = 0;  ///< highest ckpt record seen
     std::string client = "anon";  ///< fairness lane / quota identity
     int priority = 1;             ///< shed order under brownout (0-2)
   };
@@ -110,8 +108,6 @@ class Journal {
   // Appends (no-ops while disabled).  terminal() and flush() fsync.
   void admitted(std::uint64_t id, const std::string& spec,
                 const std::string& client = "anon", int priority = 1);
-  void started(std::uint64_t id);
-  void checkpoint(std::uint64_t id, std::uint64_t seq);
   void terminal(std::uint64_t id, const std::string& status);
   void quarantine_streak(const std::string& spec, std::size_t streak);
   void flush();

@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "common/param_map.hpp"
 #include "serve/admission.hpp"
 
 namespace rdcn::serve {
@@ -56,6 +57,37 @@ std::uint64_t attr_u64(const std::string& rest, const std::string& key) {
   return out;
 }
 
+/// The space-separated "k=v" tokens after a command's operand (the first
+/// token of `rest`), read into a ParamMap like every typed-in value.  A
+/// bare token reads as k="", which no option accepts.
+ParamMap options_after_operand(const std::string& rest) {
+  ParamMap out;
+  const std::size_t space = rest.find(' ');
+  if (space == std::string::npos) return out;  // the common bare RUN
+  for (const std::string& token :
+       rdcn::detail::split(rest.substr(space + 1), ' ')) {
+    const std::size_t eq = token.find('=');
+    if (!token.empty())
+      out.set(token.substr(0, eq),
+              eq == std::string::npos ? "" : token.substr(eq + 1));
+  }
+  return out;
+}
+
+/// Option `key` as T, `fallback` when absent; a present value `valid`
+/// refuses raises SpecError naming the token.
+template <typename T, typename Valid>
+T option(const ParamMap& options, const std::string& key, T fallback,
+         Valid valid) {
+  const T value = options.get(key, fallback);
+  if (options.contains(key) && !valid(value))
+    throw SpecError("invalid option '" + key + "=" +
+                    options.get<std::string>(key) + "'");
+  return value;
+}
+
+bool positive(std::uint64_t n) { return n > 0; }
+
 }  // namespace
 
 Command parse_command(const std::string& line) {
@@ -90,51 +122,26 @@ Command parse_command(const std::string& line) {
           "RESET needs 'spec=<canonical spec>' or 'all=1' ('RESET "
           "spec=...' clears one quarantine streak)";
     }
+  } else if (verb == "RUN" && rest.empty()) {
+    cmd.error = "RUN needs a scenario spec ('RUN <spec>')";
   } else if (verb == "RUN") {
-    if (rest.empty()) {
-      cmd.error = "RUN needs a scenario spec ('RUN <spec>')";
-    } else {
-      // The spec itself never contains spaces; anything after the first
-      // token must be a recognized run option.
+    // The spec itself never contains spaces; the tokens after it are run
+    // options.
+    cmd.spec = rest.substr(0, rest.find(' '));
+    try {
+      const ParamMap options = options_after_operand(rest);
+      cmd.deadline_ms =
+          option<std::uint64_t>(options, "deadline_ms", 0, positive);
+      cmd.client =
+          option<std::string>(options, "client", "", is_valid_client_name);
+      cmd.priority = option(options, "priority", 1,
+                            [](int p) { return p >= 0 && p <= 2; });
+      options.require_all_consumed("RUN");
       cmd.kind = Command::Kind::kRun;
-      const std::size_t space = rest.find(' ');
-      cmd.spec = rest.substr(0, space);
-      std::size_t pos = space;
-      while (pos != std::string::npos && pos < rest.size()) {
-        while (pos < rest.size() && rest[pos] == ' ') ++pos;
-        if (pos >= rest.size()) break;
-        const std::size_t end = rest.find(' ', pos);
-        const std::string token =
-            rest.substr(pos, end == std::string::npos ? std::string::npos
-                                                      : end - pos);
-        constexpr const char* kDeadlineKey = "deadline_ms=";
-        constexpr const char* kClientKey = "client=";
-        constexpr const char* kPriorityKey = "priority=";
-        if (token.compare(0, 12, kDeadlineKey) == 0 &&
-            parse_u64(token.substr(12), cmd.deadline_ms) &&
-            cmd.deadline_ms > 0) {
-          pos = end;
-          continue;
-        }
-        if (token.compare(0, 7, kClientKey) == 0 &&
-            is_valid_client_name(token.substr(7))) {
-          cmd.client = token.substr(7);
-          pos = end;
-          continue;
-        }
-        std::uint64_t priority = 0;
-        if (token.compare(0, 9, kPriorityKey) == 0 &&
-            parse_u64(token.substr(9), priority) && priority <= 2) {
-          cmd.priority = static_cast<int>(priority);
-          pos = end;
-          continue;
-        }
-        cmd.kind = Command::Kind::kInvalid;
-        cmd.error = "unrecognized RUN option '" + token +
-                    "'; known: deadline_ms=<positive integer>, "
-                    "client=<name>, priority=<0-2>";
-        break;
-      }
+    } catch (const SpecError& e) {
+      cmd.error = std::string(e.what()) +
+                  "; known RUN options: deadline_ms=<positive integer>, "
+                  "client=<name>, priority=<0-2>";
     }
   } else if (verb == "CANCEL") {
     if (!parse_u64(rest, cmd.id)) {
@@ -143,30 +150,17 @@ Command parse_command(const std::string& line) {
       cmd.kind = Command::Kind::kCancel;
     }
   } else if (verb == "ATTACH") {
-    const std::size_t space = rest.find(' ');
-    const std::string id_text = rest.substr(0, space);
-    if (!parse_u64(id_text, cmd.id)) {
+    if (!parse_u64(rest.substr(0, rest.find(' ')), cmd.id)) {
       cmd.error = "ATTACH needs a run id ('ATTACH <id> [from=<k>]')";
     } else {
-      cmd.kind = Command::Kind::kAttach;
-      std::size_t pos = space;
-      while (pos != std::string::npos && pos < rest.size()) {
-        while (pos < rest.size() && rest[pos] == ' ') ++pos;
-        if (pos >= rest.size()) break;
-        const std::size_t end = rest.find(' ', pos);
-        const std::string token =
-            rest.substr(pos, end == std::string::npos ? std::string::npos
-                                                      : end - pos);
-        constexpr const char* kFromKey = "from=";
-        if (token.compare(0, 5, kFromKey) == 0 &&
-            parse_u64(token.substr(5), cmd.from) && cmd.from > 0) {
-          pos = end;
-          continue;
-        }
-        cmd.kind = Command::Kind::kInvalid;
-        cmd.error = "unrecognized ATTACH option '" + token +
-                    "'; known: from=<positive integer>";
-        break;
+      try {
+        const ParamMap options = options_after_operand(rest);
+        cmd.from = option<std::uint64_t>(options, "from", 1, positive);
+        options.require_all_consumed("ATTACH");
+        cmd.kind = Command::Kind::kAttach;
+      } catch (const SpecError& e) {
+        cmd.error = std::string(e.what()) +
+                    "; known ATTACH options: from=<positive integer>";
       }
     }
   } else if (verb == "STATS") {

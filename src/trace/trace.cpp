@@ -6,16 +6,15 @@ namespace rdcn::trace {
 
 Trace Trace::prefix(std::size_t n) const {
   Trace t(num_racks_, name_ + "_prefix");
-  const std::size_t m = n < u_.size() ? n : u_.size();
-  t.u_.assign(u_.begin(), u_.begin() + static_cast<std::ptrdiff_t>(m));
-  t.v_.assign(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(m));
+  const std::size_t m = n < requests_.size() ? n : requests_.size();
+  t.requests_.assign(requests_.begin(),
+                     requests_.begin() + static_cast<std::ptrdiff_t>(m));
   return t;
 }
 
 std::size_t Trace::num_distinct_pairs() const {
-  FlatSet seen(u_.size());
-  for (std::size_t i = 0; i < u_.size(); ++i)
-    seen.insert(pair_key(u_[i], v_[i]));
+  FlatSet seen(requests_.size());
+  for (const Request& r : requests_) seen.insert(pair_key(r));
   return seen.size();
 }
 

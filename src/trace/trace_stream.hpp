@@ -65,7 +65,7 @@ class TraceStream {
   std::size_t produced_ = 0;
 };
 
-/// Stream view over a Trace (chunked copies of its columns).
+/// Stream view over a Trace (chunked copies of its request array).
 class MaterializedStream final : public TraceStream {
  public:
   /// Borrows `trace`, which must outlive the stream.

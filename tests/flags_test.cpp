@@ -1,114 +1,150 @@
-// Tests for the command-line flag parser (common/flags.hpp).
+// Tests for the command-line flag grammar (ParamMap::from_args in
+// common/param_map.hpp): every CLI reads its flags through it and then
+// through ParamMap's strict typed getters.
 #include <gtest/gtest.h>
 
-#include "common/flags.hpp"
+#include <string>
+#include <vector>
+
+#include "common/param_map.hpp"
 
 namespace {
 
-using rdcn::Flags;
+using rdcn::ParamMap;
+using rdcn::SpecError;
 
-Flags parse(std::initializer_list<const char*> args) {
+ParamMap parse(std::initializer_list<const char*> args) {
   std::vector<const char*> argv = {"prog"};
   for (const char* a : args) argv.push_back(a);
-  return Flags(static_cast<int>(argv.size()), argv.data());
+  return ParamMap::from_args(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The SpecError text parse() raises for `args` ("" when it parses).
+std::string parse_error(std::initializer_list<const char*> args) {
+  try {
+    parse(args);
+  } catch (const SpecError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Flags, EqualsForm) {
-  const Flags f = parse({"--racks=100", "--alpha=60"});
-  EXPECT_EQ(f.get_uint("racks", 0), 100u);
-  EXPECT_EQ(f.get_uint("alpha", 0), 60u);
+  const ParamMap f = parse({"--racks=100", "--alpha=60"});
+  EXPECT_EQ(f.get<std::size_t>("racks"), 100u);
+  EXPECT_EQ(f.get<std::uint64_t>("alpha"), 60u);
 }
 
 TEST(Flags, SpaceForm) {
-  const Flags f = parse({"--racks", "50", "--name", "hello"});
-  EXPECT_EQ(f.get_uint("racks", 0), 50u);
-  EXPECT_EQ(f.get("name"), "hello");
+  const ParamMap f = parse({"--racks", "50", "--name", "hello"});
+  EXPECT_EQ(f.get<std::size_t>("racks"), 50u);
+  EXPECT_EQ(f.get<std::string>("name"), "hello");
 }
 
 TEST(Flags, BooleanFlagWithoutValue) {
-  const Flags f = parse({"--eager", "--racks=10"});
-  EXPECT_TRUE(f.get_bool("eager", false));
-  EXPECT_FALSE(f.get_bool("missing", false));
-  EXPECT_TRUE(f.get_bool("missing", true));
+  const ParamMap f = parse({"--eager", "--racks=10"});
+  EXPECT_TRUE(f.get("eager", false));
+  EXPECT_FALSE(f.get("missing", false));
+  EXPECT_TRUE(f.get("missing", true));
 }
 
 TEST(Flags, DefaultsWhenAbsent) {
-  const Flags f = parse({});
-  EXPECT_EQ(f.get("x", "fallback"), "fallback");
-  EXPECT_EQ(f.get_int("n", -7), -7);
-  EXPECT_DOUBLE_EQ(f.get_double("d", 2.5), 2.5);
+  const ParamMap f = parse({});
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.get<std::string>("x", "fallback"), "fallback");
+  EXPECT_EQ(f.get("n", -7), -7);
+  EXPECT_DOUBLE_EQ(f.get("d", 2.5), 2.5);
 }
 
 TEST(Flags, LastOccurrenceWins) {
-  const Flags f = parse({"--b=3", "--b=9"});
-  EXPECT_EQ(f.get_uint("b", 0), 9u);
+  const ParamMap f = parse({"--b=3", "--b=9"});
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.get<std::size_t>("b"), 9u);
 }
 
-TEST(Flags, ListParsing) {
-  const Flags f = parse({"--b=6,12,18", "--names=a,b"});
-  const auto b = f.get_uint_list("b");
-  ASSERT_EQ(b.size(), 3u);
-  EXPECT_EQ(b[0], 6u);
-  EXPECT_EQ(b[2], 18u);
-  const auto names = f.get_list("names");
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[1], "b");
-  EXPECT_TRUE(f.get_list("absent").empty());
-}
-
-TEST(Flags, SingleElementList) {
-  const Flags f = parse({"--b=12"});
-  const auto b = f.get_uint_list("b");
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(b[0], 12u);
-}
-
-TEST(Flags, Positionals) {
-  const Flags f = parse({"input.csv", "--x=1", "output.csv"});
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "input.csv");
-  EXPECT_EQ(f.positional()[1], "output.csv");
+TEST(Flags, ValuesKeepCommasAndEquals) {
+  // A list or a path is the flag's raw value; the reader splits it.
+  const ParamMap f = parse({"--b=6,12,18", "--trace=a=b,c.csv"});
+  EXPECT_EQ(f.get<std::string>("b"), "6,12,18");
+  EXPECT_EQ(f.get<std::string>("trace"), "a=b,c.csv");
 }
 
 TEST(Flags, UnknownFlagDetection) {
-  const Flags f = parse({"--good=1", "--bad=2"});
-  const auto unknown = f.unknown_flags({"good"});
+  const ParamMap f = parse({"--good=1", "--bad=2"});
+  EXPECT_EQ(f.get<int>("good"), 1);
+  const auto unknown = f.unconsumed_keys();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "bad");
+  EXPECT_THROW(f.require_all_consumed("prog"), SpecError);
 }
 
 TEST(Flags, DoubleAndNegativeValues) {
-  const Flags f = parse({"--skew=1.25", "--delta=-3"});
-  EXPECT_DOUBLE_EQ(f.get_double("skew", 0.0), 1.25);
-  EXPECT_EQ(f.get_int("delta", 0), -3);
+  const ParamMap f = parse({"--skew=1.25", "--delta=-3"});
+  EXPECT_DOUBLE_EQ(f.get<double>("skew"), 1.25);
+  EXPECT_EQ(f.get<int>("delta"), -3);
 }
 
 // Space-form parsing must never swallow a '-'-leading token: after a
 // boolean flag it would be misbound as that flag's value ("--eager -5"
-// used to make eager = "-5"), and a negative-number positional would
-// vanish.  Negative values therefore require the '=' form.
+// used to make eager = "-5").  Negative values therefore require the '='
+// form, and the stray token itself is an error.
 TEST(Flags, SpaceFormDoesNotSwallowNegativeNumber) {
-  const Flags f = parse({"--eager", "-5"});
-  EXPECT_TRUE(f.get_bool("eager", false));
-  ASSERT_EQ(f.positional().size(), 1u);
-  EXPECT_EQ(f.positional()[0], "-5");
+  EXPECT_NE(parse_error({"--eager", "-5"}).find("'-5'"), std::string::npos);
 }
 
 TEST(Flags, SpaceFormDoesNotSwallowSingleDashToken) {
-  const Flags f = parse({"--out", "-", "--verbose"});
-  // "-" (the stdin/stdout convention) stays positional; --out becomes a
-  // boolean flag rather than binding "-".
-  EXPECT_EQ(f.get("out"), "true");
-  EXPECT_TRUE(f.get_bool("verbose", false));
-  ASSERT_EQ(f.positional().size(), 1u);
-  EXPECT_EQ(f.positional()[0], "-");
+  EXPECT_NE(parse_error({"--out", "-", "--verbose"}).find("'-'"),
+            std::string::npos);
+  // "--out" before a flag is a boolean, not a flag eating the next one.
+  const ParamMap f = parse({"--out", "--verbose"});
+  EXPECT_EQ(f.get<std::string>("out"), "true");
+  EXPECT_TRUE(f.get("verbose", false));
 }
 
 TEST(Flags, NegativeValueViaEqualsFormStillBinds) {
-  const Flags f = parse({"--alpha=-5", "--beta", "7"});
-  EXPECT_EQ(f.get_int("alpha", 0), -5);
-  EXPECT_EQ(f.get_uint("beta", 0), 7u);
-  EXPECT_TRUE(f.positional().empty());
+  const ParamMap f = parse({"--alpha=-5", "--beta", "7"});
+  EXPECT_EQ(f.get<int>("alpha"), -5);
+  EXPECT_EQ(f.get<std::uint64_t>("beta"), 7u);
+}
+
+TEST(Flags, StrayArgumentsAreErrors) {
+  // Each once parsed as a positional no binary read, so a typo silently
+  // ran the default experiment.
+  for (const char* stray : {"50000", "input.csv", "-x", "--", "--=3"}) {
+    const std::string what = parse_error({"--racks=10", stray});
+    EXPECT_NE(what.find(std::string("'") + stray + "'"), std::string::npos)
+        << stray << ": " << what;
+  }
+  // A space-form value is consumed, so it is not stray.
+  EXPECT_EQ(parse_error({"--requests", "50000"}), "");
+}
+
+TEST(Flags, MalformedValuesNameTheFlag) {
+  const ParamMap f =
+      parse({"--racks=12abc", "--requests=-1", "--threads=1.5",
+             "--retry-ms=4294967296", "--quota-rps=nan", "--profile=maybe"});
+  const auto error_of = [&](auto read) {
+    try {
+      read();
+    } catch (const SpecError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(error_of([&] { f.get<std::size_t>("racks"); }).find("'racks'"),
+            std::string::npos);
+  EXPECT_NE(
+      error_of([&] { f.get<std::size_t>("requests"); }).find("'requests'"),
+      std::string::npos);
+  EXPECT_NE(error_of([&] { f.get<std::size_t>("threads"); }).find("'threads'"),
+            std::string::npos);
+  EXPECT_NE(
+      error_of([&] { f.get<std::uint32_t>("retry-ms"); }).find("'retry-ms'"),
+      std::string::npos);
+  EXPECT_NE(error_of([&] { f.get<double>("quota-rps"); }).find("'quota-rps'"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { f.get("profile", false); }).find("'profile'"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/crc32.hpp"
 #include "serve/journal.hpp"
 
 namespace {
@@ -80,9 +81,6 @@ TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
     Journal journal(dir);
     journal.recover();
     journal.admitted(1, "a=1;b=2");
-    journal.started(1);
-    journal.checkpoint(1, 1);
-    journal.checkpoint(1, 3);
     journal.admitted(2, "c=3");
     journal.terminal(2, "ok");
     journal.quarantine_streak("bad=1", 2);
@@ -93,12 +91,10 @@ TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
   ASSERT_EQ(rec.incomplete.size(), 1u);
   EXPECT_EQ(rec.incomplete[0].id, 1u);
   EXPECT_EQ(rec.incomplete[0].spec, "a=1;b=2");
-  EXPECT_TRUE(rec.incomplete[0].started);
-  EXPECT_EQ(rec.incomplete[0].checkpoint_seq, 3u);
   ASSERT_EQ(rec.quarantine.size(), 1u);
   EXPECT_EQ(rec.quarantine[0].first, "bad=1");
   EXPECT_EQ(rec.quarantine[0].second, 2u);
-  EXPECT_GE(rec.replayed, 7u);
+  EXPECT_GE(rec.replayed, 4u);
   EXPECT_EQ(rec.corrupt, 0u);
 }
 
@@ -196,6 +192,39 @@ TEST_F(JournalTest, BitFlippedRecordEndsReplayAtTheFlip) {
   EXPECT_EQ(rec.incomplete[0].spec, "keep=me");
 }
 
+TEST_F(JournalTest, OlderStartAndCkptRecordsAreSkipped) {
+  // Older builds also wrote `start <id>` and `ckpt <id> <seq>` records.
+  // A log forged with them, framed as journal.hpp documents, must recover
+  // the same incomplete runs as one without.
+  const auto frame = [](const std::string& payload) {
+    std::string out;
+    for (const std::uint32_t word :
+         {static_cast<std::uint32_t>(payload.size()),
+          crc32(payload.data(), payload.size())})
+      for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<char>((word >> (8 * i)) & 0xff));
+    return out + payload;
+  };
+  write_wal(std::string("RDJ1") + frame("nextid 1") +
+            frame("admit2 1 2 alice a=1") + frame("start 1") +
+            frame("ckpt 1 3") + frame("admit 2 b=2") + frame("start 2") +
+            frame("done 2 ok") + frame("admit2 3 0 bob c=3"));
+  Journal journal(dir);
+  const Journal::Recovery rec = journal.recover();
+  EXPECT_EQ(rec.corrupt, 0u);
+  EXPECT_EQ(rec.replayed, 8u);
+  EXPECT_EQ(rec.next_id, 4u);
+  ASSERT_EQ(rec.incomplete.size(), 2u);
+  EXPECT_EQ(rec.incomplete[0].id, 1u);
+  EXPECT_EQ(rec.incomplete[0].spec, "a=1");
+  EXPECT_EQ(rec.incomplete[0].client, "alice");
+  EXPECT_EQ(rec.incomplete[0].priority, 2);
+  EXPECT_EQ(rec.incomplete[1].id, 3u);
+  EXPECT_EQ(rec.incomplete[1].spec, "c=3");
+  EXPECT_EQ(rec.incomplete[1].client, "bob");
+  EXPECT_EQ(rec.incomplete[1].priority, 0);
+}
+
 TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
   write_wal("not a journal at all");
   Journal journal(dir);
@@ -220,14 +249,13 @@ TEST_F(JournalTest, CompactionBoundsTheLogToLiveState) {
     journal.recover();
     for (std::uint64_t id = 1; id <= 50; ++id) {
       journal.admitted(id, "spec=" + std::to_string(id));
-      journal.started(id);
       journal.terminal(id, "ok");
     }
   }
   const auto grown = fs::file_size(wal());
   Journal reloaded(dir);
   const Journal::Recovery rec = reloaded.recover();
-  EXPECT_EQ(rec.replayed, 151u);  // nextid + 50 × (admit, start, done)
+  EXPECT_EQ(rec.replayed, 101u);  // nextid + 50 × (admit, done)
   EXPECT_TRUE(rec.incomplete.empty());
   EXPECT_EQ(rec.next_id, 51u);
   // History is gone: the compacted log holds magic + nextid only.

@@ -112,6 +112,44 @@ TEST(ScenarioSpec, MalformedFieldsThrow) {
   EXPECT_THROW(ScenarioSpec::parse("racks=ten"), SpecError);    // bad value
   EXPECT_THROW(ScenarioSpec::parse("b=2;racks=8;b=4"),          // typo'd dup
                SpecError);
+  EXPECT_THROW(ScenarioSpec::parse("b=4x"), SpecError);  // trailing garbage
+  EXPECT_THROW(ScenarioSpec::parse("requests=-1"), SpecError);  // negative
+}
+
+TEST(ScenarioSpec, ParamMapFormReadsTheSameFieldsAsText) {
+  // rdcn_sim passes its flags as a ParamMap; a spec string splits into
+  // one.  Both must give the same spec, defaults and errors included.
+  const char* argv[] = {"rdcn_sim",
+                        "--topology=torus:rows=5,cols=10",
+                        "--algorithms=r_bma:engine=lru,bma",
+                        "--b", "6,12",
+                        "--racks=50",
+                        "--seed=7",
+                        "--threads=2"};
+  const ParamMap flags = ParamMap::from_args(8, argv);
+  EXPECT_EQ(ScenarioSpec::parse(flags).to_string(),
+            ScenarioSpec::parse("topology=torus:rows=5,cols=10;"
+                                "algorithms=r_bma:engine=lru,bma;b=6,12;"
+                                "racks=50;seed=7;threads=2")
+                .to_string());
+  EXPECT_EQ(ScenarioSpec::parse(ParamMap{}).to_string(),
+            ScenarioSpec{}.to_string());
+
+  // A key no field reads is an error naming it, not a silent default.
+  ParamMap unknown;
+  unknown.set("racks", "8");
+  unknown.set("metric", "total_cost");
+  try {
+    ScenarioSpec::parse(unknown);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("'metric'"), std::string::npos)
+        << e.what();
+  }
+  // ... unless the caller consumed it first, as rdcn_sim does with its
+  // own flags.
+  EXPECT_EQ(unknown.get<std::string>("metric"), "total_cost");
+  EXPECT_EQ(ScenarioSpec::parse(unknown).racks, 8u);
 }
 
 TEST(RunScenario, EndToEndProducesOneRunPerAlgorithmTimesB) {

@@ -13,8 +13,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -161,6 +164,21 @@ TEST(QuotaTableTest, RejectsMalformedLinesWithLineNumber) {
                SpecError);
   EXPECT_THROW(QuotaTable::parse_text("alice rps=fast\n", QuotaSpec{}),
                SpecError);
+  // Values a lax parser once read as something else: rps=2x as 2,
+  // concurrent=-1 as 2^64-1, rps=nan as a bucket that admits everything.
+  for (const char* attr : {"rps=2x", "concurrent=-1", "rps=nan", "rps=inf",
+                           "burst=1e999", "concurrent=1.5", "rps", "rps=-1"}) {
+    try {
+      QuotaTable::parse_text("# quotas\nalice " + std::string(attr) + "\n",
+                             QuotaSpec{});
+      ADD_FAILURE() << attr << ": expected SpecError";
+    } catch (const SpecError& e) {
+      const std::string what = e.what();
+      const std::string key = std::string(attr).substr(0, 3);
+      EXPECT_NE(what.find("quota file line 2: "), std::string::npos) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(QuotaTableTest, EffectiveBurstDerivesFromRate) {
@@ -470,6 +488,20 @@ TEST_F(OverloadTest, QuotaRateRefusesWithHonestHint) {
   const StatsReport stats = fixture.client.stats_report();
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_GE(stats.clients, 1u);
+}
+
+TEST_F(OverloadTest, NegativeQuotaDefaultsFailStartup) {
+  // A negative rate once meant "unlimited" and a negative burst "derive
+  // it from the rate": both are refused, as the quota file refuses them.
+  for (const auto& [rps, burst] : {std::pair{-1.0, 1.0}, std::pair{1.0, -1.0},
+                                   std::pair{std::nan(""), 0.0}}) {
+    ServeOptions options = small_options("quota_negative");
+    options.quota_rps = rps;
+    options.quota_burst = burst;
+    Daemon daemon(options);
+    EXPECT_THROW(daemon.start(), SpecError) << rps << " " << burst;
+    EXPECT_FALSE(std::filesystem::exists(options.socket_path));
+  }
 }
 
 TEST_F(OverloadTest, QuotaConcurrentCapsInFlightPerClient) {

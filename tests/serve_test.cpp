@@ -146,6 +146,42 @@ TEST(Protocol, ParsesAttachCommand) {
   EXPECT_EQ(parse_command("ATTACH 1 bogus=2").kind, Command::Kind::kInvalid);
 }
 
+TEST(Protocol, OptionRefusalsNameTheTokenAndTheKnownOptions) {
+  // Options read through ParamMap: every refusal names what was wrong and
+  // lists what the verb accepts.
+  const struct {
+    const char* line;
+    const char* names;
+    const char* known;
+  } rows[] = {
+      {"RUN w=z bogus=1", "'bogus'", "deadline_ms=<positive integer>"},
+      {"RUN w=z junk_after_spec", "'junk_after_spec'", "priority=<0-2>"},
+      {"RUN w=z priority=high", "'high'", "priority=<0-2>"},
+      {"RUN w=z priority=3", "'priority=3'", "client=<name>"},
+      {"RUN w=z client=b@d", "'client=b@d'", "client=<name>"},
+      {"RUN w=z deadline_ms=0", "'deadline_ms=0'", "deadline_ms="},
+      {"ATTACH 1 from=0", "'from=0'", "from=<positive integer>"},
+      {"ATTACH 1 bogus=2", "'bogus'", "from=<positive integer>"},
+  };
+  for (const auto& row : rows) {
+    const Command cmd = parse_command(row.line);
+    EXPECT_EQ(cmd.kind, Command::Kind::kInvalid) << row.line;
+    EXPECT_NE(cmd.error.find(row.names), std::string::npos)
+        << row.line << ": " << cmd.error;
+    EXPECT_NE(cmd.error.find(row.known), std::string::npos)
+        << row.line << ": " << cmd.error;
+  }
+  // Extra spaces are separators, and a repeated option replaces the
+  // earlier one.
+  const Command run = parse_command(
+      "RUN w=z  deadline_ms=5 client=bob  priority=2 deadline_ms=7 ");
+  EXPECT_EQ(run.kind, Command::Kind::kRun);
+  EXPECT_EQ(run.spec, "w=z");
+  EXPECT_EQ(run.deadline_ms, 7u);
+  EXPECT_EQ(run.client, "bob");
+  EXPECT_EQ(run.priority, 2);
+}
+
 TEST(Protocol, ParsesShutdownDrainOption) {
   EXPECT_FALSE(parse_command("SHUTDOWN").drain);
   const Command drain = parse_command("SHUTDOWN drain=1");
