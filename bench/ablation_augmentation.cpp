@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
     }
     rbma /= seeds;
 
-    core::SoBma so(inst, t);
-    for (const core::Request& r : t) so.serve(r);
-    const auto so_routing = static_cast<double>(so.costs().routing_cost);
+    const auto so = scenario::make_algorithm("so_bma", inst, &t);
+    for (const core::Request& r : t) so->serve(r);
+    const auto so_routing = static_cast<double>(so->costs().routing_cost);
 
     std::printf("%4zu %16.0f %16.0f %12.3f\n", a, rbma, so_routing,
                 rbma / so_routing);

@@ -35,13 +35,14 @@ void sweep(const char* label, const trace::Trace& t,
                 static_cast<unsigned long long>(alg.costs().total_cost()),
                 alg.num_windows());
   }
-  // SO-BMA reference (the W = infinity point).
-  core::SoBma so(inst, t);
-  for (const core::Request& r : t) so.serve(r);
+  // SO-BMA reference (the W = infinity point): the registry's one-window
+  // offline_dynamic.
+  const auto so = scenario::make_algorithm("so_bma", inst, &t);
+  for (const core::Request& r : t) so->serve(r);
   std::printf("%10s %14llu %14llu %14llu %10d\n\n", "static",
-              static_cast<unsigned long long>(so.costs().routing_cost),
-              static_cast<unsigned long long>(so.costs().reconfig_cost),
-              static_cast<unsigned long long>(so.costs().total_cost()), 1);
+              static_cast<unsigned long long>(so->costs().routing_cost),
+              static_cast<unsigned long long>(so->costs().reconfig_cost),
+              static_cast<unsigned long long>(so->costs().total_cost()), 1);
 }
 
 }  // namespace

@@ -91,8 +91,8 @@ void BM_SoBmaConstruction(benchmark::State& state) {
   const trace::Trace& t = shared_trace();
   const core::Instance inst = instance_with_b(12);
   for (auto _ : state) {
-    core::SoBma so(inst, t);
-    benchmark::DoNotOptimize(so.matching().size());
+    const auto so = scenario::make_algorithm("so_bma", inst, &t);
+    benchmark::DoNotOptimize(so->matching().size());
   }
 }
 BENCHMARK(BM_SoBmaConstruction)->Unit(benchmark::kMillisecond);

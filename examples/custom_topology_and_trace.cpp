@@ -65,7 +65,7 @@ int main() {
                            "oblivious"}) {
     auto matcher = scenario::make_algorithm(name, inst, &t, /*seed=*/1);
     const sim::RunResult r = sim::run_to_completion(*matcher, t);
-    std::cout << "  " << matcher->name() << ": routing="
+    std::cout << "  " << name << ": routing="
               << r.final().routing_cost
               << " reconfig=" << r.final().reconfig_cost
               << " matched {0,7}=" << std::boolalpha

@@ -4,8 +4,8 @@
 // algorithms and cache sizes, and get the paper-style tables (and
 // optionally CSV) without writing C++.  Everything after the driver flags
 // is resolved through the scenario registries, so components registered
-// anywhere in the library (or via RDCN_REGISTER_*) are immediately
-// available here, with --help text generated from their registered docs.
+// anywhere in the library are immediately available here, with --help
+// text generated from their registered docs.
 //
 // Examples:
 //   rdcn_sim --workload=facebook_db --racks=100 --requests=100000

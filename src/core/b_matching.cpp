@@ -20,10 +20,11 @@ bool BMatching::check_invariants() const {
         if (adj[j] == v) return false;
     }
   }
-  // Every adjacency edge has its bit, so equal counts leave no stray bit.
+  // Every adjacency entry has its bit (one per orientation), so equal
+  // counts leave no stray bit.
   std::size_t bits = 0;
   for (const std::uint64_t word : member_) bits += std::popcount(word);
-  return bits == size_ && adjacency_entries == 2 * size_;
+  return bits == 2 * size_ && adjacency_entries == 2 * size_;
 }
 
 }  // namespace rdcn::core

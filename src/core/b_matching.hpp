@@ -3,11 +3,11 @@
 // Invariant (the feasibility constraint of §1.1): every rack has at most
 // `degree_cap` incident matching edges.  Membership queries are on the
 // per-request hot path (every routed request asks "is {s,t} matched?"),
-// so membership is one bit per unordered pair at the pair's triangular
-// slot (trace::pair_slot): a query is a single bit test at every b, and
-// n racks cost n·(n−1)/2 bits (61 KiB at 1000 racks).  Per-rack
-// adjacency lives in small inline vectors for O(b) neighbor scans; it is
-// also how the edges are enumerated.
+// so membership is an n×n bitset: bit u·n+v is set iff {u,v} ∈ M, in
+// both orientations.  A query is a single bit test at every b, with no
+// min/max and no triangular index, and n racks cost n² bits (122 KiB at
+// 1000 racks).  Per-rack adjacency lives in small inline vectors for
+// O(b) neighbor scans; it is also how the edges are enumerated.
 #pragma once
 
 #include <cstdint>
@@ -21,27 +21,28 @@ namespace rdcn::core {
 class BMatching {
  public:
   BMatching(std::size_t num_racks, std::size_t degree_cap)
-      : member_((pair_slots(num_racks) + 63) / 64),
+      : member_((num_racks * num_racks + 63) / 64),
         adjacency_(num_racks),
+        racks_(num_racks),
         degree_cap_(degree_cap) {
     RDCN_ASSERT_MSG(degree_cap >= 1, "degree cap must be at least 1");
   }
 
-  std::size_t num_racks() const noexcept { return adjacency_.size(); }
+  std::size_t num_racks() const noexcept { return racks_; }
   std::size_t degree_cap() const noexcept { return degree_cap_; }
   std::size_t size() const noexcept { return size_; }
 
   bool has(Rack u, Rack v) const noexcept {
-    RDCN_DCHECK(u < adjacency_.size() && v < adjacency_.size());
-    return has_key(pair_key(u, v));
+    RDCN_DCHECK(u < racks_ && v < racks_);
+    const std::size_t bit = u * racks_ + v;
+    return (member_[bit / 64] >> (bit % 64)) & 1;
   }
   bool has_key(std::uint64_t key) const noexcept {
-    const std::size_t slot = pair_slot(key);
-    return (member_[slot / 64] >> (slot % 64)) & 1;
+    return has(pair_lo(key), pair_hi(key));
   }
 
   std::size_t degree(Rack u) const noexcept {
-    RDCN_DCHECK(u < adjacency_.size());
+    RDCN_DCHECK(u < racks_);
     return adjacency_[u].size();
   }
 
@@ -49,17 +50,17 @@ class BMatching {
 
   /// Neighbors of u in M (unordered).
   const SmallVector<Rack, 8>& neighbors(Rack u) const noexcept {
-    RDCN_DCHECK(u < adjacency_.size());
+    RDCN_DCHECK(u < racks_);
     return adjacency_[u];
   }
 
   /// Adds {u,v}; asserts the edge is absent and both degrees are below cap.
   void add(Rack u, Rack v) {
-    RDCN_DCHECK(u != v && u < num_racks() && v < num_racks());
+    RDCN_DCHECK(u != v && u < racks_ && v < racks_);
     RDCN_ASSERT_MSG(!full(u) && !full(v),
                     "b-matching degree cap would be violated");
     RDCN_ASSERT_MSG(!has(u, v), "edge already in matching");
-    flip(pair_key(u, v));
+    flip(u, v);
     ++size_;
     adjacency_[u].push_back(v);
     adjacency_[v].push_back(u);
@@ -68,7 +69,7 @@ class BMatching {
   /// Removes {u,v}; asserts presence.
   void remove(Rack u, Rack v) {
     RDCN_ASSERT_MSG(has(u, v), "removing an edge not in the matching");
-    flip(pair_key(u, v));
+    flip(u, v);
     --size_;
     const bool ru = adjacency_[u].erase_value(v);
     const bool rv = adjacency_[v].erase_value(u);
@@ -79,7 +80,7 @@ class BMatching {
   std::vector<std::uint64_t> edge_keys() const {
     std::vector<std::uint64_t> keys;
     keys.reserve(size_);
-    for (Rack u = 0; u < num_racks(); ++u)
+    for (Rack u = 0; u < racks_; ++u)
       for (const Rack v : adjacency_[u])
         if (u < v) keys.push_back(pair_key(u, v));
     return keys;
@@ -87,17 +88,19 @@ class BMatching {
 
   /// Full consistency audit: degree caps respected, adjacency symmetric
   /// and duplicate-free, and the membership bits equal to the adjacency
-  /// in both directions.  O(n·b + n²/64); test/debug use.
+  /// in both orientations.  O(n·b + n²/64); test/debug use.
   bool check_invariants() const;
 
  private:
-  void flip(std::uint64_t key) noexcept {
-    const std::size_t slot = pair_slot(key);
-    member_[slot / 64] ^= std::uint64_t{1} << (slot % 64);
+  void flip(Rack u, Rack v) noexcept {
+    const std::size_t uv = u * racks_ + v, vu = v * racks_ + u;
+    member_[uv / 64] ^= std::uint64_t{1} << (uv % 64);
+    member_[vu / 64] ^= std::uint64_t{1} << (vu % 64);
   }
 
-  std::vector<std::uint64_t> member_;  ///< bit pair_slot(e) is set iff e ∈ M
+  std::vector<std::uint64_t> member_;  ///< bits u·n+v and v·n+u iff {u,v} ∈ M
   std::vector<SmallVector<Rack, 8>> adjacency_;
+  std::size_t racks_;
   std::size_t degree_cap_;
   std::size_t size_ = 0;
 };

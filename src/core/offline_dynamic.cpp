@@ -1,6 +1,7 @@
 #include "core/offline_dynamic.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/flat_hash.hpp"
 #include "common/param_map.hpp"
@@ -15,6 +16,8 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
   if (window_ == 0)
     throw SpecError(
         "algorithm 'offline_dynamic': parameter 'window' must be >= 1, got 0");
+  RDCN_ASSERT_MSG(full_trace.num_racks() <= inst.num_racks(),
+                  "trace universe exceeds instance");
   const std::size_t cap = inst.offline_degree();
   const std::size_t num_windows =
       full_trace.empty() ? 0 : (full_trace.size() + window_ - 1) / window_;
@@ -23,40 +26,51 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
   const std::uint64_t bonus = static_cast<std::uint64_t>(
       options.retention_bonus * static_cast<double>(inst.alpha));
 
+  // Window demand, one counter per unordered pair at its triangular slot.
+  // pairs[0, num_pairs) lists the window's pairs in first-touch order (the
+  // greedy matching sorts the edges itself), and their counters are zeroed
+  // as the edges are listed: O(W + pairs) per window.  `pairs` holds the
+  // most pairs a window can touch, so counting never reallocates.
+  std::vector<std::uint64_t> counts(pair_slots(full_trace.num_racks()));
+  std::vector<std::uint64_t> pairs(std::min(window_, counts.size()));
   FlatSet previous;
   for (std::size_t w = 0; w < num_windows; ++w) {
     const std::size_t begin = w * window_;
-    const std::size_t end =
-        std::min(full_trace.size(), begin + window_);
-    // Window demand.
-    FlatMap<std::uint64_t> counts;
-    for (std::size_t i = begin; i < end; ++i)
-      ++counts[pair_key(full_trace[i])];
-
+    const std::size_t end = std::min(full_trace.size(), begin + window_);
+    std::size_t num_pairs = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint64_t key = pair_key(full_trace[i]);
+      if (counts[pair_slot(key)]++ == 0) pairs[num_pairs++] = key;
+    }
     std::vector<WeightedEdge> edges;
-    edges.reserve(counts.size());
-    counts.for_each([&](std::uint64_t key, std::uint64_t cnt) {
+    edges.reserve(num_pairs);
+    for (const std::uint64_t key : std::span(pairs.data(), num_pairs)) {
+      std::uint64_t& count = counts[pair_slot(key)];
       const std::uint64_t d = inst.dist(pair_lo(key), pair_hi(key));
-      if (d <= 1) return;
-      std::uint64_t weight = cnt * (d - 1);
-      // Hysteresis: edges kept from the previous window save 2α of
-      // switching (no removal + no later re-add), modeled as a bonus.
-      if (previous.contains(key)) weight += bonus;
-      edges.push_back({key, weight});
-    });
+      if (d > 1) {
+        std::uint64_t weight = count * (d - 1);
+        // Hysteresis: edges kept from the previous window save 2α of
+        // switching (no removal + no later re-add), modeled as a bonus.
+        if (previous.contains(key)) weight += bonus;
+        edges.push_back({key, weight});
+      }
+      count = 0;
+    }
 
     std::vector<std::uint64_t> plan =
         greedy_b_matching(inst.num_racks(), cap, edges);
     if (options.local_search) {
       plan = local_search_b_matching(inst.num_racks(), cap, edges,
-                                     std::move(plan));
+                                     std::move(plan),
+                                     options.local_search_passes);
     }
     previous.clear();
     for (std::uint64_t k : plan) previous.insert(k);
     plans_.push_back(std::move(plan));
   }
+  // A plan's degrees are bounded by offline_degree(), so the online
+  // matching (cap b) accepts every plan as long as a <= b.
   if (!plans_.empty()) apply_plan(0);
-  next_plan_ = 1;
 }
 
 void OfflineDynamic::apply_plan(std::size_t w) {
@@ -76,31 +90,9 @@ void OfflineDynamic::apply_plan(std::size_t w) {
 }
 
 void OfflineDynamic::serve_batch(std::span<const Request> batch) {
-  RoutingDelta acc;
-  const BMatching& m = matching_view();
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Requests left in the current epoch: plans switch after the request
-    // that completes a window, so a run never crosses a plan application
-    // and the matching is constant over it.
-    const std::size_t run = std::min<std::size_t>(
-        batch.size() - i, window_ - static_cast<std::size_t>(served_ % window_));
-    for (std::size_t j = i; j < i + run; ++j) {
-      const Request& r = batch[j];
-      RDCN_DCHECK(r.u != r.v);
-      const bool matched = m.has(r.u, r.v);
-      acc.routing_cost += matched ? 1 : dist(r.u, r.v);
-      ++acc.requests;
-      acc.direct_serves += matched ? 1 : 0;
-    }
-    i += run;
-    served_ += run;
-    if (served_ % window_ == 0 && next_plan_ < plans_.size()) {
-      apply_plan(next_plan_);
-      ++next_plan_;
-    }
-  }
-  commit_routing(acc);
+  serve_in_epochs(batch, window_, [this] {
+    if (next_plan_ < plans_.size()) apply_plan(next_plan_++);
+  });
 }
 
 }  // namespace rdcn::core

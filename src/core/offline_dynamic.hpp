@@ -1,17 +1,27 @@
-// rdcn: epoch-based dynamic offline comparator.
+// rdcn: the offline comparators — SO-BMA and its epoch-based dynamic
+// generalization.
 //
-// Between the two offline extremes — SO-BMA (one static matching for the
-// whole trace) and the exact dynamic OPT (intractable beyond toy sizes) —
-// sits the dynamic-offline family studied by Hanauer et al. (INFOCOM'23)
-// for reconfigurable datacenters: partition the trace into windows of W
-// requests, compute a heavy b-matching of each window's demand, and switch
-// matchings at window boundaries, paying α per changed edge.
+// Partition the trace into windows of W requests, compute a heavy
+// b-matching of each window's demand graph with edge weight
+//     w(e) = count(e) · (ℓe − 1)
+// (the routing cost saved by keeping e matched for the window), and
+// switch matchings at window boundaries, paying α per changed edge.
 //
-// A hysteresis bonus keeps an edge from the previous window when its new
-// demand is close (avoids α-thrash on borderline edges).  Sweeping W in
-// bench/ablation_offline_window.cpp exposes the adaptivity/reconfiguration
-// trade-off: W → trace length recovers SO-BMA; small W adapts fast but
-// pays heavy switching costs.
+// One window (W ≥ trace length) is SO-BMA, the static offline comparator
+// of §3 ("Maximum Weight Matching algorithm"): it installs one matching
+// for the whole trace (α per edge) and never reconfigures.  On traces
+// without temporal structure (the Microsoft workload) this is
+// near-optimal and clearly beats any online algorithm (Fig 4c); on bursty
+// traces the online algorithms close the gap (Figs 2c, 3c).  The
+// registry's "so_bma" entry builds exactly that window.
+//
+// Smaller W is the dynamic-offline family studied by Hanauer et al.
+// (INFOCOM'23) for reconfigurable datacenters.  A hysteresis bonus keeps
+// an edge from the previous window when its new demand is close (avoids
+// α-thrash on borderline edges).  Sweeping W in
+// bench/ablation_offline_window.cpp exposes the
+// adaptivity/reconfiguration trade-off: small W adapts fast but pays
+// heavy switching costs.
 #pragma once
 
 #include <cstdint>
@@ -27,23 +37,22 @@ struct OfflineDynamicOptions {
   /// Weight bonus (as a fraction of α) granted to edges already matched in
   /// the previous window — hysteresis against switching thrash.
   double retention_bonus = 1.0;
-  bool local_search = true;
+  bool local_search = true;  ///< refine greedy with swap local search
+  int local_search_passes = 8;
 };
 
 class OfflineDynamic final : public OnlineBMatcher {
  public:
   /// Offline: consumes the full trace up front and precomputes the
-  /// per-window matchings (degree cap = instance.offline_degree()).
+  /// per-window matchings (degree cap = instance.offline_degree(), so the
+  /// (b,a) generalization is exercised by setting instance.a < b).
   OfflineDynamic(const Instance& instance, const trace::Trace& full_trace,
                  const OfflineDynamicOptions& options = {});
 
   std::string name() const override { return "offline_dynamic"; }
 
-  /// Devirtualized chunk loop: processes the batch in window-sized runs —
-  /// the matching only changes at epoch boundaries, so the inner loop is
-  /// pure membership + routing accumulation with no per-request epoch
-  /// arithmetic.  The ledger does not depend on how the trace is split
-  /// into batches (pinned by the batch differential suite).
+  /// Windows are serve_in_epochs' epochs: the next plan is applied after
+  /// the request that completes a window.
   void serve_batch(std::span<const Request> batch) override;
 
   std::size_t num_windows() const noexcept { return plans_.size(); }
@@ -54,8 +63,7 @@ class OfflineDynamic final : public OnlineBMatcher {
 
   std::vector<std::vector<std::uint64_t>> plans_;  ///< matching per window
   std::size_t window_;
-  std::uint64_t served_ = 0;
-  std::size_t next_plan_ = 0;
+  std::size_t next_plan_ = 1;  ///< the constructor applies plan 0
 };
 
 }  // namespace rdcn::core

@@ -11,6 +11,7 @@
 // matcher.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -64,6 +65,42 @@ class OnlineBMatcher {
     costs_.direct_serves += d.direct_serves;
   }
 
+  /// Serves `batch` for a scheduled matcher (rotor, offline_dynamic) whose
+  /// matching changes only at epoch ends: every `epoch_length` requests,
+  /// `epoch_end()` runs after the request that completes the epoch.  The
+  /// batch is split at epoch ends, so the matching is constant over each
+  /// run and the inner loop is pure membership + routing accumulation.
+  /// The position in the epoch carries over between calls, so the ledger
+  /// does not depend on how the trace is split into batches (pinned by
+  /// the batch differential suite).
+  template <typename EpochEnd>
+  void serve_in_epochs(std::span<const Request> batch,
+                       std::size_t epoch_length, EpochEnd&& epoch_end) {
+    RoutingDelta acc;
+    std::size_t i = 0;
+    while (i < batch.size()) {
+      const std::size_t run =
+          std::min(batch.size() - i, epoch_length - served_in_epoch_);
+      for (const Request& r : batch.subspan(i, run)) {
+        RDCN_DCHECK(r.u != r.v);
+        // Branch-free (cost 1 if matched, else d): matched and unmatched
+        // requests interleave unpredictably.
+        const std::uint64_t matched = matching_.has(r.u, r.v);
+        const std::uint64_t d = dist(r.u, r.v);
+        acc.routing_cost += d - matched * (d - 1);
+        ++acc.requests;
+        acc.direct_serves += matched;
+      }
+      i += run;
+      served_in_epoch_ += run;
+      if (served_in_epoch_ == epoch_length) {
+        served_in_epoch_ = 0;
+        epoch_end();
+      }
+    }
+    commit_routing(acc);
+  }
+
   /// Reconfiguration mutators — each call books α into the ledger.
   void add_matching_edge(Rack u, Rack v) {
     matching_.add(u, v);
@@ -104,6 +141,7 @@ class OnlineBMatcher {
   Instance instance_;
   BMatching matching_;
   CostStats costs_;
+  std::size_t served_in_epoch_ = 0;  ///< serve_in_epochs' position
 };
 
 }  // namespace rdcn::core

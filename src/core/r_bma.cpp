@@ -36,7 +36,7 @@ void RBma::serve_batch(std::span<const Request> batch) {
     const std::uint64_t key = pair_key(r);
     // Route with the current matching (membership checked before any
     // reconfiguration below).
-    const bool matched = matching_view().has_key(key);
+    const bool matched = matching_view().has(r.u, r.v);
     const std::uint64_t d = dist(r.u, r.v);
     acc.routing_cost += matched ? 1 : d;
     ++acc.requests;

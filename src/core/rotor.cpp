@@ -68,33 +68,10 @@ void Rotor::install_slot(std::size_t slot) {
 }
 
 void Rotor::serve_batch(std::span<const Request> batch) {
-  RoutingDelta acc;
-  const BMatching& m = matching_view();
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Requests left in the current rotor slot: the matching is constant
-    // over this run, so the slot counter moves once per run instead of
-    // once per request.  The switches advance after the request that
-    // fills the slot, so a run never crosses an install.
-    const std::size_t run = std::min(batch.size() - i,
-                                     options_.slot_length - served_in_slot_);
-    for (std::size_t j = i; j < i + run; ++j) {
-      const Request& r = batch[j];
-      RDCN_DCHECK(r.u != r.v);
-      const bool matched = m.has(r.u, r.v);
-      acc.routing_cost += matched ? 1 : dist(r.u, r.v);
-      ++acc.requests;
-      acc.direct_serves += matched ? 1 : 0;
-    }
-    i += run;
-    served_in_slot_ += run;
-    if (served_in_slot_ >= options_.slot_length) {
-      served_in_slot_ = 0;
-      current_slot_ = (current_slot_ + 1) % schedule_.size();
-      install_slot(current_slot_);
-    }
-  }
-  commit_routing(acc);
+  serve_in_epochs(batch, options_.slot_length, [this] {
+    current_slot_ = (current_slot_ + 1) % schedule_.size();
+    install_slot(current_slot_);
+  });
 }
 
 }  // namespace rdcn::core

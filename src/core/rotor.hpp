@@ -36,12 +36,8 @@ class Rotor final : public OnlineBMatcher {
 
   std::string name() const override { return "rotor"; }
 
-  /// Devirtualized chunk loop: processes the batch in slot-sized runs —
-  /// between two switch advances the schedule state is constant, so the
-  /// inner loop carries no per-request slot arithmetic, only the
-  /// membership check and routing accumulation.  The ledger does not
-  /// depend on how the trace is split into batches (pinned by the batch
-  /// differential suite).
+  /// Rotor slots are serve_in_epochs' epochs: every switch advances after
+  /// the request that fills a slot.
   void serve_batch(std::span<const Request> batch) override;
 
   /// Number of distinct matchings in the schedule (n-1 for even n).
@@ -55,7 +51,6 @@ class Rotor final : public OnlineBMatcher {
   /// schedule_[s] = perfect matching s as canonical pair keys.
   std::vector<std::vector<std::uint64_t>> schedule_;
   std::size_t current_slot_ = 0;
-  std::uint64_t served_in_slot_ = 0;
 };
 
 }  // namespace rdcn::core

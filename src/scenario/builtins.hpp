@@ -2,9 +2,7 @@
 //
 // The built-in components live in builtin_{algorithms,topologies,workloads}
 // .cpp and are registered explicitly on first registry access (deterministic
-// and immune to static-library dead-stripping, unlike relying on the
-// self-registration macros from within this library).  External code should
-// use the RDCN_REGISTER_* macros from registry.hpp instead.
+// and immune to static-library dead-stripping).
 #pragma once
 
 namespace rdcn::scenario {

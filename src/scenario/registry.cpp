@@ -263,23 +263,4 @@ std::string catalog_text() {
   return out;
 }
 
-namespace detail {
-
-AlgorithmRegistrar::AlgorithmRegistrar(const std::string& name,
-                                       AlgorithmEntry entry) {
-  AlgorithmRegistry::instance().add(name, std::move(entry));
-}
-
-TopologyRegistrar::TopologyRegistrar(const std::string& name,
-                                     TopologyEntry entry) {
-  TopologyRegistry::instance().add(name, std::move(entry));
-}
-
-WorkloadRegistrar::WorkloadRegistrar(const std::string& name,
-                                     WorkloadEntry entry) {
-  WorkloadRegistry::instance().add(name, std::move(entry));
-}
-
-}  // namespace detail
-
 }  // namespace rdcn::scenario

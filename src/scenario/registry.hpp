@@ -1,4 +1,4 @@
-// rdcn: self-registering component registries — the single extension point
+// rdcn: string-keyed component registries — the single extension point
 // of the scenario API.
 //
 // The paper's evaluation (§3.1) is a matrix {topologies} × {workloads} ×
@@ -21,17 +21,9 @@
 // text, CLI validation, and sweep tooling are *generated* from the
 // registries instead of hand-synced (see catalog_text and rdcn_sim).
 // Unknown names raise SpecError with a nearest-match suggestion; unknown
-// parameters are rejected via ParamMap::require_all_consumed.
-//
-// Registering a new component is one static object:
-//
-//   RDCN_REGISTER_WORKLOAD(my_workload, {
-//       "my workload summary",
-//       {{"knob", "what it does", "42"}},
-//       [](std::size_t racks, std::size_t requests, const ParamMap& p,
-//          const Xoshiro256& rng) { ... return stream; }});
-//
-// after which "my_workload:knob=7" works in every driver, bench, and test.
+// parameters are rejected via ParamMap::require_all_consumed.  A component
+// added with Registry::add (e.g. WorkloadRegistry::instance().add(...))
+// is addressable by name in every driver, bench, and test.
 #pragma once
 
 #include <functional>
@@ -214,29 +206,5 @@ std::string catalog_text();
 /// distance, or "" when nothing is plausibly close.
 std::string nearest_name(const std::string& name,
                          const std::vector<std::string>& candidates);
-
-namespace detail {
-struct AlgorithmRegistrar {
-  AlgorithmRegistrar(const std::string& name, AlgorithmEntry entry);
-};
-struct TopologyRegistrar {
-  TopologyRegistrar(const std::string& name, TopologyEntry entry);
-};
-struct WorkloadRegistrar {
-  WorkloadRegistrar(const std::string& name, WorkloadEntry entry);
-};
-}  // namespace detail
-
-// Self-registration macros for downstream components.  Place at namespace
-// scope in a .cpp that is linked into the final binary.
-#define RDCN_REGISTER_ALGORITHM(name, ...)                       \
-  static const ::rdcn::scenario::detail::AlgorithmRegistrar      \
-      rdcn_algorithm_registrar_##name(#name, __VA_ARGS__)
-#define RDCN_REGISTER_TOPOLOGY(name, ...)                        \
-  static const ::rdcn::scenario::detail::TopologyRegistrar       \
-      rdcn_topology_registrar_##name(#name, __VA_ARGS__)
-#define RDCN_REGISTER_WORKLOAD(name, ...)                        \
-  static const ::rdcn::scenario::detail::WorkloadRegistrar       \
-      rdcn_workload_registrar_##name(#name, __VA_ARGS__)
 
 }  // namespace rdcn::scenario

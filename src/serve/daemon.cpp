@@ -870,15 +870,8 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
   }
 
   // A cache hit bypasses admission entirely — replaying stored bytes is
-  // cheap, so cached runs are never rejected for backpressure.  The
-  // in-memory LRU is consulted first, then the persistent store (which a
-  // restarted daemon repopulates the LRU from).
-  std::optional<std::string> payload = cache_.get(canonical);
-  if (!payload) {
-    payload = disk_cache_.get(canonical);
-    if (payload) cache_.put(canonical, *payload);
-  }
-  if (payload) {
+  // cheap, so cached runs are never rejected for backpressure.
+  if (const std::optional<std::string> payload = lookup_result(canonical)) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       m_.runs_ok.inc();
@@ -1016,11 +1009,7 @@ void Daemon::handle_attach(const std::shared_ptr<Connection>& conn,
   // runs the payload comes from the caches.
   std::optional<std::string> payload;
   if (status == "ok") {
-    payload = cache_.get(task->canonical);
-    if (!payload) {
-      payload = disk_cache_.get(task->canonical);
-      if (payload) cache_.put(task->canonical, *payload);
-    }
+    payload = lookup_result(task->canonical);
     if (!payload) {
       // Evicted everywhere: pretend the run is forgotten so the client
       // falls back to resubmitting (better than an ok with no bytes).
@@ -1185,12 +1174,8 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
     // The pre-crash run may have finished with its terminal record lost
     // (the caches commit before the journal's fsync'd done record);
     // serve the stored bytes instead of recomputing.
-    std::optional<std::string> payload = cache_.get(task->canonical);
-    if (!payload) {
-      payload = disk_cache_.get(task->canonical);
-      if (payload) cache_.put(task->canonical, *payload);
-    }
-    if (payload) {
+    if (const std::optional<std::string> payload =
+            lookup_result(task->canonical)) {
       finish_ok(*payload, /*cached=*/true);
       return;
     }
@@ -1255,6 +1240,16 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
   } catch (...) {
     finish_crashed("unknown exception");
   }
+}
+
+std::optional<std::string> Daemon::lookup_result(
+    const std::string& canonical) {
+  std::optional<std::string> payload = cache_.get(canonical);
+  if (!payload) {
+    payload = disk_cache_.get(canonical);
+    if (payload) cache_.put(canonical, *payload);
+  }
+  return payload;
 }
 
 void Daemon::send_payload(Connection& conn, std::uint64_t id, bool cached,

@@ -114,6 +114,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -262,6 +263,10 @@ class Daemon {
   void reap_finished_readers_locked();
   void send_payload(Connection& conn, std::uint64_t id, bool cached,
                     const std::string& payload);
+  /// A finished run's stored bytes: the in-memory LRU first, then the
+  /// persistent store (which a restarted daemon repopulates the LRU from;
+  /// a disk hit is promoted into the LRU).  nullopt when neither has it.
+  std::optional<std::string> lookup_result(const std::string& canonical);
 
   ServeOptions options_;
   /// Per-instance registry: declared before the caches so their counters

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -114,52 +115,56 @@ TEST(PairSlot, TilesTheTriangleInOrder) {
   }
 }
 
-/// The pair at triangular slot `slot` (inverse of pair_slot).
-std::uint64_t pair_at_slot(std::size_t slot) {
-  Rack hi = 1;
-  while (pair_slots(hi + 1) <= slot) ++hi;
-  return pair_key(static_cast<Rack>(slot - pair_slots(hi)), hi);
-}
-
 TEST(BMatching, ChurnMatchesSetReferenceAtEdgeSlots) {
   // Random add/remove churn checked against a std::set after every step.
-  // Half the toggles hit slot 0, the last slot and the pairs on either
-  // side of each 64-bit word boundary of the membership bits.
-  for (const std::size_t n : {2u, 3u, 12u, 65u, 100u}) {
+  // Half the toggles hit the first and last bit of the row-major
+  // membership index (bit u·n+v) and the bits on either side of each
+  // 64-bit word boundary; every toggle adds or removes its pair in a
+  // random orientation, so each pair is flipped through both of its bits.
+  for (const std::size_t n : {2u, 3u, 12u, 64u, 65u, 100u}) {
     SCOPED_TRACE("racks=" + std::to_string(n));
     const std::size_t b = std::min<std::size_t>(n - 1, 4);
     BMatching m(n, b);
     std::set<std::uint64_t> reference;
-    std::vector<std::uint64_t> edge_slots = {0, pair_slots(n) - 1};
-    for (std::size_t w = 64; w < pair_slots(n); w += 64) {
-      edge_slots.push_back(w - 1);
-      edge_slots.push_back(w);
+    std::vector<std::size_t> edge_bits = {1, n * n - 2};
+    for (std::size_t w = 64; w < n * n; w += 64) {
+      // The diagonal (bit u·n+u) holds no pair.
+      if ((w - 1) / n != (w - 1) % n) edge_bits.push_back(w - 1);
+      if (w / n != w % n) edge_bits.push_back(w);
     }
     Xoshiro256 rng(n);
     for (int step = 0; step < 4000; ++step) {
-      std::uint64_t key;
+      Rack u, v;
       if (rng.next_below(2) == 0) {
-        key = pair_at_slot(edge_slots[rng.next_below(edge_slots.size())]);
+        const std::size_t bit = edge_bits[rng.next_below(edge_bits.size())];
+        u = static_cast<Rack>(bit / n);
+        v = static_cast<Rack>(bit % n);
       } else {
-        key = pair_at_slot(rng.next_below(pair_slots(n)));
+        u = static_cast<Rack>(rng.next_below(n));
+        v = static_cast<Rack>(rng.next_below(n - 1));
+        if (v >= u) ++v;
       }
-      const Rack lo = pair_lo(key), hi = pair_hi(key);
+      if (rng.next_below(2) == 0) std::swap(u, v);
+      const std::uint64_t key = pair_key(u, v);
       if (reference.count(key) != 0) {
-        m.remove(hi, lo);
+        m.remove(u, v);
         reference.erase(key);
-      } else if (!m.full(lo) && !m.full(hi)) {
-        m.add(lo, hi);
+      } else if (!m.full(u) && !m.full(v)) {
+        m.add(u, v);
         reference.insert(key);
       }
       const bool want = reference.count(key) != 0;
-      ASSERT_EQ(m.has(lo, hi), want) << "step " << step;
-      ASSERT_EQ(m.has(hi, lo), want) << "step " << step;
+      ASSERT_EQ(m.has(u, v), want) << "step " << step;
+      ASSERT_EQ(m.has(v, u), want) << "step " << step;
       ASSERT_EQ(m.has_key(key), want) << "step " << step;
       ASSERT_EQ(m.size(), reference.size()) << "step " << step;
       if (step % 250 == 0) {
-        for (std::size_t slot = 0; slot < pair_slots(n); ++slot) {
-          const std::uint64_t k = pair_at_slot(slot);
-          ASSERT_EQ(m.has_key(k), reference.count(k) != 0) << "slot " << slot;
+        for (Rack x = 0; x < n; ++x) {
+          for (Rack y = 0; y < n; ++y) {
+            if (x == y) continue;
+            ASSERT_EQ(m.has(x, y), reference.count(pair_key(x, y)) != 0)
+                << "pair " << x << "," << y;
+          }
         }
         const std::vector<std::uint64_t> keys = m.edge_keys();
         ASSERT_EQ(std::set<std::uint64_t>(keys.begin(), keys.end()),

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "core/offline_dynamic.hpp"
 #include "scenario/registry.hpp"
 #include "net/topology.hpp"
 #include "paging/belady.hpp"
@@ -106,6 +107,30 @@ TEST(FailureHandling, NonIncreasingCheckpointsAbort) {
   t.push_back(trace::Request::make(0, 1));
   t.push_back(trace::Request::make(0, 1));
   EXPECT_DEATH(sim::run_simulation(*m, t, {2, 1}), "non-decreasing");
+}
+
+// The offline comparators count demand in a dense per-pair array sized
+// from the trace's racks and price pairs in the instance's distance
+// matrix, so a trace over more racks than the instance must abort.
+TEST(FailureHandling, OfflineDynamicOnWiderTraceAborts) {
+  const auto d = net::DistanceMatrix::uniform(4, 2);
+  core::Instance inst;
+  inst.distances = &d;
+  inst.b = 1;
+  trace::Trace t(8, "wide");
+  t.push_back(trace::Request::make(0, 7));
+  EXPECT_DEATH(core::OfflineDynamic(inst, t), "trace universe exceeds");
+}
+
+TEST(FailureHandling, SoBmaOnWiderTraceAborts) {
+  const auto d = net::DistanceMatrix::uniform(4, 2);
+  core::Instance inst;
+  inst.distances = &d;
+  inst.b = 1;
+  trace::Trace t(8, "wide");
+  t.push_back(trace::Request::make(0, 7));
+  EXPECT_DEATH((void)scenario::make_algorithm("so_bma", inst, &t),
+               "trace universe exceeds");
 }
 
 TEST(FailureHandling, DisconnectedTopologyAborts) {

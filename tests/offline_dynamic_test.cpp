@@ -4,8 +4,8 @@
 
 #include "common/rng.hpp"
 #include "core/offline_dynamic.hpp"
-#include "core/so_bma.hpp"
 #include "net/topology.hpp"
+#include "scenario/registry.hpp"
 #include "trace/generators.hpp"
 #include "test_util.hpp"
 
@@ -39,13 +39,13 @@ TEST(OfflineDynamic, SingleWindowEqualsSoBmaRouting) {
   OfflineDynamicOptions opts;
   opts.window = t.size();
   OfflineDynamic dyn(inst, t, opts);
-  SoBma so(inst, t);
+  const auto so = scenario::make_algorithm("so_bma", inst, &t);
   for (const Request& r : t) {
     dyn.serve(r);
-    so.serve(r);
+    so->serve(r);
   }
-  EXPECT_EQ(dyn.costs().routing_cost, so.costs().routing_cost);
-  EXPECT_EQ(dyn.costs().total_cost(), so.costs().total_cost());
+  EXPECT_EQ(dyn.costs().routing_cost, so->costs().routing_cost);
+  EXPECT_EQ(dyn.costs().total_cost(), so->costs().total_cost());
 }
 
 TEST(OfflineDynamic, AdaptsToRegimeChange) {
@@ -64,12 +64,12 @@ TEST(OfflineDynamic, AdaptsToRegimeChange) {
   OfflineDynamicOptions opts;
   opts.window = 10000;
   OfflineDynamic dyn(inst, t, opts);
-  SoBma so(inst, t);
+  const auto so = scenario::make_algorithm("so_bma", inst, &t);
   for (const Request& r : t) {
     dyn.serve(r);
-    so.serve(r);
+    so->serve(r);
   }
-  EXPECT_LT(dyn.costs().total_cost(), so.costs().total_cost());
+  EXPECT_LT(dyn.costs().total_cost(), so->costs().total_cost());
 }
 
 TEST(OfflineDynamic, RetentionBonusReducesSwitching) {

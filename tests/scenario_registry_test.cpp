@@ -10,9 +10,11 @@
 #include "common/rng.hpp"
 #include "net/topology.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 #include "trace/generators.hpp"
+#include "trace/trace_stream.hpp"
 
 namespace {
 
@@ -239,6 +241,38 @@ TEST(Registries, CsvWithMissingFileThrowsInsteadOfAborting) {
   EXPECT_THROW(
       scenario::make_workload("csv:path=/nonexistent/rdcn/x.csv", 4, 0, rng),
       SpecError);
+}
+
+TEST(Registries, WorkloadAddedThroughAddRunsFromAScenarioSpec) {
+  // Registry::add is the extension path: a workload added under a new
+  // name is addressable from a ScenarioSpec like a built-in, and its
+  // documented parameter reaches the builder.
+  const std::string name = "scenario_registry_test_one_pair";
+  WorkloadRegistry& workloads = WorkloadRegistry::instance();
+  if (workloads.find(name) == nullptr) {
+    workloads.add(
+        name, {"every request is the pair {0, far}",
+               {{"far", "the other rack of the pair", "1"}},
+               [](std::size_t racks, std::size_t requests,
+                  const ParamMap& params,
+                  const Xoshiro256&) -> std::unique_ptr<trace::TraceStream> {
+                 const auto far = static_cast<trace::Rack>(
+                     params.get<std::size_t>("far", 1));
+                 trace::Trace t(racks, "one_pair");
+                 for (std::size_t i = 0; i < requests; ++i)
+                   t.push_back(trace::Request::make(0, far));
+                 return std::make_unique<trace::MaterializedStream>(
+                     std::move(t));
+               }});
+  }
+  const scenario::ScenarioResult result =
+      scenario::run_scenario(scenario::ScenarioSpec::parse(
+          "workload=" + name +
+          ":far=5;algorithms=oblivious;racks=8;requests=400;checkpoints=4"));
+  ASSERT_EQ(result.runs.size(), 1u);
+  const sim::Checkpoint& ledger = result.runs[0].final();
+  EXPECT_EQ(ledger.requests, 400u);
+  EXPECT_EQ(ledger.routing_cost, 400u * result.topology.distances(0, 5));
 }
 
 TEST(Registries, CatalogListsEveryRegisteredName) {

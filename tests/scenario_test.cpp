@@ -271,18 +271,20 @@ TEST(RunScenario, LoneOfflineAndCsvTasksRun) {
 // A workload that counts how often its builder runs.
 std::atomic<int> g_counted_builds{0};
 
-RDCN_REGISTER_WORKLOAD(counted_uniform,
-                       {"uniform pairs; counts its builder calls",
-                        {},
-                        [](std::size_t racks, std::size_t requests,
-                           const ParamMap&, const Xoshiro256& rng) {
-                          ++g_counted_builds;
-                          return trace::stream_uniform(racks, requests, rng);
-                        }});
-
 TEST(RunScenario, BuildsTheWorkloadStreamExactlyOnce) {
   // Neither a single streamed task nor a materialized multi-task cell may
   // build the generator more than once.
+  auto& workloads = scenario::WorkloadRegistry::instance();
+  if (workloads.find("counted_uniform") == nullptr) {
+    workloads.add("counted_uniform",
+                  {"uniform pairs; counts its builder calls",
+                   {},
+                   [](std::size_t racks, std::size_t requests,
+                      const ParamMap&, const Xoshiro256& rng) {
+                     ++g_counted_builds;
+                     return trace::stream_uniform(racks, requests, rng);
+                   }});
+  }
   const std::string shape =
       "workload=counted_uniform;racks=8;requests=2000;checkpoints=4;seed=5;";
   g_counted_builds = 0;
