@@ -102,10 +102,12 @@ message(STATUS "rdcn_sim spec-error smoke OK: hub_fraction=2 exits 2")
 # the flag.  The bad flag comes last, so a parser that ignored it would run
 # the tiny valid scenario before it and exit 0 (--requests=-1 and
 # --trials=-1 once ran 2^64-1 requests or trials, so time out instead).
+# --a=3 exceeds the loop's --b=2: an offline degree bound above b.
 foreach(row IN ITEMS "--racks=12abc|racks" "--b=4x|'b'"
                      "--requests=-1|requests" "--trials=-1|trials"
                      "--threads=-1|threads" "50000|50000"
-                     "--profile=maybe|profile")
+                     "--profile=maybe|profile"
+                     "--a=3|offline degree bound a")
   string(REPLACE "|" ";" row "${row}")
   list(GET row 0 arg)
   list(GET row 1 name)

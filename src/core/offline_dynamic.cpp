@@ -5,9 +5,31 @@
 
 #include "common/flat_hash.hpp"
 #include "common/param_map.hpp"
-#include "core/static_bmatching.hpp"
 
 namespace rdcn::core {
+
+std::vector<std::uint64_t> greedy_b_matching(std::size_t num_racks,
+                                             std::size_t degree_cap,
+                                             std::vector<WeightedEdge> edges) {
+  std::sort(edges.begin(), edges.end(),
+            [](const WeightedEdge& a, const WeightedEdge& b) {
+              return a.weight != b.weight ? a.weight > b.weight
+                                          : a.key < b.key;
+            });
+  std::vector<std::size_t> degree(num_racks, 0);
+  std::vector<std::uint64_t> matching;
+  for (const WeightedEdge& e : edges) {
+    if (e.weight == 0) break;  // nothing to gain from zero-weight edges
+    std::size_t& lo = degree[pair_lo(e.key)];
+    std::size_t& hi = degree[pair_hi(e.key)];
+    if (lo < degree_cap && hi < degree_cap) {
+      ++lo;
+      ++hi;
+      matching.push_back(e.key);
+    }
+  }
+  return matching;
+}
 
 OfflineDynamic::OfflineDynamic(const Instance& inst,
                                const trace::Trace& full_trace,
@@ -58,12 +80,7 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
     }
 
     std::vector<std::uint64_t> plan =
-        greedy_b_matching(inst.num_racks(), cap, edges);
-    if (options.local_search) {
-      plan = local_search_b_matching(inst.num_racks(), cap, edges,
-                                     std::move(plan),
-                                     options.local_search_passes);
-    }
+        greedy_b_matching(inst.num_racks(), cap, std::move(edges));
     previous.clear();
     for (std::uint64_t k : plan) previous.insert(k);
     plans_.push_back(std::move(plan));

@@ -7,6 +7,16 @@
 // (the routing cost saved by keeping e matched for the window), and
 // switch matchings at window boundaries, paying α per changed edge.
 //
+// Each window's matching is greedy: scan the edges by descending weight
+// and take one when both endpoints have spare degree, a 1/2-approximation
+// of the maximum-weight b-matching (static_bmatching_test's
+// GreedyApproximation pins it against an exact solver).  No single-swap
+// local search follows, because none can improve a greedy result: greedy
+// skips an edge only when an endpoint is full, and every matched edge
+// there was taken earlier, so it weighs at least as much
+// (GreedyBMatching.NoSingleSwapImproves).  Exact b-matching is polynomial
+// (Anstee '87) but heavyweight.
+//
 // One window (W ≥ trace length) is SO-BMA, the static offline comparator
 // of §3 ("Maximum Weight Matching algorithm"): it installs one matching
 // for the whole trace (α per edge) and never reconfigures.  On traces
@@ -37,9 +47,21 @@ struct OfflineDynamicOptions {
   /// Weight bonus (as a fraction of α) granted to edges already matched in
   /// the previous window — hysteresis against switching thrash.
   double retention_bonus = 1.0;
-  bool local_search = true;  ///< refine greedy with swap local search
-  int local_search_passes = 8;
 };
+
+/// A demand-graph edge: canonical pair id and the routing cost it saves.
+struct WeightedEdge {
+  std::uint64_t key;
+  std::uint64_t weight;
+};
+
+/// Greedy maximum-weight b-matching: edges by descending weight (ties by
+/// key, so the result is deterministic), each taken when both endpoints
+/// have degree below `degree_cap`; zero-weight edges are never taken.
+/// Returns the matched keys in the order they were taken.
+std::vector<std::uint64_t> greedy_b_matching(std::size_t num_racks,
+                                             std::size_t degree_cap,
+                                             std::vector<WeightedEdge> edges);
 
 class OfflineDynamic final : public OnlineBMatcher {
  public:

@@ -143,10 +143,7 @@ void register_builtin_workloads(WorkloadRegistry& registry) {
       return trace::stream_round_robin_star(
           racks, requests, params.get<std::size_t>("k", 8));
     };
-    WorkloadEntry alias = e;
-    alias.summary = "alias of round_robin_star (the pre-registry CLI name)";
     registry.add("round_robin_star", std::move(e));
-    registry.add("round_robin", std::move(alias));
   }
   registry.add("facebook_db",
                facebook("Facebook database cluster profile: strong skew, "

@@ -68,10 +68,14 @@ struct AlgorithmEntry {
   /// To recalibrate, take the core.<alg>.b<b>.ns_per_request and
   /// core.<alg>.b<b>.build_ms rows of `python3 rdcn_bench/run.py
   /// --workload replay_1m --trace 1`; rotor and offline_dynamic are not in
-  /// that cell, so time them with `rdcn_sim --threads=1 --profile` (the
-  /// algo.<name> phase).  sim::run_experiment dispatches tasks
-  /// longest-first by this estimate and serve::estimate_cost charges
-  /// admission with it; it never affects results.
+  /// that cell, so time them with `rdcn_sim --threads=1 --trials=1
+  /// --profile` (the algo.<name> phase) in one cell of two or more tasks
+  /// that also runs r_bma, e.g. `--algorithms=r_bma,greedy,offline_dynamic`.
+  /// A cell with a single online task streams its trace, so that task's
+  /// algo.<name> phase includes workload generation.
+  /// sim::run_experiment dispatches tasks longest-first by this estimate
+  /// and serve::estimate_cost charges admission with it; it never affects
+  /// results.
   double cost_per_request = 1.0;
   double cost_per_b = 0.0;
 

@@ -143,8 +143,15 @@ void check_run_shape(const ScenarioSpec& spec) {
   if (spec.racks < 2) throw SpecError("racks must be at least 2");
   if (spec.requests == 0) throw SpecError("requests must be positive");
   if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
-  for (std::size_t b : spec.cache_sizes)
+  std::size_t min_b = std::numeric_limits<std::size_t>::max();
+  for (std::size_t b : spec.cache_sizes) {
     if (b == 0) throw SpecError("b must be positive");
+    min_b = std::min(min_b, b);
+  }
+  if (spec.a > min_b)
+    throw SpecError("a (" + std::to_string(spec.a) +
+                    ") exceeds the smallest b (" + std::to_string(min_b) +
+                    "): the offline degree bound a must be <= every b");
   if (spec.requests < spec.checkpoints)
     throw SpecError("requests (" + std::to_string(spec.requests) +
                     ") must be >= checkpoints (" +

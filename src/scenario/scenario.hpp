@@ -70,6 +70,8 @@ struct ScenarioSpec {
 
 /// Spec problems the registries cannot see but that no run survives:
 /// fewer than 2 racks, zero requests or checkpoints, a cache size b of 0,
+/// an offline degree bound a above some b (the (b,a) model needs a <= b,
+/// and an offline plan of degree a cannot fit a degree-b matching),
 /// fewer requests than checkpoints, or an α above 2^32 − 1 (R-BMA counts
 /// toward ⌈α/ℓ⌉ in a 32-bit per-pair counter, and a larger α can wrap the
 /// 64-bit reconfiguration ledger).  Throws SpecError.  run_scenario

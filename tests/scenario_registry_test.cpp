@@ -153,6 +153,10 @@ TEST(Registries, UnknownNamesSuggestNearestMatch) {
     EXPECT_NE(std::string(e.what()).find("did you mean 'r_bma'"),
               std::string::npos);
   }
+  // Each workload has one name: round_robin_star has no alias.
+  Xoshiro256 rng(2);
+  EXPECT_THROW(scenario::make_workload("round_robin:k=3", 8, 100, rng),
+               SpecError);
 }
 
 TEST(Registries, UnknownParametersAreRejectedWithSuggestion) {
@@ -160,6 +164,9 @@ TEST(Registries, UnknownParametersAreRejectedWithSuggestion) {
   const std::pair<const char*, const char*> cases[] = {
       {"r_bma:enginee=lru", "did you mean 'engine'"},
       {"r_bma:trust=0.8", "unknown parameter 'trust'"},
+      {"so_bma:passes=2", "unknown parameter 'passes'"},
+      {"so_bma:local_search=false", "unknown parameter 'local_search'"},
+      {"offline_dynamic:local_search=true", "unknown parameter 'local_search'"},
   };
   for (const auto& [spec, want] : cases) {
     try {
@@ -221,19 +228,6 @@ TEST(Registries, ParseAlgorithmListTrimsSegments) {
   EXPECT_EQ(specs[0].name, "r_bma");
   EXPECT_EQ(specs[1].name, "bma");
   EXPECT_EQ(specs[2].name, "greedy");
-}
-
-TEST(Registries, RoundRobinAliasKeepsPreRegistryCliWorking) {
-  Xoshiro256 rng_a(2), rng_b(2);
-  const trace::Trace a =
-      scenario::make_workload("round_robin:k=3", 8, 100, rng_a);
-  const trace::Trace b =
-      scenario::make_workload("round_robin_star:k=3", 8, 100, rng_b);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].u, b[i].u);
-    EXPECT_EQ(a[i].v, b[i].v);
-  }
 }
 
 TEST(Registries, CsvWithMissingFileThrowsInsteadOfAborting) {

@@ -352,8 +352,8 @@ TEST(RunScenario, OutOfRangeParametersAreSpecErrors) {
            "workload=elephant_mice:elephants=100000",
            "workload=elephant_mice:share=2",
            "workload=elephant_mice:run=0",
-           "workload=round_robin:k=0",
-           "workload=round_robin:k=500",
+           "workload=round_robin_star:k=0",
+           "workload=round_robin_star:k=500",
            "workload=zipf:skew=-1",
            "workload=microsoft:rack_skew=2000",
            "workload=permutation;racks=101",
@@ -371,6 +371,8 @@ TEST(RunScenario, OutOfRangeParametersAreSpecErrors) {
            "algorithms=offline_dynamic:window=0",
            "algorithms=rotor:slot=0",
            "b=0",
+           "algorithms=so_bma;a=3",  // a degree-3 plan, degree-2 matching
+           "a=4;b=2,8",  // online-only, but the (b,a) model needs a <= b
        }) {
     std::string text = fields;
     for (const std::string& field : base) {

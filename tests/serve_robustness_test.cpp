@@ -164,6 +164,7 @@ TEST_F(RobustnessTest, MalformedInputMatrixKeepsDaemonServing) {
       "RUN requests=0",
       "RUN requests=3;checkpoints=8",
       "RUN alpha=18446744073709551615",  // would wrap R-BMA and the ledger
+      "RUN algorithms=so_bma;b=1;a=2",   // a degree-2 plan, degree-1 matching
   };
   for (const std::string& row : rows) {
     f.client.send_line(row);
