@@ -1,7 +1,7 @@
 // Micro-benchmarks for the hot-kernel library (common/simd.hpp): the
 // scalar reference vs the runtime-dispatched SIMD variant of each kernel,
 // at the row lengths the serve pipeline actually sees — b ∈ {4, 16, 64,
-// 256} for the BMA eviction-scan argmin and membership find.
+// 256} for the ranked rows' eviction-scan argmin and key find.
 //
 // The scalar side calls simd::scalar::* directly (not the dispatcher with
 // forcing flipped), so one run reports both columns without mutating
@@ -10,6 +10,11 @@
 // two columns are expected to tie.  The JSON context records the ISA the
 // dispatched column ran at as `simd_isa`.
 //
+// BM_ArgminPairTier/<isa>/<n> calls each vector tier's argmin the host
+// supports through its kernel table (simd::detail::kernel_table), so the
+// AVX-512 tier is timed against AVX2 on the same rows: a tier stays only
+// if it pays over the one below it.
+//
 // Build/run: cmake --build build --target bench_micro_kernels &&
 //            build/bench/micro_kernels
 // The committed BENCH_kernels.json comes from the command in
@@ -17,6 +22,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -74,6 +80,19 @@ void BM_ArgminPairSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ArgminPairSimd)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
+void BM_ArgminPairTier(benchmark::State& state,
+                       const simd::detail::KernelTable* table) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const ArgminRows rows = make_argmin_rows(n);
+  std::size_t r = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table->argmin_u64_pair(
+        rows.primary[r].data(), rows.secondary[r].data(), n));
+    r = (r + 1) & 63;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 std::vector<std::uint64_t> make_keys(std::size_t n) {
   Xoshiro256 rng(99 + n);
   std::vector<std::uint64_t> keys(n);
@@ -109,6 +128,17 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext(
       "simd_isa", rdcn::simd::isa_name(rdcn::simd::active_isa()));
+  for (const rdcn::simd::Isa isa :
+       {rdcn::simd::Isa::kAvx2, rdcn::simd::Isa::kAvx512}) {
+    const auto* table = rdcn::simd::detail::kernel_table(isa);
+    if (table == nullptr) continue;
+    const std::string name =
+        std::string("BM_ArgminPairTier/") + rdcn::simd::isa_name(isa);
+    benchmark::RegisterBenchmark(name.c_str(), BM_ArgminPairTier, table)
+        ->Arg(16)
+        ->Arg(64)
+        ->Arg(256);
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -3,7 +3,10 @@
 # downstream project that uses `find_package(rdcn CONFIG REQUIRED)` and
 # links `rdcn::rdcn` — proving the exported targets, the relocated
 # header tree (include/rdcn), and the Threads dependency all survive
-# outside the build tree.  Registered as a tier1 ctest.
+# outside the build tree.  A second executable links only
+# `rdcn::rdcn_core` and runs R-BMA, so each layer's exported link
+# interface must name every layer it calls (core -> paging).  Registered
+# as a tier1 ctest.
 #
 # Usage: cmake -DBUILD_DIR=<build tree> -DWORKDIR=<scratch dir>
 #              -DGENERATOR=<cmake generator> -DCXX=<compiler>
@@ -47,6 +50,8 @@ set(CMAKE_CXX_STANDARD_REQUIRED ON)
 find_package(rdcn CONFIG REQUIRED)
 add_executable(smoke main.cpp)
 target_link_libraries(smoke PRIVATE rdcn::rdcn)
+add_executable(core_only core_only.cpp)
+target_link_libraries(core_only PRIVATE rdcn::rdcn_core)
 ]])
 file(WRITE ${app}/main.cpp [[
 #include <cstdio>
@@ -63,6 +68,28 @@ int main() {
               (unsigned long long)obs::Registry::global().counter_value(
                   "rdcn_sim_chunks_total"));
   return 0;
+}
+]])
+
+# 3. A consumer of the core layer alone: R-BMA calls into rdcn_paging
+# (one paging engine per rack), which rdcn_core must bring along.
+file(WRITE ${app}/core_only.cpp [[
+#include <cstdio>
+#include "core/r_bma.hpp"
+#include "net/topology.hpp"
+int main() {
+  using namespace rdcn;
+  const net::Topology topology = net::make_ring(8);
+  core::Instance instance;
+  instance.distances = &topology.distances;
+  instance.b = 2;
+  instance.alpha = 4;
+  core::RBma r_bma(instance, core::RBmaOptions{});
+  for (core::Rack i = 0; i < 200; ++i)
+    r_bma.serve(trace::Request::make(i % 8, (i + 3) % 8));
+  std::printf("core ok: %s, requests=%llu\n", r_bma.name().c_str(),
+              (unsigned long long)r_bma.costs().requests);
+  return r_bma.costs().requests == 200 ? 0 : 1;
 }
 ]])
 
@@ -91,6 +118,14 @@ execute_process(
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "downstream ok: 1 runs")
   message(FATAL_ERROR "downstream smoke run failed (${rc})\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+execute_process(
+  COMMAND ${app}/build/core_only
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "core ok: r_bma")
+  message(FATAL_ERROR "core-only consumer run failed (${rc})\nstdout:\n${out}\nstderr:\n${err}")
 endif()
 
 message(STATUS "rdcn install smoke OK: staged prefix consumed via find_package(rdcn)")

@@ -375,6 +375,15 @@ const detail::KernelTable* detail::active_kernels() noexcept {
   return active_table().load(std::memory_order_relaxed);
 }
 
+const detail::KernelTable* detail::kernel_table(Isa isa) noexcept {
+  if (isa > detected_isa()) return nullptr;
+#if RDCN_SIMD_X86
+  if (isa == Isa::kAvx512) return &kAvx512Table;
+  if (isa == Isa::kAvx2) return &kAvx2Table;
+#endif
+  return &kScalarTable;
+}
+
 Isa active_isa() noexcept { return detail::active_kernels()->isa; }
 
 Isa detected_isa() noexcept { return native_table()->isa; }

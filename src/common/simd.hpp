@@ -4,11 +4,14 @@
 // The serve pipeline's innermost loops include two tiny, branch-free
 // array kernels over the SoA columns the matchers keep resident:
 //
-//   argmin_u64_pair   BMA's eviction scan: least (usage, admitted_at) with
-//                     index capture (lexicographic, lowest index on full
-//                     ties, so results never depend on lane order),
-//   find_u64          membership scans over BMA's rack-row keys and
-//                     marking's unmarked list (first occurrence).
+//   argmin_u64_pair   the eviction scan of every ranked row
+//                     (common/ranked_row.hpp: BMA's rack rows and the LRU,
+//                     FIFO, LFU and ARC engines): least (primary,
+//                     secondary) with index capture (lexicographic, lowest
+//                     index on full ties, so results never depend on lane
+//                     order),
+//   find_u64          key lookups in ranked rows and in marking's and
+//                     CLOCK's key vectors (first occurrence).
 //
 // Each kernel has a scalar reference implementation (namespace simd::scalar,
 // always compiled, the semantic contract) plus an AVX2 variant, and the
@@ -22,14 +25,15 @@
 // flips it programmatically (tests run both modes in one process).
 //
 // Every vector variant is bit-identical to its scalar reference on every
-// input (pinned by tests/simd_kernel_test.cpp on fuzzed rows, ties and
-// empty/short rows included), so callers may treat dispatch as invisible:
-// ledgers cannot depend on the selected ISA.
+// input (pinned by tests/simd_kernel_test.cpp, which runs each tier's
+// kernel table the host supports on fuzzed rows, ties and empty/short rows
+// included), so callers may treat dispatch as invisible: ledgers cannot
+// depend on the selected ISA.
 //
 // Value-range contract: argmin_u64_pair compares with *signed* 64-bit SIMD
 // compares (AVX2 has no unsigned epi64 compare), so inputs must stay below
-// 2^63.  Usage counters and admission clock ticks are bounded by the trace
-// length — checked by RDCN_DCHECK in the scalar reference.
+// 2^63.  Usage and access counters and the rows' ticks are bounded by the
+// trace length — checked by RDCN_DCHECK in the scalar reference.
 #pragma once
 
 #include <cstddef>
@@ -98,6 +102,11 @@ struct KernelTable {
 
 /// The active table (never null after first use).
 const KernelTable* active_kernels() noexcept;
+
+/// The table of tier `isa`, or null when this CPU cannot run it (ignores
+/// the scalar override, like detected_isa()).  The kernel tests and
+/// micro_kernels reach every tier the host supports through it.
+const KernelTable* kernel_table(Isa isa) noexcept;
 
 }  // namespace detail
 

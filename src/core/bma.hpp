@@ -22,7 +22,9 @@
 //
 // Where each fact lives:
 //   * a matched edge's key, usage and admission tick: the rack rows of its
-//     two endpoints (core/rack_rows.hpp), so the scan is two streaming SIMD
+//     two endpoints (core/rack_rows.hpp: one ranked row per rack,
+//     common/ranked_row.hpp, the structure the LRU, FIFO, LFU and ARC
+//     paging engines evict from too), so the scan is two streaming SIMD
 //     kernels with no hash probe.  The rows equal the matching adjacency,
 //     and a direct serve bumps the usage in both rows;
 //   * an unmatched pair's charge: `charges_`, one u64 per unordered pair

@@ -1,8 +1,9 @@
 // rdcn: first-in-first-out paging (deterministic, b-competitive).
+// One ranked row (common/ranked_row.hpp) ranked by insertion tick; hits
+// leave it untouched.
 #pragma once
 
-#include <deque>
-
+#include "common/ranked_row.hpp"
 #include "paging/paging_algorithm.hpp"
 
 namespace rdcn::paging {
@@ -15,16 +16,13 @@ class Fifo final : public PagingAlgorithm {
 
  protected:
   void on_fault(Key key, std::vector<Key>& evicted) override {
-    if (cache_full()) {
-      RDCN_DCHECK(!queue_.empty());
-      evict_from_cache(queue_.front(), evicted);
-      queue_.pop_front();
-    }
-    queue_.push_back(key);
+    if (cache_full()) evict_from_cache(row_.pop_min(), evicted);
+    row_.push(key, ++tick_);
   }
 
  private:
-  std::deque<Key> queue_;
+  RankedRow row_;  // the cached keys
+  std::uint64_t tick_ = 0;
 };
 
 }  // namespace rdcn::paging

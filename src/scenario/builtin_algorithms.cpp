@@ -121,11 +121,9 @@ void register_builtin_algorithms(AlgorithmRegistry& registry) {
     e.needs_full_trace = true;
     // One greedy matching, then one bit test per request: 6.9–7.1 ms at
     // 10^6 requests at b=4 and 7.6–7.7 ms at b=64, 0.27–0.29× r_bma and
-    // 0.34–0.36×.  At b=4 that is below greedy's measured 0.31–0.34×, but
-    // the model keeps so_bma just above greedy's entry at every b: 0.361×
-    // at b=4 (29% above the mean 0.28×) and 0.433× at b=64 (24% above).
-    e.cost_per_request = 0.356;
-    e.cost_per_b = 0.0012;
+    // 0.34–0.36×, below greedy at both (0.32–0.34× at b=4).
+    e.cost_per_request = 0.275;
+    e.cost_per_b = 0.00117;
     // One offline_dynamic window spanning the whole trace.
     e.build = [](const core::Instance& instance, const ParamMap&,
                  const trace::Trace* full_trace, std::uint64_t) {

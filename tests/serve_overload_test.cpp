@@ -227,20 +227,21 @@ TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
   };
   for (const std::size_t b : {4u, 16u, 64u}) {
     SCOPED_TRACE("b=" + std::to_string(b));
-    // rotor > bma > r_bma > so_bma > greedy > oblivious at every b;
+    // rotor > bma > r_bma > {so_bma, greedy} > oblivious at every b;
     // offline_dynamic's window matchings also outweigh r_bma.
     EXPECT_GT(cost("rotor", b), cost("bma", b));
     EXPECT_GT(cost("bma", b), cost("r_bma", b));
     EXPECT_GT(cost("offline_dynamic", b), cost("r_bma", b));
-    EXPECT_GT(cost("so_bma", b), cost("greedy", b));
     for (const char* light : {"so_bma", "greedy"}) {
       EXPECT_GT(cost("r_bma", b), cost(light, b)) << light;
       EXPECT_GT(cost(light, b), cost("oblivious", b)) << light;
     }
   }
-  // so_bma's static-matching build plus its lookups measure ≈0.45×
-  // r_bma.
+  // so_bma's one greedy matching plus its lookups measure ≈0.28× r_bma,
+  // below greedy's 0.32–0.34× at b=4.  At b=64 their ranges overlap
+  // (0.34–0.36× and 0.35–0.37×), so no order between them is pinned there.
   EXPECT_LT(cost("so_bma", 4), cost("r_bma", 4) / 2);
+  EXPECT_GT(cost("greedy", 4), cost("so_bma", 4));
   // bma grows ≈2.7× from b=4 to b=64 and rotor ≈14×; r_bma and the
   // b-independent oblivious stay flat.
   EXPECT_GT(cost("bma", 64), 2 * cost("bma", 4));

@@ -1,10 +1,11 @@
 // Randomized equivalence suite for the hot-kernel library
-// (common/simd.hpp): every dispatched kernel must match its scalar
-// reference bit-for-bit on fuzzed inputs — ties on the primary key, full
-// (primary, secondary) ties, duplicates, empty and short rows included —
-// under BOTH dispatch modes (detected ISA and forced scalar).  This is
-// the contract that lets the serve pipeline treat kernel dispatch as
-// invisible: ledgers cannot depend on the selected instruction set.
+// (common/simd.hpp): every kernel of every tier the host supports
+// (scalar, AVX2, AVX-512, each reached through its own kernel table) and
+// the dispatched entry points must match the scalar reference bit-for-bit
+// on fuzzed inputs — ties on the primary key, full (primary, secondary)
+// ties, duplicates, empty and short rows included.  This is the contract
+// that lets the serve pipeline treat kernel dispatch as invisible: ledgers
+// cannot depend on the selected instruction set.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,33 +18,42 @@ namespace {
 
 using namespace rdcn;
 
-/// Runs `body` under the ambient dispatch mode, then with dispatch forced
-/// scalar.  When RDCN_FORCE_SCALAR_KERNELS is set in the environment (the
-/// escape hatch for machines whose CPUID over-promises) BOTH passes stay
-/// on the scalar table — the equivalence then holds trivially and no
-/// vector kernel executes, while the forced-scalar ctest variant still
-/// exercises every call site.
+/// The kernel table of every tier the host supports, scalar first.  When
+/// RDCN_FORCE_SCALAR_KERNELS is set in the environment (the escape hatch
+/// for machines whose CPUID over-promises) only the scalar table is
+/// returned, so no vector kernel executes, while the forced-scalar ctest
+/// variant still exercises every call site.
+std::vector<const simd::detail::KernelTable*> supported_tiers() {
+  std::vector<const simd::detail::KernelTable*> tiers;
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    const simd::detail::KernelTable* table = simd::detail::kernel_table(isa);
+    const bool allowed = isa == simd::Isa::kScalar || !simd::force_scalar();
+    if (table != nullptr && allowed) tiers.push_back(table);
+  }
+  return tiers;
+}
+
+/// Runs `body(argmin, find)` once per supported tier with that tier's
+/// kernels, then once with the dispatched entry points (which also cover
+/// the inline short-row path).
 template <typename Body>
-void for_both_dispatch_modes(const Body& body) {
-  const bool ambient = simd::force_scalar();
-  {
-    SCOPED_TRACE(std::string("dispatch=") +
-                 simd::isa_name(simd::active_isa()));
-    body();
+void for_every_tier(const Body& body) {
+  for (const simd::detail::KernelTable* table : supported_tiers()) {
+    SCOPED_TRACE(std::string("tier=") + simd::isa_name(table->isa));
+    body(table->argmin_u64_pair, table->find_u64);
   }
-  simd::set_force_scalar(true);
-  {
-    SCOPED_TRACE("dispatch=forced-scalar");
-    body();
-  }
-  simd::set_force_scalar(ambient);
+  SCOPED_TRACE(std::string("dispatch=") + simd::isa_name(simd::active_isa()));
+  body(&simd::argmin_u64_pair, &simd::find_u64);
 }
 
 /// Row lengths that cover the empty/short/unaligned/long spectrum: all
-/// vector-width remainders at both ends plus the paper's b range and the
-/// microbench sizes.
+/// vector-width remainders at both ends, every unrolled loop of both
+/// vector argmins (8-, 16- and 32-element blocks plus their tails), the
+/// paper's b range and the microbench sizes.
 const std::size_t kLengths[] = {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,
-                                12, 15, 16, 17, 18, 31, 33, 64, 65, 255};
+                                12, 15, 16, 17, 18, 24, 31, 32, 33, 47,
+                                48, 63, 64, 65, 100, 255};
 
 TEST(SimdKernels, DispatchModesAreReported) {
   EXPECT_NE(simd::isa_name(simd::active_isa()), nullptr);
@@ -55,9 +65,23 @@ TEST(SimdKernels, DispatchModesAreReported) {
   simd::set_force_scalar(ambient);
 }
 
+TEST(SimdKernels, EveryTierUpToTheDetectedOneHasATable) {
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    const simd::detail::KernelTable* table = simd::detail::kernel_table(isa);
+    if (isa <= simd::detected_isa()) {
+      ASSERT_NE(table, nullptr);
+      EXPECT_EQ(table->isa, isa);
+    } else {
+      EXPECT_EQ(table, nullptr);
+    }
+  }
+}
+
 TEST(SimdKernels, ArgminPairMatchesScalarOnFuzzedRows) {
   Xoshiro256 rng(1001);
-  for_both_dispatch_modes([&] {
+  for_every_tier([&](auto argmin, auto) {
     for (const std::size_t n : kLengths) {
       for (int round = 0; round < 50; ++round) {
         std::vector<std::uint64_t> primary(n), secondary(n);
@@ -73,8 +97,7 @@ TEST(SimdKernels, ArgminPairMatchesScalarOnFuzzedRows) {
         }
         const std::size_t want =
             simd::scalar::argmin_u64_pair(primary.data(), secondary.data(), n);
-        const std::size_t got =
-            simd::argmin_u64_pair(primary.data(), secondary.data(), n);
+        const std::size_t got = argmin(primary.data(), secondary.data(), n);
         ASSERT_EQ(got, want) << "n=" << n << " round=" << round;
         if (n == 0) {
           EXPECT_EQ(got, simd::kNpos);
@@ -87,7 +110,7 @@ TEST(SimdKernels, ArgminPairMatchesScalarOnFuzzedRows) {
         secondary[i] = rng.next() >> 1;  // < 2^63
       }
       EXPECT_EQ(
-          simd::argmin_u64_pair(primary.data(), secondary.data(), n),
+          argmin(primary.data(), secondary.data(), n),
           simd::scalar::argmin_u64_pair(primary.data(), secondary.data(), n))
           << "n=" << n;
     }
@@ -98,25 +121,25 @@ TEST(SimdKernels, ArgminPairTieOnUsageBreaksByAgeThenIndex) {
   // Deterministic spot checks of the lexicographic contract.
   const std::uint64_t usage[] = {3, 1, 1, 1, 2};
   const std::uint64_t age[] = {0, 7, 5, 5, 1};
-  for_both_dispatch_modes([&] {
+  for_every_tier([&](auto argmin, auto) {
     // usage ties at 1 → age decides (5 < 7) → full tie at (1,5) → index 2.
-    EXPECT_EQ(simd::argmin_u64_pair(usage, age, 5), 2u);
-    EXPECT_EQ(simd::argmin_u64_pair(usage, age, 2), 1u);
-    EXPECT_EQ(simd::argmin_u64_pair(usage, age, 1), 0u);
-    EXPECT_EQ(simd::argmin_u64_pair(usage, age, 0), simd::kNpos);
+    EXPECT_EQ(argmin(usage, age, 5), 2u);
+    EXPECT_EQ(argmin(usage, age, 2), 1u);
+    EXPECT_EQ(argmin(usage, age, 1), 0u);
+    EXPECT_EQ(argmin(usage, age, 0), simd::kNpos);
   });
 }
 
 TEST(SimdKernels, FindU64MatchesScalarIncludingDuplicates) {
   Xoshiro256 rng(2002);
-  for_both_dispatch_modes([&] {
+  for_every_tier([&](auto, auto find) {
     for (const std::size_t n : kLengths) {
       for (int round = 0; round < 50; ++round) {
         std::vector<std::uint64_t> keys(n);
         for (std::size_t i = 0; i < n; ++i)
           keys[i] = rng.next_below(16);  // dense → duplicates guaranteed
         const std::uint64_t needle = rng.next_below(20);  // may be absent
-        ASSERT_EQ(simd::find_u64(keys.data(), n, needle),
+        ASSERT_EQ(find(keys.data(), n, needle),
                   simd::scalar::find_u64(keys.data(), n, needle))
             << "n=" << n << " round=" << round;
       }
