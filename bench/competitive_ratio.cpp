@@ -78,17 +78,17 @@ void matching_table() {
         core::generate_chasing_trace(victim, racks, b, steps);
 
     core::Bma bma(inst);
-    for (const core::Request& r : t) bma.serve(r);
+    sim::run_to_completion(bma, t);
 
     double rbma_total = 0.0;
     const int seeds = 5;
     for (int s = 1; s <= seeds; ++s) {
       core::RBma rbma(inst, {.seed = static_cast<std::uint64_t>(s)});
-      for (const core::Request& r : t) rbma.serve(r);
+      sim::run_to_completion(rbma, t);
       rbma_total += static_cast<double>(rbma.costs().total_cost());
     }
     core::Oblivious obl(inst);
-    for (const core::Request& r : t) obl.serve(r);
+    sim::run_to_completion(obl, t);
 
     const auto per = [&](double total) {
       return total / static_cast<double>(steps);

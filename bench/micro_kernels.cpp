@@ -1,7 +1,9 @@
 // Micro-benchmarks for the hot-kernel library (common/simd.hpp): the
 // scalar reference vs the runtime-dispatched SIMD variant of each kernel,
 // at the row lengths the serve pipeline actually sees — b ∈ {4, 16, 64,
-// 256} for the ranked rows' eviction-scan argmin and key find.
+// 256} for the ranked rows' eviction-scan argmin and key find, plus the
+// argmin at 8 and 12 (rdcn_sim's default b), where the AVX-512 tier hands
+// the row to the AVX2 kernel.
 //
 // The scalar side calls simd::scalar::* directly (not the dispatcher with
 // forcing flipped), so one run reports both columns without mutating
@@ -65,7 +67,13 @@ void BM_ArgminPairScalar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ArgminPairScalar)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ArgminPairScalar)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
 
 void BM_ArgminPairSimd(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -78,7 +86,13 @@ void BM_ArgminPairSimd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ArgminPairSimd)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ArgminPairSimd)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
 
 void BM_ArgminPairTier(benchmark::State& state,
                        const simd::detail::KernelTable* table) {
@@ -135,6 +149,8 @@ int main(int argc, char** argv) {
     const std::string name =
         std::string("BM_ArgminPairTier/") + rdcn::simd::isa_name(isa);
     benchmark::RegisterBenchmark(name.c_str(), BM_ArgminPairTier, table)
+        ->Arg(8)
+        ->Arg(12)
         ->Arg(16)
         ->Arg(64)
         ->Arg(256);

@@ -39,7 +39,7 @@ int main() {
         core::generate_chasing_trace(victim, racks, b, steps);
 
     core::Bma bma(inst);
-    for (const core::Request& r : t) bma.serve(r);
+    sim::run_to_completion(bma, t);
     const double det =
         static_cast<double>(bma.costs().total_cost()) / steps;
 
@@ -48,7 +48,7 @@ int main() {
     for (int s = 1; s <= seeds; ++s) {
       auto rbma = scenario::make_algorithm(
           "r_bma", inst, nullptr, static_cast<std::uint64_t>(s));
-      for (const core::Request& r : t) rbma->serve(r);
+      sim::run_to_completion(*rbma, t);
       rand_total += static_cast<double>(rbma->costs().total_cost());
     }
     const double rnd = rand_total / seeds / steps;

@@ -25,14 +25,14 @@ double rbma_reduction(const net::Topology& topo, const trace::Trace& t,
   inst.alpha = 60;
 
   auto obl = scenario::make_algorithm("oblivious", inst);
-  for (const core::Request& r : t) obl->serve(r);
+  sim::run_to_completion(*obl, t);
 
   double rbma = 0.0;
   const int seeds = 3;
   for (int s = 1; s <= seeds; ++s) {
     auto alg = scenario::make_algorithm("r_bma", inst, nullptr,
                                         static_cast<std::uint64_t>(s));
-    for (const core::Request& r : t) alg->serve(r);
+    sim::run_to_completion(*alg, t);
     rbma += static_cast<double>(alg->costs().routing_cost);
   }
   rbma /= seeds;

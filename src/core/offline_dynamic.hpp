@@ -9,7 +9,7 @@
 //
 // Each window's matching is greedy: scan the edges by descending weight
 // and take one when both endpoints have spare degree, a 1/2-approximation
-// of the maximum-weight b-matching (static_bmatching_test's
+// of the maximum-weight b-matching (greedy_b_matching_test's
 // GreedyApproximation pins it against an exact solver).  No single-swap
 // local search follows, because none can improve a greedy result: greedy
 // skips an edge only when an endpoint is full, and every matched edge
@@ -28,10 +28,9 @@
 // Smaller W is the dynamic-offline family studied by Hanauer et al.
 // (INFOCOM'23) for reconfigurable datacenters.  A hysteresis bonus keeps
 // an edge from the previous window when its new demand is close (avoids
-// α-thrash on borderline edges).  Sweeping W in
-// bench/ablation_offline_window.cpp exposes the
-// adaptivity/reconfiguration trade-off: small W adapts fast but pays
-// heavy switching costs.
+// α-thrash on borderline edges).  Sweeping W (the offline-window lines
+// of bench/paper_experiments.txt) exposes the adaptivity/reconfiguration
+// trade-off: small W adapts fast but pays heavy switching costs.
 #pragma once
 
 #include <cstdint>

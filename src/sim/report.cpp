@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "common/assert.hpp"
@@ -111,6 +112,27 @@ void print_table(std::ostream& out, const std::vector<RunResult>& results,
   out << "\n";
 }
 
+namespace {
+
+/// One CSV cell, exact: counts as integers, fractions with enough digits
+/// to read back the same double.
+void write_cell(std::ostream& out, const Checkpoint& c, Metric metric) {
+  switch (metric) {
+    case Metric::kRoutingCost: out << c.routing_cost; return;
+    case Metric::kTotalCost: out << c.total_cost; return;
+    case Metric::kMatchingSize: out << c.matching_size; return;
+    case Metric::kReconfigCost: out << c.reconfig_cost; return;
+    case Metric::kWallSeconds:
+    case Metric::kDirectFraction:
+      out << std::defaultfloat
+          << std::setprecision(std::numeric_limits<double>::max_digits10)
+          << metric_value(c, metric);
+      return;
+  }
+}
+
+}  // namespace
+
 void write_csv(std::ostream& out, const std::vector<RunResult>& results,
                Metric metric) {
   check_common_grid(results);
@@ -120,8 +142,10 @@ void write_csv(std::ostream& out, const std::vector<RunResult>& results,
   const std::size_t points = results.front().checkpoints.size();
   for (std::size_t p = 0; p < points; ++p) {
     out << results.front().checkpoints[p].requests;
-    for (const RunResult& r : results)
-      out << "," << metric_value(r.checkpoints[p], metric);
+    for (const RunResult& r : results) {
+      out << ",";
+      write_cell(out, r.checkpoints[p], metric);
+    }
     out << "\n";
   }
 }

@@ -283,6 +283,18 @@ TEST_F(ExperimentFixture, ReportTablesRenderAllSeries) {
   for (char c : csv.str()) lines += (c == '\n');
   EXPECT_EQ(lines, 1 + config_.checkpoints);
 
+  // Every cell reads back exactly: a cost of 3312397 once rendered as
+  // 3.3124e+06.
+  RunResult exact = results.front();
+  exact.checkpoints.back().routing_cost = 3312397;
+  exact.checkpoints.back().wall_seconds = 1.0 / 3.0;
+  std::ostringstream routing, wall;
+  write_csv(routing, {exact}, Metric::kRoutingCost);
+  write_csv(wall, {exact}, Metric::kWallSeconds);
+  EXPECT_EQ(routing.str().substr(routing.str().rfind(',') + 1), "3312397\n");
+  EXPECT_EQ(std::stod(wall.str().substr(wall.str().rfind(',') + 1)),
+            1.0 / 3.0);
+
   std::ostringstream summary;
   print_summary(summary, results, results.back());
   EXPECT_NE(summary.str().find("reduction"), std::string::npos);

@@ -94,11 +94,16 @@ TEST(Reduction, LargerAlphaMeansFewerSpecialsAndReconfigs) {
   const trace::Trace t =
       trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.2, rng));
   std::uint64_t prev_specials = ~0ull;
+  std::uint64_t prev_reconfigs = ~0ull;
   for (std::uint64_t alpha : {2ull, 8ull, 32ull, 128ull}) {
     RBma alg(make_instance(topo.distances, 3, alpha), {.seed = 4});
     for (const Request& r : t) alg.serve(r);
     EXPECT_LE(alg.special_requests(), prev_specials);
     prev_specials = alg.special_requests();
+    const std::uint64_t reconfigs =
+        alg.costs().edge_adds + alg.costs().edge_removals;
+    EXPECT_LE(reconfigs, prev_reconfigs) << "alpha=" << alpha;
+    prev_reconfigs = reconfigs;
   }
 }
 
