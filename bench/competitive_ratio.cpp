@@ -1,5 +1,7 @@
-// Theory bench (LB-1/LB-2 in DESIGN.md): empirical competitive ratios on
-// the paper's lower-bound constructions.
+// Theory bench: empirical competitive ratios on the paper's lower-bound
+// constructions (§2.4).  The separations its tables show are tests:
+// tests/adversary_test.cpp (the paging layer) and
+// tests/lower_bound_test.cpp (the Lemma 1 star).
 //
 // Table 1: paging layer — cruel adversary vs deterministic engines shows
 //          the Θ(b) wall; uniform adversary vs marking shows O(log b).

@@ -1,21 +1,20 @@
 // Micro-benchmarks for the hot-kernel library (common/simd.hpp): the
 // scalar reference vs the runtime-dispatched SIMD variant of each kernel,
-// at the row lengths the serve pipeline actually sees — b ∈ {4, 16, 64,
-// 256} for the ranked rows' eviction-scan argmin and key find, plus the
-// argmin at 8 and 12 (rdcn_sim's default b), where the AVX-512 tier hands
-// the row to the AVX2 kernel.
+// at the row lengths the serve pipeline actually sees — b ∈ {4, 8, 12,
+// 16, 64, 256} for the ranked rows' one-pass scan (key find plus least
+// rank; 12 is rdcn_sim's default b) and b ∈ {4, 16, 64, 256} for the key
+// find alone.
 //
 // The scalar side calls simd::scalar::* directly (not the dispatcher with
 // forcing flipped), so one run reports both columns without mutating
 // global dispatch state.  Note the dispatched wrappers keep rows of n <= 4
-// (argmin/find_u64) on an inline scalar fast path by design — at b=4 the
-// two columns are expected to tie.  The JSON context records the ISA the
-// dispatched column ran at as `simd_isa`.
+// on an inline scalar fast path by design — at b=4 the two columns are
+// expected to tie.  The JSON context records the ISA the dispatched
+// column ran at as `simd_isa`.
 //
-// BM_ArgminPairTier/<isa>/<n> calls each vector tier's argmin the host
-// supports through its kernel table (simd::detail::kernel_table), so the
-// AVX-512 tier is timed against AVX2 on the same rows: a tier stays only
-// if it pays over the one below it.
+// BM_FindArgminTier/avx512/<n> calls the AVX-512 row scan through its
+// kernel table at every length, including those the dispatcher keeps
+// scalar, so the rows show where the vector body starts to pay.
 //
 // Build/run: cmake --build build --target bench_micro_kernels &&
 //            build/bench/micro_kernels
@@ -24,7 +23,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,38 +34,42 @@ using namespace rdcn;
 
 /// One set of fuzzed rows per benchmark repetition pool: 64 rows per
 /// length so the kernel does not just replay one branch-predicted row.
-struct ArgminRows {
-  std::vector<std::vector<std::uint64_t>> primary;
-  std::vector<std::vector<std::uint64_t>> secondary;
+struct ScanRows {
+  std::vector<std::vector<std::uint64_t>> keys;
+  std::vector<std::vector<std::uint64_t>> ranks;
 };
 
-ArgminRows make_argmin_rows(std::size_t n) {
+ScanRows make_scan_rows(std::size_t n) {
   Xoshiro256 rng(77 + n);
-  ArgminRows rows;
+  ScanRows rows;
   for (int r = 0; r < 64; ++r) {
-    std::vector<std::uint64_t> p(n), s(n);
+    std::vector<std::uint64_t> k(n), q(n);
     for (std::size_t i = 0; i < n; ++i) {
-      p[i] = rng.next_below(4);   // usage-counter shape: heavy ties
-      s[i] = 1 + rng.next_below(1u << 20);  // admission ticks: distinct-ish
+      k[i] = 2 + rng.next_below(1u << 30);  // never the needle 1
+      // A rack row's packed (usage, admission tick): usage with heavy
+      // ties, distinct-ish ticks.
+      q[i] = rng.next_below(4) << 32 | (1 + rng.next_below(1u << 20));
     }
-    rows.primary.push_back(std::move(p));
-    rows.secondary.push_back(std::move(s));
+    rows.keys.push_back(std::move(k));
+    rows.ranks.push_back(std::move(q));
   }
   return rows;
 }
 
-void BM_ArgminPairScalar(benchmark::State& state) {
+// Every scan looks for the absent key 1 — BMA's common case, a request
+// whose pair is not matched — though the pass is full-length either way.
+void BM_FindArgminScalar(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const ArgminRows rows = make_argmin_rows(n);
+  const ScanRows rows = make_scan_rows(n);
   std::size_t r = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::scalar::argmin_u64_pair(
-        rows.primary[r].data(), rows.secondary[r].data(), n));
+    benchmark::DoNotOptimize(simd::scalar::find_argmin_u64(
+        rows.keys[r].data(), rows.ranks[r].data(), n, 1));
     r = (r + 1) & 63;
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ArgminPairScalar)
+BENCHMARK(BM_FindArgminScalar)
     ->Arg(4)
     ->Arg(8)
     ->Arg(12)
@@ -75,18 +77,18 @@ BENCHMARK(BM_ArgminPairScalar)
     ->Arg(64)
     ->Arg(256);
 
-void BM_ArgminPairSimd(benchmark::State& state) {
+void BM_FindArgminSimd(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const ArgminRows rows = make_argmin_rows(n);
+  const ScanRows rows = make_scan_rows(n);
   std::size_t r = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::argmin_u64_pair(
-        rows.primary[r].data(), rows.secondary[r].data(), n));
+    benchmark::DoNotOptimize(simd::find_argmin_u64(
+        rows.keys[r].data(), rows.ranks[r].data(), n, 1));
     r = (r + 1) & 63;
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ArgminPairSimd)
+BENCHMARK(BM_FindArgminSimd)
     ->Arg(4)
     ->Arg(8)
     ->Arg(12)
@@ -94,14 +96,14 @@ BENCHMARK(BM_ArgminPairSimd)
     ->Arg(64)
     ->Arg(256);
 
-void BM_ArgminPairTier(benchmark::State& state,
+void BM_FindArgminTier(benchmark::State& state,
                        const simd::detail::KernelTable* table) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const ArgminRows rows = make_argmin_rows(n);
+  const ScanRows rows = make_scan_rows(n);
   std::size_t r = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table->argmin_u64_pair(
-        rows.primary[r].data(), rows.secondary[r].data(), n));
+    benchmark::DoNotOptimize(table->find_argmin_u64(
+        rows.keys[r].data(), rows.ranks[r].data(), n, 1));
     r = (r + 1) & 63;
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -142,13 +144,13 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext(
       "simd_isa", rdcn::simd::isa_name(rdcn::simd::active_isa()));
-  for (const rdcn::simd::Isa isa :
-       {rdcn::simd::Isa::kAvx2, rdcn::simd::Isa::kAvx512}) {
-    const auto* table = rdcn::simd::detail::kernel_table(isa);
-    if (table == nullptr) continue;
-    const std::string name =
-        std::string("BM_ArgminPairTier/") + rdcn::simd::isa_name(isa);
-    benchmark::RegisterBenchmark(name.c_str(), BM_ArgminPairTier, table)
+  // The AVX2 tier's row scan is the scalar reference, so only the AVX-512
+  // tier gets rows of its own.
+  if (const auto* table =
+          rdcn::simd::detail::kernel_table(rdcn::simd::Isa::kAvx512)) {
+    benchmark::RegisterBenchmark("BM_FindArgminTier/avx512",
+                                 BM_FindArgminTier, table)
+        ->Arg(4)
         ->Arg(8)
         ->Arg(12)
         ->Arg(16)

@@ -1,25 +1,25 @@
-// rdcn: a ranked row — a handful of keys, each ranked by two u64 columns,
-// that evicts the least.
+// rdcn: a ranked row — a handful of keys, each with one u64 rank, that
+// evicts the least.
 //
-// One dense row of three parallel columns,
+// One dense row of two parallel columns,
 //
-//   keys[]       the row's keys (each at most once),
-//   primary[]    first rank column,
-//   secondary[]  second rank column (breaks ties on primary),
+//   keys[]   the row's keys (each at most once),
+//   ranks[]  one rank per key, ordered by a plain u64 `<`,
 //
-// so a lookup is simd::find_u64 over keys and the eviction victim is
-// simd::argmin_u64_pair over (primary, secondary): two streaming kernels
-// over contiguous memory and no hash probe.  Rows grow by push and shrink
-// by swap-erase, so row order is arbitrary; every user keeps a unique tick
-// in one rank column, so the lexicographic argmin never meets a full tie
-// and neither row order nor SIMD lane order can pick a different victim.
-// Both rank columns must stay below 2^63 (the argmin's value-range
-// contract, common/simd.hpp).
+// so one simd::find_argmin_u64 pass over both columns yields a key's index
+// and the eviction victim together, a lookup alone is simd::find_u64, and
+// no hash probe is paid.  A user that ranks by a pair stores pack(primary,
+// secondary) = primary << 32 | secondary, whose u64 order is the pair's
+// lexicographic order while both halves stay below 2^32; pack() and
+// bump_primary() check that bound in every build type.  Rows grow by push
+// and shrink by swap-erase, so row order is arbitrary; every user keeps a
+// unique tick in its rank, so the argmin never meets a tie and neither row
+// order nor SIMD lane order can pick a different victim.
 //
 // Users: BMA's per-rack rows (core/rack_rows.hpp, ranked by (usage,
-// admission tick)) and the LRU, FIFO, LFU and ARC paging engines (ranked
-// by access or insertion ticks).  Columns keep 16 inline entries so the
-// paper's b range (3–18) stays off the heap.
+// admission tick)), the LFU engine (by (count, last-access tick)) and the
+// LRU, FIFO and ARC engines (by one access or insertion tick).  Columns
+// keep 16 inline entries so the paper's b range (3–18) stays off the heap.
 #pragma once
 
 #include <cstddef>
@@ -32,44 +32,62 @@ namespace rdcn {
 
 class RankedRow {
  public:
+  /// The rank of (primary, secondary), ordered lexicographically.  Both
+  /// halves must be below 2^32.
+  static std::uint64_t pack(std::uint64_t primary,
+                            std::uint64_t secondary) noexcept {
+    RDCN_ASSERT_MSG((primary | secondary) >> 32 == 0,
+                    "ranked row: a rank half does not fit in 32 bits");
+    return primary << 32 | secondary;
+  }
+
+  /// The primary half of a packed rank.
+  static std::uint64_t primary(std::uint64_t rank) noexcept {
+    return rank >> 32;
+  }
+
   std::size_t size() const noexcept { return keys_.size(); }
   bool empty() const noexcept { return keys_.empty(); }
 
   std::uint64_t key(std::size_t i) const noexcept { return keys_[i]; }
-  std::uint64_t& primary(std::size_t i) noexcept { return primary_[i]; }
-  std::uint64_t& secondary(std::size_t i) noexcept { return secondary_[i]; }
-  std::uint64_t primary(std::size_t i) const noexcept { return primary_[i]; }
+  std::uint64_t& rank(std::size_t i) noexcept { return ranks_[i]; }
+  std::uint64_t rank(std::size_t i) const noexcept { return ranks_[i]; }
+
+  /// Adds one to the primary half of entry `i`'s packed rank.
+  void bump_primary(std::size_t i) noexcept {
+    RDCN_ASSERT_MSG(primary(ranks_[i]) < 0xFFFFFFFFu,
+                    "ranked row: a rank half does not fit in 32 bits");
+    ranks_[i] += std::uint64_t{1} << 32;
+  }
 
   /// Index of `key`; simd::kNpos when absent.
   std::size_t find(std::uint64_t key) const noexcept {
     return simd::find_u64(keys_.data(), keys_.size(), key);
   }
 
-  /// Index of the least (primary, secondary) entry; simd::kNpos when empty.
-  std::size_t argmin() const noexcept {
-    return simd::argmin_u64_pair(primary_.data(), secondary_.data(),
-                                 keys_.size());
+  /// One pass over the row: the index of `key` and of the least rank,
+  /// each simd::kNpos when there is none.
+  simd::FindArgmin scan(std::uint64_t key) const noexcept {
+    return simd::find_argmin_u64(keys_.data(), ranks_.data(), keys_.size(),
+                                 key);
   }
 
-  void push(std::uint64_t key, std::uint64_t primary,
-            std::uint64_t secondary = 0) {
+  void push(std::uint64_t key, std::uint64_t rank) {
     keys_.push_back(key);
-    primary_.push_back(primary);
-    secondary_.push_back(secondary);
+    ranks_.push_back(rank);
   }
 
   /// Swap-erases entry `i`.
   void erase(std::size_t i) noexcept {
     keys_.swap_erase(i);
-    primary_.swap_erase(i);
-    secondary_.swap_erase(i);
+    ranks_.swap_erase(i);
   }
 
   /// Removes the least entry and returns its key.  The row must not be
   /// empty.
   std::uint64_t pop_min() noexcept {
     RDCN_DCHECK(!empty());
-    const std::size_t i = argmin();
+    const std::size_t i = scan(0).least;  // the needle's index goes unused
     const std::uint64_t victim = keys_[i];
     erase(i);
     return victim;
@@ -78,14 +96,12 @@ class RankedRow {
   /// Hints the cache that the row's columns are about to be read.
   void prefetch() const noexcept {
     __builtin_prefetch(keys_.data());
-    __builtin_prefetch(primary_.data());
-    __builtin_prefetch(secondary_.data());
+    __builtin_prefetch(ranks_.data());
   }
 
  private:
   SmallVector<std::uint64_t, 16> keys_;
-  SmallVector<std::uint64_t, 16> primary_;
-  SmallVector<std::uint64_t, 16> secondary_;
+  SmallVector<std::uint64_t, 16> ranks_;
 };
 
 }  // namespace rdcn

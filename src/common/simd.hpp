@@ -4,22 +4,23 @@
 // The serve pipeline's innermost loops include two tiny, branch-free
 // array kernels over the SoA columns the matchers keep resident:
 //
-//   argmin_u64_pair   the eviction scan of every ranked row
+//   find_argmin_u64   the one-pass scan of every ranked row
 //                     (common/ranked_row.hpp: BMA's rack rows and the LRU,
-//                     FIFO, LFU and ARC engines): least (primary,
-//                     secondary) with index capture (lexicographic, lowest
-//                     index on full ties, so results never depend on lane
-//                     order),
+//                     FIFO, LFU and ARC engines): the first index of a
+//                     needle key and the index of the least rank (lowest
+//                     index among equal ranks, so results never depend on
+//                     lane order),
 //   find_u64          key lookups in ranked rows and in marking's and
 //                     CLOCK's key vectors (first occurrence).
 //
 // Each kernel has a scalar reference implementation (namespace simd::scalar,
-// always compiled, the semantic contract) plus an AVX2 variant, and the
-// latency-critical argmin an AVX-512 one, selected ONCE at startup by
-// runtime CPUID dispatch — the library is built without -mavx2 so one
-// binary runs everywhere; vector code is gated behind per-function target
-// attributes.  A vector kernel stays only where it pays on the reference
-// host (BENCH_kernels.json, written by bench/micro_kernels).
+// always compiled, the semantic contract) and one vector variant: AVX-512
+// for the row scan (an AVX2-only CPU runs the scalar scan), AVX2 for the
+// find.  Runtime CPUID dispatch selects them ONCE at startup; the library
+// is built without -mavx2 so one binary runs everywhere, and vector code
+// is gated behind per-function target attributes.  A vector kernel stays
+// only where it pays on the reference host (BENCH_kernels.json, written by
+// bench/micro_kernels).
 // Setting the environment variable RDCN_FORCE_SCALAR_KERNELS (to anything
 // but "0") pins the dispatch to the scalar reference; set_force_scalar()
 // flips it programmatically (tests run both modes in one process).
@@ -30,10 +31,8 @@
 // included), so callers may treat dispatch as invisible: ledgers cannot
 // depend on the selected ISA.
 //
-// Value-range contract: argmin_u64_pair compares with *signed* 64-bit SIMD
-// compares (AVX2 has no unsigned epi64 compare), so inputs must stay below
-// 2^63.  Usage and access counters and the rows' ticks are bounded by the
-// trace length — checked by RDCN_DCHECK in the scalar reference.
+// Value-range contract: none.  Keys and ranks may take any u64 value; the
+// row scan compares ranks unsigned over the whole range.
 #pragma once
 
 #include <cstddef>
@@ -66,18 +65,23 @@ bool force_scalar() noexcept;
 /// Test/bench hook — not meant for concurrent flipping while kernels run.
 void set_force_scalar(bool force) noexcept;
 
+/// What one row scan yields; each index is kNpos when there is none.
+struct FindArgmin {
+  std::size_t found;  ///< first i with keys[i] == needle
+  std::size_t least;  ///< first i with the least ranks[i]
+};
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations — the semantic contract of every kernel.
 // Always available (equivalence tests and microbenches call them directly).
 // ---------------------------------------------------------------------------
 namespace scalar {
 
-/// Index of the lexicographically least (primary[i], secondary[i], i):
-/// smallest primary, ties by smallest secondary, full ties by lowest index.
-/// kNpos when n == 0.  Inputs must be < 2^63 (see header contract).
-std::size_t argmin_u64_pair(const std::uint64_t* primary,
-                            const std::uint64_t* secondary,
-                            std::size_t n) noexcept;
+/// One pass over a row of n (key, rank) entries: the first index of
+/// `needle` among the keys and the first index of the least rank.
+FindArgmin find_argmin_u64(const std::uint64_t* keys,
+                           const std::uint64_t* ranks, std::size_t n,
+                           std::uint64_t needle) noexcept;
 
 /// First index with keys[i] == needle; kNpos when absent.
 std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
@@ -93,8 +97,8 @@ std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
 namespace detail {
 
 struct KernelTable {
-  std::size_t (*argmin_u64_pair)(const std::uint64_t*, const std::uint64_t*,
-                                 std::size_t) noexcept;
+  FindArgmin (*find_argmin_u64)(const std::uint64_t*, const std::uint64_t*,
+                                std::size_t, std::uint64_t) noexcept;
   std::size_t (*find_u64)(const std::uint64_t*, std::size_t,
                           std::uint64_t) noexcept;
   Isa isa;
@@ -110,13 +114,13 @@ const KernelTable* kernel_table(Isa isa) noexcept;
 
 }  // namespace detail
 
-inline std::size_t argmin_u64_pair(const std::uint64_t* primary,
-                                   const std::uint64_t* secondary,
-                                   std::size_t n) noexcept {
-  // A 4-lane vector pass cannot beat four branchless compares; keep the
-  // smallest rows (b <= 4 in the paper's low range) off the dispatch table.
-  if (n <= 4) return scalar::argmin_u64_pair(primary, secondary, n);
-  return detail::active_kernels()->argmin_u64_pair(primary, secondary, n);
+inline FindArgmin find_argmin_u64(const std::uint64_t* keys,
+                                  const std::uint64_t* ranks, std::size_t n,
+                                  std::uint64_t needle) noexcept {
+  // A vector pass cannot beat four branchless compares; keep the smallest
+  // rows (b <= 4 in the paper's low range) off the dispatch table.
+  if (n <= 4) return scalar::find_argmin_u64(keys, ranks, n, needle);
+  return detail::active_kernels()->find_argmin_u64(keys, ranks, n, needle);
 }
 
 inline std::size_t find_u64(const std::uint64_t* keys, std::size_t n,

@@ -21,12 +21,13 @@
 // runtime growth with b seen in the paper's Figs 1b–4b.
 //
 // Where each fact lives:
-//   * a matched edge's key, usage and admission tick: the rack rows of its
-//     two endpoints (core/rack_rows.hpp: one ranked row per rack,
-//     common/ranked_row.hpp, the structure the LRU, FIFO, LFU and ARC
-//     paging engines evict from too), so the scan is two streaming SIMD
-//     kernels with no hash probe.  The rows equal the matching adjacency,
-//     and a direct serve bumps the usage in both rows;
+//   * a matched edge's key and its rank, the packed (usage, admission
+//     tick): the rack rows of its two endpoints (core/rack_rows.hpp: one
+//     ranked row per rack, common/ranked_row.hpp, the structure the LRU,
+//     FIFO, LFU and ARC paging engines evict from too), so the scan of a
+//     row is one SIMD pass that finds the request's key and the least rank
+//     together, with no hash probe.  The rows equal the matching
+//     adjacency, and a direct serve bumps the usage in both rows;
 //   * an unmatched pair's charge: `charges_`, one u64 per unordered pair
 //     at its triangular slot (trace::pair_slot).  Admission resets the
 //     charge to zero, so an evicted pair starts again from zero.

@@ -3,17 +3,18 @@
 // Each rack keeps one ranked row (common/ranked_row.hpp) of its incident
 // matching edges:
 //
-//   key        canonical pair id of the incident matching edge,
-//   primary    usage: direct serves since admission (kept at BOTH
-//              endpoints of an edge — a direct serve bumps both rows),
-//   secondary  admission clock tick,
+//   key   canonical pair id of the incident matching edge,
+//   rank  RankedRow::pack(usage, admission clock tick), where usage counts
+//         direct serves since admission (kept at BOTH endpoints of an
+//         edge — a direct serve bumps both rows),
 //
-// so BMA's Θ(b) scan is the row's two streaming kernel calls
-// (simd::find_u64 over the keys, simd::argmin_u64_pair over usage and
-// admission tick) and no hash probe.  The rows are the only home of these
-// three facts; they change at admission, eviction and the direct-serve
-// usage bump.  Admission ticks are unique, so the (usage, admitted_at)
-// argmin has a unique winner and row/lane order cannot affect the ledger.
+// so BMA's Θ(b) scan is one simd::find_argmin_u64 pass over the row's two
+// columns and no hash probe.  The rows are the only home of these three
+// facts; they change at admission, eviction and the direct-serve usage
+// bump.  Admission ticks are unique, so the least (usage, admitted_at)
+// rank has a unique winner and row/lane order cannot affect the ledger.
+// Both halves stay below 2^32 while a replay stays below 2^32 requests
+// (scenario::check_run_shape refuses longer ones).
 #pragma once
 
 #include <cstdint>
@@ -43,20 +44,17 @@ class RackRows {
     std::size_t request_index;
   };
 
-  /// The Θ(b) scan as two streaming kernels over the row's columns.
+  /// The Θ(b) scan as one pass over the row's columns.
   ScanResult scan(Rack w, std::uint64_t request_key) const noexcept {
     const RankedRow& row = rows_[w];
-    ScanResult out;
-    out.request_index = row.find(request_key);
-    const std::size_t min_index = row.argmin();
-    out.victim_key = min_index == kNone ? 0 : row.key(min_index);
-    return out;
+    const simd::FindArgmin s = row.scan(request_key);
+    return {s.least == kNone ? 0 : row.key(s.least), s.found};
   }
 
   /// Appends the freshly admitted edge at endpoint `w` (usage 0, admission
   /// tick `now`).
   void admit(Rack w, std::uint64_t key, std::uint64_t now) {
-    rows_[w].push(key, 0, now);
+    rows_[w].push(key, RankedRow::pack(0, now));
   }
 
   /// Swap-erases `key` from the row at `w`; returns whether it was found.
@@ -71,7 +69,7 @@ class RackRows {
   /// Direct-serve bump of the edge's usage counter at one endpoint.
   void bump_usage(Rack w, std::size_t index) noexcept {
     RDCN_DCHECK(index < rows_[w].size());
-    ++rows_[w].primary(index);
+    rows_[w].bump_primary(index);
   }
 
   /// Hints the cache that `w`'s scan columns are about to be read.

@@ -9,7 +9,7 @@
 //
 // Implementation: the four lists are four ranked rows
 // (common/ranked_row.hpp) ranked by the tick at which a key entered or was
-// last promoted within its list; a list's LRU is its row's argmin.
+// last promoted within its list; a list's LRU is its row's least rank.
 #pragma once
 
 #include <algorithm>
@@ -38,7 +38,7 @@ class Arc final : public PagingAlgorithm {
       t1_.erase(i);
       t2_.push(key, ++tick_);
     } else {
-      t2_.primary(t2_.find(key)) = ++tick_;
+      t2_.rank(t2_.find(key)) = ++tick_;
     }
   }
 

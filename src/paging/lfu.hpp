@@ -7,7 +7,9 @@
 // it approximates "keep the elephants matched".
 //
 // Implementation: one ranked row (common/ranked_row.hpp) ranked by
-// (access count, last-access tick); the victim is the row's argmin.
+// RankedRow::pack(access count, last-access tick); the victim is the row's
+// least rank.  Both halves count this engine's accesses, so they stay
+// below 2^32 while a replay does (scenario::check_run_shape).
 #pragma once
 
 #include "common/ranked_row.hpp"
@@ -24,19 +26,18 @@ class Lfu final : public PagingAlgorithm {
   /// Test hook: current access count of a cached key (0 if absent).
   std::uint64_t frequency(Key key) const {
     const std::size_t i = row_.find(key);
-    return i != simd::kNpos ? row_.primary(i) : 0;
+    return i != simd::kNpos ? RankedRow::primary(row_.rank(i)) : 0;
   }
 
  protected:
   void on_hit(Key key) override {
-    const std::size_t i = row_.find(key);
-    ++row_.primary(i);
-    row_.secondary(i) = ++tick_;
+    std::uint64_t& rank = row_.rank(row_.find(key));
+    rank = RankedRow::pack(RankedRow::primary(rank) + 1, ++tick_);
   }
 
   void on_fault(Key key, std::vector<Key>& evicted) override {
     if (cache_full()) evict_from_cache(row_.pop_min(), evicted);
-    row_.push(key, 1, ++tick_);
+    row_.push(key, RankedRow::pack(1, ++tick_));
   }
 
  private:

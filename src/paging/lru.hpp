@@ -1,6 +1,6 @@
 // rdcn: least-recently-used paging (deterministic, b-competitive).
 // One ranked row (common/ranked_row.hpp) ranked by last-access tick; the
-// victim is the row's argmin.
+// victim is the row's least rank.
 #pragma once
 
 #include "common/ranked_row.hpp"
@@ -15,7 +15,7 @@ class Lru final : public PagingAlgorithm {
   std::string name() const override { return "lru"; }
 
  protected:
-  void on_hit(Key key) override { row_.primary(row_.find(key)) = ++tick_; }
+  void on_hit(Key key) override { row_.rank(row_.find(key)) = ++tick_; }
 
   void on_fault(Key key, std::vector<Key>& evicted) override {
     if (cache_full()) evict_from_cache(row_.pop_min(), evicted);

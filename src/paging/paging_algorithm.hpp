@@ -21,9 +21,9 @@
 // Membership lives in the base class's `FlatSet`; an engine keeps only its
 // eviction order.  LRU, FIFO, LFU and ARC keep it in ranked rows
 // (common/ranked_row.hpp: keys ranked by unique ticks, victim = the row's
-// SIMD argmin), the same structure as BMA's rack rows, so none of them
-// keeps a second hash table.  Marking, Random and CLOCK keep plain key
-// vectors, and Belady a next-use map and heap.
+// least rank, found by one SIMD pass), the same structure as BMA's rack
+// rows, so none of them keeps a second hash table.  Marking, Random and
+// CLOCK keep plain key vectors, and Belady a next-use map and heap.
 //
 // Cost model: non-bypassing page model — a requested key is always fetched;
 // a fault costs 1, eviction is free.  (The matching layer accounts its own

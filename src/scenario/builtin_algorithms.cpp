@@ -63,9 +63,9 @@ void register_builtin_algorithms(AlgorithmRegistry& registry) {
   {
     AlgorithmEntry e;
     e.summary = "deterministic counter-based online baseline (BMA, §3.1)";
-    // 59–64 ns/request at b=4, 127–141 at b=64: its eviction scan is Θ(b).
-    e.cost_per_request = 2.23;
-    e.cost_per_b = 0.070;
+    // 39–44 ns/request at b=4, 67–75 at b=64: its eviction scan is Θ(b).
+    e.cost_per_request = 1.46;
+    e.cost_per_b = 0.030;
     e.build = [](const core::Instance& instance, const ParamMap&,
                  const trace::Trace*, std::uint64_t) {
       return std::make_unique<core::Bma>(instance);

@@ -159,6 +159,9 @@ void check_run_shape(const ScenarioSpec& spec) {
   if (spec.alpha > std::numeric_limits<std::uint32_t>::max())
     throw SpecError("alpha (" + std::to_string(spec.alpha) +
                     ") must be <= 4294967295");
+  if (spec.requests > std::numeric_limits<std::uint32_t>::max())
+    throw SpecError("requests (" + std::to_string(spec.requests) +
+                    ") must be <= 4294967295");
 }
 
 namespace {

@@ -72,9 +72,11 @@ struct ScenarioSpec {
 /// fewer than 2 racks, zero requests or checkpoints, a cache size b of 0,
 /// an offline degree bound a above some b (the (b,a) model needs a <= b,
 /// and an offline plan of degree a cannot fit a degree-b matching),
-/// fewer requests than checkpoints, or an α above 2^32 − 1 (R-BMA counts
+/// fewer requests than checkpoints, an α above 2^32 − 1 (R-BMA counts
 /// toward ⌈α/ℓ⌉ in a 32-bit per-pair counter, and a larger α can wrap the
-/// 64-bit reconfiguration ledger).  Throws SpecError.  run_scenario
+/// 64-bit reconfiguration ledger), or more than 2^32 − 1 requests (a
+/// ranked row packs a tick and a count of them into the two 32-bit halves
+/// of one rank, common/ranked_row.hpp).  Throws SpecError.  run_scenario
 /// calls it first; the serving daemon calls it at admission.
 void check_run_shape(const ScenarioSpec& spec);
 

@@ -17,8 +17,9 @@
 //                waves.
 //
 // The generators are deliberately simple compositions of the primitives in
-// generators.hpp so every knob is auditable.  See DESIGN.md §3 for the
-// substitution argument.
+// generators.hpp so every knob is auditable.  Their relative locality and
+// skew are pinned by `FacebookLike.ProfilesAreOrderedByLocality`
+// (tests/trace_test.cpp).
 #pragma once
 
 #include "common/rng.hpp"

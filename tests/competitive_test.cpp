@@ -1,6 +1,6 @@
 // Empirical competitive-ratio checks against the exact dynamic optimum
-// (OPT-1 / RED-1 in DESIGN.md): the paper's guarantees, made executable on
-// exhaustively solvable instances.
+// (tests/opt_small.hpp): the paper's Theorem 1 and 2 guarantees, made
+// executable on exhaustively solvable instances.
 #include <gtest/gtest.h>
 
 #include <cmath>

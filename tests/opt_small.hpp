@@ -7,8 +7,8 @@
 // feasible state, paying α per edge flipped.
 //
 // Exponential in the number of rack pairs — usable for n <= 6 — and the
-// ground truth behind the empirical competitive-ratio tests (OPT-1 in
-// DESIGN.md).
+// ground truth behind the empirical competitive-ratio tests
+// (tests/competitive_test.cpp, tests/opt_small_test.cpp).
 #pragma once
 
 #include <cstdint>

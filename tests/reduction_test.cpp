@@ -1,6 +1,6 @@
-// Executable checks of the Theorem 1 reduction mechanics (RED-1/RED-2 in
-// DESIGN.md): the special-request bookkeeping inside R-BMA, and the
-// per-interval cost relation the proof charges against.
+// Executable checks of the Theorem 1 reduction mechanics (core/r_bma.hpp):
+// the special-request bookkeeping inside R-BMA, and the per-interval cost
+// relation the proof charges against.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -325,7 +325,9 @@ TEST(RunScenario, InputsNoRunSurvivesAreSpecErrors) {
         "requests=3;checkpoints=8;algorithms=bma;b=2",
         "checkpoints=0;algorithms=bma;b=2",
         // R-BMA's ⌈α/ℓ⌉ would wrap and the ledger with it.
-        "alpha=18446744073709551615;algorithms=r_bma;b=2"}) {
+        "alpha=18446744073709551615;algorithms=r_bma;b=2",
+        // A ranked row's 32-bit rank halves count ticks and serves.
+        "requests=4294967296;algorithms=bma;b=2"}) {
     SCOPED_TRACE(text);
     EXPECT_THROW((void)scenario::run_scenario(ScenarioSpec::parse(text)),
                  SpecError);

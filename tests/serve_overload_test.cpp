@@ -242,7 +242,7 @@ TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
   // (0.34–0.36× and 0.35–0.37×), so no order between them is pinned there.
   EXPECT_LT(cost("so_bma", 4), cost("r_bma", 4) / 2);
   EXPECT_GT(cost("greedy", 4), cost("so_bma", 4));
-  // bma grows ≈2.7× from b=4 to b=64 and rotor ≈14×; r_bma and the
+  // bma grows ≈2.1× from b=4 to b=64 and rotor ≈14×; r_bma and the
   // b-independent oblivious stay flat.
   EXPECT_GT(cost("bma", 64), 2 * cost("bma", 4));
   EXPECT_GT(cost("rotor", 64), 10 * cost("rotor", 4));

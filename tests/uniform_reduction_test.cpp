@@ -1,7 +1,7 @@
 // Tests for the Theorem 1 combinator (tests/uniform_reduction.hpp): the
 // fused R-BMA must be behaviourally identical to
 // UniformReduction(uniform R-BMA), and the Theorem 1 cost inequality must
-// hold run-by-run (RED-1/RED-3 in DESIGN.md).
+// hold run-by-run.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
