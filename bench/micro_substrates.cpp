@@ -1,9 +1,7 @@
-// Google-benchmark micro measurements of the substrate layers: the flat
-// hash containers on the per-request hot path, the paging engines, the
-// b-matching structure, and topology/APSP construction.
+// Google-benchmark micro measurements of the substrate layers: the paging
+// membership set and engines, the b-matching structure, topology/APSP
+// construction, trace generation and the samplers.
 #include <benchmark/benchmark.h>
-
-#include <unordered_map>
 
 #include "rdcn.hpp"
 
@@ -11,79 +9,7 @@ namespace {
 
 using namespace rdcn;
 
-// Mixed insert/erase/find churn over a bounded key space — the access
-// pattern of the matching algorithms' per-pair maps.  Run for the tagged
-// FlatMap and std::unordered_map.
-template <typename Map>
-void churn_mix(benchmark::State& state) {
-  Xoshiro256 rng(12);
-  Map map;
-  for (auto _ : state) {
-    const std::uint64_t k = 1 + rng.next_below(1 << 14);
-    switch (rng.next_below(4)) {
-      case 0:
-        map[k] = k;
-        break;
-      case 1:
-        map.erase(k);
-        break;
-      default:
-        benchmark::DoNotOptimize(map.find(k));
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_FlatMapChurn(benchmark::State& state) {
-  churn_mix<FlatMap<std::uint64_t>>(state);
-}
-BENCHMARK(BM_FlatMapChurn);
-
-void BM_StdUnorderedChurn(benchmark::State& state) {
-  churn_mix<std::unordered_map<std::uint64_t, std::uint64_t>>(state);
-}
-BENCHMARK(BM_StdUnorderedChurn);
-
-// Miss-heavy lookups are where the tag array pays off: a miss scans tags
-// only (64 per cache line) instead of the wide slot array.
-void BM_FlatMapLookupMiss(benchmark::State& state) {
-  Xoshiro256 rng(13);
-  FlatMap<std::uint64_t> map;
-  for (std::uint64_t k = 1; k <= (1 << 16); ++k) map[k] = k;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find((1 << 20) + rng.next_below(1 << 16)));
-  }
-}
-BENCHMARK(BM_FlatMapLookupMiss);
-
-void BM_FlatMapUpsert(benchmark::State& state) {
-  Xoshiro256 rng(1);
-  FlatMap<std::uint64_t> map;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(++map[1 + rng.next_below(1 << 16)]);
-  }
-}
-BENCHMARK(BM_FlatMapUpsert);
-
-void BM_StdUnorderedUpsert(benchmark::State& state) {
-  Xoshiro256 rng(1);
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(++map[1 + rng.next_below(1 << 16)]);
-  }
-}
-BENCHMARK(BM_StdUnorderedUpsert);
-
-void BM_FlatMapLookupHit(benchmark::State& state) {
-  Xoshiro256 rng(2);
-  FlatMap<std::uint64_t> map;
-  for (std::uint64_t k = 1; k <= (1 << 16); ++k) map[k] = k;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(1 + rng.next_below(1 << 16)));
-  }
-}
-BENCHMARK(BM_FlatMapLookupHit);
-
+// Insert-or-erase churn on the paging membership set.
 void BM_FlatSetChurn(benchmark::State& state) {
   Xoshiro256 rng(3);
   FlatSet set;

@@ -51,7 +51,8 @@ int main() {
   }
   const trace::Trace t = trace::read_csv(csv);
   std::cout << "imported " << t.size() << " requests ("
-            << t.num_distinct_pairs() << " distinct pairs) from CSV\n\n";
+            << trace::compute_stats(t).distinct_pairs
+            << " distinct pairs) from CSV\n\n";
 
   // --- run ---------------------------------------------------------------
   core::Instance inst;

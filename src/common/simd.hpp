@@ -10,8 +10,9 @@
 //                     needle key and the index of the least rank (lowest
 //                     index among equal ranks, so results never depend on
 //                     lane order),
-//   find_u64          key lookups in ranked rows and in marking's and
-//                     CLOCK's key vectors (first occurrence).
+//   find_u64          key lookups in ranked rows, in marking's and
+//                     CLOCK's key vectors and in the trace statistics'
+//                     64-request locality ring (first occurrence).
 //
 // Each kernel has a scalar reference implementation (namespace simd::scalar,
 // always compiled, the semantic contract) and one vector variant: AVX-512

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "common/flat_hash.hpp"
 #include "common/param_map.hpp"
 
 namespace rdcn::core {
@@ -53,9 +52,10 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
   // greedy matching sorts the edges itself), and their counters are zeroed
   // as the edges are listed: O(W + pairs) per window.  `pairs` holds the
   // most pairs a window can touch, so counting never reallocates.
+  // `previous` marks the slots of the previous window's plan.
   std::vector<std::uint64_t> counts(pair_slots(full_trace.num_racks()));
   std::vector<std::uint64_t> pairs(std::min(window_, counts.size()));
-  FlatSet previous;
+  std::vector<bool> previous(counts.size());
   for (std::size_t w = 0; w < num_windows; ++w) {
     const std::size_t begin = w * window_;
     const std::size_t end = std::min(full_trace.size(), begin + window_);
@@ -73,7 +73,7 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
         std::uint64_t weight = count * (d - 1);
         // Hysteresis: edges kept from the previous window save 2α of
         // switching (no removal + no later re-add), modeled as a bonus.
-        if (previous.contains(key)) weight += bonus;
+        if (previous[pair_slot(key)]) weight += bonus;
         edges.push_back({key, weight});
       }
       count = 0;
@@ -81,8 +81,10 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
 
     std::vector<std::uint64_t> plan =
         greedy_b_matching(inst.num_racks(), cap, std::move(edges));
-    previous.clear();
-    for (std::uint64_t k : plan) previous.insert(k);
+    std::sort(plan.begin(), plan.end());
+    if (!plans_.empty())
+      for (std::uint64_t k : plans_.back()) previous[pair_slot(k)] = false;
+    for (std::uint64_t k : plan) previous[pair_slot(k)] = true;
     plans_.push_back(std::move(plan));
   }
   // A plan's degrees are bounded by offline_degree(), so the online
@@ -92,15 +94,14 @@ OfflineDynamic::OfflineDynamic(const Instance& inst,
 
 void OfflineDynamic::apply_plan(std::size_t w) {
   RDCN_ASSERT(w < plans_.size());
-  FlatSet target(plans_[w].size());
-  for (std::uint64_t k : plans_[w]) target.insert(k);
-
+  const std::vector<std::uint64_t>& target = plans_[w];
   // Remove edges not in the target, then add the missing ones (this order
   // keeps degrees feasible throughout).
   for (std::uint64_t k : matching_view().edge_keys()) {
-    if (!target.contains(k)) remove_matching_edge_key(k);
+    if (!std::binary_search(target.begin(), target.end(), k))
+      remove_matching_edge_key(k);
   }
-  for (std::uint64_t k : plans_[w]) {
+  for (std::uint64_t k : target) {
     if (!matching_view().has_key(k))
       add_matching_edge(pair_lo(k), pair_hi(k));
   }

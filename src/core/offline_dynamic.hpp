@@ -82,7 +82,8 @@ class OfflineDynamic final : public OnlineBMatcher {
   /// Applies plan `w` (diff against the current matching).
   void apply_plan(std::size_t w);
 
-  std::vector<std::vector<std::uint64_t>> plans_;  ///< matching per window
+  /// Matching per window, sorted by key.
+  std::vector<std::vector<std::uint64_t>> plans_;
   std::size_t window_;
   std::size_t next_plan_ = 1;  ///< the constructor applies plan 0
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_hash.hpp"
 #include "common/param_map.hpp"
 
 namespace rdcn::core {
@@ -12,7 +11,13 @@ Rotor::Rotor(const Instance& inst, const RotorOptions& options)
   if (options_.slot_length == 0)
     throw SpecError("algorithm 'rotor': parameter 'slot' must be >= 1, got 0");
   build_schedule();
-  install_slot(0);
+  const std::size_t L = schedule_.size();
+  switches_ = std::min(instance().b, L);
+  stride_ = options_.staggered ? std::max<std::size_t>(1, L / switches_) : 1;
+  for (std::size_t round = 0; round < L; ++round)
+    if (plays(round, 0))
+      for (std::uint64_t key : schedule_[round])
+        add_matching_edge_prescheduled(pair_lo(key), pair_hi(key));
 }
 
 void Rotor::build_schedule() {
@@ -45,33 +50,31 @@ void Rotor::build_schedule() {
   }
 }
 
-void Rotor::install_slot(std::size_t slot) {
-  const std::size_t L = schedule_.size();
-  const std::size_t switches = std::min(instance().b, L);
-  const std::size_t stride =
-      options_.staggered ? std::max<std::size_t>(1, L / switches) : 1;
+bool Rotor::plays(std::size_t round, std::size_t slot) const noexcept {
+  const std::size_t offset =
+      (round + schedule_.size() - slot) % schedule_.size();
+  return offset % stride_ == 0 && offset / stride_ < switches_;
+}
 
-  // Union of the b staggered schedule positions, deduplicated.
-  FlatSet target;
-  for (std::size_t r = 0; r < switches; ++r) {
-    for (std::uint64_t key : schedule_[(slot + r * stride) % L])
-      target.insert(key);
-  }
-  // Diff against the current matching (uncharged: rotor duty cycle).
-  for (std::uint64_t key : matching_view().edge_keys()) {
-    if (!target.contains(key)) remove_matching_edge_prescheduled(key);
-  }
-  target.for_each([&](std::uint64_t key) {
-    if (!matching_view().has_key(key))
-      add_matching_edge_prescheduled(pair_lo(key), pair_hi(key));
-  });
+void Rotor::advance_slot() {
+  // Each pair plays in exactly one round, so the matching is the disjoint
+  // union of the slot's rounds: a slot change removes the rounds that
+  // leave and adds the rounds that enter (uncharged: rotor duty cycle),
+  // removals first so degrees stay within b.
+  const std::size_t next = (current_slot_ + 1) % schedule_.size();
+  for (std::size_t round = 0; round < schedule_.size(); ++round)
+    if (plays(round, current_slot_) && !plays(round, next))
+      for (std::uint64_t key : schedule_[round])
+        remove_matching_edge_prescheduled(key);
+  for (std::size_t round = 0; round < schedule_.size(); ++round)
+    if (!plays(round, current_slot_) && plays(round, next))
+      for (std::uint64_t key : schedule_[round])
+        add_matching_edge_prescheduled(pair_lo(key), pair_hi(key));
+  current_slot_ = next;
 }
 
 void Rotor::serve_batch(std::span<const Request> batch) {
-  serve_in_epochs(batch, options_.slot_length, [this] {
-    current_slot_ = (current_slot_ + 1) % schedule_.size();
-    install_slot(current_slot_);
-  });
+  serve_in_epochs(batch, options_.slot_length, [this] { advance_slot(); });
 }
 
 }  // namespace rdcn::core

@@ -45,11 +45,16 @@ class Rotor final : public OnlineBMatcher {
 
  private:
   void build_schedule();
-  void install_slot(std::size_t slot);
+  /// True iff slot `slot` has a switch on schedule round `round`: switch
+  /// r plays round slot + r·stride (mod the schedule length).
+  bool plays(std::size_t round, std::size_t slot) const noexcept;
+  void advance_slot();
 
   RotorOptions options_;
   /// schedule_[s] = perfect matching s as canonical pair keys.
   std::vector<std::vector<std::uint64_t>> schedule_;
+  std::size_t switches_ = 0;  ///< min(b, schedule length)
+  std::size_t stride_ = 1;    ///< schedule positions between switches
   std::size_t current_slot_ = 0;
 };
 

@@ -1,59 +1,58 @@
 #include "paging/belady.hpp"
 
+#include <algorithm>
+
 namespace rdcn::paging {
 
 Belady::Belady(std::size_t capacity, std::vector<Key> sequence)
-    : PagingAlgorithm(capacity), seq_(std::move(sequence)) {
+    : PagingAlgorithm(capacity), keys_(sequence) {
+  // Dense ids: a key's rank among the sequence's distinct keys.
+  std::sort(keys_.begin(), keys_.end());
+  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  ids_.resize(sequence.size());
+  for (std::size_t i = 0; i < sequence.size(); ++i)
+    ids_[i] = static_cast<std::size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), sequence[i]) -
+        keys_.begin());
   // Backward scan to compute each position's next occurrence.
-  next_use_.assign(seq_.size(), kNever);
-  FlatMap<std::size_t> last_seen;
-  for (std::size_t i = seq_.size(); i-- > 0;) {
-    const std::size_t* nxt = last_seen.find(seq_[i]);
-    next_use_[i] = (nxt != nullptr) ? *nxt : kNever;
-    last_seen[seq_[i]] = i;
+  next_use_.assign(ids_.size(), kNever);
+  std::vector<std::size_t> last_seen(keys_.size(), kNever);
+  for (std::size_t i = ids_.size(); i-- > 0;) {
+    next_use_[i] = last_seen[ids_[i]];
+    last_seen[ids_[i]] = i;
   }
+  current_next_.assign(keys_.size(), kNever);
 }
 
 void Belady::advance(Key key) {
-  RDCN_ASSERT_MSG(cursor_ < seq_.size(),
+  RDCN_ASSERT_MSG(cursor_ < ids_.size(),
                   "Belady driven past its announced sequence");
-  RDCN_ASSERT_MSG(seq_[cursor_] == key,
+  const std::size_t id = ids_[cursor_];
+  RDCN_ASSERT_MSG(keys_[id] == key,
                   "Belady replay diverged from the announced sequence");
-  const std::size_t nxt = next_use_[cursor_];
+  current_next_[id] = next_use_[cursor_];
+  heap_.emplace(next_use_[cursor_], id);
   ++cursor_;
-  current_next_[key] = nxt;
-  if (nxt != kNever) heap_.emplace(nxt, key);
 }
 
 void Belady::on_hit(Key key) { advance(key); }
 
 void Belady::on_fault(Key key, std::vector<Key>& evicted) {
   if (cache_full()) {
-    // Prefer a cached key that is never used again; otherwise pop the
-    // farthest-next-use entry, skipping stale heap records.
-    Key victim = 0;
-    bool found_dead = false;
-    current_next_.for_each([&](Key k, std::size_t nxt) {
-      if (!found_dead && nxt == kNever) {
-        victim = k;
-        found_dead = true;
-      }
-    });
-    if (!found_dead) {
-      while (true) {
-        RDCN_ASSERT_MSG(!heap_.empty(), "Belady heap exhausted");
-        const auto [nxt, k] = heap_.top();
-        heap_.pop();
-        const std::size_t* cur = current_next_.find(k);
-        if (cur != nullptr && *cur == nxt) {
-          victim = k;
-          break;
-        }
-        // else: stale entry (key evicted or next-use advanced) — skip.
+    // Pop the farthest next use; a key never requested again carries
+    // kNever, so it leaves first.  A record is current iff it holds its
+    // key's latest next use.  Each position is the next use of at most
+    // one earlier position, so once a key's current record is popped
+    // (the key evicted) none matches until the key is requested again.
+    while (true) {
+      RDCN_ASSERT_MSG(!heap_.empty(), "Belady heap exhausted");
+      const auto [nxt, id] = heap_.top();
+      heap_.pop();
+      if (current_next_[id] == nxt) {
+        evict_from_cache(keys_[id], evicted);
+        break;
       }
     }
-    current_next_.erase(victim);
-    evict_from_cache(victim, evicted);
   }
   advance(key);
 }

@@ -32,15 +32,16 @@ class Belady final : public PagingAlgorithm {
 
   static constexpr std::size_t kNever = ~std::size_t{0};
 
-  std::vector<Key> seq_;
-  // next_use_[i] = index of the next occurrence of seq_[i] after i (kNever
+  std::vector<Key> keys_;         // distinct keys, sorted; id = index
+  std::vector<std::size_t> ids_;  // the sequence as ids
+  // next_use_[i] = index of the next occurrence of ids_[i] after i (kNever
   // if none).
   std::vector<std::size_t> next_use_;
   std::size_t cursor_ = 0;
-  // Max-heap of (next-use index, key); lazily invalidated entries are
-  // skipped on pop by checking against current_next_.
-  std::priority_queue<std::pair<std::size_t, Key>> heap_;
-  FlatMap<std::size_t> current_next_;  // cached key -> its true next use
+  // Max-heap of (next-use index, id), one record per request; stale
+  // records are skipped on pop by checking against current_next_.
+  std::priority_queue<std::pair<std::size_t, std::size_t>> heap_;
+  std::vector<std::size_t> current_next_;  // id -> its latest next use
 };
 
 }  // namespace rdcn::paging

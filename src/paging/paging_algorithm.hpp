@@ -18,12 +18,14 @@
 //                  sequence up front; used for ground truth in tests and
 //                  for the SO-style comparisons.
 //
-// Membership lives in the base class's `FlatSet`; an engine keeps only its
-// eviction order.  LRU, FIFO, LFU and ARC keep it in ranked rows
-// (common/ranked_row.hpp: keys ranked by unique ticks, victim = the row's
-// least rank, found by one SIMD pass), the same structure as BMA's rack
-// rows, so none of them keeps a second hash table.  Marking, Random and
-// CLOCK keep plain key vectors, and Belady a next-use map and heap.
+// Membership lives in the base class's `FlatSet` (common/flat_hash.hpp),
+// the library's last hash table; an engine keeps only its eviction order.
+// The set's slot order is behaviour: marking starts a phase and
+// FlushWhenFull flushes in it.  LRU, FIFO, LFU and ARC keep their order in
+// ranked rows (common/ranked_row.hpp: keys ranked by unique ticks, victim
+// = the row's least rank, found by one SIMD pass), the same structure as
+// BMA's rack rows.  Marking, Random and CLOCK keep plain key vectors, and
+// Belady next-use arrays over dense key ids and a heap.
 //
 // Cost model: non-bypassing page model — a requested key is always fetched;
 // a fault costs 1, eviction is free.  (The matching layer accounts its own

@@ -16,7 +16,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[4] = {'R', 'D', 'C', '1'};
+/// "RDC" and the results version.  Bump the version with every
+/// intentional change of a ledger or of the payload format: entries of
+/// another version hold results this build would not produce.
+constexpr char kMagic[4] = {'R', 'D', 'C', '2'};
 constexpr const char* kEntrySuffix = ".rdc";
 constexpr const char* kTempSuffix = ".tmp";
 /// Entries above this are implausible (a CSV table is kilobytes) and
@@ -65,6 +68,13 @@ std::string encode_entry(const std::string& key, const std::string& payload) {
   crc = crc32(payload.data(), payload.size(), crc);
   append_u32(out, crc);
   return out;
+}
+
+/// True for an entry of another results version: it starts "RDC" but
+/// its version byte differs.  Such an entry is stale, not corrupt.
+bool other_version(const std::string& bytes) {
+  return bytes.size() >= sizeof(kMagic) &&
+         bytes.compare(0, 3, kMagic, 3) == 0 && bytes[3] != kMagic[3];
 }
 
 /// Validates one serialized entry; on success fills key/payload.
@@ -154,6 +164,10 @@ void DiskCache::load() {
     if (name.size() < 4 || name.compare(name.size() - 4, 4, kEntrySuffix) != 0)
       continue;  // not ours
     const std::optional<std::string> bytes = read_file(path);
+    if (bytes && other_version(*bytes)) {
+      fs::remove(item.path(), ec);  // results of another build: stale
+      continue;
+    }
     std::string key, payload;
     if (!bytes || !decode_entry(*bytes, key, payload)) {
       std::cerr << "rdcn_serve: disk cache: skipping corrupt entry " << path

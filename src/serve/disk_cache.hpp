@@ -5,7 +5,7 @@
 // entry in a flat directory, named by the FNV-1a hash of the key
 // (ScenarioSpec::canonical_string()), each laid out as
 //
-//   "RDC1"            4-byte magic (format version 1)
+//   "RDC2"            4-byte magic: "RDC" and the results version (2)
 //   key_len           u32 little-endian
 //   payload_len       u32 little-endian
 //   key bytes         the canonical spec string (verified on read —
@@ -19,8 +19,11 @@
 // reordered before its data reached disk, or plain corruption) fails the
 // magic/length/CRC checks at startup: it is logged to stderr, deleted,
 // and counted in Stats::corrupt_skipped; the daemon serves everything
-// else.  Load validates every entry once and keeps an in-memory key →
-// path index, so get() is one file read and put() one write + rename.
+// else.  An entry of another results version (an older build's results,
+// which a ledger or format change has made stale) is deleted on load
+// without a log line or a count.  Load validates every entry once and
+// keeps an in-memory key → path index, so get() is one file read and
+// put() one write + rename.
 //
 // Thread-safe (one mutex — the daemon touches it once per submission and
 // once per completed run).  An empty directory string disables the cache

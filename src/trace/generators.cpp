@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "common/flat_hash.hpp"
 #include "common/param_map.hpp"
 
 namespace rdcn::trace {
@@ -32,18 +31,27 @@ Request random_pair(std::size_t num_racks, Xoshiro256& rng) {
   return Request::make(u, v);
 }
 
+/// Sets `r`'s bit in `seen` (one bit per pair slot); returns whether it
+/// was clear.
+bool mark_pair(std::vector<bool>& seen, const Request& r) {
+  const std::size_t slot = pair_slot(pair_key(r));
+  if (seen[slot]) return false;
+  seen[slot] = true;
+  return true;
+}
+
 /// Samples `count` distinct rack pairs uniformly at random.
 std::vector<Request> sample_distinct_pairs(std::size_t num_racks,
                                            std::size_t count,
                                            Xoshiro256& rng) {
-  const std::size_t all = num_racks * (num_racks - 1) / 2;
+  const std::size_t all = pair_slots(num_racks);
   RDCN_ASSERT_MSG(count <= all, "more candidate pairs than exist");
   std::vector<Request> pairs;
   pairs.reserve(count);
-  FlatSet seen(count);
+  std::vector<bool> seen(all);
   while (pairs.size() < count) {
     const Request r = random_pair(num_racks, rng);
-    if (seen.insert(pair_key(r))) pairs.push_back(r);
+    if (mark_pair(seen, r)) pairs.push_back(r);
   }
   return pairs;
 }
@@ -192,14 +200,14 @@ class FlowPoolEmitter {
       candidates_ = sample_distinct_pairs(num_racks, num_candidates, rng_);
     } else {
       candidates_.reserve(num_candidates);
-      FlatSet seen(num_candidates);
+      std::vector<bool> seen(all_pairs);
       std::size_t attempts = 0;
       while (candidates_.size() < num_candidates) {
         const Request r = sample_candidate();
         // Hub-biased sampling can exhaust the hub-pair universe; give up on
         // distinctness after enough rejections and allow duplicates (they
         // merely deepen the skew).
-        if (seen.insert(pair_key(r)) || ++attempts > 50 * num_candidates) {
+        if (mark_pair(seen, r) || ++attempts > 50 * num_candidates) {
           candidates_.push_back(r);
         }
       }

@@ -1,27 +1,26 @@
 #include "trace/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <deque>
 
-#include "common/flat_hash.hpp"
+#include "common/simd.hpp"
 
 namespace rdcn::trace {
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> pair_counts_sorted(
     const Trace& trace) {
-  // A trace holds at most C(racks, 2) distinct pairs, however long it is.
-  const std::size_t racks = trace.num_racks();
-  const std::size_t max_pairs = racks * (racks > 0 ? racks - 1 : 0) / 2;
-  FlatMap<std::uint64_t> counts(std::min(trace.size(), max_pairs));
-  for (const Request& r : trace) ++counts[pair_key(r)];
+  // One counter per pair at its triangular slot; the pairs are listed in
+  // first-touch order, then sorted.
+  std::vector<std::uint64_t> counts(pair_slots(trace.num_racks()));
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(counts.size());
-  counts.for_each([&](std::uint64_t key, std::uint64_t cnt) {
-    out.emplace_back(key, cnt);
-  });
+  for (const Request& r : trace) {
+    const std::uint64_t key = pair_key(r);
+    if (counts[pair_slot(key)]++ == 0) out.emplace_back(key, 0);
+  }
+  for (auto& [key, count] : out) count = counts[pair_slot(key)];
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second;
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
   });
   return out;
 }
@@ -77,27 +76,19 @@ TraceStats compute_stats(const Trace& trace) {
                  : 0.0;
   }
 
-  // Temporal metrics in one forward pass.
+  // Temporal metrics in one forward pass.  Request j's key sits at
+  // ring[j % 64], so before request i is stored the ring's first
+  // min(i, 64) entries are the previous min(i, 64) requests.
   std::size_t repeats = 0;
   std::size_t window_hits = 0;
   constexpr std::size_t kWindow = 64;
-  std::deque<std::uint64_t> window;
-  FlatMap<std::uint32_t> in_window;  // key -> multiplicity in window
-  std::uint64_t prev_key = ~std::uint64_t{0};
+  std::array<std::uint64_t, kWindow> ring{};
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const std::uint64_t key = pair_key(trace[i]);
-    if (i > 0 && key == prev_key) ++repeats;
-    if (i > 0 && in_window.contains(key)) ++window_hits;
-    prev_key = key;
-
-    window.push_back(key);
-    ++in_window[key];
-    if (window.size() > kWindow) {
-      const std::uint64_t old = window.front();
-      window.pop_front();
-      std::uint32_t* m = in_window.find(old);
-      if (m != nullptr && --(*m) == 0) in_window.erase(old);
-    }
+    if (i > 0 && key == ring[(i - 1) % kWindow]) ++repeats;
+    if (simd::find_u64(ring.data(), std::min(i, kWindow), key) != simd::kNpos)
+      ++window_hits;
+    ring[i % kWindow] = key;
   }
   if (trace.size() > 1) {
     s.repeat_probability =

@@ -44,8 +44,8 @@ struct TraceStats {
 
 TraceStats compute_stats(const Trace& trace);
 
-/// Per-pair request counts, descending (the "demand matrix" aggregated
-/// over the trace; input to SO-BMA-style static optimization).
+/// Per-pair (key, request count) over the trace, by count descending and
+/// tied counts by ascending key, so the order depends on the trace alone.
 std::vector<std::pair<std::uint64_t, std::uint64_t>> pair_counts_sorted(
     const Trace& trace);
 

@@ -55,9 +55,6 @@ class Trace {
   /// Truncated copy of the first `n` requests (for prefix experiments).
   Trace prefix(std::size_t n) const;
 
-  /// Number of distinct rack pairs appearing in the trace.
-  std::size_t num_distinct_pairs() const;
-
  private:
   std::size_t num_racks_ = 0;
   std::string name_;

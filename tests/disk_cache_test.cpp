@@ -136,6 +136,29 @@ TEST_F(DiskCacheTest, TruncatedEntrySkippedOnLoad) {
   EXPECT_FALSE(reloaded.get("spec").has_value());
 }
 
+TEST_F(DiskCacheTest, EntryOfAnotherResultsVersionRemovedOnLoad) {
+  // A well-formed entry of results version 1 ("RDC1", lengths, key,
+  // payload, valid CRC), as builds before the version stamp wrote them:
+  // stale, so it is removed without being served or counted as corrupt.
+  fs::create_directories(dir);
+  const std::string key = "spec", payload = "3.3124e+06\n";
+  const auto append_u32 = [](std::string& out, std::uint32_t value) {
+    for (int i = 0; i < 4; ++i) out.push_back(char((value >> (8 * i)) & 0xff));
+  };
+  std::string bytes = "RDC1";
+  append_u32(bytes, static_cast<std::uint32_t>(key.size()));
+  append_u32(bytes, static_cast<std::uint32_t>(payload.size()));
+  bytes += key + payload;
+  append_u32(bytes, crc32(payload.data(), payload.size(),
+                          crc32(key.data(), key.size())));
+  const fs::path path = fs::path(dir) / "0123456789abcdef.rdc";
+  std::ofstream(path, std::ios::binary) << bytes;
+  DiskCache reloaded(dir);
+  EXPECT_FALSE(reloaded.get(key).has_value());
+  EXPECT_EQ(reloaded.stats().corrupt_skipped, 0u);
+  EXPECT_FALSE(fs::exists(path));
+}
+
 TEST_F(DiskCacheTest, StaleTempFileRemovedOnLoad) {
   fs::create_directories(dir);
   std::ofstream(dir + "/deadbeef.rdc.tmp") << "half-written";

@@ -1,9 +1,9 @@
 #include "exact_b_matching.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/assert.hpp"
-#include "common/flat_hash.hpp"
 
 namespace rdcn::core {
 
@@ -40,12 +40,12 @@ std::vector<std::uint64_t> exact_b_matching(
 
 std::uint64_t matching_weight(const std::vector<std::uint64_t>& matching,
                               const std::vector<WeightedEdge>& edges) {
-  FlatMap<std::uint64_t> weight_of(edges.size());
+  std::unordered_map<std::uint64_t, std::uint64_t> weight_of;
   for (const WeightedEdge& e : edges) weight_of[e.key] = e.weight;
   std::uint64_t total = 0;
   for (std::uint64_t k : matching) {
-    const std::uint64_t* w = weight_of.find(k);
-    if (w != nullptr) total += *w;
+    const auto it = weight_of.find(k);
+    if (it != weight_of.end()) total += it->second;
   }
   return total;
 }

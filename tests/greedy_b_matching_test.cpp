@@ -5,8 +5,8 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 
-#include "common/flat_hash.hpp"
 #include "common/rng.hpp"
 #include "core/offline_dynamic.hpp"
 #include "exact_b_matching.hpp"
@@ -24,13 +24,13 @@ std::vector<WeightedEdge> random_edges(std::size_t num_racks,
   // Cannot sample more distinct pairs than exist.
   count = std::min(count, num_racks * (num_racks - 1) / 2);
   std::vector<WeightedEdge> edges;
-  FlatSet seen;
+  std::unordered_set<std::uint64_t> seen;
   while (edges.size() < count) {
     const Rack u = static_cast<Rack>(rng.next_below(num_racks));
     Rack v = static_cast<Rack>(rng.next_below(num_racks - 1));
     if (v >= u) ++v;
     const std::uint64_t key = pair_key(u, v);
-    if (!seen.insert(key)) continue;
+    if (!seen.insert(key).second) continue;
     edges.push_back({key, 1 + rng.next_below(100)});
   }
   return edges;
@@ -106,8 +106,8 @@ TEST(GreedyBMatching, NoSingleSwapImproves) {
           random_edges(n, 60, 1000 + static_cast<std::uint64_t>(seed));
       const auto greedy = greedy_b_matching(n, cap, edges);
       ASSERT_TRUE(is_feasible_b_matching(n, cap, greedy));
-      FlatSet matched(greedy.size());
-      for (std::uint64_t k : greedy) matched.insert(k);
+      const std::unordered_set<std::uint64_t> matched(greedy.begin(),
+                                                      greedy.end());
       std::vector<std::vector<std::uint64_t>> matched_weights(n);
       for (const WeightedEdge& e : edges) {
         if (!matched.contains(e.key)) continue;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <unordered_map>
 
 #include "common/assert.hpp"
-#include "common/flat_hash.hpp"
 
 namespace rdcn::paging {
 
@@ -16,18 +16,12 @@ namespace {
 std::vector<std::uint32_t> compress_keys(const std::vector<Key>& sequence,
                                          std::size_t capacity,
                                          std::size_t* out_m) {
-  FlatMap<std::uint32_t> id;
+  std::unordered_map<Key, std::uint32_t> id;
   std::vector<std::uint32_t> compact;
   compact.reserve(sequence.size());
   for (Key k : sequence) {
-    std::uint32_t* v = id.find(k);
-    if (v == nullptr) {
-      const auto fresh = static_cast<std::uint32_t>(id.size());
-      id[k] = fresh;
-      compact.push_back(fresh);
-    } else {
-      compact.push_back(*v);
-    }
+    const auto fresh = static_cast<std::uint32_t>(id.size());
+    compact.push_back(id.try_emplace(k, fresh).first->second);
   }
   *out_m = id.size();
   RDCN_ASSERT_MSG(*out_m <= 12, "brute-force paging DP: universe too large");

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -522,33 +523,42 @@ TEST_F(RobustnessTest, DisconnectDuringRunFreesExecutorAndFds) {
       << "\n" << dump_fds();
 }
 
-std::size_t thread_count() {
+/// The ids of this process's threads.
+std::set<std::string> thread_ids() {
+  std::set<std::string> tids;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task"))
+    tids.insert(entry.path().filename().string());
+  return tids;
+}
+
+/// How many of this process's threads are not in `before`.  Counting only
+/// new ids keeps a thread that an earlier test left still exiting out of
+/// the count.
+std::size_t new_threads(const std::set<std::string>& before) {
   std::size_t n = 0;
-  for ([[maybe_unused]] const auto& entry :
-       fs::directory_iterator("/proc/self/task"))
-    ++n;
+  for (const std::string& tid : thread_ids()) n += before.count(tid) == 0;
   return n;
 }
 
 TEST_F(RobustnessTest, ThreadsAreOneLoopTheExecutorsAndOneReaderPerClient) {
   ServeOptions options = small_options("threads");
   options.executors = 2;
-  const std::size_t before = thread_count();
+  const std::set<std::string> before = thread_ids();
   Daemon daemon(std::move(options));
   daemon.start();
   // The housekeeping loop and two executors; nothing submitted, so the
   // run thread pool does not grow.
-  EXPECT_EQ(thread_count(), before + 3);
+  EXPECT_EQ(new_threads(before), 3u);
 
   Client client;
   client.connect(daemon.options().socket_path);
   client.ping();  // answered by the connection's reader thread
-  EXPECT_EQ(thread_count(), before + 4);
+  EXPECT_EQ(new_threads(before), 4u);
   client.disconnect();
-  EXPECT_TRUE(poll_until([&] { return thread_count() == before + 3; }))
-      << thread_count() << " threads, " << before << " before start()";
+  EXPECT_TRUE(poll_until([&] { return new_threads(before) == 3; }))
+      << new_threads(before) << " threads started since before start()";
   daemon.stop();
-  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(new_threads(before), 0u);
 }
 
 // ---------------------------------------------------------- metrics dump

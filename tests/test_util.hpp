@@ -2,9 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
-#include "common/flat_hash.hpp"
 #include "core/types.hpp"
 #include "net/distance_matrix.hpp"
 #include "trace/trace.hpp"
@@ -34,8 +34,7 @@ inline core::Instance make_instance(const net::DistanceMatrix& d,
 inline std::uint64_t static_routing_cost(
     const core::Instance& instance, const trace::Trace& trace,
     const std::vector<std::uint64_t>& edges) {
-  FlatSet matched(edges.size());
-  for (std::uint64_t k : edges) matched.insert(k);
+  const std::unordered_set<std::uint64_t> matched(edges.begin(), edges.end());
   std::uint64_t cost = 0;
   for (const trace::Request& r : trace)
     cost += matched.contains(pair_key(r)) ? 1 : instance.dist(r.u, r.v);
@@ -63,11 +62,11 @@ inline std::uint64_t oblivious_cost(const core::Instance& instance,
 inline bool is_feasible_b_matching(std::size_t num_racks, std::size_t cap,
                                    const std::vector<std::uint64_t>& edges) {
   std::vector<std::size_t> degree(num_racks, 0);
-  FlatSet seen(edges.size());
+  std::unordered_set<std::uint64_t> seen;
   for (std::uint64_t k : edges) {
     const core::Rack lo = core::pair_lo(k), hi = core::pair_hi(k);
     if (lo >= hi || hi >= num_racks) return false;
-    if (!seen.insert(k)) return false;  // duplicate edge
+    if (!seen.insert(k).second) return false;  // duplicate edge
     if (++degree[lo] > cap || ++degree[hi] > cap) return false;
   }
   return true;

@@ -62,7 +62,7 @@ TEST(Generators, PermutationUsesExactlyNOver2Pairs) {
   Xoshiro256 rng(5);
   const Trace t = materialize(*stream_permutation(16, 5000, rng));
   expect_well_formed(t, 16, 5000);
-  EXPECT_EQ(t.num_distinct_pairs(), 8u);
+  EXPECT_EQ(compute_stats(t).distinct_pairs, 8u);
 }
 
 TEST(Generators, FlowPoolHasTemporalLocality) {
@@ -90,7 +90,7 @@ TEST(Generators, FlowPoolDriftChangesWorkingSet) {
   const Trace t = materialize(*stream_flow_pool(30, 40000, p, rng));
   // With aggressive drift, far more distinct pairs appear than the
   // candidate set size at any instant.
-  EXPECT_GT(t.num_distinct_pairs(), 100u);
+  EXPECT_GT(compute_stats(t).distinct_pairs, 100u);
 }
 
 TEST(Generators, ElephantMiceSharesAndRuns) {
@@ -197,6 +197,45 @@ TEST(Stats, PairCountsSortedDescending) {
   EXPECT_EQ(counts[0].second, 5u);
   EXPECT_EQ(counts[1].second, 2u);
   EXPECT_EQ(counts[0].first, pair_key(0, 1));
+}
+
+TEST(Stats, PairCountsBreakTiesByAscendingKey) {
+  // Three pairs of two requests each and one of three, touched in
+  // descending key order: the tied pairs come back ascending.
+  Trace t(6, "ties");
+  for (int round = 0; round < 2; ++round) {
+    t.push_back(Request::make(4, 5));
+    t.push_back(Request::make(2, 3));
+    t.push_back(Request::make(0, 5));
+  }
+  for (int i = 0; i < 3; ++i) t.push_back(Request::make(1, 2));
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {pair_key(1, 2), 3},
+      {pair_key(0, 5), 2},
+      {pair_key(2, 3), 2},
+      {pair_key(4, 5), 2}};
+  EXPECT_EQ(pair_counts_sorted(t), expected);
+}
+
+TEST(Stats, LocalityWindowReachesBack64Requests) {
+  // Request 0's pair recurs at request `gap`, with distinct filler pairs
+  // between: within the window at a gap of 64, outside it at 65.  Every
+  // other request is a first touch, so the hit count is 1 or 0.
+  for (const std::size_t gap : {std::size_t{64}, std::size_t{65}}) {
+    Trace t(20, "gap");
+    std::vector<Request> filler;
+    for (Rack u = 2; u < 20 && filler.size() < gap - 1; ++u)
+      for (Rack v = u + 1; v < 20 && filler.size() < gap - 1; ++v)
+        filler.push_back(Request::make(u, v));
+    ASSERT_EQ(filler.size(), gap - 1);
+    t.push_back(Request::make(0, 1));
+    for (const Request& r : filler) t.push_back(r);
+    t.push_back(Request::make(0, 1));
+    const double hits = gap == 64 ? 1.0 : 0.0;
+    EXPECT_EQ(compute_stats(t).locality_window64,
+              hits / static_cast<double>(gap))
+        << "gap " << gap;
+  }
 }
 
 TEST(PairKey, RoundTripsAndCanonical) {

@@ -21,8 +21,8 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 
-#include "common/flat_hash.hpp"
 #include "core/online_matcher.hpp"
 #include "net/distance_matrix.hpp"
 
@@ -97,7 +97,7 @@ class UniformReduction final : public OnlineBMatcher {
   net::DistanceMatrix uniform_distances_;
   Instance uniform_instance_;
   std::unique_ptr<OnlineBMatcher> inner_;
-  FlatMap<std::uint32_t> counters_;
+  std::unordered_map<std::uint64_t, std::uint32_t> counters_;
   std::uint64_t specials_ = 0;
 };
 
