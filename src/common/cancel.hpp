@@ -3,9 +3,10 @@
 // A CancelToken is a copyable handle onto one shared cancellation flag.
 // The producer (a serving daemon, a driver reacting to a signal) keeps one
 // copy and calls request_cancel(); consumers (the simulator's chunk loop,
-// the thread pool's index drain) poll cancelled() at natural boundaries —
-// a serve chunk, a parallel-for index — so a cancelled run stops within
-// one boundary without any forced unwinding.  Cancellation is cooperative
+// an experiment's tasks, a shared trace's fill) poll cancelled() at
+// natural boundaries — a serve chunk, a task's start, a production block —
+// so a cancelled run stops within one boundary without any forced
+// unwinding.  Cancellation is cooperative
 // and one-way: once requested it cannot be un-requested.
 //
 // The default-constructed token is *inert*: it is never cancelled and
@@ -52,11 +53,6 @@ class CancelToken {
   void request_cancel() const noexcept {
     if (flag_ != nullptr) flag_->store(true, std::memory_order_release);
   }
-
-  /// The underlying flag (nullptr for inert tokens) — for APIs that poll a
-  /// raw atomic on a hot path (ThreadPool::run).  The pointer stays valid
-  /// as long as any token copy is alive.
-  const std::atomic<bool>* raw() const noexcept { return flag_.get(); }
 
  private:
   std::shared_ptr<std::atomic<bool>> flag_;

@@ -196,10 +196,14 @@ std::int64_t Registry::gauge_value(const std::string& name,
   return 0;
 }
 
-std::string Registry::render_prometheus() const {
+std::map<std::string, Registry::Family> Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
+  return families_;
+}
+
+std::string Registry::render_prometheus() const {
   std::string out;
-  for (const auto& [name, family] : families_) {
+  for (const auto& [name, family] : snapshot()) {
     out += "# HELP " + name + " " + family.help + "\n";
     out += "# TYPE " + name + " ";
     out += family.type == Type::kCounter
@@ -242,7 +246,6 @@ std::string Registry::render_prometheus() const {
 }
 
 std::string Registry::render_json() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{";
   bool first = true;
   auto key = [](const std::string& name, const Child& child) {
@@ -254,7 +257,7 @@ std::string Registry::render_json() const {
     }
     return "\"" + escaped + "\"";
   };
-  for (const auto& [name, family] : families_) {
+  for (const auto& [name, family] : snapshot()) {
     for (const Child& child : family.children) {
       if (!first) out += ",";
       first = false;

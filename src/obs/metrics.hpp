@@ -14,7 +14,9 @@
 //     is two such adds (bucket + sum).
 //   * Reading (exposition, STATS) sums the stripes.  Reads are racy by
 //     design — a scrape sees *a* recent value, not a linearization
-//     point — which is exactly the Prometheus counter contract.
+//     point — which is exactly the Prometheus counter contract.  A render
+//     copies the family table under the registration mutex and formats
+//     from the copy with the mutex released.
 //
 // Registries are instantiable: the serve daemon owns one per instance
 // (so sequential daemons in one test process start from zero), while
@@ -213,6 +215,10 @@ class Registry {
 
   Child& intern(const std::string& name, const std::string& help, Type type,
                 const Labels& labels);
+  /// The family table, copied under mu_: renders read metric values
+  /// through its stable pointers with the lock released, so a scrape never
+  /// holds the lock a registration needs for longer than the copy.
+  std::map<std::string, Family> snapshot() const;
 
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;

@@ -72,7 +72,9 @@ struct AlgorithmEntry {
   /// --profile` (the algo.<name> phase) in one cell of two or more tasks
   /// that also runs r_bma, e.g. `--algorithms=r_bma,greedy,offline_dynamic`.
   /// A cell with a single online task streams its trace, so that task's
-  /// algo.<name> phase includes workload generation.
+  /// algo.<name> phase includes workload generation.  In a cell of two or
+  /// more tasks generation is the trace.fill phase, which at --threads=1
+  /// runs before any task, so the algo.<name> phases exclude it.
   /// sim::run_experiment dispatches tasks longest-first by this estimate
   /// and serve::estimate_cost charges admission with it; it never affects
   /// results.

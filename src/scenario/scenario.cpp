@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "obs/span.hpp"
@@ -208,11 +209,11 @@ std::vector<sim::ExperimentSpec> make_experiment_specs(
   return experiment_specs;
 }
 
-/// Whether the cell's tasks must share one materialized trace: an offline
-/// comparator reads the whole trace up front, and more than one task would
-/// otherwise regenerate it once each.
-bool must_materialize(const std::vector<sim::ExperimentSpec>& columns,
-                      std::size_t trials) {
+/// Whether the cell's tasks must share one trace: an offline comparator
+/// reads the whole trace up front, and more than one task would otherwise
+/// regenerate it once each.
+bool must_share(const std::vector<sim::ExperimentSpec>& columns,
+                std::size_t trials) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   for (const sim::ExperimentSpec& column : columns)
     if (registry.at(column.algorithm).needs_full_trace) return true;
@@ -226,7 +227,7 @@ ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
   const ScenarioSpec spec = raw_spec.resolved();
   check_run_shape(spec);
   const std::vector<sim::ExperimentSpec> columns = make_experiment_specs(spec);
-  const bool materialized = must_materialize(columns, spec.trials);
+  const bool shared = must_share(columns, spec.trials);
 
   // One RNG stream seeds topology construction, then workload generation —
   // the same order the historical rdcn_sim driver used, so a fixed seed
@@ -242,7 +243,10 @@ ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
   const std::size_t topology_racks = result.topology.num_racks();
 
   std::unique_ptr<trace::TraceStream> stream;
+  std::optional<trace::SharedTrace> shared_trace;
   {
+    // The stream's construction only: a shared trace is generated by its
+    // fill inside the experiment (the trace.fill phase).
     obs::ObsSpan span("scenario.workload");
     // `racks` is a request, not a contract: builders round to their
     // natural sizes (2^dim hypercubes, rows x cols tori).  Generate the
@@ -256,16 +260,20 @@ ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
                       std::to_string(stream->num_racks()) +
                       " racks but topology '" + spec.topology.to_string() +
                       "' provides only " + std::to_string(topology_racks));
-    result.workload = materialized
-                          ? trace::materialize(*stream)
-                          : trace::Trace(stream->num_racks(), stream->name());
+    if (shared)
+      shared_trace.emplace(*stream);
+    else
+      result.workload = trace::Trace(stream->num_racks(), stream->name());
   }
 
   const sim::ExperimentConfig config =
       make_experiment_config(spec, result, hooks);
   obs::ObsSpan span("scenario.experiment");
-  if (materialized) {
-    result.runs = sim::run_experiment(config, result.workload, columns);
+  if (shared) {
+    // The tasks replay the trace while the experiment's first index fills
+    // it; afterwards the complete trace is the result's workload.
+    result.runs = sim::run_experiment(config, *shared_trace, columns);
+    result.workload = std::move(*shared_trace).take();
   } else {
     // The single task replays the stream built above.
     result.runs = sim::run_experiment(

@@ -51,18 +51,22 @@ core::Instance make_instance(const ExperimentConfig& config,
   return instance;
 }
 
-/// The one body behind both run_experiment overloads: validates the specs,
+/// The one body behind the run_experiment overloads: validates the specs,
 /// expands them into independent (spec, trial) tasks with deterministic
 /// paired seeds, shards the tasks over the persistent ThreadPool in
 /// dispatch_order, and averages each spec's trials.  Every task replays a
 /// fresh stream from `make_stream` and takes its checkpoint grid from that
 /// stream's length; offline comparators are built from `full_trace` (null
-/// when the input is only a stream: they then raise SpecError).  The first
-/// task error is rethrown on the calling thread.
+/// when the input is only a stream: they then raise SpecError).  With
+/// `shared`, index 0 fills it, the tasks take the indices after it, and
+/// offline comparators wait for its complete trace instead.  An exception
+/// of the shared trace's source is rethrown first, then a cancellation,
+/// then the first task error, all on the calling thread.
 std::vector<RunResult> run_tasks(const ExperimentConfig& config,
                                  const std::vector<ExperimentSpec>& specs,
                                  const trace::Trace* full_trace,
-                                 const StreamFactory& make_stream) {
+                                 const StreamFactory& make_stream,
+                                 trace::SharedTrace* shared = nullptr) {
   RDCN_ASSERT_MSG(config.distances != nullptr, "config needs distances");
 
   // Fail fast on unknown algorithm names / parameters before any trial
@@ -99,10 +103,22 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   bool failed = false;
   std::string cancel_message;
 
+  // The fill, when there is one, is index 0: the pool claims indices in
+  // order, so it starts before any task that reads it.  It always runs,
+  // even once the token fired (a skipped fill would leave its readers
+  // waiting forever): it polls the token per block, and a task polls it
+  // before it starts.
+  const std::size_t fills = shared != nullptr ? 1 : 0;
   parallel_for(
-      tasks.size(),
+      fills + tasks.size(),
       [&](std::size_t i) {
-        const ExperimentTask& task = tasks[i];
+        if (i < fills) {
+          obs::ObsSpan span("trace.fill");
+          shared->fill(config.cancel);
+          return;
+        }
+        if (config.cancel.cancelled()) return;
+        const ExperimentTask& task = tasks[i - fills];
         const ExperimentSpec& spec = specs[task.spec];
         const std::uint64_t seed = config.base_seed + task.trial;
         RunControl control;
@@ -113,6 +129,12 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
           };
         }
         try {
+          const trace::Trace* trace = full_trace;
+          if (shared != nullptr &&
+              registry.at(spec.algorithm).needs_full_trace) {
+            obs::ObsSpan span("trace.wait");
+            trace = &shared->complete();
+          }
           // Per-algorithm phase: "algo.<name>" under whatever span the
           // caller holds (the daemon's serve.execute, rdcn_sim's run).
           // Name building and interning only happen while profiling.
@@ -121,8 +143,8 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
             algo_span.emplace(
                 obs::intern_span_name("algo." + spec.algorithm));
           auto matcher = registry.make({spec.algorithm, spec.params},
-                                       make_instance(config, spec),
-                                       full_trace, seed);
+                                       make_instance(config, spec), trace,
+                                       seed);
           const std::unique_ptr<trace::TraceStream> stream = make_stream();
           RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
                           "stream factory must yield fresh streams");
@@ -144,7 +166,8 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
           failed = true;
         }
       },
-      config.threads, config.cancel);
+      config.threads);
+  if (shared != nullptr) shared->rethrow_error();
   if (config.cancel.cancelled())
     throw CancelledError(!cancel_message.empty()
                              ? cancel_message
@@ -168,6 +191,15 @@ std::vector<RunResult> run_experiment(const ExperimentConfig& config,
   return run_tasks(config, specs, &trace, [&trace] {
     return std::make_unique<trace::MaterializedStream>(trace);
   });
+}
+
+std::vector<RunResult> run_experiment(const ExperimentConfig& config,
+                                      trace::SharedTrace& shared,
+                                      const std::vector<ExperimentSpec>& specs) {
+  if (shared.total() == 0) throw SpecError("empty trace: nothing to replay");
+  return run_tasks(
+      config, specs, /*full_trace=*/nullptr,
+      [&shared] { return shared.reader(); }, &shared);
 }
 
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,

@@ -6,10 +6,13 @@
 // trial owns its matcher and RNG stream); deterministic algorithms run a
 // single trial since repetition would be a no-op.
 //
-// Both run_experiment overloads are adapters over one body: every task
+// The run_experiment overloads are adapters over one body: every task
 // replays its own trace::TraceStream (a MaterializedStream view for the
-// Trace overload, a factory-made stream otherwise) and takes its
-// checkpoint grid from that stream.  No probe stream is built up front.
+// Trace overload, a reader of the shared trace for the SharedTrace one, a
+// factory-made stream otherwise) and takes its checkpoint grid from that
+// stream.  No probe stream is built up front.  The SharedTrace overload
+// also runs the trace's fill, as index 0 of the same parallel_for, so the
+// tasks replay the trace while it is generated.
 //
 // Tasks are dispatched in cost order: longest estimated task first
 // (Graham's LPT rule), by the registry's per-(algorithm, b) cost model,
@@ -28,6 +31,7 @@
 #include "common/param_map.hpp"
 #include "net/distance_matrix.hpp"
 #include "sim/metrics.hpp"
+#include "trace/shared_trace.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_stream.hpp"
 
@@ -94,6 +98,23 @@ std::vector<ExperimentTask> dispatch_order(
 /// config.checkpoints, raises SpecError.
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const trace::Trace& trace,
+                                      const std::vector<ExperimentSpec>& specs);
+
+/// Generating variant: the tasks replay `shared` while it is filled.
+/// Index 0 of the experiment's one parallel_for runs
+/// shared.fill(config.cancel) and the tasks take the indices after it;
+/// the pool claims indices in order, so a task only ever waits on a fill
+/// that is already running (at threads = 1 the fill simply runs first).
+/// An online task starts on the first published block; a task whose
+/// algorithm needs_full_trace waits for the last block before it builds.
+/// Seeds, dispatch order, averaging and ledgers are the Trace overload's
+/// over the same requests.  When the token fires, the fill stops within
+/// one block and the run throws CancelledError; an exception of the source
+/// stream is rethrown as itself.  `shared` must be unfilled; on return it
+/// holds the complete trace (SharedTrace::take).  An empty trace raises
+/// SpecError.
+std::vector<RunResult> run_experiment(const ExperimentConfig& config,
+                                      trace::SharedTrace& shared,
                                       const std::vector<ExperimentSpec>& specs);
 
 /// Factory producing a fresh, unconsumed stream of the workload.  Called

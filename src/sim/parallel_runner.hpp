@@ -14,7 +14,6 @@
 #include <memory>
 #include <type_traits>
 
-#include "common/cancel.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace rdcn::sim {
@@ -22,12 +21,10 @@ namespace rdcn::sim {
 /// Runs fn(i) for i in [0, count) across up to `num_threads` threads
 /// (0 = hardware concurrency; the calling thread participates).  fn must
 /// be safe to call concurrently for distinct i and must not throw.
-/// Blocks until every task finished.  Once `cancel` fires, indices not yet
-/// started are skipped (in-flight ones finish); the caller checks the
-/// token afterwards to tell a complete run from a cancelled one.
+/// Blocks until every task finished.  Indices start in increasing order
+/// (ThreadPool::run).
 template <typename F>
-void parallel_for(std::size_t count, F&& fn, std::size_t num_threads = 0,
-                  const CancelToken& cancel = {}) {
+void parallel_for(std::size_t count, F&& fn, std::size_t num_threads = 0) {
   using Fn = std::remove_reference_t<F>;
   ThreadPool& pool = ThreadPool::instance();
   const std::size_t workers =
@@ -36,8 +33,7 @@ void parallel_for(std::size_t count, F&& fn, std::size_t num_threads = 0,
   pool.run(
       count, workers < count ? workers : count,
       [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); },
-      const_cast<void*>(static_cast<const void*>(std::addressof(ref))),
-      cancel.raw());
+      const_cast<void*>(static_cast<const void*>(std::addressof(ref))));
 }
 
 }  // namespace rdcn::sim

@@ -96,7 +96,7 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
   // the clock starts.  It holds one production block; [used, have) is the
   // part not yet served.
   std::vector<trace::Request> scratch(static_cast<std::size_t>(
-      std::min<std::uint64_t>(kProduceBlock,
+      std::min<std::uint64_t>(trace::kProduceBlock,
                               std::max<std::uint64_t>(checkpoints.back(), 1))));
   std::size_t have = 0;
   std::size_t used = 0;
@@ -126,9 +126,10 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
         throw CancelledError("run cancelled after " + std::to_string(served) +
                              " of " + std::to_string(total) + " requests");
       if (used == have) {
-        // Request production (a copy out of a materialized trace, or
-        // generation) is not matcher work: off the wall clock, traced as
-        // its own phase.  Never past the last checkpoint.
+        // Request production (a copy out of a materialized trace,
+        // generation, or the wait for a shared trace's next block) is not
+        // matcher work: off the wall clock, traced as its own phase.
+        // Never past the last checkpoint.
         obs::ObsSpan span("sim.generate");
         watch.pause();
         have = stream.next(scratch.data(),

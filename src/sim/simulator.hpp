@@ -11,9 +11,10 @@
 // is one chunk loop, fed by a trace::TraceStream; a materialized Trace is
 // replayed through a MaterializedStream over it.
 // Wall-clock measurement covers the matcher only — checkpointing,
-// reporting and request production (a generator's work, or the chunk copy
-// out of a materialized trace) are excluded for every source, mirroring
-// the paper's execution-time methodology (trace generation excluded).
+// reporting and request production (a generator's work, the chunk copy
+// out of a materialized trace, or a SharedTrace reader's wait for its
+// next block) are excluded for every source, mirroring the paper's
+// execution-time methodology (trace generation excluded).
 #pragma once
 
 #include <cstddef>
@@ -32,13 +33,6 @@ namespace rdcn::sim {
 /// so a chunk's working set (scratch + touched columns) stays L2-resident
 /// while still amortizing the per-chunk virtual dispatch to nothing.
 inline constexpr std::size_t kServeChunk = 4096;
-
-/// Requests produced per pull from the stream: 32768 requests = 256 KiB.
-/// Producing in blocks much larger than a serve chunk lets generation and
-/// serving each run long enough to keep their own working sets hot; a
-/// 20000-request daemon run produces its trace in one pull.  Peak replay
-/// memory is one block, whatever the trace length.
-inline constexpr std::size_t kProduceBlock = 1 << 15;
 
 /// Evenly spaced checkpoint grid: `points` checkpoints ending exactly at
 /// `total_requests`.  Throws SpecError unless 1 <= points <= total_requests.

@@ -51,7 +51,6 @@ struct ThreadPool::Job {
   Body body;
   void* ctx;
   std::size_t count;
-  const std::atomic<bool>* cancel;     ///< nullptr = not cancellable
   std::atomic<std::size_t> cursor{0};  ///< next index to claim
   std::atomic<std::size_t> done{0};    ///< indices fully executed
   std::atomic<std::int64_t> slots;     ///< worker participation slots left
@@ -61,9 +60,8 @@ struct ThreadPool::Job {
   std::mutex m;
   std::condition_variable cv;
 
-  Job(Body b, void* c, std::size_t n, std::int64_t worker_slots,
-      const std::atomic<bool>* cancel_flag)
-      : body(b), ctx(c), count(n), cancel(cancel_flag), slots(worker_slots) {}
+  Job(Body b, void* c, std::size_t n, std::int64_t worker_slots)
+      : body(b), ctx(c), count(n), slots(worker_slots) {}
 
   bool finished() const noexcept {
     return done.load(std::memory_order_acquire) == count &&
@@ -114,13 +112,7 @@ void ThreadPool::drain(Job& job) {
         !job.claimed.exchange(true, std::memory_order_relaxed)) {
       PoolMetrics::get().wait.observe_ns(monotonic_now_ns() - job.publish_ns);
     }
-    // A cancelled job fast-forwards: remaining indices are still claimed
-    // and accounted (so the owner's completion predicate holds and the job
-    // leaves the queue normally) but their bodies never run.
-    if (job.cancel == nullptr ||
-        !job.cancel->load(std::memory_order_acquire)) {
-      job.body(job.ctx, i);
-    }
+    job.body(job.ctx, i);
     job.done.fetch_add(1, std::memory_order_release);
   }
 }
@@ -160,7 +152,7 @@ void ThreadPool::worker_main() {
 }
 
 void ThreadPool::run(std::size_t count, std::size_t max_parallelism,
-                     Body body, void* ctx, const std::atomic<bool>* cancel) {
+                     Body body, void* ctx) {
   if (count == 0) return;
   // Inline execution when parallelism cannot help — or when called from a
   // pool worker (a nested blocking job would risk self-deadlock).
@@ -169,18 +161,14 @@ void ThreadPool::run(std::size_t count, std::size_t max_parallelism,
     PoolMetrics& metrics = PoolMetrics::get();
     metrics.inline_jobs.inc();
     metrics.indices.add(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cancel != nullptr && cancel->load(std::memory_order_acquire))
-        return;
-      body(ctx, i);
-    }
+    for (std::size_t i = 0; i < count; ++i) body(ctx, i);
     return;
   }
 
   // The owner participates, so hand out one slot fewer to the workers.
   PoolMetrics& metrics = PoolMetrics::get();
   Job job(body, ctx, count,
-          static_cast<std::int64_t>(max_parallelism) - 1, cancel);
+          static_cast<std::int64_t>(max_parallelism) - 1);
   job.publish_ns = monotonic_now_ns();
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -59,16 +59,12 @@ class ThreadPool {
 
   /// Blocking parallel-for: runs body(ctx, i) for i in [0, count) on up to
   /// `max_parallelism` threads (the caller participates and counts toward
-  /// the limit).  Returns after every index completed.
-  ///
-  /// `cancel` (optional) is a cooperative cancellation flag polled before
-  /// each index: once it reads true, remaining indices are claimed but NOT
-  /// executed, so the job drains immediately and its worker slots free up.
-  /// Indices already executing run to completion — the body itself decides
-  /// whether to poll the same flag at finer granularity.  The flag must
-  /// outlive the run() call.
+  /// the limit).  Returns after every index completed.  Indices are
+  /// claimed in increasing order and each runs as soon as it is claimed,
+  /// so a body may wait on work that a lower index does (never a higher
+  /// one: inline, the indices run one after another).
   void run(std::size_t count, std::size_t max_parallelism, Body body,
-           void* ctx, const std::atomic<bool>* cancel = nullptr);
+           void* ctx);
 
   /// True iff the calling thread is a worker of *some* ThreadPool.
   static bool on_worker_thread() noexcept;

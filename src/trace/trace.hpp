@@ -5,17 +5,45 @@
 // every consumer wants.  The replay pipeline consumes traces in fixed-size
 // chunks (sim::kServeChunk), and gather() copies one chunk into a
 // caller-provided buffer — the hand-off format of
-// core::OnlineBMatcher::serve_batch.
+// core::OnlineBMatcher::serve_batch.  A producer that knows the length up
+// front sizes the array once, uninitialized, and writes it in place
+// (trace::SharedTrace).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/request.hpp"
 
 namespace rdcn::trace {
+
+namespace detail {
+
+/// std::allocator whose value-less construct() default-initializes, so a
+/// resize leaves trivial elements (Request) uninitialized: sizing a trace
+/// for a producer costs no zero-fill pass over it.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 class Trace {
  public:
@@ -42,6 +70,13 @@ class Trace {
 
   void reserve(std::size_t n) { requests_.reserve(n); }
 
+  /// Resizes to `n` requests, the new ones uninitialized, and returns the
+  /// array: for a producer that writes every slot before anyone reads it.
+  Request* resize_uninitialized(std::size_t n) {
+    requests_.resize(n);
+    return requests_.data();
+  }
+
   auto begin() const noexcept { return requests_.begin(); }
   auto end() const noexcept { return requests_.end(); }
 
@@ -58,7 +93,7 @@ class Trace {
  private:
   std::size_t num_racks_ = 0;
   std::string name_;
-  std::vector<Request> requests_;
+  std::vector<Request, detail::DefaultInitAllocator<Request>> requests_;
 };
 
 }  // namespace rdcn::trace

@@ -1,19 +1,13 @@
 #include "trace/trace_stream.hpp"
 
-#include <array>
+#include "trace/shared_trace.hpp"
 
 namespace rdcn::trace {
 
 Trace materialize(TraceStream& stream) {
-  Trace t(stream.num_racks(), stream.name());
-  t.reserve(stream.total() - stream.produced());
-  std::array<Request, 4096> chunk;
-  while (true) {
-    const std::size_t n = stream.next(chunk.data(), chunk.size());
-    if (n == 0) break;
-    for (std::size_t i = 0; i < n; ++i) t.push_back(chunk[i]);
-  }
-  return t;
+  SharedTrace shared(stream);
+  shared.fill();
+  return std::move(shared).take();
 }
 
 }  // namespace rdcn::trace

@@ -5,8 +5,11 @@
 // stream produces the next chunk on demand, so a replay's peak memory is
 // one scratch chunk regardless of trace length.  Every generator in
 // trace/generators.hpp (plus the Facebook/Microsoft cluster profiles) is a
-// per-request emitter wrapped in an EmitterStream; materialize() drains
-// any stream into a Trace when a caller needs random access.
+// per-request emitter wrapped in an EmitterStream.  When many replays need
+// the same requests, one producer fills a trace::SharedTrace from the
+// stream in kProduceBlock blocks while its readers (streams too) replay
+// the published blocks; materialize() is that fill run on the calling
+// thread, for a caller that needs random access.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +23,14 @@
 #include "trace/trace.hpp"
 
 namespace rdcn::trace {
+
+/// Requests produced per pull from a stream: 32768 requests = 256 KiB.
+/// Producing in blocks much larger than a serve chunk lets generation and
+/// serving each run long enough to keep their own working sets hot; a
+/// 20000-request daemon run produces its trace in one pull.  A replay
+/// pulls one block at a time (sim::run_simulation), and a SharedTrace
+/// publishes one at a time, so a reader waits on exactly one block.
+inline constexpr std::size_t kProduceBlock = 1 << 15;
 
 class TraceStream {
  public:
@@ -114,7 +125,8 @@ class EmitterStream final : public TraceStream {
 };
 
 /// Drains `stream` to exhaustion into a Trace (name and rack universe
-/// carried over).  The inverse of MaterializedStream.
+/// carried over): SharedTrace's fill, run on the calling thread.  An
+/// exception of the stream propagates.  The inverse of MaterializedStream.
 Trace materialize(TraceStream& stream);
 
 }  // namespace rdcn::trace

@@ -8,6 +8,7 @@
 #include "core/types.hpp"
 #include "net/distance_matrix.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_stream.hpp"
 
 namespace rdcn::testing {
 
@@ -70,6 +71,20 @@ inline bool is_feasible_b_matching(std::size_t num_racks, std::size_t cap,
     if (++degree[lo] > cap || ++degree[hi] > cap) return false;
   }
   return true;
+}
+
+/// Drains `stream` with pulls of `chunk` requests.
+inline std::vector<trace::Request> drain(trace::TraceStream& stream,
+                                         std::size_t chunk) {
+  std::vector<trace::Request> got;
+  std::vector<trace::Request> buffer(chunk);
+  while (true) {
+    const std::size_t k = stream.next(buffer.data(), buffer.size());
+    if (k == 0) break;
+    got.insert(got.end(), buffer.begin(),
+               buffer.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  return got;
 }
 
 }  // namespace rdcn::testing

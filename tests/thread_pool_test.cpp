@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -89,38 +88,6 @@ TEST(ThreadPool, ConcurrentOwnersBothComplete) {
   t2.join();
   EXPECT_EQ(a.load(), 50u * 200);
   EXPECT_EQ(b.load(), 50u * 200);
-}
-
-TEST(ThreadPool, CancelSkipsRemainingIndices) {
-  // Fire the token from inside an early task: later indices are claimed
-  // but their bodies skipped, and the call still returns normally (the
-  // caller inspects the token to learn the run was cut short).
-  ThreadPool& pool = ThreadPool::instance();
-  const std::uint64_t spawned_before = pool.threads_spawned();
-  const rdcn::CancelToken cancel = rdcn::CancelToken::make();
-  std::atomic<std::size_t> executed{0};
-  rdcn::sim::parallel_for(
-      100000,
-      [&](std::size_t) {
-        executed.fetch_add(1, std::memory_order_relaxed);
-        cancel.request_cancel();
-      },
-      /*num_threads=*/0, cancel);
-  EXPECT_GE(executed.load(), 1u);
-  EXPECT_LT(executed.load(), 100000u);
-  // The pool survives cancellation untouched and runs the next region.
-  std::atomic<std::size_t> after{0};
-  rdcn::sim::parallel_for(
-      64, [&](std::size_t) { after.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(after.load(), 64u);
-  EXPECT_EQ(pool.threads_spawned(), spawned_before);
-}
-
-TEST(ThreadPool, PreCancelledInlineRunExecutesNothing) {
-  const rdcn::CancelToken cancel = rdcn::CancelToken::make();
-  cancel.request_cancel();
-  rdcn::sim::parallel_for(
-      100, [&](std::size_t) { FAIL(); }, /*num_threads=*/1, cancel);
 }
 
 TEST(ThreadPool, MutableLambdaAndMoveOnlyState) {

@@ -25,6 +25,7 @@
 namespace {
 
 using namespace rdcn;
+using rdcn::testing::drain;
 using rdcn::testing::make_instance;
 
 constexpr std::size_t kGoldenRacks = 32;
@@ -101,20 +102,6 @@ std::uint32_t crc_of(const std::vector<trace::Request>& requests) {
     crc = crc32(uv, sizeof uv, crc);
   }
   return crc;
-}
-
-/// Drains `stream` with pulls of `chunk` requests.
-std::vector<trace::Request> drain(trace::TraceStream& stream,
-                                  std::size_t chunk) {
-  std::vector<trace::Request> got;
-  std::vector<trace::Request> buffer(chunk);
-  while (true) {
-    const std::size_t k = stream.next(buffer.data(), buffer.size());
-    if (k == 0) break;
-    got.insert(got.end(), buffer.begin(),
-               buffer.begin() + static_cast<std::ptrdiff_t>(k));
-  }
-  return got;
 }
 
 void expect_same_sequence(const trace::Trace& expected,
