@@ -1,43 +1,10 @@
 // rdcn: admission-control primitives for the serving daemon.
 //
-// rdcn_serve's admission path used to be one FIFO with a global bound —
-// first greedy client wins, everyone else starves.  This header holds the
-// pure, daemon-free building blocks of the multi-tenant replacement
-// (daemon.cpp wires them together under its own mutex; every type here is
-// externally synchronized and unit-testable without sockets):
-//
-//   TokenBucket      per-client admission *rate*: `rate` tokens/s refill
-//                    up to `burst`; one RUN consumes one token.  A refusal
-//                    reports an honest retry_ms derived from the refill —
-//                    the earliest instant a token will actually exist.
-//   QuotaTable       per-client quota config (rate, burst, max concurrent
-//                    runs): a process-wide default plus overrides parsed
-//                    from a quota file (`<client> rps=.. burst=..
-//                    concurrent=..`, '#' comments, `default` row).
-//   estimate_cost    a spec's admission-queue charge in r_bma-equivalent
-//                    requests: the sum over its (algorithm, b, trial)
-//                    tasks of the registry cost model's task_cost — the
-//                    same estimate sim::run_experiment dispatches by — so
-//                    a rotor sweep or a wide-b BMA run charges what it
-//                    actually costs to compute.
-//   DrrQueue<T>      deficit round-robin fair queue across clients,
-//                    charged in cost units: each backlogged client earns
-//                    `quantum` credit per round, so many small scenarios
-//                    interleave with one giant matrix instead of queueing
-//                    behind it.  A full no-progress round advances every
-//                    deficit in one closed-form step — pop() is O(active
-//                    clients), never O(max cost / quantum).
-//   Brownout         hysteretic overload state machine over queue depth
-//                    and an RSS watermark: level 0 (healthy) admits all,
-//                    level 1 sheds priority 0, level 2 sheds priority
-//                    0 and 1.  Entry thresholds sit above the exit
-//                    thresholds so the daemon doesn't flap at the edge.
-//   DrainEstimator   EWMA of recent run durations → how long until the
-//                    queue drains one slot, i.e. the honest retry hint a
-//                    REJECT should carry instead of a fixed constant.
-//   read_rss_bytes   this process's resident set (/proc/self/status
-//                    VmRSS); 0 where unavailable, which disables the RSS
-//                    watermark rather than mistriggering it.
+// The building blocks of multi-tenant admission: per-client rate limits
+// and quotas, cost estimation, a fair queue, brownout shedding and
+// drain-rate retry hints.  serve::Lifecycle (serve/lifecycle.hpp) wires
+// them together; every type here is externally synchronized and testable
+// without sockets.
 #pragma once
 
 #include <algorithm>
@@ -135,16 +102,21 @@ class QuotaTable {
   std::map<std::string, QuotaSpec> overrides_;
 };
 
-/// Estimated cost units for one admission of `spec` (pass the *resolved*
-/// spec so defaulted algorithm/b lists are visible).  Never 0; saturates
+/// Estimated cost units for one admission of `spec`: the sum over its
+/// (algorithm, b, trial) tasks of the registry cost model's task_cost, the
+/// estimate sim::run_experiment dispatches by.  Pass the *resolved* spec
+/// so defaulted algorithm/b lists are visible.  Never 0; saturates
 /// instead of overflowing.  Throws SpecError on an unknown algorithm.
 std::uint64_t estimate_cost(const scenario::ScenarioSpec& spec);
 
-/// Deficit round-robin queue across client lanes, charged in cost units.
-/// Backlogged lanes sit in a rotation; each visit earns `quantum` credit,
-/// an item pops when its lane's credit covers its cost, and an emptied
-/// lane forfeits leftover credit (classic DRR — idle clients bank
-/// nothing).  Externally synchronized, like std::deque.
+/// Deficit round-robin queue across client lanes, charged in cost units,
+/// so many small scenarios interleave with one giant matrix instead of
+/// queueing behind it.  Backlogged lanes sit in a rotation; each visit
+/// earns `quantum` credit, an item pops when its lane's credit covers its
+/// cost, and an emptied lane forfeits leftover credit (classic DRR — idle
+/// clients bank nothing).  A full no-progress round advances every
+/// deficit in one step, so pop() is O(active clients).  Externally
+/// synchronized, like std::deque.
 template <typename T>
 class DrrQueue {
  public:
@@ -203,26 +175,42 @@ class DrrQueue {
       lane.deficit -= head;
       lane.items.pop_front();
       --size_;
-      if (lane.items.empty()) {
-        // Forfeit leftover credit and leave the rotation; the cursor now
-        // addresses the next lane without advancing.
-        lanes_.erase(round_[cursor_]);
-        round_.erase(round_.begin() +
-                     static_cast<std::ptrdiff_t>(cursor_));
-        granted_ = false;
-      }
+      if (lane.items.empty()) leave(cursor_);
       return true;
     }
   }
 
-  /// Every queued item, FIFO within each lane (drain/shutdown sweeps).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [client, lane] : lanes_)
-      for (const auto& [cost, item] : lane.items) fn(item);
+  /// Removes `item` from `client`'s lane (a queued run that ended before
+  /// an executor took it).  An emptied lane leaves the rotation and
+  /// forfeits its credit, as in pop().  False when absent.
+  bool erase(const std::string& client, const T& item) {
+    const auto lane = lanes_.find(client);
+    if (lane == lanes_.end()) return false;
+    auto& items = lane->second.items;
+    const auto it = std::find_if(items.begin(), items.end(), [&](auto& e) {
+      return e.second == item;
+    });
+    if (it == items.end()) return false;
+    items.erase(it);
+    --size_;
+    if (items.empty())
+      leave(static_cast<std::size_t>(
+          std::find(round_.begin(), round_.end(), client) - round_.begin()));
+    return true;
   }
 
  private:
+  /// An emptied lane forfeits its credit and leaves the rotation; the
+  /// cursor keeps addressing the lane it did (the next one, if it left).
+  void leave(std::size_t at) {
+    lanes_.erase(round_[at]);
+    round_.erase(round_.begin() + static_cast<std::ptrdiff_t>(at));
+    if (at < cursor_)
+      --cursor_;
+    else if (at == cursor_)
+      granted_ = false;
+  }
+
   struct Lane {
     std::deque<std::pair<std::uint64_t, T>> items;  ///< (cost, item)
     std::uint64_t deficit = 0;

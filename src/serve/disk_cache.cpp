@@ -43,18 +43,6 @@ std::string to_hex(std::uint64_t value) {
   return out;
 }
 
-void append_u32(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((value >> (8 * i)) & 0xff));
-}
-
-std::uint32_t read_u32(const std::string& bytes, std::size_t pos) {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i)
-    value = (value << 8) |
-            static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]);
-  return value;
-}
-
 /// Serialized entry bytes for key+payload (the full file contents).
 std::string encode_entry(const std::string& key, const std::string& payload) {
   std::string out;

@@ -4,11 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <unordered_map>
 
@@ -16,6 +16,7 @@
 #include "common/param_map.hpp"
 #include "obs/span.hpp"
 #include "serve/admission.hpp"
+#include "serve/protocol.hpp"
 
 namespace rdcn::serve {
 
@@ -29,18 +30,6 @@ constexpr const char* kLogName = "wal.rdj";
 /// corrupt length field, not a real record — reject before allocating.
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 
-void append_u32(std::string& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) out.push_back(char((value >> (8 * i)) & 0xff));
-}
-
-std::uint32_t read_u32(const std::string& bytes, std::size_t pos) {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i)
-    value = (value << 8) |
-            static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]);
-  return value;
-}
-
 std::string frame(const std::string& payload) {
   std::string out;
   out.reserve(8 + payload.size());
@@ -48,14 +37,6 @@ std::string frame(const std::string& payload) {
   append_u32(out, crc32(payload.data(), payload.size()));
   out += payload;
   return out;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
 }
 
 /// Splits a payload into its space-separated tokens; the LAST field of
@@ -72,6 +53,19 @@ std::vector<std::string> tokens(const std::string& payload,
   }
   if (pos <= payload.size()) out.push_back(payload.substr(pos));
   return out;
+}
+
+/// Writes all of `bytes`, retrying interrupted writes.  False on error.
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -101,88 +95,39 @@ Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
+Journal::Recovery Journal::replay(const std::vector<std::string>& payloads,
+                                  std::uint64_t fallback_next_id) {
   Recovery out;
   out.next_id = fallback_next_id;
-  if (!enabled()) return out;
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string path = directory_ + "/" + kLogName;
-
-  // ---- replay ----------------------------------------------------------
-  // Spans are siblings, not nested: replay time should not absorb the
-  // compaction rewrite below.
-  std::optional<obs::ObsSpan> replay_span;
-  replay_span.emplace("serve.journal.replay");
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in)
-      bytes.assign((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  }
-  // Replay state: admit order preserved so recovered runs re-enqueue in
-  // their original admission order.
+  out.replayed = payloads.size();
+  // Admit order is kept so recovered runs re-enqueue in their original
+  // admission order.
   std::vector<RecoveredRun> runs;
   std::unordered_map<std::uint64_t, std::size_t> by_id;  ///< id → runs index
   std::unordered_map<std::uint64_t, std::string> finished;  ///< id → status
-  std::unordered_map<std::string, std::size_t> streaks;
-  std::size_t pos = 0;
-  if (bytes.size() >= sizeof(kMagic) &&
-      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) == 0) {
-    pos = sizeof(kMagic);
-  } else if (!bytes.empty()) {
-    // Wrong magic: nothing after it can be trusted.
-    std::cerr << "rdcn_serve: journal: bad magic in " << path
-              << ", starting fresh\n";
-    out.corrupt += 1;
-    corrupt_.inc();
-    pos = bytes.size();
-  }
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) {  // torn frame header
-      out.corrupt += 1;
-      break;
+  std::map<std::string, std::size_t> streaks;
+  const auto admit = [&](std::uint64_t id, RecoveredRun run) {
+    if (by_id.count(id) == 0 && finished.count(id) == 0) {
+      by_id.emplace(id, runs.size());
+      runs.push_back(std::move(run));
     }
-    const std::uint32_t len = read_u32(bytes, pos);
-    const std::uint32_t crc = read_u32(bytes, pos + 4);
-    if (len > kMaxPayloadBytes || bytes.size() - pos - 8 < len) {
-      out.corrupt += 1;  // truncated tail (or a corrupt length field)
-      break;
-    }
-    const std::string payload = bytes.substr(pos + 8, len);
-    if (crc32(payload.data(), payload.size()) != crc) {
-      // A bit-flipped record: everything after it has unknown framing,
-      // so the replay stops here — the valid prefix is still good.
-      out.corrupt += 1;
-      break;
-    }
-    pos += 8 + len;
-    out.replayed += 1;
-
+    if (id + 1 > out.next_id) out.next_id = id + 1;
+  };
+  for (const std::string& payload : payloads) {
     const std::vector<std::string> t = tokens(payload, 3);
     std::uint64_t id = 0;
     if (t.size() >= 2 && t[0] == "nextid" && parse_u64(t[1], id)) {
       if (id > out.next_id) out.next_id = id;
     } else if (t.size() >= 3 && t[0] == "admit" && parse_u64(t[1], id)) {
-      if (by_id.count(id) == 0 && finished.count(id) == 0) {
-        by_id.emplace(id, runs.size());
-        runs.push_back(RecoveredRun{id, t[2], "anon", 1});
-      }
-      if (id + 1 > out.next_id) out.next_id = id + 1;
+      admit(id, RecoveredRun{id, t[2], "anon", 1});
     } else if (t[0] == "admit2") {
       // Re-tokenize: admit2 carries priority + client before the spec.
       const std::vector<std::string> t2 = tokens(payload, 5);
       std::uint64_t priority = 0;
       if (t2.size() >= 5 && parse_u64(t2[1], id) &&
           parse_u64(t2[2], priority) && priority <= 2 &&
-          is_valid_client_name(t2[3])) {
-        if (by_id.count(id) == 0 && finished.count(id) == 0) {
-          by_id.emplace(id, runs.size());
-          runs.push_back(
-              RecoveredRun{id, t2[4], t2[3], static_cast<int>(priority)});
-        }
-        if (id + 1 > out.next_id) out.next_id = id + 1;
-      }
+          is_valid_client_name(t2[3]))
+        admit(id, RecoveredRun{id, t2[4], t2[3], static_cast<int>(priority)});
     } else if (t.size() >= 3 && t[0] == "done" && parse_u64(t[1], id)) {
       // Duplicate terminal records are idempotent: the first wins.
       finished.emplace(id, t[2]);
@@ -202,15 +147,80 @@ Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
     }
     // Unknown record types are skipped (forward compatibility).
   }
+  for (const RecoveredRun& run : runs)
+    if (run.id != 0) out.incomplete.push_back(run);
+  out.quarantine.assign(streaks.begin(), streaks.end());
+  return out;
+}
+
+std::vector<std::string> Journal::compact(const Recovery& recovery) {
+  std::vector<std::string> out{"nextid " + std::to_string(recovery.next_id)};
+  for (const auto& [spec, streak] : recovery.quarantine)
+    out.push_back(streak_record(spec, streak));
+  for (const RecoveredRun& run : recovery.incomplete)
+    out.push_back(admit_record(run.id, run.spec, run.client, run.priority));
+  return out;
+}
+
+Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
+  if (!enabled()) return replay({}, fallback_next_id);
+  const std::lock_guard<std::mutex> lock(mu_);
+  const std::string path = directory_ + "/" + kLogName;
+
+  // ---- replay ----------------------------------------------------------
+  // Spans are siblings, not nested: replay time should not absorb the
+  // compaction rewrite below.
+  std::optional<obs::ObsSpan> replay_span;
+  replay_span.emplace("serve.journal.replay");
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (in)
+      bytes.assign((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  }
+  std::vector<std::string> payloads;
+  std::uint64_t corrupt = 0;
+  std::size_t pos = 0;
+  if (bytes.size() >= sizeof(kMagic) &&
+      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) == 0) {
+    pos = sizeof(kMagic);
+  } else if (!bytes.empty()) {
+    // Wrong magic: nothing after it can be trusted.
+    std::cerr << "rdcn_serve: journal: bad magic in " << path
+              << ", starting fresh\n";
+    corrupt += 1;
+    pos = bytes.size();
+  }
+  while (pos < bytes.size()) {
+    if (bytes.size() - pos < 8) {  // torn frame header
+      corrupt += 1;
+      break;
+    }
+    const std::uint32_t len = read_u32(bytes, pos);
+    const std::uint32_t crc = read_u32(bytes, pos + 4);
+    if (len > kMaxPayloadBytes || bytes.size() - pos - 8 < len) {
+      corrupt += 1;  // truncated tail (or a corrupt length field)
+      break;
+    }
+    std::string payload = bytes.substr(pos + 8, len);
+    if (crc32(payload.data(), payload.size()) != crc) {
+      // A bit-flipped record: everything after it has unknown framing,
+      // so the replay stops here — the valid prefix is still good.
+      corrupt += 1;
+      break;
+    }
+    pos += 8 + len;
+    payloads.push_back(std::move(payload));
+  }
+  Recovery out = replay(payloads, fallback_next_id);
+  out.corrupt = corrupt;
   replayed_.add(out.replayed);
   if (out.corrupt > 0) {
     corrupt_.add(out.corrupt);
     std::cerr << "rdcn_serve: journal: skipped " << out.corrupt
               << " corrupt/torn record(s) at the tail of " << path << "\n";
   }
-  for (const RecoveredRun& run : runs)
-    if (run.id != 0) out.incomplete.push_back(run);
-  out.quarantine.assign(streaks.begin(), streaks.end());
   replay_span.reset();
 
   // ---- compact ---------------------------------------------------------
@@ -219,28 +229,12 @@ Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
   const obs::ObsSpan compact_span("serve.journal.compact");
   const std::string temp = path + ".tmp";
   std::string fresh(kMagic, sizeof(kMagic));
-  fresh += frame("nextid " + std::to_string(out.next_id));
-  for (const auto& [spec, streak] : out.quarantine)
-    fresh += frame("streak " + std::to_string(streak) + " " + spec);
-  for (const RecoveredRun& run : out.incomplete)
-    fresh += frame("admit2 " + std::to_string(run.id) + " " +
-                   std::to_string(run.priority) + " " + run.client + " " +
-                   run.spec);
+  for (const std::string& record : compact(out)) fresh += frame(record);
   const int temp_fd = ::open(temp.c_str(),
                              O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   bool committed = false;
   if (temp_fd >= 0) {
-    std::size_t written = 0;
-    while (written < fresh.size()) {
-      const ssize_t n = ::write(temp_fd, fresh.data() + written,
-                                fresh.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    committed = written == fresh.size() && ::fsync(temp_fd) == 0;
+    committed = write_all(temp_fd, fresh) && ::fsync(temp_fd) == 0;
     ::close(temp_fd);
     if (committed && std::rename(temp.c_str(), path.c_str()) != 0)
       committed = false;
@@ -273,42 +267,47 @@ Journal::Recovery Journal::recover(std::uint64_t fallback_next_id) {
   return out;
 }
 
-void Journal::append(const std::string& payload, bool sync) {
+void Journal::append(const std::string& payload) {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return;  // recover() not called or the disk is gone
-  const std::string framed = frame(payload);
-  std::size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd_, framed.data() + written, framed.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // A failed append degrades durability, never correctness: the
-      // record's run merely recomputes after a crash.
-      std::cerr << "rdcn_serve: journal: append failed: "
-                << std::strerror(errno) << "\n";
-      return;
-    }
-    written += static_cast<std::size_t>(n);
+  if (!write_all(fd_, frame(payload))) {
+    // A failed append degrades durability, never correctness: the
+    // record's run merely recomputes after a crash.
+    std::cerr << "rdcn_serve: journal: append failed: "
+              << std::strerror(errno) << "\n";
+    return;
   }
   appends_.inc();
-  if (sync) ::fsync(fd_);
+}
+
+std::string Journal::admit_record(std::uint64_t id, const std::string& spec,
+                                  const std::string& client, int priority) {
+  return "admit2 " + std::to_string(id) + " " + std::to_string(priority) +
+         " " + client + " " + spec;
+}
+
+std::string Journal::done_record(std::uint64_t id, const std::string& status) {
+  return "done " + std::to_string(id) + " " + status;
+}
+
+std::string Journal::streak_record(const std::string& spec,
+                                   std::size_t streak) {
+  return "streak " + std::to_string(streak) + " " + spec;
 }
 
 void Journal::admitted(std::uint64_t id, const std::string& spec,
                        const std::string& client, int priority) {
-  append("admit2 " + std::to_string(id) + " " + std::to_string(priority) +
-             " " + client + " " + spec,
-         /*sync=*/false);
+  append(admit_record(id, spec, client, priority));
 }
 
 void Journal::terminal(std::uint64_t id, const std::string& status) {
-  append("done " + std::to_string(id) + " " + status, /*sync=*/true);
+  append(done_record(id, status));
+  flush();
 }
 
 void Journal::quarantine_streak(const std::string& spec, std::size_t streak) {
-  append("streak " + std::to_string(streak) + " " + spec, /*sync=*/false);
+  append(streak_record(spec, streak));
 }
 
 void Journal::flush() {

@@ -1,11 +1,9 @@
 // rdcn: the serve daemon's durable run journal (write-ahead log).
 //
-// A run's lifetime used to be bound to the daemon process: a restart
-// forgot every queued/running run, every quarantine streak, and the id
-// counter.  The journal closes that gap with an append-only log the
-// daemon writes as run state changes and replays at startup — the same
-// durability discipline the disk cache uses (temp-file + rename +
-// CRC32), applied to in-flight state instead of finished results.
+// An append-only log of run state that the daemon writes as runs change
+// and replays at startup, so queued and running runs, quarantine streaks
+// and the id counter survive a restart.  It uses the disk cache's
+// discipline (temp-file + rename + CRC32) for in-flight state.
 //
 // On-disk format — one file, `<dir>/wal.rdj`:
 //
@@ -35,21 +33,18 @@
 // Any other record type (e.g. the `start`/`ckpt` records older builds
 // wrote) is skipped at replay.
 //
-// Write policy: records append under one mutex; only terminal records
-// (and flush()) fsync — an admit lost to a crash merely loses the run,
-// a terminal record lost would recompute it, both safe.  Records are
-// appended BEFORE the corresponding wire line goes out (the daemon's
-// counter-before-DONE invariant extended to disk), so a client that saw
-// ACCEPTED or DONE can trust a restarted daemon to agree.
+// Write policy: serve::Lifecycle emits the records; the daemon appends
+// them under its mutex before it queues the wire lines they back, and
+// fsyncs a terminal record (flush()) before it sends that DONE.  An admit
+// lost to a crash merely loses the run, a terminal record lost would
+// recompute it — both safe.
 //
-// Recovery: recover() replays the log — records with a bad CRC or a
-// truncated frame end the replay (a torn tail, counted, never trusted;
-// duplicate terminal records are idempotent) — then compacts: live
-// state only (nextid, streaks, incomplete runs) is rewritten to a temp
-// file and renamed over the log, so the journal's size is bounded by
-// the daemon's live state, not its history.  The daemon re-enqueues the
-// incomplete runs (deterministic recompute; results land in the disk
-// cache) and restores quarantine streaks.
+// Recovery: recover() reads the log's valid prefix — a bad CRC or a
+// truncated frame ends it (a torn tail, counted, never trusted) — and
+// replay()s the payloads, which needs no file; duplicate terminal records
+// are idempotent.  It then rewrites the log as compact()'s live state
+// (nextid, streaks, incomplete runs) via a temp file and a rename, so the
+// log is bounded by live state, not history.
 //
 // An empty directory string disables the journal entirely: every method
 // returns immediately — zero syscalls on the serve fast path.
@@ -86,11 +81,9 @@ class Journal {
     std::uint64_t corrupt = 0;   ///< corrupt/torn tail records skipped
   };
 
-  /// Creates `directory` if missing ("" disables the journal).  Throws
-  /// SpecError when it cannot be created.  With `registry` the journal's
-  /// counters (rdcn_journal_*) register there even while disabled, so a
-  /// metrics scrape always exposes the families; without, they live in a
-  /// private one.
+  /// Creates `directory` if missing ("" disables the journal); throws
+  /// SpecError when it cannot.  The rdcn_journal_* counters register in
+  /// `registry` (a private one when null), even while disabled.
   explicit Journal(std::string directory, obs::Registry* registry = nullptr);
   ~Journal();
 
@@ -105,7 +98,22 @@ class Journal {
   /// corrupt contents — a journal too damaged to read is an empty one.
   Recovery recover(std::uint64_t fallback_next_id = 1);
 
-  // Appends (no-ops while disabled).  terminal() and flush() fsync.
+  /// Record payloads in the grammar above (serve/lifecycle.hpp emits
+  /// them).
+  static std::string admit_record(std::uint64_t id, const std::string& spec,
+                                  const std::string& client, int priority);
+  static std::string done_record(std::uint64_t id, const std::string& status);
+  static std::string streak_record(const std::string& spec,
+                                   std::size_t streak);
+  /// Replays record payloads in log order, without file I/O.
+  static Recovery replay(const std::vector<std::string>& payloads,
+                         std::uint64_t fallback_next_id = 1);
+  /// The live state of `recovery` as records: what compaction leaves.
+  static std::vector<std::string> compact(const Recovery& recovery);
+
+  /// Appends one record payload (no fsync; flush() syncs).  A no-op while
+  /// disabled or before recover().  terminal() appends and syncs.
+  void append(const std::string& payload);
   void admitted(std::uint64_t id, const std::string& spec,
                 const std::string& client = "anon", int priority = 1);
   void terminal(std::uint64_t id, const std::string& status);
@@ -113,8 +121,6 @@ class Journal {
   void flush();
 
  private:
-  void append(const std::string& payload, bool sync);
-
   const std::string directory_;
   std::unique_ptr<obs::Registry> own_registry_;  ///< when none was passed
   obs::Counter& appends_;

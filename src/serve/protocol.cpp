@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "common/param_map.hpp"
@@ -7,17 +8,13 @@
 
 namespace rdcn::serve {
 
-namespace {
-
-/// Strict u64 parse mirroring ParamMap::parse_uint: full consumption, no
-/// signs, no trailing garbage.
 bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc{} && ptr == end;
 }
+
+namespace {
 
 /// Splits "VERB rest" at the first space; rest is "" when absent.
 void split_verb(const std::string& line, std::string& verb,
@@ -242,6 +239,13 @@ std::string msg_result(std::uint64_t id, bool cached, std::size_t lines) {
   return "RESULT id=" + std::to_string(id) +
          " cached=" + (cached ? "1" : "0") +
          " lines=" + std::to_string(lines);
+}
+
+std::string msg_result_unit(std::uint64_t id, bool cached,
+                            const std::string& payload) {
+  const auto lines = static_cast<std::size_t>(
+      std::count(payload.begin(), payload.end(), '\n'));
+  return msg_result(id, cached, lines) + "\n" + payload;
 }
 
 std::string msg_done(std::uint64_t id, const std::string& status) {

@@ -14,17 +14,18 @@
 //                                 lane (1-64 chars of [A-Za-z0-9._-]);
 //                                 anonymous connections pool under "anon"
 //   RUN <scenario-spec> [deadline_ms=<n>] [client=<name>] [priority=<0-2>]
-//                                 submit (ScenarioSpec::parse form); with
-//                                 deadline_ms the daemon arms a monotonic
-//                                 watchdog: a run still going n ms after
-//                                 admission is cancelled cooperatively and
-//                                 finishes DONE status=deadline_exceeded.
+//                                 submit (ScenarioSpec::parse form); a run
+//                                 not finished n ms after admission ends
+//                                 DONE status=deadline_exceeded.
 //                                 client= overrides the HELLO binding for
 //                                 this one run (proxies submitting on
 //                                 behalf of tenants); priority= (default
 //                                 1) orders load shedding under brownout —
 //                                 lower priorities shed first
-//   CANCEL <id>                   cooperative cancel of a submitted run
+//   CANCEL <id>                   cancel a submitted run.  A queued run
+//                                 (also one whose deadline passes or whose
+//                                 submitter leaves without a journal) ends
+//                                 at once; a running one at its next chunk
 //   RESET spec=<canonical> | RESET all=1
 //                                 operator verb: clear the quarantine /
 //                                 crash-streak state of one canonical
@@ -163,6 +164,10 @@ struct StatsReport {
 };
 StatsReport parse_stats(const std::string& attrs);
 
+/// Strict u64 parse mirroring ParamMap::parse_uint: full consumption, no
+/// signs, no trailing garbage.
+bool parse_u64(const std::string& text, std::uint64_t& out);
+
 /// Newlines embedded in `text` (e.g. multi-line exception messages) would
 /// break line framing; fold them into spaces.
 std::string sanitize(std::string text);
@@ -183,6 +188,10 @@ std::string msg_checkpoint(std::uint64_t id, std::uint64_t seq,
                            const std::string& label, std::uint64_t seed,
                            const sim::Checkpoint& c);
 std::string msg_result(std::uint64_t id, bool cached, std::size_t lines);
+/// The RESULT header and its CSV payload as one write unit, so no other
+/// line can land between them; the payload ships verbatim.
+std::string msg_result_unit(std::uint64_t id, bool cached,
+                            const std::string& payload);
 std::string msg_done(std::uint64_t id, const std::string& status);
 std::string msg_stats(const StatsReport& report);
 /// Header of a METRICS reply; `lines` raw exposition lines follow.
