@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <vector>
+#include <span>
 
 #include "rdcn.hpp"
 
@@ -28,17 +28,6 @@ const trace::Trace& shared_trace() {
   return t;
 }
 
-/// The shared trace as one request array, so chunks are plain spans.
-const std::vector<core::Request>& shared_requests() {
-  static const std::vector<core::Request> requests = [] {
-    const trace::Trace& t = shared_trace();
-    std::vector<core::Request> all(t.size());
-    t.gather(0, t.size(), all.data());
-    return all;
-  }();
-  return requests;
-}
-
 core::Instance instance_with_b(std::size_t b) {
   core::Instance inst;
   inst.distances = &shared_topology().distances;
@@ -49,7 +38,8 @@ core::Instance instance_with_b(std::size_t b) {
 
 /// Serves the shared trace in kServeChunk spans, wrapping at its end.
 void serve_chunks(benchmark::State& state, core::OnlineBMatcher& alg) {
-  const std::vector<core::Request>& all = shared_requests();
+  const trace::Trace& t = shared_trace();
+  const std::span<const core::Request> all(t.data(), t.size());
   std::size_t i = 0;
   std::int64_t served = 0;
   for (auto _ : state) {

@@ -3,7 +3,7 @@
 // A CancelToken is a copyable handle onto one shared cancellation flag.
 // The producer (a serving daemon, a driver reacting to a signal) keeps one
 // copy and calls request_cancel(); consumers (the simulator's chunk loop,
-// an experiment's tasks, a shared trace's fill) poll cancelled() at
+// an experiment's tasks, a shared trace's producers) poll cancelled() at
 // natural boundaries — a serve chunk, a task's start, a production block —
 // so a cancelled run stops within one boundary without any forced
 // unwinding.  Cancellation is cooperative

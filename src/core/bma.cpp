@@ -76,4 +76,22 @@ void Bma::evict(std::uint64_t victim) {
   RDCN_DCHECK(lo && hi);
 }
 
+bool Bma::check_rows() const {
+  const BMatching& m = matching();
+  for (Rack w = 0; w < m.num_racks(); ++w) {
+    if (rows_.size(w) != m.degree(w)) return false;
+    for (const Rack x : m.neighbors(w)) {
+      const std::uint64_t key = pair_key(w, x);
+      const RankedRow& here = rows_.row(w);
+      const RankedRow& there = rows_.row(x);
+      const std::size_t i = here.find(key);
+      const std::size_t j = there.find(key);
+      if (i == RackRows::kNone || j == RackRows::kNone ||
+          here.rank(i) != there.rank(j))
+        return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace rdcn::core

@@ -62,6 +62,11 @@ class Bma final : public OnlineBMatcher {
     return charges_[pair_slot(key)];
   }
 
+  /// Audit of the rack rows: each rack's row holds exactly its matching
+  /// neighbours' edges, and both endpoints of an edge carry the same rank
+  /// (usage and admission tick).
+  bool check_rows() const;
+
  private:
   /// Non-matched tail of the request path: accumulates `d` into the
   /// pair's charge and admits the pair once it has paid α, evicting the

@@ -33,6 +33,7 @@ class RackRows {
   explicit RackRows(std::size_t num_racks) : rows_(num_racks) {}
 
   std::size_t size(Rack w) const noexcept { return rows_[w].size(); }
+  const RankedRow& row(Rack w) const noexcept { return rows_[w]; }
 
   /// What a rack scan yields: the eviction candidate (key of the least
   /// (usage, admitted_at) incident edge; 0 when the row is empty) plus the

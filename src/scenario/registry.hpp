@@ -71,10 +71,11 @@ struct AlgorithmEntry {
   /// that cell, so time them with `rdcn_sim --threads=1 --trials=1
   /// --profile` (the algo.<name> phase) in one cell of two or more tasks
   /// that also runs r_bma, e.g. `--algorithms=r_bma,greedy,offline_dynamic`.
-  /// A cell with a single online task streams its trace, so that task's
-  /// algo.<name> phase includes workload generation.  In a cell of two or
-  /// more tasks generation is the trace.fill phase, which at --threads=1
-  /// runs before any task, so the algo.<name> phases exclude it.
+  /// An online task's algo.<name> phase includes the blocks of the trace
+  /// it generates (its sim.generate child); an offline comparator
+  /// generates what is left in trace.wait, outside its algo.<name>.  At
+  /// --threads=1 the first task in dispatch order generates every block,
+  /// so when that task is online, subtract its sim.generate.
   /// sim::run_experiment dispatches tasks longest-first by this estimate
   /// and serve::estimate_cost charges admission with it; it never affects
   /// results.

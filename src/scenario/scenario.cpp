@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "common/assert.hpp"
 #include "obs/span.hpp"
@@ -209,11 +208,11 @@ std::vector<sim::ExperimentSpec> make_experiment_specs(
   return experiment_specs;
 }
 
-/// Whether the cell's tasks must share one trace: an offline comparator
-/// reads the whole trace up front, and more than one task would otherwise
-/// regenerate it once each.
-bool must_share(const std::vector<sim::ExperimentSpec>& columns,
-                std::size_t trials) {
+/// Whether the cell keeps its whole trace: an offline comparator reads
+/// the whole trace, and more than one task would otherwise regenerate it
+/// once each.  A single online task keeps only the block it serves.
+bool keeps_whole(const std::vector<sim::ExperimentSpec>& columns,
+                 std::size_t trials) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   for (const sim::ExperimentSpec& column : columns)
     if (registry.at(column.algorithm).needs_full_trace) return true;
@@ -227,7 +226,7 @@ ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
   const ScenarioSpec spec = raw_spec.resolved();
   check_run_shape(spec);
   const std::vector<sim::ExperimentSpec> columns = make_experiment_specs(spec);
-  const bool shared = must_share(columns, spec.trials);
+  const bool whole = keeps_whole(columns, spec.trials);
 
   // One RNG stream seeds topology construction, then workload generation —
   // the same order the historical rdcn_sim driver used, so a fixed seed
@@ -243,10 +242,9 @@ ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
   const std::size_t topology_racks = result.topology.num_racks();
 
   std::unique_ptr<trace::TraceStream> stream;
-  std::optional<trace::SharedTrace> shared_trace;
   {
-    // The stream's construction only: a shared trace is generated by its
-    // fill inside the experiment (the trace.fill phase).
+    // The stream's construction only: the tasks generate the trace as
+    // they reach its blocks (the sim.generate phase).
     obs::ObsSpan span("scenario.workload");
     // `racks` is a request, not a contract: builders round to their
     // natural sizes (2^dim hypercubes, rows x cols tori).  Generate the
@@ -260,25 +258,16 @@ ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
                       std::to_string(stream->num_racks()) +
                       " racks but topology '" + spec.topology.to_string() +
                       "' provides only " + std::to_string(topology_racks));
-    if (shared)
-      shared_trace.emplace(*stream);
-    else
-      result.workload = trace::Trace(stream->num_racks(), stream->name());
   }
 
   const sim::ExperimentConfig config =
       make_experiment_config(spec, result, hooks);
   obs::ObsSpan span("scenario.experiment");
-  if (shared) {
-    // The tasks replay the trace while the experiment's first index fills
-    // it; afterwards the complete trace is the result's workload.
-    result.runs = sim::run_experiment(config, *shared_trace, columns);
-    result.workload = std::move(*shared_trace).take();
-  } else {
-    // The single task replays the stream built above.
-    result.runs = sim::run_experiment(
-        config, [&stream] { return std::move(stream); }, columns);
-  }
+  using Keep = trace::SharedTrace::Keep;
+  trace::SharedTrace shared(*stream, whole ? Keep::kWhole : Keep::kOneBlock);
+  result.runs = sim::run_experiment(config, shared, columns);
+  result.workload = whole ? std::move(shared).take()
+                          : trace::Trace(shared.num_racks(), shared.name());
   return result;
 }
 

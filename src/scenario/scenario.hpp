@@ -83,9 +83,10 @@ void check_run_shape(const ScenarioSpec& spec);
 struct ScenarioResult {
   ScenarioSpec spec;  ///< resolved spec this result was produced from
   net::Topology topology;
-  /// The replayed trace when the cell's tasks shared one (generated while
-  /// they replayed it).  A streamed run leaves it empty, carrying only the
-  /// workload's name and rack universe.
+  /// The replayed trace when the cell kept all of it (generated while its
+  /// tasks replayed it).  A single online task's run keeps one block, so
+  /// it leaves this empty, carrying only the workload's name and rack
+  /// universe.
   trace::Trace workload;
   /// One (trial-averaged) result per algorithm × b, in spec order;
   /// b-independent algorithms (oblivious) contribute a single entry.
@@ -108,16 +109,15 @@ struct RunHooks {
 
 /// Builds the topology, then the workload stream (once, on the calling
 /// thread, seed-threaded), and runs every algorithm × b through
-/// sim::run_experiment.  The spec alone decides whether the trace is held
-/// in memory: the cell shares one trace::SharedTrace when an algorithm
-/// needs the full trace (AlgorithmEntry::needs_full_trace) or when the
-/// cell expands into more than one (algorithm, b, trial) task, since every
-/// task replays it.  The experiment generates that trace as its first
-/// index while the tasks replay each block once it is published (an
-/// offline comparator waits for the last one), and a cancel stops the
-/// generation within one block.  A single online task replays the stream
-/// itself at constant memory, so arbitrarily long traces fit.  Ledgers
-/// are the same either way.
+/// sim::run_experiment over one trace::SharedTrace of that stream.  The
+/// tasks generate the trace as they first need each block (an offline
+/// comparator generates what is left before it builds), and a cancel
+/// stops the generation within one block.  The spec alone decides how
+/// much of the trace is held in memory: all of it when an algorithm needs
+/// the full trace (AlgorithmEntry::needs_full_trace) or when the cell
+/// expands into more than one (algorithm, b, trial) task, since every
+/// task replays it; a single online task keeps only the block it serves,
+/// so arbitrarily long traces fit.  Ledgers are the same either way.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunHooks& hooks = {});
 

@@ -120,14 +120,19 @@ Journal::Recovery Journal::replay(const std::vector<std::string>& payloads,
       if (id > out.next_id) out.next_id = id;
     } else if (t.size() >= 3 && t[0] == "admit" && parse_u64(t[1], id)) {
       admit(id, RecoveredRun{id, t[2], "anon", 1});
-    } else if (t[0] == "admit2") {
-      // Re-tokenize: admit2 carries priority + client before the spec.
-      const std::vector<std::string> t2 = tokens(payload, 5);
+    } else if (t[0] == "admit2" || t[0] == "admit3") {
+      // Re-tokenize: priority + client (+ admit3's deadline) before the
+      // spec.
+      const std::size_t fields = t[0] == "admit3" ? 6 : 5;
+      const std::vector<std::string> t2 = tokens(payload, fields);
       std::uint64_t priority = 0;
-      if (t2.size() >= 5 && parse_u64(t2[1], id) &&
+      std::uint64_t deadline_ms = 0;
+      if (t2.size() >= fields && parse_u64(t2[1], id) &&
           parse_u64(t2[2], priority) && priority <= 2 &&
-          is_valid_client_name(t2[3]))
-        admit(id, RecoveredRun{id, t2[4], t2[3], static_cast<int>(priority)});
+          is_valid_client_name(t2[3]) &&
+          (fields == 5 || parse_u64(t2[4], deadline_ms)))
+        admit(id, RecoveredRun{id, t2.back(), t2[3],
+                               static_cast<int>(priority), deadline_ms});
     } else if (t.size() >= 3 && t[0] == "done" && parse_u64(t[1], id)) {
       // Duplicate terminal records are idempotent: the first wins.
       finished.emplace(id, t[2]);
@@ -154,11 +159,12 @@ Journal::Recovery Journal::replay(const std::vector<std::string>& payloads,
 }
 
 std::vector<std::string> Journal::compact(const Recovery& recovery) {
-  std::vector<std::string> out{"nextid " + std::to_string(recovery.next_id)};
+  std::vector<std::string> out{nextid_record(recovery.next_id)};
   for (const auto& [spec, streak] : recovery.quarantine)
     out.push_back(streak_record(spec, streak));
   for (const RecoveredRun& run : recovery.incomplete)
-    out.push_back(admit_record(run.id, run.spec, run.client, run.priority));
+    out.push_back(admit_record(run.id, run.spec, run.client, run.priority,
+                               run.deadline_ms));
   return out;
 }
 
@@ -281,10 +287,15 @@ void Journal::append(const std::string& payload) {
   appends_.inc();
 }
 
+std::string Journal::nextid_record(std::uint64_t next_id) {
+  return "nextid " + std::to_string(next_id);
+}
+
 std::string Journal::admit_record(std::uint64_t id, const std::string& spec,
-                                  const std::string& client, int priority) {
-  return "admit2 " + std::to_string(id) + " " + std::to_string(priority) +
-         " " + client + " " + spec;
+                                  const std::string& client, int priority,
+                                  std::uint64_t deadline_ms) {
+  return "admit3 " + std::to_string(id) + " " + std::to_string(priority) +
+         " " + client + " " + std::to_string(deadline_ms) + " " + spec;
 }
 
 std::string Journal::done_record(std::uint64_t id, const std::string& status) {
@@ -298,7 +309,7 @@ std::string Journal::streak_record(const std::string& spec,
 
 void Journal::admitted(std::uint64_t id, const std::string& spec,
                        const std::string& client, int priority) {
-  append(admit_record(id, spec, client, priority));
+  append(admit_record(id, spec, client, priority, /*deadline_ms=*/0));
 }
 
 void Journal::terminal(std::uint64_t id, const std::string& status) {

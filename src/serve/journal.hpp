@@ -17,15 +17,22 @@
 // Payload grammar (first token is the record type; specs are canonical
 // ScenarioSpec strings and never contain spaces):
 //
-//   nextid <n>                    id-counter snapshot (ids of journalled
-//                                 runs stay unique across restarts)
+//   nextid <n>                    id lease or counter snapshot: every id
+//                                 handed out (a cache hit's too) is below
+//                                 the largest n, so ids stay unique across
+//                                 restarts
 //   admit <id> <spec>             run admitted to the queue (legacy form;
 //                                 replays as client "anon", priority 1)
 //   admit2 <id> <priority> <client> <spec>
 //                                 run admitted with its fairness identity:
 //                                 recovery re-enqueues into the right DRR
 //                                 lane and re-charges the client's
-//                                 concurrent-run quota
+//                                 concurrent-run quota (legacy form; no
+//                                 deadline)
+//   admit3 <id> <priority> <client> <deadline_ms> <spec>
+//                                 admit2 plus the RUN's deadline_ms (0 =
+//                                 none); recovery re-arms it, counted
+//                                 from the restart
 //   done <id> <status>            terminal: ok | cancelled |
 //                                 deadline_exceeded | stalled | error
 //   streak <n> <spec>             quarantine streak update (0 clears)
@@ -69,6 +76,7 @@ class Journal {
     std::string spec;    ///< canonical spec text (deterministic recompute)
     std::string client = "anon";  ///< fairness lane / quota identity
     int priority = 1;             ///< shed order under brownout (0-2)
+    std::uint64_t deadline_ms = 0;  ///< the RUN's deadline (0 = none)
   };
 
   /// Everything replay reconstructs.
@@ -100,8 +108,10 @@ class Journal {
 
   /// Record payloads in the grammar above (serve/lifecycle.hpp emits
   /// them).
+  static std::string nextid_record(std::uint64_t next_id);
   static std::string admit_record(std::uint64_t id, const std::string& spec,
-                                  const std::string& client, int priority);
+                                  const std::string& client, int priority,
+                                  std::uint64_t deadline_ms);
   static std::string done_record(std::uint64_t id, const std::string& status);
   static std::string streak_record(const std::string& spec,
                                    std::size_t streak);

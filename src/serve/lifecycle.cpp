@@ -129,7 +129,7 @@ void Lifecycle::reject(ConnId conn, Client& c, std::uint32_t retry,
 void Lifecycle::restore(const Journal::Recovery& recovery,
                         std::uint64_t now_ns, const CostFn& cost,
                         Outbox& out) {
-  next_id_ = recovery.next_id;
+  next_id_ = leased_ = recovery.next_id;
   for (const auto& [spec, count] : recovery.quarantine)
     streaks_[spec] = Streak{count, now_ns};
   for (const Journal::RecoveredRun& r : recovery.incomplete) {
@@ -144,6 +144,8 @@ void Lifecycle::restore(const Journal::Recovery& recovery,
     queue(Run{.id = r.id, .canonical = r.spec, .client = r.client,
               .priority = r.priority, .cost = *units, .recovered = true,
               .admitted_ns = now_ns});
+    if (r.deadline_ms > 0)
+      deadlines_.emplace(now_ns + r.deadline_ms * kMs, r.id);
     m_.recovered.inc();
   }
 }
@@ -175,6 +177,10 @@ std::uint64_t Lifecycle::open(const Submission& s, std::uint64_t now_ns,
   if (injected_reject()) {
     reject(s.conn, client(s.client), retry_ms(), "queue_full", out);
     return 0;
+  }
+  if (next_id_ == leased_) {
+    leased_ += kIdLease;
+    out.records.push_back(Journal::nextid_record(leased_));
   }
   return next_id_++;
 }
@@ -211,8 +217,8 @@ bool Lifecycle::enqueue(const Submission& s, std::uint64_t id,
            "shed", out);
     return false;
   }
-  out.records.push_back(
-      Journal::admit_record(id, s.canonical, s.client, s.priority));
+  out.records.push_back(Journal::admit_record(id, s.canonical, s.client,
+                                             s.priority, s.deadline_ms));
   post(out, s.conn, msg_accepted(id));
   c.admitted.inc();
   queue(Run{.id = id, .canonical = s.canonical, .client = s.client,

@@ -166,8 +166,14 @@ class Lifecycle {
   /// Prices a recovered run; nullopt ends it `error` (unparseable spec).
   using CostFn =
       std::function<std::optional<std::uint64_t>(const Journal::RecoveredRun&)>;
+  /// Run ids are leased kIdLease at a time: open() journals `nextid
+  /// <bound>` when it reaches the bound, so a restart resumes above every
+  /// id handed out, a cache hit's included, at one record per lease.
+  static constexpr std::uint64_t kIdLease = 1024;
+
   /// Restores a journal's live state: the id counter, the streaks
-  /// (touched now) and the incomplete runs, re-queued in admission order.
+  /// (touched now) and the incomplete runs, re-queued in admission order
+  /// with their deadlines re-armed from now.
   void restore(const Journal::Recovery& recovery, std::uint64_t now_ns,
                const CostFn& cost, Outbox& out);
 
@@ -297,6 +303,7 @@ class Lifecycle {
   std::multimap<std::uint64_t, std::uint64_t> deadlines_;  ///< ns → id
   std::map<std::string, Streak> streaks_;  ///< canonical spec → streak
   std::uint64_t next_id_ = 1;
+  std::uint64_t leased_ = 1;  ///< ids below it are journalled as used
   Drain drain_ = Drain::kNone;
   std::uint64_t drain_begin_ns_ = 0;
   bool stopped_ = false;

@@ -16,7 +16,9 @@
 //   RUN <scenario-spec> [deadline_ms=<n>] [client=<name>] [priority=<0-2>]
 //                                 submit (ScenarioSpec::parse form); a run
 //                                 not finished n ms after admission ends
-//                                 DONE status=deadline_exceeded.
+//                                 DONE status=deadline_exceeded (a run
+//                                 recovered from the journal gets n ms
+//                                 again, counted from the restart).
 //                                 client= overrides the HELLO binding for
 //                                 this one run (proxies submitting on
 //                                 behalf of tenants); priority= (default

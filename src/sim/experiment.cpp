@@ -51,23 +51,13 @@ core::Instance make_instance(const ExperimentConfig& config,
   return instance;
 }
 
-/// The one body behind the run_experiment overloads: validates the specs,
-/// expands them into independent (spec, trial) tasks with deterministic
-/// paired seeds, shards the tasks over the persistent ThreadPool in
-/// dispatch_order, and averages each spec's trials.  Every task replays a
-/// fresh stream from `make_stream` and takes its checkpoint grid from that
-/// stream's length; offline comparators are built from `full_trace` (null
-/// when the input is only a stream: they then raise SpecError).  With
-/// `shared`, index 0 fills it, the tasks take the indices after it, and
-/// offline comparators wait for its complete trace instead.  An exception
-/// of the shared trace's source is rethrown first, then a cancellation,
-/// then the first task error, all on the calling thread.
-std::vector<RunResult> run_tasks(const ExperimentConfig& config,
-                                 const std::vector<ExperimentSpec>& specs,
-                                 const trace::Trace* full_trace,
-                                 const StreamFactory& make_stream,
-                                 trace::SharedTrace* shared = nullptr) {
+}  // namespace
+
+std::vector<RunResult> run_experiment(const ExperimentConfig& config,
+                                      trace::SharedTrace& trace,
+                                      const std::vector<ExperimentSpec>& specs) {
   RDCN_ASSERT_MSG(config.distances != nullptr, "config needs distances");
+  if (trace.total() == 0) throw SpecError("empty trace: nothing to replay");
 
   // Fail fast on unknown algorithm names / parameters before any trial
   // spends work (and on this thread, where SpecError can propagate).
@@ -86,10 +76,11 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   // (paired seeds), and each result lands in its (spec, trial) slot, so a
   // sweep's results are identical for any thread count, dispatch order or
   // completion order.  Every task replays the same number of requests, so
-  // any positive count yields the same longest-first order: no stream is
-  // built just to learn its length.
+  // any positive count yields the same longest-first order.
   const std::vector<ExperimentTask> tasks =
       dispatch_order(specs, config.trials, /*requests=*/1);
+  RDCN_ASSERT_MSG(trace.keeps_whole() || tasks.size() <= 1,
+                  "a trace that keeps one block serves one task");
   std::vector<std::vector<RunResult>> runs(specs.size());
   for (const ExperimentTask& task : tasks) runs[task.spec].emplace_back();
 
@@ -103,22 +94,11 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   bool failed = false;
   std::string cancel_message;
 
-  // The fill, when there is one, is index 0: the pool claims indices in
-  // order, so it starts before any task that reads it.  It always runs,
-  // even once the token fired (a skipped fill would leave its readers
-  // waiting forever): it polls the token per block, and a task polls it
-  // before it starts.
-  const std::size_t fills = shared != nullptr ? 1 : 0;
   parallel_for(
-      fills + tasks.size(),
+      tasks.size(),
       [&](std::size_t i) {
-        if (i < fills) {
-          obs::ObsSpan span("trace.fill");
-          shared->fill(config.cancel);
-          return;
-        }
         if (config.cancel.cancelled()) return;
-        const ExperimentTask& task = tasks[i - fills];
+        const ExperimentTask& task = tasks[i];
         const ExperimentSpec& spec = specs[task.spec];
         const std::uint64_t seed = config.base_seed + task.trial;
         RunControl control;
@@ -129,28 +109,25 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
           };
         }
         try {
-          const trace::Trace* trace = full_trace;
-          if (shared != nullptr &&
-              registry.at(spec.algorithm).needs_full_trace) {
+          const trace::Trace* full_trace = nullptr;
+          if (registry.at(spec.algorithm).needs_full_trace) {
             obs::ObsSpan span("trace.wait");
-            trace = &shared->complete();
+            full_trace = &trace.complete(config.cancel);
           }
-          // Per-algorithm phase: "algo.<name>" under whatever span the
-          // caller holds (the daemon's serve.execute, rdcn_sim's run).
+          // Per-algorithm phase: "algo.<name>" under whatever span this
+          // thread holds (run_scenario's scenario.experiment on the
+          // calling thread; none on a pool worker, so a root there).
           // Name building and interning only happen while profiling.
           std::optional<obs::ObsSpan> algo_span;
           if (obs::tracing_enabled())
             algo_span.emplace(
                 obs::intern_span_name("algo." + spec.algorithm));
           auto matcher = registry.make({spec.algorithm, spec.params},
-                                       make_instance(config, spec), trace,
-                                       seed);
-          const std::unique_ptr<trace::TraceStream> stream = make_stream();
-          RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
-                          "stream factory must yield fresh streams");
+                                       make_instance(config, spec),
+                                       full_trace, seed);
           RunResult r = run_simulation(
-              *matcher, *stream,
-              checkpoint_grid(stream->total(), config.checkpoints), control);
+              *matcher, trace,
+              checkpoint_grid(trace.total(), config.checkpoints), control);
           r.seed = seed;
           r.algorithm = spec.display();
           runs[task.spec][task.trial] = std::move(r);
@@ -167,7 +144,9 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
         }
       },
       config.threads);
-  if (shared != nullptr) shared->rethrow_error();
+  // The source's own exception first, then a cancellation, then the first
+  // task error.
+  trace.rethrow_error();
   if (config.cancel.cancelled())
     throw CancelledError(!cancel_message.empty()
                              ? cancel_message
@@ -182,31 +161,11 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   return out;
 }
 
-}  // namespace
-
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const trace::Trace& trace,
                                       const std::vector<ExperimentSpec>& specs) {
-  if (trace.empty()) throw SpecError("empty trace: nothing to replay");
-  return run_tasks(config, specs, &trace, [&trace] {
-    return std::make_unique<trace::MaterializedStream>(trace);
-  });
-}
-
-std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      trace::SharedTrace& shared,
-                                      const std::vector<ExperimentSpec>& specs) {
-  if (shared.total() == 0) throw SpecError("empty trace: nothing to replay");
-  return run_tasks(
-      config, specs, /*full_trace=*/nullptr,
-      [&shared] { return shared.reader(); }, &shared);
-}
-
-std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      const StreamFactory& make_stream,
-                                      const std::vector<ExperimentSpec>& specs) {
-  RDCN_ASSERT_MSG(make_stream != nullptr, "null stream factory");
-  return run_tasks(config, specs, /*full_trace=*/nullptr, make_stream);
+  trace::SharedTrace complete(trace);
+  return run_experiment(config, complete, specs);
 }
 
 }  // namespace rdcn::sim

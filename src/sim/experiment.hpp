@@ -6,13 +6,12 @@
 // trial owns its matcher and RNG stream); deterministic algorithms run a
 // single trial since repetition would be a no-op.
 //
-// The run_experiment overloads are adapters over one body: every task
-// replays its own trace::TraceStream (a MaterializedStream view for the
-// Trace overload, a reader of the shared trace for the SharedTrace one, a
-// factory-made stream otherwise) and takes its checkpoint grid from that
-// stream.  No probe stream is built up front.  The SharedTrace overload
-// also runs the trace's fill, as index 0 of the same parallel_for, so the
-// tasks replay the trace while it is generated.
+// There is one body, over one trace::SharedTrace: every task replays it
+// in place and takes its checkpoint grid from its length.  A task that
+// needs a block the trace does not have yet produces it (or waits for the
+// task producing it), so the tasks replay the trace while it is generated
+// and no thread is set aside to generate it.  The Trace overload wraps a
+// complete trace.
 //
 // Tasks are dispatched in cost order: longest estimated task first
 // (Graham's LPT rule), by the registry's per-(algorithm, b) cost model,
@@ -23,7 +22,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,7 +31,6 @@
 #include "sim/metrics.hpp"
 #include "trace/shared_trace.hpp"
 #include "trace/trace.hpp"
-#include "trace/trace_stream.hpp"
 
 namespace rdcn::sim {
 
@@ -94,43 +91,21 @@ std::vector<ExperimentTask> dispatch_order(
     std::size_t requests);
 
 /// Runs every spec over `trace`; returns one (trial-averaged) RunResult per
-/// spec, in spec order.  An empty trace, or one shorter than
-/// config.checkpoints, raises SpecError.
-std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      const trace::Trace& trace,
-                                      const std::vector<ExperimentSpec>& specs);
-
-/// Generating variant: the tasks replay `shared` while it is filled.
-/// Index 0 of the experiment's one parallel_for runs
-/// shared.fill(config.cancel) and the tasks take the indices after it;
-/// the pool claims indices in order, so a task only ever waits on a fill
-/// that is already running (at threads = 1 the fill simply runs first).
-/// An online task starts on the first published block; a task whose
-/// algorithm needs_full_trace waits for the last block before it builds.
-/// Seeds, dispatch order, averaging and ledgers are the Trace overload's
-/// over the same requests.  When the token fires, the fill stops within
-/// one block and the run throws CancelledError; an exception of the source
-/// stream is rethrown as itself.  `shared` must be unfilled; on return it
-/// holds the complete trace (SharedTrace::take).  An empty trace raises
+/// spec, in spec order.  An online task starts on the first block and
+/// produces the blocks it reaches first; a task whose algorithm
+/// needs_full_trace produces what is left (SharedTrace::complete) before
+/// it builds.  A trace that keeps one block serves a single online task.
+/// When the token fires, production stops within one block and the run
+/// throws CancelledError; an exception of the source stream is rethrown as
+/// itself.  An empty trace, or one shorter than config.checkpoints, raises
 /// SpecError.
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      trace::SharedTrace& shared,
+                                      trace::SharedTrace& trace,
                                       const std::vector<ExperimentSpec>& specs);
 
-/// Factory producing a fresh, unconsumed stream of the workload.  Called
-/// once per (spec, trial) task — possibly from several pool workers at
-/// once, so it must be thread-safe (the registry stream builders are: they
-/// snapshot their RNG instead of sharing it).
-using StreamFactory = std::function<std::unique_ptr<trace::TraceStream>()>;
-
-/// Streaming variant: same trial expansion, seeds, and averaging as the
-/// trace overload — and identical ledgers when the factory's streams
-/// replay the same request sequence — but peak memory is one serve chunk
-/// per worker regardless of trace length.  Offline algorithms
-/// (needs_full_trace) raise SpecError: a stream cannot hand them the
-/// complete trace up front.
+/// The same over a materialized trace.
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      const StreamFactory& make_stream,
+                                      const trace::Trace& trace,
                                       const std::vector<ExperimentSpec>& specs);
 
 }  // namespace rdcn::sim

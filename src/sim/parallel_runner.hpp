@@ -21,8 +21,8 @@ namespace rdcn::sim {
 /// Runs fn(i) for i in [0, count) across up to `num_threads` threads
 /// (0 = hardware concurrency; the calling thread participates).  fn must
 /// be safe to call concurrently for distinct i and must not throw.
-/// Blocks until every task finished.  Indices start in increasing order
-/// (ThreadPool::run).
+/// Blocks until every task finished.  Indices start in increasing order,
+/// but fn(i) must never wait for another index to start (ThreadPool::run).
 template <typename F>
 void parallel_for(std::size_t count, F&& fn, std::size_t num_threads = 0) {
   using Fn = std::remove_reference_t<F>;

@@ -75,31 +75,20 @@ struct Snapshotter {
 }  // namespace
 
 RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         trace::TraceStream& stream,
+                         trace::SharedTrace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control) {
-  RDCN_ASSERT_MSG(stream.produced() == 0,
-                  "run_simulation needs an unconsumed stream");
   RDCN_ASSERT_MSG(!checkpoints.empty(), "need at least one checkpoint");
   RDCN_ASSERT_MSG(std::is_sorted(checkpoints.begin(), checkpoints.end()),
                   "checkpoints must be non-decreasing");
-  const std::uint64_t total = stream.total();
+  const std::uint64_t total = trace.total();
   checkpoints.back() = std::min<std::uint64_t>(checkpoints.back(), total);
 
   RunResult result;
   result.algorithm = matcher.name();
-  result.trace_name = stream.name();
+  result.trace_name = trace.name();
   result.b = matcher.instance().b;
   result.checkpoints.reserve(checkpoints.size());
-
-  // Scratch is allocated (and the chunk loop's working set decided) before
-  // the clock starts.  It holds one production block; [used, have) is the
-  // part not yet served.
-  std::vector<trace::Request> scratch(static_cast<std::size_t>(
-      std::min<std::uint64_t>(trace::kProduceBlock,
-                              std::max<std::uint64_t>(checkpoints.back(), 1))));
-  std::size_t have = 0;
-  std::size_t used = 0;
 
   Stopwatch watch;
   watch.reset();
@@ -113,6 +102,7 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
 
   SimCounters& sim_counters = SimCounters::get();
   std::uint64_t served = 0;
+  std::span<const trace::Request> unserved;  // read, not yet served
   while (snap.next_cp < checkpoints.size()) {
     const std::uint64_t target = checkpoints[snap.next_cp];
     RDCN_ASSERT_MSG(target <= total, "trace shorter than checkpoint grid");
@@ -125,28 +115,30 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
       if (control.cancel.cancelled())
         throw CancelledError("run cancelled after " + std::to_string(served) +
                              " of " + std::to_string(total) + " requests");
-      if (used == have) {
-        // Request production (a copy out of a materialized trace,
-        // generation, or the wait for a shared trace's next block) is not
-        // matcher work: off the wall clock, traced as its own phase.
-        // Never past the last checkpoint.
+      if (unserved.empty()) {
+        // Reading the rest of served's block (producing it, or waiting
+        // for the task that produces it) is not matcher work: off the
+        // wall clock, traced as its own phase.  Never past the last
+        // checkpoint.
         obs::ObsSpan span("sim.generate");
         watch.pause();
-        have = stream.next(scratch.data(),
-                           static_cast<std::size_t>(std::min<std::uint64_t>(
-                               scratch.size(), checkpoints.back() - served)));
-        used = 0;
-        RDCN_ASSERT_MSG(have != 0, "trace stream ended before its total()");
+        const std::uint64_t block_end =
+            (served / trace::kProduceBlock + 1) * trace::kProduceBlock;
+        unserved = trace.requests(
+            static_cast<std::size_t>(served),
+            static_cast<std::size_t>(
+                std::min(block_end, checkpoints.back()) - served),
+            control.cancel);
         watch.resume();
       }
       const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>({kServeChunk, target - served, have - used}));
+          std::min<std::uint64_t>({kServeChunk, target - served,
+                                   unserved.size()}));
       {
         obs::ObsSpan span("sim.serve");
-        matcher.serve_batch(
-            std::span<const trace::Request>(scratch.data() + used, chunk));
+        matcher.serve_batch(unserved.first(chunk));
       }
-      used += chunk;
+      unserved = unserved.subspan(chunk);
       served += chunk;
       sim_counters.chunks.inc();
       sim_counters.requests.add(chunk);
@@ -166,18 +158,13 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
                          const trace::Trace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control) {
-  trace::MaterializedStream stream(trace);
-  return run_simulation(matcher, stream, std::move(checkpoints), control);
+  trace::SharedTrace shared(trace);
+  return run_simulation(matcher, shared, std::move(checkpoints), control);
 }
 
 RunResult run_to_completion(core::OnlineBMatcher& matcher,
                             const trace::Trace& trace) {
   return run_simulation(matcher, trace, {trace.size()});
-}
-
-RunResult run_to_completion(core::OnlineBMatcher& matcher,
-                            trace::TraceStream& stream) {
-  return run_simulation(matcher, stream, {stream.total()});
 }
 
 }  // namespace rdcn::sim

@@ -8,13 +8,13 @@
 // unchanged — a chunked run's ledger is bit-identical to a replay in
 // one-request batches at every grid point (pinned by the batch
 // differential suite against the reference replay in the tests).  There
-// is one chunk loop, fed by a trace::TraceStream; a materialized Trace is
-// replayed through a MaterializedStream over it.
+// is one chunk loop, and it serves spans of a trace::SharedTrace in place;
+// a materialized Trace is replayed through a SharedTrace that borrows it.
 // Wall-clock measurement covers the matcher only — checkpointing,
-// reporting and request production (a generator's work, the chunk copy
-// out of a materialized trace, or a SharedTrace reader's wait for its
-// next block) are excluded for every source, mirroring the paper's
-// execution-time methodology (trace generation excluded).
+// reporting and request production (generating a block the trace does not
+// have yet, or waiting for the task that generates it) are excluded,
+// mirroring the paper's execution-time methodology (trace generation
+// excluded).
 #pragma once
 
 #include <cstddef>
@@ -24,8 +24,8 @@
 #include "common/cancel.hpp"
 #include "core/online_matcher.hpp"
 #include "sim/metrics.hpp"
+#include "trace/shared_trace.hpp"
 #include "trace/trace.hpp"
-#include "trace/trace_stream.hpp"
 
 namespace rdcn::sim {
 
@@ -54,18 +54,20 @@ struct RunControl {
   std::function<void(const Checkpoint&)> on_checkpoint{};
 };
 
-/// Runs a fresh `matcher` over `stream` (unconsumed) with chunked replay;
-/// peak memory is one production block beyond what the stream holds.
-/// `checkpoints` must be non-decreasing; the last entry is clamped to
-/// stream.total().  A checkpoint of 0 snapshots the pre-trace (zero-cost)
-/// state, which is also how an empty trace yields a ledger.
-/// No request beyond the last checkpoint is produced or served.
+/// Runs a fresh `matcher` over `trace` with chunked replay, reading it up
+/// to one kProduceBlock block at a time and producing the blocks it lacks
+/// (control.cancel stops that production too).  `checkpoints` must be
+/// non-decreasing; the last entry is clamped to trace.total().  A
+/// checkpoint of 0 snapshots the pre-trace (zero-cost) state, which is
+/// also how an empty trace yields a ledger.  No request beyond the last
+/// checkpoint is served, and no block beyond the one that holds it is
+/// produced.
 RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         trace::TraceStream& stream,
+                         trace::SharedTrace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control = {});
 
-/// The same replay over a materialized trace (a MaterializedStream view).
+/// The same replay over a materialized trace.
 RunResult run_simulation(core::OnlineBMatcher& matcher,
                          const trace::Trace& trace,
                          std::vector<std::uint64_t> checkpoints,
@@ -74,7 +76,5 @@ RunResult run_simulation(core::OnlineBMatcher& matcher,
 /// Convenience: single final checkpoint only.
 RunResult run_to_completion(core::OnlineBMatcher& matcher,
                             const trace::Trace& trace);
-RunResult run_to_completion(core::OnlineBMatcher& matcher,
-                            trace::TraceStream& stream);
 
 }  // namespace rdcn::sim

@@ -60,9 +60,9 @@ class ThreadPool {
   /// Blocking parallel-for: runs body(ctx, i) for i in [0, count) on up to
   /// `max_parallelism` threads (the caller participates and counts toward
   /// the limit).  Returns after every index completed.  Indices are
-  /// claimed in increasing order and each runs as soon as it is claimed,
-  /// so a body may wait on work that a lower index does (never a higher
-  /// one: inline, the indices run one after another).
+  /// claimed in increasing order, but a body may wait only for work that
+  /// a running body is doing, never for an index to start (inline, the
+  /// indices run one after another).
   void run(std::size_t count, std::size_t max_parallelism, Body body,
            void* ctx);
 

@@ -7,82 +7,71 @@
 
 namespace rdcn::trace {
 
-class SharedTrace::Reader final : public TraceStream {
- public:
-  explicit Reader(const SharedTrace& shared)
-      : TraceStream(shared.trace_.num_racks(), shared.trace_.name(),
-                    shared.total_),
-        shared_(shared) {}
-
- protected:
-  void produce(Request* out, std::size_t n) override {
-    shared_.wait_for(produced() + n);
-    shared_.trace_.gather(produced(), n, out);
-  }
-
- private:
-  const SharedTrace& shared_;
-};
-
-SharedTrace::SharedTrace(TraceStream& source)
-    : source_(source),
-      trace_(source.num_racks(), source.name()),
+SharedTrace::SharedTrace(TraceStream& source, Keep keep)
+    : source_(&source),
+      owned_(source.num_racks(), source.name()),
+      trace_(&owned_),
       total_(source.total() - source.produced()),
-      data_(trace_.resize_uninitialized(total_)) {}
+      window_(keep == Keep::kWhole ? total_
+                                   : std::min(kProduceBlock, total_)),
+      buffer_(owned_.resize_uninitialized(window_)),
+      data_(buffer_),
+      published_(0) {}
 
-void SharedTrace::publish(std::size_t end, bool last) {
-  {
-    // Stored under the lock, so a reader that saw the old watermark is
-    // already waiting when the notification comes.
-    const std::lock_guard<std::mutex> lock(mu_);
-    published_.store(end, std::memory_order_release);
-    closed_ = closed_ || last;
-  }
-  published_cv_.notify_all();
+SharedTrace::SharedTrace(const Trace& complete)
+    : trace_(&complete),
+      total_(complete.size()),
+      window_(total_),
+      data_(complete.data()),
+      published_(total_) {}
+
+std::span<const Request> SharedTrace::requests(std::size_t begin,
+                                               std::size_t n,
+                                               const CancelToken& cancel) {
+  RDCN_DCHECK(begin + n <= total_);
+  if (n == 0) return {};
+  if (published_.load(std::memory_order_acquire) < begin + n)
+    produce(begin + n, cancel);
+  // Inside the window: under Keep::kOneBlock, the block last produced.
+  RDCN_DCHECK(begin % window_ + n <= window_ &&
+              begin / window_ ==
+                  (published_.load(std::memory_order_relaxed) - 1) / window_);
+  return {data_ + begin % window_, n};
 }
 
-void SharedTrace::fill(const CancelToken& cancel) noexcept {
-  std::size_t done = 0;
-  try {
-    while (done < total_ && !cancel.cancelled()) {
-      const std::size_t n = std::min(kProduceBlock, total_ - done);
-      const std::size_t got = source_.next(data_ + done, n);
+void SharedTrace::produce(std::size_t end, const CancelToken& cancel) {
+  // One block per hold of the lock, so a reader that needs a block this
+  // producer has already published gets it without waiting for the rest.
+  while (published_.load(std::memory_order_acquire) < end) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const std::size_t done = published_.load(std::memory_order_relaxed);
+    if (done >= end) break;
+    if (error_) std::rethrow_exception(error_);
+    if (cancel.cancelled())
+      throw CancelledError("trace production stopped after " +
+                           std::to_string(done) + " of " +
+                           std::to_string(total_) + " requests");
+    const std::size_t n = std::min(kProduceBlock, total_ - done);
+    Request* block = buffer_ + done % window_;
+    try {
+      const std::size_t got = source_->next(block, n);
       RDCN_ASSERT_MSG(got == n, "trace stream ended before its total()");
-      // Trace::push_back's check, per block (compiled out under NDEBUG).
-      for (const Request* r = data_ + done; r != data_ + done + n; ++r)
-        RDCN_DCHECK(r->u < trace_.num_racks() && r->v < trace_.num_racks() &&
-                    r->u != r->v);
-      done += n;
-      if (done < total_) publish(done, /*last=*/false);
+    } catch (...) {
+      error_ = std::current_exception();
+      throw;
     }
-  } catch (...) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    error_ = std::current_exception();
+    // Trace::push_back's check, per block (compiled out under NDEBUG).
+    for (const Request* r = block; r != block + n; ++r)
+      RDCN_DCHECK(r->u < num_racks() && r->v < num_racks() && r->u != r->v);
+    published_.store(done + n, std::memory_order_release);
   }
-  publish(done, /*last=*/true);
 }
 
-void SharedTrace::wait_for(std::size_t end) const {
-  RDCN_DCHECK(end <= total_);
-  if (published_.load(std::memory_order_acquire) >= end) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  published_cv_.wait(lock, [&] {
-    return closed_ || published_.load(std::memory_order_acquire) >= end;
-  });
-  const std::size_t published = published_.load(std::memory_order_acquire);
-  if (published < end)
-    throw CancelledError("trace production stopped after " +
-                         std::to_string(published) + " of " +
-                         std::to_string(total_) + " requests");
-}
-
-const Trace& SharedTrace::complete() const {
-  wait_for(total_);
-  return trace_;
-}
-
-std::unique_ptr<TraceStream> SharedTrace::reader() const {
-  return std::make_unique<Reader>(*this);
+const Trace& SharedTrace::complete(const CancelToken& cancel) {
+  RDCN_ASSERT_MSG(keeps_whole(),
+                  "a SharedTrace that keeps one block is never complete");
+  (void)requests(0, total_, cancel);
+  return *trace_;
 }
 
 void SharedTrace::rethrow_error() const {
@@ -95,13 +84,9 @@ void SharedTrace::rethrow_error() const {
 }
 
 Trace SharedTrace::take() && {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    RDCN_ASSERT_MSG(closed_, "SharedTrace::take() before fill() returned");
-  }
-  rethrow_error();
+  RDCN_ASSERT_MSG(trace_ == &owned_, "take() needs a trace it owns");
   (void)complete();
-  return std::move(trace_);
+  return std::move(owned_);
 }
 
 }  // namespace rdcn::trace

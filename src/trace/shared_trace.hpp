@@ -1,28 +1,33 @@
-// rdcn: one trace, filled by one producer while its readers replay it.
+// rdcn: the one trace a replay reads, produced on demand by its readers.
 //
-// Every task of a multi-task cell replays the same workload.  Instead of
-// generating the whole trace before the first task starts, a SharedTrace
-// sizes the trace to its source stream's length up front (uninitialized:
-// no zero-fill pass) and one producer, fill(), writes it in place one
-// kProduceBlock block at a time.  Each block is published behind a
-// release/acquire watermark.  A reader() is a TraceStream that copies
-// published blocks out and blocks only when the block it needs is not yet
-// published, so a replay starts on the first block instead of after the
-// last.  materialize() is the same fill on the calling thread, no readers.
+// Every task of a cell replays the same workload.  A SharedTrace sizes an
+// array for it up front (uninitialized: no zero-fill pass) and hands out
+// spans of it in place.  Nobody fills it ahead of time: the first reader
+// that needs a block that is not yet published produces it from the source
+// stream on its own thread, one kProduceBlock block at a time under one
+// mutex, and publishes it behind a release/acquire watermark.  A reader of
+// a published block takes no lock; a reader that needs the block being
+// produced blocks on the mutex until it is out.  So a replay starts on the
+// first block instead of after the last, and a task only ever waits for a
+// task that is producing the block it needs.
 //
-// Stopping: fill() polls a CancelToken once per block and catches any
-// exception the source throws.  Either way it closes the trace and wakes
-// every waiting reader; a reader that needs a block that will never be
-// published throws CancelledError, and rethrow_error() rethrows the
-// source's own exception for whoever drives the fill.
+// What is kept: the whole trace (Keep::kWhole: any number of readers,
+// complete() for an offline comparator, take() afterwards), or only the
+// block last produced (Keep::kOneBlock: one reader that moves forward,
+// constant memory however long the trace).  A SharedTrace over a
+// complete Trace borrows it and produces nothing.
+//
+// Stopping: a producer checks its reader's CancelToken before every block
+// and throws CancelledError once it fired.  An exception of the source is
+// kept: the reader that hit it and every later reader that needs a
+// missing block get it as itself, and so do take() and rethrow_error().
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <memory>
 #include <mutex>
+#include <span>
 
 #include "common/cancel.hpp"
 #include "trace/trace.hpp"
@@ -32,54 +37,52 @@ namespace rdcn::trace {
 
 class SharedTrace {
  public:
-  /// Borrows `source`, which must outlive fill(), and sizes the trace to
-  /// the requests it has left (name and rack universe carried over).
-  explicit SharedTrace(TraceStream& source);
+  enum class Keep { kWhole, kOneBlock };
+
+  /// Borrows `source`, which must outlive the SharedTrace, and sizes it to
+  /// the requests the source has left (name and rack universe carried
+  /// over).
+  explicit SharedTrace(TraceStream& source, Keep keep = Keep::kWhole);
+  /// Borrows a complete trace, which must outlive the SharedTrace.
+  explicit SharedTrace(const Trace& complete);
 
   SharedTrace(const SharedTrace&) = delete;
   SharedTrace& operator=(const SharedTrace&) = delete;
 
   std::size_t total() const noexcept { return total_; }
+  std::size_t num_racks() const noexcept { return trace_->num_racks(); }
+  const std::string& name() const noexcept { return trace_->name(); }
+  bool keeps_whole() const noexcept { return window_ == total_; }
 
-  /// The producer: pulls the source into the trace block by block,
-  /// publishing each, until the trace is full, `cancel` fires (polled
-  /// before every block) or the source throws (the exception is kept for
-  /// rethrow_error()).  Then it closes the trace and wakes every reader.
-  /// Call at most once; never throws.
-  void fill(const CancelToken& cancel = {}) noexcept;
+  /// Requests [begin, begin + n), producing the blocks up to them that are
+  /// not yet published.  Thread-safe.  Under Keep::kOneBlock the range
+  /// must lie in one block, at or after the block last produced.
+  std::span<const Request> requests(std::size_t begin, std::size_t n,
+                                    const CancelToken& cancel = {});
 
-  /// The whole trace, once its last block is published.  Throws
-  /// CancelledError when the fill stopped before that.
-  const Trace& complete() const;
+  /// The whole trace, producing what is left (Keep::kWhole only).
+  const Trace& complete(const CancelToken& cancel = {});
 
-  /// A fresh stream over the trace that waits for each block it pulls.
-  /// The SharedTrace must outlive it.
-  std::unique_ptr<TraceStream> reader() const;
-
-  /// Rethrows the exception the source threw during fill(), if any.
+  /// Rethrows the exception the source threw, if it threw.
   void rethrow_error() const;
 
-  /// Hands the trace over after fill() returned: rethrows the source's
-  /// exception, and throws CancelledError if the fill stopped short.
+  /// Hands the whole trace over, producing what is left; rethrows the
+  /// source's exception.  Only for a SharedTrace that owns its trace.
   Trace take() &&;
 
  private:
-  class Reader;
+  /// Produces blocks until requests [0, end) are published.
+  void produce(std::size_t end, const CancelToken& cancel);
 
-  /// Publishes requests [0, end); `last` closes the trace.
-  void publish(std::size_t end, bool last);
-  /// Blocks until requests [0, end) are published.  Throws CancelledError
-  /// when the fill closed the trace before publishing them.
-  void wait_for(std::size_t end) const;
-
-  TraceStream& source_;
-  Trace trace_;
+  TraceStream* source_ = nullptr;  ///< null over a complete trace
+  Trace owned_;
+  const Trace* trace_;  ///< &owned_, or the borrowed complete trace
   std::size_t total_;
-  Request* data_;  ///< trace_'s array, written only by fill()
-  std::atomic<std::size_t> published_{0};
-  mutable std::mutex mu_;
-  mutable std::condition_variable published_cv_;
-  bool closed_ = false;       ///< guarded by mu_
+  std::size_t window_;        ///< request i lives at data_[i % window_]
+  Request* buffer_ = nullptr;  ///< owned_'s array, written by produce()
+  const Request* data_;
+  std::atomic<std::size_t> published_;
+  mutable std::mutex mu_;     ///< held while producing a block
   std::exception_ptr error_;  ///< guarded by mu_
 };
 

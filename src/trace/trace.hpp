@@ -2,15 +2,13 @@
 // the input σ of the online problem.
 //
 // Storage is one contiguous array of Request (8 bytes each): the layout
-// every consumer wants.  The replay pipeline consumes traces in fixed-size
-// chunks (sim::kServeChunk), and gather() copies one chunk into a
-// caller-provided buffer — the hand-off format of
-// core::OnlineBMatcher::serve_batch.  A producer that knows the length up
-// front sizes the array once, uninitialized, and writes it in place
-// (trace::SharedTrace).
+// every consumer wants.  The replay pipeline serves spans of that array in
+// place (trace::SharedTrace), in fixed-size chunks (sim::kServeChunk) —
+// the hand-off format of core::OnlineBMatcher::serve_batch.  A producer
+// that knows the length up front sizes the array once, uninitialized, and
+// writes it in place.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -79,13 +77,7 @@ class Trace {
 
   auto begin() const noexcept { return requests_.begin(); }
   auto end() const noexcept { return requests_.end(); }
-
-  /// Copies requests [offset, offset + count) into `out` — the chunk
-  /// hand-off of the batched serve pipeline.
-  void gather(std::size_t offset, std::size_t count, Request* out) const {
-    RDCN_DCHECK(offset + count <= requests_.size());
-    std::copy_n(requests_.data() + offset, count, out);
-  }
+  const Request* data() const noexcept { return requests_.data(); }
 
   /// Truncated copy of the first `n` requests (for prefix experiments).
   Trace prefix(std::size_t n) const;

@@ -5,9 +5,7 @@
 namespace rdcn::trace {
 
 Trace materialize(TraceStream& stream) {
-  SharedTrace shared(stream);
-  shared.fill();
-  return std::move(shared).take();
+  return SharedTrace(stream).take();
 }
 
 }  // namespace rdcn::trace

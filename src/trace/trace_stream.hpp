@@ -1,17 +1,16 @@
-// rdcn: streaming trace production — requests in fixed-size chunks.
+// rdcn: trace production — a workload's requests, in fixed-size blocks.
 //
-// A TraceStream is the one trace front end: instead of materializing a
-// full Trace (8 bytes × requests) before the first request is served, a
-// stream produces the next chunk on demand, so a replay's peak memory is
-// one scratch chunk regardless of trace length.  Every generator in
+// A TraceStream is the producer interface: every generator in
 // trace/generators.hpp (plus the Facebook/Microsoft cluster profiles) is a
-// per-request emitter wrapped in an EmitterStream.  When many replays need
-// the same requests, one producer fills a trace::SharedTrace from the
-// stream in kProduceBlock blocks while its readers (streams too) replay
-// the published blocks; materialize() is that fill run on the calling
-// thread, for a caller that needs random access.
+// per-request emitter wrapped in an EmitterStream, and an imported file is
+// a MaterializedStream.  Nothing replays a stream directly: a replay reads
+// a trace::SharedTrace, whose readers pull the stream one kProduceBlock
+// block at a time as they need it.  materialize() is a SharedTrace
+// produced whole on the calling thread, for a caller that needs random
+// access.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -27,9 +26,10 @@ namespace rdcn::trace {
 /// Requests produced per pull from a stream: 32768 requests = 256 KiB.
 /// Producing in blocks much larger than a serve chunk lets generation and
 /// serving each run long enough to keep their own working sets hot; a
-/// 20000-request daemon run produces its trace in one pull.  A replay
-/// pulls one block at a time (sim::run_simulation), and a SharedTrace
-/// publishes one at a time, so a reader waits on exactly one block.
+/// 20000-request daemon run produces its trace in one pull.  A SharedTrace
+/// produces and publishes one block at a time, and a replay reads up to
+/// one block at a time (sim::run_simulation), so a reader waits for at
+/// most the one block being produced.
 inline constexpr std::size_t kProduceBlock = 1 << 15;
 
 class TraceStream {
@@ -76,28 +76,21 @@ class TraceStream {
   std::size_t produced_ = 0;
 };
 
-/// Stream view over a Trace (chunked copies of its request array).
+/// Stream over a Trace it owns (e.g. an imported file no caller holds on
+/// to): copies of its request array.
 class MaterializedStream final : public TraceStream {
  public:
-  /// Borrows `trace`, which must outlive the stream.
-  explicit MaterializedStream(const Trace& trace)
-      : TraceStream(trace.num_racks(), trace.name(), trace.size()),
-        trace_(&trace) {}
-
-  /// Owns `trace` (e.g. an imported file no caller holds on to).
   explicit MaterializedStream(Trace&& trace)
       : TraceStream(trace.num_racks(), trace.name(), trace.size()),
-        owned_(std::move(trace)),
-        trace_(&owned_) {}
+        trace_(std::move(trace)) {}
 
  protected:
   void produce(Request* out, std::size_t n) override {
-    trace_->gather(produced(), n, out);
+    std::copy_n(trace_.data() + produced(), n, out);
   }
 
  private:
-  Trace owned_;
-  const Trace* trace_;
+  Trace trace_;
 };
 
 /// Stream over a per-request emitter: owns a snapshot of the caller's RNG
@@ -125,8 +118,9 @@ class EmitterStream final : public TraceStream {
 };
 
 /// Drains `stream` to exhaustion into a Trace (name and rack universe
-/// carried over): SharedTrace's fill, run on the calling thread.  An
-/// exception of the stream propagates.  The inverse of MaterializedStream.
+/// carried over): a SharedTrace produced whole on the calling thread.  An
+/// exception of the stream propagates as itself.  The inverse of
+/// MaterializedStream.
 Trace materialize(TraceStream& stream);
 
 }  // namespace rdcn::trace

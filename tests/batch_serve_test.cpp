@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/bma.hpp"
 #include "core/r_bma.hpp"
 #include "net/topology.hpp"
 #include "paging/factory.hpp"
@@ -107,8 +108,9 @@ TEST(BatchServe, EveryAlgorithmBitIdenticalToScalarAcrossB) {
 TEST(BatchServe, ChunkAuditHoldsForEveryAlgorithm) {
   // After every kServeChunk chunk: the matching is consistent and within
   // its degree bound, the ledger books α per edge operation, the total
-  // never decreases, and every r_bma variant keeps the Theorem 2
-  // intersection invariant.
+  // never decreases, every r_bma variant keeps the Theorem 2
+  // intersection invariant, and BMA's rack rows mirror the matching with
+  // equal usage at both endpoints of every edge.
   const net::Topology topo = net::make_fat_tree(32);
   const std::vector<trace::Trace> traces = make_traces();
   std::vector<std::string> specs =
@@ -119,8 +121,7 @@ TEST(BatchServe, ChunkAuditHoldsForEveryAlgorithm) {
   constexpr std::uint64_t kAlpha = 30;
 
   for (const trace::Trace& t : traces) {
-    std::vector<core::Request> all(t.size());
-    t.gather(0, t.size(), all.data());
+    const std::span<const core::Request> all(t.data(), t.size());
     for (const std::string& spec : specs) {
       for (const std::size_t b : {std::size_t{1}, std::size_t{4},
                                   std::size_t{16}, std::size_t{64}}) {
@@ -129,6 +130,8 @@ TEST(BatchServe, ChunkAuditHoldsForEveryAlgorithm) {
         auto alg = scenario::make_algorithm(spec, inst, &t, 9);
         const auto* r_bma = dynamic_cast<const core::RBma*>(alg.get());
         ASSERT_EQ(r_bma != nullptr, spec.starts_with("r_bma"));
+        const auto* bma = dynamic_cast<const core::Bma*>(alg.get());
+        ASSERT_EQ(bma != nullptr, spec == "bma");
         std::uint64_t last_total = 0;
         for (std::size_t i = 0; i < all.size(); i += sim::kServeChunk) {
           const std::size_t n = std::min(sim::kServeChunk, all.size() - i);
@@ -147,6 +150,9 @@ TEST(BatchServe, ChunkAuditHoldsForEveryAlgorithm) {
           if (r_bma != nullptr) {
             ASSERT_TRUE(r_bma->check_intersection_invariant());
           }
+          if (bma != nullptr) {
+            ASSERT_TRUE(bma->check_rows());
+          }
         }
       }
     }
@@ -160,8 +166,7 @@ TEST(BatchServe, DirectServeBatchCallMatchesServeLoop) {
   Xoshiro256 rng(7);
   const trace::Trace t =
       trace::materialize(*trace::stream_zipf_pairs(16, 5000, 1.1, rng));
-  std::vector<core::Request> all(t.size());
-  t.gather(0, t.size(), all.data());
+  const std::span<const core::Request> all(t.data(), t.size());
 
   for (const char* algorithm : {"bma", "r_bma", "greedy", "oblivious",
                                 "so_bma", "rotor"}) {
@@ -201,8 +206,7 @@ TEST(BatchServe, RotorSlotBoundariesStraddleBatchBoundaries) {
   Xoshiro256 rng(31);
   const trace::Trace t =
       trace::materialize(*trace::stream_zipf_pairs(24, 11'000, 1.2, rng));
-  std::vector<core::Request> all(t.size());
-  t.gather(0, t.size(), all.data());
+  const std::span<const core::Request> all(t.data(), t.size());
   for (const char* spec : {"rotor:slot=1", "rotor:slot=97",
                            "rotor:slot=100000", "rotor:slot=97,staggered=false"}) {
     const core::Instance inst = make_instance(topo.distances, 5, 30);

@@ -225,6 +225,29 @@ TEST_F(JournalTest, OlderStartAndCkptRecordsAreSkipped) {
   EXPECT_EQ(rec.incomplete[1].priority, 0);
 }
 
+TEST_F(JournalTest, Admit3RecordsReplayTheirDeadline) {
+  // admit3 carries the RUN's deadline_ms; admit2 and admit replay with
+  // none.  Compaction writes every run back as admit3, so the deadline
+  // also survives a second restart.
+  const Journal::Recovery rec =
+      Journal::replay({"admit3 4 2 alice 1500 a=1", "admit2 5 1 bob b=2",
+                       "admit 6 c=3", "admit3 7 0 carol 0 d=4"});
+  ASSERT_EQ(rec.incomplete.size(), 4u);
+  EXPECT_EQ(rec.incomplete[0].spec, "a=1");
+  EXPECT_EQ(rec.incomplete[0].client, "alice");
+  EXPECT_EQ(rec.incomplete[0].priority, 2);
+  EXPECT_EQ(rec.incomplete[0].deadline_ms, 1500u);
+  EXPECT_EQ(rec.incomplete[1].deadline_ms, 0u);
+  EXPECT_EQ(rec.incomplete[2].deadline_ms, 0u);
+  EXPECT_EQ(rec.incomplete[3].spec, "d=4");
+  EXPECT_EQ(rec.incomplete[3].deadline_ms, 0u);
+  EXPECT_EQ(Journal::compact(rec),
+            (std::vector<std::string>{
+                "nextid 8", "admit3 4 2 alice 1500 a=1",
+                "admit3 5 1 bob 0 b=2", "admit3 6 1 anon 0 c=3",
+                "admit3 7 0 carol 0 d=4"}));
+}
+
 TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
   write_wal("not a journal at all");
   Journal journal(dir);

@@ -10,13 +10,15 @@
 // After every step the class's journal records, wire lines and STATS run
 // fields must equal the model's, and every connection's stream is checked
 // for the ordering guarantees.  A restart must recover exactly the
-// model's incomplete runs and streaks.
+// model's incomplete runs (deadlines included), streaks and id lease.
 //
-// DrrQueue::erase, which ends a queued run, gets its own case.  Socket
-// level: a queued run that is cancelled, expires or is orphaned ends at
-// once; served payloads byte-match direct runs; an executor crash ends
-// ERROR internal= + DONE status=error; stop() leaves no thread or fd the
-// daemon made.
+// Two restart cases: a new run never takes the id of a cache hit served
+// before a crash, and a recovered run keeps its deadline, counted from the
+// restart.  DrrQueue::erase, which ends a queued run, gets its own case.
+// Socket level: a queued run that is cancelled, expires or is orphaned
+// ends at once; served payloads byte-match direct runs; an executor crash
+// ends ERROR internal= + DONE status=error; stop() leaves no thread or fd
+// the daemon made.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -85,6 +87,7 @@ struct Model {
     std::uint64_t id = 0;
     std::string spec, client;
     int priority = 1;
+    std::uint64_t deadline_ms = 0;
     bool recovered = false;
     State state = State::kQueued;
     std::string cause;   ///< "" until a cancel cause arrives
@@ -151,6 +154,11 @@ struct Model {
       reject(s.conn, "queue_full");
       return 0;
     }
+    // Ids are leased: the first id of each lease journals its bound.
+    if (next_id == leased) {
+      leased += Lifecycle::kIdLease;
+      records.push_back("nextid " + std::to_string(leased));
+    }
     return next_id++;
   }
 
@@ -178,18 +186,18 @@ struct Model {
       reject(s.conn, "shed");
       return false;
     }
-    records.push_back("admit2 " + std::to_string(id) + " " +
+    records.push_back("admit3 " + std::to_string(id) + " " +
                       std::to_string(s.priority) + " " + s.client + " " +
-                      s.canonical);
+                      std::to_string(s.deadline_ms) + " " + s.canonical);
     line(s.conn, "ACCEPTED id=" + std::to_string(id));
     Run run;
     run.id = id;
     run.spec = s.canonical;
     run.client = s.client;
     run.priority = s.priority;
+    run.deadline_ms = s.deadline_ms;
     run.subs.emplace_back(s.conn, 1);
     add_queued(std::move(run));
-    durable_next = std::max(durable_next, id + 1);
     if (s.deadline_ms > 0) deadlines.emplace(now + s.deadline_ms * kMs, id);
     return true;
   }
@@ -399,12 +407,13 @@ struct Model {
   }
 
   /// A new incarnation: with a journal the live runs come back queued (in
-  /// admission order, charged) and the streaks survive; without one the
+  /// admission order, charged, their deadlines counted from now), the
+  /// streaks survive and ids resume at the leased bound; without one the
   /// daemon starts from nothing.
   void restart(std::uint64_t now) {
     Model fresh(opt);
     if (durable()) {
-      fresh.next_id = fresh.durable_next = durable_next;
+      fresh.next_id = fresh.leased = leased;
       for (const auto& [spec, streak] : streaks)
         fresh.streaks[spec] = Streak{streak.count, now};
       for (const auto& [id, run] : runs) {
@@ -413,7 +422,10 @@ struct Model {
         r.spec = run.spec;
         r.client = run.client;
         r.priority = run.priority;
+        r.deadline_ms = run.deadline_ms;
         r.recovered = true;
+        if (r.deadline_ms > 0)
+          fresh.deadlines.emplace(now + r.deadline_ms * kMs, id);
         fresh.bucket(r.client);
         fresh.add_queued(std::move(r));
         fresh.stats.recovered += 1;
@@ -433,7 +445,7 @@ struct Model {
   std::multimap<std::uint64_t, std::uint64_t> deadlines;
   StatsReport stats;
   std::uint64_t next_id = 1;
-  std::uint64_t durable_next = 1;  ///< what a journal replay restores
+  std::uint64_t leased = 1;  ///< ids below it are journalled as used
   bool draining = false;
   bool drained = false;
   bool stopped = false;
@@ -873,21 +885,22 @@ class Schedule {
     if (durable()) {
       std::vector<Journal::RecoveredRun> want;
       for (const auto& [id, run] : model_->runs)
-        want.push_back({id, run.spec, run.client, run.priority});
+        want.push_back(
+            {id, run.spec, run.client, run.priority, run.deadline_ms});
       std::vector<std::pair<std::string, std::size_t>> streaks;
       for (const auto& [spec, streak] : model_->streaks)
         streaks.emplace_back(spec, streak.count);
       const auto same = [](const Journal::RecoveredRun& a,
                            const Journal::RecoveredRun& b) {
         return a.id == b.id && a.spec == b.spec && a.client == b.client &&
-               a.priority == b.priority;
+               a.priority == b.priority && a.deadline_ms == b.deadline_ms;
       };
       if (!std::equal(recovery.incomplete.begin(), recovery.incomplete.end(),
                       want.begin(), want.end(), same))
         error_ = "restart recovered other runs than the model's";
       else if (recovery.quarantine != streaks)
         error_ = "restart recovered other streaks than the model's";
-      else if (recovery.next_id != model_->durable_next)
+      else if (recovery.next_id != model_->leased)
         error_ =
             "restart recovered next_id " + std::to_string(recovery.next_id);
       journal_ = Journal::compact(recovery);
@@ -936,6 +949,78 @@ TEST(LifecycleModel, RandomSchedulesMatchTheModel) {
 // DrrQueue::erase, which ends a queued run at once: the item leaves its
 // lane, an emptied lane leaves the rotation and forfeits its credit, and
 // the rotation carries on with the lanes that remain.
+/// One incarnation of the class with a journal: restored from `journal`
+/// at `now`; every record it emits is appended to `journal`, which is all
+/// that survives a crash.
+struct Incarnation {
+  Incarnation(std::vector<std::string>& journal, std::uint64_t now)
+      : journal(journal), lc(opt, registry) {
+    lc.restore(Journal::replay(journal), now,
+               [](const Journal::RecoveredRun&) {
+                 return std::optional<std::uint64_t>(1);
+               },
+               out);
+    keep();
+  }
+  void keep() {
+    journal.insert(journal.end(), out.records.begin(), out.records.end());
+    out = {};
+  }
+  std::uint64_t open(const Lifecycle::Submission& s, std::uint64_t now) {
+    const std::uint64_t id = lc.open(s, now, [] { return false; }, out);
+    keep();
+    return id;
+  }
+
+  std::vector<std::string>& journal;
+  const ServeOptions opt{.journal_dir = "journal"};
+  obs::Registry registry;
+  Lifecycle lc;
+  Lifecycle::Outbox out;
+};
+
+TEST(LifecycleRestart, ACacheHitsIdIsNotReusedAfterACrash) {
+  std::vector<std::string> journal;
+  Lifecycle::Submission s;
+  s.conn = 1;
+  s.canonical = "spec=1";
+  std::uint64_t hit_id = 0;
+  {
+    Incarnation before(journal, 0);
+    hit_id = before.open(s, 0);
+    before.lc.hit();  // served from the caches: never queued
+  }
+  Incarnation after(journal, 1000 * kMs);
+  s.canonical = "spec=2";
+  const std::uint64_t id = after.open(s, 1000 * kMs);
+  ASSERT_NE(hit_id, 0u);
+  EXPECT_GT(id, hit_id) << "a new run took the cache hit's id";
+}
+
+TEST(LifecycleRestart, ARecoveredRunKeepsItsDeadline) {
+  std::vector<std::string> journal;
+  Lifecycle::Submission s;
+  s.conn = 1;
+  s.canonical = "spec=1";
+  s.deadline_ms = 100;
+  {
+    Incarnation before(journal, 0);
+    const std::uint64_t id = before.open(s, 0);
+    ASSERT_TRUE(before.lc.enqueue(s, id, 0, before.out));
+    before.keep();
+  }
+  // Restarted long after the original deadline: it counts from now.
+  const std::uint64_t now = 5000 * kMs;
+  Incarnation after(journal, now);
+  ASSERT_EQ(after.lc.queued(), 1u);
+  EXPECT_EQ(after.lc.tick(now, false, after.out).wake_ns, now + 100 * kMs);
+  EXPECT_TRUE(after.out.records.empty());
+  after.lc.tick(now + 100 * kMs, false, after.out);
+  EXPECT_EQ(after.lc.queued(), 0u);
+  EXPECT_EQ(after.out.records,
+            std::vector<std::string>{"done 1 deadline_exceeded"});
+}
+
 TEST(DrrQueueTest, EraseRemovesQueuedItemsAndEmptiedLanes) {
   DrrQueue<int> queue(10);
   queue.push("a", 3, 1);

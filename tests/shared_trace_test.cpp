@@ -1,13 +1,15 @@
-// SharedTrace suite: one producer fills a trace block by block while its
-// readers replay it.  The fill must give the stream's exact sequence;
-// readers that overtake a slow producer must wait and then see the same
-// requests; a cancelled or failing fill must wake every waiting reader.
-// run_scenario's multi-task cells replay the trace while it is generated:
-// at any thread count every column must equal run_experiment over the
-// materialized trace, a cancel must stop generation within a block, and a
-// failing workload must surface as its own exception.  Once the token
-// fires, run_experiment builds no further matcher, over a Trace or a
-// SharedTrace.  Runs under the tsan preset (label tier1_tsan).
+// SharedTrace suite: the trace a replay reads is produced by its readers,
+// block by block, as they first need each block.  It must give the
+// stream's exact sequence, name and rack universe; readers racing for
+// unpublished blocks must each see the stream, and a one-block trace must
+// too; a cancel must stop production within one block; an exception of
+// the source must reach every reader that needs a missing block, and
+// take(), as itself.  run_scenario's cells replay the trace while it is
+// generated: at any thread count every column must equal run_experiment
+// over the materialized trace, a cancel must stop generation within a
+// block, and a failing workload must surface as its own exception.  Once
+// the token fires, run_experiment builds no further matcher, over a Trace
+// or a SharedTrace.  Runs under the tsan preset (label tier1_tsan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,21 +81,44 @@ std::vector<trace::Request> reference_requests(std::size_t racks,
   return drain(*stream, 613);
 }
 
+/// Reads `shared` front to back, `pull` requests at a time and never
+/// across a block boundary (as run_simulation reads it).
+std::vector<trace::Request> read_all(trace::SharedTrace& shared,
+                                     std::size_t pull) {
+  std::vector<trace::Request> out;
+  while (out.size() < shared.total()) {
+    const std::size_t begin = out.size();
+    const std::span<const trace::Request> got = shared.requests(
+        begin, std::min({pull, kBlock - begin % kBlock,
+                         shared.total() - begin}));
+    out.insert(out.end(), got.begin(), got.end());
+  }
+  return out;
+}
+
 // ---- SharedTrace ----------------------------------------------------------
 
-TEST(SharedTrace, FillGivesTheStreamsSequenceNameAndRacks) {
-  // 2.5 blocks: a partial last block, plus materialize() on the same fill.
+TEST(SharedTrace, GivesTheStreamsSequenceNameAndRacks) {
+  // 2.5 blocks: a partial last block.
   const std::size_t n = 2 * kBlock + kBlock / 2;
   const std::vector<trace::Request> expected = reference_requests(40, n, 3);
   const auto stream = trace::stream_facebook_like(
       trace::FacebookCluster::kDatabase, 40, n, Xoshiro256(3));
   trace::SharedTrace shared(*stream);
   EXPECT_EQ(shared.total(), n);
-  shared.fill();
+  EXPECT_EQ(shared.num_racks(), 40u);
+  EXPECT_EQ(shared.name(), stream->name());
+  // Nothing is produced before a reader needs it, then one block.
+  EXPECT_EQ(stream->produced(), 0u);
+  EXPECT_EQ(shared.requests(0, 10)[3], expected[3]);
+  EXPECT_EQ(stream->produced(), kBlock);
+  const trace::Trace& whole = shared.complete();
+  EXPECT_TRUE(std::equal(whole.begin(), whole.end(), expected.begin(),
+                         expected.end()));
   const trace::Trace t = std::move(shared).take();
   EXPECT_EQ(t.num_racks(), 40u);
   EXPECT_EQ(t.name(), stream->name());
-  ASSERT_TRUE(std::equal(t.begin(), t.end(), expected.begin(),
+  EXPECT_TRUE(std::equal(t.begin(), t.end(), expected.begin(),
                          expected.end()));
 
   const auto again = trace::stream_facebook_like(
@@ -102,29 +128,35 @@ TEST(SharedTrace, FillGivesTheStreamsSequenceNameAndRacks) {
                          expected.begin(), expected.end()));
 }
 
-TEST(SharedTrace, ReadersThatOvertakeASlowProducerWaitAndSeeTheStream) {
+TEST(SharedTrace, ReadersRacingForUnpublishedBlocksSeeTheStream) {
   const std::size_t n = 4 * kBlock + 17;
   const std::vector<trace::Request> expected = reference_requests(30, n, 5);
   HookedStream source(30, n, Xoshiro256(5), sleep_a_little);
   trace::SharedTrace shared(source);
-  // The readers start first, so each of them waits for every block.
   std::vector<std::vector<trace::Request>> seen(4);
-  const std::size_t chunks[] = {kBlock, 4096, 1000, 7};
+  const std::size_t pulls[] = {kBlock, 4096, 1000, 7};
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < seen.size(); ++r)
-    readers.emplace_back([&, r] {
-      const std::unique_ptr<trace::TraceStream> reader = shared.reader();
-      seen[r] = drain(*reader, chunks[r]);
-    });
-  std::thread producer([&] { shared.fill(); });
-  producer.join();
+    readers.emplace_back([&, r] { seen[r] = read_all(shared, pulls[r]); });
   for (std::thread& t : readers) t.join();
   for (std::size_t r = 0; r < seen.size(); ++r)
-    EXPECT_EQ(seen[r], expected) << "reader pulling " << chunks[r];
-  EXPECT_EQ(shared.complete().size(), n);
+    EXPECT_EQ(seen[r], expected) << "reader pulling " << pulls[r];
+  EXPECT_EQ(source.produced(), n) << "every block is produced once";
 }
 
-TEST(SharedTrace, ACancelStopsTheFillAndWakesEveryReader) {
+TEST(SharedTrace, AOneBlockTraceGivesTheStream) {
+  const std::size_t n = 3 * kBlock + 100;
+  const std::vector<trace::Request> expected = reference_requests(30, n, 6);
+  for (const std::size_t pull : {kBlock, std::size_t{4096}, std::size_t{7}}) {
+    const auto stream = trace::stream_facebook_like(
+        trace::FacebookCluster::kDatabase, 30, n, Xoshiro256(6));
+    trace::SharedTrace shared(*stream, trace::SharedTrace::Keep::kOneBlock);
+    EXPECT_FALSE(shared.keeps_whole());
+    EXPECT_EQ(read_all(shared, pull), expected) << "pulling " << pull;
+  }
+}
+
+TEST(SharedTrace, ACancelStopsProductionWithinOneBlock) {
   const CancelToken cancel = CancelToken::make();
   HookedStream source(30, 6 * kBlock, Xoshiro256(7),
                       [&](std::size_t produced, std::size_t n) {
@@ -136,39 +168,37 @@ TEST(SharedTrace, ACancelStopsTheFillAndWakesEveryReader) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r)
     readers.emplace_back([&] {
-      const std::unique_ptr<trace::TraceStream> reader = shared.reader();
-      std::vector<trace::Request> block(kBlock);
-      // The blocks published before the cancel stay readable.
-      EXPECT_EQ(reader->next(block.data(), kBlock), kBlock);
-      EXPECT_EQ(reader->next(block.data(), kBlock), kBlock);
-      EXPECT_THROW((void)reader->next(block.data(), kBlock), CancelledError);
+      // The block whose production fired the token is still published.
+      EXPECT_EQ(shared.requests(0, kBlock, cancel).size(), kBlock);
+      EXPECT_EQ(shared.requests(kBlock, kBlock, cancel).size(), kBlock);
+      EXPECT_THROW((void)shared.requests(2 * kBlock, kBlock, cancel),
+                   CancelledError);
       ++stopped;
     });
-  shared.fill(cancel);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(stopped.load(), 3);
   EXPECT_EQ(source.produced(), 2 * kBlock);
   EXPECT_NO_THROW(shared.rethrow_error());
-  EXPECT_THROW((void)std::move(shared).take(), CancelledError);
 }
 
-TEST(SharedTrace, ASourceExceptionWakesEveryReaderAndIsRethrown) {
-  HookedStream source(30, 6 * kBlock, Xoshiro256(9),
-                      [](std::size_t produced, std::size_t n) {
-                        if (produced >= kBlock)
-                          throw SpecError("source broke after one block");
-                        sleep_a_little(produced, n);
-                      });
+TEST(SharedTrace, ASourceExceptionReachesEveryReaderAndTakeAsItself) {
+  const auto breaks = [](std::size_t produced, std::size_t n) {
+    if (produced >= kBlock) throw SpecError("source broke after one block");
+    sleep_a_little(produced, n);
+  };
+  HookedStream source(30, 6 * kBlock, Xoshiro256(9), breaks);
   trace::SharedTrace shared(source);
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r)
     readers.emplace_back([&] {
-      const std::unique_ptr<trace::TraceStream> reader = shared.reader();
-      std::vector<trace::Request> block(kBlock);
-      EXPECT_EQ(reader->next(block.data(), kBlock), kBlock);
-      EXPECT_THROW((void)reader->next(block.data(), kBlock), CancelledError);
+      EXPECT_EQ(shared.requests(0, kBlock).size(), kBlock);
+      try {
+        (void)shared.requests(kBlock, 1);
+        ADD_FAILURE() << "a reader of a missing block gets the exception";
+      } catch (const SpecError& e) {
+        EXPECT_STREQ(e.what(), "source broke after one block");
+      }
     });
-  shared.fill();
   for (std::thread& t : readers) t.join();
   EXPECT_THROW(shared.rethrow_error(), SpecError);
   try {
@@ -177,15 +207,8 @@ TEST(SharedTrace, ASourceExceptionWakesEveryReaderAndIsRethrown) {
   } catch (const SpecError& e) {
     EXPECT_STREQ(e.what(), "source broke after one block");
   }
-}
-
-TEST(SharedTrace, MaterializeRethrowsTheStreamsException) {
-  HookedStream source(30, 3 * kBlock, Xoshiro256(9),
-                      [](std::size_t produced, std::size_t) {
-                        if (produced >= kBlock)
-                          throw SpecError("source broke after one block");
-                      });
-  EXPECT_THROW((void)trace::materialize(source), SpecError);
+  HookedStream again(30, 3 * kBlock, Xoshiro256(9), breaks);
+  EXPECT_THROW((void)trace::materialize(again), SpecError);
 }
 
 // ---- run_experiment after a cancel --------------------------------------

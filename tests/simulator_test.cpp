@@ -7,6 +7,7 @@
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
+#include "trace/shared_trace.hpp"
 #include "trace/trace_stream.hpp"
 #include "scalar_replay.hpp"
 #include "test_util.hpp"
@@ -237,20 +238,20 @@ TEST(RunControl, CancelStopsAtNextChunkBoundary) {
 }
 
 TEST(RunControl, CancelStopsStreamedRunToo) {
+  // The same over a trace produced while it is served, one block kept.
   const net::Topology topo = net::make_fat_tree(8);
   Xoshiro256 rng(12);
-  const trace::Trace t =
-      trace::materialize(*trace::stream_uniform(8, 3 * kServeChunk, rng));
+  const auto stream = trace::stream_uniform(8, 3 * kServeChunk, rng);
+  trace::SharedTrace streamed(*stream, trace::SharedTrace::Keep::kOneBlock);
   auto alg =
       scenario::make_algorithm("bma", make_instance(topo.distances, 2, 5));
-  trace::MaterializedStream stream(t);
   RunControl control;
   control.cancel = rdcn::CancelToken::make();
   control.on_checkpoint = [&](const Checkpoint&) {
     control.cancel.request_cancel();
   };
   EXPECT_THROW(
-      run_simulation(*alg, stream, {kServeChunk, 3 * kServeChunk}, control),
+      run_simulation(*alg, streamed, {kServeChunk, 3 * kServeChunk}, control),
       rdcn::CancelledError);
   EXPECT_EQ(alg->costs().requests, kServeChunk);
 }

@@ -1,8 +1,9 @@
 // TraceStream suite: every stream_* producer is pinned by a golden CRC-32
 // of its first 10^4 requests at a fixed seed, whatever the chunking of the
 // pulls; MaterializedStream must mirror its trace; materialize() must carry
-// the stream's sequence, name and rack universe; and a streamed simulation
-// must land on the same ledger as a materialized one.
+// the stream's sequence, name and rack universe; and a simulation over a
+// one-block SharedTrace of the stream must land on the same ledger as a
+// materialized one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "trace/facebook_like.hpp"
 #include "trace/generators.hpp"
 #include "trace/microsoft_like.hpp"
+#include "trace/shared_trace.hpp"
 #include "trace/trace_stream.hpp"
 #include "test_util.hpp"
 
@@ -159,7 +161,7 @@ TEST(TraceStream, DoesNotAdvanceTheCallersRng) {
 TEST(TraceStream, MaterializedStreamMirrorsItsTrace) {
   const trace::Trace t =
       trace::materialize(*trace::stream_uniform(16, 5000, Xoshiro256(3)));
-  trace::MaterializedStream stream(t);
+  trace::MaterializedStream stream{trace::Trace(t)};
   EXPECT_EQ(stream.total(), t.size());
   expect_same_sequence(t, drain(stream, 640), "materialized");
 }
@@ -175,10 +177,12 @@ TEST(TraceStream, MaterializeCarriesSequenceNameAndRacks) {
 }
 
 TEST(TraceStream, StreamedSimulationMatchesMaterializedLedger) {
-  // Serving straight from the stream (never materializing the trace) must
-  // land on the same ledger at every checkpoint as the materialized run.
+  // Serving a trace produced while it is served, one block kept (never
+  // materializing it), must land on the same ledger at every checkpoint as
+  // the materialized run.
   const net::Topology topo = net::make_fat_tree(24);
-  constexpr std::size_t kRequests = 12'000;  // spans multiple serve chunks
+  // Spans several production blocks, the last one partial.
+  constexpr std::size_t kRequests = 2 * trace::kProduceBlock + 5'000;
   const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
       trace::FacebookCluster::kDatabase, 24, kRequests, Xoshiro256(41)));
   const core::Instance inst = make_instance(topo.distances, 4, 30);
@@ -191,9 +195,10 @@ TEST(TraceStream, StreamedSimulationMatchesMaterializedLedger) {
 
     auto stream = trace::stream_facebook_like(
         trace::FacebookCluster::kDatabase, 24, kRequests, Xoshiro256(41));
+    trace::SharedTrace one_block(*stream, trace::SharedTrace::Keep::kOneBlock);
     auto from_stream = scenario::make_algorithm(algorithm, inst, &t, 2);
     const sim::RunResult streamed =
-        sim::run_simulation(*from_stream, *stream, grid);
+        sim::run_simulation(*from_stream, one_block, grid);
 
     ASSERT_EQ(materialized.checkpoints.size(), streamed.checkpoints.size());
     for (std::size_t i = 0; i < materialized.checkpoints.size(); ++i) {
