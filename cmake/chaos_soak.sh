@@ -31,9 +31,11 @@ SERVE=$2
 CLIENT=$3
 WORK=$4
 
-# Long enough that SIGKILL lands with most of the run still ahead (the
-# first of 16 checkpoints is ~6% in), matching the serve test suites.
-SPEC='workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=1600000;trials=1;checkpoints=16;seed=3'
+# Long enough that SIGKILL lands with most of the run still ahead: the
+# first of 16 checkpoints is ~6% in, and the whole run (about 2 s) outlasts
+# wait_for's 0.1 s poll many times over, so the kill cannot land after
+# the run has ended.
+SPEC='workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=25600000;trials=1;checkpoints=16;seed=3'
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -60,7 +62,7 @@ wait_for() {
 # ---- ground truth: direct in-process run ------------------------------
 TRUTH=$WORK/truth.csv
 "$SIM" --workload=zipf:skew=1.1 --algorithms=bma --b=4 --racks=16 \
-  --requests=1600000 --trials=1 --checkpoints=16 --seed=3 \
+  --requests=25600000 --trials=1 --checkpoints=16 --seed=3 \
   --csv="$TRUTH" >/dev/null || fail "direct rdcn_sim run failed"
 
 # ---- round 1: SIGKILL mid-run -----------------------------------------

@@ -7,7 +7,11 @@ namespace rdcn::core {
 RBma::RBma(const Instance& instance, const RBmaOptions& options)
     : OnlineBMatcher(instance),
       options_(options),
-      pairs_(pair_slots(instance.num_racks())) {
+      pairs_(pair_slots(instance.num_racks())),
+      ke_(instance.max_dist() + std::size_t{1}) {
+  for (std::uint64_t d = 1; d < ke_.size(); ++d) {
+    ke_[d] = (alpha() + d - 1) / d;
+  }
   Xoshiro256 master_rng(options.seed);
   engines_.reserve(instance.num_racks());
   for (std::size_t v = 0; v < instance.num_racks(); ++v) {
@@ -29,26 +33,27 @@ std::uint64_t RBma::total_paging_faults() const {
 
 void RBma::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
-  const std::uint64_t a = alpha();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& r = batch[i];
+  // Neither vector is resized after construction, so their bases stay in
+  // registers across the out-of-line special step.
+  const std::uint64_t* const ke = ke_.data();
+  PairCounter* const pairs = pairs_.data();
+  for (const Request& r : batch) {
     RDCN_DCHECK(r.u != r.v);
-    const std::uint64_t key = pair_key(r);
     // Route with the current matching (membership checked before any
-    // reconfiguration below).
-    const bool matched = matching_view().has(r.u, r.v);
+    // reconfiguration below).  Branch-free (cost 1 if matched, else d):
+    // matched and unmatched requests interleave unpredictably.
+    const std::uint64_t matched = matching_view().has(r.u, r.v);
     const std::uint64_t d = dist(r.u, r.v);
-    acc.routing_cost += matched ? 1 : d;
+    acc.routing_cost += d - matched * (d - 1);
     ++acc.requests;
-    acc.direct_serves += matched ? 1 : 0;
+    acc.direct_serves += matched;
 
     // Theorem 1 reduction: act only on every ke-th request to this pair,
     // ke = ceil(alpha / dist).
-    const std::uint64_t ke = (a + d - 1) / d;
-    PairCounter& state = pairs_[pair_slot(key)];
-    if (++state.counter < ke) continue;
+    const std::uint64_t key = pair_key(r);
+    PairCounter& state = pairs[pair_slot(key)];
+    if (++state.counter < ke[d]) continue;
     state.counter = 0;
-    ++specials_;
     special_request(r, key);
   }
   commit_routing(acc);
@@ -57,6 +62,7 @@ void RBma::serve_batch(std::span<const Request> batch) {
 void RBma::special_request(const Request& r, std::uint64_t key) {
   // Theorem 2 reduction: forward the special request to the paging engines
   // at both endpoints; a request always ends with the pair cached there.
+  ++specials_;
   evicted_scratch_.clear();
   engines_[r.u]->request(key, evicted_scratch_);
   engines_[r.v]->request(key, evicted_scratch_);

@@ -26,9 +26,12 @@
 //
 // State: each unordered pair's Theorem 1 counter and lazy mark share one
 // 8-byte entry of a triangular array indexed by trace::pair_slot
-// (racks·(racks−1)/2 entries: 39 KiB at 100 racks, 4 MB at 1000).  A
-// request that is not special costs one membership bit, one distance and
-// one counter load; only special requests reach the paging engines.
+// (racks·(racks−1)/2 entries: 39 KiB at 100 racks, 4 MB at 1000), and
+// the threshold ⌈α/ℓ⌉ of every distance ℓ = 1..ℓmax is a table built
+// once.  A request that is not special costs one membership bit, one
+// distance, one threshold and one counter load, with no branch on the
+// membership and no divide; only special requests (about 6% at the
+// paper's α = 60) leave the loop for the paging engines.
 #pragma once
 
 #include <memory>
@@ -51,9 +54,11 @@ class RBma final : public OnlineBMatcher {
 
   std::string name() const override;
 
-  /// Devirtualized chunk loop: one membership bit, one distance load and
-  /// one counter load per request; the distance is shared by routing and
-  /// the Theorem 1 counter threshold, and routing commits per chunk.
+  /// Devirtualized chunk loop: one membership bit, one distance, one
+  /// threshold and one counter load per request.  Routing is a select on
+  /// the membership bit, the distance indexes both the routing cost and
+  /// the ⌈α/ℓ⌉ table, and routing commits per chunk; a special request
+  /// calls out of the loop.
   void serve_batch(std::span<const Request> batch) override;
 
   /// Diagnostics: total special requests forwarded to paging engines.
@@ -94,7 +99,9 @@ class RBma final : public OnlineBMatcher {
 
   /// Theorem 2 step for a special request: forward to both endpoint
   /// engines, process evictions, re-establish the intersection invariant.
-  void special_request(const Request& r, std::uint64_t key);
+  /// Kept out of line: inlined, it makes serve_batch's loop spill its
+  /// accumulators on every request, not only on the special ones.
+  [[gnu::noinline]] void special_request(const Request& r, std::uint64_t key);
 
   /// Flips the mark on `s`, keeping the running marked-edge count exact.
   void set_marked(PairCounter& s, bool marked) {
@@ -121,6 +128,8 @@ class RBma final : public OnlineBMatcher {
   RBmaOptions options_;
   std::vector<std::unique_ptr<paging::PagingAlgorithm>> engines_;
   std::vector<PairCounter> pairs_;  ///< indexed by pair_slot(key)
+  /// Theorem 1 threshold by distance: ke_[ℓ] = ⌈α/ℓ⌉ for ℓ = 1..ℓmax.
+  std::vector<std::uint64_t> ke_;
   std::size_t marked_count_ = 0;
   std::vector<paging::Key> evicted_scratch_;
   std::uint64_t specials_ = 0;

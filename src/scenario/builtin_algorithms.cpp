@@ -49,7 +49,7 @@ void register_builtin_algorithms(AlgorithmRegistry& registry) {
                 {"eager", "eager (non-lazy) eviction from the matching",
                  "false"}};
     e.randomized = true;
-    // The cost model's unit: the default 1 + 0·b (19–25 ns/request).
+    // The cost model's unit: the default 1 + 0·b (17–19 ns/request).
     e.build = [](const core::Instance& instance, const ParamMap& params,
                  const trace::Trace*, std::uint64_t seed) {
       core::RBmaOptions options;

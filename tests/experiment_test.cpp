@@ -177,7 +177,7 @@ TEST(DispatchOrder, LongestFirstWithTiesInSpecTrialOrder) {
     }
   }
 
-  // bma at b=64 is the longest task (≈128 ms against ≈19–24 ms per r_bma
+  // bma at b=64 is the longest task (≈72 ms against ≈18 ms per r_bma
   // trial): both bma tasks go out before any r_bma trial.
   EXPECT_EQ(specs[order[0].spec].algorithm, "bma");
   EXPECT_EQ(specs[order[0].spec].b, 64u);

@@ -4,6 +4,9 @@
 // hold run-by-run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "core/bma.hpp"
 #include "core/r_bma.hpp"
@@ -25,33 +28,61 @@ TEST(UniformReduction, FusedRBmaEqualsComposedRBma) {
   // (UniformReduction over a uniform-case R-BMA) must produce identical
   // matchings and ledgers when seeded identically: the uniform inner
   // R-BMA has ke = 1, so its paging engines see exactly the special
-  // stream — the same inputs as the fused engines.
-  const net::Topology topo = net::make_fat_tree(20);
+  // stream — the same inputs as the fused engines.  The fused R-BMA reads
+  // ke = ⌈α/ℓ⌉ from a per-distance table while the composition divides
+  // per request, so the grid covers every shape of that table: ke = 1
+  // (α = 1, or ℓ ≥ α), ke = α (complete, ℓ = 1), a remainder (α = 7 over
+  // fat_tree's ℓ ∈ {2, 4}) and ℓ > α (ring's ℓ up to 10 against α = 7).
+  const std::size_t racks = 20;
+  const net::Topology topologies[] = {net::make_fat_tree(racks),
+                                      net::make_ring(racks),
+                                      net::make_complete(racks)};
   Xoshiro256 rng(31);
   const trace::Trace t =
-      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.1, rng));
-  const Instance inst = make_instance(topo.distances, 3, 12);
+      trace::materialize(*trace::stream_zipf_pairs(racks, 30000, 1.1, rng));
   const std::uint64_t seed = 7;
 
-  RBma fused(inst, {.seed = seed});
-  UniformReduction composed(inst, [&](const Instance& uniform) {
-    return std::make_unique<RBma>(uniform, RBmaOptions{.seed = seed});
-  });
+  bool saw_ke_one = false;
+  bool saw_remainder = false;
+  bool saw_beyond_alpha = false;
+  for (const net::Topology& topo : topologies) {
+    for (const std::uint64_t alpha : {1u, 7u, 12u, 60u, 2048u}) {
+      SCOPED_TRACE(topo.name + " alpha=" + std::to_string(alpha));
+      for (Rack u = 0; u < racks; ++u) {
+        for (Rack v = u + 1; v < racks; ++v) {
+          const std::uint64_t d = topo.distances(u, v);
+          saw_ke_one |= (alpha + d - 1) / d == 1;
+          saw_remainder |= alpha % d != 0;
+          saw_beyond_alpha |= d > alpha;
+        }
+      }
+      const Instance inst = make_instance(topo.distances, 3, alpha);
 
-  for (const Request& r : t) {
-    fused.serve(r);
-    composed.serve(r);
+      RBma fused(inst, {.seed = seed});
+      UniformReduction composed(inst, [&](const Instance& uniform) {
+        return std::make_unique<RBma>(uniform, RBmaOptions{.seed = seed});
+      });
+
+      for (const Request& r : t) {
+        fused.serve(r);
+        composed.serve(r);
+      }
+      EXPECT_EQ(fused.special_requests(), composed.special_requests());
+      EXPECT_EQ(fused.costs().routing_cost, composed.costs().routing_cost);
+      EXPECT_EQ(fused.costs().direct_serves, composed.costs().direct_serves);
+      EXPECT_EQ(fused.costs().edge_adds, composed.costs().edge_adds);
+      EXPECT_EQ(fused.costs().edge_removals, composed.costs().edge_removals);
+      // Identical final matchings.
+      auto a = fused.matching().edge_keys();
+      auto b = composed.matching().edge_keys();
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      EXPECT_EQ(a, b);
+    }
   }
-  EXPECT_EQ(fused.special_requests(), composed.special_requests());
-  EXPECT_EQ(fused.costs().routing_cost, composed.costs().routing_cost);
-  EXPECT_EQ(fused.costs().edge_adds, composed.costs().edge_adds);
-  EXPECT_EQ(fused.costs().edge_removals, composed.costs().edge_removals);
-  // Identical final matchings.
-  auto a = fused.matching().edge_keys();
-  auto b = composed.matching().edge_keys();
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  EXPECT_TRUE(saw_ke_one);
+  EXPECT_TRUE(saw_remainder);
+  EXPECT_TRUE(saw_beyond_alpha);
 }
 
 TEST(UniformReduction, TheoremOneInequalityHolds) {
