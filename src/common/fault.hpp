@@ -27,10 +27,15 @@
 // Points used by the serving stack (see serve/daemon.cpp, disk_cache.cpp):
 //   serve.send.short_write   truncate one socket write, mark conn broken
 //   serve.send.drop          shut the connection down instead of sending
+//   serve.send.stall         sleep 250 ms before a socket write
 //   serve.admit.reject       force a REJECT backpressure reply
 //   serve.executor.crash     throw a non-SpecError from an executor
+//   serve.executor.stall     wedge a run without checkpoints until cancelled
 //   serve.disk_cache.torn_write   commit a truncated cache entry
 //   serve.disk_cache.write_fail   drop a cache write on the floor
+// The three serve.send.* points are evaluated once per write, and a
+// connection makes one write per flush: all it has pending, however many
+// lines.  Armed with times:0, a point never fires but counts the writes.
 #pragma once
 
 #include <atomic>

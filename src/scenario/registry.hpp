@@ -61,10 +61,10 @@ struct AlgorithmEntry {
   /// (cost_per_request + cost_per_b × b) r_bma-equivalent requests; r_bma
   /// itself is 1 + 0·b, about 18 ns per request single-threaded on the
   /// reference host (4-vCPU AVX-512 VM, Release; r_bma measures 17–19 ns
-  /// at b = 4 and at b = 64).  The other entries were fitted against an
-  /// r_bma of 19–26 ns and are not re-fitted: against this unit most read
-  /// low, bma by up to a third (b = 4), and rotor's reads up to 40× high
-  /// (b = 64).  Build work (so_bma's static matching, offline_dynamic's
+  /// at b = 4 and at b = 64).  rotor is fitted against this unit; the
+  /// other entries were fitted against an r_bma of 19–26 ns and are not
+  /// re-fitted: against this unit most read low, bma by up to a third
+  /// (b = 4).  Build work (so_bma's static matching, offline_dynamic's
   /// windows) is folded in per request.
   /// Source: serve ns/request plus build ns/request on fat_tree, 100
   /// racks, facebook_db, 10^6 requests, divided by r_bma's at the same b,

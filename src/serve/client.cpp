@@ -166,8 +166,8 @@ Client::Message Client::next_message(std::uint64_t run) {
     m.raw = read_line();
     m.line = parse_server_line(m.raw);
     const Kind kind = m.line.kind;
-    // The daemon writes a header and its payload as one unit, so the
-    // payload lines follow the header directly.
+    // The daemon posts a header and its payload as one unit, so the
+    // payload lines follow the header directly, in the same write.
     if (kind == Kind::kResult || kind == Kind::kMetrics)
       for (std::size_t i = 0; i < m.line.lines; ++i)
         m.payload += read_line() + "\n";

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -67,10 +66,12 @@ sockaddr_un make_address(const std::string& path) {
 
 }  // namespace
 
-/// One client socket; its reader thread owns recv.  post() queues lines
-/// (also under mu_, which fixes their order); flush() sends them without
-/// mu_, serialized by write_mu so write units never shear.  A failed send
-/// breaks the connection and shuts it down, which ends its reader.
+/// One client socket; its reader thread owns recv.  post() appends a whole
+/// write unit to the pending bytes (also under mu_, which fixes their
+/// order); flush() takes everything pending and sends it in one write,
+/// without mu_, serialized by write_mu so units never shear.  Every post
+/// is followed by its poster's flush.  A failed send breaks the
+/// connection and shuts it down, which ends its reader.
 struct Daemon::Connection {
   Connection(int fd_in, ConnId id_in) : fd(fd_in), id(id_in) {}
   ~Connection() {
@@ -78,23 +79,21 @@ struct Daemon::Connection {
   }
 
   void post(std::string bytes) {
-    const std::lock_guard<std::mutex> lock(queue_mu);
-    queued.push_back(std::move(bytes));
+    const std::lock_guard<std::mutex> lock(pending_mu);
+    if (pending.empty())
+      pending = std::move(bytes);
+    else
+      pending += bytes;
   }
 
-  /// Sends every queued unit, in order.
   void flush() {
     const std::lock_guard<std::mutex> lock(write_mu);
-    while (true) {
-      std::string bytes;
-      {
-        const std::lock_guard<std::mutex> queue_lock(queue_mu);
-        if (queued.empty()) return;
-        bytes = std::move(queued.front());
-        queued.pop_front();
-      }
-      send_unit(bytes);
+    std::string bytes;
+    {
+      const std::lock_guard<std::mutex> pending_lock(pending_mu);
+      bytes.swap(pending);
     }
+    if (!bytes.empty()) send_unit(bytes);
   }
 
   void send_line(const std::string& line) {
@@ -102,7 +101,7 @@ struct Daemon::Connection {
     flush();
   }
 
-  /// One write unit; caller holds write_mu.  Fault points simulate a slow
+  /// One write; caller holds write_mu.  Fault points simulate a slow
   /// consumer (stall), a peer disconnect (drop) and a torn send
   /// (short_write), the last two breaking the connection like real ones.
   void send_unit(const std::string& bytes) {
@@ -134,8 +133,8 @@ struct Daemon::Connection {
 
   const int fd;
   const ConnId id;
-  std::mutex queue_mu;  ///< guards `queued`; taken under mu_, never around it
-  std::deque<std::string> queued;
+  std::mutex pending_mu;  ///< guards pending; taken under mu_, never around it
+  std::string pending;
   std::mutex write_mu;  ///< held across sends; never taken around mu_
   std::atomic<bool> broken{false};
   /// HELLO binding: later RUNs on this connection charge this client's
@@ -565,32 +564,32 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
                                      : "anon";
   s.priority = cmd.priority;
   s.deadline_ms = cmd.deadline_ms;
+  // A cache hit bypasses the queue — replaying stored bytes is cheap, so
+  // cached runs are never refused for backpressure.  The lookup (a disk
+  // read at worst) goes before admission, so admission is one step.
+  const std::optional<std::string> payload = lookup_result(s.canonical);
   std::uint64_t id = 0;
+  bool admitted = false;
   step([&](Lifecycle::Outbox& out) {
+    const std::uint64_t now_ns = monotonic_now_ns();
     // The injected admission failure exercises the client's REJECT path.
     id = lifecycle_.open(
-        s, monotonic_now_ns(),
-        [] { return fault::fire("serve.admit.reject"); }, out);
-  });
-  if (id == 0) return;
-  // A cache hit bypasses the queue — replaying stored bytes is cheap, so
-  // cached runs are never refused for backpressure.
-  if (const std::optional<std::string> payload = lookup_result(s.canonical)) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
+        s, now_ns, [] { return fault::fire("serve.admit.reject"); }, out);
+    if (id == 0) return;
+    if (payload) {
       lifecycle_.hit();
+      return;
     }
-    conn->post(msg_accepted(id) + "\n");
-    conn->post(msg_result_unit(id, /*cached=*/true, *payload));
-    conn->post(msg_done(id, "ok") + "\n");
+    refresh_rss_locked();
+    admitted = lifecycle_.enqueue(s, id, now_ns, out);
+  });
+  if (id != 0 && payload) {
+    conn->post(msg_accepted(id) + "\n" +
+               msg_result_unit(id, /*cached=*/true, *payload) +
+               msg_done(id, "ok") + "\n");
     conn->flush();
     return;
   }
-  bool admitted = false;
-  step([&](Lifecycle::Outbox& out) {
-    refresh_rss_locked();
-    admitted = lifecycle_.enqueue(s, id, monotonic_now_ns(), out);
-  });
   if (!admitted) return;
   cv_exec_.notify_one();
   if (cmd.deadline_ms > 0) wake_loop();  // it may be the earliest timer

@@ -11,9 +11,9 @@
 //     admission, CANCEL, ATTACH, STATS/METRICS, and cache hits, whose
 //     stored bytes go out from the reader itself.  Commands stay on the
 //     readers because the daemon's CPU goes there: on serve_cached
-//     (4-vCPU host) four readers use about two cores, 16-19 µs of CPU per
+//     (4-vCPU host) four readers use about two cores, 11-12 µs of CPU per
 //     cached RUN, and pinning every daemon thread to one core halves
-//     throughput (109-135k to 53-58k runs/s).  A newline-free stream past
+//     throughput (164-169k to 86-91k runs/s).  A newline-free stream past
 //     1 MiB gets ERROR reason=line_too_long and the connection closed;
 //   * a small executor set runs admitted runs (scenario::run_scenario on
 //     the process-wide ThreadPool; a cancel lands within 4096 requests).
@@ -27,17 +27,19 @@
 // The run lifecycle is one single-threaded class, serve::Lifecycle
 // (serve/lifecycle.hpp states its rules), called under the mutex mu_.
 // Each call returns journal records and wire lines; the daemon appends
-// the records and queues the lines on their connections before it
-// releases mu_, then sends without it (Connection::flush).  So lines
-// leave in the order the lifecycle decided them, and no send holds mu_ —
-// except BYE, sent under mu_ so that stop() cannot close the socket first.
+// the records and posts the lines on their connections before it
+// releases mu_, then flushes without it: a connection sends all its
+// pending bytes in one write (Connection::flush).  So lines leave in the
+// order the lifecycle decided them, and no send holds mu_ — except BYE,
+// sent under mu_ so that stop() cannot close the socket first.
 //
 // I/O the daemon keeps:
 //   * completed CSV payloads land in an LRU ResultsCache keyed on
 //     ScenarioSpec::canonical_string() and, with disk_cache_dir, in a
-//     crash-safe on-disk store (serve/disk_cache.hpp).  A cache hit takes
-//     mu_ for its admission and its ok count only; the lookup (a disk
-//     read) and the RESULT send go without it;
+//     crash-safe on-disk store (serve/disk_cache.hpp).  A RUN takes mu_
+//     once: the lookup (a disk read at worst) goes before it, admission
+//     and a hit's ok count (or the enqueue) share one step, and a hit's
+//     ACCEPTED, RESULT and DONE leave after it in one write;
 //   * the journal (journal_dir, serve/journal.hpp): records are appended
 //     under mu_, and a terminal record is fsync'd before the thread that
 //     ended the run sends its DONE.  start() restores the journal's live

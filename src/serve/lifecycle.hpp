@@ -177,7 +177,7 @@ class Lifecycle {
   void restore(const Journal::Recovery& recovery, std::uint64_t now_ns,
                const CostFn& cost, Outbox& out);
 
-  /// Admission before the results-cache lookup: the run's id, or 0 when
+  /// Admission's first step, hit or miss: the run's id, or 0 when
   /// refused (`injected_reject` is asked last).
   std::uint64_t open(const Submission& s, std::uint64_t now_ns,
                      const std::function<bool()>& injected_reject,

@@ -190,8 +190,9 @@ std::string msg_checkpoint(std::uint64_t id, std::uint64_t seq,
                            const std::string& label, std::uint64_t seed,
                            const sim::Checkpoint& c);
 std::string msg_result(std::uint64_t id, bool cached, std::size_t lines);
-/// The RESULT header and its CSV payload as one write unit, so no other
-/// line can land between them; the payload ships verbatim.
+/// The RESULT header and its CSV payload as one write unit: the daemon
+/// posts it whole, so no other line lands between them, though one write
+/// may carry it with the lines around it; the payload ships verbatim.
 std::string msg_result_unit(std::uint64_t id, bool cached,
                             const std::string& payload);
 std::string msg_done(std::uint64_t id, const std::string& status);

@@ -144,6 +144,25 @@ TEST_F(AttachTest, AttachToFinishedRunReplaysCachedResult) {
   EXPECT_EQ(out.csv, direct_csv(kTinySpec));
 }
 
+TEST_F(AttachTest, FinishedRunReplayIsOneWrite) {
+  DaemonFixture f(small_options("one_write"));
+  const Client::Submission sub = f.client.submit(kTinySpec);
+  ASSERT_TRUE(sub.accepted) << sub.error;
+  ASSERT_EQ(f.client.collect(sub.id).status, "ok");
+
+  // Armed never to fire, the stall point counts the writes: ATTACHED, both
+  // CHECKPOINTs, RESULT with its payload and DONE leave in one.
+  fault::arm("serve.send.stall", {.times = 0});
+  const Client::AttachResult at = f.client.attach(sub.id);
+  ASSERT_TRUE(at.attached) << at.error;
+  const Client::RunOutput out = f.client.collect(sub.id);
+  EXPECT_EQ(out.status, "ok") << out.error;
+  EXPECT_EQ(out.checkpoints, 2u);
+  EXPECT_EQ(out.csv, direct_csv(kTinySpec));
+  EXPECT_EQ(fault::eval_count("serve.send.stall"), 1u);
+  EXPECT_EQ(fault::fire_count("serve.send.stall"), 0u);
+}
+
 TEST_F(AttachTest, AttachFromSkipsAlreadySeenCheckpoints) {
   DaemonFixture f(small_options("from_seq"));
   const Client::Submission sub = f.client.submit(kTinySpec);

@@ -227,9 +227,8 @@ TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
   };
   for (const std::size_t b : {4u, 16u, 64u}) {
     SCOPED_TRACE("b=" + std::to_string(b));
-    // rotor > bma > r_bma > {so_bma, greedy} > oblivious at every b;
+    // bma > r_bma > {so_bma, greedy} > oblivious at every b;
     // offline_dynamic's window matchings also outweigh r_bma.
-    EXPECT_GT(cost("rotor", b), cost("bma", b));
     EXPECT_GT(cost("bma", b), cost("r_bma", b));
     EXPECT_GT(cost("offline_dynamic", b), cost("r_bma", b));
     for (const char* light : {"so_bma", "greedy"}) {
@@ -242,11 +241,19 @@ TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
   // (0.34–0.36× and 0.35–0.37×), so no order between them is pinned there.
   EXPECT_LT(cost("so_bma", 4), cost("r_bma", 4) / 2);
   EXPECT_GT(cost("greedy", 4), cost("so_bma", 4));
-  // bma grows ≈2.1× from b=4 to b=64 and rotor ≈14×; r_bma and the
-  // b-independent oblivious stay flat.
+  // rotor measures 2.9–3.2× r_bma at b=4 and 8.3–10.9× at b=16, above
+  // bma's 2.2–2.8×.  At b=64 bma measures 4.0–4.1× and rotor 3.4–3.8×,
+  // but bma's entry (not re-fitted) charges 3.4×, so no order between them
+  // is pinned there.  rotor grows about 1.2× from b=4 to b=64, not 14×.
+  EXPECT_GT(cost("rotor", 4), cost("bma", 4));
+  EXPECT_GT(cost("rotor", 16), cost("bma", 16));
+  EXPECT_GT(cost("rotor", 64), cost("rotor", 4));
+  EXPECT_LT(cost("rotor", 64), 2 * cost("rotor", 4));
+  EXPECT_GT(cost("rotor", 64), 3 * cost("r_bma", 64));
+  EXPECT_LT(cost("rotor", 64), 5 * cost("r_bma", 64));
+  // bma grows ≈2.1× from b=4 to b=64; r_bma and the b-independent
+  // oblivious stay flat.
   EXPECT_GT(cost("bma", 64), 2 * cost("bma", 4));
-  EXPECT_GT(cost("rotor", 64), 10 * cost("rotor", 4));
-  EXPECT_GT(cost("rotor", 64), 50 * cost("r_bma", 64));
   EXPECT_EQ(cost("r_bma", 4), cost("r_bma", 64));
   EXPECT_EQ(cost("oblivious", 4), cost("oblivious", 64));
 }

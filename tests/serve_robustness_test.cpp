@@ -454,16 +454,36 @@ TEST_F(RobustnessTest, ClosedConnectionYieldsEofKind) {
 
 // ------------------------------------- torn sends, executor/fd hygiene
 
-TEST_F(RobustnessTest, ShortWriteMidResultBreaksConnectionNotDaemon) {
-  DaemonFixture f(small_options("short_write"));
-  // Prime the caches so the replay path (ACCEPTED, then one RESULT blob)
-  // is deterministic to count sends on.
+TEST_F(RobustnessTest, CachedRunReplyIsOneWrite) {
+  DaemonFixture f(small_options("one_write"));
   const Client::Submission prime = f.client.submit(kTinySpec);
   ASSERT_TRUE(prime.accepted) << prime.error;
   ASSERT_EQ(f.client.collect(prime.id).status, "ok");
 
-  // ACCEPTED passes, the RESULT header+payload blob is cut in half.
-  fault::arm("serve.send.short_write", {.after = 1, .times = 1});
+  // Armed never to fire, the stall point counts the writes: ACCEPTED,
+  // RESULT with its payload and DONE leave in one.
+  fault::arm("serve.send.stall", {.times = 0});
+  const Client::Submission hit = f.client.submit(kTinySpecReordered);
+  ASSERT_TRUE(hit.accepted) << hit.error;
+  const Client::RunOutput out = f.client.collect(hit.id);
+  EXPECT_EQ(out.status, "ok") << out.error;
+  EXPECT_TRUE(out.cached);
+  EXPECT_EQ(out.csv, direct_csv(kTinySpec));
+  EXPECT_EQ(fault::eval_count("serve.send.stall"), 1u);
+  EXPECT_EQ(fault::fire_count("serve.send.stall"), 0u);
+}
+
+TEST_F(RobustnessTest, ShortWriteMidResultBreaksConnectionNotDaemon) {
+  DaemonFixture f(small_options("short_write"));
+  // Prime the caches so the replay path (ACCEPTED, RESULT and DONE in
+  // one write) is deterministic to count sends on.
+  const Client::Submission prime = f.client.submit(kTinySpec);
+  ASSERT_TRUE(prime.accepted) << prime.error;
+  ASSERT_EQ(f.client.collect(prime.id).status, "ok");
+
+  // The reply's one write is cut in half: ACCEPTED passes, the RESULT
+  // header+payload blob does not.
+  fault::arm("serve.send.short_write", {.after = 0, .times = 1});
   const Client::Submission sub = f.client.submit(kTinySpecReordered);
   ASSERT_TRUE(sub.accepted) << sub.error;
   EXPECT_THROW(
