@@ -24,7 +24,8 @@
 //   point   := name ['=' trigger (',' trigger)*]    bare name = always fire
 //   trigger := 'after:N' | 'times:N' | 'p:F' | 'seed:N'
 //
-// Points used by the serving stack (see serve/daemon.cpp, disk_cache.cpp):
+// Points used by the serving stack (see serve/daemon.cpp, disk_cache.cpp,
+// journal.cpp):
 //   serve.send.short_write   truncate one socket write, mark conn broken
 //   serve.send.drop          shut the connection down instead of sending
 //   serve.send.stall         sleep 250 ms before a socket write
@@ -33,6 +34,7 @@
 //   serve.executor.stall     wedge a run without checkpoints until cancelled
 //   serve.disk_cache.torn_write   commit a truncated cache entry
 //   serve.disk_cache.write_fail   drop a cache write on the floor
+//   serve.journal.stall      sleep 250 ms before a journal fsync
 // The three serve.send.* points are evaluated once per write, and a
 // connection makes one write per flush: all it has pending, however many
 // lines.  Armed with times:0, a point never fires but counts the writes.

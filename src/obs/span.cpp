@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
-#include <set>
 
 namespace rdcn::obs {
 
@@ -16,13 +12,23 @@ namespace detail {
 std::atomic<bool> g_tracing{false};
 
 struct TraceNode {
-  const char* name = "";
-  TraceNode* parent = nullptr;
+  TraceNode(std::string n, TraceNode* p) : name(std::move(n)), parent(p) {}
+  const std::string name;
+  TraceNode* const parent;
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};
-  // Mutated only by the owning thread, and only under g_trace_mu (so
-  // collectors iterating under the same mutex never race a push_back).
-  std::vector<TraceNode*> children;
+  /// Newest child first.  A child is linked in under trace_mu() and
+  /// published by the release store into its parent's `first_child`;
+  /// `next_sibling` never changes after that.
+  std::atomic<TraceNode*> first_child{nullptr};
+  TraceNode* next_sibling = nullptr;
+
+  TraceNode* find_child(const char* child_name) const {
+    for (TraceNode* c = first_child.load(std::memory_order_acquire);
+         c != nullptr; c = c->next_sibling)
+      if (c->name == child_name) return c;
+    return nullptr;
+  }
 };
 
 namespace {
@@ -32,58 +38,38 @@ std::mutex& trace_mu() {
   return mu;
 }
 
-struct ThreadTrace {
-  TraceNode root;
-  TraceNode* current = &root;
-};
-
-/// All threads' trees.  ThreadTrace objects are heap-allocated and
-/// never freed (bounded by thread count), so collect_phases() stays
-/// safe after a recording thread has exited.  The container itself is
-/// leaked too: a by-value static would be destroyed before
-/// LeakSanitizer's exit check, orphaning the intentionally-immortal
-/// nodes into "leak" reports.
-std::vector<ThreadTrace*>& all_traces() {
-  static auto* traces = new std::vector<ThreadTrace*>();
-  return *traces;
+/// The tree's root.  Leaked, like every node under it, so the tree stays
+/// valid for a thread that records during exit, and reachable for
+/// LeakSanitizer's exit check.
+TraceNode& root() {
+  static auto* const node = new TraceNode("", nullptr);
+  return *node;
 }
 
-ThreadTrace& this_thread_trace() {
-  thread_local ThreadTrace* mine = [] {
-    auto* t = new ThreadTrace();
-    const std::lock_guard<std::mutex> lock(trace_mu());
-    all_traces().push_back(t);
-    return t;
-  }();
-  return *mine;
-}
+thread_local TraceNode* t_current = nullptr;  ///< nullptr = the root
 
 }  // namespace
 
 TraceNode* span_enter(const char* name) {
-  ThreadTrace& trace = this_thread_trace();
-  TraceNode* parent = trace.current;
-  // Owner-only read of children; concurrent collectors don't mutate.
-  for (TraceNode* child : parent->children)
-    if (child->name == name || std::strcmp(child->name, name) == 0) {
-      trace.current = child;
-      return child;
-    }
-  auto* node = new TraceNode();
-  node->name = name;
-  node->parent = parent;
-  {
+  TraceNode* parent = t_current != nullptr ? t_current : &root();
+  TraceNode* node = parent->find_child(name);
+  if (node == nullptr) {
     const std::lock_guard<std::mutex> lock(trace_mu());
-    parent->children.push_back(node);
+    node = parent->find_child(name);  // another thread may have added it
+    if (node == nullptr) {
+      node = new TraceNode(name, parent);
+      node->next_sibling = parent->first_child.load(std::memory_order_relaxed);
+      parent->first_child.store(node, std::memory_order_release);
+    }
   }
-  trace.current = node;
+  t_current = node;
   return node;
 }
 
 void span_exit(TraceNode* node, std::uint64_t elapsed_ns) {
   node->count.fetch_add(1, std::memory_order_relaxed);
   node->total_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
-  this_thread_trace().current = node->parent;
+  t_current = node->parent;
 }
 
 }  // namespace detail
@@ -92,57 +78,36 @@ void set_tracing(bool on) {
   detail::g_tracing.store(on, std::memory_order_relaxed);
 }
 
-const char* intern_span_name(const std::string& name) {
-  // Leaked like the trace nodes that will point into it (and for the
-  // same LeakSanitizer reason); std::set node stability makes the
-  // returned c_str() immortal.
-  static auto* names = new std::set<std::string>();
-  static std::mutex mu;
-  const std::lock_guard<std::mutex> lock(mu);
-  return names->insert(name).first->c_str();
+SpanContext current_span() noexcept { return detail::t_current; }
+
+SpanParent::SpanParent(SpanContext parent) noexcept
+    : saved_(detail::t_current) {
+  detail::t_current = parent;
 }
+
+SpanParent::~SpanParent() { detail::t_current = saved_; }
 
 namespace {
 
-/// Aggregate of one name path across all threads.
-struct MergedNode {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::map<std::string, std::unique_ptr<MergedNode>> children;
-};
-
-void merge_into(MergedNode& dst, const detail::TraceNode& src) {
-  dst.count += src.count.load(std::memory_order_relaxed);
-  dst.total_ns += src.total_ns.load(std::memory_order_relaxed);
-  for (const detail::TraceNode* child : src.children) {
-    auto& slot = dst.children[child->name];
-    if (!slot) {
-      slot = std::make_unique<MergedNode>();
-      slot->name = child->name;
-    }
-    merge_into(*slot, *child);
-  }
-}
-
-/// Merges every thread's tree into one root.  Caller holds no lock.
-std::unique_ptr<MergedNode> merge_all() {
-  auto root = std::make_unique<MergedNode>();
-  const std::lock_guard<std::mutex> lock(detail::trace_mu());
-  for (const detail::ThreadTrace* trace : detail::all_traces())
-    merge_into(*root, trace->root);
-  return root;
-}
-
-void flatten(const MergedNode& node, const std::string& prefix, int depth,
-             std::vector<PhaseTotal>& out) {
-  for (const auto& [name, child] : node.children) {
+/// Appends `node`'s subtree, children in name order, pre-order.
+void flatten(const detail::TraceNode& node, const std::string& prefix,
+             int depth, std::vector<PhaseTotal>& out) {
+  std::vector<const detail::TraceNode*> children;
+  for (const detail::TraceNode* c =
+           node.first_child.load(std::memory_order_acquire);
+       c != nullptr; c = c->next_sibling)
+    children.push_back(c);
+  std::sort(children.begin(), children.end(),
+            [](const detail::TraceNode* a, const detail::TraceNode* b) {
+              return a->name < b->name;
+            });
+  for (const detail::TraceNode* child : children) {
     PhaseTotal row;
-    row.name = name;
-    row.path = prefix.empty() ? name : prefix + "/" + name;
+    row.name = child->name;
+    row.path = prefix.empty() ? child->name : prefix + "/" + child->name;
     row.depth = depth;
-    row.count = child->count;
-    row.total_ns = child->total_ns;
+    row.count = child->count.load(std::memory_order_relaxed);
+    row.total_ns = child->total_ns.load(std::memory_order_relaxed);
     // Keep a copy: recursing grows `out`, which may reallocate and would
     // invalidate a reference into it.
     const std::string path = row.path;
@@ -154,34 +119,16 @@ void flatten(const MergedNode& node, const std::string& prefix, int depth,
 void reset_node(detail::TraceNode& node) {
   node.count.store(0, std::memory_order_relaxed);
   node.total_ns.store(0, std::memory_order_relaxed);
-  for (detail::TraceNode* child : node.children) reset_node(*child);
-}
-
-void json_node(const MergedNode& node, std::string& out) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", node.total_ns * 1e-9);
-  out += "{\"name\":\"" + node.name + "\"";
-  out += ",\"count\":" + std::to_string(node.count);
-  out += ",\"total_seconds\":";
-  out += buf;
-  if (!node.children.empty()) {
-    out += ",\"children\":[";
-    bool first = true;
-    for (const auto& [name, child] : node.children) {
-      if (!first) out += ",";
-      first = false;
-      json_node(*child, out);
-    }
-    out += "]";
-  }
-  out += "}";
+  for (detail::TraceNode* c = node.first_child.load(std::memory_order_acquire);
+       c != nullptr; c = c->next_sibling)
+    reset_node(*c);
 }
 
 }  // namespace
 
 std::vector<PhaseTotal> collect_phases() {
   std::vector<PhaseTotal> out;
-  flatten(*merge_all(), "", 0, out);
+  flatten(detail::root(), "", 0, out);
   return out;
 }
 
@@ -193,51 +140,59 @@ std::uint64_t phase_total_ns(const std::vector<PhaseTotal>& phases,
   return sum;
 }
 
-void reset_traces() {
-  const std::lock_guard<std::mutex> lock(detail::trace_mu());
-  for (detail::ThreadTrace* trace : detail::all_traces())
-    reset_node(trace->root);
-}
+void reset_traces() { reset_node(detail::root()); }
 
 std::string trace_json() {
-  auto root = merge_all();
+  // Pre-order rows nest by depth: a deeper row opens its parent's
+  // "children" array, a shallower one closes one array per level.
+  const std::vector<PhaseTotal> rows = collect_phases();
   std::string out = "[";
-  bool first = true;
-  for (const auto& [name, child] : root->children) {
-    if (!first) out += ",";
-    first = false;
-    json_node(*child, out);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PhaseTotal& row = rows[i];
+    if (i > 0) {
+      if (row.depth > rows[i - 1].depth) {
+        out += ",\"children\":[";
+      } else {
+        out += "}";
+        for (int d = rows[i - 1].depth; d > row.depth; --d) out += "]}";
+        out += ",";
+      }
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.9g", row.total_ns * 1e-9);
+    out += "{\"name\":\"" + row.name + "\"";
+    out += ",\"count\":" + std::to_string(row.count);
+    out += ",\"total_seconds\":";
+    out += buf;
+  }
+  if (!rows.empty()) {
+    out += "}";
+    for (int d = rows.back().depth; d > 0; --d) out += "]}";
   }
   out += "]";
   return out;
 }
 
 void write_profile_report(std::ostream& out) {
-  auto root = merge_all();
-  // Recursive text render: seconds, calls, % of parent.
-  struct Renderer {
-    std::ostream& out;
-    void walk(const MergedNode& node, int depth,
-              std::uint64_t parent_ns) const {
-      for (const auto& [name, child] : node.children) {
-        const double pct =
-            parent_ns == 0
-                ? 100.0
-                : 100.0 * static_cast<double>(child->total_ns) /
-                      static_cast<double>(parent_ns);
-        char line[256];
-        std::snprintf(line, sizeof(line), "%*s%-*s %10.6f s  x%-8llu %5.1f%%",
-                      2 * depth, "",
-                      std::max(1, 34 - 2 * depth), name.c_str(),
-                      child->total_ns * 1e-9,
-                      static_cast<unsigned long long>(child->count), pct);
-        out << line << "\n";
-        walk(*child, depth + 1, child->total_ns);
-      }
-    }
-  };
+  // Seconds, calls and % of parent; total_ns[d] is the latest row at
+  // depth d, so a row's parent is total_ns[depth - 1].
+  std::vector<std::uint64_t> total_ns;
   out << "phase                                   total        calls  of parent\n";
-  Renderer{out}.walk(*root, 0, 0);
+  for (const PhaseTotal& row : collect_phases()) {
+    total_ns.resize(row.depth + 1);
+    total_ns[row.depth] = row.total_ns;
+    const std::uint64_t parent_ns = row.depth == 0 ? 0 : total_ns[row.depth - 1];
+    const double pct = parent_ns == 0
+                           ? 100.0
+                           : 100.0 * static_cast<double>(row.total_ns) /
+                                 static_cast<double>(parent_ns);
+    char line[256];
+    std::snprintf(line, sizeof(line), "%*s%-*s %10.6f s  x%-8llu %5.1f%%",
+                  2 * row.depth, "", std::max(1, 34 - 2 * row.depth),
+                  row.name.c_str(), row.total_ns * 1e-9,
+                  static_cast<unsigned long long>(row.count), pct);
+    out << line << "\n";
+  }
 }
 
 }  // namespace rdcn::obs

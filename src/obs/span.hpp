@@ -1,23 +1,31 @@
 // rdcn_obs: phase timers / trace spans.
 //
-// `ObsSpan` is an RAII phase timer over the shared MonotonicClock.  Each
-// thread owns a span *tree*: nested spans on one thread become parent →
-// child edges, and a span records (count, total_ns) into its node on
-// exit.  `collect_phases()` merges the per-thread trees by name path
-// into one aggregate, which renders as JSON (`--metrics-dump`) or as an
-// indented text report (`rdcn_sim --profile`).
+// `ObsSpan` is an RAII phase timer over the shared MonotonicClock.  The
+// process keeps ONE span *tree*: a span opens under the span that is
+// current on its thread (a child node per distinct name), records
+// (count, total_ns) into its node on exit, and makes its parent current
+// again.  A thread with no open span opens at the root.  Work handed to
+// another thread carries its context along: `current_span()` on the
+// submitting thread, a `SpanParent` on the thread that runs it (the
+// ThreadPool does this for every job), so a pool worker's spans nest
+// under the span that submitted its job.  `collect_phases()` flattens the
+// tree into rows, which render as JSON (`--metrics-dump`) or as an
+// indented text report (`rdcn_sim --profile`).  Spans of the same path
+// aggregate into one node, whichever thread ran them — so two runs that
+// execute at the same time share their rows.
 //
 // Cost contract (the fault.hpp bar): tracing is OFF by default, and a
 // disabled ObsSpan is ONE relaxed atomic load — no clock read, no TLS
 // walk.  The simulator's chunk loop therefore pays one load per chunk
-// (4096 requests) when nobody is profiling.  Enabling tracing (set_tracing(true)) turns on clock reads and
-// node bookkeeping; the daemon does this at start(), rdcn_sim does it
-// under --profile.
+// (4096 requests) when nobody is profiling.  Enabling tracing
+// (set_tracing(true)) turns on clock reads and node bookkeeping; the
+// daemon does this at start(), rdcn_sim does it under --profile.
 //
-// Thread-safety: a node's (count, total_ns) are relaxed atomics written
-// by the owning thread and read by collectors.  Tree-structure mutation
-// (first entry into a phase on a thread) and collection share one global
-// mutex; steady-state span entry/exit touches no lock.
+// Thread-safety: a node's (count, total_ns) are relaxed atomics.  Its
+// children are an append-only list: a new child is linked in under one
+// global mutex and published with a release store, and nodes are never
+// freed.  So a span whose node exists takes no lock, and collectors read
+// the tree without one (in-flight spans simply haven't recorded yet).
 #pragma once
 
 #include <atomic>
@@ -33,8 +41,8 @@ namespace rdcn::obs {
 namespace detail {
 extern std::atomic<bool> g_tracing;
 struct TraceNode;
-/// Pushes a phase node for this thread (creating it on first entry) and
-/// returns it; the caller stamps the start time.
+/// Makes the child `name` of this thread's current node (created on
+/// first entry) current and returns it; the caller stamps the start time.
 TraceNode* span_enter(const char* name);
 void span_exit(TraceNode* node, std::uint64_t elapsed_ns);
 }  // namespace detail
@@ -44,19 +52,13 @@ inline bool tracing_enabled() noexcept {
 }
 
 /// Global switch.  Flipping it mid-span is benign: spans only record on
-/// exit if they observed it on on entry.
+/// exit if they observed it on entry.
 void set_tracing(bool on);
-
-/// Stable storage for a dynamically-built span name ("algo." + name):
-/// ObsSpan keeps only the pointer, so the bytes must outlive every node
-/// that references them.  Interned strings live forever (the set is
-/// bounded by distinct names — registry entries, not requests).  Returns
-/// the same pointer for the same name, keeping span_enter's pointer-
-/// equality fast path effective.
-const char* intern_span_name(const std::string& name);
 
 class ObsSpan {
  public:
+  /// `name` is copied when its node is created, so it need not outlive
+  /// the span.
   explicit ObsSpan(const char* name) noexcept {
     if (tracing_enabled()) {
       node_ = detail::span_enter(name);
@@ -75,8 +77,28 @@ class ObsSpan {
   std::uint64_t start_ns_ = 0;
 };
 
-/// One merged phase, pre-order.  `depth` is 0 for top-level phases;
-/// parents precede children.
+/// Where a thread's next span opens: a node of the tree (nullptr = the
+/// root).  Valid for the life of the process.
+using SpanContext = detail::TraceNode*;
+
+/// This thread's context: its innermost open span, or the root.
+SpanContext current_span() noexcept;
+
+/// For its scope, this thread's spans open under `parent` (typically
+/// another thread's current_span()); its own context comes back after.
+class SpanParent {
+ public:
+  explicit SpanParent(SpanContext parent) noexcept;
+  ~SpanParent();
+  SpanParent(const SpanParent&) = delete;
+  SpanParent& operator=(const SpanParent&) = delete;
+
+ private:
+  SpanContext saved_;
+};
+
+/// One phase, pre-order.  `depth` is 0 for top-level phases; parents
+/// precede children, and siblings come in name order.
 struct PhaseTotal {
   std::string name;      ///< phase name (one path segment)
   std::string path;      ///< "/"-joined path from a top-level phase
@@ -85,21 +107,17 @@ struct PhaseTotal {
   std::uint64_t total_ns = 0;
 };
 
-/// Merges all threads' span trees by name path (same phase on N threads
-/// aggregates into one row).  Safe to call while spans are running;
-/// in-flight spans simply haven't recorded yet.
+/// The tree as rows.  Safe to call while spans are running.
 std::vector<PhaseTotal> collect_phases();
 
-/// Sum of total_ns over entries matching `name` at any depth (a phase
-/// run both on the main thread and inside pool workers counts once per
-/// recorded exit either way).
+/// Sum of total_ns over entries matching `name` at any depth.
 std::uint64_t phase_total_ns(const std::vector<PhaseTotal>& phases,
                              const std::string& name);
 
 /// Zeroes every node's totals (tree structure is kept).
 void reset_traces();
 
-/// Merged tree as nested JSON:
+/// The tree as nested JSON:
 ///   [{"name":..,"count":N,"total_seconds":S,"children":[...]}, ...]
 std::string trace_json();
 

@@ -79,7 +79,11 @@ struct AlgorithmEntry {
   /// it generates (its sim.generate child); an offline comparator
   /// generates what is left in trace.wait, outside its algo.<name>.  At
   /// --threads=1 the first task in dispatch order generates every block,
-  /// so when that task is online, subtract its sim.generate.
+  /// so when that task is online, subtract its sim.generate.  The
+  /// algo.<name> phases sit under the cell's scenario.experiment at any
+  /// --threads, but time at --threads=1: with more threads the tasks
+  /// share cores, caches and memory bandwidth, and a task's sim.generate
+  /// also holds its waits for blocks that another task is producing.
   /// sim::run_experiment dispatches tasks longest-first by this estimate
   /// and serve::estimate_cost charges admission with it; it never affects
   /// results.

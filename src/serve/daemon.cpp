@@ -160,6 +160,9 @@ void Daemon::step(Call&& call) {
     const std::lock_guard<std::mutex> lock(mu_);
     call(out);
     for (const std::string& record : out.records) journal_.append(record);
+    // A DONE is backed by an fsync'd terminal record before any thread
+    // can send it: its line is not posted until the fsync returns.
+    if (out.terminal) journal_.flush();
     for (auto& [id, bytes] : out.lines) {
       const auto it = conns_.find(id);
       if (it == conns_.end()) continue;  // the connection left
@@ -167,8 +170,6 @@ void Daemon::step(Call&& call) {
       touched.push_back(it->second);  // a second flush finds nothing left
     }
   }
-  // A DONE this thread sends is backed by an fsync'd terminal record.
-  if (out.terminal) journal_.flush();
   for (const std::shared_ptr<Connection>& conn : touched) conn->flush();
 }
 
@@ -181,7 +182,8 @@ void Daemon::start() {
   for (const char* point :
        {"serve.send.short_write", "serve.send.drop", "serve.send.stall",
         "serve.admit.reject", "serve.executor.crash", "serve.executor.stall",
-        "serve.disk_cache.torn_write", "serve.disk_cache.write_fail"}) {
+        "serve.disk_cache.torn_write", "serve.disk_cache.write_fail",
+        "serve.journal.stall"}) {
     obs::Registry::global().counter(
         "rdcn_fault_fires_total",
         "Fault-injection point firings (common/fault.hpp)",

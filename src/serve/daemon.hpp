@@ -41,9 +41,9 @@
 //     and a hit's ok count (or the enqueue) share one step, and a hit's
 //     ACCEPTED, RESULT and DONE leave after it in one write;
 //   * the journal (journal_dir, serve/journal.hpp): records are appended
-//     under mu_, and a terminal record is fsync'd before the thread that
-//     ended the run sends its DONE.  start() restores the journal's live
-//     state before the socket goes live;
+//     under mu_, and a terminal record is fsync'd under mu_ before its
+//     DONE is queued, so no thread can send that DONE first.  start()
+//     restores the journal's live state before the socket goes live;
 //   * SIGTERM/SIGINT (handle_signals) and SHUTDOWN drain=1 begin the
 //     graceful drain; once it completes the journal is flushed and
 //     wait_for_shutdown_command() returns;
@@ -127,8 +127,8 @@ class Daemon {
   void executor_loop();
   Lifecycle::Outcome execute(const Lifecycle::Job& job);
   /// Calls `call(outbox)` on the lifecycle under mu_, appends the
-  /// outbox's records to the journal and queues its lines on their
-  /// connections; then, without mu_, fsyncs a terminal record and sends.
+  /// outbox's records to the journal (fsyncing a terminal one) and queues
+  /// its lines on their connections; then sends them without mu_.
   template <typename Call>
   void step(Call&& call);
   /// Re-samples the RSS the brownout compares when the sample is ~100 ms

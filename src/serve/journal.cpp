@@ -4,15 +4,18 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 
 #include "common/crc32.hpp"
+#include "common/fault.hpp"
 #include "common/param_map.hpp"
 #include "obs/span.hpp"
 #include "serve/admission.hpp"
@@ -307,24 +310,13 @@ std::string Journal::streak_record(const std::string& spec,
   return "streak " + std::to_string(streak) + " " + spec;
 }
 
-void Journal::admitted(std::uint64_t id, const std::string& spec,
-                       const std::string& client, int priority) {
-  append(admit_record(id, spec, client, priority, /*deadline_ms=*/0));
-}
-
-void Journal::terminal(std::uint64_t id, const std::string& status) {
-  append(done_record(id, status));
-  flush();
-}
-
-void Journal::quarantine_streak(const std::string& spec, std::size_t streak) {
-  append(streak_record(spec, streak));
-}
-
 void Journal::flush() {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) ::fsync(fd_);
+  if (fd_ < 0) return;
+  if (fault::fire("serve.journal.stall"))
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  ::fsync(fd_);
 }
 
 }  // namespace rdcn::serve

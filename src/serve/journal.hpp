@@ -42,7 +42,7 @@
 //
 // Write policy: serve::Lifecycle emits the records; the daemon appends
 // them under its mutex before it queues the wire lines they back, and
-// fsyncs a terminal record (flush()) before it sends that DONE.  An admit
+// fsyncs a terminal record (flush()) before it queues that DONE.  An admit
 // lost to a crash merely loses the run, a terminal record lost would
 // recompute it — both safe.
 //
@@ -122,12 +122,10 @@ class Journal {
   static std::vector<std::string> compact(const Recovery& recovery);
 
   /// Appends one record payload (no fsync; flush() syncs).  A no-op while
-  /// disabled or before recover().  terminal() appends and syncs.
+  /// disabled or before recover().
   void append(const std::string& payload);
-  void admitted(std::uint64_t id, const std::string& spec,
-                const std::string& client = "anon", int priority = 1);
-  void terminal(std::uint64_t id, const std::string& status);
-  void quarantine_streak(const std::string& spec, std::size_t streak);
+  /// fsyncs what was appended.  The serve.journal.stall fault point
+  /// (common/fault.hpp) holds it 250 ms first.
   void flush();
 
  private:

@@ -114,14 +114,12 @@ std::vector<RunResult> run_experiment(const ExperimentConfig& config,
             obs::ObsSpan span("trace.wait");
             full_trace = &trace.complete(config.cancel);
           }
-          // Per-algorithm phase: "algo.<name>" under whatever span this
-          // thread holds (run_scenario's scenario.experiment on the
-          // calling thread; none on a pool worker, so a root there).
-          // Name building and interning only happen while profiling.
+          // Per-algorithm phase: "algo.<name>" under the span that ran
+          // the experiment (run_scenario's scenario.experiment), on any
+          // thread.  The name is built only while profiling.
           std::optional<obs::ObsSpan> algo_span;
           if (obs::tracing_enabled())
-            algo_span.emplace(
-                obs::intern_span_name("algo." + spec.algorithm));
+            algo_span.emplace(("algo." + spec.algorithm).c_str());
           auto matcher = registry.make({spec.algorithm, spec.params},
                                        make_instance(config, spec),
                                        full_trace, seed);

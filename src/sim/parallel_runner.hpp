@@ -23,6 +23,8 @@ namespace rdcn::sim {
 /// be safe to call concurrently for distinct i and must not throw.
 /// Blocks until every task finished.  Indices start in increasing order,
 /// but fn(i) must never wait for another index to start (ThreadPool::run).
+/// On any thread, fn(i) runs under the caller's current span, so its
+/// phases nest where the caller's would (obs/span.hpp).
 template <typename F>
 void parallel_for(std::size_t count, F&& fn, std::size_t num_threads = 0) {
   using Fn = std::remove_reference_t<F>;

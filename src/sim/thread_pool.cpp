@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "common/clock.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace rdcn::sim {
 
@@ -57,6 +58,7 @@ struct ThreadPool::Job {
   std::atomic<std::size_t> active{0};  ///< workers currently draining
   std::uint64_t publish_ns = 0;        ///< set by run() before publishing
   std::atomic<bool> claimed{false};    ///< first index claimed (wait metric)
+  obs::SpanContext span = obs::current_span();  ///< the submitter's span
   std::mutex m;
   std::condition_variable cv;
 
@@ -97,14 +99,8 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-bool ThreadPool::on_worker_thread() noexcept { return t_on_pool_worker; }
-
-std::uint64_t ThreadPool::jobs_completed() const noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_completed_;
-}
-
 void ThreadPool::drain(Job& job) {
+  const obs::SpanParent parent(job.span);
   while (true) {
     const std::size_t i = job.cursor.fetch_add(1, std::memory_order_relaxed);
     if (i >= job.count) return;
@@ -184,7 +180,6 @@ void ThreadPool::run(std::size_t count, std::size_t max_parallelism,
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.erase(std::find(queue_.begin(), queue_.end(), &job));
-    ++jobs_completed_;
     metrics.queue_depth.add(-1);
     metrics.jobs.inc();
     metrics.indices.add(count);

@@ -18,6 +18,11 @@
 // Concurrent run() calls from distinct caller threads are safe (jobs
 // queue); nested run() from inside a worker executes inline on the calling
 // worker to avoid self-deadlock.  Job bodies must not throw.
+//
+// A job carries the span that is current on the submitting thread
+// (obs::current_span()), and every thread runs the job's indices under
+// it: a worker's phases nest exactly where they would have if the
+// submitter had run them itself (obs/span.hpp).
 #pragma once
 
 #include <atomic>
@@ -54,9 +59,6 @@ class ThreadPool {
   /// regression hook proving no thread is spawned per parallel region.
   std::uint64_t threads_spawned() const noexcept { return threads_spawned_; }
 
-  /// Number of parallel jobs run() has completed (diagnostics).
-  std::uint64_t jobs_completed() const noexcept;
-
   /// Blocking parallel-for: runs body(ctx, i) for i in [0, count) on up to
   /// `max_parallelism` threads (the caller participates and counts toward
   /// the limit).  Returns after every index completed.  Indices are
@@ -65,9 +67,6 @@ class ThreadPool {
   /// indices run one after another).
   void run(std::size_t count, std::size_t max_parallelism, Body body,
            void* ctx);
-
-  /// True iff the calling thread is a worker of *some* ThreadPool.
-  static bool on_worker_thread() noexcept;
 
  private:
   struct Job;
@@ -78,13 +77,12 @@ class ThreadPool {
   Job* try_claim_locked();
   static void drain(Job& job);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Job*> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
   std::uint64_t threads_spawned_ = 0;
-  std::uint64_t jobs_completed_ = 0;
 };
 
 }  // namespace rdcn::sim

@@ -55,8 +55,9 @@ TEST_F(JournalTest, DisabledModeIsInert) {
   EXPECT_EQ(rec.replayed, 0u);
   EXPECT_EQ(rec.corrupt, 0u);
   // Appends are no-ops — nothing may touch the filesystem.
-  journal.admitted(1, "a=1");
-  journal.terminal(1, "ok");
+  journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
+  journal.append(Journal::done_record(1, "ok"));
+  journal.flush();
   journal.flush();
   EXPECT_FALSE(fs::exists(dir));
 }
@@ -65,7 +66,7 @@ TEST_F(JournalTest, EmptyDirectoryRecoversFresh) {
   Journal journal(dir);
   EXPECT_TRUE(journal.enabled());
   // Appends before recover() are dropped, not crashes.
-  journal.admitted(99, "too=early");
+  journal.append(Journal::admit_record(99, "too=early", "anon", 1, 0));
   const Journal::Recovery rec = journal.recover(/*fallback_next_id=*/3);
   EXPECT_EQ(rec.next_id, 3u);
   EXPECT_TRUE(rec.incomplete.empty());
@@ -80,10 +81,11 @@ TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
   {
     Journal journal(dir);
     journal.recover();
-    journal.admitted(1, "a=1;b=2");
-    journal.admitted(2, "c=3");
-    journal.terminal(2, "ok");
-    journal.quarantine_streak("bad=1", 2);
+    journal.append(Journal::admit_record(1, "a=1;b=2", "anon", 1, 0));
+    journal.append(Journal::admit_record(2, "c=3", "anon", 1, 0));
+    journal.append(Journal::done_record(2, "ok"));
+    journal.flush();
+    journal.append(Journal::streak_record("bad=1", 2));
   }
   Journal reloaded(dir);
   const Journal::Recovery rec = reloaded.recover();
@@ -102,8 +104,9 @@ TEST_F(JournalTest, NextIdSurvivesEvenWithNoLiveRuns) {
   {
     Journal journal(dir);
     journal.recover();
-    journal.admitted(5, "x=1");
-    journal.terminal(5, "ok");
+    journal.append(Journal::admit_record(5, "x=1", "anon", 1, 0));
+    journal.append(Journal::done_record(5, "ok"));
+    journal.flush();
   }
   {
     // First restart: next_id derived from the finished admit.
@@ -122,11 +125,17 @@ TEST_F(JournalTest, DuplicateTerminalRecordsAreIdempotent) {
   {
     Journal journal(dir);
     journal.recover();
-    journal.admitted(1, "a=1");
-    journal.terminal(1, "ok");
-    journal.terminal(1, "ok");          // double-done: first wins
-    journal.terminal(7, "cancelled");   // done for an unknown id: ignored
-    journal.admitted(1, "a=1");         // re-admit after done: ignored
+    journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
+    journal.append(Journal::done_record(1, "ok"));
+    journal.flush();
+    // Double-done: first wins.
+    journal.append(Journal::done_record(1, "ok"));
+    journal.flush();
+    // Done for an unknown id: ignored.
+    journal.append(Journal::done_record(7, "cancelled"));
+    journal.flush();
+    // Re-admit after done: ignored.
+    journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
   }
   Journal reloaded(dir);
   const Journal::Recovery rec = reloaded.recover();
@@ -139,9 +148,9 @@ TEST_F(JournalTest, StreakZeroClearsQuarantineEntry) {
   {
     Journal journal(dir);
     journal.recover();
-    journal.quarantine_streak("flaky=1", 2);
-    journal.quarantine_streak("flaky=1", 0);
-    journal.quarantine_streak("still=bad", 1);
+    journal.append(Journal::streak_record("flaky=1", 2));
+    journal.append(Journal::streak_record("flaky=1", 0));
+    journal.append(Journal::streak_record("still=bad", 1));
   }
   Journal reloaded(dir);
   const Journal::Recovery rec = reloaded.recover();
@@ -154,8 +163,8 @@ TEST_F(JournalTest, TruncatedTailLosesOnlyTheTornRecord) {
   {
     Journal journal(dir);
     journal.recover();
-    journal.admitted(1, "first=run");
-    journal.admitted(2, "second=run");
+    journal.append(Journal::admit_record(1, "first=run", "anon", 1, 0));
+    journal.append(Journal::admit_record(2, "second=run", "anon", 1, 0));
     journal.flush();
   }
   // Chop into the last record's payload — a torn write at crash time.
@@ -173,9 +182,9 @@ TEST_F(JournalTest, BitFlippedRecordEndsReplayAtTheFlip) {
   {
     Journal journal(dir);
     journal.recover();
-    journal.admitted(1, "keep=me");
-    journal.admitted(2, "flip=me");
-    journal.admitted(3, "after=flip");
+    journal.append(Journal::admit_record(1, "keep=me", "anon", 1, 0));
+    journal.append(Journal::admit_record(2, "flip=me", "anon", 1, 0));
+    journal.append(Journal::admit_record(3, "after=flip", "anon", 1, 0));
     journal.flush();
   }
   // Flip one payload byte of the middle record; its CRC fails and the
@@ -257,7 +266,7 @@ TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
   EXPECT_TRUE(rec.incomplete.empty());
   EXPECT_EQ(rec.next_id, 4u);
   // The damaged log was compacted over; appends land in a valid file.
-  journal.admitted(9, "fresh=1");
+  journal.append(Journal::admit_record(9, "fresh=1", "anon", 1, 0));
   Journal reloaded(dir);
   const Journal::Recovery again = reloaded.recover();
   EXPECT_EQ(again.corrupt, 0u);
@@ -271,8 +280,10 @@ TEST_F(JournalTest, CompactionBoundsTheLogToLiveState) {
     Journal journal(dir);
     journal.recover();
     for (std::uint64_t id = 1; id <= 50; ++id) {
-      journal.admitted(id, "spec=" + std::to_string(id));
-      journal.terminal(id, "ok");
+      journal.append(Journal::admit_record(id, "spec=" + std::to_string(id),
+                                           "anon", 1, 0));
+      journal.append(Journal::done_record(id, "ok"));
+      journal.flush();
     }
   }
   const auto grown = fs::file_size(wal());

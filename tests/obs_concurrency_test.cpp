@@ -1,6 +1,6 @@
 // ThreadSanitizer-focused stress of the observability hot paths: striped
 // counter/histogram recording from many threads, gauge churn, concurrent
-// registration against rendering, span trees built from ThreadPool
+// registration against rendering, one span tree built from ThreadPool
 // workers, and fault-observer firings racing a METRICS-style scrape.
 // Runs in the plain tier too; the tsan preset (label tier1_tsan) is
 // where it earns its keep.
@@ -89,22 +89,36 @@ TEST(ObsConcurrency, SpansFromPoolWorkers) {
     std::atomic<std::uint64_t> done{0};
   } ctx;
   sim::ThreadPool pool(4);
-  pool.run(
-      256, 4,
-      [](void* p, std::size_t) {
-        obs::ObsSpan outer("obs_tsan.pool_outer");
-        obs::ObsSpan inner("obs_tsan.pool_inner");
-        static_cast<Ctx*>(p)->done.fetch_add(1, std::memory_order_relaxed);
-      },
-      &ctx);
+  {
+    obs::ObsSpan submitter("obs_tsan.submitter");
+    pool.run(
+        256, 4,
+        [](void* p, std::size_t) {
+          obs::ObsSpan outer("obs_tsan.pool_outer");
+          obs::ObsSpan inner("obs_tsan.pool_inner");
+          static_cast<Ctx*>(p)->done.fetch_add(1, std::memory_order_relaxed);
+        },
+        &ctx);
+  }
   obs::set_tracing(false);
   EXPECT_EQ(ctx.done.load(), 256u);
-  // Spans from N workers merge into one phase row with the full count.
-  const std::vector<obs::PhaseTotal> phases = obs::collect_phases();
-  std::uint64_t outer_count = 0;
-  for (const obs::PhaseTotal& p : phases)
-    if (p.name == "obs_tsan.pool_outer") outer_count += p.count;
-  EXPECT_EQ(outer_count, 256u);
+  // Whichever thread ran an index, its spans open under the submitter's
+  // span: one row per path, with the full count, and nothing at the root.
+  std::uint64_t nested = 0;
+  std::uint64_t inner = 0;
+  std::uint64_t elsewhere = 0;
+  for (const obs::PhaseTotal& p : obs::collect_phases()) {
+    if (p.path == "obs_tsan.submitter/obs_tsan.pool_outer")
+      nested += p.count;
+    else if (p.path ==
+             "obs_tsan.submitter/obs_tsan.pool_outer/obs_tsan.pool_inner")
+      inner += p.count;
+    else if (p.name == "obs_tsan.pool_outer")
+      elsewhere += p.count;
+  }
+  EXPECT_EQ(nested, 256u);
+  EXPECT_EQ(inner, 256u);
+  EXPECT_EQ(elsewhere, 0u);
 }
 
 TEST(ObsConcurrency, CollectRacesRunningSpans) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -282,6 +284,55 @@ TEST(Span, CollectPhasesSurvivesWideTrees) {
         }
       EXPECT_TRUE(found) << "missing path " << want;
     }
+}
+
+TEST(Span, SpanParentOpensSpansUnderTheGivenContext) {
+  obs::set_tracing(true);
+  obs::reset_traces();
+  obs::SpanContext submitted = nullptr;
+  {
+    obs::ObsSpan submitter("obs_test.submitter");
+    submitted = obs::current_span();
+  }
+  {
+    obs::ObsSpan mine("obs_test.mine");
+    {
+      const obs::SpanParent parent(submitted);
+      obs::ObsSpan adopted("obs_test.adopted");
+    }
+    // Another thread, the way a pool worker runs a job.
+    std::thread([submitted] {
+      const obs::SpanParent parent(submitted);
+      obs::ObsSpan worker("obs_test.worker");
+    }).join();
+    obs::ObsSpan after("obs_test.after");  // back under this thread's span
+  }
+  { obs::ObsSpan top("obs_test.top"); }
+  obs::set_tracing(false);
+  std::set<std::string> paths;
+  for (const obs::PhaseTotal& p : obs::collect_phases())
+    if (p.count > 0 && p.path.rfind("obs_test.", 0) == 0) paths.insert(p.path);
+  EXPECT_EQ(paths, (std::set<std::string>{
+                       "obs_test.mine", "obs_test.mine/obs_test.after",
+                       "obs_test.submitter",
+                       "obs_test.submitter/obs_test.adopted",
+                       "obs_test.submitter/obs_test.worker", "obs_test.top"}));
+}
+
+TEST(Span, SiblingsComeInNameOrder) {
+  obs::set_tracing(true);
+  obs::reset_traces();
+  {
+    obs::ObsSpan root("obs_test.order");
+    for (const char* name : {"obs_test.c", "obs_test.a", "obs_test.b"})
+      obs::ObsSpan child(name);
+  }
+  obs::set_tracing(false);
+  std::vector<std::string> children;
+  for (const obs::PhaseTotal& p : obs::collect_phases())
+    if (p.path.rfind("obs_test.order/", 0) == 0) children.push_back(p.name);
+  EXPECT_EQ(children, (std::vector<std::string>{"obs_test.a", "obs_test.b",
+                                                "obs_test.c"}));
 }
 
 TEST(Span, ProfileReportListsPhases) {

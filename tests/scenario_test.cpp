@@ -1,13 +1,18 @@
 // Tests for the scenario runner (scenario/scenario.hpp): ScenarioSpec
 // parse/print goldens, end-to-end run_scenario (the materialize-or-stream
-// rule, one workload build per run, inputs that must be SpecErrors),
-// b-independence handling, and the run_matrix cross product.
+// rule, one workload build per run, inputs that must be SpecErrors, the
+// same phase tree at any thread count), b-independence handling, and the
+// run_matrix cross product.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/span.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/report.hpp"
 #include "trace/generators.hpp"
@@ -386,6 +391,41 @@ TEST(RunScenario, OutOfRangeParametersAreSpecErrors) {
     EXPECT_THROW((void)scenario::run_scenario(ScenarioSpec::parse(text)),
                  SpecError);
   }
+}
+
+TEST(RunScenario, PhasePathsDoNotDependOnTheThreadCount) {
+  // A pool worker's spans nest under the span that submitted its job, so
+  // every task's algo.<name> sits under its cell's scenario.experiment
+  // whichever thread ran it.
+  const auto traced = [](std::size_t threads) {
+    ScenarioSpec spec = ScenarioSpec::parse(
+        "racks=16;requests=20000;algorithms=r_bma,bma,greedy;b=4,16;"
+        "trials=2;seed=5");
+    spec.threads = threads;
+    obs::reset_traces();
+    obs::set_tracing(true);
+    (void)run_scenario(spec);
+    obs::set_tracing(false);
+    std::vector<obs::PhaseTotal> rows;
+    for (obs::PhaseTotal& row : obs::collect_phases())
+      if (row.count > 0) rows.push_back(std::move(row));
+    return rows;
+  };
+  const auto paths = [](const std::vector<obs::PhaseTotal>& rows) {
+    std::set<std::string> out;
+    for (const obs::PhaseTotal& row : rows) out.insert(row.path);
+    return out;
+  };
+  const std::vector<obs::PhaseTotal> serial = traced(1);
+  const std::vector<obs::PhaseTotal> pooled = traced(4);
+  EXPECT_EQ(paths(serial), paths(pooled));
+  std::size_t algo_rows = 0;
+  for (const obs::PhaseTotal& row : pooled) {
+    if (row.name.rfind("algo.", 0) != 0) continue;
+    ++algo_rows;
+    EXPECT_EQ(row.path.rfind("scenario.experiment/", 0), 0u) << row.path;
+  }
+  EXPECT_EQ(algo_rows, 3u);
 }
 
 TEST(RunScenario, BIndependentAlgorithmsRunOncePerSweep) {

@@ -1,7 +1,8 @@
 // The durable run-lifecycle layer end to end: ATTACH resubscription
 // (second connections, checkpoint replay with from=, finished runs),
 // journal-backed crash recovery across a daemon restart (re-enqueued
-// runs, stable ids, persisted quarantine streaks), the client's
+// runs, stable ids, persisted quarantine streaks), a DONE that reaches
+// its client only after its terminal record's fsync, the client's
 // reconnect-and-ATTACH resume, and graceful drain via SHUTDOWN drain=1
 // or SIGTERM, including a drain whose budget runs out.
 //
@@ -12,9 +13,12 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/fault.hpp"
 #include "scenario/scenario.hpp"
@@ -204,6 +208,32 @@ TEST_F(AttachTest, ClientResumesMidRunDisconnectWithoutResubmitting) {
   const StatsReport stats = f.daemon.stats_report();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_GE(stats.attached, 1u);
+}
+
+// ------------------------------------------------ a durable DONE on the wire
+
+TEST_F(AttachTest, DoneLeavesOnlyAfterItsTerminalRecordIsFsynced) {
+  ServeOptions options = small_options("fsync_order");
+  options.journal_dir = scratch_dir("fsync_order", "journal");
+  DaemonFixture f(std::move(options));
+  // The run's first journal fsync is its terminal record's: hold it.
+  fault::arm("serve.journal.stall", {.times = 1});
+  const Client::Submission sub = f.client.submit(kTinySpec);
+  ASSERT_TRUE(sub.accepted) << sub.error;
+  for (int ms = 0; fault::eval_count("serve.journal.stall") == 0; ++ms) {
+    ASSERT_LT(ms, 10'000) << "the run's terminal record was never fsync'd";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The record is being fsync'd now.  The reader answers this PING at
+  // once, and it must not carry the run's DONE out ahead of the fsync.
+  f.client.send_line("PING");
+  std::vector<std::string> order;  // PONG and DONE, as they arrive
+  while (order.size() < 2) {
+    const std::string line = f.client.read_line();
+    const std::string verb = line.substr(0, line.find(' '));
+    if (verb == "PONG" || verb == "DONE") order.push_back(verb);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"PONG", "DONE"}));
 }
 
 // --------------------------------------------- recovery across a restart
