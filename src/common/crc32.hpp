@@ -1,10 +1,10 @@
 // rdcn: CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
 // One checksum for every durable byte the serving stack writes: the
-// disk results cache (serve/disk_cache.hpp) and the run journal
-// (serve/journal.hpp) both frame their records with it, so corruption
-// tests can forge entries for either with the same helper.  Chainable:
-// crc32(b, nb, crc32(a, na)) == crc32(ab, na+nb).
+// results cache's entry files (serve/results_cache.hpp) and the run
+// journal (serve/journal.hpp) both frame their records with it, so
+// corruption tests can forge entries for either with the same helper.
+// Chainable: crc32(b, nb, crc32(a, na)) == crc32(ab, na+nb).
 #pragma once
 
 #include <cstddef>

@@ -24,8 +24,8 @@
 //   point   := name ['=' trigger (',' trigger)*]    bare name = always fire
 //   trigger := 'after:N' | 'times:N' | 'p:F' | 'seed:N'
 //
-// Points used by the serving stack (see serve/daemon.cpp, disk_cache.cpp,
-// journal.cpp):
+// Points used by the serving stack (see serve/daemon.cpp,
+// results_cache.cpp, journal.cpp):
 //   serve.send.short_write   truncate one socket write, mark conn broken
 //   serve.send.drop          shut the connection down instead of sending
 //   serve.send.stall         sleep 250 ms before a socket write

@@ -189,29 +189,71 @@ Topology make_random_regular(std::size_t num_racks, std::size_t degree,
   require((num_racks * degree) % 2 == 0, "expander",
           "racks x degree must be even for a regular graph, got " +
               std::to_string(num_racks) + " x " + std::to_string(degree));
-  // Stub matching with rejection of self-loops/multi-edges; retried until
-  // simple and connected (succeeds quickly for the sparse cases we use).
+  // Jellyfish (Singla et al., NSDI 2012): join random pairs of racks that
+  // have free ports and are not yet neighbours.  A rack u that no such
+  // partner is left for spends its ports by a swap instead: u and w (u
+  // itself when it has two free ports, another open rack else) replace a
+  // link (x, y) by (u, x) and (w, y).  The free ports add up to an even
+  // count, so a rack with one has company.  Retried until connected (or
+  // when no swap is left).
+  const std::size_t n = num_racks;
   for (int attempt = 0; attempt < 200; ++attempt) {
-    std::vector<NodeId> stubs;
-    stubs.reserve(num_racks * degree);
-    for (std::size_t v = 0; v < num_racks; ++v)
-      for (std::size_t d = 0; d < degree; ++d)
-        stubs.push_back(static_cast<NodeId>(v));
-    shuffle(stubs.begin(), stubs.end(), rng);
-
+    std::vector<bool> linked(n * n, false);
     std::vector<std::pair<NodeId, NodeId>> edges;
-    edges.reserve(stubs.size() / 2);
-    bool ok = true;
-    for (std::size_t i = 0; i + 1 < stubs.size() && ok; i += 2) {
-      NodeId u = stubs[i], v = stubs[i + 1];
-      if (u == v) ok = false;
-      if (u > v) std::swap(u, v);
+    edges.reserve(n * degree / 2);
+    std::vector<std::size_t> free(n, degree);
+    std::vector<NodeId> open(n);  ///< racks with a free port
+    for (std::size_t v = 0; v < n; ++v) open[v] = static_cast<NodeId>(v);
+    const auto link = [&](NodeId u, NodeId v) {
+      linked[u * n + v] = linked[v * n + u] = true;
+      --free[u];
+      --free[v];
       edges.emplace_back(u, v);
+    };
+    bool stuck = false;
+    while (!open.empty() && !stuck) {
+      const std::size_t i = rng.next_below(open.size());
+      const NodeId u = open[i];
+      // u's partner: the first open non-neighbour from a random position.
+      std::size_t j = i;
+      const std::size_t from = rng.next_below(open.size());
+      for (std::size_t k = 0; k < open.size() && j == i; ++k) {
+        const std::size_t c = (from + k) % open.size();
+        if (c != i && !linked[u * n + open[c]]) j = c;
+      }
+      if (j != i) {
+        link(u, open[j]);
+      } else {
+        if (free[u] < 2) j = (i + 1) % open.size();
+        const NodeId w = open[j];
+        stuck = true;
+        const std::size_t start = rng.next_below(edges.size());
+        for (std::size_t k = 0; k < 2 * edges.size() && stuck; ++k) {
+          const std::size_t e = (start + k / 2) % edges.size();
+          auto [x, y] = edges[e];
+          if (k % 2 == 1) std::swap(x, y);
+          if (x == u || x == w || y == u || y == w || linked[u * n + x] ||
+              linked[w * n + y])
+            continue;
+          linked[x * n + y] = linked[y * n + x] = false;
+          ++free[x];
+          ++free[y];
+          edges[e] = edges.back();
+          edges.pop_back();
+          link(u, x);
+          link(w, y);
+          stuck = false;
+        }
+      }
+      // Drop the racks now full, the larger index first so that the
+      // smaller one still names its rack.
+      for (const std::size_t k : {std::max(i, j), std::min(i, j)}) {
+        if (k >= open.size() || free[open[k]] != 0) continue;
+        open[k] = open.back();
+        open.pop_back();
+      }
     }
-    if (!ok) continue;
-    std::sort(edges.begin(), edges.end());
-    if (std::adjacent_find(edges.begin(), edges.end()) != edges.end())
-      continue;
+    if (stuck) continue;
 
     Graph g(num_racks);
     for (const auto& [u, v] : edges) g.add_edge(u, v);

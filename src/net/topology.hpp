@@ -64,8 +64,9 @@ Topology make_torus(std::size_t rows, std::size_t cols);
 /// Hypercube with 2^dim racks.
 Topology make_hypercube(std::size_t dim);
 
-/// Random d-regular-ish graph (expander-like, Jellyfish-style): each vertex
-/// gets degree ~d via a stub-matching construction; retries until connected.
+/// Random simple d-regular graph (an expander with high probability), built
+/// the Jellyfish way: random links between racks with free ports, then
+/// edge swaps until every port is used; retries until connected.
 Topology make_random_regular(std::size_t num_racks, std::size_t degree,
                              Xoshiro256& rng);
 

@@ -85,10 +85,16 @@ struct AlgorithmEntry {
   /// share cores, caches and memory bandwidth, and a task's sim.generate
   /// also holds its waits for blocks that another task is producing.
   /// sim::run_experiment dispatches tasks longest-first by this estimate
-  /// and serve::estimate_cost charges admission with it; it never affects
-  /// results.
+  /// and scenario::estimate_cost charges admission with it; it never
+  /// affects results.
   double cost_per_request = 1.0;
   double cost_per_b = 0.0;
+
+  /// The tasks one (algorithm, b) column runs: one per trial when
+  /// randomized, else one.
+  std::size_t repetitions(std::size_t trials) const {
+    return randomized ? trials : 1;
+  }
 
   /// The cost model's estimate for one task; never negative.
   double task_cost(std::size_t b, std::size_t requests) const {

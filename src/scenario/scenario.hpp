@@ -76,9 +76,19 @@ struct ScenarioSpec {
 /// toward ⌈α/ℓ⌉ in a 32-bit per-pair counter, and a larger α can wrap the
 /// 64-bit reconfiguration ledger), or more than 2^32 − 1 requests (a
 /// ranked row packs a tick and a count of them into the two 32-bit halves
-/// of one rank, common/ranked_row.hpp).  Throws SpecError.  run_scenario
-/// calls it first; the serving daemon calls it at admission.
+/// of one rank, common/ranked_row.hpp), or zero trials of a randomized
+/// algorithm (nothing to average).  Throws SpecError.  run_scenario calls
+/// it first; the serving daemon calls it at admission.
 void check_run_shape(const ScenarioSpec& spec);
+
+/// Estimated cost units for one run of `spec`: the sum over the
+/// (algorithm, b, trial) tasks run_scenario expands it into of the
+/// registry cost model's task_cost, the estimate sim::run_experiment
+/// dispatches by.  Pass the *resolved* spec so defaulted algorithm/b lists
+/// are visible.  Never 0; saturates instead of overflowing; allocates
+/// nothing.  Throws SpecError on an unknown algorithm.  The serving daemon
+/// charges admission with it.
+std::uint64_t estimate_cost(const ScenarioSpec& spec);
 
 struct ScenarioResult {
   ScenarioSpec spec;  ///< resolved spec this result was produced from

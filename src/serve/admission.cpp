@@ -6,8 +6,6 @@
 #include <sstream>
 
 #include "common/param_map.hpp"
-#include "scenario/registry.hpp"
-#include "scenario/scenario.hpp"
 
 namespace rdcn::serve {
 
@@ -107,29 +105,6 @@ QuotaTable QuotaTable::parse_file(const std::string& path,
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   return parse_text(text, defaults);
-}
-
-std::uint64_t estimate_cost(const scenario::ScenarioSpec& spec) {
-  const scenario::AlgorithmRegistry& registry =
-      scenario::AlgorithmRegistry::instance();
-  const double trials =
-      static_cast<double>(std::max<std::size_t>(1, spec.trials));
-  // The tasks run_scenario expands the spec into, each at the estimate
-  // sim::run_experiment dispatches it by.
-  double total = 0;
-  for (const Spec& algorithm : spec.algorithms) {
-    const scenario::AlgorithmEntry& entry = registry.at(algorithm.name);
-    const double reps = entry.randomized ? trials : 1.0;
-    for (const std::size_t b : spec.cache_sizes) {
-      total += reps * entry.task_cost(b, spec.requests);
-      if (entry.b_independent) break;  // run once, at the first b
-    }
-  }
-  // Saturate far below u64 max so queue-side arithmetic can't overflow.
-  constexpr double kCap = 1e18;
-  if (total > kCap) total = kCap;
-  if (total < 1.0) total = 1.0;
-  return static_cast<std::uint64_t>(total);
 }
 
 int Brownout::update(std::size_t queued, std::uint64_t rss_bytes) {

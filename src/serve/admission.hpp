@@ -1,10 +1,10 @@
 // rdcn: admission-control primitives for the serving daemon.
 //
 // The building blocks of multi-tenant admission: per-client rate limits
-// and quotas, cost estimation, a fair queue, brownout shedding and
-// drain-rate retry hints.  serve::Lifecycle (serve/lifecycle.hpp) wires
-// them together; every type here is externally synchronized and testable
-// without sockets.
+// and quotas, a fair queue charged in scenario::estimate_cost units,
+// brownout shedding and drain-rate retry hints.  serve::Lifecycle
+// (serve/lifecycle.hpp) wires them together; every type here is
+// externally synchronized and testable without sockets.
 #pragma once
 
 #include <algorithm>
@@ -14,10 +14,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-namespace rdcn::scenario {
-struct ScenarioSpec;
-}
 
 namespace rdcn::serve {
 
@@ -101,13 +97,6 @@ class QuotaTable {
   QuotaSpec default_;
   std::map<std::string, QuotaSpec> overrides_;
 };
-
-/// Estimated cost units for one admission of `spec`: the sum over its
-/// (algorithm, b, trial) tasks of the registry cost model's task_cost, the
-/// estimate sim::run_experiment dispatches by.  Pass the *resolved* spec
-/// so defaulted algorithm/b lists are visible.  Never 0; saturates
-/// instead of overflowing.  Throws SpecError on an unknown algorithm.
-std::uint64_t estimate_cost(const scenario::ScenarioSpec& spec);
 
 /// Deficit round-robin queue across client lanes, charged in cost units,
 /// so many small scenarios interleave with one giant matrix instead of

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -146,9 +147,8 @@ struct Daemon::Connection {
 Daemon::Daemon(ServeOptions options)
     : options_(std::move(options)),
       lifecycle_(options_, obs_),
-      cache_(options_.cache_entries, &obs_),
-      disk_cache_(options_.disk_cache_dir, &obs_),
-      journal_(options_.journal_dir, &obs_) {}
+      cache_(options_.cache_entries, options_.disk_cache_dir, obs_),
+      journal_(options_.journal_dir, obs_) {}
 
 Daemon::~Daemon() { stop(); }
 
@@ -206,8 +206,8 @@ void Daemon::start() {
   const Journal::Recovery recovery = journal_.recover();
   const Lifecycle::CostFn cost = [](const Journal::RecoveredRun& run) {
     try {
-      return std::optional<std::uint64_t>(
-          estimate_cost(scenario::ScenarioSpec::parse(run.spec).resolved()));
+      return std::optional<std::uint64_t>(scenario::estimate_cost(
+          scenario::ScenarioSpec::parse(run.spec).resolved()));
     } catch (const std::exception& e) {
       // Journalled by an incompatible build: end the run, not die.
       std::cerr << "rdcn_serve: journal: dropping unparseable recovered run "
@@ -324,9 +324,8 @@ StatsReport Daemon::stats_report() const {
   r.cache_hits = cache.hits;
   r.cache_misses = cache.misses;
   r.cache_entries = cache.entries;
-  const DiskCache::Stats disk = disk_cache_.stats();
-  r.disk_hits = disk.hits;
-  r.disk_corrupt = disk.corrupt_skipped;
+  r.disk_hits = cache.disk_hits;
+  r.disk_corrupt = cache.disk_corrupt;
   return r;
 }
 
@@ -553,7 +552,7 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
       scenario::AlgorithmRegistry::instance().validate(algorithm);
     scenario::check_run_shape(resolved);
     s.canonical = spec.canonical_string();
-    s.cost = estimate_cost(resolved);
+    s.cost = scenario::estimate_cost(resolved);
   } catch (const std::exception& e) {
     conn->send_line(msg_error(e.what()));
     return;
@@ -569,7 +568,7 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
   // A cache hit bypasses the queue — replaying stored bytes is cheap, so
   // cached runs are never refused for backpressure.  The lookup (a disk
   // read at worst) goes before admission, so admission is one step.
-  const std::optional<std::string> payload = lookup_result(s.canonical);
+  const std::optional<std::string> payload = cache_.get(s.canonical);
   std::uint64_t id = 0;
   bool admitted = false;
   step([&](Lifecycle::Outbox& out) {
@@ -605,10 +604,10 @@ void Daemon::handle_attach(const std::shared_ptr<Connection>& conn,
     attach = lifecycle_.attach(conn->id, cmd.id, cmd.from, out, &done);
   });
   if (attach != Lifecycle::Attach::kDone) return;
-  // A finished run replays whole; an ok run's payload from the caches.
+  // A finished run replays whole; an ok run's payload from the cache.
   std::optional<std::string> payload;
   if (done.status == RunStatus::kOk &&
-      !(payload = lookup_result(done.canonical))) {
+      !(payload = cache_.get(done.canonical))) {
     // Evicted everywhere: pretend the run is forgotten so the client
     // falls back to resubmitting (better than an ok with no bytes).
     conn->send_line(
@@ -654,10 +653,10 @@ void Daemon::executor_loop() {
 Lifecycle::Outcome Daemon::execute(const Lifecycle::Job& job) {
   using Kind = Lifecycle::Outcome::Kind;
   // A recovered run may have finished before the crash with its terminal
-  // record lost (the caches commit before the journal's done record):
+  // record lost (the cache commits before the journal's done record):
   // serve the stored bytes instead of recomputing.
   if (job.recovered)
-    if (std::optional<std::string> payload = lookup_result(job.canonical))
+    if (std::optional<std::string> payload = cache_.get(job.canonical))
       return {Kind::kOk, std::move(*payload), /*cached=*/true};
   scenario::RunHooks hooks;
   hooks.cancel = job.cancel;
@@ -686,7 +685,6 @@ Lifecycle::Outcome Daemon::execute(const Lifecycle::Job& job) {
     sim::write_csv(csv, result.runs, sim::Metric::kRoutingCost);
     std::string payload = csv.str();
     cache_.put(job.canonical, payload);
-    disk_cache_.put(job.canonical, payload);
     return {Kind::kOk, std::move(payload), /*cached=*/false};
   } catch (const CancelledError&) {
     return {Kind::kCancelled, "", false};
@@ -699,16 +697,6 @@ Lifecycle::Outcome Daemon::execute(const Lifecycle::Job& job) {
   } catch (...) {
     return {Kind::kCrash, "unknown exception", false};
   }
-}
-
-std::optional<std::string> Daemon::lookup_result(
-    const std::string& canonical) {
-  std::optional<std::string> payload = cache_.get(canonical);
-  if (!payload) {
-    payload = disk_cache_.get(canonical);
-    if (payload) cache_.put(canonical, *payload);
-  }
-  return payload;
 }
 
 }  // namespace rdcn::serve

@@ -34,12 +34,13 @@
 // sent under mu_ so that stop() cannot close the socket first.
 //
 // I/O the daemon keeps:
-//   * completed CSV payloads land in an LRU ResultsCache keyed on
-//     ScenarioSpec::canonical_string() and, with disk_cache_dir, in a
-//     crash-safe on-disk store (serve/disk_cache.hpp).  A RUN takes mu_
-//     once: the lookup (a disk read at worst) goes before it, admission
-//     and a hit's ok count (or the enqueue) share one step, and a hit's
-//     ACCEPTED, RESULT and DONE leave after it in one write;
+//   * completed CSV payloads land in one ResultsCache keyed on
+//     ScenarioSpec::canonical_string() (serve/results_cache.hpp): an LRU
+//     in memory and, with disk_cache_dir, crash-safe entry files behind
+//     it.  A RUN takes mu_ once: the lookup (a disk read at worst) goes
+//     before it, admission and a hit's ok count (or the enqueue) share one
+//     step, and a hit's ACCEPTED, RESULT and DONE leave after it in one
+//     write;
 //   * the journal (journal_dir, serve/journal.hpp): records are appended
 //     under mu_, and a terminal record is fsync'd under mu_ before its
 //     DONE is queued, so no thread can send that DONE first.  start()
@@ -60,14 +61,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/disk_cache.hpp"
 #include "serve/journal.hpp"
 #include "serve/lifecycle.hpp"
 #include "serve/protocol.hpp"
@@ -102,8 +101,6 @@ class Daemon {
   void wait_for_shutdown_command();
 
   const ServeOptions& options() const noexcept { return options_; }
-  ResultsCache::Stats cache_stats() const { return cache_.stats(); }
-  DiskCache::Stats disk_cache_stats() const { return disk_cache_.stats(); }
   /// The snapshot a STATS command reports, read from the metrics.
   StatsReport stats_report() const;
   /// The Prometheus text a METRICS command returns (both registries).
@@ -137,18 +134,13 @@ class Daemon {
   void write_metrics_dump() const;
   /// Joins reader threads listed in finished_readers_ (caller holds mu_).
   void reap_finished_readers_locked();
-  /// A finished run's stored bytes: the in-memory LRU first, then the
-  /// persistent store (which a restarted daemon repopulates the LRU from;
-  /// a disk hit is promoted into the LRU).  nullopt when neither has it.
-  std::optional<std::string> lookup_result(const std::string& canonical);
 
   ServeOptions options_;
-  /// Declared before the lifecycle and the caches, whose counters register
-  /// here; each daemon's counters start at zero.
+  /// Declared before the lifecycle, the cache and the journal, whose
+  /// counters register here; each daemon's counters start at zero.
   obs::Registry obs_;
   Lifecycle lifecycle_;  ///< guarded by mu_
   ResultsCache cache_;
-  DiskCache disk_cache_;
   Journal journal_;
   int listen_fd_ = -1;
 

@@ -73,19 +73,14 @@ bool write_all(int fd, const std::string& bytes) {
 
 }  // namespace
 
-Journal::Journal(std::string directory, obs::Registry* registry)
+Journal::Journal(std::string directory, obs::Registry& registry)
     : directory_(std::move(directory)),
-      own_registry_(registry == nullptr ? std::make_unique<obs::Registry>()
-                                        : nullptr),
-      appends_((registry != nullptr ? *registry : *own_registry_)
-                   .counter("rdcn_journal_appends_total",
-                            "Run-journal records appended")),
-      replayed_((registry != nullptr ? *registry : *own_registry_)
-                    .counter("rdcn_journal_replayed_total",
-                             "Run-journal records replayed at startup")),
-      corrupt_((registry != nullptr ? *registry : *own_registry_)
-                   .counter("rdcn_journal_corrupt_total",
-                            "Corrupt/torn run-journal records skipped")) {
+      appends_(registry.counter("rdcn_journal_appends_total",
+                                "Run-journal records appended")),
+      replayed_(registry.counter("rdcn_journal_replayed_total",
+                                 "Run-journal records replayed at startup")),
+      corrupt_(registry.counter("rdcn_journal_corrupt_total",
+                                "Corrupt/torn run-journal records skipped")) {
   if (!enabled()) return;
   std::error_code ec;
   fs::create_directories(directory_, ec);

@@ -58,7 +58,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -91,8 +90,8 @@ class Journal {
 
   /// Creates `directory` if missing ("" disables the journal); throws
   /// SpecError when it cannot.  The rdcn_journal_* counters register in
-  /// `registry` (a private one when null), even while disabled.
-  explicit Journal(std::string directory, obs::Registry* registry = nullptr);
+  /// `registry`, even while disabled.
+  Journal(std::string directory, obs::Registry& registry);
   ~Journal();
 
   Journal(const Journal&) = delete;
@@ -130,7 +129,6 @@ class Journal {
 
  private:
   const std::string directory_;
-  std::unique_ptr<obs::Registry> own_registry_;  ///< when none was passed
   obs::Counter& appends_;
   obs::Counter& replayed_;
   obs::Counter& corrupt_;

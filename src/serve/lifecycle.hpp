@@ -1,12 +1,12 @@
 // rdcn: the serve daemon's run lifecycle, as one single-threaded class.
 //
 // Every rule that decides what happens to a run lives here; the daemon
-// (serve/daemon.hpp) keeps the sockets, threads, clock and caches, and
-// calls this class under its one mutex.  The class opens no socket,
-// starts no thread and reads no clock: time is an argument (monotonic
-// nanoseconds).  Each call reports what it decided in an Outbox — journal
-// records, then wire lines — which the daemon appends and queues in that
-// order before it releases the mutex.
+// (serve/daemon.hpp) keeps the sockets, threads, clock and results
+// cache, and calls this class under its one mutex.  The class opens no
+// socket, starts no thread and reads no clock: time is an argument
+// (monotonic nanoseconds).  Each call reports what it decided in an
+// Outbox — journal records, then wire lines — which the daemon appends
+// and queues in that order before it releases the mutex.
 //
 // Admission refuses, in this order: a draining daemon, a quarantined
 // spec, an injected REJECT; then (a cache hit skips the rest, takes an id
@@ -140,7 +140,7 @@ class Lifecycle {
     enum class Kind { kOk, kCancelled, kSpecError, kCrash };
     Kind kind = Kind::kOk;
     std::string text;
-    bool cached = false;  ///< kOk served from the caches
+    bool cached = false;  ///< kOk served from the results cache
   };
 
   struct Replay {  ///< a finished run, for an ATTACH to replay
@@ -227,7 +227,7 @@ class Lifecycle {
   void stop();
 
   std::size_t queued() const noexcept { return queue_.size(); }
-  /// Fills STATS' run fields (every field but the caches').
+  /// Fills STATS' run fields (every field but the results cache's).
   void stats(StatsReport& report) const;
 
  private:

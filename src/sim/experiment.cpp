@@ -26,8 +26,8 @@ std::vector<ExperimentTask> dispatch_order(
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const scenario::AlgorithmEntry& entry = registry.at(specs[s].algorithm);
     const double cost = entry.task_cost(specs[s].b, requests);
-    const std::size_t reps = entry.randomized ? trials : 1;
-    for (std::size_t t = 0; t < reps; ++t) tasks.push_back({s, t, cost});
+    for (std::size_t t = 0; t < entry.repetitions(trials); ++t)
+      tasks.push_back({s, t, cost});
   }
   // Longest first: the pool's workers claim tasks in this order, so the
   // shorter tasks fill in around the costliest one instead of leaving it

@@ -1,17 +1,22 @@
-// The persistent on-disk results cache (serve/disk_cache.hpp): entry
+// The results store's disk tier (serve/results_cache.hpp): entry
 // round-trips, reload across instances (a daemon restart in miniature),
-// corruption and truncation survival, temp-file hygiene, torn-write
-// fault injection, and the disabled mode.
+// corruption and truncation survival, every single-byte mutation of an
+// entry, temp-file hygiene, torn-write fault injection, the disabled
+// mode, and memory hits racing disk writes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "common/crc32.hpp"
 #include "common/fault.hpp"
-#include "serve/disk_cache.hpp"
+#include "serve/results_cache.hpp"
 
 namespace {
 
@@ -39,6 +44,7 @@ struct DiskCacheTest : ::testing::Test {
   }
 
   std::string dir;
+  obs::Registry registry;
 };
 
 TEST_F(DiskCacheTest, Crc32KnownVectors) {
@@ -51,44 +57,44 @@ TEST_F(DiskCacheTest, Crc32KnownVectors) {
 }
 
 TEST_F(DiskCacheTest, PutGetRoundTrip) {
-  DiskCache cache(dir);
-  EXPECT_TRUE(cache.enabled());
+  ResultsCache cache(0, dir, registry);
+  EXPECT_TRUE(cache.persistent());
   EXPECT_FALSE(cache.get("spec-a").has_value());
   cache.put("spec-a", "payload-a\nline2\n");
   const auto hit = cache.get("spec-a");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, "payload-a\nline2\n");
-  const DiskCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.corrupt_skipped, 0u);
+  const ResultsCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_EQ(stats.disk_misses, 1u);
+  EXPECT_EQ(stats.disk_entries, 1u);
+  EXPECT_EQ(stats.disk_corrupt, 0u);
 }
 
 TEST_F(DiskCacheTest, PutRefreshesInPlace) {
-  DiskCache cache(dir);
+  ResultsCache cache(0, dir, registry);
   cache.put("k", "old");
   cache.put("k", "new");
   EXPECT_EQ(cache.get("k").value_or(""), "new");
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().disk_entries, 1u);
   EXPECT_EQ(entry_files().size(), 1u);  // no duplicate or leftover files
 }
 
 TEST_F(DiskCacheTest, SurvivesReload) {
   {
-    DiskCache cache(dir);
+    ResultsCache cache(0, dir, registry);
     cache.put("spec-a", "payload-a");
     cache.put("spec-b", "payload-b");
   }
-  DiskCache reloaded(dir);
-  EXPECT_EQ(reloaded.stats().entries, 2u);
+  ResultsCache reloaded(0, dir, registry);
+  EXPECT_EQ(reloaded.stats().disk_entries, 2u);
   EXPECT_EQ(reloaded.get("spec-a").value_or(""), "payload-a");
   EXPECT_EQ(reloaded.get("spec-b").value_or(""), "payload-b");
-  EXPECT_EQ(reloaded.stats().corrupt_skipped, 0u);
+  EXPECT_EQ(reloaded.stats().disk_corrupt, 0u);
 }
 
 TEST_F(DiskCacheTest, NoTempFilesLeftBehind) {
-  DiskCache cache(dir);
+  ResultsCache cache(0, dir, registry);
   cache.put("a", std::string(100'000, 'x'));
   for (const auto& path : entry_files())
     EXPECT_NE(path.extension(), ".tmp") << path;
@@ -96,7 +102,7 @@ TEST_F(DiskCacheTest, NoTempFilesLeftBehind) {
 
 TEST_F(DiskCacheTest, CorruptEntrySkippedOnLoad) {
   {
-    DiskCache cache(dir);
+    ResultsCache cache(0, dir, registry);
     cache.put("good", "good-payload");
     cache.put("bad", "bad-payload");
   }
@@ -115,24 +121,24 @@ TEST_F(DiskCacheTest, CorruptEntrySkippedOnLoad) {
     flipped = true;
   }
   ASSERT_TRUE(flipped);
-  DiskCache reloaded(dir);
-  EXPECT_EQ(reloaded.stats().corrupt_skipped, 1u);
-  EXPECT_EQ(reloaded.stats().entries, 1u);
+  ResultsCache reloaded(0, dir, registry);
+  EXPECT_EQ(reloaded.stats().disk_corrupt, 1u);
+  EXPECT_EQ(reloaded.stats().disk_entries, 1u);
   EXPECT_EQ(reloaded.get("good").value_or(""), "good-payload");
   EXPECT_FALSE(reloaded.get("bad").has_value());
 }
 
 TEST_F(DiskCacheTest, TruncatedEntrySkippedOnLoad) {
   {
-    DiskCache cache(dir);
+    ResultsCache cache(0, dir, registry);
     cache.put("spec", "a payload long enough to truncate meaningfully");
   }
   const auto files = entry_files();
   ASSERT_EQ(files.size(), 1u);
   fs::resize_file(files[0], fs::file_size(files[0]) / 2);
-  DiskCache reloaded(dir);
-  EXPECT_EQ(reloaded.stats().corrupt_skipped, 1u);
-  EXPECT_EQ(reloaded.stats().entries, 0u);
+  ResultsCache reloaded(0, dir, registry);
+  EXPECT_EQ(reloaded.stats().disk_corrupt, 1u);
+  EXPECT_EQ(reloaded.stats().disk_entries, 0u);
   EXPECT_FALSE(reloaded.get("spec").has_value());
 }
 
@@ -153,33 +159,33 @@ TEST_F(DiskCacheTest, EntryOfAnotherResultsVersionRemovedOnLoad) {
                           crc32(key.data(), key.size())));
   const fs::path path = fs::path(dir) / "0123456789abcdef.rdc";
   std::ofstream(path, std::ios::binary) << bytes;
-  DiskCache reloaded(dir);
+  ResultsCache reloaded(0, dir, registry);
   EXPECT_FALSE(reloaded.get(key).has_value());
-  EXPECT_EQ(reloaded.stats().corrupt_skipped, 0u);
+  EXPECT_EQ(reloaded.stats().disk_corrupt, 0u);
   EXPECT_FALSE(fs::exists(path));
 }
 
 TEST_F(DiskCacheTest, StaleTempFileRemovedOnLoad) {
   fs::create_directories(dir);
   std::ofstream(dir + "/deadbeef.rdc.tmp") << "half-written";
-  DiskCache cache(dir);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().corrupt_skipped, 0u);  // never visible = not torn
+  ResultsCache cache(0, dir, registry);
+  EXPECT_EQ(cache.stats().disk_entries, 0u);
+  EXPECT_EQ(cache.stats().disk_corrupt, 0u);  // never visible = not torn
   EXPECT_TRUE(entry_files().empty());
 }
 
 TEST_F(DiskCacheTest, ForeignFilesIgnored) {
   fs::create_directories(dir);
   std::ofstream(dir + "/README.txt") << "not a cache entry";
-  DiskCache cache(dir);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().corrupt_skipped, 0u);
+  ResultsCache cache(0, dir, registry);
+  EXPECT_EQ(cache.stats().disk_entries, 0u);
+  EXPECT_EQ(cache.stats().disk_corrupt, 0u);
   EXPECT_TRUE(fs::exists(dir + "/README.txt"));
 }
 
 TEST_F(DiskCacheTest, TornWriteFaultYieldsSkippedEntry) {
   {
-    DiskCache cache(dir);
+    ResultsCache cache(0, dir, registry);
     cache.put("ok", "ok-payload");
     fault::arm("serve.disk_cache.torn_write", {.times = 1});
     cache.put("torn", "this payload will be half-committed");
@@ -187,29 +193,115 @@ TEST_F(DiskCacheTest, TornWriteFaultYieldsSkippedEntry) {
   }
   // The torn entry was *committed* (renamed into place) but fails CRC at
   // the next startup: skipped and counted, the good entry untouched.
-  DiskCache reloaded(dir);
-  EXPECT_EQ(reloaded.stats().corrupt_skipped, 1u);
-  EXPECT_EQ(reloaded.stats().entries, 1u);
+  ResultsCache reloaded(0, dir, registry);
+  EXPECT_EQ(reloaded.stats().disk_corrupt, 1u);
+  EXPECT_EQ(reloaded.stats().disk_entries, 1u);
   EXPECT_EQ(reloaded.get("ok").value_or(""), "ok-payload");
   EXPECT_FALSE(reloaded.get("torn").has_value());
 }
 
 TEST_F(DiskCacheTest, WriteFailFaultCountsAndDegrades) {
-  DiskCache cache(dir);
+  ResultsCache cache(0, dir, registry);
   fault::arm("serve.disk_cache.write_fail", {.times = 1});
   cache.put("dropped", "never lands");
   EXPECT_FALSE(cache.get("dropped").has_value());
-  EXPECT_EQ(cache.stats().write_failures, 1u);
+  EXPECT_EQ(cache.stats().disk_write_failures, 1u);
   cache.put("kept", "lands fine");  // fault exhausted
   EXPECT_EQ(cache.get("kept").value_or(""), "lands fine");
 }
 
 TEST_F(DiskCacheTest, DisabledModeIsInert) {
-  DiskCache cache("");
-  EXPECT_FALSE(cache.enabled());
+  ResultsCache cache(0, "", registry);
+  EXPECT_FALSE(cache.persistent());
   cache.put("a", "A");
   EXPECT_FALSE(cache.get("a").has_value());
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().disk_entries, 0u);
+}
+
+TEST_F(DiskCacheTest, MutatedEntriesAreNeverServed) {
+  // Every truncation and every single-byte change (XOR 0x01) of one small
+  // entry, each reloaded beside an intact entry.
+  {
+    ResultsCache cache(0, dir, registry);
+    cache.put("spec-a", "1,2\n");
+    cache.put("spec-b", "payload-b\n");
+  }
+  fs::path a_path, b_path;
+  std::string a_bytes, b_bytes;
+  for (const auto& path : entry_files()) {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const bool a = bytes.find("spec-a") != std::string::npos;
+    (a ? a_path : b_path) = path;
+    (a ? a_bytes : b_bytes) = std::move(bytes);
+  }
+  ASSERT_FALSE(a_bytes.empty());
+  ASSERT_FALSE(b_bytes.empty());
+  const auto reload = [&](const std::string& mutant, bool other_version) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::ofstream(b_path, std::ios::binary) << b_bytes;
+    std::ofstream(a_path, std::ios::binary) << mutant;
+    obs::Registry fresh;
+    ResultsCache cache(4, dir, fresh);
+    EXPECT_FALSE(cache.get("spec-a").has_value());
+    EXPECT_EQ(cache.get("spec-b").value_or(""), "payload-b\n");
+    // Another results version is stale, not corrupt: removed uncounted.
+    EXPECT_EQ(cache.stats().disk_corrupt, other_version ? 0u : 1u);
+    EXPECT_EQ(cache.stats().disk_entries, 1u);
+    EXPECT_FALSE(fs::exists(a_path));
+    for (const auto& path : entry_files())
+      EXPECT_NE(path.extension(), ".tmp") << path;
+  };
+  for (std::size_t size = 0; size < a_bytes.size(); ++size) {
+    SCOPED_TRACE("truncated to " + std::to_string(size));
+    reload(a_bytes.substr(0, size), false);
+  }
+  for (std::size_t at = 0; at < a_bytes.size(); ++at) {
+    SCOPED_TRACE("byte " + std::to_string(at) + " ^ 0x01");
+    std::string mutant = a_bytes;
+    mutant[at] = static_cast<char>(mutant[at] ^ 0x01);
+    reload(mutant, /*other_version=*/at == 3);  // "RDC" + version byte
+  }
+}
+
+TEST_F(DiskCacheTest, MemoryHitsRaceDiskWrites) {
+  // Readers hit the memory tier while a writer puts new entries, each
+  // also written to disk.  A hot entry the writer evicts from memory comes
+  // back from disk, so every read is served, and right.
+  ResultsCache cache(16, dir, registry);
+  const auto payload = [](const std::string& key) { return key + "\n"; };
+  for (int k = 0; k < 8; ++k)
+    cache.put("hot-" + std::to_string(k), payload("hot-" + std::to_string(k)));
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      std::uint64_t mine = 0;
+      do {
+        for (int k = 0; k < 8; ++k, ++mine) {
+          const std::string key = "hot-" + std::to_string(k);
+          EXPECT_EQ(cache.get(key).value_or(""), payload(key));
+        }
+      } while (!done.load());
+      reads += mine;
+    });
+  }
+  std::thread writer([&] {
+    for (int i = 0; i < 100; ++i)
+      cache.put("cold-" + std::to_string(i), payload(std::to_string(i)));
+    done = true;
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  const ResultsCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, reads.load());
+  EXPECT_EQ(stats.disk_hits, stats.misses);  // each miss served from disk
+  EXPECT_EQ(stats.disk_misses, 0u);
+  EXPECT_EQ(stats.disk_entries, 108u);
+  EXPECT_EQ(stats.disk_write_failures, 0u);
 }
 
 }  // namespace

@@ -44,10 +44,11 @@ struct JournalTest : ::testing::Test {
   }
 
   std::string dir;
+  obs::Registry registry;
 };
 
 TEST_F(JournalTest, DisabledModeIsInert) {
-  Journal journal("");
+  Journal journal("", registry);
   EXPECT_FALSE(journal.enabled());
   const Journal::Recovery rec = journal.recover(/*fallback_next_id=*/5);
   EXPECT_EQ(rec.next_id, 5u);
@@ -63,7 +64,7 @@ TEST_F(JournalTest, DisabledModeIsInert) {
 }
 
 TEST_F(JournalTest, EmptyDirectoryRecoversFresh) {
-  Journal journal(dir);
+  Journal journal(dir, registry);
   EXPECT_TRUE(journal.enabled());
   // Appends before recover() are dropped, not crashes.
   journal.append(Journal::admit_record(99, "too=early", "anon", 1, 0));
@@ -79,7 +80,7 @@ TEST_F(JournalTest, EmptyDirectoryRecoversFresh) {
 
 TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     journal.append(Journal::admit_record(1, "a=1;b=2", "anon", 1, 0));
     journal.append(Journal::admit_record(2, "c=3", "anon", 1, 0));
@@ -87,7 +88,7 @@ TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
     journal.flush();
     journal.append(Journal::streak_record("bad=1", 2));
   }
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
   EXPECT_EQ(rec.next_id, 3u);
   ASSERT_EQ(rec.incomplete.size(), 1u);
@@ -102,7 +103,7 @@ TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
 
 TEST_F(JournalTest, NextIdSurvivesEvenWithNoLiveRuns) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     journal.append(Journal::admit_record(5, "x=1", "anon", 1, 0));
     journal.append(Journal::done_record(5, "ok"));
@@ -110,12 +111,12 @@ TEST_F(JournalTest, NextIdSurvivesEvenWithNoLiveRuns) {
   }
   {
     // First restart: next_id derived from the finished admit.
-    Journal journal(dir);
+    Journal journal(dir, registry);
     EXPECT_EQ(journal.recover().next_id, 6u);
   }
   // Second restart: the admit is compacted away — the nextid snapshot
   // alone must carry the counter forward.
-  Journal journal(dir);
+  Journal journal(dir, registry);
   const Journal::Recovery rec = journal.recover();
   EXPECT_EQ(rec.next_id, 6u);
   EXPECT_TRUE(rec.incomplete.empty());
@@ -123,7 +124,7 @@ TEST_F(JournalTest, NextIdSurvivesEvenWithNoLiveRuns) {
 
 TEST_F(JournalTest, DuplicateTerminalRecordsAreIdempotent) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
     journal.append(Journal::done_record(1, "ok"));
@@ -137,7 +138,7 @@ TEST_F(JournalTest, DuplicateTerminalRecordsAreIdempotent) {
     // Re-admit after done: ignored.
     journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
   }
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
   EXPECT_TRUE(rec.incomplete.empty());
   EXPECT_EQ(rec.corrupt, 0u);
@@ -146,13 +147,13 @@ TEST_F(JournalTest, DuplicateTerminalRecordsAreIdempotent) {
 
 TEST_F(JournalTest, StreakZeroClearsQuarantineEntry) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     journal.append(Journal::streak_record("flaky=1", 2));
     journal.append(Journal::streak_record("flaky=1", 0));
     journal.append(Journal::streak_record("still=bad", 1));
   }
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
   ASSERT_EQ(rec.quarantine.size(), 1u);
   EXPECT_EQ(rec.quarantine[0].first, "still=bad");
@@ -161,7 +162,7 @@ TEST_F(JournalTest, StreakZeroClearsQuarantineEntry) {
 
 TEST_F(JournalTest, TruncatedTailLosesOnlyTheTornRecord) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     journal.append(Journal::admit_record(1, "first=run", "anon", 1, 0));
     journal.append(Journal::admit_record(2, "second=run", "anon", 1, 0));
@@ -169,7 +170,7 @@ TEST_F(JournalTest, TruncatedTailLosesOnlyTheTornRecord) {
   }
   // Chop into the last record's payload — a torn write at crash time.
   fs::resize_file(wal(), fs::file_size(wal()) - 3);
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
   EXPECT_EQ(rec.corrupt, 1u);
   ASSERT_EQ(rec.incomplete.size(), 1u);
@@ -180,7 +181,7 @@ TEST_F(JournalTest, TruncatedTailLosesOnlyTheTornRecord) {
 
 TEST_F(JournalTest, BitFlippedRecordEndsReplayAtTheFlip) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     journal.append(Journal::admit_record(1, "keep=me", "anon", 1, 0));
     journal.append(Journal::admit_record(2, "flip=me", "anon", 1, 0));
@@ -194,7 +195,7 @@ TEST_F(JournalTest, BitFlippedRecordEndsReplayAtTheFlip) {
   ASSERT_NE(pos, std::string::npos);
   bytes[pos] ^= 0x01;
   write_wal(bytes);
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
   EXPECT_EQ(rec.corrupt, 1u);
   ASSERT_EQ(rec.incomplete.size(), 1u);
@@ -218,7 +219,7 @@ TEST_F(JournalTest, OlderStartAndCkptRecordsAreSkipped) {
             frame("admit2 1 2 alice a=1") + frame("start 1") +
             frame("ckpt 1 3") + frame("admit 2 b=2") + frame("start 2") +
             frame("done 2 ok") + frame("admit2 3 0 bob c=3"));
-  Journal journal(dir);
+  Journal journal(dir, registry);
   const Journal::Recovery rec = journal.recover();
   EXPECT_EQ(rec.corrupt, 0u);
   EXPECT_EQ(rec.replayed, 8u);
@@ -259,7 +260,7 @@ TEST_F(JournalTest, Admit3RecordsReplayTheirDeadline) {
 
 TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
   write_wal("not a journal at all");
-  Journal journal(dir);
+  Journal journal(dir, registry);
   const Journal::Recovery rec = journal.recover(/*fallback_next_id=*/4);
   EXPECT_GE(rec.corrupt, 1u);
   EXPECT_EQ(rec.replayed, 0u);
@@ -267,7 +268,7 @@ TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
   EXPECT_EQ(rec.next_id, 4u);
   // The damaged log was compacted over; appends land in a valid file.
   journal.append(Journal::admit_record(9, "fresh=1", "anon", 1, 0));
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery again = reloaded.recover();
   EXPECT_EQ(again.corrupt, 0u);
   ASSERT_EQ(again.incomplete.size(), 1u);
@@ -277,7 +278,7 @@ TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
 
 TEST_F(JournalTest, CompactionBoundsTheLogToLiveState) {
   {
-    Journal journal(dir);
+    Journal journal(dir, registry);
     journal.recover();
     for (std::uint64_t id = 1; id <= 50; ++id) {
       journal.append(Journal::admit_record(id, "spec=" + std::to_string(id),
@@ -287,7 +288,7 @@ TEST_F(JournalTest, CompactionBoundsTheLogToLiveState) {
     }
   }
   const auto grown = fs::file_size(wal());
-  Journal reloaded(dir);
+  Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
   EXPECT_EQ(rec.replayed, 101u);  // nextid + 50 × (admit, done)
   EXPECT_TRUE(rec.incomplete.empty());
@@ -295,7 +296,7 @@ TEST_F(JournalTest, CompactionBoundsTheLogToLiveState) {
   // History is gone: the compacted log holds magic + nextid only.
   EXPECT_LT(fs::file_size(wal()), grown / 10);
   // A second replay sees only the compacted live state.
-  Journal again(dir);
+  Journal again(dir, registry);
   EXPECT_EQ(again.recover().replayed, 1u);
 }
 

@@ -1,8 +1,8 @@
 // Tests for the scenario runner (scenario/scenario.hpp): ScenarioSpec
 // parse/print goldens, end-to-end run_scenario (the materialize-or-stream
 // rule, one workload build per run, inputs that must be SpecErrors, the
-// same phase tree at any thread count), b-independence handling, and the
-// run_matrix cross product.
+// same phase tree at any thread count), b-independence handling, the
+// admission cost estimate, and the run_matrix cross product.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 
 #include "obs/span.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "trace/generators.hpp"
 
@@ -332,7 +333,9 @@ TEST(RunScenario, InputsNoRunSurvivesAreSpecErrors) {
         // R-BMA's ⌈α/ℓ⌉ would wrap and the ledger with it.
         "alpha=18446744073709551615;algorithms=r_bma;b=2",
         // A ranked row's 32-bit rank halves count ticks and serves.
-        "requests=4294967296;algorithms=bma;b=2"}) {
+        "requests=4294967296;algorithms=bma;b=2",
+        // No trial of a randomized algorithm: nothing to average.
+        "trials=0;algorithms=bma,r_bma;b=2"}) {
     SCOPED_TRACE(text);
     EXPECT_THROW((void)scenario::run_scenario(ScenarioSpec::parse(text)),
                  SpecError);
@@ -450,6 +453,13 @@ TEST(RunScenario, GeneratedWorkloadClampsToTopologyRacks) {
   EXPECT_EQ(result.workload.num_racks(), 8u);
 }
 
+TEST(RunScenario, ZeroTrialsRunDeterministicAlgorithmsOnce) {
+  const ScenarioResult result = scenario::run_scenario(ScenarioSpec::parse(
+      "trials=0;algorithms=bma,oblivious;b=2;racks=8;requests=1000;"
+      "checkpoints=2"));
+  EXPECT_EQ(result.runs.size(), 2u);
+}
+
 TEST(RunScenario, OversizedImportedWorkloadIsRejected) {
   // CSV imports carry their own rack universe and cannot be clamped.
   const std::string path = ::testing::TempDir() + "rdcn_scenario_test.csv";
@@ -462,6 +472,103 @@ TEST(RunScenario, OversizedImportedWorkloadIsRejected) {
   spec.workload.name = "csv";
   spec.workload.params.set("path", path);
   EXPECT_THROW(scenario::run_scenario(spec), SpecError);
+}
+
+// ---------------------------------------------------------------------------
+// Unit: estimate_cost.
+
+scenario::ScenarioSpec resolved(const std::string& text) {
+  return scenario::ScenarioSpec::parse(text).resolved();
+}
+
+TEST(EstimateCostTest, ChargesRequestsTimesColumns) {
+  // r_bma is the cost unit at every b: one unit per request per column.
+  const std::uint64_t one_b = estimate_cost(
+      resolved("algorithms=r_bma;b=2;racks=8;requests=4000;trials=1"));
+  const std::uint64_t two_b = estimate_cost(
+      resolved("algorithms=r_bma;b=2,4;racks=8;requests=4000;trials=1"));
+  EXPECT_EQ(one_b, 4000u);
+  EXPECT_EQ(two_b, 2 * one_b);
+}
+
+TEST(EstimateCostTest, TrialsMultiplyOnlyRandomizedAlgorithms) {
+  const std::string bma = "algorithms=bma;b=2;racks=8;requests=4000;trials=";
+  EXPECT_EQ(estimate_cost(resolved(bma + "5")),
+            estimate_cost(resolved(bma + "1")));
+  const std::string rand =
+      "algorithms=r_bma;b=2;racks=8;requests=4000;trials=";
+  EXPECT_EQ(estimate_cost(resolved(rand + "5")),
+            5 * estimate_cost(resolved(rand + "1")));
+}
+
+TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
+  // Single-thread ns/request on fat_tree, 100 racks, facebook_db (the
+  // registry cost model's calibration table), relative to r_bma at the
+  // same b.
+  const auto cost = [](const std::string& algorithm, std::size_t b) {
+    scenario::ScenarioSpec spec =
+        resolved("racks=100;requests=100000;trials=1");
+    spec.algorithms = {Spec{algorithm, {}}};
+    spec.cache_sizes = {b};
+    return estimate_cost(spec);
+  };
+  for (const std::size_t b : {4u, 16u, 64u}) {
+    SCOPED_TRACE("b=" + std::to_string(b));
+    // bma > r_bma > {so_bma, greedy} > oblivious at every b;
+    // offline_dynamic's window matchings also outweigh r_bma.
+    EXPECT_GT(cost("bma", b), cost("r_bma", b));
+    EXPECT_GT(cost("offline_dynamic", b), cost("r_bma", b));
+    for (const char* light : {"so_bma", "greedy"}) {
+      EXPECT_GT(cost("r_bma", b), cost(light, b)) << light;
+      EXPECT_GT(cost(light, b), cost("oblivious", b)) << light;
+    }
+  }
+  // so_bma's one greedy matching plus its lookups measure ≈0.28× r_bma,
+  // below greedy's 0.32–0.34× at b=4.  At b=64 their ranges overlap
+  // (0.34–0.36× and 0.35–0.37×), so no order between them is pinned there.
+  EXPECT_LT(cost("so_bma", 4), cost("r_bma", 4) / 2);
+  EXPECT_GT(cost("greedy", 4), cost("so_bma", 4));
+  // rotor measures 2.9–3.2× r_bma at b=4 and 8.3–10.9× at b=16, above
+  // bma's 2.2–2.8×.  At b=64 bma measures 4.0–4.1× and rotor 3.4–3.8×,
+  // but bma's entry (not re-fitted) charges 3.4×, so no order between them
+  // is pinned there.  rotor grows about 1.2× from b=4 to b=64, not 14×.
+  EXPECT_GT(cost("rotor", 4), cost("bma", 4));
+  EXPECT_GT(cost("rotor", 16), cost("bma", 16));
+  EXPECT_GT(cost("rotor", 64), cost("rotor", 4));
+  EXPECT_LT(cost("rotor", 64), 2 * cost("rotor", 4));
+  EXPECT_GT(cost("rotor", 64), 3 * cost("r_bma", 64));
+  EXPECT_LT(cost("rotor", 64), 5 * cost("r_bma", 64));
+  // bma grows ≈2.1× from b=4 to b=64; r_bma and the b-independent
+  // oblivious stay flat.
+  EXPECT_GT(cost("bma", 64), 2 * cost("bma", 4));
+  EXPECT_EQ(cost("r_bma", 4), cost("r_bma", 64));
+  EXPECT_EQ(cost("oblivious", 4), cost("oblivious", 64));
+}
+
+TEST(EstimateCostTest, BIndependentAlgorithmsChargeOneColumn) {
+  const std::uint64_t one = estimate_cost(
+      resolved("algorithms=oblivious;b=2;racks=8;requests=4000;trials=1"));
+  const std::uint64_t many = estimate_cost(
+      resolved("algorithms=oblivious;b=2,4,8;racks=8;requests=4000;trials=1"));
+  EXPECT_EQ(one, many);
+}
+
+TEST(EstimateCostTest, EqualsTheSummedDispatchCosts) {
+  // The admission charge is what sim::run_experiment dispatches: r_bma's
+  // trials and bma at both b, the b-independent oblivious once.
+  const scenario::ScenarioSpec spec = resolved(
+      "algorithms=r_bma,bma,oblivious;b=4,16;racks=8;requests=4000;"
+      "trials=3");
+  const std::vector<sim::ExperimentSpec> columns = {
+      {.algorithm = "r_bma", .b = 4}, {.algorithm = "r_bma", .b = 16},
+      {.algorithm = "bma", .b = 4},   {.algorithm = "bma", .b = 16},
+      {.algorithm = "oblivious", .b = 4}};
+  const std::vector<sim::ExperimentTask> tasks =
+      sim::dispatch_order(columns, spec.trials, spec.requests);
+  ASSERT_EQ(tasks.size(), 3u * 2 + 2 + 1);
+  double total = 0;
+  for (const sim::ExperimentTask& task : tasks) total += task.cost;
+  EXPECT_EQ(estimate_cost(spec), static_cast<std::uint64_t>(total));
 }
 
 TEST(RunMatrix, CrossesTopologiesWithWorkloads) {

@@ -659,7 +659,7 @@ TEST_F(RobustnessTest, DiskCacheServesCompletedRunsAcrossRestart) {
   options.disk_cache_dir = dir;
   DaemonFixture b(std::move(options));
   // The torn entry was detected (and skipped) while loading.
-  EXPECT_EQ(b.daemon.disk_cache_stats().corrupt_skipped, 1u);
+  EXPECT_EQ(b.daemon.stats_report().disk_corrupt, 1u);
 
   // The completed run is served from disk: cached, bit-identical, no
   // recompute (the reordered twin proves canonical keying too).

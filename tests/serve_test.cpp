@@ -29,7 +29,8 @@ using namespace rdcn::serve;
 // ---------------------------------------------------------------- cache
 
 TEST(ResultsCache, HitMissAndStats) {
-  ResultsCache cache(4);
+  obs::Registry registry;
+  ResultsCache cache(4, "", registry);
   EXPECT_FALSE(cache.get("a").has_value());
   cache.put("a", "payload-a");
   const auto hit = cache.get("a");
@@ -42,7 +43,8 @@ TEST(ResultsCache, HitMissAndStats) {
 }
 
 TEST(ResultsCache, EvictsLeastRecentlyUsed) {
-  ResultsCache cache(2);
+  obs::Registry registry;
+  ResultsCache cache(2, "", registry);
   cache.put("a", "A");
   cache.put("b", "B");
   ASSERT_TRUE(cache.get("a").has_value());  // "b" is now least recent
@@ -54,7 +56,8 @@ TEST(ResultsCache, EvictsLeastRecentlyUsed) {
 }
 
 TEST(ResultsCache, PutRefreshesExistingKey) {
-  ResultsCache cache(2);
+  obs::Registry registry;
+  ResultsCache cache(2, "", registry);
   cache.put("a", "old");
   cache.put("b", "B");
   cache.put("a", "new");  // refresh, not duplicate; "a" most recent again
@@ -65,7 +68,8 @@ TEST(ResultsCache, PutRefreshesExistingKey) {
 }
 
 TEST(ResultsCache, ZeroCapacityDisables) {
-  ResultsCache cache(0);
+  obs::Registry registry;
+  ResultsCache cache(0, "", registry);
   cache.put("a", "A");
   EXPECT_FALSE(cache.get("a").has_value());
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -336,6 +340,11 @@ TEST(Daemon, PingAndSpecErrorsKeepDaemonAlive) {
   // Shape the registries can't check: grid needs requests >= checkpoints.
   EXPECT_FALSE(
       f.client.submit("workload=zipf;requests=4;checkpoints=8").error.empty());
+  // Zero trials of a randomized algorithm: refused before it takes an id.
+  const Client::Submission no_trials = f.client.submit(
+      "racks=10;requests=1000;trials=0;algorithms=r_bma");
+  EXPECT_FALSE(no_trials.accepted);
+  EXPECT_EQ(no_trials.error, "trials must be positive: 'r_bma' is randomized");
 
   f.client.ping();  // still serving after every refusal
 }
@@ -369,7 +378,7 @@ TEST(Daemon, ReorderedSpecIsServedFromCache) {
   EXPECT_EQ(cached.status, "ok") << cached.error;
   EXPECT_TRUE(cached.cached);
   EXPECT_EQ(cached.csv, executed.csv);
-  EXPECT_GE(f.daemon.cache_stats().hits, 1u);
+  EXPECT_GE(f.daemon.stats_report().cache_hits, 1u);
 }
 
 TEST(Daemon, CancelStopsRunAtChunkBoundary) {

@@ -2,8 +2,10 @@
 // hop-count structure the paper's cost model relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/topology.hpp"
@@ -115,11 +117,33 @@ TEST(Hypercube, HammingDistances) {
 }
 
 TEST(RandomRegular, DegreesAndConnectivity) {
-  Xoshiro256 rng(3);
-  const Topology t = make_random_regular(24, 3, rng);
-  EXPECT_EQ(t.num_racks(), 24u);
-  EXPECT_TRUE(t.graph.connected());
-  for (std::uint32_t v = 0; v < 24; ++v) EXPECT_EQ(t.graph.degree(v), 3u);
+  const auto check = [](std::size_t racks, std::size_t degree,
+                        std::uint64_t seed) {
+    SCOPED_TRACE(std::to_string(racks) + " racks, degree " +
+                 std::to_string(degree) + ", seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    const Topology t = make_random_regular(racks, degree, rng);
+    EXPECT_EQ(t.num_racks(), racks);
+    EXPECT_TRUE(t.graph.connected());
+    for (std::uint32_t v = 0; v < racks; ++v) {
+      std::vector<NodeId> neighbors(t.graph.neighbors(v).begin(),
+                                    t.graph.neighbors(v).end());
+      std::sort(neighbors.begin(), neighbors.end());
+      ASSERT_EQ(neighbors.size(), degree) << "rack " << v;
+      EXPECT_EQ(std::count(neighbors.begin(), neighbors.end(), v), 0)
+          << "self-loop at rack " << v;
+      EXPECT_EQ(std::adjacent_find(neighbors.begin(), neighbors.end()),
+                neighbors.end())
+          << "repeated edge at rack " << v;
+    }
+  };
+  check(24, 3, 3);
+  for (const std::size_t racks : {100u, 1000u})
+    for (const std::size_t degree : {3u, 4u, 5u, 8u, 16u, 32u})
+      check(racks, degree, 3);
+  // Pairing shuffled stubs, with a restart on any self-loop or repeated
+  // edge, used up its 200 attempts at these two seeds.
+  for (const std::uint64_t seed : {282u, 345u}) check(100, 4, seed);
 }
 
 TEST(Complete, AllPairsAdjacent) {
