@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "common/small_vector.hpp"
+
 #if !defined(__cpp_lib_to_chars)
 #include <locale>
 #include <sstream>
@@ -13,26 +15,17 @@ namespace rdcn {
 
 namespace detail {
 
-std::string trim(const std::string& s) {
-  std::size_t begin = 0, end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t')) ++begin;
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t')) --end;
-  return s.substr(begin, end - begin);
+std::string_view trim(std::string_view text) {
+  std::size_t begin = 0, end = text.size();
+  while (begin < end && (text[begin] == ' ' || text[begin] == '\t')) ++begin;
+  while (end > begin && (text[end - 1] == ' ' || text[end - 1] == '\t'))
+    --end;
+  return text.substr(begin, end - begin);
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
+void append_number(std::string& out, std::uint64_t value) {
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
 }
 
 }  // namespace detail
@@ -42,17 +35,16 @@ namespace {
 using detail::split;
 using detail::trim;
 
-[[noreturn]] void conversion_error(const std::string& key,
-                                   const std::string& value,
-                                   const char* type) {
-  throw SpecError("parameter '" + key + "': cannot parse '" + value +
-                  "' as " + type);
+[[noreturn]] void conversion_error(std::string_view key,
+                                   std::string_view value, const char* type) {
+  throw SpecError("parameter '" + std::string(key) + "': cannot parse '" +
+                  std::string(value) + "' as " + type);
 }
 
 }  // namespace
 
-std::uint64_t ParamMap::parse_uint(const std::string& key,
-                                   const std::string& value) {
+std::uint64_t ParamMap::parse_uint(std::string_view key,
+                                   std::string_view value) {
   std::uint64_t out = 0;
   const char* begin = value.data();
   const char* end = begin + value.size();
@@ -62,8 +54,8 @@ std::uint64_t ParamMap::parse_uint(const std::string& key,
   return out;
 }
 
-std::int64_t ParamMap::parse_int(const std::string& key,
-                                 const std::string& value) {
+std::int64_t ParamMap::parse_int(std::string_view key,
+                                 std::string_view value) {
   std::int64_t out = 0;
   const char* begin = value.data();
   const char* end = begin + value.size();
@@ -73,8 +65,8 @@ std::int64_t ParamMap::parse_int(const std::string& key,
   return out;
 }
 
-double ParamMap::parse_double(const std::string& key,
-                              const std::string& value) {
+double ParamMap::parse_double(std::string_view key,
+                              std::string_view value) {
   // std::strtod honors the global C locale — a host running under de_DE
   // rejects "0.5" — and accepts forms the from_chars-parsed integers don't
   // mirror (hex floats, "inf", "nan").  Parse locale-free instead:
@@ -93,10 +85,10 @@ double ParamMap::parse_double(const std::string& key,
   // restrict the alphabet to the decimal forms from_chars would accept
   // (this rejects hex floats, inf, nan, and locale decimal commas), then
   // parse with a stream pinned to the classic "C" locale.
-  if (value.find_first_not_of("0123456789.eE+-") != std::string::npos ||
+  if (value.find_first_not_of("0123456789.eE+-") != std::string_view::npos ||
       value[0] == '+' || value == "-")
     conversion_error(key, value, "a finite number");
-  std::istringstream in(value);
+  std::istringstream in{std::string(value)};
   in.imbue(std::locale::classic());
   in >> out;
   if (in.fail() || !in.eof() || !std::isfinite(out))
@@ -105,7 +97,7 @@ double ParamMap::parse_double(const std::string& key,
   return out;
 }
 
-bool ParamMap::parse_bool(const std::string& key, const std::string& value) {
+bool ParamMap::parse_bool(std::string_view key, std::string_view value) {
   if (value == "true" || value == "1" || value == "yes" || value == "on")
     return true;
   if (value == "false" || value == "0" || value == "no" || value == "off")
@@ -113,24 +105,28 @@ bool ParamMap::parse_bool(const std::string& key, const std::string& value) {
   conversion_error(key, value, "a boolean (true/false/1/0/yes/no/on/off)");
 }
 
-ParamMap ParamMap::parse(const std::string& text) {
+ParamMap ParamMap::parse(std::string_view text) {
   ParamMap out;
   if (trim(text).empty()) return out;
-  for (const std::string& raw : split(text, ',')) {
-    const std::string item = trim(raw);
+  out.entries_.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), ',')) + 1);
+  split(text, ',', [&](std::string_view raw) {
+    const std::string_view item = trim(raw);
     if (item.empty())
-      throw SpecError("empty parameter in spec '" + text + "'");
+      throw SpecError("empty parameter in spec '" + std::string(text) + "'");
     const std::size_t eq = item.find('=');
-    std::string key = eq == std::string::npos ? item : trim(item.substr(0, eq));
-    std::string value =
-        eq == std::string::npos ? "true" : trim(item.substr(eq + 1));
+    const std::string_view key =
+        eq == std::string_view::npos ? item : trim(item.substr(0, eq));
+    const std::string_view value =
+        eq == std::string_view::npos ? "true" : trim(item.substr(eq + 1));
     if (key.empty())
-      throw SpecError("parameter with empty key in spec '" + text + "'");
+      throw SpecError("parameter with empty key in spec '" +
+                      std::string(text) + "'");
     if (out.contains(key))
-      throw SpecError("duplicate parameter '" + key + "' in spec '" + text +
-                      "'");
-    out.entries_.push_back({std::move(key), std::move(value), false});
-  }
+      throw SpecError("duplicate parameter '" + std::string(key) +
+                      "' in spec '" + std::string(text) + "'");
+    out.entries_.push_back({std::string(key), std::string(value), false});
+  });
   return out;
 }
 
@@ -153,48 +149,47 @@ ParamMap ParamMap::from_args(int argc, const char* const* argv) {
   return out;
 }
 
-namespace {
-
-void append_entry(std::string& out, const std::string& key,
-                  const std::string& value) {
-  if (!out.empty()) out += ',';
-  out += key;
-  if (value != "true") {
-    out += '=';
-    out += value;
-  }
-}
-
-}  // namespace
-
 std::string ParamMap::to_string() const {
   std::string out;
-  for (const Entry& e : entries_) append_entry(out, e.key, e.value);
+  append_to(out, /*canonical=*/false);
   return out;
 }
 
 std::string ParamMap::canonical_string() const {
-  std::vector<const Entry*> sorted;
-  sorted.reserve(entries_.size());
-  for (const Entry& e : entries_) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Entry* a, const Entry* b) { return a->key < b->key; });
   std::string out;
-  for (const Entry* e : sorted) append_entry(out, e->key, e->value);
+  append_to(out, /*canonical=*/true);
   return out;
 }
 
-void ParamMap::set(const std::string& key, const std::string& value) {
+void ParamMap::append_to(std::string& out, bool canonical) const {
+  // Component specs carry a handful of params: sorting pointers in inline
+  // storage allocates nothing.
+  SmallVector<const Entry*, 8> order;
+  for (const Entry& e : entries_) order.push_back(&e);
+  if (canonical)
+    std::sort(order.begin(), order.end(),
+              [](const Entry* a, const Entry* b) { return a->key < b->key; });
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i > 0) out += ',';
+    out += order[i]->key;
+    if (order[i]->value != "true") {
+      out += '=';
+      out += order[i]->value;
+    }
+  }
+}
+
+void ParamMap::set(std::string_view key, std::string_view value) {
   for (Entry& e : entries_) {
     if (e.key == key) {
       e.value = value;
       return;
     }
   }
-  entries_.push_back({key, value, false});
+  entries_.push_back({std::string(key), std::string(value), false});
 }
 
-bool ParamMap::contains(const std::string& key) const noexcept {
+bool ParamMap::contains(std::string_view key) const noexcept {
   // Deliberately NOT routed through find(): contains() is a pure probe and
   // must not mark the entry consumed, or a key checked only via contains()
   // would silently escape require_all_consumed's unknown-key detection.
@@ -203,14 +198,7 @@ bool ParamMap::contains(const std::string& key) const noexcept {
   return false;
 }
 
-std::vector<std::string> ParamMap::keys() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.key);
-  return out;
-}
-
-const std::string* ParamMap::find(const std::string& key) const noexcept {
+const std::string* ParamMap::find(std::string_view key) const noexcept {
   for (const Entry& e : entries_) {
     if (e.key == key) {
       e.consumed = true;
@@ -227,36 +215,45 @@ std::vector<std::string> ParamMap::unconsumed_keys() const {
   return out;
 }
 
-void ParamMap::require_all_consumed(const std::string& context) const {
+void ParamMap::require_all_consumed(std::string_view context) const {
   const std::vector<std::string> unknown = unconsumed_keys();
   if (unknown.empty()) return;
-  std::string msg = context + ": unknown parameter";
+  std::string msg = std::string(context) + ": unknown parameter";
   if (unknown.size() > 1) msg += 's';
   for (std::size_t i = 0; i < unknown.size(); ++i)
     msg += (i == 0 ? " '" : ", '") + unknown[i] + "'";
   throw SpecError(msg);
 }
 
-Spec Spec::parse(const std::string& text) {
-  const std::string trimmed = trim(text);
+Spec Spec::parse(std::string_view text) {
+  const std::string_view trimmed = trim(text);
   const std::size_t colon = trimmed.find(':');
   Spec out;
-  out.name = trim(colon == std::string::npos ? trimmed
-                                             : trimmed.substr(0, colon));
-  if (out.name.empty()) throw SpecError("spec '" + text + "' has no name");
-  if (colon != std::string::npos)
+  out.name = trim(trimmed.substr(0, colon));
+  if (out.name.empty())
+    throw SpecError("spec '" + std::string(text) + "' has no name");
+  if (colon != std::string_view::npos)
     out.params = ParamMap::parse(trimmed.substr(colon + 1));
   return out;
 }
 
 std::string Spec::to_string() const {
-  const std::string p = params.to_string();
-  return p.empty() ? name : name + ":" + p;
+  std::string out;
+  append_to(out, /*canonical=*/false);
+  return out;
 }
 
 std::string Spec::canonical_string() const {
-  const std::string p = params.canonical_string();
-  return p.empty() ? name : name + ":" + p;
+  std::string out;
+  append_to(out, /*canonical=*/true);
+  return out;
+}
+
+void Spec::append_to(std::string& out, bool canonical) const {
+  out += name;
+  if (params.empty()) return;
+  out += ':';
+  params.append_to(out, canonical);
 }
 
 }  // namespace rdcn

@@ -12,11 +12,14 @@
 // consumer can reject typo'd keys after construction (unknown-key
 // detection); malformed values and missing required keys raise SpecError,
 // which user-facing drivers catch and turn into friendly diagnostics.
+// Parsers and lookups read std::string_view and copy only what a map
+// keeps; printers append into the caller's string.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -32,10 +35,24 @@ class SpecError : public std::runtime_error {
 };
 
 namespace detail {
-/// Shared spec-string helpers (used by ParamMap and the scenario layer, so
-/// the two spec layers cannot disagree on whitespace/list handling).
-std::string trim(const std::string& s);
-std::vector<std::string> split(const std::string& text, char sep);
+/// Shared spec-string helpers (used by ParamMap, the scenario layer and
+/// the protocol, so they cannot disagree on whitespace/list handling).
+std::string_view trim(std::string_view text);
+
+/// Appends `value` in decimal, as std::to_string prints it.
+void append_number(std::string& out, std::uint64_t value);
+
+/// Calls `visit(item)` for each `sep`-separated item of `text`, empty
+/// ones included: "a,,b" visits "a", "", "b"; "" visits "" once.
+template <typename Visit>
+void split(std::string_view text, char sep, Visit&& visit) {
+  while (true) {
+    const std::size_t pos = text.find(sep);
+    visit(text.substr(0, pos));
+    if (pos == std::string_view::npos) return;
+    text.remove_prefix(pos + 1);
+  }
+}
 }  // namespace detail
 
 class ParamMap {
@@ -45,7 +62,7 @@ class ParamMap {
   /// Parses "k1=v1,k2,k3=v3" (bare key ≡ key=true).  Empty text yields an
   /// empty map.  Duplicate keys raise SpecError (within one compact spec a
   /// repeated key is a typo, not an override).
-  static ParamMap parse(const std::string& text);
+  static ParamMap parse(std::string_view text);
 
   /// Reads command-line flags (argv[1..]): "--k=v", "--k v" when the next
   /// token does not start with '-', and a bare "--k" ≡ k=true.  A repeated
@@ -66,17 +83,24 @@ class ParamMap {
   /// this; to_string() stays faithful to the user's input order.
   std::string canonical_string() const;
 
+  /// Appends to_string(), or with `canonical` canonical_string(), to `out`.
+  void append_to(std::string& out, bool canonical) const;
+
   /// Programmatic insertion (overwrites an existing key in place).
-  void set(const std::string& key, const std::string& value);
+  void set(std::string_view key, std::string_view value);
 
   /// Pure membership probe.  Does NOT mark the entry consumed: a key only
   /// ever probed via contains() still shows up in unconsumed_keys().
-  bool contains(const std::string& key) const noexcept;
+  bool contains(std::string_view key) const noexcept;
   bool empty() const noexcept { return entries_.empty(); }
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// All keys in insertion order.
-  std::vector<std::string> keys() const;
+  /// Calls `visit(key)` for every key in insertion order.  Like
+  /// contains(), it marks nothing consumed.
+  template <typename Visit>
+  void for_each_key(Visit&& visit) const {
+    for (const Entry& e : entries_) visit(e.key);
+  }
 
   /// Typed getters.  The one-argument form is *required*: a missing key
   /// raises SpecError.  The two-argument form returns `fallback` when the
@@ -84,29 +108,41 @@ class ParamMap {
   /// (size_t, uint64_t, int, double, ...).  Conversion failures (trailing
   /// garbage, overflow, negative where unsigned) raise SpecError.
   template <typename T>
-  T get(const std::string& key) const {
+  T get(std::string_view key) const {
     const std::string* v = find(key);
     if (v == nullptr)
-      throw SpecError("missing required parameter '" + key + "'");
-    if constexpr (std::is_same_v<T, std::string>) {
-      return *v;
-    } else if constexpr (std::is_same_v<T, bool>) {
-      return parse_bool(key, *v);
-    } else if constexpr (std::is_floating_point_v<T>) {
-      return static_cast<T>(parse_double(key, *v));
-    } else if constexpr (std::is_unsigned_v<T>) {
-      return narrow<T>(key, *v, parse_uint(key, *v));
-    } else {
-      static_assert(std::is_signed_v<T> && std::is_integral_v<T>,
-                    "unsupported ParamMap::get<T>");
-      return narrow<T>(key, *v, parse_int(key, *v));
-    }
+      throw SpecError("missing required parameter '" + std::string(key) +
+                      "'");
+    return convert<T>(key, *v);
   }
 
   template <typename T>
-  T get(const std::string& key, T fallback) const {
-    return find(key) == nullptr ? fallback : get<T>(key);
+  T get(std::string_view key, T fallback) const {
+    const std::string* v = find(key);
+    return v == nullptr ? fallback : convert<T>(key, *v);
   }
+
+  /// get<T>'s conversion of a value read some other way (a scenario field,
+  /// one item of a list); failures raise the same SpecError.
+  template <typename T>
+  static T convert(std::string_view key, std::string_view value) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      return std::string(value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return parse_bool(key, value);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return static_cast<T>(parse_double(key, value));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      return narrow<T>(key, value, parse_uint(key, value));
+    } else {
+      static_assert(std::is_signed_v<T> && std::is_integral_v<T>,
+                    "unsupported ParamMap::get<T>");
+      return narrow<T>(key, value, parse_int(key, value));
+    }
+  }
+
+  /// The value under `key`, marked consumed; nullptr when absent.
+  const std::string* find(std::string_view key) const noexcept;
 
   /// Keys never read by any getter — i.e. keys the consumer does not
   /// understand (contains() probes don't count as reads).  Registries call
@@ -116,7 +152,7 @@ class ParamMap {
 
   /// Raises SpecError naming every unconsumed key; `context` names the
   /// component being built ("algorithm 'r_bma'").
-  void require_all_consumed(const std::string& context) const;
+  void require_all_consumed(std::string_view context) const;
 
   /// Forgets which keys have been read (copies inherit consumption marks;
   /// registries reset their private copy before building).
@@ -141,23 +177,18 @@ class ParamMap {
     mutable bool consumed = false;
   };
 
-  /// nullptr when absent; marks the entry consumed otherwise.
-  const std::string* find(const std::string& key) const noexcept;
-
-  static bool parse_bool(const std::string& key, const std::string& value);
-  static double parse_double(const std::string& key, const std::string& value);
-  static std::uint64_t parse_uint(const std::string& key,
-                                  const std::string& value);
-  static std::int64_t parse_int(const std::string& key,
-                                const std::string& value);
+  static bool parse_bool(std::string_view key, std::string_view value);
+  static double parse_double(std::string_view key, std::string_view value);
+  static std::uint64_t parse_uint(std::string_view key,
+                                  std::string_view value);
+  static std::int64_t parse_int(std::string_view key, std::string_view value);
 
   template <typename T, typename Wide>
-  static T narrow(const std::string& key, const std::string& value,
-                  Wide wide) {
+  static T narrow(std::string_view key, std::string_view value, Wide wide) {
     const T narrowed = static_cast<T>(wide);
     if (static_cast<Wide>(narrowed) != wide)
-      throw SpecError("parameter '" + key + "': value '" + value +
-                      "' out of range");
+      throw SpecError("parameter '" + std::string(key) + "': value '" +
+                      std::string(value) + "' out of range");
     return narrowed;
   }
 
@@ -169,12 +200,15 @@ struct Spec {
   std::string name;
   ParamMap params;
 
-  static Spec parse(const std::string& text);
+  static Spec parse(std::string_view text);
   std::string to_string() const;
 
   /// to_string() with params in canonical (sorted) order; see
   /// ParamMap::canonical_string.
   std::string canonical_string() const;
+
+  /// Appends to_string(), or with `canonical` canonical_string(), to `out`.
+  void append_to(std::string& out, bool canonical) const;
 
   friend bool operator==(const Spec& a, const Spec& b) {
     return a.name == b.name && a.params == b.params;

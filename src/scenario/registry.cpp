@@ -59,17 +59,17 @@ void Registry<Entry>::add(const std::string& name, Entry entry) {
 }
 
 template <typename Entry>
-const Entry* Registry<Entry>::find(const std::string& name) const {
+const Entry* Registry<Entry>::find(std::string_view name) const {
   const auto it = entries_.find(name);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
 template <typename Entry>
-const Entry& Registry<Entry>::at(const std::string& name) const {
+const Entry& Registry<Entry>::at(std::string_view name) const {
   const Entry* entry = find(name);
   if (entry != nullptr) return *entry;
-  std::string msg = "unknown " + kind_ + " '" + name + "'";
-  const std::string suggestion = nearest_name(name, names());
+  std::string msg = "unknown " + kind_ + " '" + std::string(name) + "'";
+  const std::string suggestion = nearest_name(std::string(name), names());
   if (!suggestion.empty()) msg += " (did you mean '" + suggestion + "'?)";
   msg += "; known: " + join(names());
   throw SpecError(msg);
@@ -78,11 +78,11 @@ const Entry& Registry<Entry>::at(const std::string& name) const {
 template <typename Entry>
 void Registry<Entry>::validate(const Spec& spec) const {
   const Entry& entry = at(spec.name);
-  std::vector<std::string> known;
-  known.reserve(entry.params.size());
-  for (const ParamDoc& doc : entry.params) known.push_back(doc.key);
-  for (const std::string& key : spec.params.keys()) {
-    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+  spec.params.for_each_key([&](const std::string& key) {
+    for (const ParamDoc& doc : entry.params)
+      if (doc.key == key) return;
+    std::vector<std::string> known;
+    for (const ParamDoc& doc : entry.params) known.push_back(doc.key);
     std::string msg =
         kind_ + " '" + spec.name + "': unknown parameter '" + key + "'";
     const std::string suggestion = nearest_name(key, known);
@@ -90,7 +90,7 @@ void Registry<Entry>::validate(const Spec& spec) const {
     if (!known.empty()) msg += "; known: " + join(known);
     else msg += "; '" + spec.name + "' takes no parameters";
     throw SpecError(msg);
-  }
+  });
 }
 
 template <typename Entry>
@@ -197,7 +197,8 @@ trace::Trace make_workload(const std::string& spec, std::size_t racks,
                                            rng);
 }
 
-std::vector<Spec> parse_algorithm_list(const std::string& text) {
+std::vector<Spec> parse_algorithm_list(std::string_view text) {
+  using rdcn::detail::trim;
   const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   std::vector<Spec> out;
   std::string pending;  // current spec text, grown segment by segment
@@ -205,10 +206,10 @@ std::vector<Spec> parse_algorithm_list(const std::string& text) {
     if (!pending.empty()) out.push_back(Spec::parse(pending));
     pending.clear();
   };
-  for (const std::string& raw : rdcn::detail::split(text, ',')) {
-    const std::string segment = rdcn::detail::trim(raw);
-    if (segment.empty()) continue;
-    const std::string head = segment.substr(0, segment.find(':'));
+  rdcn::detail::split(text, ',', [&](std::string_view raw) {
+    const std::string_view segment = trim(raw);
+    if (segment.empty()) return;
+    const std::string_view head = trim(segment.substr(0, segment.find(':')));
     if (pending.empty() || registry.find(head) != nullptr) {
       flush();
       pending = segment;
@@ -218,7 +219,7 @@ std::vector<Spec> parse_algorithm_list(const std::string& text) {
       pending += pending.find(':') == std::string::npos ? ':' : ',';
       pending += segment;
     }
-  }
+  });
   flush();
   return out;
 }

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/param_map.hpp"
@@ -136,10 +137,10 @@ class Registry {
   void add(const std::string& name, Entry entry);
 
   /// nullptr when unknown (no error).
-  const Entry* find(const std::string& name) const;
+  const Entry* find(std::string_view name) const;
 
   /// Throws SpecError with a nearest-match suggestion when unknown.
-  const Entry& at(const std::string& name) const;
+  const Entry& at(std::string_view name) const;
 
   /// Cheap static validation (no construction): the name must be
   /// registered and every parameter key documented in the entry's
@@ -156,7 +157,7 @@ class Registry {
   explicit Registry(std::string kind) : kind_(std::move(kind)) {}
 
  private:
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, Entry, std::less<>> entries_;  ///< found by view
   std::string kind_;  ///< "algorithm" | "topology" | "workload" (for errors)
 };
 
@@ -214,10 +215,10 @@ trace::Trace make_workload(const std::string& spec, std::size_t racks,
 
 /// Splits a comma-separated list of algorithm specs.  Commas both separate
 /// specs and parameters; a segment opens a new spec iff its head (text
-/// before ':') is a registered algorithm name, otherwise it extends the
-/// previous spec's parameters:  "r_bma:engine=lru,eager,bma" →
+/// before ':', trimmed) is a registered algorithm name, otherwise it
+/// extends the previous spec's parameters:  "r_bma:engine=lru,eager,bma" →
 /// ["r_bma:engine=lru,eager", "bma"].
-std::vector<Spec> parse_algorithm_list(const std::string& text);
+std::vector<Spec> parse_algorithm_list(std::string_view text);
 
 /// Human-readable catalog of all three registries with per-parameter docs —
 /// the generated half of rdcn_sim's --help text.

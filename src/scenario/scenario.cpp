@@ -1,10 +1,13 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "obs/span.hpp"
@@ -16,127 +19,185 @@ namespace {
 
 // Fully qualified: scenario::detail (the registrar helpers) shadows
 // rdcn::detail here.
+using rdcn::detail::append_number;
 using rdcn::detail::split;
 using rdcn::detail::trim;
 
-/// One entry of the b list, through ParamMap's typed conversion (the
-/// same SpecErrors as a scalar field).
-std::size_t parse_cache_size(const std::string& text) {
-  ParamMap one;
-  one.set("b", trim(text));
-  return one.get<std::size_t>("b");
+/// The scenario fields in the order parse() reads them, which is the
+/// order their errors are raised in.
+enum Field : std::size_t {
+  kTopology, kWorkload, kAlgorithms, kB, kRacks, kRequests, kA, kAlpha,
+  kTrials, kCheckpoints, kSeed, kThreads, kFieldCount
+};
+constexpr std::array<std::string_view, kFieldCount> kFieldNames = {
+    "topology", "workload", "algorithms", "b",           "racks", "requests",
+    "a",        "alpha",    "trials",     "checkpoints", "seed",  "threads"};
+
+/// What a parse found before reading any value: a view of each given
+/// field's value (into the caller's text or ParamMap), and the keys no
+/// field knows, in order.
+struct RawFields {
+  std::array<std::optional<std::string_view>, kFieldCount> value;
+  std::vector<std::string_view> unknown;
+};
+
+template <typename T>
+void read_field(const RawFields& raw, Field field, T& out) {
+  if (raw.value[field])
+    out = ParamMap::convert<T>(kFieldNames[field], *raw.value[field]);
 }
 
-std::string size_list_to_string(const std::vector<std::size_t>& values) {
-  std::string out;
-  for (std::size_t v : values) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(v);
-  }
-  return out;
-}
-
-}  // namespace
-
-ScenarioSpec ScenarioSpec::parse(const std::string& text) {
-  ParamMap fields;
-  for (const std::string& raw_field : split(text, ';')) {
-    const std::string field = trim(raw_field);
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos)
-      throw SpecError("scenario field '" + field +
-                      "' is not of the form key=value");
-    const std::string key = trim(field.substr(0, eq));
-    // Same stance as ParamMap::parse: within one spec a repeated key is a
-    // typo, not an override.
-    if (fields.contains(key))
-      throw SpecError("duplicate scenario field '" + key + "'");
-    fields.set(key, trim(field.substr(eq + 1)));
-  }
-  return parse(fields);
-}
-
-ScenarioSpec ScenarioSpec::parse(const ParamMap& fields) {
+/// The one body of both parse overloads.
+ScenarioSpec read_fields(const RawFields& raw) {
   ScenarioSpec spec;
-  if (fields.contains("topology"))
-    spec.topology = Spec::parse(fields.get<std::string>("topology"));
-  if (fields.contains("workload"))
-    spec.workload = Spec::parse(fields.get<std::string>("workload"));
-  spec.algorithms =
-      parse_algorithm_list(fields.get<std::string>("algorithms", ""));
-  if (fields.contains("b"))
-    for (const std::string& b : split(fields.get<std::string>("b"), ','))
-      spec.cache_sizes.push_back(parse_cache_size(b));
-  spec.racks = fields.get("racks", spec.racks);
-  spec.requests = fields.get("requests", spec.requests);
-  spec.a = fields.get("a", spec.a);
-  spec.alpha = fields.get("alpha", spec.alpha);
-  spec.trials = fields.get("trials", spec.trials);
-  spec.checkpoints = fields.get("checkpoints", spec.checkpoints);
-  spec.seed = fields.get("seed", spec.seed);
-  spec.threads = fields.get("threads", spec.threads);
-  const std::vector<std::string> unknown = fields.unconsumed_keys();
-  if (!unknown.empty())
+  if (raw.value[kTopology]) spec.topology = Spec::parse(*raw.value[kTopology]);
+  if (raw.value[kWorkload]) spec.workload = Spec::parse(*raw.value[kWorkload]);
+  if (const auto& list = raw.value[kAlgorithms]) {
+    // Given but empty is refused like an empty b; only an absent field
+    // means the default set.
+    spec.algorithms = parse_algorithm_list(*list);
+    if (spec.algorithms.empty())
+      throw SpecError("parameter 'algorithms': cannot parse '" +
+                      std::string(*list) + "' as an algorithm list");
+  }
+  if (raw.value[kB])
+    split(*raw.value[kB], ',', [&](std::string_view b) {
+      spec.cache_sizes.push_back(ParamMap::convert<std::size_t>("b", trim(b)));
+    });
+  read_field(raw, kRacks, spec.racks);
+  read_field(raw, kRequests, spec.requests);
+  read_field(raw, kA, spec.a);
+  read_field(raw, kAlpha, spec.alpha);
+  read_field(raw, kTrials, spec.trials);
+  read_field(raw, kCheckpoints, spec.checkpoints);
+  read_field(raw, kSeed, spec.seed);
+  read_field(raw, kThreads, spec.threads);
+  if (!raw.unknown.empty())
     throw SpecError(
-        "unknown scenario field '" + unknown.front() +
+        "unknown scenario field '" + std::string(raw.unknown.front()) +
         "'; known: topology, workload, algorithms, b, racks, requests, a, "
         "alpha, trials, checkpoints, seed, threads");
   return spec;
 }
 
+}  // namespace
+
+ScenarioSpec ScenarioSpec::parse(std::string_view text) {
+  RawFields raw;
+  split(text, ';', [&](std::string_view item) {
+    const std::string_view field = trim(item);
+    if (field.empty()) return;
+    const std::size_t eq = field.find('=');
+    if (eq == std::string_view::npos)
+      throw SpecError("scenario field '" + std::string(field) +
+                      "' is not of the form key=value");
+    const std::string_view key = trim(field.substr(0, eq));
+    const auto f = static_cast<std::size_t>(
+        std::find(kFieldNames.begin(), kFieldNames.end(), key) -
+        kFieldNames.begin());
+    // Same stance as ParamMap::parse: within one spec a repeated key is a
+    // typo, not an override.
+    const bool repeated =
+        f < kFieldCount
+            ? raw.value[f].has_value()
+            : std::find(raw.unknown.begin(), raw.unknown.end(), key) !=
+                  raw.unknown.end();
+    if (repeated)
+      throw SpecError("duplicate scenario field '" + std::string(key) + "'");
+    if (f < kFieldCount)
+      raw.value[f] = trim(field.substr(eq + 1));
+    else
+      raw.unknown.push_back(key);
+  });
+  return read_fields(raw);
+}
+
+ScenarioSpec ScenarioSpec::parse(const ParamMap& fields) {
+  RawFields raw;
+  for (std::size_t f = 0; f < kFieldCount; ++f)
+    if (const std::string* value = fields.find(kFieldNames[f]))
+      raw.value[f] = *value;
+  const std::vector<std::string> unknown = fields.unconsumed_keys();
+  raw.unknown.assign(unknown.begin(), unknown.end());
+  return read_fields(raw);
+}
+
 namespace {
+
+/// What resolved() fills an empty list with; the printers show the same.
+const std::vector<Spec>& default_algorithms() {
+  static const std::vector<Spec> algorithms = {
+      Spec{"r_bma", {}}, Spec{"bma", {}}, Spec{"oblivious", {}}};
+  return algorithms;
+}
+const std::vector<std::size_t>& default_cache_sizes() {
+  static const std::vector<std::size_t> cache_sizes = {12};
+  return cache_sizes;
+}
 
 /// Shared body of to_string/canonical_string.  `canonical` switches the
 /// component specs to sorted-param printing and drops execution-only
 /// fields, making equal experiments print equal.
-std::string spec_to_string(const ScenarioSpec& r, bool canonical) {
-  std::string algorithms;
-  for (const Spec& a : r.algorithms) {
-    if (!algorithms.empty()) algorithms += ',';
-    algorithms += canonical ? a.canonical_string() : a.to_string();
-  }
+std::string spec_to_string(const ScenarioSpec& s, bool canonical) {
+  const std::vector<Spec>& algorithms =
+      s.algorithms.empty() ? default_algorithms() : s.algorithms;
+  const std::vector<std::size_t>& cache_sizes =
+      s.cache_sizes.empty() ? default_cache_sizes() : s.cache_sizes;
   std::string out;
-  out += "topology=" +
-         (canonical ? r.topology.canonical_string() : r.topology.to_string());
-  out += ";workload=" +
-         (canonical ? r.workload.canonical_string() : r.workload.to_string());
-  out += ";algorithms=" + algorithms;
-  out += ";b=" + size_list_to_string(r.cache_sizes);
-  out += ";racks=" + std::to_string(r.racks);
-  out += ";requests=" + std::to_string(r.requests);
-  out += ";a=" + std::to_string(r.a);
-  out += ";alpha=" + std::to_string(r.alpha);
-  out += ";trials=" + std::to_string(r.trials);
-  out += ";checkpoints=" + std::to_string(r.checkpoints);
-  out += ";seed=" + std::to_string(r.seed);
+  out.reserve(256);
+  out += "topology=";
+  s.topology.append_to(out, canonical);
+  out += ";workload=";
+  s.workload.append_to(out, canonical);
+  out += ";algorithms=";
+  for (std::size_t i = 0; i < algorithms.size(); ++i) {
+    if (i > 0) out += ',';
+    algorithms[i].append_to(out, canonical);
+  }
+  out += ";b=";
+  for (std::size_t i = 0; i < cache_sizes.size(); ++i) {
+    if (i > 0) out += ',';
+    append_number(out, cache_sizes[i]);
+  }
+  const std::pair<const char*, std::uint64_t> numbers[] = {
+      {";racks=", s.racks},   {";requests=", s.requests},
+      {";a=", s.a},           {";alpha=", s.alpha},
+      {";trials=", s.trials}, {";checkpoints=", s.checkpoints},
+      {";seed=", s.seed}};
+  for (const auto& [field, value] : numbers) {
+    out += field;
+    append_number(out, value);
+  }
   // threads is an execution detail, not part of the experiment's identity:
   // canonical forms drop it entirely (two submissions differing only in
   // thread count are the same experiment), and to_string omits only the
   // default (0 = hardware concurrency) so a pinned count survives the
   // parse/to_string round-trip.
-  if (!canonical && r.threads != 0)
-    out += ";threads=" + std::to_string(r.threads);
+  if (!canonical && s.threads != 0) {
+    out += ";threads=";
+    append_number(out, s.threads);
+  }
   return out;
 }
 
 }  // namespace
 
 std::string ScenarioSpec::to_string() const {
-  return spec_to_string(resolved(), /*canonical=*/false);
+  return spec_to_string(*this, /*canonical=*/false);
 }
 
 std::string ScenarioSpec::canonical_string() const {
-  return spec_to_string(resolved(), /*canonical=*/true);
+  return spec_to_string(*this, /*canonical=*/true);
 }
 
-ScenarioSpec ScenarioSpec::resolved() const {
-  ScenarioSpec out = *this;
-  if (out.algorithms.empty())
-    out.algorithms = {Spec{"r_bma", {}}, Spec{"bma", {}},
-                      Spec{"oblivious", {}}};
-  if (out.cache_sizes.empty()) out.cache_sizes = {12};
-  return out;
+ScenarioSpec ScenarioSpec::resolved() const& {
+  return ScenarioSpec(*this).resolved();
+}
+
+ScenarioSpec ScenarioSpec::resolved() && {
+  if (algorithms.empty()) algorithms = default_algorithms();
+  if (cache_sizes.empty()) cache_sizes = default_cache_sizes();
+  return std::move(*this);
 }
 
 void check_run_shape(const ScenarioSpec& spec) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/param_map.hpp"
@@ -42,13 +43,17 @@ struct ScenarioSpec {
   std::size_t threads = 0;   ///< 0 = hardware concurrency
 
   /// Parses the semicolon-separated "key=value;..." form (keys as in the
-  /// field names above); a repeated key raises SpecError.
-  static ScenarioSpec parse(const std::string& text);
+  /// field names above); a repeated key raises SpecError.  One pass keeps
+  /// a view of each field's value, read as below.
+  static ScenarioSpec parse(std::string_view text);
 
   /// Reads the fields from `fields` ("algorithms" through
-  /// parse_algorithm_list, "b" as a comma list; absent fields keep their
-  /// defaults).  A malformed value, or any key no read consumed, raises
-  /// SpecError — so a CLI reads its own flags first and passes the rest.
+  /// parse_algorithm_list, which must name at least one algorithm when
+  /// given, "b" as a comma list; absent fields keep their defaults).  A
+  /// malformed value, or any key no read consumed, raises SpecError — so
+  /// a CLI reads its own flags first and passes the rest.  Both overloads
+  /// read the values in one body, in the field order above: the first bad
+  /// value raises its error, before any unknown key does.
   static ScenarioSpec parse(const ParamMap& fields);
 
   /// One-line form faithful to the spec as given (resolved defaults,
@@ -65,7 +70,8 @@ struct ScenarioSpec {
   std::string canonical_string() const;
 
   /// Defaults applied (algorithms/cache_sizes filled when empty).
-  ScenarioSpec resolved() const;
+  ScenarioSpec resolved() const&;
+  ScenarioSpec resolved() &&;  ///< the same, without a copy
 };
 
 /// Spec problems the registries cannot see but that no run survives:

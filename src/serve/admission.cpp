@@ -9,7 +9,7 @@
 
 namespace rdcn::serve {
 
-bool is_valid_client_name(const std::string& name) {
+bool is_valid_client_name(std::string_view name) {
   if (name.empty() || name.size() > 64) return false;
   for (const char c : name) {
     const bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0 ||

@@ -12,6 +12,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace rdcn::serve {
 /// True for names safe on the wire and in journal records: 1–64 chars
 /// from [A-Za-z0-9._-] (no spaces — client names embed in space-separated
 /// protocol lines and journal payloads).
-bool is_valid_client_name(const std::string& name);
+bool is_valid_client_name(std::string_view name);
 
 /// Admission-rate limiter over the caller's monotonic clock.  rate <= 0
 /// means unlimited (try_take always succeeds).  Externally synchronized.

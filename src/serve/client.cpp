@@ -52,6 +52,7 @@ void Client::disconnect() {
     fd_ = -1;
   }
   buffer_.clear();
+  consumed_ = 0;
   streams_.clear();
 }
 
@@ -116,16 +117,20 @@ void Client::send_line(const std::string& line) {
   }
 }
 
-std::string Client::read_line() {
+std::string Client::read_line() { return std::string(take_line()); }
+
+std::string_view Client::take_line() {
   if (fd_ < 0) throw SpecError("client is not connected");
   while (true) {
-    const std::size_t pos = buffer_.find('\n');
+    const std::size_t pos = buffer_.find('\n', consumed_);
     if (pos != std::string::npos) {
-      std::string line = buffer_.substr(0, pos);
-      buffer_.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+      std::string_view line(buffer_.data() + consumed_, pos - consumed_);
+      consumed_ = pos + 1;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       return line;
     }
+    buffer_.erase(0, consumed_);  // every line before the cursor is taken
+    consumed_ = 0;
     if (buffer_.size() > kMaxLineBytes)
       throw TransportError(TransportError::Kind::kIo,
                            "daemon sent a line longer than " +
@@ -163,14 +168,16 @@ Client::Message Client::next_message(std::uint64_t run) {
   }
   while (true) {
     Message m;
-    m.raw = read_line();
+    m.raw = take_line();
     m.line = parse_server_line(m.raw);
     const Kind kind = m.line.kind;
     // The daemon posts a header and its payload as one unit, so the
     // payload lines follow the header directly, in the same write.
     if (kind == Kind::kResult || kind == Kind::kMetrics)
-      for (std::size_t i = 0; i < m.line.lines; ++i)
-        m.payload += read_line() + "\n";
+      for (std::size_t i = 0; i < m.line.lines; ++i) {
+        m.payload += take_line();
+        m.payload += '\n';
+      }
     const bool stream = kind == Kind::kCheckpoint ||
                         kind == Kind::kResult || kind == Kind::kDone;
     if (!stream || m.line.id == run) return m;

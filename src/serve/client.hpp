@@ -4,9 +4,10 @@
 // reply — yet any number of runs may be in flight on one connection and
 // collected in any order: submit() sends RUN and reads the admission
 // verdict; collect(id) consumes run id's CHECKPOINT stream, RESULT
-// payload, and DONE line.  Every read goes through one router.  A line
-// from the daemon is either the reply the current call waits for, or a
-// line of some run's stream (CHECKPOINT, RESULT with its payload lines,
+// payload, and DONE line.  Every read goes through one router, which
+// parses each line where it sits in the receive buffer.  A line from the
+// daemon is either the reply the current call waits for, or a line of
+// some run's stream (CHECKPOINT, RESULT with its payload lines,
 // DONE), which is queued under that run's id until collect(id) takes it —
 // so ping(), stats(), metrics() or another submit() may run while runs
 // stream.  A CANCELLING ack is the reply only cancel() waits for; other
@@ -41,6 +42,7 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/param_map.hpp"
@@ -212,7 +214,8 @@ class Client {
   /// Next line from the socket, bypassing the router: run lines already
   /// queued for collect() stay queued.  Throws TransportError — kEof on
   /// orderly close, kTimeout on read-timeout expiry, kIo on socket errors
-  /// — so callers can tell "daemon gone" from "daemon slow".
+  /// (also for a line over 1 MiB) — so callers can tell "daemon gone"
+  /// from "daemon slow".
   std::string read_line();
 
  private:
@@ -234,9 +237,14 @@ class Client {
   Message await_reply(std::initializer_list<ServerLine::Kind> replies,
                       const char* verb);
   std::size_t reset_common(const std::string& line);
+  /// read_line() as a view into buffer_, valid until the next read.
+  std::string_view take_line();
 
   int fd_ = -1;
-  std::string buffer_;       ///< bytes received beyond the last full line
+  /// Bytes received, read with a cursor: consumed_ moves past each line
+  /// taken, and taken bytes are dropped only when a read needs more.
+  std::string buffer_;
+  std::size_t consumed_ = 0;
   /// Runs' stream messages read while the caller waited for something
   /// else, oldest first; an id has an entry only while it has messages.
   std::unordered_map<std::uint64_t, std::deque<Message>> streams_;

@@ -434,13 +434,16 @@ void Daemon::connection_loop(const std::shared_ptr<Connection>& conn) {
       break;
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while (open && (pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+    // Each complete line is handled in place, as a view into the buffer;
+    // the bytes read are dropped once, after the last of them.
+    std::size_t begin = 0, end;
+    while (open && (end = buffer.find('\n', begin)) != std::string::npos) {
+      std::string_view line(buffer.data() + begin, end - begin);
+      begin = end + 1;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (!line.empty()) open = handle_command(conn, line);
     }
+    buffer.erase(0, begin);
     if (open && buffer.size() > kMaxLineBytes) {
       // A newline-free stream past the cap: refuse and hang up.
       conn->send_line(msg_error("reason=line_too_long limit_bytes=" +
@@ -473,7 +476,7 @@ void Daemon::reap_finished_readers_locked() {
 }
 
 bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
-                            const std::string& line) {
+                            std::string_view line) {
   const Command cmd = parse_command(line);
   switch (cmd.kind) {
     case Command::Kind::kPing:
@@ -544,15 +547,15 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
                         const Command& cmd) {
   Lifecycle::Submission s;
   try {
-    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(cmd.spec);
-    const scenario::ScenarioSpec resolved = spec.resolved();
-    scenario::TopologyRegistry::instance().validate(resolved.topology);
-    scenario::WorkloadRegistry::instance().validate(resolved.workload);
-    for (const Spec& algorithm : resolved.algorithms)
+    const scenario::ScenarioSpec spec =
+        scenario::ScenarioSpec::parse(cmd.spec).resolved();
+    scenario::TopologyRegistry::instance().validate(spec.topology);
+    scenario::WorkloadRegistry::instance().validate(spec.workload);
+    for (const Spec& algorithm : spec.algorithms)
       scenario::AlgorithmRegistry::instance().validate(algorithm);
-    scenario::check_run_shape(resolved);
+    scenario::check_run_shape(spec);
     s.canonical = spec.canonical_string();
-    s.cost = scenario::estimate_cost(resolved);
+    s.cost = scenario::estimate_cost(spec);
   } catch (const std::exception& e) {
     conn->send_line(msg_error(e.what()));
     return;
@@ -585,9 +588,7 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
     admitted = lifecycle_.enqueue(s, id, now_ns, out);
   });
   if (id != 0 && payload) {
-    conn->post(msg_accepted(id) + "\n" +
-               msg_result_unit(id, /*cached=*/true, *payload) +
-               msg_done(id, "ok") + "\n");
+    conn->post(msg_cached_run(id, *payload));
     conn->flush();
     return;
   }

@@ -62,6 +62,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -116,7 +117,7 @@ class Daemon {
   void connection_loop(const std::shared_ptr<Connection>& conn);
   /// Returns false when the connection should close (SHUTDOWN).
   bool handle_command(const std::shared_ptr<Connection>& conn,
-                      const std::string& line);
+                      std::string_view line);
   void handle_run(const std::shared_ptr<Connection>& conn,
                   const Command& cmd);
   void handle_attach(const std::shared_ptr<Connection>& conn,

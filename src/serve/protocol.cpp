@@ -8,78 +8,81 @@
 
 namespace rdcn::serve {
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
+bool parse_u64(std::string_view text, std::uint64_t& out) {
+  if (text.empty()) return false;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return !text.empty() && ec == std::errc{} && ptr == end;
+  return ec == std::errc{} && ptr == end;
 }
 
 namespace {
 
+using rdcn::detail::append_number;
+
 /// Splits "VERB rest" at the first space; rest is "" when absent.
-void split_verb(const std::string& line, std::string& verb,
-                std::string& rest) {
+void split_verb(std::string_view line, std::string_view& verb,
+                std::string_view& rest) {
   const std::size_t space = line.find(' ');
-  if (space == std::string::npos) {
-    verb = line;
-    rest.clear();
-    return;
-  }
   verb = line.substr(0, space);
-  std::size_t begin = space;
-  while (begin < line.size() && line[begin] == ' ') ++begin;
-  rest = line.substr(begin);
+  rest = space == std::string_view::npos ? std::string_view()
+                                          : line.substr(space);
+  rest.remove_prefix(std::min(rest.find_first_not_of(' '), rest.size()));
 }
 
 /// Extracts "key=<value>" from an attribute line ("ACCEPTED id=3"); value
 /// runs to the next space.  Returns "" when absent.
-std::string attr(const std::string& rest, const std::string& key) {
-  const std::string needle = key + "=";
+std::string_view attr(std::string_view rest, std::string_view key) {
   std::size_t pos = 0;
   while (pos < rest.size()) {
     const std::size_t item_end = rest.find(' ', pos);
-    const std::size_t len =
-        (item_end == std::string::npos ? rest.size() : item_end) - pos;
-    if (rest.compare(pos, needle.size(), needle) == 0)
-      return rest.substr(pos + needle.size(), len - needle.size());
-    if (item_end == std::string::npos) break;
+    const std::string_view item = rest.substr(pos, item_end - pos);
+    if (item.size() > key.size() && item.starts_with(key) &&
+        item[key.size()] == '=')
+      return item.substr(key.size() + 1);
+    if (item_end == std::string_view::npos) break;
     pos = item_end + 1;
   }
-  return "";
+  return {};
 }
 
-std::uint64_t attr_u64(const std::string& rest, const std::string& key) {
+std::uint64_t attr_u64(std::string_view rest, std::string_view key) {
   std::uint64_t out = 0;
   parse_u64(attr(rest, key), out);
   return out;
 }
 
+/// A command's operand: the first space-separated token of `rest`.
+std::string_view operand(std::string_view rest) {
+  return rest.substr(0, rest.find(' '));
+}
+
 /// The space-separated "k=v" tokens after a command's operand (the first
 /// token of `rest`), read into a ParamMap like every typed-in value.  A
 /// bare token reads as k="", which no option accepts.
-ParamMap options_after_operand(const std::string& rest) {
+ParamMap options_after_operand(std::string_view rest) {
   ParamMap out;
   const std::size_t space = rest.find(' ');
-  if (space == std::string::npos) return out;  // the common bare RUN
-  for (const std::string& token :
-       rdcn::detail::split(rest.substr(space + 1), ' ')) {
+  if (space == std::string_view::npos) return out;  // the common bare RUN
+  rdcn::detail::split(rest.substr(space + 1), ' ', [&](std::string_view token) {
     const std::size_t eq = token.find('=');
     if (!token.empty())
-      out.set(token.substr(0, eq),
-              eq == std::string::npos ? "" : token.substr(eq + 1));
-  }
+      out.set(token.substr(0, eq), eq == std::string_view::npos
+                                       ? std::string_view()
+                                       : token.substr(eq + 1));
+  });
   return out;
 }
 
 /// Option `key` as T, `fallback` when absent; a present value `valid`
 /// refuses raises SpecError naming the token.
 template <typename T, typename Valid>
-T option(const ParamMap& options, const std::string& key, T fallback,
+T option(const ParamMap& options, std::string_view key, T fallback,
          Valid valid) {
-  const T value = options.get(key, fallback);
-  if (options.contains(key) && !valid(value))
-    throw SpecError("invalid option '" + key + "=" +
-                    options.get<std::string>(key) + "'");
+  const std::string* raw = options.find(key);
+  if (raw == nullptr) return fallback;
+  const T value = ParamMap::convert<T>(key, *raw);
+  if (!valid(value))
+    throw SpecError("invalid option '" + std::string(key) + "=" + *raw + "'");
   return value;
 }
 
@@ -87,9 +90,9 @@ bool positive(std::uint64_t n) { return n > 0; }
 
 }  // namespace
 
-Command parse_command(const std::string& line) {
+Command parse_command(std::string_view line) {
   Command cmd;
-  std::string verb, rest;
+  std::string_view verb, rest;
   split_verb(line, verb, rest);
   if (verb == "PING") {
     cmd.kind = rest.empty() ? Command::Kind::kPing : Command::Kind::kInvalid;
@@ -124,7 +127,7 @@ Command parse_command(const std::string& line) {
   } else if (verb == "RUN") {
     // The spec itself never contains spaces; the tokens after it are run
     // options.
-    cmd.spec = rest.substr(0, rest.find(' '));
+    cmd.spec = operand(rest);
     try {
       const ParamMap options = options_after_operand(rest);
       cmd.deadline_ms =
@@ -141,13 +144,15 @@ Command parse_command(const std::string& line) {
                   "client=<name>, priority=<0-2>";
     }
   } else if (verb == "CANCEL") {
-    if (!parse_u64(rest, cmd.id)) {
+    // The operand read as ATTACH reads it; CANCEL takes no options.
+    if (!parse_u64(operand(rest), cmd.id) ||
+        !options_after_operand(rest).empty()) {
       cmd.error = "CANCEL needs a run id ('CANCEL <id>')";
     } else {
       cmd.kind = Command::Kind::kCancel;
     }
   } else if (verb == "ATTACH") {
-    if (!parse_u64(rest.substr(0, rest.find(' ')), cmd.id)) {
+    if (!parse_u64(operand(rest), cmd.id)) {
       cmd.error = "ATTACH needs a run id ('ATTACH <id> [from=<k>]')";
     } else {
       try {
@@ -173,11 +178,11 @@ Command parse_command(const std::string& line) {
     } else if (rest == "drain=0") {
       cmd.kind = Command::Kind::kShutdown;
     } else {
-      cmd.error = "unrecognized SHUTDOWN option '" + rest +
+      cmd.error = "unrecognized SHUTDOWN option '" + std::string(rest) +
                   "'; known: drain=<0|1>";
     }
   } else {
-    cmd.error = "unknown command '" + verb +
+    cmd.error = "unknown command '" + std::string(verb) +
                 "'; known: PING, HELLO, RUN, CANCEL, ATTACH, RESET, STATS, "
                 "METRICS, SHUTDOWN";
   }
@@ -248,6 +253,23 @@ std::string msg_result_unit(std::uint64_t id, bool cached,
   return msg_result(id, cached, lines) + "\n" + payload;
 }
 
+std::string msg_cached_run(std::uint64_t id, const std::string& payload) {
+  std::string out = "ACCEPTED id=";
+  out.reserve(payload.size() + 112);
+  append_number(out, id);
+  out += "\nRESULT id=";
+  append_number(out, id);
+  out += " cached=1 lines=";
+  append_number(out, static_cast<std::uint64_t>(
+                         std::count(payload.begin(), payload.end(), '\n')));
+  out += '\n';
+  out += payload;
+  out += "DONE id=";
+  append_number(out, id);
+  out += " status=ok\n";
+  return out;
+}
+
 std::string msg_done(std::uint64_t id, const std::string& status) {
   return "DONE id=" + std::to_string(id) + " status=" + status;
 }
@@ -274,7 +296,7 @@ std::string msg_stats(const StatsReport& r) {
          " clients=" + std::to_string(r.clients);
 }
 
-StatsReport parse_stats(const std::string& attrs) {
+StatsReport parse_stats(std::string_view attrs) {
   StatsReport r;
   r.active = static_cast<std::size_t>(attr_u64(attrs, "active"));
   r.queued = static_cast<std::size_t>(attr_u64(attrs, "queued"));
@@ -304,9 +326,9 @@ std::string msg_metrics(std::size_t lines) {
 
 std::string msg_bye() { return "BYE"; }
 
-ServerLine parse_server_line(const std::string& line) {
+ServerLine parse_server_line(std::string_view line) {
   ServerLine out;
-  std::string verb, rest;
+  std::string_view verb, rest;
   split_verb(line, verb, rest);
   if (verb == "PONG") {
     out.kind = ServerLine::Kind::kPong;

@@ -105,6 +105,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/metrics.hpp"
 
@@ -137,7 +138,7 @@ struct Command {
 
 /// Parses one client line.  Never throws; malformed input yields kInvalid
 /// with a diagnostic the daemon echoes back as an ERROR line.
-Command parse_command(const std::string& line);
+Command parse_command(std::string_view line);
 
 /// The STATS reply, both directions: the daemon fills one and formats it
 /// with msg_stats; clients parse the reply's attribute text back into the
@@ -164,11 +165,11 @@ struct StatsReport {
   std::size_t brownout = 0;     ///< current brownout level (0 = healthy)
   std::size_t clients = 0;      ///< distinct client lanes seen so far
 };
-StatsReport parse_stats(const std::string& attrs);
+StatsReport parse_stats(std::string_view attrs);
 
 /// Strict u64 parse mirroring ParamMap::parse_uint: full consumption, no
 /// signs, no trailing garbage.
-bool parse_u64(const std::string& text, std::uint64_t& out);
+bool parse_u64(std::string_view text, std::uint64_t& out);
 
 /// Newlines embedded in `text` (e.g. multi-line exception messages) would
 /// break line framing; fold them into spaces.
@@ -195,6 +196,9 @@ std::string msg_result(std::uint64_t id, bool cached, std::size_t lines);
 /// may carry it with the lines around it; the payload ships verbatim.
 std::string msg_result_unit(std::uint64_t id, bool cached,
                             const std::string& payload);
+/// A cache hit's whole reply, one write unit built in one buffer: the
+/// bytes of msg_accepted, msg_result_unit (cached) and msg_done("ok").
+std::string msg_cached_run(std::uint64_t id, const std::string& payload);
 std::string msg_done(std::uint64_t id, const std::string& status);
 std::string msg_stats(const StatsReport& report);
 /// Header of a METRICS reply; `lines` raw exposition lines follow.
@@ -234,6 +238,6 @@ struct ServerLine {
 };
 
 /// Parses one server line.  Never throws; unknown verbs yield kOther.
-ServerLine parse_server_line(const std::string& line);
+ServerLine parse_server_line(std::string_view line);
 
 }  // namespace rdcn::serve

@@ -49,7 +49,8 @@ TEST(ParamMap, ToStringPrintsExplicitTrueAsBareKey) {
 
 TEST(ParamMap, PreservesInsertionOrder) {
   const ParamMap m = ParamMap::parse("z=1,a=2,m=3");
-  const auto keys = m.keys();
+  std::vector<std::string> keys;
+  m.for_each_key([&](const std::string& key) { keys.push_back(key); });
   ASSERT_EQ(keys.size(), 3u);
   EXPECT_EQ(keys[0], "z");
   EXPECT_EQ(keys[1], "a");

@@ -122,6 +122,35 @@ TEST(ScenarioSpec, MalformedFieldsThrow) {
   EXPECT_THROW(ScenarioSpec::parse("requests=-1"), SpecError);  // negative
 }
 
+TEST(ScenarioSpec, AlgorithmListsTrimEachHeadAndRefuseAnEmptyList) {
+  // A space before a parameterized algorithm's colon still names it, as
+  // it does for the first algorithm and for a topology.
+  const ScenarioSpec spec =
+      ScenarioSpec::parse("algorithms=bma,r_bma :engine=lru");
+  ASSERT_EQ(spec.algorithms.size(), 2u);
+  EXPECT_EQ(spec.algorithms[0].to_string(), "bma");
+  EXPECT_EQ(spec.algorithms[1].to_string(), "r_bma:engine=lru");
+
+  // A list that is given but names no algorithm is refused like an empty
+  // b, naming the field; only an absent field means the default set.
+  const auto error_of = [](const auto& fields) {
+    try {
+      ScenarioSpec::parse(fields);
+    } catch (const SpecError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(parsed)");
+  };
+  EXPECT_EQ(error_of("algorithms="),
+            "parameter 'algorithms': cannot parse '' as an algorithm list");
+  EXPECT_EQ(error_of("racks=8;algorithms= , ,"),
+            "parameter 'algorithms': cannot parse ', ,' as an algorithm list");
+  const char* argv[] = {"rdcn_sim", "--algorithms="};
+  EXPECT_EQ(error_of(ParamMap::from_args(2, argv)),
+            "parameter 'algorithms': cannot parse '' as an algorithm list");
+  EXPECT_EQ(ScenarioSpec::parse("racks=8").resolved().algorithms.size(), 3u);
+}
+
 TEST(ScenarioSpec, ParamMapFormReadsTheSameFieldsAsText) {
   // rdcn_sim passes its flags as a ParamMap; a spec string splits into
   // one.  Both must give the same spec, defaults and errors included.

@@ -1,17 +1,23 @@
 // The serving subsystem end to end: protocol parsing, the LRU results
-// cache, and a real in-process Daemon spoken to over its AF_UNIX socket —
+// cache, the client's line framing against a scripted fake daemon, and a
+// real in-process Daemon spoken to over its AF_UNIX socket —
 // admission, canonical-spec cache hits, cooperative cancellation,
 // backpressure, error reporting, and several runs multiplexed on one
 // client connection.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 #include "serve/client.hpp"
@@ -85,6 +91,10 @@ TEST(Protocol, ParsesCommands) {
   const Command cancel = parse_command("CANCEL 17");
   EXPECT_EQ(cancel.kind, Command::Kind::kCancel);
   EXPECT_EQ(cancel.id, 17u);
+  // A trailing space after the run id is accepted, as after ATTACH's.
+  const Command spaced = parse_command("CANCEL 17 ");
+  EXPECT_EQ(spaced.kind, Command::Kind::kCancel);
+  EXPECT_EQ(spaced.id, 17u);
   EXPECT_EQ(parse_command("STATS").kind, Command::Kind::kStats);
   EXPECT_EQ(parse_command("SHUTDOWN").kind, Command::Kind::kShutdown);
 }
@@ -97,6 +107,7 @@ TEST(Protocol, RejectsMalformedCommands) {
   EXPECT_EQ(parse_command("CANCEL").kind, Command::Kind::kInvalid);
   EXPECT_EQ(parse_command("CANCEL x7").kind, Command::Kind::kInvalid);
   EXPECT_EQ(parse_command("CANCEL -1").kind, Command::Kind::kInvalid);
+  EXPECT_EQ(parse_command("CANCEL 17 x").kind, Command::Kind::kInvalid);
 }
 
 TEST(Protocol, ServerLinesRoundTrip) {
@@ -115,6 +126,12 @@ TEST(Protocol, ServerLinesRoundTrip) {
   const ServerLine done = parse_server_line(msg_done(7, "cancelled"));
   EXPECT_EQ(done.kind, ServerLine::Kind::kDone);
   EXPECT_EQ(done.status, "cancelled");
+  // A cache hit's one-buffer reply is exactly its three messages.
+  const std::string payload = "alg,b\nbma,4\n";
+  EXPECT_EQ(msg_cached_run(12345, payload),
+            msg_accepted(12345) + "\n" +
+                msg_result_unit(12345, /*cached=*/true, payload) +
+                msg_done(12345, "ok") + "\n");
 }
 
 TEST(Protocol, ParsesRunDeadlineOption) {
@@ -265,6 +282,142 @@ TEST(Protocol, SanitizeFoldsNewlines) {
   // Error text travels on one line; embedded newlines must not let a spec
   // fragment masquerade as a protocol line.
   EXPECT_EQ(parse_server_line(msg_error("bad\nRUN x")).text, "bad RUN x");
+}
+
+// ------------------------------------------------------- client framing
+
+/// A one-connection stand-in for the daemon on a temporary AF_UNIX
+/// socket: it answers the i-th line it receives with replies[i], in one
+/// write, or one byte per send() when `trickle`.  It holds the connection
+/// until the client leaves.
+class FakeDaemon {
+ public:
+  FakeDaemon(const std::string& tag, std::vector<std::string> replies,
+             bool trickle)
+      : path_("/tmp/rdcn_serve_test_" + std::to_string(::getpid()) + "_" +
+              tag + ".sock") {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path_.c_str());
+    ::unlink(path_.c_str());
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 1) != 0)
+      ADD_FAILURE() << "cannot listen on " << path_;
+    thread_ = std::thread([this, replies = std::move(replies), trickle] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::size_t next = 0;
+      char c = 0;
+      while (::recv(fd, &c, 1, 0) == 1) {
+        if (c != '\n' || next == replies.size()) continue;
+        const std::string& reply = replies[next++];
+        for (std::size_t sent = 0; sent < reply.size();) {
+          const ssize_t n =
+              ::send(fd, reply.data() + sent, trickle ? 1 : reply.size() - sent,
+                     MSG_NOSIGNAL);
+          if (n <= 0) break;
+          sent += static_cast<std::size_t>(n);
+        }
+      }
+      ::close(fd);
+    });
+  }
+  ~FakeDaemon() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept() still waiting
+    thread_.join();
+    ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+  FakeDaemon(const FakeDaemon&) = delete;
+  FakeDaemon& operator=(const FakeDaemon&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  int listen_fd_ = -1;
+  std::thread thread_;
+};
+
+/// What the client made of one scripted conversation: a cached run, then
+/// two runs whose streams interleave.
+struct Conversation {
+  std::vector<Client::Submission> submissions;
+  std::vector<Client::RunOutput> outputs;
+};
+
+Conversation converse(bool trickle) {
+  const std::vector<std::string> replies = {
+      "ACCEPTED id=7\nRESULT id=7 cached=1 lines=2\nalg,b\nbma,4\n"
+      "DONE id=7 status=ok\n",
+      "ACCEPTED id=8\n",
+      "ACCEPTED id=9\n"
+      "CHECKPOINT id=8 seq=1 label=bma(b=4) seed=1 requests=5 routing=3 "
+      "total=3 wall=0.1\n"
+      "CHECKPOINT id=9 seq=1 label=bma(b=2) seed=1 requests=5 routing=4 "
+      "total=4 wall=0.1\n"
+      "RESULT id=9 cached=0 lines=1\nbma,2\n"
+      "CHECKPOINT id=8 seq=2 label=bma(b=4) seed=1 requests=9 routing=5 "
+      "total=5 wall=0.2\n"
+      "DONE id=9 status=ok\n"
+      "RESULT id=8 cached=0 lines=3\nalg,b\n\nbma,4\n"
+      "DONE id=8 status=ok\n"};
+  FakeDaemon fake(trickle ? "trickle" : "whole", replies, trickle);
+  Client client;
+  client.set_read_timeout_seconds(10);
+  client.connect(fake.path());
+  Conversation out;
+  out.submissions.push_back(client.submit("cached"));
+  out.outputs.push_back(client.collect(out.submissions.back().id));
+  out.submissions.push_back(client.submit("a"));
+  out.submissions.push_back(client.submit("b"));
+  out.outputs.push_back(client.collect(9));
+  out.outputs.push_back(client.collect(8));
+  return out;
+}
+
+TEST(ClientFraming, SplitRepliesReadLikeWholeOnes) {
+  const Conversation whole = converse(/*trickle=*/false);
+  const Conversation split = converse(/*trickle=*/true);
+  ASSERT_EQ(whole.submissions.size(), 3u);
+  ASSERT_EQ(whole.outputs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Client::Submission& a = whole.submissions[i];
+    const Client::Submission& b = split.submissions[i];
+    EXPECT_TRUE(a.accepted);
+    EXPECT_EQ(a.id, 7 + i);
+    EXPECT_EQ(std::tie(a.id, a.accepted, a.rejected, a.retry_ms, a.reason,
+                       a.error),
+              std::tie(b.id, b.accepted, b.rejected, b.retry_ms, b.reason,
+                       b.error));
+    const Client::RunOutput& x = whole.outputs[i];
+    const Client::RunOutput& y = split.outputs[i];
+    EXPECT_EQ(x.status, "ok");
+    EXPECT_EQ(std::tie(x.status, x.cached, x.csv, x.checkpoints, x.error),
+              std::tie(y.status, y.cached, y.csv, y.checkpoints, y.error));
+  }
+  EXPECT_TRUE(whole.outputs[0].cached);
+  EXPECT_EQ(whole.outputs[0].csv, "alg,b\nbma,4\n");
+  EXPECT_EQ(whole.outputs[1].csv, "bma,2\n");
+  EXPECT_EQ(whole.outputs[1].checkpoints, 1u);
+  EXPECT_EQ(whole.outputs[2].csv, "alg,b\n\nbma,4\n");
+  EXPECT_EQ(whole.outputs[2].checkpoints, 2u);
+}
+
+TEST(ClientFraming, ALineOverOneMebibyteIsAnIoError) {
+  FakeDaemon fake("long_line", {"PONG" + std::string(1u << 20, 'x')},
+                  /*trickle=*/false);
+  Client client;
+  client.set_read_timeout_seconds(10);
+  client.connect(fake.path());
+  try {
+    client.ping();
+    FAIL() << "expected TransportError";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kIo) << e.what();
+  }
 }
 
 // ------------------------------------------------------------ daemon e2e
