@@ -39,8 +39,9 @@ constexpr const char* kUsage =
     "\n"
     "flags:\n"
     "  --socket=PATH     AF_UNIX socket to listen on (required)\n"
-    "  --queue=N         admission queue bound; beyond it submissions get\n"
-    "                    REJECT + retry hint (default 16)\n"
+    "  --queue=N         runs that may wait for an executor, in one FIFO\n"
+    "                    queue; the next gets REJECT reason=queue_full\n"
+    "                    with a retry hint (default 16)\n"
     "  --executors=N     concurrent scenario runs, at least 1 (default 2)\n"
     "  --cache=N         results-cache entries, 0 disables (default 64)\n"
     "  --disk-cache=DIR  persistent results store surviving restarts;\n"
@@ -52,25 +53,13 @@ constexpr const char* kUsage =
     "  --drain-ms=N      graceful-drain budget for in-flight runs on\n"
     "                    SIGTERM/SIGINT or SHUTDOWN drain=1 (default 5000)\n"
     "  --threads=N       worker threads per run, 0 = all cores (default 0)\n"
-    "  --retry-ms=N      retry hint sent with REJECT (default 200)\n"
+    "  --retry-ms=N      REJECT retry hint until a run has finished and\n"
+    "                    the hint follows the drain rate (default 200)\n"
     "  --quarantine=N    consecutive executor crashes before a spec is\n"
     "                    quarantined, 0 disables (default 3)\n"
     "  --quarantine-ttl-s=N\n"
     "                    forget a crash streak untouched for N seconds,\n"
     "                    0 = never (default 0); RESET clears streaks now\n"
-    "  --quota-rps=R     default per-client token-bucket rate (runs/s),\n"
-    "                    0 = unlimited (default 0)\n"
-    "  --quota-burst=N   default bucket depth (default 2x rps)\n"
-    "  --quota-concurrent=N\n"
-    "                    default per-client in-flight cap, 0 = unlimited\n"
-    "  --quota-file=PATH per-client overrides: '<name> rps= burst=\n"
-    "                    concurrent=' per line ('default'/'*' sets the\n"
-    "                    baseline; see serve/admission.hpp)\n"
-    "  --max-rss-mb=N    brownout high-water mark on resident set size,\n"
-    "                    0 disables RSS-driven shedding (default 0)\n"
-    "  --shed-cost-limit=N\n"
-    "                    under brownout, also shed non-critical runs whose\n"
-    "                    estimated cost exceeds N units (default 0 = off)\n"
     "  --progress-timeout-ms=N\n"
     "                    cancel a run whose checkpoints stop advancing for\n"
     "                    N ms (DONE status=stalled), 0 disables (default 0)\n"
@@ -85,9 +74,8 @@ constexpr const char* kUsage =
     "                    snapshot period for --metrics-dump (default 1000)\n"
     "  --help            this text\n"
     "\n"
-    "protocol: PING | HELLO client=<name> |\n"
-    "          RUN <spec> [deadline_ms=<n>] [client=<name>] [priority=<0-2>]\n"
-    "          | CANCEL <id> | ATTACH <id> [from=<k>] |\n"
+    "protocol: PING | RUN <spec> [deadline_ms=<n>] | CANCEL <id> |\n"
+    "          ATTACH <id> [from=<k>] |\n"
     "          RESET spec=<canonical> | RESET all=1 | STATS | METRICS |\n"
     "          SHUTDOWN [drain=<0|1>]\n"
     "see README.md ('Serving mode' and 'Observability') for the full\n"
@@ -120,14 +108,6 @@ int main(int argc, char** argv) {
         flags.get("quarantine", options.quarantine_threshold);
     options.quarantine_ttl_s =
         flags.get("quarantine-ttl-s", options.quarantine_ttl_s);
-    options.quota_rps = flags.get("quota-rps", options.quota_rps);
-    options.quota_burst = flags.get("quota-burst", options.quota_burst);
-    options.quota_concurrent =
-        flags.get("quota-concurrent", options.quota_concurrent);
-    options.quota_file = flags.get("quota-file", options.quota_file);
-    options.max_rss_mb = flags.get("max-rss-mb", options.max_rss_mb);
-    options.shed_cost_limit =
-        flags.get("shed-cost-limit", options.shed_cost_limit);
     options.progress_timeout_ms =
         flags.get("progress-timeout-ms", options.progress_timeout_ms);
     options.faults = flags.get("faults", options.faults);

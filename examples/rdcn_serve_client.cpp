@@ -44,10 +44,6 @@ constexpr const char* kUsage =
     "  --attach=ID     instead of submitting, ATTACH to run ID (queued,\n"
     "                  running, or recently finished — ids survive daemon\n"
     "                  restarts when the daemon journals) and collect it\n"
-    "  --client=NAME   HELLO handshake: bind this connection to NAME's\n"
-    "                  quota and fairness lane (default anonymous)\n"
-    "  --priority=N    RUN priority 0-2; under daemon brownout lower\n"
-    "                  priorities are shed first (default 1)\n"
     "  --reset=SPEC    clear the quarantine streak for canonical SPEC\n"
     "                  ('all' clears every streak) and report the count\n"
     "  --csv=FILE      write the first run's CSV payload to FILE\n"
@@ -133,11 +129,10 @@ bool attach_run(serve::Client& client, std::uint64_t id,
 int main(int argc, char** argv) {
   // Every flag is read and checked before --daemon forks: a bad one exits
   // 2 with no daemon to reap.
-  std::string socket_path, daemon_bin, spec, spec2, client_name, reset, csv,
-      csv2, metrics_out;
+  std::string socket_path, daemon_bin, spec, spec2, reset, csv, csv2,
+      metrics_out;
   bool attach = false, quiet = false;
   std::uint64_t attach_id = 0, deadline_ms = 0;
-  int priority = 1;
   serve::Client::RetryPolicy policy;
   try {
     const ParamMap flags = ParamMap::from_args(argc, argv);
@@ -151,8 +146,6 @@ int main(int argc, char** argv) {
     spec2 = flags.get<std::string>("spec2", "");
     attach = flags.contains("attach");
     attach_id = flags.get<std::uint64_t>("attach", 0);
-    client_name = flags.get<std::string>("client", "");
-    priority = flags.get("priority", priority);
     reset = flags.get<std::string>("reset", "");
     csv = flags.get<std::string>("csv", "");
     csv2 = flags.get<std::string>("csv2", "");
@@ -161,8 +154,6 @@ int main(int argc, char** argv) {
     metrics_out = flags.get<std::string>("metrics-out", "");
     quiet = flags.get("quiet", false);
     flags.require_all_consumed("rdcn_serve_client");
-    if (priority < 0 || priority > 2)
-      throw SpecError("--priority must be 0, 1 or 2");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -190,8 +181,6 @@ int main(int argc, char** argv) {
     serve::Client client;
     client.connect(socket_path);  // retries while a spawned daemon binds
     client.ping();
-    if (!client_name.empty()) client.hello(client_name);
-    client.set_priority(priority);
     if (!reset.empty()) {
       const std::size_t cleared = reset == "all"
                                       ? client.reset_all()

@@ -85,9 +85,8 @@ struct AlgorithmEntry {
   /// --threads, but time at --threads=1: with more threads the tasks
   /// share cores, caches and memory bandwidth, and a task's sim.generate
   /// also holds its waits for blocks that another task is producing.
-  /// sim::run_experiment dispatches tasks longest-first by this estimate
-  /// and scenario::estimate_cost charges admission with it; it never
-  /// affects results.
+  /// sim::run_experiment dispatches tasks longest-first by this estimate;
+  /// it never affects results.
   double cost_per_request = 1.0;
   double cost_per_b = 0.0;
 

@@ -232,21 +232,6 @@ void check_run_shape(const ScenarioSpec& spec) {
 
 namespace {
 
-/// Calls `visit(algorithm, entry, b)` for every (algorithm, b) column
-/// run_scenario runs, in result order: each algorithm at every b, a
-/// b-independent one at the first b only.
-template <typename Visit>
-void for_each_column(const ScenarioSpec& spec, Visit&& visit) {
-  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
-  for (const Spec& algorithm : spec.algorithms) {
-    const AlgorithmEntry& entry = registry.at(algorithm.name);
-    for (const std::size_t b : spec.cache_sizes) {
-      visit(algorithm, entry, b);
-      if (entry.b_independent) break;  // one column suffices for a b sweep
-    }
-  }
-}
-
 sim::ExperimentConfig make_experiment_config(const ScenarioSpec& spec,
                                              const ScenarioResult& result,
                                              const RunHooks& hooks) {
@@ -269,20 +254,25 @@ sim::ExperimentConfig make_experiment_config(const ScenarioSpec& spec,
   return config;
 }
 
+/// The (algorithm, b) columns run_scenario runs, in result order: each
+/// algorithm at every b, a b-independent one at the first b only.
 std::vector<sim::ExperimentSpec> make_experiment_specs(
     const ScenarioSpec& spec) {
-  for (const Spec& algorithm : spec.algorithms)
-    AlgorithmRegistry::instance().validate(algorithm);
+  const AlgorithmRegistry& registry = AlgorithmRegistry::instance();
   std::vector<sim::ExperimentSpec> experiment_specs;
-  for_each_column(spec, [&](const Spec& algorithm, const AlgorithmEntry&,
-                            std::size_t b) {
-    sim::ExperimentSpec e;
-    e.algorithm = algorithm.name;
-    e.b = b;
-    e.params = algorithm.params;
-    e.label = algorithm.to_string() + "(b=" + std::to_string(b) + ")";
-    experiment_specs.push_back(std::move(e));
-  });
+  for (const Spec& algorithm : spec.algorithms) {
+    registry.validate(algorithm);
+    const bool b_independent = registry.at(algorithm.name).b_independent;
+    for (const std::size_t b : spec.cache_sizes) {
+      sim::ExperimentSpec e;
+      e.algorithm = algorithm.name;
+      e.b = b;
+      e.params = algorithm.params;
+      e.label = algorithm.to_string() + "(b=" + std::to_string(b) + ")";
+      experiment_specs.push_back(std::move(e));
+      if (b_independent) break;  // one column suffices for a b sweep
+    }
+  }
   return experiment_specs;
 }
 
@@ -298,20 +288,6 @@ bool keeps_whole(const std::vector<sim::ExperimentSpec>& columns,
 }
 
 }  // namespace
-
-std::uint64_t estimate_cost(const ScenarioSpec& spec) {
-  double total = 0;
-  for_each_column(spec, [&](const Spec&, const AlgorithmEntry& entry,
-                            std::size_t b) {
-    total += static_cast<double>(entry.repetitions(spec.trials)) *
-             entry.task_cost(b, spec.requests);
-  });
-  // Saturate far below u64 max so queue-side arithmetic can't overflow.
-  constexpr double kCap = 1e18;
-  if (total > kCap) total = kCap;
-  if (total < 1.0) total = 1.0;
-  return static_cast<std::uint64_t>(total);
-}
 
 ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
                             const RunHooks& hooks) {

@@ -87,15 +87,6 @@ struct ScenarioSpec {
 /// it first; the serving daemon calls it at admission.
 void check_run_shape(const ScenarioSpec& spec);
 
-/// Estimated cost units for one run of `spec`: the sum over the
-/// (algorithm, b, trial) tasks run_scenario expands it into of the
-/// registry cost model's task_cost, the estimate sim::run_experiment
-/// dispatches by.  Pass the *resolved* spec so defaulted algorithm/b lists
-/// are visible.  Never 0; saturates instead of overflowing; allocates
-/// nothing.  Throws SpecError on an unknown algorithm.  The serving daemon
-/// charges admission with it.
-std::uint64_t estimate_cost(const ScenarioSpec& spec);
-
 struct ScenarioResult {
   ScenarioSpec spec;  ///< resolved spec this result was produced from
   net::Topology topology;

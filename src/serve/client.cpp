@@ -83,21 +83,6 @@ void Client::reconnect(int timeout_ms) {
   if (socket_path_.empty())
     throw SpecError("reconnect before any connect()");
   connect(socket_path_, timeout_ms);
-  // A fresh connection is anonymous; replay the HELLO binding so retried
-  // submissions keep charging the same quota/fairness lane.
-  if (!client_name_.empty()) {
-    const std::string name = client_name_;
-    client_name_.clear();  // hello() re-sets it on success
-    hello(name);
-  }
-}
-
-void Client::hello(const std::string& client) {
-  send_line("HELLO client=" + client);
-  const Message reply = await_reply({Kind::kWelcome}, "HELLO");
-  if (reply.line.text != client)
-    throw SpecError("unexpected HELLO reply: " + reply.raw);
-  client_name_ = client;
 }
 
 void Client::send_line(const std::string& line) {
@@ -209,7 +194,6 @@ Client::Submission Client::submit(const std::string& spec,
   std::string line = "RUN " + spec;
   if (deadline_ms > 0)
     line += " deadline_ms=" + std::to_string(deadline_ms);
-  if (priority_ != 1) line += " priority=" + std::to_string(priority_);
   send_line(line);
   const ServerLine reply =
       await_reply({Kind::kAccepted, Kind::kReject, Kind::kError}, "RUN").line;
@@ -345,8 +329,8 @@ Client::RunOutput Client::run_scenario(
             "rejected (reason=" +
             (sub.reason.empty() ? std::string("queue_full") : sub.reason) +
             ", retry_ms=" + std::to_string(sub.retry_ms) + ")";
-        // The server's hint is honest but clamped: a brownout-inflated
-        // hint must not park this client for a minute on one REJECT.
+        // The server's hint is honest but clamped: a slow drain's hint
+        // must not park this client for a minute on one REJECT.
         const std::uint32_t hint =
             std::min(sub.retry_ms, policy.max_retry_hint_ms);
         sleep_with_jitter(std::max<std::uint64_t>(hint, backoff_ms));

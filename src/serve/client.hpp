@@ -91,15 +91,6 @@ class Client {
   /// PING/PONG round-trip; throws SpecError on anything else.
   void ping();
 
-  /// HELLO handshake: binds this connection (and every reconnect made by
-  /// run_scenario) to `client`'s quota and fairness lane.  Throws
-  /// SpecError when the daemon refuses the name.
-  void hello(const std::string& client);
-
-  /// Priority attached to subsequent RUN submissions (0-2; default 1).
-  /// Under daemon brownout, lower priorities are shed first.
-  void set_priority(int priority) { priority_ = priority; }
-
   /// Admission verdict for one RUN submission.  Exactly one of
   /// accepted/rejected is set unless the spec was refused (error text).
   struct Submission {
@@ -107,7 +98,7 @@ class Client {
     bool accepted = false;
     bool rejected = false;        ///< backpressure (see reason)
     std::uint32_t retry_ms = 0;   ///< suggested resubmit delay when rejected
-    std::string reason;           ///< "queue_full" | "quota" | "shed"
+    std::string reason;           ///< "queue_full"
     std::string error;            ///< non-empty when the spec was refused
   };
   /// `deadline_ms` > 0 asks the daemon to abandon the run (DONE
@@ -152,8 +143,8 @@ class Client {
     std::size_t max_attempts = 5;        ///< total submissions before giving up
     std::uint32_t base_backoff_ms = 50;
     std::uint32_t max_backoff_ms = 2'000;
-    /// Server retry hints are honored but clamped here: a brownout-inflated
-    /// hint shouldn't park a client for a minute on one REJECT.
+    /// Server retry hints are honored but clamped here: a hint from a slow
+    /// drain shouldn't park a client for a minute on one REJECT.
     std::uint32_t max_retry_hint_ms = 10'000;
     std::uint64_t jitter_seed = 0;       ///< 0 = derive from this process
     int reconnect_timeout_ms = 2'000;    ///< per reconnect attempt
@@ -249,8 +240,6 @@ class Client {
   /// else, oldest first; an id has an entry only while it has messages.
   std::unordered_map<std::uint64_t, std::deque<Message>> streams_;
   std::string socket_path_;  ///< last connect() target, for reconnect()
-  std::string client_name_;  ///< hello() binding, replayed on reconnect
-  int priority_ = 1;         ///< RUN priority= (1 = the wire default)
   long read_timeout_seconds_ = 600;
 };
 

@@ -23,7 +23,6 @@
 #include "common/param_map.hpp"
 #include "obs/span.hpp"
 #include "scenario/scenario.hpp"
-#include "serve/admission.hpp"
 #include "sim/report.hpp"
 
 namespace rdcn::serve {
@@ -138,10 +137,6 @@ struct Daemon::Connection {
   std::string pending;
   std::mutex write_mu;  ///< held across sends; never taken around mu_
   std::atomic<bool> broken{false};
-  /// HELLO binding: later RUNs on this connection charge this client's
-  /// quota and fairness lane ("" = anonymous).  Only the connection's own
-  /// reader thread touches it (HELLO and RUN share that thread).
-  std::string client;
 };
 
 Daemon::Daemon(ServeOptions options)
@@ -191,32 +186,25 @@ void Daemon::start() {
   }
   // Phase traces are on so --metrics-dump snapshots carry per-phase time.
   obs::set_tracing(true);
-  // Quotas resolve once: the --quota-* defaults and the quota file's
-  // overrides.  A negative (or NaN) default or a malformed file fails
-  // startup (SpecError) — silently unlimited tenants are worse.
-  if (!(options_.quota_rps >= 0) || !(options_.quota_burst >= 0))
-    throw SpecError("quota_rps and quota_burst must not be negative");
-  const QuotaSpec defaults{options_.quota_rps, options_.quota_burst,
-                           options_.quota_concurrent};
-  lifecycle_.set_quotas(
-      options_.quota_file.empty()
-          ? QuotaTable(defaults)
-          : QuotaTable::parse_file(options_.quota_file, defaults));
   // Recovery precedes the socket: ATTACH by a pre-crash id works at once.
   const Journal::Recovery recovery = journal_.recover();
-  const Lifecycle::CostFn cost = [](const Journal::RecoveredRun& run) {
+  const Lifecycle::SpecCheck parses = [](const Journal::RecoveredRun& run) {
     try {
-      return std::optional<std::uint64_t>(scenario::estimate_cost(
-          scenario::ScenarioSpec::parse(run.spec).resolved()));
+      // A spec that parses, naming algorithms this build registers.
+      const scenario::ScenarioSpec spec =
+          scenario::ScenarioSpec::parse(run.spec).resolved();
+      for (const Spec& algorithm : spec.algorithms)
+        scenario::AlgorithmRegistry::instance().at(algorithm.name);
+      return true;
     } catch (const std::exception& e) {
       // Journalled by an incompatible build: end the run, not die.
       std::cerr << "rdcn_serve: journal: dropping unparseable recovered run "
                 << run.id << ": " << e.what() << "\n";
-      return std::optional<std::uint64_t>();
+      return false;
     }
   };
   step([&](Lifecycle::Outbox& out) {
-    lifecycle_.restore(recovery, monotonic_now_ns(), cost, out);
+    lifecycle_.restore(recovery, monotonic_now_ns(), parses, out);
   });
   const sockaddr_un addr = make_address(options_.socket_path);
   // Both pipe ends are non-blocking: a writer (the signal handler above
@@ -304,15 +292,6 @@ void Daemon::wait_for_shutdown_command() {
   cv_shutdown_.wait(lock, [&] { return shutdown_requested_ || stopping_; });
 }
 
-void Daemon::refresh_rss_locked() {
-  const std::uint64_t now_ns = monotonic_now_ns();
-  if (options_.max_rss_mb == 0 ||
-      (rss_sampled_ns_ != 0 && now_ns - rss_sampled_ns_ <= 100'000'000ull))
-    return;
-  lifecycle_.set_rss(read_rss_bytes());
-  rss_sampled_ns_ = now_ns;
-}
-
 StatsReport Daemon::stats_report() const {
   // Under mu_: a client that read DONE sees its run counted.
   StatsReport r;
@@ -354,14 +333,10 @@ void Daemon::write_metrics_dump() const {
 void Daemon::loop() {
   constexpr std::uint64_t kMs = 1'000'000;
   constexpr std::uint64_t kNever = UINT64_MAX;
-  // The stall watchdog and the brownout share one tick, armed only when
-  // one of them is configured.
-  const bool progress = options_.progress_timeout_ms > 0;
-  const bool ticking = progress || options_.max_rss_mb > 0;
+  // The stall watchdog's tick, armed only when it is configured.
+  const bool ticking = options_.progress_timeout_ms > 0;
   const std::uint64_t tick_ns =
-      (progress ? std::clamp<std::uint64_t>(options_.progress_timeout_ms / 4,
-                                            10, 1000)
-                : 250) *
+      std::clamp<std::uint64_t>(options_.progress_timeout_ms / 4, 10, 1000) *
       kMs;
   const bool dumping = !options_.metrics_dump_path.empty();
   const std::uint64_t dump_ns =
@@ -390,7 +365,6 @@ void Daemon::loop() {
       if (options_.handle_signals && g_drain_signalled.exchange(false))
         lifecycle_.begin_drain(now);
       reap_finished_readers_locked();
-      if (watch) refresh_rss_locked();
       due = lifecycle_.tick(now, watch, out);
       if (due.drained && !shutdown_requested_) {
         journal_.flush();
@@ -482,12 +456,6 @@ bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
     case Command::Kind::kPing:
       conn->send_line(msg_pong());
       return true;
-    case Command::Kind::kHello:
-      // Rebinding mid-connection is allowed (a proxy serving several
-      // tenants reuses one socket); only later RUNs are affected.
-      conn->client = cmd.client;
-      conn->send_line(msg_welcome(cmd.client));
-      return true;
     case Command::Kind::kReset: {
       std::size_t cleared = 0;
       step([&](Lifecycle::Outbox& out) {
@@ -555,18 +523,11 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
       scenario::AlgorithmRegistry::instance().validate(algorithm);
     scenario::check_run_shape(spec);
     s.canonical = spec.canonical_string();
-    s.cost = scenario::estimate_cost(spec);
   } catch (const std::exception& e) {
     conn->send_line(msg_error(e.what()));
     return;
   }
   s.conn = conn->id;
-  // RUN client= (a proxy submitting for a tenant) overrides the
-  // connection's HELLO binding; neither means the anonymous pool.
-  s.client = !cmd.client.empty()   ? cmd.client
-             : !conn->client.empty() ? conn->client
-                                     : "anon";
-  s.priority = cmd.priority;
   s.deadline_ms = cmd.deadline_ms;
   // A cache hit bypasses the queue — replaying stored bytes is cheap, so
   // cached runs are never refused for backpressure.  The lookup (a disk
@@ -584,7 +545,6 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
       lifecycle_.hit();
       return;
     }
-    refresh_rss_locked();
     admitted = lifecycle_.enqueue(s, id, now_ns, out);
   });
   if (id != 0 && payload) {
@@ -634,7 +594,6 @@ void Daemon::executor_loop() {
       cv_exec_.wait(lock,
                     [&] { return stopping_ || lifecycle_.queued() > 0; });
       if (stopping_) return;
-      refresh_rss_locked();
       lifecycle_.pickup(monotonic_now_ns(), &job);
     }
     Lifecycle::Outcome outcome = execute(job);

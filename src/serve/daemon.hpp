@@ -22,7 +22,7 @@
 //   * one housekeeping loop sleeps in poll() on the listening socket and a
 //     wake pipe, which is also the SIGTERM/SIGINT self-pipe.  It accepts
 //     connections, joins readers that exited, and calls the lifecycle's
-//     timers: deadlines, the stall and brownout tick, the drain.
+//     timers: deadlines, the stall watchdog's tick, the drain.
 //
 // The run lifecycle is one single-threaded class, serve::Lifecycle
 // (serve/lifecycle.hpp states its rules), called under the mutex mu_.
@@ -84,7 +84,7 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Arms faults, restores the journal, binds the socket, and spawns the
-  /// loop and the executors.  Throws SpecError on a bad quota or socket.
+  /// loop and the executors.  Throws SpecError on a bad socket.
   void start();
 
   /// Wakes and joins the loop (nothing accepts any more), tells running
@@ -129,9 +129,6 @@ class Daemon {
   /// its lines on their connections; then sends them without mu_.
   template <typename Call>
   void step(Call&& call);
-  /// Re-samples the RSS the brownout compares when the sample is ~100 ms
-  /// old (/proc reads are not free).  Caller holds mu_.
-  void refresh_rss_locked();
   void write_metrics_dump() const;
   /// Joins reader threads listed in finished_readers_ (caller holds mu_).
   void reap_finished_readers_locked();
@@ -148,7 +145,6 @@ class Daemon {
   mutable std::mutex mu_;
   std::condition_variable cv_exec_;      ///< executors wait for work
   std::condition_variable cv_shutdown_;  ///< owner waits for SHUTDOWN
-  std::uint64_t rss_sampled_ns_ = 0;  ///< the lifecycle's last RSS sample
   std::unordered_map<ConnId, std::shared_ptr<Connection>> conns_;
   ConnId next_conn_ = 1;
   std::vector<std::thread> conn_threads_;

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -18,7 +20,6 @@
 #include "common/fault.hpp"
 #include "common/param_map.hpp"
 #include "obs/span.hpp"
-#include "serve/admission.hpp"
 #include "serve/protocol.hpp"
 
 namespace rdcn::serve {
@@ -56,6 +57,18 @@ std::vector<std::string> tokens(const std::string& payload,
   }
   if (pos <= payload.size()) out.push_back(payload.substr(pos));
   return out;
+}
+
+/// The client field of an admit2/admit3 record: 1-64 chars from
+/// [A-Za-z0-9._-].  A record naming another is not replayed.
+bool is_valid_client_name(std::string_view name) {
+  if (name.empty() || name.size() > 64) return false;
+  for (const char c : name) {
+    const bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                    c == '.' || c == '_' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
 }
 
 /// Writes all of `bytes`, retrying interrupted writes.  False on error.
@@ -117,10 +130,10 @@ Journal::Recovery Journal::replay(const std::vector<std::string>& payloads,
     if (t.size() >= 2 && t[0] == "nextid" && parse_u64(t[1], id)) {
       if (id > out.next_id) out.next_id = id;
     } else if (t.size() >= 3 && t[0] == "admit" && parse_u64(t[1], id)) {
-      admit(id, RecoveredRun{id, t[2], "anon", 1});
+      admit(id, RecoveredRun{id, t[2]});
     } else if (t[0] == "admit2" || t[0] == "admit3") {
       // Re-tokenize: priority + client (+ admit3's deadline) before the
-      // spec.
+      // spec.  Priority and client are checked, then ignored.
       const std::size_t fields = t[0] == "admit3" ? 6 : 5;
       const std::vector<std::string> t2 = tokens(payload, fields);
       std::uint64_t priority = 0;
@@ -129,8 +142,7 @@ Journal::Recovery Journal::replay(const std::vector<std::string>& payloads,
           parse_u64(t2[2], priority) && priority <= 2 &&
           is_valid_client_name(t2[3]) &&
           (fields == 5 || parse_u64(t2[4], deadline_ms)))
-        admit(id, RecoveredRun{id, t2.back(), t2[3],
-                               static_cast<int>(priority), deadline_ms});
+        admit(id, RecoveredRun{id, t2.back(), deadline_ms});
     } else if (t.size() >= 3 && t[0] == "done" && parse_u64(t[1], id)) {
       // Duplicate terminal records are idempotent: the first wins.
       finished.emplace(id, t[2]);
@@ -161,8 +173,7 @@ std::vector<std::string> Journal::compact(const Recovery& recovery) {
   for (const auto& [spec, streak] : recovery.quarantine)
     out.push_back(streak_record(spec, streak));
   for (const RecoveredRun& run : recovery.incomplete)
-    out.push_back(admit_record(run.id, run.spec, run.client, run.priority,
-                               run.deadline_ms));
+    out.push_back(admit_record(run.id, run.spec, run.deadline_ms));
   return out;
 }
 
@@ -290,10 +301,9 @@ std::string Journal::nextid_record(std::uint64_t next_id) {
 }
 
 std::string Journal::admit_record(std::uint64_t id, const std::string& spec,
-                                  const std::string& client, int priority,
                                   std::uint64_t deadline_ms) {
-  return "admit3 " + std::to_string(id) + " " + std::to_string(priority) +
-         " " + client + " " + std::to_string(deadline_ms) + " " + spec;
+  return "admit3 " + std::to_string(id) + " 1 anon " +
+         std::to_string(deadline_ms) + " " + spec;
 }
 
 std::string Journal::done_record(std::uint64_t id, const std::string& status) {

@@ -21,18 +21,17 @@
 //                                 handed out (a cache hit's too) is below
 //                                 the largest n, so ids stay unique across
 //                                 restarts
-//   admit <id> <spec>             run admitted to the queue (legacy form;
-//                                 replays as client "anon", priority 1)
-//   admit2 <id> <priority> <client> <spec>
-//                                 run admitted with its fairness identity:
-//                                 recovery re-enqueues into the right DRR
-//                                 lane and re-charges the client's
-//                                 concurrent-run quota (legacy form; no
-//                                 deadline)
 //   admit3 <id> <priority> <client> <deadline_ms> <spec>
-//                                 admit2 plus the RUN's deadline_ms (0 =
-//                                 none); recovery re-arms it, counted
-//                                 from the restart
+//                                 run admitted to the queue with the RUN's
+//                                 deadline_ms (0 = none), which recovery
+//                                 re-arms, counted from the restart.  The
+//                                 writer puts priority 1 and client
+//                                 "anon"; replay checks both fields (a
+//                                 priority of 0-2, a client of 1-64 chars
+//                                 from [A-Za-z0-9._-]) and ignores them,
+//                                 as it does in the legacy forms:
+//   admit2 <id> <priority> <client> <spec>    (no deadline)
+//   admit <id> <spec>                         (no deadline)
 //   done <id> <status>            terminal: ok | cancelled |
 //                                 deadline_exceeded | stalled | error
 //   streak <n> <spec>             quarantine streak update (0 clears)
@@ -73,8 +72,6 @@ class Journal {
   struct RecoveredRun {
     std::uint64_t id = 0;
     std::string spec;    ///< canonical spec text (deterministic recompute)
-    std::string client = "anon";  ///< fairness lane / quota identity
-    int priority = 1;             ///< shed order under brownout (0-2)
     std::uint64_t deadline_ms = 0;  ///< the RUN's deadline (0 = none)
   };
 
@@ -109,7 +106,6 @@ class Journal {
   /// them).
   static std::string nextid_record(std::uint64_t next_id);
   static std::string admit_record(std::uint64_t id, const std::string& spec,
-                                  const std::string& client, int priority,
                                   std::uint64_t deadline_ms);
   static std::string done_record(std::uint64_t id, const std::string& status);
   static std::string streak_record(const std::string& spec,

@@ -1,7 +1,6 @@
 #include "serve/lifecycle.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 namespace rdcn::serve {
 
@@ -28,6 +27,16 @@ void post(Lifecycle::Outbox& out, ConnId conn, std::string line) {
 
 }  // namespace
 
+std::uint32_t DrainEstimator::retry_ms(std::size_t queued,
+                                       std::size_t executors,
+                                       std::uint32_t fallback_ms) const {
+  if (ewma_ns_ == 0) return fallback_ms;
+  const double slots = executors == 0 ? 1.0 : static_cast<double>(executors);
+  const double ms = static_cast<double>(ewma_ns_) / 1e6 *
+                    (static_cast<double>(queued) + 1.0) / slots;
+  return static_cast<std::uint32_t>(std::min(60'000.0, std::max(1.0, ms)));
+}
+
 const char* status_name(RunStatus status) {
   static constexpr const char* kNames[kRunStatuses] = {
       "ok", "cancelled", "deadline_exceeded", "stalled", "error"};
@@ -39,8 +48,6 @@ Lifecycle::Metrics::Metrics(obs::Registry& r)
                         "Executor crashes (non-SpecError escapes)")),
       rejected(r.counter("rdcn_serve_rejected_total",
                          "Submissions refused with REJECT backpressure")),
-      shed(r.counter("rdcn_serve_shed_total",
-                     "Submissions dropped by brownout load shedding")),
       quarantined(r.counter("rdcn_serve_quarantined_total",
                             "Submissions fast-failed as quarantined")),
       recovered(r.counter("rdcn_runs_recovered_total",
@@ -51,11 +58,8 @@ Lifecycle::Metrics::Metrics(obs::Registry& r)
                           "Runs waiting for an executor")),
       active_runs(r.gauge("rdcn_serve_active_runs",
                           "Runs currently executing")),
-      brownout_level(r.gauge("rdcn_serve_brownout_level",
-                             "Current load-shedding level (0 = healthy)")),
-      admission_wait(r.latency_histogram(
-          "rdcn_serve_admission_wait_seconds",
-          "Admission-to-executor-pickup queue latency")),
+      queue_wait(r.latency_histogram("rdcn_serve_queue_wait_seconds",
+                                     "Admission-to-pickup queue latency")),
       drain_seconds(r.latency_histogram("rdcn_serve_drain_seconds",
                                         "Graceful-drain duration")) {
   for (std::size_t s = 0; s < kRunStatuses; ++s) {
@@ -66,83 +70,39 @@ Lifecycle::Metrics::Metrics(obs::Registry& r)
         "rdcn_serve_run_seconds", "Executor run latency by terminal status",
         status);
   }
-  for (int p = 0; p < 3; ++p)
-    queue_wait[p] = &r.latency_histogram(
-        "rdcn_serve_queue_wait_seconds",
-        "Admission-to-pickup queue latency by priority",
-        {{"priority", std::to_string(p)}});
 }
 
 Lifecycle::Lifecycle(const ServeOptions& options, obs::Registry& registry)
-    : options_(options),
-      registry_(registry),
-      m_(registry),
-      queue_(options.drr_quantum),
-      brownout_(options.queue_limit, options.max_rss_mb * (1ull << 20)) {}
-
-Lifecycle::Client& Lifecycle::client(const std::string& name) {
-  if (const auto it = clients_.find(name); it != clients_.end())
-    return it->second;
-  const QuotaSpec& quota = quotas_.lookup(name);
-  const obs::Labels label{{"client", name}};
-  obs::Registry& r = registry_;
-  return clients_
-      .emplace(name,
-               Client{TokenBucket(quota.rps, quota.effective_burst()),
-                      r.counter("rdcn_serve_client_admitted_total",
-                                "Admitted runs by client", label),
-                      r.counter("rdcn_serve_client_rejected_total",
-                                "REJECTed submissions by client "
-                                "(queue_full + quota)", label),
-                      r.counter("rdcn_serve_client_shed_total",
-                                "Brownout-shed submissions by client", label)})
-      .first->second;
-}
+    : options_(options), m_(registry) {}
 
 void Lifecycle::queue(Run run) {
-  client(run.client);
-  queue_.push(run.client, run.cost, run.id);
+  queue_.push_back(run.id);
   m_.queue_depth.add(1);
   live_.emplace(run.id, std::move(run));
 }
 
-int Lifecycle::update_brownout() {
-  const int level = brownout_.update(queue_.size(), rss_bytes_);
-  m_.brownout_level.set(static_cast<double>(level));
-  return level;
-}
-
-std::uint32_t Lifecycle::retry_ms() const {
-  return drain_est_.retry_ms(queue_.size(),
-                             std::max<std::size_t>(1, options_.executors),
-                             options_.retry_hint_ms);
-}
-
-void Lifecycle::reject(ConnId conn, Client& c, std::uint32_t retry,
-                       const char* reason, Outbox& out) {
-  const bool shed = std::string_view(reason) == "shed";
-  (shed ? m_.shed : m_.rejected).inc();
-  (shed ? c.shed : c.rejected).inc();
-  post(out, conn, msg_reject(retry, reason));
+void Lifecycle::reject(ConnId conn, Outbox& out) {
+  m_.rejected.inc();
+  post(out, conn,
+       msg_reject(drain_est_.retry_ms(
+           queue_.size(), std::max<std::size_t>(1, options_.executors),
+           options_.retry_hint_ms)));
 }
 
 void Lifecycle::restore(const Journal::Recovery& recovery,
-                        std::uint64_t now_ns, const CostFn& cost,
+                        std::uint64_t now_ns, const SpecCheck& parses,
                         Outbox& out) {
   next_id_ = leased_ = recovery.next_id;
   for (const auto& [spec, count] : recovery.quarantine)
     streaks_[spec] = Streak{count, now_ns};
   for (const Journal::RecoveredRun& r : recovery.incomplete) {
-    const std::optional<std::uint64_t> units = cost(r);
-    if (!units) {
+    if (!parses(r)) {
       out.records.push_back(Journal::done_record(r.id, "error"));
       out.terminal = true;
       continue;
     }
-    // A recovered run re-enters its fairness lane and counts against its
-    // client's concurrent quota, as if freshly admitted.
-    queue(Run{.id = r.id, .canonical = r.spec, .client = r.client,
-              .priority = r.priority, .cost = *units, .recovered = true,
+    // Recovered runs queue in admission order, ahead of any new one.
+    queue(Run{.id = r.id, .canonical = r.spec, .recovered = true,
               .admitted_ns = now_ns});
     if (r.deadline_ms > 0)
       deadlines_.emplace(now_ns + r.deadline_ms * kMs, r.id);
@@ -175,7 +135,7 @@ std::uint64_t Lifecycle::open(const Submission& s, std::uint64_t now_ns,
     }
   }
   if (injected_reject()) {
-    reject(s.conn, client(s.client), retry_ms(), "queue_full", out);
+    reject(s.conn, out);
     return 0;
   }
   if (next_id_ == leased_) {
@@ -187,42 +147,13 @@ std::uint64_t Lifecycle::open(const Submission& s, std::uint64_t now_ns,
 
 bool Lifecycle::enqueue(const Submission& s, std::uint64_t id,
                         std::uint64_t now_ns, Outbox& out) {
-  Client& c = client(s.client);
   if (queue_.size() >= options_.queue_limit) {
-    reject(s.conn, c, retry_ms(), "queue_full", out);
+    reject(s.conn, out);
     return false;
   }
-  // Per-client caps: the concurrent-run quota (every live run of the
-  // client counts), then the token bucket with its refill-time hint.
-  const QuotaSpec& quota = quotas_.lookup(s.client);
-  const auto charged = static_cast<std::size_t>(std::count_if(
-      live_.begin(), live_.end(),
-      [&](const auto& r) { return r.second.client == s.client; }));
-  if (quota.concurrent > 0 && charged >= quota.concurrent) {
-    reject(s.conn, c, retry_ms(), "quota", out);
-    return false;
-  }
-  std::uint32_t bucket_retry = 0;
-  if (!c.bucket.try_take(now_ns, &bucket_retry)) {
-    reject(s.conn, c, bucket_retry, "quota", out);
-    return false;
-  }
-  // Brownout sheds low priorities (and high costs) first; the hotter, the
-  // longer the hint.
-  const int level = update_brownout();
-  if (level > 0 && (s.priority < level || (options_.shed_cost_limit > 0 &&
-                                           s.cost > options_.shed_cost_limit &&
-                                           s.priority < 2))) {
-    reject(s.conn, c, retry_ms() * static_cast<std::uint32_t>(level + 1),
-           "shed", out);
-    return false;
-  }
-  out.records.push_back(Journal::admit_record(id, s.canonical, s.client,
-                                             s.priority, s.deadline_ms));
+  out.records.push_back(Journal::admit_record(id, s.canonical, s.deadline_ms));
   post(out, s.conn, msg_accepted(id));
-  c.admitted.inc();
-  queue(Run{.id = id, .canonical = s.canonical, .client = s.client,
-            .priority = s.priority, .cost = s.cost, .admitted_ns = now_ns,
+  queue(Run{.id = id, .canonical = s.canonical, .admitted_ns = now_ns,
             .subscribers = {{s.conn, 1}}});
   // The deadline counts from admission: queue wait counts against it.
   if (s.deadline_ms > 0) deadlines_.emplace(now_ns + s.deadline_ms * kMs, id);
@@ -230,17 +161,14 @@ bool Lifecycle::enqueue(const Submission& s, std::uint64_t id,
 }
 
 bool Lifecycle::pickup(std::uint64_t now_ns, Job* job) {
-  std::uint64_t id = 0;
-  if (!queue_.pop(&id)) return false;
-  Run& run = live_.at(id);
+  if (queue_.empty()) return false;
+  Run& run = live_.at(queue_.front());
+  queue_.pop_front();
   m_.queue_depth.add(-1);
   m_.active_runs.add(1);
-  update_brownout();
   run.state = State::kRunning;
   run.started_ns = run.progress_ns = now_ns;
-  m_.admission_wait.observe_ns(now_ns - run.admitted_ns);
-  m_.queue_wait[static_cast<std::size_t>(run.priority)]->observe_ns(
-      now_ns - run.admitted_ns);
+  m_.queue_wait.observe_ns(now_ns - run.admitted_ns);
   *job = Job{run.id, run.canonical, run.recovered, run.cancel};
   return true;
 }
@@ -300,9 +228,8 @@ bool Lifecycle::end(Run& run, RunStatus status, const Outcome* outcome,
     if (status == RunStatus::kOk || status == RunStatus::kError)
       drain_est_.observe_run_ns(now_ns - run.started_ns);
   } else {
-    queue_.erase(run.client, run.id);
+    queue_.erase(std::find(queue_.begin(), queue_.end(), run.id));
     m_.queue_depth.add(-1);
-    update_brownout();
   }
   const bool failed = crashed || kind == Kind::kSpecError;
   const std::string error =
@@ -414,7 +341,6 @@ Lifecycle::Tick Lifecycle::tick(std::uint64_t now_ns, bool watch,
   }
   if (!deadlines_.empty()) t.wake_ns = deadlines_.begin()->first;
   if (watch) {
-    update_brownout();
     const std::uint64_t budget = options_.progress_timeout_ms * kMs;
     for (auto& [id, run] : live_)
       if (budget > 0 && run.state == State::kRunning &&
@@ -459,9 +385,6 @@ void Lifecycle::stats(StatsReport& r) const {
   r.quarantined = m_.quarantined.value();
   r.recovered = m_.recovered.value();
   r.attached = m_.attach_total.value();
-  r.shed = m_.shed.value();
-  r.brownout = static_cast<std::size_t>(brownout_.level());
-  r.clients = clients_.size();
 }
 
 }  // namespace rdcn::serve

@@ -10,9 +10,9 @@
 //
 // Admission refuses, in this order: a draining daemon, a quarantined
 // spec, an injected REJECT; then (a cache hit skips the rest, takes an id
-// and counts as ok) a full queue, the client's concurrent cap and token
-// bucket (REJECT reason=quota), and brownout shedding (reason=shed).
-// Admitted runs wait in a deficit-round-robin queue, one lane per client.
+// and counts as ok) a full queue: REJECT reason=queue_full, with a retry
+// hint from the measured drain rate.  Admitted runs wait in one FIFO
+// queue of at most queue_limit runs.
 //
 // States: queued → running → exactly one terminal status (RunStatus).
 //   * A run is queued at admission (ACCEPTED) and running once an
@@ -20,8 +20,8 @@
 //   * A cancel — a client CANCEL, a deadline, the stall watchdog, an
 //     orphaning disconnect, or a drain budget's expiry — ends a queued
 //     run at once: DONE, its `done` record, and the release of its queue
-//     slot and of its client's concurrent charge.  A running run is told
-//     through its CancelToken and ends when its executor returns.
+//     slot.  A running run is told through its CancelToken and ends when
+//     its executor returns.
 //   * Cancellation causes rank stalled > deadline_exceeded > cancelled:
 //     the highest cause a run collected is its status.  A run that
 //     finishes despite a late cancel is ok.
@@ -52,14 +52,12 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
 #include "obs/metrics.hpp"
-#include "serve/admission.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 
@@ -83,17 +81,33 @@ struct ServeOptions {
   std::uint32_t retry_hint_ms = 200;      ///< --retry-ms
   std::size_t quarantine_threshold = 3;   ///< --quarantine (0 disables)
   std::uint64_t quarantine_ttl_s = 0;     ///< --quarantine-ttl-s (0 = never)
-  double quota_rps = 0;                   ///< --quota-rps (0 = unlimited)
-  double quota_burst = 0;                 ///< --quota-burst (0 = 2·rps)
-  std::size_t quota_concurrent = 0;       ///< --quota-concurrent (0 = none)
-  std::string quota_file;                 ///< --quota-file
-  std::uint64_t max_rss_mb = 0;           ///< --max-rss-mb (0 disables)
-  std::uint64_t shed_cost_limit = 0;      ///< --shed-cost-limit (0 = off)
   std::uint64_t progress_timeout_ms = 0;  ///< --progress-timeout-ms
-  std::uint64_t drr_quantum = 4096;       ///< DRR credit per lane per round
   std::string faults;                     ///< --faults (RDCN_FAULTS too)
   std::string metrics_dump_path;          ///< --metrics-dump
   std::uint64_t metrics_dump_ms = 1000;   ///< --metrics-dump-ms
+};
+
+/// EWMA of completed-run durations → honest REJECT retry hints: with Q
+/// runs queued and E executors, a slot frees in about ewma·(Q+1)/E.
+/// Externally synchronized.
+class DrainEstimator {
+ public:
+  void observe_run_ns(std::uint64_t ns) {
+    // alpha = 1/5: a few runs settle the estimate, one outlier doesn't
+    // own it.
+    ewma_ns_ = ewma_ns_ == 0 ? ns : (ns + 4 * ewma_ns_) / 5;
+  }
+
+  std::uint64_t ewma_ns() const noexcept { return ewma_ns_; }
+
+  /// Suggested retry delay.  Before any observation the configured
+  /// `fallback_ms` stands in; afterwards the hint is clamped to
+  /// [1, 60000] ms so a pathological EWMA can't tell clients "never".
+  std::uint32_t retry_ms(std::size_t queued, std::size_t executors,
+                         std::uint32_t fallback_ms) const;
+
+ private:
+  std::uint64_t ewma_ns_ = 0;
 };
 
 /// A run's terminal status.  The order is the registration order of the
@@ -122,9 +136,6 @@ class Lifecycle {
   struct Submission {
     ConnId conn = 0;
     std::string canonical;
-    std::string client = "anon";
-    int priority = 1;
-    std::uint64_t cost = 1;
     std::uint64_t deadline_ms = 0;
   };
 
@@ -159,13 +170,9 @@ class Lifecycle {
   /// The run metrics register in `registry`.
   Lifecycle(const ServeOptions& options, obs::Registry& registry);
 
-  void set_quotas(QuotaTable quotas) { quotas_ = std::move(quotas); }
-  /// The resident set the brownout's RSS leg compares.
-  void set_rss(std::uint64_t bytes) { rss_bytes_ = bytes; }
-
-  /// Prices a recovered run; nullopt ends it `error` (unparseable spec).
-  using CostFn =
-      std::function<std::optional<std::uint64_t>(const Journal::RecoveredRun&)>;
+  /// Whether this build can run a recovered run's spec; false ends the
+  /// run `error` at restore, before it is queued.
+  using SpecCheck = std::function<bool(const Journal::RecoveredRun&)>;
   /// Run ids are leased kIdLease at a time: open() journals `nextid
   /// <bound>` when it reaches the bound, so a restart resumes above every
   /// id handed out, a cache hit's included, at one record per lease.
@@ -175,7 +182,7 @@ class Lifecycle {
   /// (touched now) and the incomplete runs, re-queued in admission order
   /// with their deadlines re-armed from now.
   void restore(const Journal::Recovery& recovery, std::uint64_t now_ns,
-               const CostFn& cost, Outbox& out);
+               const SpecCheck& parses, Outbox& out);
 
   /// Admission's first step, hit or miss: the run's id, or 0 when
   /// refused (`injected_reject` is asked last).
@@ -188,7 +195,7 @@ class Lifecycle {
   bool enqueue(const Submission& s, std::uint64_t id, std::uint64_t now_ns,
                Outbox& out);
 
-  /// Pops the next queued run under DRR order.  False when none.
+  /// Takes the oldest queued run.  False when none.
   bool pickup(std::uint64_t now_ns, Job* job);
   /// A checkpoint: the next seq, sent to subscribers and kept in the ring.
   void checkpoint(std::uint64_t id, const std::string& label,
@@ -220,8 +227,8 @@ class Lifecycle {
     drain_ = Drain::kDraining;
     drain_begin_ns_ = now_ns;
   }
-  /// Fires what is due: deadlines, the stall watchdog and the brownout
-  /// re-evaluation (when `watch`), and a drain's budget.
+  /// Fires what is due: deadlines, the stall watchdog (when `watch`), and
+  /// a drain's budget.
   Tick tick(std::uint64_t now_ns, bool watch, Outbox& out);
   /// The daemon is stopping (see the module comment).
   void stop();
@@ -240,9 +247,6 @@ class Lifecycle {
   struct Run {
     std::uint64_t id = 0;
     std::string canonical;
-    std::string client = "anon";
-    int priority = 1;
-    std::uint64_t cost = 1;
     bool recovered = false;
     State state = State::kQueued;
     RunStatus cause = RunStatus::kOk;  ///< highest cancel cause; kOk = none
@@ -255,33 +259,25 @@ class Lifecycle {
     std::deque<std::pair<std::uint64_t, std::string>> ring{};
     std::vector<Subscriber> subscribers{};  ///< cleared at the terminal
   };
-  struct Client {
-    TokenBucket bucket;
-    obs::Counter &admitted, &rejected, &shed;
-  };
   struct Streak { std::size_t count = 0; std::uint64_t touched_ns = 0; };
   struct Metrics {
     explicit Metrics(obs::Registry& r);
     std::array<obs::Counter*, kRunStatuses> runs;  ///< cache hits in ok
     std::array<obs::Histogram*, kRunStatuses> run_seconds;  ///< executed
-    std::array<obs::Histogram*, 3> queue_wait;  ///< by priority
     obs::Counter& crashes;  ///< non-SpecError escapes (a subset of error)
-    obs::Counter& rejected;  ///< REJECT reason=queue_full|quota
-    obs::Counter &shed, &quarantined, &recovered, &attach_total;
-    obs::Gauge &queue_depth, &active_runs, &brownout_level;
-    obs::Histogram &admission_wait, &drain_seconds;
+    obs::Counter& rejected;  ///< REJECT reason=queue_full
+    obs::Counter &quarantined, &recovered, &attach_total;
+    obs::Gauge &queue_depth, &active_runs;
+    obs::Histogram &queue_wait, &drain_seconds;
   };
 
-  Client& client(const std::string& name);
   Run* live(std::uint64_t id) {
     const auto it = live_.find(id);
     return it == live_.end() ? nullptr : &it->second;
   }
   void queue(Run run);
-  int update_brownout();
-  std::uint32_t retry_ms() const;
-  void reject(ConnId conn, Client& c, std::uint32_t retry,
-              const char* reason, Outbox& out);
+  /// REJECT reason=queue_full with the drain-rate hint.
+  void reject(ConnId conn, Outbox& out);
   /// Raises the run's cause to `why`; a queued run ends at once, a running
   /// one is told through its token.
   void interrupt(Run& run, RunStatus why, std::uint64_t now_ns, Outbox& out);
@@ -290,14 +286,9 @@ class Lifecycle {
            std::uint64_t now_ns, Outbox& out);
 
   const ServeOptions& options_;
-  obs::Registry& registry_;
   Metrics m_;
-  QuotaTable quotas_;
-  DrrQueue<std::uint64_t> queue_;
-  Brownout brownout_;
+  std::deque<std::uint64_t> queue_;  ///< queued run ids, oldest first
   DrainEstimator drain_est_;
-  std::uint64_t rss_bytes_ = 0;
-  std::map<std::string, Client> clients_;
   std::map<std::uint64_t, Run> live_;  ///< queued + running, in id order
   std::deque<Run> recent_;  ///< terminal runs for late ATTACH, bounded
   std::multimap<std::uint64_t, std::uint64_t> deadlines_;  ///< ns → id

@@ -4,7 +4,6 @@
 #include <charconv>
 
 #include "common/param_map.hpp"
-#include "serve/admission.hpp"
 
 namespace rdcn::serve {
 
@@ -73,20 +72,17 @@ ParamMap options_after_operand(std::string_view rest) {
   return out;
 }
 
-/// Option `key` as T, `fallback` when absent; a present value `valid`
-/// refuses raises SpecError naming the token.
-template <typename T, typename Valid>
-T option(const ParamMap& options, std::string_view key, T fallback,
-         Valid valid) {
+/// Option `key` as a positive integer, `fallback` when absent; a present
+/// value that is not one raises SpecError naming the token.
+std::uint64_t positive_option(const ParamMap& options, std::string_view key,
+                              std::uint64_t fallback) {
   const std::string* raw = options.find(key);
   if (raw == nullptr) return fallback;
-  const T value = ParamMap::convert<T>(key, *raw);
-  if (!valid(value))
+  const auto value = ParamMap::convert<std::uint64_t>(key, *raw);
+  if (value == 0)
     throw SpecError("invalid option '" + std::string(key) + "=" + *raw + "'");
   return value;
 }
-
-bool positive(std::uint64_t n) { return n > 0; }
 
 }  // namespace
 
@@ -97,17 +93,6 @@ Command parse_command(std::string_view line) {
   if (verb == "PING") {
     cmd.kind = rest.empty() ? Command::Kind::kPing : Command::Kind::kInvalid;
     if (!rest.empty()) cmd.error = "PING takes no arguments";
-  } else if (verb == "HELLO") {
-    constexpr const char* kClientKey = "client=";
-    if (rest.compare(0, 7, kClientKey) == 0 &&
-        is_valid_client_name(rest.substr(7))) {
-      cmd.kind = Command::Kind::kHello;
-      cmd.client = rest.substr(7);
-    } else {
-      cmd.error =
-          "HELLO needs a client name ('HELLO client=<name>', 1-64 chars "
-          "from [A-Za-z0-9._-])";
-    }
   } else if (verb == "RESET") {
     constexpr const char* kSpecKey = "spec=";
     if (rest == "all=1") {
@@ -130,18 +115,12 @@ Command parse_command(std::string_view line) {
     cmd.spec = operand(rest);
     try {
       const ParamMap options = options_after_operand(rest);
-      cmd.deadline_ms =
-          option<std::uint64_t>(options, "deadline_ms", 0, positive);
-      cmd.client =
-          option<std::string>(options, "client", "", is_valid_client_name);
-      cmd.priority = option(options, "priority", 1,
-                            [](int p) { return p >= 0 && p <= 2; });
+      cmd.deadline_ms = positive_option(options, "deadline_ms", 0);
       options.require_all_consumed("RUN");
       cmd.kind = Command::Kind::kRun;
     } catch (const SpecError& e) {
       cmd.error = std::string(e.what()) +
-                  "; known RUN options: deadline_ms=<positive integer>, "
-                  "client=<name>, priority=<0-2>";
+                  "; known RUN options: deadline_ms=<positive integer>";
     }
   } else if (verb == "CANCEL") {
     // The operand read as ATTACH reads it; CANCEL takes no options.
@@ -157,7 +136,7 @@ Command parse_command(std::string_view line) {
     } else {
       try {
         const ParamMap options = options_after_operand(rest);
-        cmd.from = option<std::uint64_t>(options, "from", 1, positive);
+        cmd.from = positive_option(options, "from", 1);
         options.require_all_consumed("ATTACH");
         cmd.kind = Command::Kind::kAttach;
       } catch (const SpecError& e) {
@@ -183,8 +162,8 @@ Command parse_command(std::string_view line) {
     }
   } else {
     cmd.error = "unknown command '" + std::string(verb) +
-                "'; known: PING, HELLO, RUN, CANCEL, ATTACH, RESET, STATS, "
-                "METRICS, SHUTDOWN";
+                "'; known: PING, RUN, CANCEL, ATTACH, RESET, STATS, METRICS, "
+                "SHUTDOWN";
   }
   return cmd;
 }
@@ -205,13 +184,8 @@ std::string msg_accepted(std::uint64_t id) {
   return "ACCEPTED id=" + std::to_string(id);
 }
 
-std::string msg_welcome(const std::string& client) {
-  return "WELCOME client=" + client;
-}
-
-std::string msg_reject(std::uint32_t retry_ms, const std::string& reason) {
-  return "REJECT retry_ms=" + std::to_string(retry_ms) +
-         " reason=" + reason;
+std::string msg_reject(std::uint32_t retry_ms) {
+  return "REJECT retry_ms=" + std::to_string(retry_ms) + " reason=queue_full";
 }
 
 std::string msg_resetok(std::size_t cleared) {
@@ -290,10 +264,7 @@ std::string msg_stats(const StatsReport& r) {
          " disk_corrupt=" + std::to_string(r.disk_corrupt) +
          " recovered=" + std::to_string(r.recovered) +
          " attached=" + std::to_string(r.attached) +
-         " shed=" + std::to_string(r.shed) +
-         " stalled=" + std::to_string(r.stalled) +
-         " brownout=" + std::to_string(r.brownout) +
-         " clients=" + std::to_string(r.clients);
+         " stalled=" + std::to_string(r.stalled);
 }
 
 StatsReport parse_stats(std::string_view attrs) {
@@ -313,10 +284,7 @@ StatsReport parse_stats(std::string_view attrs) {
   r.disk_corrupt = attr_u64(attrs, "disk_corrupt");
   r.recovered = attr_u64(attrs, "recovered");
   r.attached = attr_u64(attrs, "attached");
-  r.shed = attr_u64(attrs, "shed");
   r.stalled = attr_u64(attrs, "stalled");
-  r.brownout = static_cast<std::size_t>(attr_u64(attrs, "brownout"));
-  r.clients = static_cast<std::size_t>(attr_u64(attrs, "clients"));
   return r;
 }
 
@@ -338,9 +306,6 @@ ServerLine parse_server_line(std::string_view line) {
   } else if (verb == "ACCEPTED") {
     out.kind = ServerLine::Kind::kAccepted;
     out.id = attr_u64(rest, "id");
-  } else if (verb == "WELCOME") {
-    out.kind = ServerLine::Kind::kWelcome;
-    out.text = attr(rest, "client");
   } else if (verb == "REJECT") {
     out.kind = ServerLine::Kind::kReject;
     out.retry_ms = static_cast<std::uint32_t>(attr_u64(rest, "retry_ms"));

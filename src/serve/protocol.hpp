@@ -9,21 +9,12 @@
 // with `ERROR reason=line_too_long` and the connection is closed):
 //
 //   PING                          liveness probe
-//   HELLO client=<name>           bind this connection to a tenant: later
-//                                 RUNs charge <name>'s quota and fairness
-//                                 lane (1-64 chars of [A-Za-z0-9._-]);
-//                                 anonymous connections pool under "anon"
-//   RUN <scenario-spec> [deadline_ms=<n>] [client=<name>] [priority=<0-2>]
+//   RUN <scenario-spec> [deadline_ms=<n>]
 //                                 submit (ScenarioSpec::parse form); a run
 //                                 not finished n ms after admission ends
 //                                 DONE status=deadline_exceeded (a run
 //                                 recovered from the journal gets n ms
-//                                 again, counted from the restart).
-//                                 client= overrides the HELLO binding for
-//                                 this one run (proxies submitting on
-//                                 behalf of tenants); priority= (default
-//                                 1) orders load shedding under brownout —
-//                                 lower priorities shed first
+//                                 again, counted from the restart)
 //   CANCEL <id>                   cancel a submitted run.  A queued run
 //                                 (also one whose deadline passes or whose
 //                                 submitter leaves without a journal) ends
@@ -58,16 +49,10 @@
 //                                 report as ERROR internal=<what> before
 //                                 their DONE status=error line.
 //   ACCEPTED id=<n>               run admitted (queued or cache hit)
-//   WELCOME client=<name>         HELLO accepted; the binding is live
-//   REJECT retry_ms=<n> reason=<queue_full|quota|shed>
-//                                 backpressure: try again after retry_ms.
-//                                 queue_full = admission queue at bound
-//                                 (hint from the measured drain rate);
-//                                 quota = the client's token bucket or
-//                                 concurrent-run cap refused (hint from
-//                                 the bucket refill); shed = brownout
-//                                 load shedding dropped this priority
-//                                 (hint scales with the brownout level)
+//   REJECT retry_ms=<n> reason=queue_full
+//                                 backpressure: the admission queue is at
+//                                 its bound; try again after retry_ms (a
+//                                 hint from the measured drain rate)
 //   CANCELLING id=<n>             cancel request acknowledged
 //   RESETOK cleared=<n>           RESET done; n streak entries cleared
 //   ATTACHED id=<n> state=<queued|running|done> last_seq=<m>
@@ -88,7 +73,7 @@
 //         cache_entries=<n> completed=<n> cancelled=<n>
 //         deadline_exceeded=<n> crashed=<n> rejected=<n> quarantined=<n>
 //         disk_hits=<n> disk_corrupt=<n> recovered=<n> attached=<n>
-//         shed=<n> stalled=<n> brownout=<0|1|2> clients=<n>
+//         stalled=<n>
 //   METRICS lines=<k>             followed by k raw Prometheus text
 //                                 exposition lines (obs registry render);
 //                                 header + payload travel as one write
@@ -114,7 +99,6 @@ namespace rdcn::serve {
 struct Command {
   enum class Kind {
     kPing,
-    kHello,
     kRun,
     kCancel,
     kAttach,
@@ -130,9 +114,7 @@ struct Command {
   std::uint64_t deadline_ms = 0;  ///< kRun: watchdog deadline (0 = none)
   std::uint64_t from = 1;  ///< kAttach: first checkpoint seq to replay
   bool drain = false;      ///< kShutdown: finish in-flight runs first
-  std::string client;  ///< kHello: binding; kRun: per-run override ("")
-  int priority = 1;    ///< kRun: shed order under brownout (0-2)
-  bool all = false;    ///< kReset: clear every streak
+  bool all = false;        ///< kReset: clear every streak
   std::string error;      ///< kInvalid: what was wrong
 };
 
@@ -160,10 +142,7 @@ struct StatsReport {
   std::uint64_t disk_corrupt = 0;  ///< corrupt disk entries skipped
   std::uint64_t recovered = 0;  ///< runs re-enqueued from the journal
   std::uint64_t attached = 0;   ///< successful ATTACH subscriptions
-  std::uint64_t shed = 0;       ///< REJECT reason=shed (brownout drops)
   std::uint64_t stalled = 0;    ///< DONE status=stalled (progress watchdog)
-  std::size_t brownout = 0;     ///< current brownout level (0 = healthy)
-  std::size_t clients = 0;      ///< distinct client lanes seen so far
 };
 StatsReport parse_stats(std::string_view attrs);
 
@@ -178,10 +157,8 @@ std::string sanitize(std::string text);
 std::string msg_pong();
 std::string msg_error(const std::string& what);
 std::string msg_accepted(std::uint64_t id);
-std::string msg_welcome(const std::string& client);
-/// `reason` is one of queue_full | quota | shed (wire contract above).
-std::string msg_reject(std::uint32_t retry_ms,
-                       const std::string& reason = "queue_full");
+/// REJECT reason=queue_full with the retry hint.
+std::string msg_reject(std::uint32_t retry_ms);
 std::string msg_cancelling(std::uint64_t id);
 std::string msg_resetok(std::size_t cleared);
 /// ATTACHED reply: `state` is queued | running | done.
@@ -211,7 +188,6 @@ struct ServerLine {
     kPong,
     kError,
     kAccepted,
-    kWelcome,
     kReject,
     kCancelling,
     kResetOk,
@@ -226,14 +202,13 @@ struct ServerLine {
   };
   Kind kind = Kind::kOther;
   std::uint64_t id = 0;        ///< runs: ACCEPTED/CHECKPOINT/RESULT/DONE/...
-  std::string text;            ///< kError: message; kWelcome: client name;
-                               ///< kOther: whole line
+  std::string text;            ///< kError: message; kOther: whole line
   std::uint32_t retry_ms = 0;  ///< kReject
   bool cached = false;         ///< kResult
   std::size_t lines = 0;  ///< kResult/kMetrics: payload line count;
                           ///< kResetOk: streak entries cleared
   std::string status;  ///< kDone: ok|...|error; kAttached: state;
-                       ///< kReject: reason (queue_full|quota|shed)
+                       ///< kReject: reason
   std::uint64_t seq = 0;  ///< kCheckpoint: seq; kAttached: last_seq
 };
 

@@ -2,7 +2,8 @@
 // round-trips, reload across instances (a daemon restart in miniature),
 // corruption and truncation survival, every single-byte mutation of an
 // entry, temp-file hygiene, torn-write fault injection, the disabled
-// mode, and memory hits racing disk writes.
+// mode, memory hits racing disk writes, and the results version pinned
+// to the bytes the daemon stores.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,13 +11,18 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/fault.hpp"
+#include "paging/factory.hpp"
+#include "scenario/scenario.hpp"
 #include "serve/results_cache.hpp"
+#include "sim/report.hpp"
 
 namespace {
 
@@ -163,6 +169,55 @@ TEST_F(DiskCacheTest, EntryOfAnotherResultsVersionRemovedOnLoad) {
   EXPECT_FALSE(reloaded.get(key).has_value());
   EXPECT_EQ(reloaded.stats().disk_corrupt, 0u);
   EXPECT_FALSE(fs::exists(path));
+}
+
+TEST_F(DiskCacheTest, ResultsVersionMovesWithTheStoredBytes) {
+  // A restarted daemon serves every stored entry of its own results
+  // version, so a change to a ledger or to the CSV format must bump the
+  // version in the same change.  This pins the pair: the magic an entry
+  // starts with, and the CRC-32 of the payloads the daemon stores
+  // (Daemon::execute: sim::write_csv of the routing cost) for a tiny run
+  // of every registered algorithm and of r_bma on every paging engine.
+  const std::vector<std::string> algorithms = {
+      "r_bma", "bma", "greedy", "oblivious", "rotor", "so_bma",
+      "offline_dynamic"};
+  const std::vector<std::string> engines = {
+      "marking", "lru", "fifo", "clock", "random", "flush_when_full", "lfu",
+      "arc"};
+  // A newly registered name joins the list, and moves the fingerprint.
+  EXPECT_EQ(scenario::AlgorithmRegistry::instance().names().size(),
+            algorithms.size());
+  EXPECT_EQ(paging::engine_names().size(), engines.size());
+  std::vector<std::string> columns = algorithms;
+  for (const std::string& engine : engines)
+    columns.push_back("r_bma:engine=" + engine);
+
+  std::uint32_t fingerprint = 0;
+  for (const std::string& column : columns) {
+    const scenario::ScenarioResult result =
+        scenario::run_scenario(scenario::ScenarioSpec::parse(
+            "workload=zipf:skew=1.2;algorithms=" + column +
+            ";b=2,4;racks=8;requests=2000;trials=2;checkpoints=2;seed=5;"
+            "threads=1"));
+    std::ostringstream csv;
+    sim::write_csv(csv, result.runs, sim::Metric::kRoutingCost);
+    const std::string bytes = csv.str();
+    fingerprint = crc32(bytes.data(), bytes.size(), fingerprint);
+  }
+
+  ResultsCache cache(0, dir, registry);
+  cache.put("spec", "payload\n");
+  const std::vector<fs::path> files = entry_files();
+  ASSERT_EQ(files.size(), 1u);
+  std::string magic(4, '\0');
+  std::ifstream(files[0], std::ios::binary).read(magic.data(), 4);
+
+  const std::pair<std::string, std::uint32_t> pinned{"RDC2", 0x423c8608u};
+  EXPECT_EQ(std::make_pair(magic, fingerprint), pinned)
+      << "the stored bytes moved (fingerprint 0x" << std::hex << fingerprint
+      << "): a ledger or the CSV format changed.  Bump kMagic in "
+         "serve/results_cache.cpp and pin the new magic together with the "
+         "new fingerprint here, or a restarted daemon serves stale entries.";
 }
 
 TEST_F(DiskCacheTest, StaleTempFileRemovedOnLoad) {

@@ -56,7 +56,7 @@ TEST_F(JournalTest, DisabledModeIsInert) {
   EXPECT_EQ(rec.replayed, 0u);
   EXPECT_EQ(rec.corrupt, 0u);
   // Appends are no-ops — nothing may touch the filesystem.
-  journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
+  journal.append(Journal::admit_record(1, "a=1", 0));
   journal.append(Journal::done_record(1, "ok"));
   journal.flush();
   journal.flush();
@@ -67,7 +67,7 @@ TEST_F(JournalTest, EmptyDirectoryRecoversFresh) {
   Journal journal(dir, registry);
   EXPECT_TRUE(journal.enabled());
   // Appends before recover() are dropped, not crashes.
-  journal.append(Journal::admit_record(99, "too=early", "anon", 1, 0));
+  journal.append(Journal::admit_record(99, "too=early", 0));
   const Journal::Recovery rec = journal.recover(/*fallback_next_id=*/3);
   EXPECT_EQ(rec.next_id, 3u);
   EXPECT_TRUE(rec.incomplete.empty());
@@ -82,8 +82,8 @@ TEST_F(JournalTest, LifecycleRoundTripsAcrossRestart) {
   {
     Journal journal(dir, registry);
     journal.recover();
-    journal.append(Journal::admit_record(1, "a=1;b=2", "anon", 1, 0));
-    journal.append(Journal::admit_record(2, "c=3", "anon", 1, 0));
+    journal.append(Journal::admit_record(1, "a=1;b=2", 0));
+    journal.append(Journal::admit_record(2, "c=3", 0));
     journal.append(Journal::done_record(2, "ok"));
     journal.flush();
     journal.append(Journal::streak_record("bad=1", 2));
@@ -105,7 +105,7 @@ TEST_F(JournalTest, NextIdSurvivesEvenWithNoLiveRuns) {
   {
     Journal journal(dir, registry);
     journal.recover();
-    journal.append(Journal::admit_record(5, "x=1", "anon", 1, 0));
+    journal.append(Journal::admit_record(5, "x=1", 0));
     journal.append(Journal::done_record(5, "ok"));
     journal.flush();
   }
@@ -126,7 +126,7 @@ TEST_F(JournalTest, DuplicateTerminalRecordsAreIdempotent) {
   {
     Journal journal(dir, registry);
     journal.recover();
-    journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
+    journal.append(Journal::admit_record(1, "a=1", 0));
     journal.append(Journal::done_record(1, "ok"));
     journal.flush();
     // Double-done: first wins.
@@ -136,7 +136,7 @@ TEST_F(JournalTest, DuplicateTerminalRecordsAreIdempotent) {
     journal.append(Journal::done_record(7, "cancelled"));
     journal.flush();
     // Re-admit after done: ignored.
-    journal.append(Journal::admit_record(1, "a=1", "anon", 1, 0));
+    journal.append(Journal::admit_record(1, "a=1", 0));
   }
   Journal reloaded(dir, registry);
   const Journal::Recovery rec = reloaded.recover();
@@ -164,8 +164,8 @@ TEST_F(JournalTest, TruncatedTailLosesOnlyTheTornRecord) {
   {
     Journal journal(dir, registry);
     journal.recover();
-    journal.append(Journal::admit_record(1, "first=run", "anon", 1, 0));
-    journal.append(Journal::admit_record(2, "second=run", "anon", 1, 0));
+    journal.append(Journal::admit_record(1, "first=run", 0));
+    journal.append(Journal::admit_record(2, "second=run", 0));
     journal.flush();
   }
   // Chop into the last record's payload — a torn write at crash time.
@@ -183,9 +183,9 @@ TEST_F(JournalTest, BitFlippedRecordEndsReplayAtTheFlip) {
   {
     Journal journal(dir, registry);
     journal.recover();
-    journal.append(Journal::admit_record(1, "keep=me", "anon", 1, 0));
-    journal.append(Journal::admit_record(2, "flip=me", "anon", 1, 0));
-    journal.append(Journal::admit_record(3, "after=flip", "anon", 1, 0));
+    journal.append(Journal::admit_record(1, "keep=me", 0));
+    journal.append(Journal::admit_record(2, "flip=me", 0));
+    journal.append(Journal::admit_record(3, "after=flip", 0));
     journal.flush();
   }
   // Flip one payload byte of the middle record; its CRC fails and the
@@ -227,25 +227,19 @@ TEST_F(JournalTest, OlderStartAndCkptRecordsAreSkipped) {
   ASSERT_EQ(rec.incomplete.size(), 2u);
   EXPECT_EQ(rec.incomplete[0].id, 1u);
   EXPECT_EQ(rec.incomplete[0].spec, "a=1");
-  EXPECT_EQ(rec.incomplete[0].client, "alice");
-  EXPECT_EQ(rec.incomplete[0].priority, 2);
   EXPECT_EQ(rec.incomplete[1].id, 3u);
   EXPECT_EQ(rec.incomplete[1].spec, "c=3");
-  EXPECT_EQ(rec.incomplete[1].client, "bob");
-  EXPECT_EQ(rec.incomplete[1].priority, 0);
 }
 
 TEST_F(JournalTest, Admit3RecordsReplayTheirDeadline) {
   // admit3 carries the RUN's deadline_ms; admit2 and admit replay with
-  // none.  Compaction writes every run back as admit3, so the deadline
-  // also survives a second restart.
+  // none.  Compaction writes every run back as admit3, priority 1 and
+  // client anon, so the deadline also survives a second restart.
   const Journal::Recovery rec =
       Journal::replay({"admit3 4 2 alice 1500 a=1", "admit2 5 1 bob b=2",
                        "admit 6 c=3", "admit3 7 0 carol 0 d=4"});
   ASSERT_EQ(rec.incomplete.size(), 4u);
   EXPECT_EQ(rec.incomplete[0].spec, "a=1");
-  EXPECT_EQ(rec.incomplete[0].client, "alice");
-  EXPECT_EQ(rec.incomplete[0].priority, 2);
   EXPECT_EQ(rec.incomplete[0].deadline_ms, 1500u);
   EXPECT_EQ(rec.incomplete[1].deadline_ms, 0u);
   EXPECT_EQ(rec.incomplete[2].deadline_ms, 0u);
@@ -253,9 +247,25 @@ TEST_F(JournalTest, Admit3RecordsReplayTheirDeadline) {
   EXPECT_EQ(rec.incomplete[3].deadline_ms, 0u);
   EXPECT_EQ(Journal::compact(rec),
             (std::vector<std::string>{
-                "nextid 8", "admit3 4 2 alice 1500 a=1",
-                "admit3 5 1 bob 0 b=2", "admit3 6 1 anon 0 c=3",
-                "admit3 7 0 carol 0 d=4"}));
+                "nextid 8", "admit3 4 1 anon 1500 a=1",
+                "admit3 5 1 anon 0 b=2", "admit3 6 1 anon 0 c=3",
+                "admit3 7 1 anon 0 d=4"}));
+}
+
+TEST_F(JournalTest, Admit2And3RecordsNeedAValidPriorityAndClient) {
+  // Replay keeps the checks older builds made of the two fields it now
+  // ignores: a priority of 0-2 and a client of 1-64 chars from
+  // [A-Za-z0-9._-].  A record that fails them is skipped.
+  const std::string name64(64, 'n');
+  const Journal::Recovery rec = Journal::replay(
+      {"admit3 1 0 team-7.batch_2 0 a=1", "admit3 2 2 " + name64 + " 0 b=2",
+       "admit2 3 1 x c=3", "admit3 4 3 anon 0 d=4",
+       "admit3 5 1 b@d 0 e=5", "admit3 6 1 " + name64 + "n 0 f=6",
+       "admit2 7 -1 anon g=7", "admit2 8 1 anon", "admit3 9 1 anon x i=9"});
+  ASSERT_EQ(rec.incomplete.size(), 3u);
+  EXPECT_EQ(rec.incomplete[0].spec, "a=1");
+  EXPECT_EQ(rec.incomplete[1].spec, "b=2");
+  EXPECT_EQ(rec.incomplete[2].spec, "c=3");
 }
 
 TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
@@ -267,7 +277,7 @@ TEST_F(JournalTest, BadMagicStartsFreshAndStaysWritable) {
   EXPECT_TRUE(rec.incomplete.empty());
   EXPECT_EQ(rec.next_id, 4u);
   // The damaged log was compacted over; appends land in a valid file.
-  journal.append(Journal::admit_record(9, "fresh=1", "anon", 1, 0));
+  journal.append(Journal::admit_record(9, "fresh=1", 0));
   Journal reloaded(dir, registry);
   const Journal::Recovery again = reloaded.recover();
   EXPECT_EQ(again.corrupt, 0u);
@@ -281,8 +291,8 @@ TEST_F(JournalTest, CompactionBoundsTheLogToLiveState) {
     Journal journal(dir, registry);
     journal.recover();
     for (std::uint64_t id = 1; id <= 50; ++id) {
-      journal.append(Journal::admit_record(id, "spec=" + std::to_string(id),
-                                           "anon", 1, 0));
+      journal.append(
+          Journal::admit_record(id, "spec=" + std::to_string(id), 0));
       journal.append(Journal::done_record(id, "ok"));
       journal.flush();
     }

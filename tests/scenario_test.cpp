@@ -504,42 +504,15 @@ TEST(RunScenario, OversizedImportedWorkloadIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Unit: estimate_cost.
+// Unit: the registry cost model that sim::dispatch_order sorts tasks by.
 
-scenario::ScenarioSpec resolved(const std::string& text) {
-  return scenario::ScenarioSpec::parse(text).resolved();
-}
-
-TEST(EstimateCostTest, ChargesRequestsTimesColumns) {
-  // r_bma is the cost unit at every b: one unit per request per column.
-  const std::uint64_t one_b = estimate_cost(
-      resolved("algorithms=r_bma;b=2;racks=8;requests=4000;trials=1"));
-  const std::uint64_t two_b = estimate_cost(
-      resolved("algorithms=r_bma;b=2,4;racks=8;requests=4000;trials=1"));
-  EXPECT_EQ(one_b, 4000u);
-  EXPECT_EQ(two_b, 2 * one_b);
-}
-
-TEST(EstimateCostTest, TrialsMultiplyOnlyRandomizedAlgorithms) {
-  const std::string bma = "algorithms=bma;b=2;racks=8;requests=4000;trials=";
-  EXPECT_EQ(estimate_cost(resolved(bma + "5")),
-            estimate_cost(resolved(bma + "1")));
-  const std::string rand =
-      "algorithms=r_bma;b=2;racks=8;requests=4000;trials=";
-  EXPECT_EQ(estimate_cost(resolved(rand + "5")),
-            5 * estimate_cost(resolved(rand + "1")));
-}
-
-TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
+TEST(TaskCostTest, ChargesFollowMeasuredCostOrder) {
   // Single-thread ns/request on fat_tree, 100 racks, facebook_db (the
   // registry cost model's calibration table), relative to r_bma at the
   // same b.
   const auto cost = [](const std::string& algorithm, std::size_t b) {
-    scenario::ScenarioSpec spec =
-        resolved("racks=100;requests=100000;trials=1");
-    spec.algorithms = {Spec{algorithm, {}}};
-    spec.cache_sizes = {b};
-    return estimate_cost(spec);
+    return scenario::AlgorithmRegistry::instance().at(algorithm).task_cost(
+        b, 100000);
   };
   for (const std::size_t b : {4u, 16u, 64u}) {
     SCOPED_TRACE("b=" + std::to_string(b));
@@ -572,32 +545,6 @@ TEST(EstimateCostTest, ChargesFollowMeasuredCostOrder) {
   EXPECT_GT(cost("bma", 64), 2 * cost("bma", 4));
   EXPECT_EQ(cost("r_bma", 4), cost("r_bma", 64));
   EXPECT_EQ(cost("oblivious", 4), cost("oblivious", 64));
-}
-
-TEST(EstimateCostTest, BIndependentAlgorithmsChargeOneColumn) {
-  const std::uint64_t one = estimate_cost(
-      resolved("algorithms=oblivious;b=2;racks=8;requests=4000;trials=1"));
-  const std::uint64_t many = estimate_cost(
-      resolved("algorithms=oblivious;b=2,4,8;racks=8;requests=4000;trials=1"));
-  EXPECT_EQ(one, many);
-}
-
-TEST(EstimateCostTest, EqualsTheSummedDispatchCosts) {
-  // The admission charge is what sim::run_experiment dispatches: r_bma's
-  // trials and bma at both b, the b-independent oblivious once.
-  const scenario::ScenarioSpec spec = resolved(
-      "algorithms=r_bma,bma,oblivious;b=4,16;racks=8;requests=4000;"
-      "trials=3");
-  const std::vector<sim::ExperimentSpec> columns = {
-      {.algorithm = "r_bma", .b = 4}, {.algorithm = "r_bma", .b = 16},
-      {.algorithm = "bma", .b = 4},   {.algorithm = "bma", .b = 16},
-      {.algorithm = "oblivious", .b = 4}};
-  const std::vector<sim::ExperimentTask> tasks =
-      sim::dispatch_order(columns, spec.trials, spec.requests);
-  ASSERT_EQ(tasks.size(), 3u * 2 + 2 + 1);
-  double total = 0;
-  for (const sim::ExperimentTask& task : tasks) total += task.cost;
-  EXPECT_EQ(estimate_cost(spec), static_cast<std::uint64_t>(total));
 }
 
 TEST(RunMatrix, CrossesTopologiesWithWorkloads) {

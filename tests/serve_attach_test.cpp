@@ -1,7 +1,8 @@
 // The durable run-lifecycle layer end to end: ATTACH resubscription
 // (second connections, checkpoint replay with from=, finished runs),
 // journal-backed crash recovery across a daemon restart (re-enqueued
-// runs, stable ids, persisted quarantine streaks), a DONE that reaches
+// runs, stable ids, persisted quarantine streaks, and the admit, admit2
+// and admit3 records older builds wrote), a DONE that reaches
 // its client only after its terminal record's fsync, the client's
 // reconnect-and-ATTACH resume, and graceful drain via SHUTDOWN drain=1
 // or SIGTERM, including a drain whose budget runs out.
@@ -15,11 +16,13 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/fault.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/client.hpp"
@@ -281,6 +284,60 @@ TEST_F(AttachTest, JournalledRunSurvivesDaemonRestart) {
   ASSERT_TRUE(next.accepted) << next.error;
   EXPECT_GT(next.id, id);
   EXPECT_EQ(f.client.collect(next.id).status, "ok");
+}
+
+TEST_F(AttachTest, AnOlderBuildsJournalRecoversToTheSameBytes) {
+  // A log as older builds wrote it (journal.hpp): `admit` records, and
+  // `admit2`/`admit3` records naming clients and priorities, which
+  // recovery ignores.  Every run comes back and re-runs to the bytes of a
+  // direct run.
+  const std::string journal_dir = scratch_dir("legacy", "journal");
+  const auto spec = [](int seed) {
+    return scenario::ScenarioSpec::parse(
+               "workload=zipf:skew=1.1;algorithms=bma;b=2;racks=8;"
+               "requests=4000;trials=1;checkpoints=2;seed=" +
+               std::to_string(seed))
+        .canonical_string();
+  };
+  const std::vector<std::string> records = {
+      "nextid 1025",
+      "admit 1 " + spec(31),
+      "admit2 2 0 alice " + spec(32),
+      "admit2 3 2 bob " + spec(33),
+      "admit3 4 0 alice 0 " + spec(34),
+      "admit3 5 2 bob 60000 " + spec(35),
+  };
+  std::string log = "RDJ1";
+  for (const std::string& record : records) {
+    append_u32(log, static_cast<std::uint32_t>(record.size()));
+    append_u32(log, crc32(record.data(), record.size()));
+    log += record;
+  }
+  fs::create_directories(journal_dir);
+  std::ofstream(journal_dir + "/wal.rdj", std::ios::binary) << log;
+
+  ServeOptions options = small_options("legacy");
+  options.journal_dir = journal_dir;
+  DaemonFixture f(std::move(options));
+  EXPECT_EQ(f.daemon.stats_report().recovered, 5u);
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    SCOPED_TRACE("run " + std::to_string(id));
+    const Client::AttachResult at = f.client.attach(id);
+    ASSERT_TRUE(at.attached) << at.error;
+    const Client::RunOutput out = f.client.collect(id);
+    EXPECT_EQ(out.status, "ok") << out.error;
+    EXPECT_EQ(out.csv, direct_csv(spec(30 + static_cast<int>(id))));
+  }
+
+  // The log is still RDJ1: compaction wrote each recovered run back as an
+  // admit3 record, priority 1 and client anon, its deadline kept.
+  std::ifstream in(journal_dir + "/wal.rdj", std::ios::binary);
+  const std::string rewritten((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_EQ(rewritten.substr(0, 4), "RDJ1");
+  EXPECT_NE(rewritten.find("admit3 2 1 anon 0 " + spec(32)), std::string::npos);
+  EXPECT_NE(rewritten.find("admit3 5 1 anon 60000 " + spec(35)),
+            std::string::npos);
 }
 
 TEST_F(AttachTest, QuarantineStreakPersistsAcrossRestart) {

@@ -12,10 +12,10 @@
 // for the ordering guarantees.  A restart must recover exactly the
 // model's incomplete runs (deadlines included), streaks and id lease.
 //
-// Two restart cases: a new run never takes the id of a cache hit served
-// before a crash, and a recovered run keeps its deadline, counted from the
-// restart.  DrrQueue::erase, which ends a queued run, gets its own case.
-// Socket level: a queued run that is cancelled, expires or is orphaned
+// Three restart cases: a new run never takes the id of a cache hit served
+// before a crash, a recovered run keeps its deadline, counted from the
+// restart, and a recovered run whose spec no longer parses ends `error` at
+// once.  Socket level: a queued run that is cancelled, expires or is orphaned
 // ends at once; served payloads byte-match direct runs; an executor crash
 // ends ERROR internal= + DONE status=error; stop() leaves no thread or fd
 // the daemon made.
@@ -55,9 +55,6 @@ constexpr std::uint64_t kSeed = 20291019;
 constexpr int kSpecs = 6;
 
 std::string spec_name(int i) { return "spec=" + std::to_string(i); }
-std::uint64_t spec_cost(const std::string& spec) {
-  return 1 + static_cast<std::uint64_t>(spec.back() - '0') % 5;
-}
 std::string payload_of(const std::string& spec) {
   return "cell," + spec + "\n";
 }
@@ -79,14 +76,13 @@ int rank(const std::string& cause) {
 }
 
 /// The reference model: the lifecycle rules restated over one record per
-/// run, scanned in id order.  The admission primitives (TokenBucket,
-/// Brownout, DrrQueue) are used as they are.
+/// run, scanned in id order, and the queue as the queued ids in admission
+/// order.
 struct Model {
   enum class State { kQueued, kRunning };
   struct Run {
     std::uint64_t id = 0;
-    std::string spec, client;
-    int priority = 1;
+    std::string spec;
     std::uint64_t deadline_ms = 0;
     bool recovered = false;
     State state = State::kQueued;
@@ -102,30 +98,15 @@ struct Model {
     std::uint64_t touched = 0;
   };
 
-  explicit Model(const ServeOptions& o)
-      : opt(o), queue(o.drr_quantum), brownout(o.queue_limit, 0) {}
+  explicit Model(const ServeOptions& o) : opt(o) {}
 
   bool durable() const { return !opt.journal_dir.empty(); }
-  std::size_t inflight(const std::string& client) const {
-    std::size_t n = 0;
-    for (const auto& [id, run] : runs) n += run.client == client;
-    return n;
-  }
   void line(ConnId conn, const std::string& text) {
     lines.emplace_back(conn, text + "\n");
   }
-  TokenBucket& bucket(const std::string& client) {
-    const double burst = opt.quota_burst > 0 ? opt.quota_burst
-                                             : std::max(1.0, 2 * opt.quota_rps);
-    return buckets.try_emplace(client, opt.quota_rps, burst).first->second;
-  }
-  void update_brownout() {
-    stats.brownout =
-        static_cast<std::size_t>(brownout.update(queued, 0));
-  }
-  void reject(ConnId conn, const std::string& reason) {
-    (reason == "shed" ? stats.shed : stats.rejected) += 1;
-    line(conn, "REJECT reason=" + reason);
+  void reject(ConnId conn) {
+    stats.rejected += 1;
+    line(conn, "REJECT reason=queue_full");
   }
 
   std::uint64_t open(const Lifecycle::Submission& s, std::uint64_t now,
@@ -150,8 +131,7 @@ struct Model {
       }
     }
     if (inject) {
-      bucket(s.client);
-      reject(s.conn, "queue_full");
+      reject(s.conn);
       return 0;
     }
     // Ids are leased: the first id of each lease journals its bound.
@@ -164,37 +144,16 @@ struct Model {
 
   bool enqueue(const Lifecycle::Submission& s, std::uint64_t id,
                std::uint64_t now) {
-    TokenBucket& b = bucket(s.client);
-    if (queued >= opt.queue_limit) {
-      reject(s.conn, "queue_full");
+    if (queue.size() >= opt.queue_limit) {
+      reject(s.conn);
       return false;
     }
-    if (opt.quota_concurrent > 0 &&
-        inflight(s.client) >= opt.quota_concurrent) {
-      reject(s.conn, "quota");
-      return false;
-    }
-    if (!b.try_take(now)) {
-      reject(s.conn, "quota");
-      return false;
-    }
-    update_brownout();
-    const auto level = static_cast<int>(stats.brownout);
-    const bool costly =
-        opt.shed_cost_limit > 0 && s.cost > opt.shed_cost_limit;
-    if (level > 0 && (s.priority < level || (costly && s.priority < 2))) {
-      reject(s.conn, "shed");
-      return false;
-    }
-    records.push_back("admit3 " + std::to_string(id) + " " +
-                      std::to_string(s.priority) + " " + s.client + " " +
+    records.push_back("admit3 " + std::to_string(id) + " 1 anon " +
                       std::to_string(s.deadline_ms) + " " + s.canonical);
     line(s.conn, "ACCEPTED id=" + std::to_string(id));
     Run run;
     run.id = id;
     run.spec = s.canonical;
-    run.client = s.client;
-    run.priority = s.priority;
     run.deadline_ms = s.deadline_ms;
     run.subs.emplace_back(s.conn, 1);
     add_queued(std::move(run));
@@ -203,22 +162,20 @@ struct Model {
   }
 
   void add_queued(Run run) {
-    queue.push(run.client, spec_cost(run.spec), run.id);
-    queued += 1;
-    stats.queued = queued;
+    queue.push_back(run.id);
+    stats.queued = queue.size();
     runs.emplace(run.id, std::move(run));
   }
 
   std::uint64_t pickup(std::uint64_t now) {
-    std::uint64_t id = 0;
-    if (!queue.pop(&id)) return 0;
+    if (queue.empty()) return 0;
+    const std::uint64_t id = queue.front();
+    queue.pop_front();
     Run& run = runs.at(id);
     run.state = State::kRunning;
     run.progress = now;
-    queued -= 1;
-    stats.queued = queued;
+    stats.queued = queue.size();
     stats.active += 1;
-    update_brownout();
     return id;
   }
 
@@ -265,10 +222,8 @@ struct Model {
     if (run.state == State::kRunning) {
       stats.active -= 1;
     } else {
-      queue.erase(run.client, run.id);
-      queued -= 1;
-      stats.queued = queued;
-      update_brownout();
+      std::erase(queue, run.id);
+      stats.queued = queue.size();
     }
     for (const auto& [conn, from] : run.subs) {
       if (kind == "spec_error") line(conn, "ERROR bad spec");
@@ -371,7 +326,6 @@ struct Model {
     }
     if (!deadlines.empty()) t.wake_ns = deadlines.begin()->first;
     if (watch) {
-      update_brownout();
       const std::uint64_t budget = opt.progress_timeout_ms * kMs;
       for (auto& [id, run] : runs)
         if (budget > 0 && run.state == State::kRunning &&
@@ -407,7 +361,7 @@ struct Model {
   }
 
   /// A new incarnation: with a journal the live runs come back queued (in
-  /// admission order, charged, their deadlines counted from now), the
+  /// admission order, their deadlines counted from now), the
   /// streaks survive and ids resume at the leased bound; without one the
   /// daemon starts from nothing.
   void restart(std::uint64_t now) {
@@ -420,13 +374,10 @@ struct Model {
         Run r;
         r.id = id;
         r.spec = run.spec;
-        r.client = run.client;
-        r.priority = run.priority;
         r.deadline_ms = run.deadline_ms;
         r.recovered = true;
         if (r.deadline_ms > 0)
           fresh.deadlines.emplace(now + r.deadline_ms * kMs, id);
-        fresh.bucket(r.client);
         fresh.add_queued(std::move(r));
         fresh.stats.recovered += 1;
       }
@@ -437,10 +388,7 @@ struct Model {
   ServeOptions opt;
   std::map<std::uint64_t, Run> runs;  ///< queued + running
   std::deque<Run> recent;
-  DrrQueue<std::uint64_t> queue;
-  std::size_t queued = 0;
-  Brownout brownout;
-  std::map<std::string, TokenBucket> buckets;
+  std::deque<std::uint64_t> queue;  ///< queued ids, oldest first
   std::map<std::string, Streak> streaks;
   std::multimap<std::uint64_t, std::uint64_t> deadlines;
   StatsReport stats;
@@ -529,13 +477,8 @@ class Schedule {
     opt_.executors = executors_;
     opt_.quarantine_threshold = pick(4);
     opt_.quarantine_ttl_s = pick(3) == 0 ? 1 : 0;
-    opt_.quota_rps = pick(3) == 0 ? 20 : 0;
-    opt_.quota_burst = 2;
-    opt_.quota_concurrent = pick(3) == 0 ? 2 : 0;
-    opt_.shed_cost_limit = pick(2) == 0 ? 3 : 0;
     opt_.progress_timeout_ms = pick(2) == 0 ? 100 : 0;
     opt_.drain_ms = 50 + pick(200);
-    opt_.drr_quantum = 1 + pick(8);
     opt_.journal_dir = pick(2) == 0 ? "journal" : "";
     model_ = std::make_unique<Model>(opt_);
     incarnate();
@@ -568,11 +511,6 @@ class Schedule {
   void incarnate() {
     registry_ = std::make_unique<obs::Registry>();
     lc_ = std::make_unique<Lifecycle>(opt_, *registry_);
-    QuotaSpec quota;
-    quota.rps = opt_.quota_rps;
-    quota.burst = opt_.quota_burst;
-    quota.concurrent = opt_.quota_concurrent;
-    lc_->set_quotas(QuotaTable(quota));
     jobs_.clear();
     conns_.clear();
     for (int i = 0; i < 3; ++i) conns_.insert(next_conn_++);
@@ -638,12 +576,9 @@ class Schedule {
     field("stalled", r.stalled, m.stalled);
     field("crashed", r.crashed, m.crashed);
     field("rejected", r.rejected, m.rejected);
-    field("shed", r.shed, m.shed);
     field("quarantined", r.quarantined, m.quarantined);
     field("recovered", r.recovered, m.recovered);
     field("attached", r.attached, m.attached);
-    field("brownout", r.brownout, m.brownout);
-    field("clients", r.clients, model_->buckets.size());
     // A running run's token fires exactly when the model says so.
     for (const auto& [id, job] : jobs_)
       if (job.cancel.cancelled() != model_->runs.at(id).cancel_requested &&
@@ -678,9 +613,6 @@ class Schedule {
     Lifecycle::Submission s;
     s.conn = any_conn();
     s.canonical = spec_name(static_cast<int>(pick(kSpecs)));
-    s.client = std::vector<std::string>{"anon", "alice", "bob"}[pick(3)];
-    s.priority = static_cast<int>(pick(3));
-    s.cost = spec_cost(s.canonical);
     s.deadline_ms = chance(30) ? 20 + pick(280) : 0;
     const bool inject = chance(5);
     Lifecycle::Outbox out;
@@ -885,15 +817,14 @@ class Schedule {
     if (durable()) {
       std::vector<Journal::RecoveredRun> want;
       for (const auto& [id, run] : model_->runs)
-        want.push_back(
-            {id, run.spec, run.client, run.priority, run.deadline_ms});
+        want.push_back({id, run.spec, run.deadline_ms});
       std::vector<std::pair<std::string, std::size_t>> streaks;
       for (const auto& [spec, streak] : model_->streaks)
         streaks.emplace_back(spec, streak.count);
       const auto same = [](const Journal::RecoveredRun& a,
                            const Journal::RecoveredRun& b) {
-        return a.id == b.id && a.spec == b.spec && a.client == b.client &&
-               a.priority == b.priority && a.deadline_ms == b.deadline_ms;
+        return a.id == b.id && a.spec == b.spec &&
+               a.deadline_ms == b.deadline_ms;
       };
       if (!std::equal(recovery.incomplete.begin(), recovery.incomplete.end(),
                       want.begin(), want.end(), same))
@@ -909,10 +840,9 @@ class Schedule {
     incarnate();
     model_->restart(now_);
     Lifecycle::Outbox out;
-    const auto cost = [](const Journal::RecoveredRun& run) {
-      return std::optional<std::uint64_t>(spec_cost(run.spec));
-    };
-    lc_->restore(recovery, now_, cost, out);
+    lc_->restore(
+        recovery, now_, [](const Journal::RecoveredRun&) { return true; },
+        out);
     compare("restore", out);
   }
 
@@ -945,21 +875,15 @@ TEST(LifecycleModel, RandomSchedulesMatchTheModel) {
   }
 }
 
-
-// DrrQueue::erase, which ends a queued run at once: the item leaves its
-// lane, an emptied lane leaves the rotation and forfeits its credit, and
-// the rotation carries on with the lanes that remain.
 /// One incarnation of the class with a journal: restored from `journal`
 /// at `now`; every record it emits is appended to `journal`, which is all
-/// that survives a crash.
+/// that survives a crash.  `parses` says whether a recovered spec parses.
 struct Incarnation {
-  Incarnation(std::vector<std::string>& journal, std::uint64_t now)
+  Incarnation(std::vector<std::string>& journal, std::uint64_t now,
+              const Lifecycle::SpecCheck& parses =
+                  [](const Journal::RecoveredRun&) { return true; })
       : journal(journal), lc(opt, registry) {
-    lc.restore(Journal::replay(journal), now,
-               [](const Journal::RecoveredRun&) {
-                 return std::optional<std::uint64_t>(1);
-               },
-               out);
+    lc.restore(Journal::replay(journal), now, parses, out);
     keep();
   }
   void keep() {
@@ -1021,37 +945,31 @@ TEST(LifecycleRestart, ARecoveredRunKeepsItsDeadline) {
             std::vector<std::string>{"done 1 deadline_exceeded"});
 }
 
-TEST(DrrQueueTest, EraseRemovesQueuedItemsAndEmptiedLanes) {
-  DrrQueue<int> queue(10);
-  queue.push("a", 3, 1);
-  queue.push("a", 3, 2);
-  queue.push("b", 3, 3);
-  queue.push("c", 3, 4);
-  EXPECT_FALSE(queue.erase("a", 9));  // not queued
-  EXPECT_FALSE(queue.erase("z", 1));  // no such lane
-  EXPECT_TRUE(queue.erase("a", 1));
-  EXPECT_EQ(queue.size(), 3u);
-  int out = 0;
-  ASSERT_TRUE(queue.pop(&out));
-  EXPECT_EQ(out, 2);  // a's lane keeps its place and its other item
-  EXPECT_TRUE(queue.erase("b", 3));  // b's lane empties and leaves
-  ASSERT_TRUE(queue.pop(&out));
-  EXPECT_EQ(out, 4);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(queue.pop(&out));
-  // A lane emptied by erase forfeits its credit: back in the rotation, an
-  // item above one quantum waits behind a cheap one.
-  queue.push("a", 1, 5);
-  queue.push("a", 1, 6);
-  ASSERT_TRUE(queue.pop(&out));  // a earns 10 and spends 1
-  EXPECT_EQ(out, 5);
-  EXPECT_TRUE(queue.erase("a", 6));  // a leaves with 9 unspent
-  queue.push("a", 15, 7);
-  queue.push("b", 1, 8);
-  ASSERT_TRUE(queue.pop(&out));
-  EXPECT_EQ(out, 8);
-  ASSERT_TRUE(queue.pop(&out));
-  EXPECT_EQ(out, 7);
+TEST(LifecycleRestart, AnUnparseableRecoveredRunEndsErrorAtOnce) {
+  std::vector<std::string> journal;
+  Lifecycle::Submission s;
+  s.conn = 1;
+  {
+    Incarnation before(journal, 0);
+    for (const char* spec : {"spec=1", "spec=2", "spec=3"}) {
+      s.canonical = spec;
+      const std::uint64_t id = before.open(s, 0);
+      ASSERT_TRUE(before.lc.enqueue(s, id, 0, before.out));
+      before.keep();
+    }
+  }
+  // Another build journalled spec=2, which this one cannot parse: it ends
+  // `error` at restore and never queues; the others keep their order.
+  Incarnation after(journal, 1000 * kMs, [](const Journal::RecoveredRun& r) {
+    return r.spec != "spec=2";
+  });
+  EXPECT_EQ(journal.back(), "done 2 error");
+  ASSERT_EQ(after.lc.queued(), 2u);
+  Lifecycle::Job job;
+  ASSERT_TRUE(after.lc.pickup(1000 * kMs, &job));
+  EXPECT_EQ(job.id, 1u);
+  ASSERT_TRUE(after.lc.pickup(1000 * kMs, &job));
+  EXPECT_EQ(job.id, 3u);
 }
 
 // ------------------------------------------------------------ socket level
@@ -1109,7 +1027,6 @@ struct SocketTest : ::testing::Test {
 TEST_F(SocketTest, CancelledExpiredOrOrphanedQueuedRunsEndAtOnce) {
   ServeOptions options = socket_options("queued_end");
   options.queue_limit = 1;
-  options.quota_concurrent = 2;
   Daemon daemon(options);
   daemon.start();
   Client client;
@@ -1124,8 +1041,8 @@ TEST_F(SocketTest, CancelledExpiredOrOrphanedQueuedRunsEndAtOnce) {
   ASSERT_TRUE(wedged.accepted) << wedged.error;
   ASSERT_TRUE(poll_until([&] { return daemon.stats_report().active == 1; }));
 
-  // A deadline on a queued run: DONE at once, and its queue slot and its
-  // client's concurrent charge are free for the next run.
+  // A deadline on a queued run: DONE at once, and its queue slot is free
+  // for the next run.
   const Client::Submission late = client.submit(tiny_spec(2), 50);
   ASSERT_TRUE(late.accepted) << late.error;
   EXPECT_EQ(client.collect(late.id).status, "deadline_exceeded");

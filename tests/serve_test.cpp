@@ -176,10 +176,8 @@ TEST(Protocol, OptionRefusalsNameTheTokenAndTheKnownOptions) {
     const char* known;
   } rows[] = {
       {"RUN w=z bogus=1", "'bogus'", "deadline_ms=<positive integer>"},
-      {"RUN w=z junk_after_spec", "'junk_after_spec'", "priority=<0-2>"},
-      {"RUN w=z priority=high", "'high'", "priority=<0-2>"},
-      {"RUN w=z priority=3", "'priority=3'", "client=<name>"},
-      {"RUN w=z client=b@d", "'client=b@d'", "client=<name>"},
+      {"RUN w=z junk_after_spec", "'junk_after_spec'",
+       "deadline_ms=<positive integer>"},
       {"RUN w=z deadline_ms=0", "'deadline_ms=0'", "deadline_ms="},
       {"ATTACH 1 from=0", "'from=0'", "from=<positive integer>"},
       {"ATTACH 1 bogus=2", "'bogus'", "from=<positive integer>"},
@@ -194,13 +192,11 @@ TEST(Protocol, OptionRefusalsNameTheTokenAndTheKnownOptions) {
   }
   // Extra spaces are separators, and a repeated option replaces the
   // earlier one.
-  const Command run = parse_command(
-      "RUN w=z  deadline_ms=5 client=bob  priority=2 deadline_ms=7 ");
+  const Command run =
+      parse_command("RUN w=z  deadline_ms=5  deadline_ms=7 ");
   EXPECT_EQ(run.kind, Command::Kind::kRun);
   EXPECT_EQ(run.spec, "w=z");
   EXPECT_EQ(run.deadline_ms, 7u);
-  EXPECT_EQ(run.client, "bob");
-  EXPECT_EQ(run.priority, 2);
 }
 
 TEST(Protocol, ParsesShutdownDrainOption) {
@@ -252,6 +248,7 @@ TEST(Protocol, StatsReportRoundTrips) {
   r.disk_corrupt = 13;
   r.recovered = 14;
   r.attached = 15;
+  r.stalled = 16;
   const ServerLine line = parse_server_line(msg_stats(r));
   ASSERT_EQ(line.kind, ServerLine::Kind::kStats);
   const StatsReport parsed = parse_stats(line.text);
@@ -270,6 +267,7 @@ TEST(Protocol, StatsReportRoundTrips) {
   EXPECT_EQ(parsed.disk_corrupt, 13u);
   EXPECT_EQ(parsed.recovered, 14u);
   EXPECT_EQ(parsed.attached, 15u);
+  EXPECT_EQ(parsed.stalled, 16u);
 }
 
 TEST(Protocol, DoneStatusCarriesDeadlineExceeded) {

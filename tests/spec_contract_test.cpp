@@ -105,10 +105,10 @@ TEST(SpecContract, EveryErrorBranchKeepsItsText) {
       {"RUN", "RUN needs a scenario spec ('RUN <spec>')"},
       {"RUN w=z bogus=1",
        "RUN: unknown parameter 'bogus'; known RUN options: "
-       "deadline_ms=<positive integer>, client=<name>, priority=<0-2>"},
+       "deadline_ms=<positive integer>"},
       {"FROB",
-       "unknown command 'FROB'; known: PING, HELLO, RUN, CANCEL, ATTACH, "
-       "RESET, STATS, METRICS, SHUTDOWN"},
+       "unknown command 'FROB'; known: PING, RUN, CANCEL, ATTACH, RESET, "
+       "STATS, METRICS, SHUTDOWN"},
   };
   for (const auto& row : commands) {
     const serve::Command cmd = serve::parse_command(row.line);
